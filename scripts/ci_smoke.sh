@@ -5,16 +5,16 @@
 # then the fault/robustness suite (E13 + the `faults`-marked tests),
 # then the live runtime (a <=10s virtual-time demo, a UDP E14 quick cell,
 # a multiplexed router cell with live churn, the crash-failure
-# regression, and the E14 sim-vs-live table), then the batched-vs-scalar
-# engine
-# differential check, the scale experiment E15, the mobility experiment
+# regression, and the E14 sim-vs-live table), then the
+# reference-vs-production simulator differential check, the scale
+# experiment E15, the mobility experiment
 # E16 (dynamic topologies end-to-end), the observability layer
 # (repro.viz: a headless dashboard + mobility animation, the sweep
 # report artifact, and a live router run streaming rolling tail
 # panels), the sweep service (repro.serve: start the daemon, submit a
 # 3-cell grid, fetch the tables, shut down cleanly, all within a 30s
 # budget), the docs step (module doctests + markdown link check), and
-# the engine/analysis benchmarks (bench_analysis records
+# the simulator/analysis benchmarks (bench_analysis records
 # BENCH_analysis.json, bench_sim BENCH_sim.json with its >= 5x
 # at-scale speedup floor, bench_viz BENCH_viz.json with its rendering
 # cells/second floor, bench_serve BENCH_serve.json with its cold/warm
@@ -103,10 +103,11 @@ if grep -q " NO " "$ARTIFACTS/e14.txt"; then
 fi
 
 echo
-echo "== simulation engine differential check (scalar vs batched) =="
-# The quick cut of the byte-identity contract: the engine-marked
-# differential suite (full algorithm x topology x fault x mobility grid
-# plus hypothesis scenarios; also reruns the fault-parity and replay
+echo "== simulator differential check (reference vs production) =="
+# The quick cut of the byte-identity contract between the production
+# loop and the naive reference loop: the engine-marked differential
+# suite (full algorithm x topology x fault x mobility grid plus
+# hypothesis scenarios; also reruns the fault-parity and replay
 # round-trip guards carrying the marker).
 python -m pytest -q -m engine tests/
 
@@ -219,7 +220,7 @@ test -s BENCH_analysis.json \
     || { echo "error: bench_analysis wrote no BENCH_analysis.json" >&2; exit 1; }
 
 echo
-echo "== simulation engine benchmark (scalar vs batched, >= 5x at-scale) =="
+echo "== simulator loop benchmark (reference vs production, >= 5x at-scale) =="
 python benchmarks/bench_sim.py
 test -s BENCH_sim.json \
     || { echo "error: bench_sim wrote no BENCH_sim.json" >&2; exit 1; }

@@ -6,14 +6,15 @@ README = Path(__file__).parent / "README.md"
 
 setup(
     name="repro-gradient-clock-sync",
-    version="1.7.0",
+    version="1.8.0",
     description=(
         "Executable reproduction of 'Gradient Clock Synchronization' "
         "(Fan & Lynch, PODC 2004): simulator, lower-bound adversaries, "
         "experiments E01-E16, a parallel scenario-sweep engine, a "
         "dynamic-topology & mobility subsystem, a live runtime "
-        "(virtual-time / asyncio / UDP transports), a batched "
-        "simulation engine byte-identical to the scalar event loop, "
+        "(virtual-time / asyncio / UDP transports), one batched "
+        "simulation loop held byte-identical to a naive test-only "
+        "reference loop, "
         "a stdlib-only SVG observability layer (dashboards, "
         "mobility animations, live streaming tails, sweep reports), "
         "repro-check, an AST-based invariant linter enforcing the "

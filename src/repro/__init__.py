@@ -83,7 +83,7 @@ from repro.topology import (
     ring,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

@@ -25,7 +25,7 @@ The declared DAG (transitively closed by the test suite, pinned by
 anywhere.  Two escape hatches, both declared here as reviewable data:
 
 * :data:`MODULE_EXEMPT` — whole-module exemptions with reasons
-  (``repro.sim.replay`` is the cross-engine verification harness; it
+  (``repro.sim.replay`` is the replay verification harness; it
   lives in ``sim`` for cohesion but is layered above ``algorithms`` and
   ``gcs``);
 * :data:`LAZY_ALLOWED` — extra edges permitted only for *function-local*
@@ -106,8 +106,9 @@ LAZY_ALLOWED: dict[str, frozenset[str]] = {
 MODULE_EXEMPT: dict[str, tuple[frozenset[str], str]] = {
     "repro.sim.replay": (
         frozenset({"algorithms", "gcs"}),
-        "cross-engine replay verifier: layered above algorithms/gcs, "
-        "lives in sim for cohesion with the engines it replays",
+        "replay verifier (also the reference-loop round-trip tests' "
+        "script source): layered above algorithms/gcs, lives in sim for "
+        "cohesion with the simulator it replays",
     ),
 }
 

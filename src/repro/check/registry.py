@@ -42,7 +42,7 @@ __all__ = [
 
 #: Call/attribute sites whose string arguments are trace-event kinds.
 _KIND_CALLS = {"of_kind"}
-_KIND_KEYWORD_CALLS = {"TraceEvent", "append_row"}
+_KIND_KEYWORD_CALLS = {"TraceEvent"}
 
 
 class TraceKindLiteralRule(Rule):

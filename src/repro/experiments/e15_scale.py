@@ -7,15 +7,15 @@ the experiments stopped near ``D = 128``.  With the vectorized
 :class:`~repro.analysis.field.SkewField` the full ``f(d)`` of a
 multi-hundred-diameter network is one trajectory-matrix build plus array
 arithmetic — which moved the bottleneck to the simulation itself.  The
-batched engine (``repro.sim.engine``, byte-identical to the scalar loop
-by the differential harness in ``tests/test_engine_equivalence.py``)
-moves it back: this experiment runs each cell under the batched engine
-with tracing off (the at-scale configuration) and sweeps line / grid /
-random-geometric topologies past ``D = 512``, reporting both the
-profiles and the cost split (sim seconds vs. field build + query
-seconds per cell).  Both halves are benchmarkable artifacts
-(``benchmarks/bench_analysis.py`` pins the analysis speedup,
-``benchmarks/bench_sim.py`` the engine speedup).
+simulator's batched event loop (held byte-identical to the naive
+reference loop by ``tests/test_engine_equivalence.py``) moves it back:
+this experiment runs each cell with tracing off (the at-scale
+configuration) and sweeps line / grid / random-geometric topologies
+past ``D = 512``, reporting both the profiles and the cost split (sim
+seconds vs. field build + query seconds per cell).  Both halves are
+benchmarkable artifacts (``benchmarks/bench_analysis.py`` pins the
+analysis speedup, ``benchmarks/bench_sim.py`` the loop's speedup over
+the reference).
 """
 
 from __future__ import annotations
@@ -55,15 +55,12 @@ def run(
     *,
     rho: float = 0.2,
     seed: int = 0,
-    engine: str = "batched",
 ) -> ExperimentResult:
     """Profile the gradient candidate across diameters in the hundreds.
 
     Expected shape: per cell, the empirical ``f(d)`` rises with distance
     and both measurement and simulation cost stay tractable out to
-    ``D = 768``.  ``engine`` defaults to the batched engine; passing
-    ``"scalar"`` reproduces the pre-engine cost column (the results are
-    byte-identical either way, only the ``sim s`` column moves).
+    ``D = 768``.
     """
     diameters = pick(scale, [32, 64, 128], [32, 64, 128, 256, 512, 768])
     duration = pick(scale, 20.0, 30.0)
@@ -106,10 +103,9 @@ def run(
                     duration=duration,
                     rho=rho,
                     seed=seed,
-                    # At-scale configuration: no trace, vectorized engine.
-                    # Every measurement below reads clocks, not the trace.
+                    # At-scale configuration: no trace.  Every
+                    # measurement below reads clocks, not the trace.
                     record_trace=False,
-                    engine=engine,
                 ),
                 rate_schedules=drifted_rates(topology, rho=rho, seed=seed),
                 delay_policy=UniformRandomDelay(),
@@ -165,8 +161,8 @@ def run(
             "Every profile is answered from one n x T trajectory matrix "
             "(SkewField); the scalar value_at path is O(T n^2) bisects "
             "and capped earlier experiments near D = 128.",
-            f"Simulation ran on the {engine!r} engine with tracing off; "
-            "the batched engine is byte-identical to the scalar loop "
+            "Simulation ran with tracing off; the batched event loop is "
+            "byte-identical to the reference loop "
             "(tests/test_engine_equivalence.py) and lifted the sim-side "
             "cap near D = 512.",
         ],
@@ -174,6 +170,5 @@ def run(
             "profiles": profiles,
             "timings": timings,
             "diameters": diameters,
-            "engine": engine,
         },
     )

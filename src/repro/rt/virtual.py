@@ -1,8 +1,10 @@
 """Virtual-time transport: a deterministic scheduler for live nodes.
 
-This backend re-hosts the simulator's event loop — same
-:class:`~repro.sim.events.EventQueue` with ``(time, insertion)``
-ordering, same delay-RNG construction, same per-node RNG seeding — but
+This backend re-hosts the simulator's reference event loop
+(:mod:`repro.sim.reference`, the heap loop the production simulator is
+held byte-identical to) — same :class:`~repro.sim.events.EventQueue`
+with ``(time, insertion)`` ordering, same delay-RNG construction, same
+per-node RNG seeding — but
 drives :class:`~repro.rt.node.LiveNode` adapters through the
 :class:`~repro.rt.transport.Transport` interface instead of the
 simulator's internals.  The payoff is a strong cross-validation

@@ -120,6 +120,9 @@ class ServeDaemon:
         self.host = host
         self.port = port
         self.resumed = 0
+        #: Manifests found in the store whose spec no longer parses —
+        #: their sweeps will not resume; surfaced by the ``stats`` op.
+        self.skipped_manifests = 0
         self.clients_served = 0
         self.protocol_errors = 0
         self._ctx = multiprocessing.get_context("fork")
@@ -164,6 +167,7 @@ class ServeDaemon:
                 spec = SweepSpec.from_dict(manifest["spec"])
                 jobs = spec.jobs()
             except SweepError:
+                self.skipped_manifests += 1
                 continue
             hashes = hashes_for(jobs)
             self.book.register(
@@ -533,6 +537,7 @@ class ServeDaemon:
             "executed": executed,
             "failed": self.queue.failed,
             "resumed": self.resumed,
+            "skipped_manifests": self.skipped_manifests,
             "hits": self.queue.hits,
             "deduped": self.queue.deduped,
             "sweeps": len(self.book.ids()),

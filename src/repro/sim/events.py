@@ -125,7 +125,7 @@ class EventQueue:
 
 
 class BatchEventQueue:
-    """The vectorized event queue behind the batched simulation engine.
+    """The sorted-spine event queue behind :class:`~repro.sim.simulator.Simulator`.
 
     Same contract as :class:`EventQueue` — events pop in ``(time, seq)``
     order, where ``seq`` is global insertion order — realized as sorted
@@ -176,29 +176,6 @@ class BatchEventQueue:
         if time < self._pend_min:
             self._pend_min = time
 
-    def push_batch(self, times, events: list[Any]) -> None:
-        """Schedule a whole batch of events at once (consecutive seqs).
-
-        ``times`` may be any float sequence (typically a numpy array of
-        vectorized receive times); ``events`` is the aligned payload
-        list.  Equivalent to ``push`` called element by element.
-        """
-        if len(times) != len(events):
-            raise SimulationError("push_batch needs aligned times and events")
-        if len(times) == 0:
-            return
-        lo = float(np.min(times)) if isinstance(times, np.ndarray) else min(times)
-        if lo < self._last_popped - 1e-9:
-            raise SimulationError(
-                f"event scheduled at {lo} before current time {self._last_popped}"
-            )
-        self._pend_times.extend(
-            times.tolist() if isinstance(times, np.ndarray) else map(float, times)
-        )
-        self._pend_events.extend(events)
-        if lo < self._pend_min:
-            self._pend_min = lo
-
     # ------------------------------------------------------------------
     # the merge
 
@@ -242,7 +219,7 @@ class BatchEventQueue:
             rem_slots = np.nonzero(~take_pending)[0].tolist()
             for slot, event in zip(rem_slots, rem_events):
                 merged_events[slot] = event
-        # In-place swaps: callers (the batched engine's drain loop) hold
+        # In-place swaps: callers (the simulator's drain loop) hold
         # direct references to these lists, so identity must survive.
         self._spine_times[:] = merged_times
         self._spine_events[:] = merged_events
@@ -257,7 +234,7 @@ class BatchEventQueue:
     def pop_due(self, limit: float) -> Optional[tuple[float, Any]]:
         """Pop the earliest event if its time is ``<= limit``, else ``None``.
 
-        The engine's whole drain step — emptiness check, horizon check,
+        The whole drain step — emptiness check, horizon check,
         merge-if-needed, pop — in one call.
         """
         if self._pend_times:

@@ -293,11 +293,12 @@ class FaultController:
     def timer_cancelled(self, node: int, set_epoch: int) -> bool:
         """A timer fires only if its node is up and has not crashed since.
 
-        Both engines route every firing through this one check — the
-        batched engine's tuple-coded timer events carry the same
-        ``epoch`` the scalar :class:`~repro.sim.events.FireTimer` does —
-        so a crash window cancels the identical set of firings (and
-        increments ``timers_cancelled`` identically) either way.
+        The simulator and the reference loop route every firing through
+        this one check — the simulator's tuple-coded timer events carry
+        the same ``epoch`` the reference loop's
+        :class:`~repro.sim.events.FireTimer` does — so a crash window
+        cancels the identical set of firings (and increments
+        ``timers_cancelled`` identically) either way.
         """
         if node in self._down or set_epoch != self.epoch(node):
             self.stats["timers_cancelled"] += 1
@@ -349,10 +350,10 @@ class FaultController:
     ) -> bool:
         """Field-level form of :meth:`delivery_suppressed`.
 
-        The batched engine stores messages columnarly and has no
+        The simulator stores messages columnarly and has no
         :class:`~repro.sim.messages.Message` object at delivery time;
-        both engines must land in this one implementation so the crash
-        bookkeeping (stats included) stays identical.
+        it and the reference loop must land in this one implementation
+        so the crash bookkeeping (stats included) stays identical.
         """
         if receiver in self._down:
             self.stats["lost_receiver_down"] += 1

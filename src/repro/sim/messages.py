@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol
+from typing import Any, NamedTuple, Optional, Protocol
 
 from repro.errors import DelayBoundError
 
@@ -32,13 +32,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An in-flight message.
 
     ``seq`` is the global send order; ``send_time``/``receive_time`` are
     real times (invisible to nodes — nodes only ever see ``payload`` and
-    ``sender``).
+    ``sender``).  A named tuple, not a dataclass: the simulator records
+    one plain 6-tuple per network copy in its hot loop, and an execution
+    of 10^5 messages is re-wrapped into these at C speed and 88 bytes
+    apiece.
     """
 
     seq: int
@@ -101,11 +103,11 @@ class HalfDistanceDelay:
     def broadcast_delays(
         self, sender: int, receivers: list[int], distances: list[float]
     ) -> list[float]:
-        """Whole-neighborhood form of :meth:`delay` for the batched engine.
+        """Whole-neighborhood form of :meth:`delay` for the simulator.
 
         Only policies whose delay depends purely on the pair distance can
         offer this hook — it must return exactly ``delay(...)``'s floats,
-        which lets the engine precompute and batch-schedule a broadcast's
+        which lets the simulator precompute and batch-schedule a broadcast's
         deliveries without touching the RNG stream.
         """
         return [d / 2.0 for d in distances]
@@ -135,7 +137,7 @@ class FixedFractionDelay:
     def broadcast_delays(
         self, sender: int, receivers: list[int], distances: list[float]
     ) -> list[float]:
-        """Distance-only hook for the batched engine (see
+        """Distance-only hook for the simulator (see
         :meth:`HalfDistanceDelay.broadcast_delays`)."""
         return [self.fraction * d for d in distances]
 

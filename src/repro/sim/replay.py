@@ -41,7 +41,6 @@ def replay(
     rate_schedules: Optional[Mapping[int, PiecewiseConstantRate]] = None,
     topology: Optional[Topology] = None,
     seed: int = 0,
-    engine: str = "scalar",
 ) -> Execution:
     """Re-run ``algorithm`` against the frozen delays of ``execution``.
 
@@ -50,13 +49,6 @@ def replay(
     The replayed algorithm must send messages in the same global order
     for the script to apply — replaying the *same* deterministic
     algorithm always does.
-
-    ``execution`` may come from either simulation engine — an
-    :class:`Execution` records delays the same way under both — and
-    ``engine`` picks which engine performs the replay.  The engines'
-    byte-identity contract (``tests/test_engine_equivalence.py``) makes
-    the four combinations interchangeable; the round-trip tests in
-    ``tests/test_replay.py`` pin the cross pairs.
     """
     topo = topology or execution.topology
     rates = (
@@ -64,18 +56,12 @@ def replay(
         if rate_schedules is not None
         else {n: hw.schedule for n, hw in execution.hardware.items()}
     )
-    script = SequenceDelay(delay_script(execution))
     return run_simulation(
         topo,
         algorithm.processes(topo),
-        SimConfig(
-            duration=execution.duration,
-            rho=execution.rho,
-            seed=seed,
-            engine=engine,
-        ),
+        SimConfig(duration=execution.duration, rho=execution.rho, seed=seed),
         rate_schedules=rates,
-        delay_policy=script,
+        delay_policy=SequenceDelay(delay_script(execution)),
     )
 
 
@@ -84,7 +70,6 @@ def verify_replay(
     algorithm: SyncAlgorithm,
     *,
     seed: int = 0,
-    engine: str = "scalar",
 ) -> Execution:
     """Replay and assert observational equivalence; returns the replay.
 
@@ -93,7 +78,7 @@ def verify_replay(
     replay sent a different number of messages (a cheap first-line
     check before the per-node comparison).
     """
-    replayed = replay(execution, algorithm, seed=seed, engine=engine)
+    replayed = replay(execution, algorithm, seed=seed)
     if len(replayed.messages) != len(execution.messages):
         raise SimulationError(
             f"replay sent {len(replayed.messages)} messages, original "

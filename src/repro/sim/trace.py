@@ -119,7 +119,7 @@ class ExecutionTrace:
 
         Computed over the ``repr`` of every event in order — the exact
         blob the sweep engine's ``trace_digest`` probe has always
-        hashed, now single-sourced so the scalar/batched engine
+        hashed, single-sourced so the reference-vs-production
         equivalence harness and the sweep cache compare the same bytes.
         """
         blob = "\n".join(repr(e) for e in self.events)
@@ -129,55 +129,30 @@ class ExecutionTrace:
 class ColumnarTrace(ExecutionTrace):
     """A trace recorded as raw field rows, materialized lazily.
 
-    The batched engine appends one plain tuple
+    The simulator appends one plain tuple
     ``(real_time, node, hardware, logical, kind, detail)`` per action in
     its hot loop and only pays for :class:`TraceEvent` construction if
     the trace is actually read — measurements that never touch the trace
     (long benign sweeps) skip the cost entirely.  Once materialized, the
-    events are cached and indistinguishable from a scalar-engine trace:
+    events replace the rows (a traced run is held once, not twice) and
+    are indistinguishable from a trace recorded event by event:
     equality, iteration, projections, and :meth:`digest` all see
     identical :class:`TraceEvent` values.
     """
 
     def __init__(self, rows: list[tuple] | None = None):
-        self._rows: list[tuple] = rows if rows is not None else []
+        self._rows: list[tuple] | None = rows if rows is not None else []
         self._events: list[TraceEvent] | None = None
 
     @property
     def events(self) -> list[TraceEvent]:  # type: ignore[override]
         if self._events is None:
             self._events = [TraceEvent(*row) for row in self._rows]
+            self._rows = None
         return self._events
 
-    def append(self, event: TraceEvent) -> None:
-        self._rows.append(
-            (
-                event.real_time,
-                event.node,
-                event.hardware,
-                event.logical,
-                event.kind,
-                event.detail,
-            )
-        )
-        if self._events is not None:
-            self._events.append(event)
-
-    def append_row(
-        self,
-        real_time: float,
-        node: int,
-        hardware: float,
-        logical: float,
-        kind: str,
-        detail: Any = None,
-    ) -> None:
-        """Hot-path append: record the fields without building an event."""
-        self._rows.append((real_time, node, hardware, logical, kind, detail))
-        self._events = None
-
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._events if self._rows is None else self._rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExecutionTrace):

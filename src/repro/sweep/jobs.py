@@ -145,11 +145,8 @@ def benign_run(params: Mapping[str, Any]) -> dict:
     ``faults``, ``mobility`` (spec strings; ``faults`` defaults to
     ``"none"`` and ``mobility`` to ``"static"``), ``duration``, ``rho``,
     ``seed``, optional ``step`` (metric sample step),
-    ``settle_threshold``, ``trace_digest`` (record the trace and
-    include a SHA-256 of it — the determinism-contract probe), and
-    ``engine`` (``"scalar"`` default, or ``"batched"`` for the
-    vectorized engine — byte-identical results, so the probe digest is
-    engine-independent).
+    ``settle_threshold`` and ``trace_digest`` (record the trace and
+    include a SHA-256 of it — the determinism-contract probe).
 
     A non-static ``mobility`` family replaces the cell topology with a
     :class:`~repro.topology.dynamic.DynamicTopology` built from it (for
@@ -166,9 +163,6 @@ def benign_run(params: Mapping[str, Any]) -> dict:
     faults = str(params.get("faults", "none"))
     mobility = str(params.get("mobility", "static"))
     digest = bool(params.get("trace_digest", False))
-    # "scalar" or "batched" — byte-identical engines, so absent (the
-    # historical cells) and "scalar" mean the same thing and share keys.
-    engine = str(params.get("engine", "scalar"))
     dynamic = mobility_from_spec(
         mobility, topology, seed=seed, horizon=duration
     )
@@ -185,13 +179,7 @@ def benign_run(params: Mapping[str, Any]) -> dict:
     execution = run_simulation(
         dynamic if dynamic is not None else topology,
         algorithm.processes(topology),
-        SimConfig(
-            duration=duration,
-            rho=rho,
-            seed=seed,
-            record_trace=digest,
-            engine=engine,
-        ),
+        SimConfig(duration=duration, rho=rho, seed=seed, record_trace=digest),
         rate_schedules=rates,
         delay_policy=delay_policy_from_spec(params["delays"]),
         fault_plan=fault_plan,
@@ -248,6 +236,6 @@ def benign_run(params: Mapping[str, Any]) -> dict:
     }
     if digest:
         # Single-sourced canonical digest (same bytes the old inline
-        # repr-join hashed), shared with the engine equivalence harness.
+        # repr-join hashed), shared with the loop equivalence harness.
         metrics["trace_sha256"] = execution.trace.digest()
     return metrics

@@ -78,12 +78,6 @@ class SweepSpec:
     step: float = 1.0
     #: Wall seconds per simulation unit for wall-clock live transports.
     time_scale: float = 0.05
-    #: Simulation engine for ``"sim"`` cells: ``"scalar"`` or
-    #: ``"batched"``.  The engines are byte-identical (the differential
-    #: harness in ``tests/test_engine_equivalence.py`` is the contract),
-    #: so this is purely a speed knob; ``"scalar"`` cells keep their
-    #: historical cache keys (the param is only emitted when non-default).
-    engine: str = "scalar"
     name: str = "sweep"
 
     def __post_init__(self) -> None:
@@ -94,10 +88,6 @@ class SweepSpec:
                 raise SweepError(f"spec axis {axis!r} must be non-empty")
         if self.duration <= 0:
             raise SweepError(f"duration must be positive, got {self.duration}")
-        if self.engine not in ("scalar", "batched"):
-            raise SweepError(
-                f"engine must be 'scalar' or 'batched', got {self.engine!r}"
-            )
 
     # ------------------------------------------------------------------
 
@@ -202,8 +192,6 @@ class SweepSpec:
                     "rho": self.rho,
                     "step": self.step,
                 }
-                if self.engine != "scalar":
-                    params["engine"] = self.engine
                 jobs.append(Job(kind="benign-run", params=params))
             else:
                 jobs.append(
@@ -235,11 +223,17 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":
+        coerced = dict(payload)
+        # Retired field: manifests on disk and older clients still send
+        # it.  Both values it ever took named byte-identical loops, so
+        # dropping it changes no result, and "scalar" (the old default,
+        # never emitted into job params) keeps every job hash too.
+        if coerced.get("engine") in ("scalar", "batched"):
+            del coerced["engine"]
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        extra = set(payload) - known
+        extra = set(coerced) - known
         if extra:
             raise SweepError(f"unknown SweepSpec fields: {sorted(extra)}")
-        coerced = dict(payload)
         for axis in ("topologies", "algorithms", "rate_families",
                      "delay_policies", "fault_families", "mobilities",
                      "transports", "seeds"):

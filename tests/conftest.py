@@ -29,8 +29,8 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running full-scale checks")
     config.addinivalue_line(
         "markers",
-        "engine: differential batched-vs-scalar engine equivalence suite "
-        "(select with -m engine)",
+        "engine: differential reference-vs-production simulator loop "
+        "equivalence suite (select with -m engine)",
     )
     config.addinivalue_line(
         "markers",

@@ -155,6 +155,35 @@ class TestRepoIsClean:
         assert report.suppressed >= 1
 
 
+class TestOneSimulatorLoop:
+    """The reference loop stays a test oracle; no knob selects a loop."""
+
+    def test_nothing_under_src_imports_the_reference_loop(self):
+        import ast
+
+        offenders = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                else:
+                    continue
+                if any(name.split(".")[-1] == "reference" for name in names):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []
+
+    def test_no_config_has_an_engine_field(self):
+        from dataclasses import fields
+
+        from repro.sim.simulator import SimConfig
+        from repro.sweep.spec import SweepSpec
+
+        for config in (SimConfig, SweepSpec):
+            assert "engine" not in {f.name for f in fields(config)}
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 

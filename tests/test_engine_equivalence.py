@@ -1,11 +1,13 @@
-"""Differential trace-equivalence harness: batched engine vs. scalar loop.
+"""Differential trace-equivalence harness: production loop vs. reference.
 
-The batched engine (``repro.sim.engine``) is allowed to reorganize *how*
-work is done — array-backed event queue, batch-scheduled broadcast
-deliveries, memoized schedule cursors — but never *what* happens: every
-scenario must produce a byte-identical trace digest, identical message
-list, identical fault counters and bitwise-equal clock values under both
-engines (see ``tests/_engine_helpers.py`` for the exact contract).
+The production simulator (``repro.sim.simulator``) is allowed to
+reorganize *how* work is done — array-backed event queue,
+batch-scheduled broadcast deliveries, memoized schedule cursors — but
+never *what* happens: every scenario must produce a byte-identical trace
+digest, identical message list, identical fault counters and
+bitwise-equal clock values to the naive reference loop
+(``repro.sim.reference``; see ``tests/_engine_helpers.py`` for the exact
+contract, where ``scalar`` is the reference and ``batched`` production).
 
 The suite crosses every algorithm with every topology family, layers
 fault plans, random-delay policies, mobility (dynamic topology) and
@@ -20,7 +22,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _engine_helpers import assert_equivalent, run_both, run_engine
+from _engine_helpers import (
+    assert_equivalent,
+    first_divergence,
+    run_both,
+    run_engine,
+)
 from repro.algorithms import (
     AveragingAlgorithm,
     BoundedCatchUpAlgorithm,
@@ -37,7 +44,7 @@ from repro.sim.messages import (
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sweep.families import drifted_rates, wandering_rates
 from repro.topology.dynamic import snapshot_sequence
-from repro.topology.generators import grid, line, random_geometric, ring
+from repro.topology.generators import complete, grid, line, random_geometric, ring
 
 pytestmark = pytest.mark.engine
 
@@ -70,13 +77,29 @@ class TestAlgorithmTopologyGrid:
         assert_equivalent(scalar, batched)
 
 
+class TestHighFanOut:
+    """A broadcast reaching >= 32 neighbors in one batch-scheduled pass."""
+
+    def test_complete_40_half_delays(self):
+        topo = complete(40)
+        assert len(topo.neighbors(0)) >= 32
+        scalar, batched = run_both(
+            topo,
+            MaxBasedAlgorithm,
+            duration=6.0,
+            seed=5,
+            rate_schedules=drifted_rates(topo, rho=0.3, seed=5),
+        )
+        assert_equivalent(scalar, batched)
+
+
 class TestDelayPolicies:
     """Policies with and without a ``broadcast_delays`` hook.
 
     ``FixedFractionDelay`` exercises the batch-scheduled broadcast path;
-    the RNG-driven and stateful policies have no hook, so the engine
-    must fall back to per-send delay draws in exactly the scalar loop's
-    RNG order.
+    the RNG-driven and stateful policies have no hook, so the simulator
+    must fall back to per-send delay draws in exactly the reference
+    loop's RNG order.
     """
 
     @pytest.mark.parametrize(
@@ -103,7 +126,7 @@ class TestDelayPolicies:
 
 
 class TestFaultPlans:
-    """Crash windows, link faults and down windows under both engines."""
+    """Crash windows, link faults and down windows under both loops."""
 
     PLANS = {
         "crash-recover": lambda: FaultPlan().with_crash(2, 4.0, recover_at=9.0),
@@ -149,7 +172,7 @@ class TestMobility:
     def test_swap_coinciding_with_timers(self):
         # Change-points landing exactly on whole-period timer instants:
         # the swap must pop before every same-instant delivery or firing
-        # under both engines (lowest seq at the instant).
+        # under both loops (lowest seq at the instant).
         dyn = snapshot_sequence((0.0, line(5)), (4.0, ring(5)), (8.0, line(5)))
         scalar, batched = run_both(dyn, MaxBasedAlgorithm, duration=12.0, seed=2)
         assert_equivalent(scalar, batched)
@@ -196,6 +219,31 @@ class TestUntraced:
         assert np.array_equal(
             traced.logical_matrix(probe), untraced.logical_matrix(probe)
         )
+
+
+class TestFirstDivergenceReport:
+    """A failing comparison must say *where* the traces part ways."""
+
+    def test_names_index_both_events_and_last_common(self):
+        short = run_engine("scalar", line(4), MaxBasedAlgorithm(), duration=3.0)
+        long = run_engine("batched", line(4), MaxBasedAlgorithm(), duration=5.0)
+        assert first_divergence(short.trace, short.trace) is None
+        report = first_divergence(short.trace, long.trace)
+        index = len(short.trace)
+        assert f"event {index}" in report
+        assert "<end of trace>" in report
+        assert repr(long.trace.events[index]) in report
+        assert f"last common event: {short.trace.events[-1]!r}" in report
+
+    def test_assert_equivalent_raises_the_report(self):
+        topo = line(4)
+        plain = run_engine("scalar", topo, MaxBasedAlgorithm(), duration=3.0)
+        drifted = run_engine(
+            "batched", topo, MaxBasedAlgorithm(), duration=3.0,
+            rate_schedules=drifted_rates(topo, rho=0.3, seed=1),
+        )
+        with pytest.raises(AssertionError, match=r"first diverge at event \d+\n"):
+            assert_equivalent(plain, drifted)
 
 
 @st.composite

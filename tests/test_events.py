@@ -73,10 +73,9 @@ class TestEventTypes:
 
 
 # ----------------------------------------------------------------------
-# BatchEventQueue: the vectorized queue behind the batched engine must
+# BatchEventQueue: the sorted-spine queue behind the simulator must
 # drain in exactly the scalar heap's (time, seq) order.
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import BatchEventQueue, TopologyChange
@@ -84,7 +83,7 @@ from repro.sim.events import BatchEventQueue, TopologyChange
 
 @st.composite
 def queue_programs(draw):
-    """A random interleaving of pushes, batch pushes and pops.
+    """A random interleaving of pushes, bursts of pushes and pops.
 
     Times are drawn from a small grid so same-instant ties are common —
     the tie-break (global insertion order) is exactly what this property
@@ -111,7 +110,7 @@ def queue_programs(draw):
     )
 
 
-def _run_program(program, make_queue, *, batch_as_array):
+def _run_program(program, make_queue):
     queue = make_queue()
     popped = []
     clock = 0.0  # latest popped time: pushes land at clock + offset
@@ -121,14 +120,9 @@ def _run_program(program, make_queue, *, batch_as_array):
             queue.push(clock + arg, tag)
             tag += 1
         elif op == "batch":
-            times = [clock + offset for offset in arg]
-            events = list(range(tag, tag + len(times)))
-            tag += len(times)
-            if batch_as_array:
-                queue.push_batch(np.asarray(times, dtype=float), events)
-            else:
-                for t, e in zip(times, events):
-                    queue.push(t, e)
+            for offset in arg:
+                queue.push(clock + offset, tag)
+                tag += 1
         else:
             for _ in range(arg):
                 if len(queue) == 0:
@@ -145,16 +139,9 @@ class TestBatchQueueEquivalence:
     @given(queue_programs())
     @settings(max_examples=200, deadline=None)
     def test_drains_in_scalar_heap_order(self, program):
-        scalar = _run_program(program, EventQueue, batch_as_array=False)
-        batched = _run_program(program, BatchEventQueue, batch_as_array=True)
+        scalar = _run_program(program, EventQueue)
+        batched = _run_program(program, BatchEventQueue)
         assert scalar == batched
-
-    @given(queue_programs())
-    @settings(max_examples=100, deadline=None)
-    def test_push_batch_equals_elementwise_push(self, program):
-        elementwise = _run_program(program, BatchEventQueue, batch_as_array=False)
-        batched = _run_program(program, BatchEventQueue, batch_as_array=True)
-        assert elementwise == batched
 
     def test_same_instant_ties_break_by_insertion_order(self):
         q = BatchEventQueue()
@@ -162,7 +149,8 @@ class TestBatchQueueEquivalence:
         q.push(1.0, "second")
         q.pop()  # trigger interleaving: merge state with a popped past
         q.push(1.0, "third")
-        q.push_batch([1.0, 1.0], ["fourth", "fifth"])
+        q.push(1.0, "fourth")
+        q.push(1.0, "fifth")
         assert [q.pop()[1] for _ in range(4)] == [
             "second",
             "third",
@@ -171,7 +159,7 @@ class TestBatchQueueEquivalence:
         ]
 
     def test_topology_change_pops_before_same_instant_work(self):
-        # The engine schedules TopologyChange events before the loop
+        # The simulator schedules topology swaps before the loop
         # starts, so they hold the lowest seqs at their instant and must
         # surface ahead of same-time deliveries or timers pushed later.
         q = BatchEventQueue()
@@ -196,8 +184,6 @@ class TestBatchQueueSafety:
         q.pop()
         with pytest.raises(SimulationError):
             q.push(4.0, "past")
-        with pytest.raises(SimulationError):
-            q.push_batch([6.0, 4.0], ["ok", "past"])
 
     def test_pop_due_respects_horizon(self):
         q = BatchEventQueue()

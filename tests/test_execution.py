@@ -129,9 +129,7 @@ class TestValidators:
             topo, alg.processes(topo), SimConfig(duration=10.0, seed=0)
         )
         # Corrupt a message record post-hoc.
-        from dataclasses import replace
-
-        ex.messages[0] = replace(ex.messages[0], delay=99.0)
+        ex.messages[0] = ex.messages[0]._replace(delay=99.0)
         with pytest.raises(DelayBoundError):
             ex.check_delay_bounds()
 

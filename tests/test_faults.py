@@ -433,13 +433,13 @@ class TestDropping:
 
 @pytest.mark.engine
 class TestBatchedEngineParity:
-    """Fault paths under the batched engine: regression guards.
+    """Fault paths, production simulator vs. reference loop: regression guards.
 
     Crash-epoch timer cancellation is the subtlest interaction between
     faults and batch-scheduled timers — a timer set before a crash must
-    never fire after the node's epoch advanced, and the batched engine
-    must cancel *exactly* the firings the scalar loop cancels (counted
-    by ``timers_cancelled``).
+    never fire after the node's epoch advanced, and the simulator must
+    cancel *exactly* the firings the reference loop cancels (counted by
+    ``timers_cancelled``).
     """
 
     def _run_both(self, topo, plan, *, duration=16.0, seed=4):
@@ -458,7 +458,7 @@ class TestBatchedEngineParity:
     def test_mid_epoch_crash_cancels_identical_timers(self):
         # Crash mid-tick (period 1.0, crash at 4.3) with recovery: the
         # pending firing set in epoch 0 comes due inside the outage and
-        # must be cancelled under both engines.
+        # must be cancelled under both loops.
         topo = line(5)
         plan = FaultPlan().with_crash(2, at=4.3, recover_at=9.7)
         scalar, batched = self._run_both(topo, plan)
@@ -484,8 +484,8 @@ class TestBatchedEngineParity:
         self._run_both(topo, plan)
 
     def test_empty_plan_byte_identical_under_batched(self):
-        # An empty plan must be a no-op for the batched engine too: same
-        # digest as the batched fault-free run *and* as the scalar runs.
+        # An empty plan must be a no-op for the production simulator:
+        # same digest as its fault-free run *and* as the reference loop.
         from _engine_helpers import run_engine
 
         topo = line(5)

@@ -68,44 +68,55 @@ class TestReplay:
 
 @pytest.mark.engine
 class TestEngineRoundTrip:
-    """Replay across simulation engines: the latent gap this closes.
+    """Replay across the two loops, in both directions.
 
-    An execution recorded under one engine must replay — and verify —
-    under the other, in both directions.  The byte-identity contract
-    between the engines makes the replayed runs comparable down to the
-    trace digest.
+    An execution recorded on the reference loop must replay — and verify
+    — on the production simulator, and the other way round.  The
+    byte-identity contract between the loops makes the replayed runs
+    comparable down to the trace digest.  (``scalar`` is the reference
+    loop, ``batched`` the production one.)
     """
 
-    def batched_run(self, alg, seed=3, duration=25.0):
+    def scalar_run(self, alg, seed=3, duration=25.0):
+        from _engine_helpers import run_engine
+
         topo = line(6)
-        return run_simulation(
+        return run_engine(
+            "scalar",
             topo,
-            alg.processes(topo),
-            SimConfig(duration=duration, rho=0.3, seed=seed, engine="batched"),
+            alg,
+            duration=duration,
+            seed=seed,
             rate_schedules=drifted_rates(topo, rho=0.3, seed=seed),
             delay_policy=UniformRandomDelay(),
         )
 
     def test_scalar_run_replays_under_batched(self):
-        ex = random_run(MaxBasedAlgorithm())
-        replayed = verify_replay(ex, MaxBasedAlgorithm(), engine="batched")
+        ex = self.scalar_run(MaxBasedAlgorithm())
+        replayed = verify_replay(ex, MaxBasedAlgorithm())
         assert replayed.trace.digest() == ex.trace.digest()
         assert replayed.messages == ex.messages
 
     def test_batched_run_replays_under_scalar(self):
-        ex = self.batched_run(MaxBasedAlgorithm())
-        replayed = verify_replay(ex, MaxBasedAlgorithm(), engine="scalar")
+        from _engine_helpers import replay_on_reference
+        from repro.gcs.indistinguishability import assert_indistinguishable_prefix
+
+        ex = random_run(MaxBasedAlgorithm())
+        replayed = replay_on_reference(ex, MaxBasedAlgorithm())
+        assert_indistinguishable_prefix(ex, replayed)
         assert replayed.trace.digest() == ex.trace.digest()
         assert replayed.messages == ex.messages
 
     def test_batched_run_replays_under_batched(self):
-        ex = self.batched_run(MaxBasedAlgorithm())
-        replayed = verify_replay(ex, MaxBasedAlgorithm(), engine="batched")
+        ex = random_run(MaxBasedAlgorithm())
+        replayed = verify_replay(ex, MaxBasedAlgorithm())
         assert replayed.trace.digest() == ex.trace.digest()
 
     def test_scalar_and_batched_replays_agree(self):
+        from _engine_helpers import replay_on_reference
+
         ex = random_run(MaxBasedAlgorithm())
-        via_scalar = replay(ex, MaxBasedAlgorithm())
-        via_batched = replay(ex, MaxBasedAlgorithm(), engine="batched")
+        via_scalar = replay_on_reference(ex, MaxBasedAlgorithm())
+        via_batched = replay(ex, MaxBasedAlgorithm())
         assert via_scalar.trace.digest() == via_batched.trace.digest()
         assert via_scalar.messages == via_batched.messages

@@ -351,6 +351,67 @@ class TestServeCrashResume:
 
 
 @pytest.mark.serve
+class TestServeResumesRetiredSpecFields:
+    """A store written before ``SweepSpec.engine`` was retired.
+
+    Its manifests carry ``"engine": "scalar"`` and an id hashed over
+    that payload; the daemon must still resume them under the old id,
+    and must say so when it cannot parse a manifest instead of skipping
+    it silently.
+    """
+
+    def test_old_manifest_with_half_its_objects_resumes_the_rest(
+        self, tmp_path
+    ):
+        import hashlib
+
+        from repro.sweep.jobs import CACHE_VERSION
+
+        spec = small_spec(name="old", seeds=(0, 1, 2, 3))
+        jobs = spec.jobs()
+        hashes = hashes_for(jobs)
+        old_payload = {**json.loads(spec.to_json()), "engine": "scalar"}
+        old_id = hashlib.sha256(
+            json.dumps(
+                {"spec": old_payload, "v": CACHE_VERSION},
+                sort_keys=True, separators=(",", ":"),
+            ).encode()
+        ).hexdigest()[:16]
+        assert old_id != sweep_id_for(spec)
+
+        store = ContentStore(tmp_path / "store")
+
+        def write_manifest(sweep_id, payload):
+            store.manifest_path(sweep_id).write_text(json.dumps({
+                "sweep": sweep_id, "name": payload["name"],
+                "cache_version": CACHE_VERSION, "spec": payload,
+                "jobs": hashes,
+            }))
+
+        write_manifest(old_id, old_payload)
+        write_manifest("f" * 16, {**old_payload, "engine": "warp"})
+        expected = [o.metrics for o in run_jobs(jobs, workers=1)]
+        for digest, metrics in list(zip(hashes, expected))[:2]:
+            store.put_hash(digest, metrics)
+
+        proc = start_daemon(store.root, workers=1)
+        try:
+            with ServeClient(store=store.root) as client:
+                final = client.wait(old_id, timeout=60)
+                assert final["counts"]["done"] == len(jobs)
+                stats = client.stats()
+                assert stats["resumed"] == 2
+                assert stats["executed"] == len(jobs) - 2
+                assert stats["skipped_manifests"] == 1
+                assert client.fetch(old_id) == expected
+                client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+
+
+@pytest.mark.serve
 class TestServeProtocolErrors:
     def test_unknown_op_and_unknown_sweep_are_named_errors(self, daemon):
         store, _proc = daemon

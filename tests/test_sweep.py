@@ -199,6 +199,29 @@ class TestSpec:
         with pytest.raises(SweepError):
             SweepSpec.from_dict({"warp_factor": 9})
 
+    def test_retired_engine_field_is_accepted_and_discarded(self):
+        # Manifests on disk and older clients still carry the field.
+        payload = json.loads(TINY.to_json())
+        for retired in ("scalar", "batched"):
+            assert SweepSpec.from_dict({**payload, "engine": retired}) == TINY
+        with pytest.raises(SweepError):
+            SweepSpec.from_dict({**payload, "engine": "warp"})
+
+    def test_default_cell_hashes_are_pinned(self):
+        # Removing the engine knob must not re-key a single stored
+        # result: these are the hashes the same grid had before.
+        from repro.sweep.jobs import CACHE_VERSION
+
+        spec = SweepSpec(
+            topologies=("line:5", "ring:6"), algorithms=("max-based",),
+            seeds=(0,), duration=10.0,
+        )
+        assert CACHE_VERSION == 7
+        assert [job_hash(j) for j in spec.jobs()] == [
+            "14f3e0a5c1f1f3ff3df48dcb06f8d0246a2059a8c2a88d912e683d3ae5ffed6b",
+            "4225db49f672d7acc7a0f1e5b4fa0dae72c72d295196a37780b7767be9cb4de4",
+        ]
+
     def test_presets_expand(self):
         assert quick_spec().size >= 12
         assert full_spec().size >= 100
@@ -594,46 +617,3 @@ class TestSweepCLI:
         code = cli_main(["sweep", "--faults", "heisenbug:0.5"])
         assert code == 2
         assert "unknown fault family" in capsys.readouterr().err
-
-
-@pytest.mark.engine
-class TestEngineAxis:
-    """The simulation-engine knob on sim cells."""
-
-    PARAMS = {
-        "topology": "line:6",
-        "algorithm": "max-based",
-        "rates": "drifted",
-        "delays": "uniform",
-        "faults": "none",
-        "seed": 0,
-        "duration": 10.0,
-        "rho": 0.2,
-        "trace_digest": True,
-    }
-
-    def test_batched_cell_matches_scalar_cell_exactly(self):
-        # Byte identity surfaces in the sweep layer as equal metric
-        # dicts — including the trace_sha256 determinism probe.
-        scalar = execute_job(Job(kind="benign-run", params=dict(self.PARAMS)))
-        batched = execute_job(
-            Job(kind="benign-run", params={**self.PARAMS, "engine": "batched"})
-        )
-        assert scalar.metrics == batched.metrics
-        assert "trace_sha256" in scalar.metrics
-
-    def test_scalar_cells_keep_historical_cache_keys(self):
-        # The engine param is only emitted when non-default, so existing
-        # caches keep hitting for scalar grids.
-        base = dict(topologies=("line:5",), seeds=(0,), duration=8.0)
-        scalar_jobs = SweepSpec(**base).jobs()
-        batched_jobs = SweepSpec(engine="batched", **base).jobs()
-        assert all("engine" not in j.params for j in scalar_jobs)
-        assert all(j.params["engine"] == "batched" for j in batched_jobs)
-        assert job_hash(scalar_jobs[0]) == job_hash(
-            SweepSpec(engine="scalar", **base).jobs()[0]
-        )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SweepError):
-            SweepSpec(engine="warp")

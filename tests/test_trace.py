@@ -6,6 +6,7 @@ from repro.sim.trace import (
     SEND,
     START,
     TIMER,
+    ColumnarTrace,
     ExecutionTrace,
     TraceEvent,
 )
@@ -65,3 +66,29 @@ class TestProjections:
     def test_message_records(self):
         tr = sample_trace()
         assert len(tr.message_records()) == 1
+
+
+class TestColumnarTrace:
+    def rows(self):
+        return [
+            (e.real_time, e.node, e.hardware, e.logical, e.kind, e.detail)
+            for e in sample_trace()
+        ]
+
+    def test_equals_the_event_by_event_trace(self):
+        columnar = ColumnarTrace(self.rows())
+        assert len(columnar) == 6
+        assert columnar == sample_trace()
+        assert columnar.digest() == sample_trace().digest()
+
+    def test_rows_are_released_once_events_exist(self):
+        # A traced run is held once: the events replace the rows, and
+        # __len__ / append keep working off the events.
+        columnar = ColumnarTrace(self.rows())
+        assert columnar._events is None
+        events = columnar.events
+        assert columnar._rows is None
+        assert len(columnar) == 6
+        columnar.append(ev(3.0, 1, TIMER, detail="tick"))
+        assert len(columnar) == 7
+        assert columnar.events is events and events[-1].real_time == 3.0

@@ -69,11 +69,9 @@ class TestAddSkewVerifierFires:
             topo, MaxBasedAlgorithm(), rho=RHO, seed=0
         )
         # Corrupt one prefix message record post-hoc.
-        from dataclasses import replace as dc_replace
-
         for k, m in enumerate(beta.messages):
             if m.receive_time < plan.window_start - 0.5:
-                beta.messages[k] = dc_replace(m, delay=m.delay + 0.2)
+                beta.messages[k] = m._replace(delay=m.delay + 0.2)
                 break
         with pytest.raises(ConstructionError):
             verify_add_skew_claims(alpha, beta, plan)
