@@ -92,7 +92,7 @@ grep -q "fault events" "$ARTIFACTS/live_router.txt" \
 # must fail the run promptly with a descriptive RtError (the old
 # runtime hung out its whole report budget, then died on EOFError).
 timeout 60 python -m pytest -q -m rt \
-    tests/test_rt_router.py -k "FailureHandling or dead_worker" \
+    tests/test_rt_router.py -k "ShardFailureHandling" \
     || { echo "error: rt failure-handling regression failed" >&2; exit 1; }
 # The sim-vs-live comparison table end to end.
 python -m repro.experiments E14 --scale quick > "$ARTIFACTS/e14.txt"

@@ -40,9 +40,10 @@ __all__ = [
     "terminal_name",
 ]
 
-#: Packages every layer may import: shared constants and the exception
-#: hierarchy sit below the DAG (see :mod:`repro.check.layering`).
-BASE_PACKAGES = frozenset({"_constants", "errors"})
+#: Packages every layer may import: shared constants, the exception
+#: hierarchy and the wire framing sit below the DAG (see
+#: :mod:`repro.check.layering`).
+BASE_PACKAGES = frozenset({"_constants", "errors", "wire"})
 
 
 @dataclass(frozen=True)

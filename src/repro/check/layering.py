@@ -15,14 +15,16 @@ The declared DAG (transitively closed by the test suite, pinned by
     rt             -> sweep and below
     viz            -> sweep and below (a leaf: nothing imports viz
                       at module top level)
-    serve          -> rt, sweep and below (a leaf: nothing imports
-                      serve at module top level — the daemon wraps the
-                      sweep engine, nothing depends on the daemon)
+    serve          -> sweep and below (a leaf: nothing imports serve
+                      at module top level — the daemon wraps the sweep
+                      engine, nothing depends on the daemon)
     experiments    -> everything
     check          -> (nothing: the linter must lint a broken tree)
 
-``_constants`` and ``errors`` sit below the DAG and are importable from
-anywhere.  Two escape hatches, both declared here as reviewable data:
+``_constants``, ``errors`` and ``wire`` (the length-prefixed JSON
+framing ``rt`` and ``serve`` both speak) sit below the DAG and are
+importable from anywhere.  Two escape hatches, both declared here as
+reviewable data:
 
 * :data:`MODULE_EXEMPT` — whole-module exemptions with reasons
   (``repro.sim.replay`` is the replay verification harness; it
@@ -68,7 +70,7 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
         {"sim", "topology", "algorithms", "analysis", "sweep"}
     ),
     "serve": frozenset(
-        {"sim", "topology", "algorithms", "analysis", "sweep", "rt"}
+        {"sim", "topology", "algorithms", "analysis", "sweep"}
     ),
     "experiments": frozenset(
         {

@@ -10,15 +10,17 @@ same, unchanged :class:`~repro.sim.node.Process` algorithm classes
   rate rebinding;
 * :class:`LiveNode` hosts a process behind the standard
   :class:`~repro.sim.node.NodeAPI`, so algorithm code needs zero changes;
-* four :class:`Transport` backends carry the messages:
-  :class:`VirtualTimeTransport` (deterministic, simulator-equivalent —
-  the cross-validation anchor), :class:`InProcAsyncioTransport` (real
-  wall-clock asyncio), the UDP backend (:func:`repro.rt.udp.run_udp`,
-  one OS process per node, length-prefixed JSON datagrams), and the
-  router backend (:func:`repro.rt.router.run_router`, many nodes
-  multiplexed onto a few worker processes around one central router
-  socket — the scale vehicle, and the only backend that applies live
-  churn: :class:`~repro.sim.faults.FaultPlan` crash/link windows and
+* four transport names carry the messages, on three loops:
+  :class:`VirtualTimeTransport` (``virtual``: deterministic,
+  simulator-equivalent — the cross-validation anchor),
+  :class:`InProcAsyncioTransport` (``asyncio``: real wall-clock asyncio),
+  and the one multi-process shard runtime
+  (:func:`repro.rt.shard.run_shards`: forked workers exchanging
+  :mod:`repro.wire` datagrams) under two names — ``udp``, one process
+  per node with frames addressed peer to peer, and ``router``, many
+  nodes multiplexed onto a few workers around one central switch socket
+  (the scale vehicle, and the only name that applies live churn:
+  :class:`~repro.sim.faults.FaultPlan` crash/link windows and
   :class:`~repro.topology.dynamic.DynamicTopology` rewirings);
 * every run is recorded as a real
   :class:`~repro.sim.execution.Execution`, so skew, gradient-profile,

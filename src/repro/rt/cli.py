@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     if "frames_dropped" in live:
         table.add_row("frames dropped", live["frames_dropped"])
     if "workers" in live:
-        table.add_row("router workers", live["workers"])
+        table.add_row("worker processes", live["workers"])
     if execution.fault_stats:
         injected = {k: v for k, v in execution.fault_stats.items() if v}
         table.add_row("fault events", injected or "none fired")

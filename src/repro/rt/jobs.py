@@ -106,11 +106,12 @@ def live_run(params: Mapping[str, Any]) -> dict:
         # Wire-level drop count (malformed/misdirected frames), distinct
         # from the injected losses inside ``fault_events``.
         "frames_dropped": int(live.get("frames_dropped", 0)),
-        # Transport counters for sweep reports: router cells count frames
-        # crossing the switch and callback events, and carry their worker
-        # pool size; the other backends report the keys they have.
+        # Transport counters for sweep reports: udp and router cells
+        # count frames crossing the switch (none on udp) and callback
+        # events, and carry their process count; the in-process backends
+        # have no wire and no workers.
         "frames_routed": int(live.get("frames_routed", 0)),
         "events": int(live.get("events", 0)),
-        "workers": int(live.get("workers", live.get("processes", 0))),
+        "workers": int(live.get("workers", 0)),
         "wall_elapsed": round(wall_elapsed, 4),
     }

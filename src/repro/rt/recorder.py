@@ -9,9 +9,10 @@ messages — and :func:`build_execution` assembles them, together with the
 per-node clocks, into an ``Execution`` whose ``source`` names the
 transport it came from.
 
-For the distributed UDP backend every node process records locally and
-ships its recorder state home; :func:`merge_recorders` splices the
-per-node views into one globally time-ordered record.
+On the multi-process shard runtime (``udp`` / ``router``) every worker
+process records locally and ships its recorder state home;
+:func:`merge_recorders` splices the per-shard views into one globally
+time-ordered record.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from repro.errors import RtError
 from repro.rt.asyncio_transport import InProcAsyncioTransport
 from repro.rt.node import LiveNode
 from repro.rt.recorder import LiveRecorder, build_execution
+from repro.rt.shard import run_shards
 from repro.rt.transport import TRANSPORT_NAMES, Transport
 from repro.rt.virtual import VirtualTimeTransport
 from repro.sim.execution import Execution
@@ -95,18 +96,12 @@ def run_live(config: LiveRunConfig, *, tail=None) -> Execution:
     ``tail`` is an optional :class:`~repro.viz.tail.StreamingTail` (or
     anything with its ``event`` / ``frame`` / ``stats`` / ``close``
     surface): the in-process backends feed it every trace event through
-    the recorder tap, the router taps frames at the central switch, and
-    the udp backend mirrors sent frames to a parent-side tap socket —
-    so rolling panels render *while the run executes*.
+    the recorder tap, ``router`` taps frames at the central switch, and
+    ``udp`` mirrors sent frames to a parent-side tap socket — so rolling
+    panels render *while the run executes*.
     """
-    if config.transport == "udp":
-        from repro.rt.udp import run_udp
-
-        return run_udp(config, tail=tail)
-    if config.transport == "router":
-        from repro.rt.router import run_router
-
-        return run_router(config, tail=tail)
+    if config.transport in ("udp", "router"):
+        return run_shards(config, tail=tail)
 
     topology = topology_from_spec(config.topology)
     algorithm = algorithm_from_spec(config.algorithm)

@@ -1,0 +1,867 @@
+"""The multi-process live runtime: shards of LiveNodes over localhost UDP.
+
+``n`` nodes are split round-robin into *shards*; each shard is one
+forked worker process hosting its :class:`~repro.rt.node.LiveNode`
+objects inside one select/heap event loop (:class:`ShardTransport`),
+and every message is one :mod:`repro.wire` frame in one datagram::
+
+    {"seq": …, "src": i, "dst": j, "payload": …, "send": t, "delay": d}
+
+Payloads must be JSON-serializable; tuples survive the round trip
+because the receiver restores lists to tuples (every algorithm in
+:mod:`repro.algorithms` sends ``(tag, number)`` pairs).  Delays are
+sender-drawn and carried on the wire; the receiving shard holds each
+frame until its delivery instant.
+
+Two transport names run on this one runtime and differ only in how
+nodes are sharded and where a frame is sent (:func:`run_shards` works
+both out from ``config.transport``):
+
+* ``router`` — a handful of shards (:func:`default_workers`), and every
+  frame goes to one central *switch* socket owned by the parent, which
+  forwards it to the owning shard.  This is the scale vehicle (hundreds
+  to thousands of nodes on one machine) and where live *churn* becomes
+  real: the switch is the single point every frame crosses, so it
+  enforces the in-force communication graph of a
+  :class:`~repro.topology.dynamic.DynamicTopology` (frames on links the
+  current snapshot does not have are dropped) and applies
+  :class:`~repro.sim.faults.LinkFault` loss/duplication/reordering/down
+  windows via the simulator's own
+  :class:`~repro.sim.faults.FaultController`.
+* ``udp`` — one shard per node, and every frame goes straight to the
+  owning peer's port: the deployment shape of a real sync client fleet,
+  scaled down to one machine.  There is no switch, hence no link-level
+  churn (``LiveRunConfig`` rejects it); the parent owns a socket only
+  when a streaming tail is attached, and senders then mirror their
+  frames to it.
+
+Division of labor under churn
+-----------------------------
+* **switch (parent)** — wire + network level: malformed frames, comm
+  graph membership at forward time, link loss / duplication / reorder /
+  down windows.  Mid-flight frames of a link that rewired away are
+  dropped at the switch — a slightly *stronger* adversary than the
+  simulator, which lets in-flight messages finish.
+* **shards** — node level: crash/recovery windows (recording the same
+  CRASH/RECOVER trace events the simulator records and invoking
+  ``on_recover``), crash-epoch timer cancellation, receiver-down and
+  sender-in-flight delivery loss, mid-run topology swaps visible to
+  ``api.neighbors()``.
+
+Fault counters from both sides are merged into
+``Execution.fault_stats``; wire-level drop counts and events/sec inputs
+land in ``Execution.live_stats`` (one key set for both names).
+
+Timebase and failure handling
+-----------------------------
+The parent waits for every shard to report ready (the barrier absorbs
+fork + construction lag, however large n gets), then picks one
+CLOCK_MONOTONIC epoch a short grace ahead and ships it to every shard;
+``time.monotonic()`` is system-wide on Linux, so all shards agree on
+"simulation time 0" to scheduler precision.  A shard that still misses
+the epoch reports the fact and the parent warns.  After the run, shards
+ship their recorders and logical clocks home over pipes and the parent
+assembles one :class:`~repro.sim.execution.Execution`.  A shard process
+that dies or closes its pipe without reporting raises a prompt
+:class:`RtError` naming it (:func:`collect_reports`).
+
+Requires the ``fork`` start method (sockets are inherited, nothing else
+is portable-pickled); :func:`run_shards` raises :class:`RtError` where
+fork is unavailable.
+"""
+
+from __future__ import annotations
+
+import functools
+import heapq
+import multiprocessing
+import os
+import random
+import select
+import socket
+import time
+import traceback
+import warnings
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
+
+from repro.errors import RtError
+from repro.rt.node import LiveNode
+from repro.rt.recorder import LiveRecorder, build_execution, merge_recorders
+from repro.rt.transport import DELAY_SEED_MIX, Transport
+from repro.sim.clock import HardwareClock
+from repro.sim.faults import FaultController, FaultPlan
+from repro.sweep.families import (
+    algorithm_from_spec,
+    delay_policy_from_spec,
+    fault_plan_from_spec,
+    mobility_from_spec,
+    rates_from_spec,
+    topology_from_spec,
+)
+from repro.topology.dynamic import DynamicTopology
+from repro.wire import decode_frame, encode_frame
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.rt.run import LiveRunConfig
+    from repro.sim.execution import Execution
+
+__all__ = ["ShardTransport", "run_shards", "default_workers"]
+
+#: Wall seconds between the ready barrier and the shared start epoch.
+#: Every shard has already built its nodes and is blocked on its pipe by
+#: the time the parent publishes the epoch, so this only needs to cover
+#: pipe latency — not fork + construction lag, which the barrier absorbs.
+_START_GRACE = 0.25
+
+#: Base wall seconds the parent grants shards to build themselves and
+#: report ready; scaled up with node count.
+_READY_GRACE = 10.0
+
+#: Extra wall seconds the parent waits for shards past the horizon.
+_REPORT_GRACE = 10.0
+
+
+def default_workers(n: int) -> int:
+    """Auto shard count for ``router``: one per ~16 nodes, capped by cores.
+
+    Small runs stay in one worker (no multiplexing overhead); large runs
+    fan out to at most ``min(cores, 8)`` workers, each hosting a shard.
+    """
+    cores = os.cpu_count() or 2
+    return max(1, min(cores, 8, (n + 15) // 16))
+
+
+def _untuple(value):
+    """Restore JSON lists to tuples (payloads are tuple-shaped)."""
+    if isinstance(value, list):
+        return tuple(_untuple(v) for v in value)
+    return value
+
+
+class ShardTransport(Transport):
+    """The worker side: one event loop hosting a whole shard of nodes.
+
+    Heap entries carry the node they belong to, timers carry the crash
+    epoch they were set in, and crash / recovery / rewiring instants are
+    ordinary heap events (pushed before anything else, so they take the
+    lowest tiebreaks and dispatch before same-instant deliveries or
+    timers — the simulator's ordering).
+
+    ``route`` maps every destination node to the address its frames are
+    sent to (the switch for ``router``, the owning peer for ``udp``);
+    ``mirror`` is an optional second address every sent frame is copied
+    to, so a streaming tail can watch a run whose traffic never crosses
+    the parent.
+    """
+
+    name = "shard"
+
+    def __init__(
+        self,
+        *,
+        shard: int,
+        n_shards: int,
+        sock: socket.socket,
+        route: Mapping[int, tuple],
+        mirror: Optional[tuple] = None,
+        recorder: LiveRecorder,
+        delay_policy,
+        seed: int,
+        duration: float,
+        time_scale: float,
+        plan: Optional[FaultPlan] = None,
+        dynamic: Optional[DynamicTopology] = None,
+    ):
+        self._shard = shard
+        self._n_shards = n_shards
+        self._sock = sock
+        self._route = route
+        self._mirror = mirror
+        # Per-shard delay stream: shards share no RNG, so each mixes its
+        # index into the simulator's delay-seed recipe.
+        self._init_messaging(
+            recorder=recorder,
+            delay_policy=delay_policy,
+            delay_rng=random.Random((seed ^ DELAY_SEED_MIX) * 0x9E37 + shard),
+            seed=seed,
+        )
+        self._duration = duration
+        self._time_scale = time_scale
+        self._plan = plan
+        self._dynamic = dynamic
+        self._epoch_wall: float | None = None
+        self._now = 0.0
+        # Pending (due, tiebreak, kind, data): deliveries, timers, churn.
+        self._pending: list[tuple[float, int, str, tuple]] = []
+        self._tiebreak = 0
+        self._nodes: dict[int, LiveNode] = {}
+        #: Shard nodes currently inside a crash window.
+        self._down: set[int] = set()
+        #: Per-node crash epoch; stale-epoch timers never fire.
+        self._epochs: dict[int, int] = {}
+        #: Crash windows by node — *all* nodes, not just the shard, so
+        #: the in-flight check knows about remote senders' crashes.
+        self._crash_by_node = (
+            {c.node: c for c in plan.crashes} if plan is not None else {}
+        )
+        #: Malformed or misdirected datagrams dropped at the wire.
+        self.frames_dropped = 0
+        #: Callback events dispatched (deliveries + timer firings).
+        self.events_processed = 0
+        #: Node-level fault counters, merged parent-side with the
+        #: switch's FaultController stats into Execution.fault_stats.
+        self.stats = {
+            "crashes": 0,
+            "recoveries": 0,
+            "lost_receiver_down": 0,
+            "lost_in_flight": 0,
+            "timers_cancelled": 0,
+        }
+
+    def bind_epoch(self, epoch_wall: float) -> None:
+        """Anchor measured time to the shared CLOCK_MONOTONIC epoch."""
+        self._epoch_wall = epoch_wall
+
+    def _elapsed(self) -> float:
+        return (time.monotonic() - self._epoch_wall) / self._time_scale
+
+    # ------------------------------------------------------------------
+    # Transport interface
+
+    def now(self) -> float:
+        return self._now
+
+    def _message_seq(self, counter: int) -> int:
+        # Run-unique seq without cross-shard coordination, for any run
+        # length: the counter is unique within the shard, and shards own
+        # disjoint residues mod the shard count.
+        return counter * self._n_shards + self._shard
+
+    def transmit(self, sender: LiveNode, receiver: int, payload) -> None:
+        message = self._next_message(sender, receiver, payload)
+        if message is None:
+            return
+        frame = encode_frame(
+            {
+                "seq": message.seq,
+                "src": message.sender,
+                "dst": message.receiver,
+                "payload": message.payload,
+                "send": message.send_time,
+                "delay": message.delay,
+            }
+        )
+        self._sock.sendto(frame, self._route[receiver])
+        if self._mirror is not None:
+            self._sock.sendto(frame, self._mirror)
+
+    def schedule_timer(self, node: LiveNode, fire_at: float, name: str) -> None:
+        self._push(
+            fire_at, "timer",
+            (node.node, name, self._epochs.get(node.node, 0)),
+        )
+
+    def _push(self, due: float, kind: str, data: tuple) -> None:
+        heapq.heappush(self._pending, (due, self._tiebreak, kind, data))
+        self._tiebreak += 1
+
+    # ------------------------------------------------------------------
+    # the shard event loop
+
+    def run(self, nodes: Mapping[int, LiveNode], duration: float) -> None:
+        if self._epoch_wall is None:
+            raise RtError("bind_epoch must be called before run")
+        self._nodes = dict(nodes)
+        down_at_start: set[int] = set()
+        if self._plan is not None:
+            for crash in self._plan.crashes:
+                if crash.node not in self._nodes:
+                    continue
+                if crash.at <= 0.0:
+                    # Down from the start: never begins (mirrors the
+                    # simulator's down preseed).
+                    down_at_start.add(crash.node)
+                    self._down.add(crash.node)
+                    self._epochs[crash.node] = 1
+                    self.stats["crashes"] += 1
+                else:
+                    self._push(crash.at, "crash", (crash.node,))
+                if crash.recover_at is not None:
+                    self._push(crash.recover_at, "recover", (crash.node,))
+        if self._dynamic is not None:
+            for index, t in enumerate(self._dynamic.change_times):
+                if t <= duration:
+                    self._push(t, "topo", (index + 1,))
+        # All STARTs recorded before any on_start runs, in node order —
+        # the simulator's opening order.
+        for node in sorted(self._nodes):
+            if node not in down_at_start:
+                self._nodes[node].record_start()
+        for node in sorted(self._nodes):
+            if node not in down_at_start:
+                self._nodes[node].begin()
+        while True:
+            elapsed = self._elapsed()
+            if elapsed >= duration:
+                break
+            due = self._pending[0][0] if self._pending else duration
+            timeout = max(0.0, (min(due, duration) - elapsed) * self._time_scale)
+            readable, _, _ = select.select([self._sock], [], [], timeout)
+            if readable:
+                self._drain_socket()
+            self._dispatch_due()
+        self._now = duration
+
+    def _drain_socket(self) -> None:
+        while True:
+            try:
+                datagram, _ = self._sock.recvfrom(65536)
+            except BlockingIOError:
+                return
+            record = decode_frame(datagram)
+            if record is None or record.get("dst") not in self._nodes:
+                self.frames_dropped += 1
+                continue
+            deliver_at = float(record["send"]) + float(record["delay"])
+            self._push(
+                deliver_at,
+                "msg",
+                (
+                    int(record["dst"]),
+                    int(record["src"]),
+                    float(record["send"]),
+                    _untuple(record["payload"]),
+                ),
+            )
+
+    def _dispatch_due(self) -> None:
+        while self._pending:
+            due = self._pending[0][0]
+            elapsed = self._elapsed()
+            if due > elapsed or elapsed >= self._duration:
+                return
+            _, _, kind, data = heapq.heappop(self._pending)
+            # Freeze the callback's instant at measured time (>= due when
+            # the OS woke us late), monotone and inside the run.
+            self._now = min(max(self._now, elapsed), self._duration)
+            if kind == "msg":
+                dst, src, send_time, payload = data
+                if self._delivery_lost(src, dst, send_time):
+                    continue
+                self.events_processed += 1
+                self._nodes[dst].deliver(src, payload)
+            elif kind == "timer":
+                node, name, set_epoch = data
+                if node in self._down or set_epoch != self._epochs.get(node, 0):
+                    self.stats["timers_cancelled"] += 1
+                    continue
+                self.events_processed += 1
+                self._nodes[node].fire_timer(name)
+            elif kind == "crash":
+                (node,) = data
+                self._down.add(node)
+                self._epochs[node] = self._epochs.get(node, 0) + 1
+                self.stats["crashes"] += 1
+                self._nodes[node].mark_crash()
+            elif kind == "recover":
+                (node,) = data
+                self._down.discard(node)
+                self.stats["recoveries"] += 1
+                self._nodes[node].recover()
+            else:  # "topo": swap every hosted node onto the new snapshot
+                (index,) = data
+                snapshot = self._dynamic.snapshots[index][1]
+                for live in self._nodes.values():
+                    live.topology = snapshot
+
+    def _delivery_lost(self, src: int, dst: int, send_time: float) -> bool:
+        """Crash-window delivery suppression (the simulator's semantics)."""
+        if dst in self._down:
+            self.stats["lost_receiver_down"] += 1
+            return True
+        crash = self._crash_by_node.get(src)
+        if (
+            crash is not None
+            and crash.lose_in_flight
+            and send_time < crash.at <= self._now
+        ):
+            self.stats["lost_in_flight"] += 1
+            return True
+        return False
+
+
+# ----------------------------------------------------------------------
+# the parent-side switch (``router`` only)
+
+
+class _RouterCore:
+    """The frame switch: decode, apply network-level churn, forward."""
+
+    def __init__(
+        self,
+        *,
+        sock: socket.socket,
+        topology,
+        plan: Optional[FaultPlan],
+        dynamic: Optional[DynamicTopology],
+        seed: int,
+        time_scale: float,
+        owner: Mapping[int, int],
+        ports: Mapping[int, int],
+        tail=None,
+    ):
+        self._sock = sock
+        self._topology = topology
+        self._dynamic = dynamic
+        self._time_scale = time_scale
+        #: Optional streaming tail: sees every well-formed frame that
+        #: crosses the switch, before churn decides its fate, plus the
+        #: wire counters as they stood when the frame arrived.
+        self._tail = tail
+        self._owner = dict(owner)
+        self._addrs = {s: ("127.0.0.1", port) for s, port in ports.items()}
+        # Link-level faults ride the simulator's own controller (loss /
+        # duplication / reorder / down windows + their stats); crash
+        # windows are executed shard-side, so the controller's crash
+        # machinery sits unused here.
+        self._controller = (
+            FaultController(plan, topology, seed) if plan is not None else None
+        )
+        self._edge_cache: dict[int, frozenset] = {}
+        self._epoch_wall: float | None = None
+        self.frames_routed = 0
+        #: Malformed frames or frames for unknown destinations.
+        self.frames_dropped = 0
+        #: Frames dropped because the in-force comm graph lacks the link.
+        self.dropped_no_edge = 0
+
+    def bind_epoch(self, epoch_wall: float) -> None:
+        self._epoch_wall = epoch_wall
+
+    def counters(self) -> dict:
+        """Wire counters for the streaming tail / live_stats."""
+        return {
+            "frames_routed": self.frames_routed,
+            "frames_dropped": self.frames_dropped,
+            "lost_no_edge": self.dropped_no_edge,
+        }
+
+    def stats(self) -> dict:
+        merged = dict(self._controller.stats) if self._controller else {}
+        merged["lost_no_edge"] = self.dropped_no_edge
+        return merged
+
+    def _edges(self, topo) -> frozenset:
+        cached = self._edge_cache.get(id(topo))
+        if cached is None:
+            cached = frozenset(
+                (min(i, j), max(i, j)) for i, j in topo.comm_edges
+            )
+            self._edge_cache[id(topo)] = cached
+        return cached
+
+    def handle(self, datagram: bytes) -> None:
+        record = decode_frame(datagram)
+        if record is None:
+            self.frames_dropped += 1
+            return
+        src, dst = record.get("src"), record.get("dst")
+        if dst not in self._owner or src not in self._owner:
+            self.frames_dropped += 1
+            return
+        now = (time.monotonic() - self._epoch_wall) / self._time_scale
+        if self._tail is not None:
+            self._tail.frame(record, now)
+            self._tail.stats(now, **self.counters())
+        topo = self._dynamic.at(now) if self._dynamic else self._topology
+        if (min(src, dst), max(src, dst)) not in self._edges(topo):
+            self.dropped_no_edge += 1
+            return
+        addr = self._addrs[self._owner[dst]]
+        if self._controller is None:
+            self._sock.sendto(datagram, addr)
+            self.frames_routed += 1
+            return
+        send_time = float(record["send"])
+        delay = float(record["delay"])
+        delays = self._controller.outbound_delays(
+            src, dst, send_time, topo.distance(src, dst), delay
+        )
+        for out_delay in delays:
+            out = (
+                datagram
+                if out_delay == delay
+                else encode_frame({**record, "delay": out_delay})
+            )
+            self._sock.sendto(out, addr)
+            self.frames_routed += 1
+
+
+# ----------------------------------------------------------------------
+# orchestration: fork shards, ready barrier, epoch, collect, merge
+
+
+def collect_reports(
+    conns: Mapping,
+    children: Mapping,
+    deadline: float,
+    *,
+    what: str,
+    role: str,
+    sock: Optional[socket.socket] = None,
+    on_datagram: Optional[Callable[[bytes], None]] = None,
+) -> dict:
+    """Receive one message from every pipe, failing fast on dead peers.
+
+    ``conns`` and ``children`` map the same keys to pipe connections and
+    child processes.  Each child's sentinel is watched alongside its
+    pipe, so a process that dies without reporting raises a prompt,
+    descriptive :class:`RtError` naming it (and its exit code) instead
+    of blocking out the whole time budget.  EOF on a pipe — where
+    ``poll()`` returns True but ``recv()`` raises ``EOFError`` — is
+    translated the same way instead of escaping raw.
+
+    ``sock`` is an optional parent-owned UDP socket served by the same
+    loop: every datagram that lands on it is handed to ``on_datagram``
+    as it arrives — the switch's ``handle`` on a ``router`` run, the
+    tail's mirror tap on a tailed ``udp`` run.
+    """
+    pending = dict(conns)
+    out: dict = {}
+    extra = [] if sock is None else [sock]
+    while pending:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            names = ", ".join(str(key) for key in sorted(pending))
+            raise RtError(
+                f"{role} {names} did not report a {what} within the "
+                f"wall-clock budget"
+            )
+        watch = extra + list(pending.values()) + [
+            children[key].sentinel for key in pending
+        ]
+        readable, _, _ = select.select(watch, [], [], remaining)
+        if sock in readable:
+            while True:
+                try:
+                    datagram, _ = sock.recvfrom(65536)
+                except BlockingIOError:
+                    break
+                on_datagram(datagram)
+        for key in list(pending):
+            if not pending[key].poll(0):
+                continue
+            try:
+                out[key] = pending[key].recv()
+            except EOFError:
+                raise RtError(
+                    f"{role} {key} closed its pipe without reporting a "
+                    f"{what} (exit code {children[key].exitcode})"
+                ) from None
+            del pending[key]
+        # A child that reported and then exited was drained above; the
+        # poll(0) guard covers the report-then-die race.
+        for key in pending:
+            if not children[key].is_alive() and not pending[key].poll(0):
+                raise RtError(
+                    f"{role} {key} died with exit code "
+                    f"{children[key].exitcode} before reporting a {what}"
+                )
+    return out
+
+
+def raise_reported_errors(reports: Mapping, *, role: str) -> None:
+    """Re-raise the first child-side exception shipped home over a pipe."""
+    errors = {key: r["error"] for key, r in reports.items() if "error" in r}
+    if errors:
+        key, trace = sorted(errors.items())[0]
+        raise RtError(f"{role} {key} failed:\n{trace}")
+
+
+def warn_missed_epochs(reports: Mapping, *, role: str) -> None:
+    """Warn when any shard started after the shared epoch had passed.
+
+    With the ready barrier in place this should not happen; if it does
+    (extreme scheduler pressure), skew measurements are offset by the
+    late start and the run must not pass silently.
+    """
+    missed = sorted(key for key, r in reports.items() if r.get("missed_epoch"))
+    if missed:
+        names = ", ".join(str(key) for key in missed)
+        warnings.warn(
+            f"{role} {names} missed the shared start epoch (lag exceeded "
+            f"the {_START_GRACE}s post-barrier grace); clocks started "
+            f"late and skew measurements may be offset",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def _scenario(config: "LiveRunConfig") -> tuple:
+    """Build ``(base topology, dynamic, fault plan, rate schedules)``.
+
+    Pure in the config's spec strings, so the parent and every shard
+    derive the very same objects without shipping them.
+    """
+    topology = topology_from_spec(config.topology)
+    dynamic = mobility_from_spec(
+        config.mobility, topology, seed=config.seed, horizon=config.duration
+    )
+    base = dynamic.initial if dynamic is not None else topology
+    plan = fault_plan_from_spec(
+        config.faults, base, seed=config.seed, horizon=config.duration
+    )
+    schedules = rates_from_spec(
+        config.rates, base, rho=config.rho, seed=config.seed,
+        horizon=config.duration,
+    )
+    return base, dynamic, None if plan.is_empty() else plan, schedules
+
+
+def _shard_main(
+    shard: int,
+    shards: tuple,
+    config: "LiveRunConfig",
+    route: Mapping[int, tuple],
+    mirror: Optional[tuple],
+    sock: socket.socket,
+    conn,
+) -> None:
+    """Entry point of one shard process (fork-inherited socket)."""
+    try:
+        sock.setblocking(False)
+        base, dynamic, plan, schedules = _scenario(config)
+        processes = algorithm_from_spec(config.algorithm).processes(base)
+        recorder = LiveRecorder(record_trace=config.record_trace)
+        transport = ShardTransport(
+            shard=shard,
+            n_shards=len(shards),
+            sock=sock,
+            route=route,
+            mirror=mirror,
+            recorder=recorder,
+            delay_policy=delay_policy_from_spec(config.delays),
+            seed=config.seed,
+            duration=config.duration,
+            time_scale=config.time_scale,
+            plan=plan,
+            dynamic=dynamic,
+        )
+        nodes = {
+            node: LiveNode(
+                node,
+                processes[node],
+                topology=base,
+                schedule=schedules[node],
+                rho=config.rho,
+                seed=config.seed,
+                transport=transport,
+                recorder=recorder,
+            )
+            for node in shards[shard]
+        }
+        # Everything expensive is built; tell the parent we are ready
+        # and block until it publishes the shared epoch.
+        conn.send({"ready": True})
+        epoch = conn.recv()["epoch"]
+        transport.bind_epoch(epoch)
+        # Sleep off the start grace so every shard begins at the epoch.
+        lag = epoch - time.monotonic()
+        if lag > 0:
+            time.sleep(lag)
+        transport.run(nodes, config.duration)
+        conn.send(
+            {
+                "recorder": recorder,
+                "logical": {node: live.logical for node, live in nodes.items()},
+                "frames_dropped": transport.frames_dropped,
+                "events": transport.events_processed,
+                "stats": transport.stats,
+                "missed_epoch": lag <= 0,
+            }
+        )
+    except Exception:  # pragma: no cover - surfaced as RtError in the parent
+        conn.send({"error": traceback.format_exc()})
+    finally:
+        conn.close()
+        sock.close()
+
+
+def _feed_tail(tail, datagram: bytes) -> None:
+    """Hand one mirrored frame to the streaming tail of a ``udp`` run."""
+    record = decode_frame(datagram)
+    if record is not None:
+        # A mirrored frame's sim-time axis is its own send stamp.
+        tail.frame(record, float(record.get("send", 0.0)))
+
+
+def _bound_socket() -> socket.socket:
+    """A UDP socket on an OS-chosen localhost port."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    return sock
+
+
+def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
+    """Run one live scenario on the ``udp`` or ``router`` transport."""
+    direct = config.transport == "udp"
+    role = "node process" if direct else "router worker"
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise RtError(
+            f"the {config.transport} transport needs the 'fork' start "
+            f"method (sockets are inherited); use --transport asyncio on "
+            f"this platform"
+        )
+    if multiprocessing.current_process().daemon:
+        raise RtError(
+            f"the {config.transport} transport spawns OS processes, which "
+            f"daemonic pool workers may not do; run {config.transport} "
+            f"cells at workers=1"
+        )
+    ctx = multiprocessing.get_context("fork")
+    base, dynamic, plan, schedules = _scenario(config)
+    all_nodes = tuple(base.nodes)
+    n_shards = (
+        base.n if direct
+        else min(config.workers or default_workers(base.n), base.n)
+    )
+    shards = tuple(all_nodes[s::n_shards] for s in range(n_shards))
+    owner = {node: s for s, members in enumerate(shards) for node in members}
+
+    sockets: dict[int, socket.socket] = {}
+    # The parent's own socket: the switch on a router run, the mirror
+    # tap on a tailed udp run, absent on a plain udp run.
+    hub: socket.socket | None = None
+    core: _RouterCore | None = None
+    children: dict = {}
+    try:
+        for s in range(n_shards):
+            sockets[s] = _bound_socket()
+        ports = {s: sock.getsockname()[1] for s, sock in sockets.items()}
+        hub_addr = None
+        if not direct or tail is not None:
+            hub = _bound_socket()
+            hub.setblocking(False)
+            hub_addr = hub.getsockname()
+        if direct:
+            route = {n: ("127.0.0.1", ports[owner[n]]) for n in all_nodes}
+            mirror = hub_addr
+            on_datagram = functools.partial(_feed_tail, tail)
+        else:
+            route = dict.fromkeys(all_nodes, hub_addr)
+            mirror = None
+            core = _RouterCore(
+                sock=hub,
+                topology=base,
+                plan=plan,
+                dynamic=dynamic,
+                seed=config.seed,
+                time_scale=config.time_scale,
+                owner=owner,
+                ports=ports,
+                tail=tail,
+            )
+            on_datagram = core.handle
+
+        pipes = {s: ctx.Pipe() for s in range(n_shards)}
+        children = {
+            s: ctx.Process(
+                target=_shard_main,
+                args=(s, shards, config, route, mirror, sockets[s], pipes[s][1]),
+                daemon=True,
+            )
+            for s in range(n_shards)
+        }
+        for child in children.values():
+            child.start()
+        conns = {s: pipes[s][0] for s in range(n_shards)}
+        for s in range(n_shards):
+            # Close the parent's copy of the child end: a dead child now
+            # surfaces as EOF on the parent's pipe instead of a hang.
+            pipes[s][1].close()
+        # Ready barrier: every shard finishes building its nodes *before*
+        # the epoch is published, so the start grace does not race fork +
+        # construction lag (which grows with n).
+        readies = collect_reports(
+            conns,
+            children,
+            time.monotonic() + _READY_GRACE + 0.05 * base.n,
+            what="ready signal",
+            role=role,
+        )
+        raise_reported_errors(readies, role=role)
+        epoch = time.monotonic() + _START_GRACE
+        if core is not None:
+            core.bind_epoch(epoch)
+        for conn in conns.values():
+            try:
+                conn.send({"epoch": epoch})
+            except BrokenPipeError:  # pragma: no cover - death race
+                pass  # surfaced as a prompt RtError by the collection below
+        budget = _START_GRACE + config.duration * config.time_scale + _REPORT_GRACE
+        reports = collect_reports(
+            conns,
+            children,
+            time.monotonic() + budget,
+            what="run report",
+            role=role,
+            sock=hub,
+            on_datagram=on_datagram,
+        )
+        for child in children.values():
+            child.join(timeout=5.0)
+    finally:
+        if hub is not None:
+            hub.close()
+        for sock in sockets.values():
+            sock.close()
+        for child in children.values():
+            if child.is_alive():  # pragma: no cover - crash cleanup
+                child.terminate()
+
+    raise_reported_errors(reports, role=role)
+    warn_missed_epochs(reports, role=role)
+
+    recorder = merge_recorders([reports[s]["recorder"] for s in sorted(reports)])
+    logical = {}
+    for s in sorted(reports):
+        logical.update(reports[s]["logical"])
+
+    churny = plan is not None or (dynamic is not None and not dynamic.is_static())
+    fault_stats = None
+    if churny:
+        fault_stats = core.stats()
+        for report in reports.values():
+            for key, value in report["stats"].items():
+                fault_stats[key] = fault_stats.get(key, 0) + value
+    timeline = None
+    if dynamic is not None and not dynamic.is_static():
+        timeline = tuple(
+            (t, topo) for t, topo in dynamic.snapshots if t <= config.duration
+        )
+    # Wire counters: the switch's (zero without one) plus the shards' drops.
+    switch = (
+        core.counters() if core is not None
+        else {"frames_routed": 0, "frames_dropped": 0}
+    )
+    switch["frames_dropped"] += sum(r["frames_dropped"] for r in reports.values())
+    if tail is not None:
+        tail.stats(config.duration, **switch)
+        tail.close()
+    return build_execution(
+        topology=base,
+        duration=config.duration,
+        rho=config.rho,
+        hardware={n: HardwareClock(schedules[n], config.rho) for n in base.nodes},
+        logical=logical,
+        recorder=recorder,
+        source=f"live-{config.transport}",
+        fault_stats=fault_stats,
+        topology_timeline=timeline,
+        live_stats={
+            "workers": n_shards,
+            "frames_routed": switch["frames_routed"],
+            "frames_dropped": switch["frames_dropped"],
+            "events": sum(r["events"] for r in reports.values()),
+        },
+    )

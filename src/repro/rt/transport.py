@@ -6,16 +6,19 @@ nodes): it defines the current real time, it carries messages subject to
 the ``[0, d_ij]`` delay model, and it fires hardware-time timers.  The
 node side of the contract is :class:`~repro.rt.node.LiveNode`.
 
-Four backends implement it:
+Four transport *names* (:data:`TRANSPORT_NAMES`) run on three loops:
 
-* :class:`~repro.rt.virtual.VirtualTimeTransport` — a deterministic
-  scheduler on virtual time (the simulator's event loop, re-hosted);
-* :class:`~repro.rt.asyncio_transport.InProcAsyncioTransport` — real
-  wall-clock asyncio tasks in one process, with injected delays;
-* :mod:`repro.rt.udp` — one OS process per node over localhost UDP with
-  a length-prefixed JSON wire format;
-* :mod:`repro.rt.router` — many nodes multiplexed onto a few worker
-  processes exchanging the same frames through one central router
+* :class:`~repro.rt.virtual.VirtualTimeTransport` (``virtual``) — a
+  deterministic scheduler on virtual time (the simulator's event loop,
+  re-hosted);
+* :class:`~repro.rt.asyncio_transport.InProcAsyncioTransport`
+  (``asyncio``) — real wall-clock asyncio tasks in one process, with
+  injected delays;
+* :class:`~repro.rt.shard.ShardTransport` (``udp`` and ``router``) — the
+  multi-process runtime: forked worker processes each hosting a shard
+  of nodes, exchanging :mod:`repro.wire` frames over localhost UDP.
+  ``udp`` is one shard per node with frames addressed straight to the
+  owning peer; ``router`` is a few shards around one central switch
   socket, which also applies live churn (crash windows, rewirings).
 
 Delays are *injected* on every backend: a
@@ -54,7 +57,8 @@ DELAY_SEED_MIX = 0x5EED
 class Transport(ABC):
     """What the environment does for live nodes: time, messages, timers."""
 
-    #: Spec-string name of the backend (one of :data:`TRANSPORT_NAMES`).
+    #: Name of the loop: a :data:`TRANSPORT_NAMES` entry, or ``"shard"``
+    #: for the one loop that serves both ``udp`` and ``router``.
     name: str = "abstract"
 
     # ------------------------------------------------------------------
@@ -78,7 +82,7 @@ class Transport(ABC):
             bind_run(seed)
 
     def _message_seq(self, counter: int) -> int:
-        """The wire seq for the ``counter``-th send (udp salts per node)."""
+        """The wire seq for the ``counter``-th send (shards interleave)."""
         return counter
 
     def _next_message(

@@ -3,7 +3,7 @@
 Everything else in :mod:`repro.sweep` is one-shot: expand a grid, fan
 it over a pool, print tables, exit.  This package keeps the pool warm.
 A :class:`ServeDaemon` listens on a localhost socket (the same
-length-prefixed JSON frames as :mod:`repro.rt.udp` — see
+length-prefixed JSON frames as the live runtime, :mod:`repro.wire` — see
 :mod:`repro.serve.protocol`), accepts :class:`~repro.sweep.spec.SweepSpec`
 submissions from many concurrent clients, and drains them through a
 deduplicating :class:`~repro.serve.jobqueue.JobQueue` onto forked

@@ -3,11 +3,12 @@
 The serve daemon speaks the exact frame format the live runtime already
 puts on the wire — a 4-byte big-endian length prefix followed by that
 many bytes of UTF-8 JSON — by importing :func:`encode_frame` /
-:func:`decode_frame` from :mod:`repro.rt.udp` rather than redefining
-them.  One format, two transports: datagrams between live nodes, and
-request/reply streams between serve clients and the daemon.  The
-hypothesis properties in ``tests/test_serve_protocol.py`` and
-``tests/test_rt_router.py`` cover the shared helpers from both
+:func:`decode_frame` from :mod:`repro.wire`, the framing module below
+the layer DAG, rather than redefining them (``serve`` imports nothing
+from :mod:`repro.rt`).  One format, two transports: datagrams between
+live nodes, and request/reply streams between serve clients and the
+daemon.  The hypothesis properties in ``tests/test_serve_protocol.py``
+and ``tests/test_rt_router.py`` cover the shared helpers from both
 consumers.
 
 Streams add one wrinkle datagrams do not have: a TCP read may return
@@ -25,11 +26,10 @@ for more bytes.
 from __future__ import annotations
 
 import socket
-import struct
 from typing import Iterator, Optional
 
 from repro.errors import ServeError
-from repro.rt.udp import decode_frame, encode_frame
+from repro.wire import LENGTH_PREFIX, decode_frame, encode_frame
 
 __all__ = [
     "MAX_FRAME",
@@ -48,8 +48,6 @@ PROTOCOL_VERSION = 1
 #: prefix cannot make the daemon allocate gigabytes.  Far above any real
 #: reply: a full-spec sweep's fetch payload is a few megabytes.
 MAX_FRAME = 64 * 1024 * 1024
-
-_LEN = struct.Struct(">I")
 
 
 class FrameBuffer:
@@ -74,15 +72,15 @@ class FrameBuffer:
 
     def pop(self) -> Optional[dict]:
         """One complete record, or ``None`` while the tail is partial."""
-        if len(self._buf) < _LEN.size:
+        if len(self._buf) < LENGTH_PREFIX.size:
             return None
-        (length,) = _LEN.unpack_from(self._buf)
+        (length,) = LENGTH_PREFIX.unpack_from(self._buf)
         if length > MAX_FRAME:
             raise ServeError(
                 f"frame length prefix claims {length} bytes "
                 f"(cap {MAX_FRAME}); corrupt stream"
             )
-        end = _LEN.size + length
+        end = LENGTH_PREFIX.size + length
         if len(self._buf) < end:
             return None
         # Reassemble the datagram shape so decode_frame — the validation

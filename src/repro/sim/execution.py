@@ -54,10 +54,11 @@ class Execution:
     #: against the network live at each instant.
     topology_timeline: tuple[tuple[float, Topology], ...] | None = None
     #: Transport-level counters of a :mod:`repro.rt` run (aggregate
-    #: ``frames_dropped``, router ``frames_routed``/``events``, worker
-    #: count, ...); ``None`` for simulator runs.  Dropped frames are
-    #: wire-level losses (malformed or misdirected datagrams), distinct
-    #: from the *injected* losses counted in :attr:`fault_stats`.
+    #: ``frames_dropped`` and ``events`` on every transport, plus
+    #: ``frames_routed`` and ``workers`` on udp/router); ``None`` for
+    #: simulator runs.  Dropped frames are wire-level losses (malformed
+    #: or misdirected datagrams), distinct from the *injected* losses
+    #: counted in :attr:`fault_stats`.
     live_stats: dict | None = None
 
     # ------------------------------------------------------------------

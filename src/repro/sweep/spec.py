@@ -117,15 +117,18 @@ class SweepSpec:
                     f"unknown rate family {spec!r}; families: "
                     f"{sorted(RATE_FAMILIES)}"
                 )
-        from repro.rt.transport import TRANSPORT_NAMES
-
         live = [t for t in self.transports if t != "sim"]
-        for spec in live:
-            if spec not in TRANSPORT_NAMES:
-                raise SweepError(
-                    f"unknown transport {spec!r}; backends: "
-                    f"['sim', {', '.join(repr(t) for t in TRANSPORT_NAMES)}]"
-                )
+        if live:
+            # Only live cells need the runtime: validating a sim-only
+            # spec (the serve daemon's common case) never imports rt.
+            from repro.rt.transport import TRANSPORT_NAMES
+
+            for spec in live:
+                if spec not in TRANSPORT_NAMES:
+                    raise SweepError(
+                        f"unknown transport {spec!r}; backends: ['sim', "
+                        f"{', '.join(repr(t) for t in TRANSPORT_NAMES)}]"
+                    )
         # Of the live backends only the router implements churn; a grid
         # may combine faults/mobility with sim and router cells, but a
         # churnless live backend in the same grid is rejected.

@@ -117,7 +117,7 @@ def _stats_items(execution) -> list[tuple[str, object]]:
         ("messages", len(execution.messages)),
     ]
     live = execution.live_stats or {}
-    for key in ("frames_dropped", "frames_routed", "events", "workers", "processes"):
+    for key in ("frames_dropped", "frames_routed", "events", "workers"):
         if key in live:
             items.append((key, live[key]))
     if execution.fault_stats:

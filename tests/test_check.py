@@ -184,6 +184,36 @@ class TestOneSimulatorLoop:
             assert "engine" not in {f.name for f in fields(config)}
 
 
+class TestOneShardRuntime:
+    """udp and router share one multi-process loop; framing sits below."""
+
+    @staticmethod
+    def _rt_modules_with(needle):
+        return sorted(
+            path.name
+            for path in (SRC / "repro" / "rt").glob("*.py")
+            if needle in path.read_text(encoding="utf-8")
+        )
+
+    def test_the_udp_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.rt.udp") is None
+        assert importlib.util.find_spec("repro.rt.router") is None
+
+    def test_one_select_loop_and_one_socket_drain(self):
+        assert self._rt_modules_with("select.select(") == ["shard.py"]
+        assert self._rt_modules_with("def _drain_socket") == ["shard.py"]
+
+    def test_serve_imports_nothing_from_rt(self):
+        # LAY001 holds every import under src/repro/serve/, lazy ones
+        # included, to these two sets (and the tree is clean, above).
+        granted = ALLOWED_IMPORTS["serve"] | LAZY_ALLOWED.get("serve", frozenset())
+        assert "rt" not in granted
+        report = run_check([SRC / "repro" / "serve"])
+        assert [f for f in report.new if f.rule == "LAY001"] == []
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 
@@ -304,7 +334,7 @@ class TestLayerDag:
         }
         assert ALLOWED_IMPORTS["rt"] == ALLOWED_IMPORTS["sweep"] | {"sweep"}
         assert ALLOWED_IMPORTS["viz"] == ALLOWED_IMPORTS["sweep"] | {"sweep"}
-        assert ALLOWED_IMPORTS["serve"] == ALLOWED_IMPORTS["rt"] | {"rt"}
+        assert ALLOWED_IMPORTS["serve"] == ALLOWED_IMPORTS["rt"]
         assert ALLOWED_IMPORTS["check"] == frozenset()
         assert "check" not in ALLOWED_IMPORTS["experiments"]
         # serve is a leaf: only the experiments CLI verb may reach it,
@@ -313,7 +343,7 @@ class TestLayerDag:
         for pkg, deps in ALLOWED_IMPORTS.items():
             assert "serve" not in deps, pkg
         assert "serve" in LAZY_ALLOWED["experiments"]
-        assert BASE_PACKAGES == {"_constants", "errors"}
+        assert BASE_PACKAGES == {"_constants", "errors", "wire"}
 
     def test_declared_dag_is_acyclic(self):
         graph = {pkg: set(deps) for pkg, deps in ALLOWED_IMPORTS.items()}

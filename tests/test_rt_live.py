@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.e14_live import skew_bound
 from repro.rt import LiveRunConfig, run_live
 from repro.rt.cli import main as live_main
-from repro.rt.udp import decode_frame, encode_frame
+from repro.wire import decode_frame, encode_frame
 
 pytestmark = pytest.mark.rt
 

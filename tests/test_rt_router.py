@@ -1,4 +1,4 @@
-"""Router transport, live churn, and the udp failure-handling contract.
+"""The shard runtime (udp + router), live churn, and failure handling.
 
 Three concerns share this module:
 
@@ -6,10 +6,11 @@ Three concerns share this module:
   length-prefixed JSON framing round-trips arbitrary records, and every
   truncated / corrupted / non-UTF-8 datagram decodes to ``None`` —
   never an exception, never a wrong record;
-* **failure handling** (``rt``-marked): a node or worker process that
-  dies mid-run must surface promptly as a descriptive :class:`RtError`
-  naming the dead process — not a hang, not a raw ``EOFError`` — and
-  wire-level drop counts must land on the built ``Execution``;
+* **failure handling** (``rt``-marked, both names): a shard process
+  that dies mid-run must surface promptly as a descriptive
+  :class:`RtError` naming the dead process — not a hang, not a raw
+  ``EOFError`` — and wire-level drop counts must land on the built
+  ``Execution``;
 * **router semantics** (``rt``-marked): multiplexed runs complete with
   bounded skew, agree with the deterministic virtual backend within the
   wall-clock budget the other live backends are held to, scale past a
@@ -21,14 +22,18 @@ from __future__ import annotations
 import os
 import socket
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RtError
 from repro.experiments.e14_live import skew_bound
-from repro.rt import LiveRunConfig, run_live
-from repro.rt.udp import decode_frame, encode_frame
+from repro.rt import LiveRecorder, LiveRunConfig, run_live, with_transport
+from repro.rt import shard as shard_rt
+from repro.rt.shard import ShardTransport
+from repro.sweep.families import topology_from_spec
+from repro.wire import decode_frame, encode_frame
 
 json_scalars = st.one_of(
     st.none(),
@@ -109,64 +114,117 @@ class TestConfigValidation:
         assert config.faults == "crash-recover:0.25,5"
 
 
+BOTH = pytest.mark.parametrize("transport", ["udp", "router"])
+
+
+class _SeqCapture:
+    """A stand-in socket that keeps the seq of every frame sent on it."""
+
+    def __init__(self):
+        self.seqs = []
+
+    def sendto(self, frame, addr):
+        self.seqs.append(decode_frame(frame)["seq"])
+
+
+class TestMessageSeq:
+    def test_seqs_stay_disjoint_past_a_million_sends_per_shard(self):
+        """Two shards' seqs never collide, however long the run.
+
+        The old ``node * 1_000_000 + counter`` salt ran node k's seqs
+        into node k+1's once a shard's shared counter passed 10**6, and
+        ``merge_recorders`` / replay key messages by seq.
+        """
+        topology = topology_from_spec("line:2")
+        socks = [_SeqCapture(), _SeqCapture()]
+        for shard, sock in enumerate(socks):
+            transport = ShardTransport(
+                shard=shard, n_shards=2, sock=sock,
+                route=dict.fromkeys((0, 1), ("127.0.0.1", 9)),
+                recorder=LiveRecorder(record_trace=False),
+                delay_policy=None, seed=0, duration=1.0, time_scale=1.0,
+            )
+            sender = SimpleNamespace(node=shard, topology=topology)
+            for counter in (0, 999_998):
+                transport._msg_counter = counter
+                for _ in range(4):
+                    transport.transmit(sender, 1 - shard, ("clock", 0.0))
+        mine, theirs = (set(sock.seqs) for sock in socks)
+        assert len(mine) == len(theirs) == 8
+        assert not mine & theirs
+
+
 @pytest.mark.rt
-class TestUdpFailureHandling:
-    """A dead node process fails the run fast, descriptively, and cleanly."""
+@BOTH
+class TestShardFailureHandling:
+    """A dead shard process fails the run fast, descriptively, and cleanly.
 
-    CONFIG = LiveRunConfig(
-        topology="line:3", algorithm="gradient", duration=4.0,
-        rho=0.2, seed=0, transport="udp", time_scale=0.05,
-    )
+    One contract for both names on the one runtime: ``udp`` children
+    are named ``node process <k>``, ``router`` children ``router worker
+    <w>``.
+    """
 
-    def test_crashing_node_raises_prompt_descriptive_error(self, monkeypatch):
-        import repro.rt.udp as udp
+    ROLE = {"udp": "node process", "router": "router worker"}
 
-        real_main = udp._node_main
+    @staticmethod
+    def config(transport):
+        return LiveRunConfig(
+            topology="line:3", algorithm="gradient", duration=4.0,
+            rho=0.2, seed=0, transport=transport, time_scale=0.05,
+        )
 
-        def crashing_main(node, cfg, ports, sock, conn):
-            if node == 1:
+    def test_killed_child_raises_prompt_descriptive_error(
+        self, monkeypatch, transport
+    ):
+        real_main = shard_rt._shard_main
+        # udp's shard 1 is node 1; router hosts line:3 in its one shard 0.
+        victim = 1 if transport == "udp" else 0
+
+        def crashing_main(shard, *args):
+            if shard == victim:
                 os._exit(17)  # die before reporting anything
-            real_main(node, cfg, ports, sock, conn)
+            real_main(shard, *args)
 
-        monkeypatch.setattr(udp, "_node_main", crashing_main)
+        monkeypatch.setattr(shard_rt, "_shard_main", crashing_main)
         start = time.perf_counter()
-        with pytest.raises(RtError, match=r"node process 1.*exit code 17"):
-            run_live(self.CONFIG)
+        with pytest.raises(
+            RtError, match=rf"{self.ROLE[transport]} {victim}.*exit code 17"
+        ):
+            run_live(self.config(transport))
         # The old code hung out the whole report budget; the sentinel
         # watch must surface the death in about a round trip.
         assert time.perf_counter() - start < 3.0
 
-    def test_closed_pipe_is_not_a_raw_eoferror(self, monkeypatch):
-        import repro.rt.udp as udp
-
-        def eof_main(node, cfg, ports, sock, conn):
+    def test_closed_pipe_is_not_a_raw_eoferror(self, monkeypatch, transport):
+        def eof_main(shard, shards, config, route, mirror, sock, conn):
             conn.close()  # clean exit, no report: EOF on the parent side
             os._exit(0)
 
-        monkeypatch.setattr(udp, "_node_main", eof_main)
+        monkeypatch.setattr(shard_rt, "_shard_main", eof_main)
         start = time.perf_counter()
-        with pytest.raises(RtError, match="node process"):
-            run_live(self.CONFIG)
+        with pytest.raises(RtError, match=self.ROLE[transport]):
+            run_live(self.config(transport))
         assert time.perf_counter() - start < 3.0
 
-    def test_frames_dropped_surfaces_on_execution(self, monkeypatch):
-        import repro.rt.udp as udp
+    def test_frames_dropped_surfaces_on_execution(self, monkeypatch, transport):
+        real_main = shard_rt._shard_main
 
-        real_main = udp._node_main
-
-        def noisy_main(node, cfg, ports, sock, conn):
-            if node == 0:
-                # A malformed datagram into a peer's socket: must be
-                # counted, not crash the receiver or vanish silently.
+        def noisy_main(shard, shards, config, route, mirror, sock, conn):
+            if shard == 0:
+                # A malformed datagram into the port node 1's frames go
+                # to (the peer itself on udp, the switch on router): it
+                # must be counted, not crash the receiver or vanish.
                 junk = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                junk.sendto(b"\x00\x00\x00\x08not-json", ("127.0.0.1", ports[1]))
+                junk.sendto(b"\x00\x00\x00\x08not-json", route[1])
                 junk.close()
-            real_main(node, cfg, ports, sock, conn)
+            real_main(shard, shards, config, route, mirror, sock, conn)
 
-        monkeypatch.setattr(udp, "_node_main", noisy_main)
-        execution = run_live(self.CONFIG)
-        assert execution.live_stats is not None
+        monkeypatch.setattr(shard_rt, "_shard_main", noisy_main)
+        execution = run_live(self.config(transport))
         assert execution.live_stats["frames_dropped"] >= 1
+        assert sorted(execution.live_stats) == [
+            "events", "frames_dropped", "frames_routed", "workers",
+        ]
 
 
 @pytest.mark.rt
@@ -187,9 +245,10 @@ class TestRouterTransport:
         assert execution.live_stats["events"] > 0
         assert execution.live_stats["frames_dropped"] == 0
 
-    def test_router_matches_virtual_within_live_budget(self):
-        # The same wall-clock contract asyncio/udp are held to: the
-        # multiplexed run tracks the deterministic virtual run inside
+    @BOTH
+    def test_router_matches_virtual_within_live_budget(self, transport):
+        # The same wall-clock contract asyncio is held to: the
+        # multi-process run tracks the deterministic virtual run inside
         # the diameter budget (exact equality is impossible for a
         # wall-clock backend).
         base = LiveRunConfig(
@@ -197,23 +256,19 @@ class TestRouterTransport:
             rho=0.2, seed=2, transport="virtual", time_scale=0.05,
         )
         virtual = run_live(base)
-        routed = run_live(
-            LiveRunConfig(
-                topology="line:6", algorithm="gradient", duration=6.0,
-                rho=0.2, seed=2, transport="router", time_scale=0.05,
-            )
-        )
+        live = run_live(with_transport(base, transport))
         bound = skew_bound(virtual.topology.diameter)
         assert virtual.max_skew(6.0) <= bound
-        assert routed.max_skew(6.0) <= bound
+        assert live.max_skew(6.0) <= bound
         # Timer-driven sends are deterministic in count, so traffic
         # volume must agree exactly even though wall timing jitters.
-        assert len(routed.messages) == len(virtual.messages)
+        assert len(live.messages) == len(virtual.messages)
 
-    def test_router_execution_passes_model_checks(self):
+    @BOTH
+    def test_router_execution_passes_model_checks(self, transport):
         config = LiveRunConfig(
             topology="ring:6", algorithm="averaging", duration=5.0,
-            rho=0.2, seed=3, transport="router", time_scale=0.05,
+            rho=0.2, seed=3, transport=transport, time_scale=0.05,
         )
         execution = run_live(config)
         execution.check_validity()
@@ -263,19 +318,3 @@ class TestRouterTransport:
         assert execution.topology_timeline is not None
         assert execution.is_dynamic
         assert len(execution.topology_timeline) >= 2
-
-    def test_dead_worker_raises_prompt_descriptive_error(self, monkeypatch):
-        import repro.rt.router as router
-
-        def dying_worker(worker, shard, cfg, router_port, sock, conn):
-            os._exit(23)
-
-        monkeypatch.setattr(router, "_worker_main", dying_worker)
-        config = LiveRunConfig(
-            topology="line:4", algorithm="gradient", duration=4.0,
-            rho=0.2, seed=0, transport="router", time_scale=0.05,
-        )
-        start = time.perf_counter()
-        with pytest.raises(RtError, match=r"router worker 0.*exit code 23"):
-            run_live(config)
-        assert time.perf_counter() - start < 3.0

@@ -1,7 +1,7 @@
 """Wire-protocol properties of the sweep service (no daemon, no clock).
 
-The serve daemon reuses the exact length-prefixed JSON framing of
-:mod:`repro.rt.udp` — these properties mirror the
+The serve daemon reuses the exact length-prefixed JSON framing of the
+live runtime (:mod:`repro.wire`) — these properties mirror the
 ``test_rt_router.py`` wire-format suite from the second consumer's side
 (identity of the helpers, round-trip, truncated-prefix,
 trailing-garbage, non-UTF-8 rejection), then add the part only streams
@@ -19,8 +19,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.rt.udp as rt_udp
 import repro.serve.protocol as protocol
+import repro.wire as wire
 from repro.errors import ServeError
 from repro.serve.protocol import MAX_FRAME, FrameBuffer, encode_frame
 
@@ -43,8 +43,10 @@ class TestSharedFraming:
     """The serve protocol *is* the rt wire format, not a re-implementation."""
 
     def test_helpers_are_the_rt_helpers(self):
-        assert protocol.encode_frame is rt_udp.encode_frame
-        assert protocol.decode_frame is rt_udp.decode_frame
+        from repro.rt import shard
+
+        assert protocol.encode_frame is wire.encode_frame is shard.encode_frame
+        assert protocol.decode_frame is wire.decode_frame is shard.decode_frame
 
     @given(record=frame_records)
     @settings(max_examples=60, deadline=None)
