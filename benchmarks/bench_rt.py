@@ -21,15 +21,9 @@ import sys
 import time
 
 from repro.analysis.reporting import Table
-from repro.rt import LiveNode, LiveRunConfig, run_live
+from repro.rt import LiveRunConfig, host_nodes, run_live
 from repro.rt.recorder import LiveRecorder
 from repro.rt.virtual import VirtualTimeTransport
-from repro.sweep.families import (
-    algorithm_from_spec,
-    delay_policy_from_spec,
-    rates_from_spec,
-    topology_from_spec,
-)
 
 #: Virtual-run shape: long enough that per-event cost dominates setup.
 VIRTUAL_CONFIG = LiveRunConfig(
@@ -66,24 +60,14 @@ def test_virtual_events_per_sec():
     # Drive the transport directly (the run_live plumbing minus the
     # Execution assembly) so events_processed is the measured quantity.
     cfg = VIRTUAL_CONFIG
-    topology = topology_from_spec(cfg.topology)
-    schedules = rates_from_spec(
-        cfg.rates, topology, rho=cfg.rho, seed=cfg.seed, horizon=cfg.duration
-    )
+    cell = cfg.build()
     recorder = LiveRecorder(record_trace=False)
     transport = VirtualTimeTransport(
-        recorder=recorder,
-        delay_policy=delay_policy_from_spec(cfg.delays),
-        seed=cfg.seed,
+        recorder=recorder, delay_policy=cell.delay_policy, seed=cfg.seed
     )
-    processes = algorithm_from_spec(cfg.algorithm).processes(topology)
-    nodes = {
-        n: LiveNode(
-            n, processes[n], topology=topology, schedule=schedules[n],
-            rho=cfg.rho, seed=cfg.seed, transport=transport, recorder=recorder,
-        )
-        for n in topology.nodes
-    }
+    nodes = host_nodes(
+        cfg, cell, cell.topology.nodes, transport=transport, recorder=recorder
+    )
     start = time.perf_counter()
     transport.run(nodes, cfg.duration)
     elapsed = time.perf_counter() - start

@@ -16,15 +16,8 @@ import time
 
 import numpy as np
 
-from repro import SimConfig, run_simulation
 from repro.analysis import Table
 from repro.rt import LiveRunConfig, run_live, with_transport
-from repro.sweep.families import (
-    algorithm_from_spec,
-    delay_policy_from_spec,
-    rates_from_spec,
-    topology_from_spec,
-)
 
 SCENARIO = LiveRunConfig(
     topology="line:8",
@@ -41,18 +34,8 @@ SCENARIO = LiveRunConfig(
 
 def simulator_baseline():
     print("=== 1. the simulator baseline ===")
-    topology = topology_from_spec(SCENARIO.topology)
-    algorithm = algorithm_from_spec(SCENARIO.algorithm)
-    execution = run_simulation(
-        topology,
-        algorithm.processes(topology),
-        SimConfig(duration=SCENARIO.duration, rho=SCENARIO.rho, seed=SCENARIO.seed),
-        rate_schedules=rates_from_spec(
-            SCENARIO.rates, topology, rho=SCENARIO.rho, seed=SCENARIO.seed,
-            horizon=SCENARIO.duration,
-        ),
-        delay_policy=delay_policy_from_spec(SCENARIO.delays),
-    )
+    # A LiveRunConfig is a Scenario: the very cell the live legs run.
+    execution = SCENARIO.simulate()
     print(f"final max skew (sim): {execution.max_skew(SCENARIO.duration):.4f}\n")
     return execution
 

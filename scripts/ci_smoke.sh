@@ -102,6 +102,20 @@ if grep -q " NO " "$ARTIFACTS/e14.txt"; then
     echo "error: an E14 cell blew the skew bound" >&2; exit 1
 fi
 
+# One scenario argv, two front-ends: the live verb and the dashboard take
+# their ten scenario flags from one builder (sweep/cli.py), so the same
+# flags must be accepted by both and name the same cell.
+SCENARIO_ARGV=(--topology ring --nodes 6 --alg averaging --rates wandering
+    --delays uniform:0.25,0.75 --duration 6 --rho 0.1 --seed 3)
+python -m repro.experiments live "${SCENARIO_ARGV[@]}" --transport virtual \
+    > "$ARTIFACTS/scenario_live.txt" \
+    || { echo "error: repro-live rejected the shared scenario argv" >&2; exit 1; }
+python -m repro.experiments viz dashboard "${SCENARIO_ARGV[@]}" \
+    --out "$ARTIFACTS/scenario_viz" > "$ARTIFACTS/scenario_viz.txt" \
+    || { echo "error: viz dashboard rejected the shared scenario argv" >&2; exit 1; }
+grep -q "averaging on ring:6" "$ARTIFACTS/scenario_live.txt" \
+    || { echo "error: repro-live ran a different cell than named" >&2; exit 1; }
+
 echo
 echo "== simulator differential check (reference vs production) =="
 # The quick cut of the byte-identity contract between the production
@@ -186,6 +200,10 @@ timeout 30 bash -c '
 ' || { echo "error: serve daemon lifecycle failed or blew the 30s budget" >&2; exit 1; }
 grep -q "repro-serve stopped" "$ARTIFACTS/serve_daemon.txt" \
     || { echo "error: serve daemon did not shut down cleanly" >&2; exit 1; }
+# Neither the daemon nor any of its pool workers may outlive the step.
+if pgrep -f '[r]epro\.(experiments )?serve start' > /dev/null; then
+    echo "error: a repro.serve process outlived its daemon" >&2; exit 1
+fi
 
 echo
 echo "== docs: module doctests + markdown link check =="

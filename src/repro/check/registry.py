@@ -16,8 +16,10 @@ with a single source of truth:
 * sweep cell keys — ``repro.sweep.aggregate.CELL_KEYS`` defines the
   axes of one scenario cell.  Every job kind's metrics dict must carry
   *all* of them, or its rows silently collapse into the wrong cells
-  during aggregation.  ``REG004`` checks the literal-keyed ``metrics``
-  dicts inside ``@job_kind`` functions against the registry.
+  during aggregation.  ``REG004`` checks the literal-keyed dicts that
+  ``@job_kind`` functions — and ``cell_metrics``, the shared row both
+  built-in kinds return — assign to ``metrics`` or ``return`` against
+  the registry.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ __all__ = [
     "InitExportsDeclaredRule",
     "TraceKindLiteralRule",
 ]
+
+#: The function that writes the row shared by the built-in job kinds
+#: (``repro.sweep.scenario.cell_metrics``); REG004 checks it like a kind.
+_SHARED_ROW_FUNCTION = "cell_metrics"
 
 #: Call/attribute sites whose string arguments are trace-event kinds.
 _KIND_CALLS = {"of_kind"}
@@ -269,8 +275,8 @@ class CellKeysCoveredRule(Rule):
     code = "REG004"
     name = "cell-keys-covered"
     hint = (
-        "every @job_kind metrics dict must carry all "
-        "repro.sweep.aggregate.CELL_KEYS keys, or its rows aggregate "
+        "every @job_kind metrics dict (assigned or returned) must carry "
+        "all repro.sweep.aggregate.CELL_KEYS keys, or its rows aggregate "
         "into the wrong scenario cells"
     )
     contract = (
@@ -285,36 +291,47 @@ class CellKeysCoveredRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not any(
+            if any(
                 isinstance(dec, ast.Call)
                 and terminal_name(dec.func) == "job_kind"
                 for dec in node.decorator_list
             ):
+                what = f"@job_kind '{node.name}'"
+            elif node.name == _SHARED_ROW_FUNCTION:
+                what = f"shared row builder '{node.name}'"
+            else:
                 continue
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Assign):
-                    continue
-                if not any(
-                    isinstance(t, ast.Name) and t.id == "metrics"
-                    for t in sub.targets
-                ):
-                    continue
-                if not isinstance(sub.value, ast.Dict):
-                    continue
+            for sub, literal in _row_literals(node):
                 literal_keys = {
                     k.value
-                    for k in sub.value.keys
+                    for k in literal.keys
                     if isinstance(k, ast.Constant) and isinstance(k.value, str)
                 }
                 # Dicts built with **spreads or computed keys are
                 # opaque to a static check; only literal dicts count.
-                if len(literal_keys) != len(sub.value.keys):
+                if len(literal_keys) != len(literal.keys):
                     continue
                 missing = [k for k in keys if k not in literal_keys]
                 if missing:
                     yield self.finding(
                         module,
                         sub,
-                        f"@job_kind '{node.name}' metrics dict is missing "
+                        f"{what} metrics dict is missing "
                         f"cell key(s) {', '.join(missing)}",
                     )
+
+
+def _row_literals(fn: ast.AST) -> Iterator[tuple[ast.stmt, ast.Dict]]:
+    """The dict literals a row-producing function assigns to ``metrics``
+    or returns, each with the statement a finding should point at."""
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "metrics" for t in sub.targets
+        ):
+            value = sub.value
+        elif isinstance(sub, ast.Return):
+            value = sub.value
+        else:
+            continue
+        if isinstance(value, ast.Dict):
+            yield sub, value

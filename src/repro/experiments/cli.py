@@ -23,6 +23,7 @@ runs the static invariant linter (:mod:`repro.check.cli`), and
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import sys
 import time
@@ -30,7 +31,18 @@ import time
 from repro.errors import ReproError
 from repro.experiments import REGISTRY, run_experiment
 
-__all__ = ["main", "list_experiments"]
+__all__ = ["main", "list_experiments", "VERBS"]
+
+#: verb -> module whose ``main(argv)`` serves it.  Imported only when
+#: the verb is used, so ``--list`` and plain experiment runs never load
+#: the live runtime, the linter or the daemon.
+VERBS = {
+    "sweep": "repro.sweep.cli",
+    "live": "repro.rt.cli",
+    "viz": "repro.viz.cli",
+    "check": "repro.check.cli",
+    "serve": "repro.serve.cli",
+}
 
 
 def list_experiments() -> str:
@@ -52,26 +64,9 @@ def list_experiments() -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "sweep":
-        from repro.sweep.cli import main as sweep_main
-
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "live":
-        from repro.rt.cli import main as live_main
-
-        return live_main(argv[1:])
-    if argv and argv[0] == "viz":
-        from repro.viz.cli import main as viz_main
-
-        return viz_main(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.check.cli import main as check_main
-
-        return check_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import main as serve_main
-
-        return serve_main(argv[1:])
+    if argv and argv[0] in VERBS:
+        verb_main = importlib.import_module(VERBS[argv[0]]).main
+        return verb_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -87,8 +82,8 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         metavar="ID",
         help=(
-            "experiment ids (E01..E16), or 'sweep' / 'live' / 'viz' / "
-            "'check' / 'serve'; default: all"
+            "experiment ids (E01..E16), or "
+            f"{' / '.join(repr(verb) for verb in VERBS)}; default: all"
         ),
     )
     parser.add_argument(
@@ -118,11 +113,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     ids = [i.upper() for i in args.ids] or sorted(REGISTRY)
-    for verb in ("SWEEP", "LIVE", "VIZ", "CHECK", "SERVE"):
-        if verb in ids:
+    for verb in VERBS:
+        if verb.upper() in ids:
             print(
-                f"error: the '{verb.lower()}' verb must come first: "
-                f"python -m repro.experiments {verb.lower()} [options]",
+                f"error: the '{verb}' verb must come first: "
+                f"python -m repro.experiments {verb} [options]",
                 file=sys.stderr,
             )
             return 2
@@ -137,16 +132,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(result.render())
         if args.report:
-            from pathlib import Path
+            from repro.viz.report import write_experiment_report
 
-            from repro.viz.report import experiment_report
-
-            svg = experiment_report(result)
-            if svg is not None:
-                out = Path(args.report)
-                out.mkdir(parents=True, exist_ok=True)
-                path = out / f"{experiment_id.lower()}.svg"
-                path.write_text(svg, encoding="utf-8")
+            path = write_experiment_report(args.report, result)
+            if path is not None:
                 print(f"wrote {path}")
         print(f"[{experiment_id} took {time.time() - start:.1f}s]")
         print()

@@ -52,7 +52,7 @@ def figure1_beta(params: Mapping[str, Any]) -> dict:
         measured.append(
             float(beta_schedule.rates[node].rate_at(mid)) if span > 1e-9 else 1.0
         )
-    return {
+    return {  # repro: allow[REG004] not a sweep-cell row
         "n": n,
         "windows": [[float(a), float(b)] for a, b in (windows[k] for k in range(n))],
         "measured_rates": measured,

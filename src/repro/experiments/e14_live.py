@@ -34,7 +34,8 @@ from repro.analysis.reporting import Table
 from repro.analysis.skew import summarize
 from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.rt.run import LiveRunConfig, run_live
-from repro.sweep import Job, run_jobs
+from repro.sweep import SweepSpec, run_jobs
+from repro.sweep.families import TRANSPORT_FAMILIES, forking_transports
 
 __all__ = [
     "run",
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 #: Execution backends compared, in table order.
-BACKENDS = ("sim", "virtual", "asyncio", "udp", "router")
+BACKENDS = ("sim", *TRANSPORT_FAMILIES)
 
 #: Router-ladder topologies per scale: node counts 8 -> 512 on the two
 #: shapes the paper's gradient bound distinguishes (long thin line,
@@ -129,58 +130,6 @@ def topology_nodes(spec: str) -> int:
     return topology_from_spec(spec).n
 
 
-def _jobs(
-    topology: str,
-    algorithms: list[str],
-    backends: list[str],
-    *,
-    duration: float,
-    rho: float,
-    seed: int,
-    time_scale: float,
-) -> list[Job]:
-    jobs = []
-    for algorithm in algorithms:
-        for backend in backends:
-            if backend == "sim":
-                jobs.append(
-                    Job(
-                        kind="benign-run",
-                        params={
-                            "topology": topology,
-                            "algorithm": algorithm,
-                            "rates": "drifted",
-                            "delays": "uniform",
-                            "faults": "none",
-                            "seed": seed,
-                            "duration": duration,
-                            "rho": rho,
-                            "step": 1.0,
-                        },
-                    )
-                )
-            else:
-                jobs.append(
-                    Job(
-                        kind="live-run",
-                        params={
-                            "topology": topology,
-                            "algorithm": algorithm,
-                            "rates": "drifted",
-                            "delays": "uniform",
-                            "transport": backend,
-                            "seed": seed,
-                            "duration": duration,
-                            "rho": rho,
-                            "step": 1.0,
-                            "time_scale": time_scale,
-                        },
-                        module="repro.rt.jobs",
-                    )
-                )
-    return jobs
-
-
 def run(
     scale: Scale = "quick", *, rho: float = 0.2, seed: int = 0, workers: int = 1
 ) -> ExperimentResult:
@@ -191,14 +140,22 @@ def run(
     duration = pick(scale, 8.0, 24.0)
     time_scale = pick(scale, 0.15, 0.1)
 
-    jobs = _jobs(
-        topology, algorithms, backends,
-        duration=duration, rho=rho, seed=seed, time_scale=time_scale,
-    )
-    # udp/router cells spawn OS processes, which daemonic pool workers
-    # may not do — they run serially in the parent; everything else may
-    # fan out across the pool.
-    forking = ("udp", "router")
+    # One sweep grid: every (algorithm, backend) cell takes its params
+    # from Scenario.params, exactly as any other sweep's cells do.
+    jobs = SweepSpec(
+        name="E14",
+        topologies=(topology,),
+        algorithms=tuple(algorithms),
+        transports=tuple(backends),
+        seeds=(seed,),
+        duration=duration,
+        rho=rho,
+        time_scale=time_scale,
+    ).jobs()
+    # Cells that spawn OS processes, which daemonic pool workers may not
+    # do, run serially in the parent; everything else may fan out across
+    # the pool.
+    forking = forking_transports(backends)
     pool_jobs = [j for j in jobs if j.params.get("transport") not in forking]
     serial_jobs = [j for j in jobs if j.params.get("transport") in forking]
     outcomes = run_jobs(pool_jobs, workers=workers) + run_jobs(serial_jobs, workers=1)

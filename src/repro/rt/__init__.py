@@ -5,11 +5,14 @@ Everything else in this repository executes inside the discrete-event
 same, unchanged :class:`~repro.sim.node.Process` algorithm classes
 *outside* it:
 
-* :class:`HostClock` realizes the paper's Assumption-1 drift model over
-  ``time.monotonic()`` — piecewise rates, never-backwards, lossless
-  rate rebinding;
+* :class:`LiveRunConfig` is a :class:`~repro.sweep.scenario.Scenario`
+  plus four live fields, and :func:`run_live` starts from the same
+  :meth:`~repro.sweep.scenario.Scenario.build` the simulator path uses;
 * :class:`LiveNode` hosts a process behind the standard
-  :class:`~repro.sim.node.NodeAPI`, so algorithm code needs zero changes;
+  :class:`~repro.sim.node.NodeAPI`, so algorithm code needs zero
+  changes; its hardware clock is the simulator's own
+  :class:`~repro.sim.clock.HardwareClock` over the cell's rate
+  schedule, read at the transport's notion of "now";
 * four transport names carry the messages, on three loops:
   :class:`VirtualTimeTransport` (``virtual``: deterministic,
   simulator-equivalent — the cross-validation anchor),
@@ -34,16 +37,14 @@ sim-vs-live comparison table.
 """
 
 from repro.rt.asyncio_transport import InProcAsyncioTransport
-from repro.rt.hostclock import HostClock
 from repro.rt.jobs import live_run
-from repro.rt.node import LiveNode
+from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder, build_execution, merge_recorders
 from repro.rt.run import LiveRunConfig, run_live, with_transport
 from repro.rt.transport import TRANSPORT_NAMES, Transport
 from repro.rt.virtual import VirtualTimeTransport
 
 __all__ = [
-    "HostClock",
     "LiveNode",
     "LiveRecorder",
     "LiveRunConfig",
@@ -52,6 +53,7 @@ __all__ = [
     "VirtualTimeTransport",
     "InProcAsyncioTransport",
     "build_execution",
+    "host_nodes",
     "merge_recorders",
     "live_run",
     "run_live",

@@ -2,9 +2,8 @@
 
 Every node lives in one process on one asyncio event loop, but time is
 *real*: message deliveries and hardware timers are ``loop.call_later``
-callbacks, and "now" is measured from the loop's monotonic clock through
-a rate-1 :class:`~repro.rt.hostclock.HostClock` (which also supplies the
-never-backwards guarantee).  ``time_scale`` maps simulation units to
+callbacks, and "now" is the loop's monotonic clock measured from the
+run's start.  ``time_scale`` maps simulation units to
 wall seconds, so a 60-unit experiment can run in 3 s of wall time
 (``time_scale=0.05``) or in real time (``time_scale=1``).
 
@@ -26,7 +25,6 @@ from typing import Mapping, Optional
 import random
 
 from repro.errors import RtError
-from repro.rt.hostclock import HostClock
 from repro.rt.node import LiveNode
 from repro.rt.recorder import LiveRecorder
 from repro.rt.transport import DELAY_SEED_MIX, Transport
@@ -60,8 +58,8 @@ class InProcAsyncioTransport(Transport):
         self._now = 0.0
         self._duration = 0.0
         self._finished = False
-        self._host: Optional[HostClock] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._origin = 0.0
 
     # ------------------------------------------------------------------
     # Transport interface
@@ -70,10 +68,13 @@ class InProcAsyncioTransport(Transport):
         """The instant frozen at the current callback's dispatch."""
         return self._now
 
+    def _elapsed(self) -> float:
+        """Simulation units since the run started, off the loop's clock."""
+        return (self._loop.time() - self._origin) / self.time_scale
+
     def _touch_now(self) -> float:
         """Sample wall time into the frozen instant (clamped to the run)."""
-        assert self._host is not None
-        self._now = min(self._host.elapsed(), self._duration)
+        self._now = min(self._elapsed(), self._duration)
         return self._now
 
     def transmit(self, sender: LiveNode, receiver: int, payload) -> None:
@@ -85,8 +86,7 @@ class InProcAsyncioTransport(Transport):
         self._call_at(fire_at, self._fire_timer, node.node, name)
 
     def _call_at(self, sim_time: float, callback, *args) -> None:
-        assert self._loop is not None and self._host is not None
-        delay_wall = max(0.0, (sim_time - self._host.elapsed()) * self.time_scale)
+        delay_wall = max(0.0, (sim_time - self._elapsed()) * self.time_scale)
         self._loop.call_later(delay_wall, callback, *args)
 
     # ------------------------------------------------------------------
@@ -115,17 +115,14 @@ class InProcAsyncioTransport(Transport):
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._host = HostClock(
-            rho=0.0, rate=1.0, time_source=self._loop.time,
-            time_scale=self.time_scale,
-        )
+        self._origin = self._loop.time()
         # All nodes start together at (nominal) real time 0.
         for node in sorted(self._nodes):
             self._nodes[node].record_start()
         for node in sorted(self._nodes):
             self._nodes[node].begin()
         self._touch_now()
-        remaining = (self._duration - self._host.elapsed()) * self.time_scale
+        remaining = (self._duration - self._elapsed()) * self.time_scale
         await asyncio.sleep(max(0.0, remaining))
         # Returning ends the loop; call_later callbacks scheduled past
         # the horizon are discarded with it.

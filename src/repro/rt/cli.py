@@ -22,6 +22,7 @@ from repro.analysis.skew import summarize
 from repro.errors import ReproError
 from repro.rt.run import LiveRunConfig, run_live
 from repro.rt.transport import TRANSPORT_NAMES
+from repro.sweep.cli import add_scenario_arguments, scenario_from_args
 
 __all__ = ["main", "build_parser"]
 
@@ -36,40 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
             "nodes multiplexed onto router worker processes."
         ),
     )
+    add_scenario_arguments(parser)
     parser.add_argument(
-        "--alg", "--algorithm", dest="algorithm", default="gradient",
-        help="algorithm spec (e.g. gradient, max-based:0.5, averaging)",
+        "--transport", choices=list(TRANSPORT_NAMES), default="virtual",
+        help="live backend (non-default --faults / --mobility need router)",
     )
-    parser.add_argument(
-        "--topology", default="line",
-        help="topology kind (line/ring/star/complete/...) or full spec "
-             "like grid:3,4 (--nodes is ignored when a ':' is present)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=8, help="node count for 1-argument kinds"
-    )
-    parser.add_argument(
-        "--transport", choices=list(TRANSPORT_NAMES), default="virtual"
-    )
-    parser.add_argument("--duration", type=float, default=20.0,
-                        help="run length in simulation time units")
-    parser.add_argument("--rho", type=float, default=0.2, help="drift bound")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rates", default="drifted", help="rate family")
-    parser.add_argument("--delays", default="uniform", help="delay policy spec")
     parser.add_argument(
         "--time-scale", type=float, default=0.1,
         help="wall seconds per simulation unit (wall-clock transports)",
-    )
-    parser.add_argument(
-        "--faults", default="none",
-        help="fault-family spec, e.g. crash-recover:0.25,5 "
-             "(router transport only)",
-    )
-    parser.add_argument(
-        "--mobility", default="static",
-        help="mobility-family spec, e.g. blink:0.2,2 "
-             "(router transport only)",
     )
     parser.add_argument(
         "--workers", type=int, default=0,
@@ -89,22 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    topology_spec = (
-        args.topology if ":" in args.topology else f"{args.topology}:{args.nodes}"
-    )
     try:
         config = LiveRunConfig(
-            topology=topology_spec,
-            algorithm=args.algorithm,
-            rates=args.rates,
-            delays=args.delays,
-            duration=args.duration,
-            rho=args.rho,
-            seed=args.seed,
+            **scenario_from_args(args).params(),
             transport=args.transport,
             time_scale=args.time_scale,
-            faults=args.faults,
-            mobility=args.mobility,
             workers=args.workers,
         )
         tail = None

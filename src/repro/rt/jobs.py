@@ -4,10 +4,12 @@ Registering a job kind makes the runtime a first-class citizen of the
 sweep engine: a :class:`~repro.sweep.spec.SweepSpec` whose
 ``transports`` axis names live backends expands into ``live-run`` cells
 next to the ``benign-run`` simulator cells, and the aggregate tables
-line them up by the shared metric names.  The metrics dict mirrors
-``benign-run``'s exactly (plus ``transport``, ``frames_dropped``, and
-``wall_elapsed``), so every downstream consumer — summary tables, JSON
-artifacts, E14 — treats sim and live rows uniformly.  Router cells may
+line them up by the shared metric names.  The row *is* ``benign-run``'s
+— both come from :func:`repro.sweep.scenario.cell_metrics` — plus the
+live counters (``frames_dropped``, ``frames_routed``, ``events``,
+``workers``, ``wall_elapsed``), so every downstream consumer — summary
+tables, JSON artifacts, E14 — treats sim and live rows uniformly, and
+rows of one cell agree on every scenario-derived key.  Router cells may
 additionally carry non-default ``faults`` / ``mobility`` params: live
 churn, counted in ``fault_events`` and ``rewirings`` like a simulator
 cell.
@@ -23,10 +25,9 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
-from repro.analysis.field import SkewField
 from repro.rt.run import LiveRunConfig, run_live
-from repro.sweep.families import topology_from_spec
 from repro.sweep.jobs import job_kind
+from repro.sweep.scenario import cell_metrics
 
 __all__ = ["live_run"]
 
@@ -35,73 +36,27 @@ __all__ = ["live_run"]
 def live_run(params: Mapping[str, Any]) -> dict:
     """One live scenario cell -> the ``benign-run`` metric schema.
 
-    Params: ``topology``, ``algorithm``, ``rates``, ``delays``,
-    ``transport``, ``duration``, ``rho``, ``seed``, optional ``step``,
-    ``time_scale``, ``settle_threshold``, and — router cells only —
-    ``faults`` and ``mobility``.
+    Params: the nine :class:`~repro.sweep.scenario.Scenario` fields
+    (non-default ``faults`` / ``mobility`` on router cells only) and
+    ``transport``, plus optional ``step``, ``time_scale`` and
+    ``settle_threshold``.
     """
-    topology = topology_from_spec(params["topology"])
-    step = float(params.get("step", 1.0))
-    config = LiveRunConfig(
-        topology=str(params["topology"]),
-        algorithm=str(params["algorithm"]),
-        rates=str(params["rates"]),
-        delays=str(params["delays"]),
-        duration=float(params["duration"]),
-        rho=float(params["rho"]),
-        seed=int(params["seed"]),
+    config = LiveRunConfig.from_params(
+        params,
         transport=str(params["transport"]),
         time_scale=float(params.get("time_scale", 0.1)),
-        faults=str(params.get("faults", "none")),
-        mobility=str(params.get("mobility", "static")),
     )
     wall_start = time.perf_counter()
     execution = run_live(config)
     wall_elapsed = time.perf_counter() - wall_start
-    # Same batched measurement path as ``benign-run``: one SkewField,
-    # every metric answered from its trajectory matrix.
-    field = SkewField(execution, step=step)
-    skew = field.summary()
-    threshold = float(
-        params.get("settle_threshold", 2.0 * topology.diameter * config.rho)
-    )
-    settled = field.settling_time(threshold)
-    tail = field.steady_state()
-    stats = execution.fault_stats or {}
     live = execution.live_stats or {}
-    # Same convention as ``benign-run``: count *delivered* messages, so
-    # crash-suppressed deliveries don't inflate live rows.
-    messages = (
-        len(execution.messages)
-        - stats.get("lost_receiver_down", 0)
-        - stats.get("lost_in_flight", 0)
-    )
     return {
-        "topology": config.topology,
-        "algorithm": config.algorithm,
-        "rates": config.rates,
-        "delays": config.delays,
-        "faults": config.faults,
-        "mobility": config.mobility,
-        "transport": config.transport,
-        "seed": config.seed,
-        "n_nodes": int(topology.n),
-        "diameter": float(topology.diameter),
-        "max_skew": float(skew.max_skew),
-        "max_adjacent_skew": float(skew.max_adjacent_skew),
-        "final_skew": float(skew.final_skew),
-        "final_adjacent_skew": float(skew.final_adjacent_skew),
-        "mean_abs_skew": float(skew.mean_abs_skew),
-        "settling_time": None if settled is None else float(settled),
-        "settle_threshold": threshold,
-        "steady_mean_max_skew": float(tail.mean_max_skew),
-        "steady_worst_adjacent_skew": float(tail.worst_adjacent_skew),
-        "messages": messages,
-        "fault_events": stats,
-        "rewirings": (
-            0
-            if execution.topology_timeline is None
-            else len(execution.topology_timeline) - 1
+        **cell_metrics(
+            config,
+            execution,
+            transport=config.transport,
+            step=float(params.get("step", 1.0)),
+            settle_threshold=params.get("settle_threshold"),
         ),
         # Wire-level drop count (malformed/misdirected frames), distinct
         # from the injected losses inside ``fault_events``.

@@ -20,7 +20,7 @@ into the reconstructed :class:`~repro.sim.execution.Execution`.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import RtError
 from repro.sim.clock import HardwareClock, LogicalClock
@@ -40,8 +40,9 @@ from repro.topology.base import Topology
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rt.recorder import LiveRecorder
     from repro.rt.transport import Transport
+    from repro.sweep.scenario import Cell, Scenario
 
-__all__ = ["LiveNode"]
+__all__ = ["LiveNode", "host_nodes"]
 
 #: Per-node RNG seed mix, identical to the simulator's so live and
 #: simulated runs of a randomized algorithm draw the same streams.
@@ -168,3 +169,31 @@ class LiveNode:
             kind=kind,
             detail=detail,
         )
+
+
+def host_nodes(
+    scenario: "Scenario",
+    cell: "Cell",
+    members: Iterable[int],
+    *,
+    transport: "Transport",
+    recorder: "LiveRecorder",
+) -> dict[int, LiveNode]:
+    """Host ``members`` of a built cell on one transport.
+
+    The whole network for the in-process backends, one shard's nodes in
+    a shard worker; every node starts on the cell's t = 0 topology.
+    """
+    return {
+        node: LiveNode(
+            node,
+            cell.processes[node],
+            topology=cell.topology,
+            schedule=cell.rates[node],
+            rho=scenario.rho,
+            seed=scenario.seed,
+            transport=transport,
+            recorder=recorder,
+        )
+        for node in members
+    }

@@ -85,19 +85,11 @@ import warnings
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from repro.errors import RtError
-from repro.rt.node import LiveNode
+from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder, build_execution, merge_recorders
 from repro.rt.transport import DELAY_SEED_MIX, Transport
 from repro.sim.clock import HardwareClock
 from repro.sim.faults import FaultController, FaultPlan
-from repro.sweep.families import (
-    algorithm_from_spec,
-    delay_policy_from_spec,
-    fault_plan_from_spec,
-    mobility_from_spec,
-    rates_from_spec,
-    topology_from_spec,
-)
 from repro.topology.dynamic import DynamicTopology
 from repro.wire import decode_frame, encode_frame
 
@@ -597,27 +589,6 @@ def warn_missed_epochs(reports: Mapping, *, role: str) -> None:
         )
 
 
-def _scenario(config: "LiveRunConfig") -> tuple:
-    """Build ``(base topology, dynamic, fault plan, rate schedules)``.
-
-    Pure in the config's spec strings, so the parent and every shard
-    derive the very same objects without shipping them.
-    """
-    topology = topology_from_spec(config.topology)
-    dynamic = mobility_from_spec(
-        config.mobility, topology, seed=config.seed, horizon=config.duration
-    )
-    base = dynamic.initial if dynamic is not None else topology
-    plan = fault_plan_from_spec(
-        config.faults, base, seed=config.seed, horizon=config.duration
-    )
-    schedules = rates_from_spec(
-        config.rates, base, rho=config.rho, seed=config.seed,
-        horizon=config.duration,
-    )
-    return base, dynamic, None if plan.is_empty() else plan, schedules
-
-
 def _shard_main(
     shard: int,
     shards: tuple,
@@ -630,8 +601,7 @@ def _shard_main(
     """Entry point of one shard process (fork-inherited socket)."""
     try:
         sock.setblocking(False)
-        base, dynamic, plan, schedules = _scenario(config)
-        processes = algorithm_from_spec(config.algorithm).processes(base)
+        cell = config.build()
         recorder = LiveRecorder(record_trace=config.record_trace)
         transport = ShardTransport(
             shard=shard,
@@ -640,26 +610,16 @@ def _shard_main(
             route=route,
             mirror=mirror,
             recorder=recorder,
-            delay_policy=delay_policy_from_spec(config.delays),
+            delay_policy=cell.delay_policy,
             seed=config.seed,
             duration=config.duration,
             time_scale=config.time_scale,
-            plan=plan,
-            dynamic=dynamic,
+            plan=cell.fault_plan,
+            dynamic=cell.dynamic,
         )
-        nodes = {
-            node: LiveNode(
-                node,
-                processes[node],
-                topology=base,
-                schedule=schedules[node],
-                rho=config.rho,
-                seed=config.seed,
-                transport=transport,
-                recorder=recorder,
-            )
-            for node in shards[shard]
-        }
+        nodes = host_nodes(
+            config, cell, shards[shard], transport=transport, recorder=recorder
+        )
         # Everything expensive is built; tell the parent we are ready
         # and block until it publishes the shared epoch.
         conn.send({"ready": True})
@@ -719,7 +679,11 @@ def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
             f"cells at workers=1"
         )
     ctx = multiprocessing.get_context("fork")
-    base, dynamic, plan, schedules = _scenario(config)
+    # Pure in the config, so every shard re-derives these same objects
+    # from the config it is handed instead of having them shipped.
+    cell = config.build()
+    base, dynamic, schedules = cell.topology, cell.dynamic, cell.rates
+    plan = cell.fault_plan
     all_nodes = tuple(base.nodes)
     n_shards = (
         base.n if direct

@@ -39,6 +39,7 @@ from repro.sim.messages import (
     Message,
     validate_delay,
 )
+from repro.sweep.families import TRANSPORT_FAMILIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rt.node import LiveNode
@@ -46,8 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Transport", "TRANSPORT_NAMES", "DELAY_SEED_MIX"]
 
-#: The transport spec names accepted by the CLI, sweep axis, and E14.
-TRANSPORT_NAMES = ("virtual", "asyncio", "udp", "router")
+#: The transport spec names accepted by the CLI, sweep axis, and E14 —
+#: the keys of the capability table the layers below ``rt`` also read.
+TRANSPORT_NAMES = tuple(TRANSPORT_FAMILIES)
 
 #: Delay-RNG seed mix, identical to the simulator's (``seed ^ 0x5EED``)
 #: so the virtual backend draws the very same delay stream.

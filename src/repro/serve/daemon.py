@@ -14,9 +14,10 @@ Crash-safety choreography
   immediately and a client mid-request gets a prompt EOF (surfaced as a
   named :class:`~repro.errors.ServeError` by the client) instead of a
   hang.
-* Workers only compute; the parent alone writes to the store.  Orphaned
-  workers after a parent SIGKILL exit on their next pipe operation
-  (EOFError / BrokenPipeError) without touching disk.
+* Workers only compute; the parent alone writes to the store.  Each
+  worker closes the parent pipe ends it inherited through the fork, so
+  after a parent SIGKILL its blocked ``recv`` sees EOF and it exits at
+  once (a busy one on its next pipe operation) without touching disk.
 * Manifests are written before the first cell of a sweep runs, and each
   finished cell's object is written before it is marked done.  A
   restarted daemon therefore re-derives exactly the missing cells from
@@ -46,14 +47,11 @@ from repro.errors import ServeError, SweepError
 from repro.serve.jobqueue import JobQueue, SweepBook
 from repro.serve.protocol import PROTOCOL_VERSION, FrameBuffer, send_frame
 from repro.serve.store import ContentStore, hashes_for
+from repro.sweep.families import forking_transports
 from repro.sweep.jobs import Job, execute_job
 from repro.sweep.spec import SweepSpec
 
 __all__ = ["ServeDaemon"]
-
-#: Transports whose cells fork OS processes per node — impossible under
-#: daemonic pool workers, so the daemon rejects them at submit time.
-_FORKING_TRANSPORTS = frozenset({"udp", "router"})
 
 #: Total worker respawns tolerated before the daemon stops replacing
 #: crashed workers (a crash-looping job kind should fail its cells, not
@@ -61,14 +59,22 @@ _FORKING_TRANSPORTS = frozenset({"udp", "router"})
 _RESPAWN_BUDGET = 8
 
 
-def _worker_main(worker: int, conn) -> None:
+def _worker_main(worker: int, conn, inherited) -> None:
     """One pool worker: recv task, execute, send result, repeat.
 
     A task is ``{"hash", "kind", "params", "module"}``; the result
     echoes the hash with either ``metrics`` or a formatted ``error``.
     ``None`` (or a closed pipe — the parent died) ends the loop; the
     worker never opens the store.
+
+    ``inherited`` are the parent ends of the pool's pipes that the fork
+    copied into this process (this worker's own and every earlier
+    worker's).  They are closed first: while any copy stays open the
+    kernel never reports EOF on the child ends, and a SIGKILLed daemon
+    would leave its workers blocked in ``recv`` forever.
     """
+    for parent_end in inherited:
+        parent_end.close()
     while True:
         try:
             task = conn.recv()
@@ -182,7 +188,9 @@ class ServeDaemon:
     def _spawn_worker(self, worker: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         child = self._ctx.Process(
-            target=_worker_main, args=(worker, child_conn), daemon=True
+            target=_worker_main,
+            args=(worker, child_conn, [parent_conn, *self._conns.values()]),
+            daemon=True,
         )
         child.start()
         child_conn.close()
@@ -415,7 +423,9 @@ class ServeDaemon:
             jobs = spec.jobs()
         except SweepError as exc:
             return {"ok": False, "error": str(exc)}
-        forking = sorted(_FORKING_TRANSPORTS & set(spec.transports))
+        # Cells that fork OS processes are impossible under daemonic
+        # pool workers, so they are rejected at submit time.
+        forking = forking_transports(spec.transports)
         if forking:
             return {
                 "ok": False,

@@ -1,9 +1,12 @@
 """repro.sweep — the parallel scenario-sweep engine.
 
 Everything one simulator run can tell you, this package asks at grid
-scale: a declarative :class:`SweepSpec` (topologies x algorithms x rate
-families x delay policies x fault families x seeds) expands into
-independent, picklable
+scale.  The unit is one :class:`Scenario` cell — nine fields that fix an
+execution — with a single path from name to row: ``Scenario.build`` →
+``Scenario.simulate`` (or :func:`repro.rt.run.run_live`) →
+:func:`cell_metrics`.  A declarative :class:`SweepSpec` (topologies x
+algorithms x rate families x delay policies x fault families x mobility
+families x transports x seeds) expands into independent, picklable
 :class:`Job` cells, a :func:`run_jobs` pool fans them across processes
 with deterministic per-job seeding (identical metrics at any worker
 count), and the aggregate layer folds the metrics back into the same
@@ -30,6 +33,7 @@ from repro.sweep.families import (
     MOBILITY_FAMILIES,
     RATE_FAMILIES,
     TOPOLOGY_KINDS,
+    TRANSPORT_FAMILIES,
     algorithm_from_spec,
     delay_policy_from_spec,
     drifted_rates,
@@ -51,6 +55,7 @@ from repro.sweep.jobs import (
     job_kind,
 )
 from repro.sweep.runner import ResultCache, run_jobs
+from repro.sweep.scenario import Cell, Scenario, cell_metrics
 from repro.sweep.spec import SweepSpec, full_spec, quick_spec
 
 __all__ = [
@@ -58,6 +63,10 @@ __all__ = [
     "SweepSpec",
     "quick_spec",
     "full_spec",
+    # the scenario cell
+    "Scenario",
+    "Cell",
+    "cell_metrics",
     # jobs
     "Job",
     "JobOutcome",
@@ -81,6 +90,7 @@ __all__ = [
     "DELAY_POLICIES",
     "FAULT_FAMILIES",
     "MOBILITY_FAMILIES",
+    "TRANSPORT_FAMILIES",
     "topology_from_spec",
     "algorithm_from_spec",
     "rates_from_spec",

@@ -17,10 +17,72 @@ import time
 
 from repro.errors import ReproError, SweepError
 from repro.sweep.aggregate import sweep_result, to_json_payload, write_json
+from repro.sweep.families import forking_transports
 from repro.sweep.runner import ResultCache, run_jobs
+from repro.sweep.scenario import Scenario
 from repro.sweep.spec import SweepSpec, full_spec, quick_spec
 
-__all__ = ["main", "build_parser", "add_spec_arguments", "resolve_spec"]
+__all__ = [
+    "main",
+    "build_parser",
+    "add_spec_arguments",
+    "resolve_spec",
+    "add_scenario_arguments",
+    "scenario_from_args",
+]
+
+
+def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ten flags that name one scenario cell.
+
+    Shared by every CLI that runs a single cell (``repro-live``,
+    ``repro-viz dashboard``); :func:`scenario_from_args` turns the
+    parsed flags into the :class:`~repro.sweep.scenario.Scenario`.
+    """
+    parser.add_argument(
+        "--topology", default="line",
+        help="topology kind (line/ring/star/complete/...) or full spec "
+             "like grid:3,4 (--nodes is ignored when a ':' is present)",
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=8, help="node count for 1-argument kinds"
+    )
+    parser.add_argument(
+        "--alg", "--algorithm", dest="algorithm", default="gradient",
+        help="algorithm spec (e.g. gradient, max-based:0.5, averaging)",
+    )
+    parser.add_argument("--rates", default="drifted", help="rate family")
+    parser.add_argument("--delays", default="uniform", help="delay policy spec")
+    parser.add_argument(
+        "--faults", default="none",
+        help="fault-family spec, e.g. crash-recover:0.25,5",
+    )
+    parser.add_argument(
+        "--mobility", default="static",
+        help="mobility-family spec, e.g. waypoint:0.5 or blink:0.2,2",
+    )
+    parser.add_argument("--duration", type=float, default=20.0,
+                        help="run length in simulation time units")
+    parser.add_argument("--rho", type=float, default=0.2, help="drift bound")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """The cell named by parsed :func:`add_scenario_arguments` flags."""
+    return Scenario(
+        topology=(
+            args.topology if ":" in args.topology
+            else f"{args.topology}:{args.nodes}"
+        ),
+        algorithm=args.algorithm,
+        rates=args.rates,
+        delays=args.delays,
+        faults=args.faults,
+        mobility=args.mobility,
+        duration=args.duration,
+        rho=args.rho,
+        seed=args.seed,
+    )
 
 
 def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -161,10 +223,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    forking = sorted({"udp", "router"} & set(spec.transports))
+    forking = forking_transports(spec.transports)
     if forking and args.workers > 1:
-        # Detectable before any work: udp/router cells spawn OS
-        # processes, which daemonic pool workers may not do.
+        # Detectable before any work: these cells spawn OS processes,
+        # which daemonic pool workers may not do.
         print(
             f"error: {'/'.join(forking)} transport cells need --workers 1 "
             "(node processes cannot be spawned from daemonic pool workers)",

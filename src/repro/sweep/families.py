@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
 from repro._constants import DEFAULT_RHO
 from repro.algorithms import (
@@ -62,6 +62,9 @@ __all__ = [
     "DELAY_POLICIES",
     "FAULT_FAMILIES",
     "MOBILITY_FAMILIES",
+    "TRANSPORT_FAMILIES",
+    "TransportFamily",
+    "forking_transports",
 ]
 
 
@@ -501,4 +504,39 @@ def fault_plan_from_spec(
         crashes=plan.crashes,
         links=plan.links,
         seed_salt=zlib.crc32(spec.encode()),
+    )
+
+
+# ----------------------------------------------------------------------
+# transport families (the live-backend axis; see repro.rt)
+
+
+class TransportFamily(NamedTuple):
+    """What a live transport can do, as the layers above need to know it."""
+
+    #: Spawns OS processes per run — impossible from daemonic pool
+    #: workers, so such cells run at ``workers=1`` and never in the daemon.
+    forks: bool
+    #: Applies live churn (fault plans and mid-run rewirings).
+    churn: bool
+
+
+#: live transport name -> capabilities, in CLI/table order.  Pure data:
+#: the loops behind the names live in :mod:`repro.rt`, which this module
+#: must not import.  ``"sim"`` (the simulator) is not a live transport
+#: and is not listed.
+TRANSPORT_FAMILIES: Dict[str, TransportFamily] = {
+    "virtual": TransportFamily(forks=False, churn=False),
+    "asyncio": TransportFamily(forks=False, churn=False),
+    "udp": TransportFamily(forks=True, churn=False),
+    "router": TransportFamily(forks=True, churn=True),
+}
+
+
+def forking_transports(transports: Iterable[Optional[str]]) -> list[str]:
+    """The names among ``transports`` whose cells fork processes, sorted."""
+    return sorted(
+        name
+        for name in set(transports)
+        if name in TRANSPORT_FAMILIES and TRANSPORT_FAMILIES[name].forks
     )

@@ -8,10 +8,9 @@ function again.  The job's :func:`job_hash` is a SHA-256 over the
 canonical JSON of ``(kind, params, CACHE_VERSION)`` — the on-disk cache
 key and the source of per-job deterministic seeding.
 
-The built-in ``benign-run`` kind executes one benign scenario — a
-(topology, algorithm, rate family, delay policy, seed) cell — and
-returns the skew/convergence metrics every comparative table is built
-from.
+The built-in ``benign-run`` kind simulates one
+:class:`~repro.sweep.scenario.Scenario` cell and returns the
+skew/convergence metrics every comparative table is built from.
 """
 
 from __future__ import annotations
@@ -23,17 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping
 
-from repro.analysis.field import SkewField
 from repro.errors import SweepError
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.sweep.families import (
-    algorithm_from_spec,
-    delay_policy_from_spec,
-    fault_plan_from_spec,
-    mobility_from_spec,
-    rates_from_spec,
-    topology_from_spec,
-)
+from repro.sweep.scenario import Scenario, cell_metrics
 
 __all__ = [
     "CACHE_VERSION",
@@ -141,99 +131,21 @@ def execute_job(job: Job) -> JobOutcome:
 def benign_run(params: Mapping[str, Any]) -> dict:
     """One scenario cell -> skew and convergence metrics.
 
-    Params: ``topology``, ``algorithm``, ``rates``, ``delays``,
-    ``faults``, ``mobility`` (spec strings; ``faults`` defaults to
-    ``"none"`` and ``mobility`` to ``"static"``), ``duration``, ``rho``,
-    ``seed``, optional ``step`` (metric sample step),
-    ``settle_threshold`` and ``trace_digest`` (record the trace and
-    include a SHA-256 of it — the determinism-contract probe).
-
-    A non-static ``mobility`` family replaces the cell topology with a
-    :class:`~repro.topology.dynamic.DynamicTopology` built from it (for
-    ``waypoint`` the cell topology donates only its node count); the
-    ``"static"`` family passes the plain topology through untouched, so
-    static cells keep the byte-identity contract.
+    Params: the nine :class:`~repro.sweep.scenario.Scenario` fields,
+    plus optional ``step`` (metric sample step), ``settle_threshold``
+    and ``trace_digest`` (record the trace and include a SHA-256 of it —
+    the determinism-contract probe).
     """
-    topology = topology_from_spec(params["topology"])
-    algorithm = algorithm_from_spec(params["algorithm"])
-    duration = float(params["duration"])
-    rho = float(params["rho"])
-    seed = int(params["seed"])
-    step = float(params.get("step", 1.0))
-    faults = str(params.get("faults", "none"))
-    mobility = str(params.get("mobility", "static"))
+    scenario = Scenario.from_params(params)
     digest = bool(params.get("trace_digest", False))
-    dynamic = mobility_from_spec(
-        mobility, topology, seed=seed, horizon=duration
+    execution = scenario.simulate(record_trace=digest)
+    metrics = cell_metrics(
+        scenario,
+        execution,
+        transport="sim",
+        step=float(params.get("step", 1.0)),
+        settle_threshold=params.get("settle_threshold"),
     )
-    if dynamic is not None:
-        # The t = 0 snapshot is the network the processes are built for
-        # and the one distance-derived defaults (diameter) come from.
-        topology = dynamic.initial
-    rates = rates_from_spec(
-        params["rates"], topology, rho=rho, seed=seed, horizon=duration
-    )
-    fault_plan = fault_plan_from_spec(
-        faults, topology, seed=seed, horizon=duration
-    )
-    execution = run_simulation(
-        dynamic if dynamic is not None else topology,
-        algorithm.processes(topology),
-        SimConfig(duration=duration, rho=rho, seed=seed, record_trace=digest),
-        rate_schedules=rates,
-        delay_policy=delay_policy_from_spec(params["delays"]),
-        fault_plan=fault_plan,
-    )
-    # One trajectory matrix answers every metric below — the batched
-    # analysis path; no per-(node, time) clock lookups.
-    field = SkewField(execution, step=step)
-    skew = field.summary()
-    threshold = float(
-        params.get("settle_threshold", 2.0 * topology.diameter * rho)
-    )
-    settled = field.settling_time(threshold)
-    tail = field.steady_state()
-    # Messages that made it onto the wire minus those a crash destroyed
-    # at delivery time; link-level losses were never enqueued, so this
-    # counts surviving network traffic consistently across fault
-    # families (fault-free runs are unaffected: both counters are 0).
-    stats = execution.fault_stats or {}
-    messages = (
-        len(execution.messages)
-        - stats.get("lost_receiver_down", 0)
-        - stats.get("lost_in_flight", 0)
-    )
-    metrics = {
-        "topology": params["topology"],
-        "algorithm": params["algorithm"],
-        "rates": params["rates"],
-        "delays": params["delays"],
-        "faults": faults,
-        "mobility": mobility,
-        # The simulator backend, so sim rows line up against the live
-        # runtime's ``live-run`` rows (repro.rt.jobs) in merged tables.
-        "transport": "sim",
-        "seed": seed,
-        "n_nodes": int(topology.n),
-        "diameter": float(topology.diameter),
-        "max_skew": float(skew.max_skew),
-        "max_adjacent_skew": float(skew.max_adjacent_skew),
-        "final_skew": float(skew.final_skew),
-        "final_adjacent_skew": float(skew.final_adjacent_skew),
-        "mean_abs_skew": float(skew.mean_abs_skew),
-        "settling_time": None if settled is None else float(settled),
-        "settle_threshold": threshold,
-        "steady_mean_max_skew": float(tail.mean_max_skew),
-        "steady_worst_adjacent_skew": float(tail.worst_adjacent_skew),
-        "messages": messages,
-        "fault_events": stats,
-        # Change-points the run actually crossed; 0 for static cells.
-        "rewirings": (
-            0
-            if execution.topology_timeline is None
-            else len(execution.topology_timeline) - 1
-        ),
-    }
     if digest:
         # Single-sourced canonical digest (same bytes the old inline
         # repr-join hashed), shared with the loop equivalence harness.

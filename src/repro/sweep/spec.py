@@ -33,6 +33,8 @@ from typing import Sequence
 from repro._constants import DEFAULT_RHO
 from repro.errors import SweepError
 from repro.sweep.families import (
+    RATE_FAMILIES,
+    TRANSPORT_FAMILIES,
     algorithm_from_spec,
     delay_policy_from_spec,
     fault_plan_from_spec,
@@ -40,6 +42,7 @@ from repro.sweep.families import (
     topology_from_spec,
 )
 from repro.sweep.jobs import Job
+from repro.sweep.scenario import Scenario
 
 __all__ = ["SweepSpec", "quick_spec", "full_spec"]
 
@@ -50,7 +53,7 @@ class SweepSpec:
 
     The ``transports`` axis selects the execution engine per cell:
     ``"sim"`` (the discrete-event simulator, a ``benign-run`` job) or a
-    live backend from :data:`repro.rt.transport.TRANSPORT_NAMES`
+    live backend from :data:`repro.sweep.families.TRANSPORT_FAMILIES`
     (``"virtual"``, ``"asyncio"``, ``"udp"``, ``"router"`` — a
     ``live-run`` job).  Of the live backends only ``"router"``
     implements churn (its central switch applies fault plans and
@@ -109,8 +112,6 @@ class SweepSpec:
             mobility_from_spec(
                 spec, topology_from_spec("line:3"), seed=0, horizon=1.0
             )
-        from repro.sweep.families import RATE_FAMILIES
-
         for spec in self.rate_families:
             if spec not in RATE_FAMILIES:
                 raise SweepError(
@@ -118,21 +119,16 @@ class SweepSpec:
                     f"{sorted(RATE_FAMILIES)}"
                 )
         live = [t for t in self.transports if t != "sim"]
-        if live:
-            # Only live cells need the runtime: validating a sim-only
-            # spec (the serve daemon's common case) never imports rt.
-            from repro.rt.transport import TRANSPORT_NAMES
-
-            for spec in live:
-                if spec not in TRANSPORT_NAMES:
-                    raise SweepError(
-                        f"unknown transport {spec!r}; backends: ['sim', "
-                        f"{', '.join(repr(t) for t in TRANSPORT_NAMES)}]"
-                    )
-        # Of the live backends only the router implements churn; a grid
-        # may combine faults/mobility with sim and router cells, but a
-        # churnless live backend in the same grid is rejected.
-        churnless = [t for t in live if t != "router"]
+        for spec in live:
+            if spec not in TRANSPORT_FAMILIES:
+                raise SweepError(
+                    f"unknown transport {spec!r}; backends: ['sim', "
+                    f"{', '.join(repr(t) for t in TRANSPORT_FAMILIES)}]"
+                )
+        # A grid may combine faults/mobility with sim cells and live
+        # backends that implement churn, but a churnless live backend
+        # in the same grid is rejected.
+        churnless = [t for t in live if not TRANSPORT_FAMILIES[t].churn]
         if churnless and any(f != "none" for f in self.fault_families):
             raise SweepError(
                 f"live transports {churnless} have no fault support; keep "
@@ -182,40 +178,25 @@ class SweepSpec:
                 self.seeds,
             )
         ):
+            params = Scenario(
+                topology=topology,
+                algorithm=algorithm,
+                rates=rates,
+                delays=delays,
+                faults=faults,
+                mobility=mobility,
+                duration=self.duration,
+                rho=self.rho,
+                seed=int(seed),
+            ).params()
+            params["step"] = self.step
             if transport == "sim":
-                params = {
-                    "topology": topology,
-                    "algorithm": algorithm,
-                    "rates": rates,
-                    "delays": delays,
-                    "faults": faults,
-                    "mobility": mobility,
-                    "seed": int(seed),
-                    "duration": self.duration,
-                    "rho": self.rho,
-                    "step": self.step,
-                }
                 jobs.append(Job(kind="benign-run", params=params))
             else:
+                params["transport"] = transport
+                params["time_scale"] = self.time_scale
                 jobs.append(
-                    Job(
-                        kind="live-run",
-                        params={
-                            "topology": topology,
-                            "algorithm": algorithm,
-                            "rates": rates,
-                            "delays": delays,
-                            "faults": faults,
-                            "mobility": mobility,
-                            "transport": transport,
-                            "seed": int(seed),
-                            "duration": self.duration,
-                            "rho": self.rho,
-                            "step": self.step,
-                            "time_scale": self.time_scale,
-                        },
-                        module="repro.rt.jobs",
-                    )
+                    Job(kind="live-run", params=params, module="repro.rt.jobs")
                 )
         return jobs
 

@@ -8,8 +8,9 @@ Reached as ``python -m repro.experiments viz …`` or via the
     repro-viz report sweep.json --out figures/
     repro-viz experiment E02 --scale quick --out figures/
 
-``dashboard`` re-runs one scenario cell (the same spec strings the
-sweep grid uses, with tracing on so event markers appear) and writes
+``dashboard`` simulates one :class:`~repro.sweep.scenario.Scenario`
+cell (named by the same ten flags ``repro-live`` takes, with tracing on
+so event markers appear) and writes
 the skew-field dashboard plus the mobility animation; ``report``
 renders a saved sweep JSON artifact into ``report.svg``/``report.json``;
 ``experiment`` runs a registered experiment and charts its tables.
@@ -23,6 +24,8 @@ import sys
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.sweep.cli import add_scenario_arguments, scenario_from_args
+from repro.sweep.scenario import Scenario
 
 __all__ = ["main", "build_parser", "run_scenario"]
 
@@ -40,21 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash = sub.add_parser(
         "dashboard", help="simulate one scenario and render its skew field"
     )
-    dash.add_argument("--topology", default="line",
-                      help="topology kind or full spec like grid:3,4")
-    dash.add_argument("--nodes", type=int, default=8,
-                      help="node count for 1-argument kinds")
-    dash.add_argument("--alg", "--algorithm", dest="algorithm",
-                      default="gradient", help="algorithm spec")
-    dash.add_argument("--rates", default="drifted")
-    dash.add_argument("--delays", default="uniform")
-    dash.add_argument("--faults", default="none",
-                      help="fault-family spec, e.g. crash-recover:0.25,5")
-    dash.add_argument("--mobility", default="static",
-                      help="mobility-family spec, e.g. waypoint:0.5")
-    dash.add_argument("--duration", type=float, default=20.0)
-    dash.add_argument("--rho", type=float, default=0.2)
-    dash.add_argument("--seed", type=int, default=0)
+    add_scenario_arguments(dash)
     dash.add_argument("--out", default="viz-out", metavar="DIR")
     dash.add_argument("--frames", action="store_true",
                       help="also write numbered mobility stills")
@@ -91,60 +80,19 @@ def run_scenario(
     rho: float = 0.2,
     seed: int = 0,
 ):
-    """Simulate one sweep-style scenario cell with tracing on.
-
-    The same spec-string plumbing as the ``benign-run`` job kind, but
-    the trace is always recorded so dashboards get their CRASH /
-    RECOVER / TopologyChange markers.
-    """
-    from repro.sim.simulator import SimConfig, run_simulation
-    from repro.sweep.families import (
-        algorithm_from_spec,
-        delay_policy_from_spec,
-        fault_plan_from_spec,
-        mobility_from_spec,
-        rates_from_spec,
-        topology_from_spec,
-    )
-
-    topo = topology_from_spec(topology)
-    alg = algorithm_from_spec(algorithm)
-    dynamic = mobility_from_spec(mobility, topo, seed=seed, horizon=duration)
-    if dynamic is not None:
-        topo = dynamic.initial
-    return run_simulation(
-        dynamic if dynamic is not None else topo,
-        alg.processes(topo),
-        SimConfig(duration=duration, rho=rho, seed=seed, record_trace=True),
-        rate_schedules=rates_from_spec(
-            rates, topo, rho=rho, seed=seed, horizon=duration
-        ),
-        delay_policy=delay_policy_from_spec(delays),
-        fault_plan=fault_plan_from_spec(
-            faults, topo, seed=seed, horizon=duration
-        ),
-    )
+    """Simulate one scenario cell with tracing on, so dashboards get
+    their CRASH / RECOVER / TopologyChange markers."""
+    return Scenario(
+        topology=topology, algorithm=algorithm, rates=rates, delays=delays,
+        faults=faults, mobility=mobility, duration=duration, rho=rho, seed=seed,
+    ).simulate(record_trace=True)
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.viz.dashboard import skew_dashboard
     from repro.viz.mobility import mobility_animation, mobility_frames
 
-    topology_spec = (
-        args.topology if ":" in args.topology
-        else f"{args.topology}:{args.nodes}"
-    )
-    execution = run_scenario(
-        topology=topology_spec,
-        algorithm=args.algorithm,
-        rates=args.rates,
-        delays=args.delays,
-        faults=args.faults,
-        mobility=args.mobility,
-        duration=args.duration,
-        rho=args.rho,
-        seed=args.seed,
-    )
+    execution = scenario_from_args(args).simulate(record_trace=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -183,20 +131,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import run_experiment
-    from repro.viz.report import experiment_report
+    from repro.viz.report import write_experiment_report
 
     result = run_experiment(
         args.id.upper(), args.scale, seed=args.seed, workers=args.workers
     )
-    svg = experiment_report(result)
-    if svg is None:
+    path = write_experiment_report(args.out, result)
+    if path is None:
         print(f"error: {args.id} produced no chartable tables",
               file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{result.experiment_id.lower()}.svg"
-    path.write_text(svg, encoding="utf-8")
     print(f"wrote {path}")
     return 0
 

@@ -33,6 +33,7 @@ __all__ = [
     "write_report",
     "rows_from_artifact",
     "experiment_report",
+    "write_experiment_report",
 ]
 
 #: Headline metrics charted per cell (means over seeds).
@@ -281,3 +282,15 @@ def experiment_report(result) -> str | None:
         ):
             drew += 1
     return canvas.to_string() if drew else None
+
+
+def write_experiment_report(out_dir: str | Path, result) -> Path | None:
+    """Write ``<id>.svg`` under ``out_dir``; ``None`` if nothing charts."""
+    svg = experiment_report(result)
+    if svg is None:
+        return None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{result.experiment_id.lower()}.svg"
+    path.write_text(svg, encoding="utf-8")
+    return path

@@ -214,6 +214,120 @@ class TestOneShardRuntime:
         assert [f for f in report.new if f.rule == "LAY001"] == []
 
 
+class TestOneScenarioCell:
+    """One path from a cell's name to its row: Scenario builds it,
+    cell_metrics measures it, one table says what a transport can do."""
+
+    PACKAGE = SRC / "repro"
+
+    @classmethod
+    def _modules_with(cls, needle, under=None):
+        root = cls.PACKAGE if under is None else cls.PACKAGE / under
+        return sorted(
+            str(path.relative_to(cls.PACKAGE))
+            for path in root.rglob("*.py")
+            if needle in path.read_text(encoding="utf-8")
+        )
+
+    @pytest.mark.parametrize(
+        "builder, also",
+        [
+            ("rates_from_spec(", []),
+            ("delay_policy_from_spec(", ["sweep/spec.py"]),
+            ("fault_plan_from_spec(", ["sweep/spec.py"]),
+            ("mobility_from_spec(", ["sweep/spec.py"]),
+        ],
+    )
+    def test_spec_strings_are_built_in_one_place(self, builder, also):
+        # families.py defines the builders, scenario.py is the one
+        # caller; SweepSpec.validate probe-builds three of them.
+        assert self._modules_with(builder) == sorted(
+            ["sweep/families.py", "sweep/scenario.py", *also]
+        )
+
+    def test_the_metrics_row_is_written_once(self):
+        assert self._modules_with('"steady_worst_adjacent_skew"') == [
+            "sweep/scenario.py"
+        ]
+
+    def test_live_nodes_are_constructed_at_one_site(self):
+        sites = [
+            (path.name, line.strip())
+            for path in sorted((self.PACKAGE / "rt").glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "LiveNode(" in line and not line.lstrip().startswith(("#", "*"))
+        ]
+        assert sites == [("node.py", "node: LiveNode(")]
+
+    def test_the_scenario_flags_are_defined_once(self):
+        for flag in ('"--mobility"', '"--faults"', '"--topology"', '"--nodes"'):
+            assert self._modules_with(flag) == ["sweep/cli.py"], flag
+
+    def test_transport_capabilities_live_in_one_table(self):
+        for needle in ('"udp", "router"', '!= "router"', '== "router"',
+                       "_FORKING_TRANSPORTS"):
+            assert self._modules_with(needle) == [], needle
+        from repro.experiments.e14_live import BACKENDS
+        from repro.rt.transport import TRANSPORT_NAMES
+        from repro.sweep.families import TRANSPORT_FAMILIES
+
+        assert TRANSPORT_NAMES == tuple(TRANSPORT_FAMILIES)
+        assert BACKENDS == ("sim", *TRANSPORT_FAMILIES)
+        assert [n for n, f in TRANSPORT_FAMILIES.items() if f.forks] == [
+            "udp", "router",
+        ]
+        assert [n for n, f in TRANSPORT_FAMILIES.items() if f.churn] == [
+            "router"
+        ]
+
+    def test_validating_a_live_spec_never_loads_the_runtime(self):
+        # The transport table is pure data in sweep: expanding a grid
+        # that names live cells (the daemon's submit path) must not
+        # import repro.rt — no lazy import is left to do it.
+        probe = (
+            "import sys\n"
+            "from repro.sweep import SweepSpec\n"
+            "SweepSpec(transports=('sim', 'router')).jobs()\n"
+            "assert not [m for m in sys.modules if m.startswith('repro.rt')]\n"
+        )
+        import os
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_the_copies_are_gone(self):
+        import importlib.util
+
+        import repro.experiments.e14_live as e14
+        import repro.rt as rt
+        import repro.rt.shard as shard
+
+        assert importlib.util.find_spec("repro.rt.hostclock") is None
+        assert not hasattr(rt, "HostClock")
+        assert not hasattr(e14, "_jobs")
+        assert not hasattr(shard, "_scenario")
+
+    def test_no_config_grew_a_field(self):
+        from dataclasses import fields
+
+        from repro.rt import LiveRunConfig
+        from repro.sweep.scenario import Scenario
+        from repro.sweep.spec import SweepSpec
+
+        assert len(fields(Scenario)) == 9
+        assert len(fields(LiveRunConfig)) == 13
+        assert [f.name for f in fields(SweepSpec)] == [
+            "topologies", "algorithms", "rate_families", "delay_policies",
+            "fault_families", "mobilities", "transports", "seeds",
+            "duration", "rho", "step", "time_scale", "name",
+        ]
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 
@@ -252,6 +366,29 @@ class TestRuleFixtures:
         report = run_check([tree], baseline=BASELINE)
         assert report.exit_code == 1
         assert code in _codes(report)
+
+
+    def test_reg004_checks_returned_literals_too(self, tmp_path):
+        # A kind that returns its row without naming it `metrics` used
+        # to escape REG004 entirely.
+        returned = (
+            'from repro.sweep.jobs import job_kind\n\n'
+            '@job_kind("partial")\n'
+            "def partial(params):\n"
+            '    return {"topology": "line:4"}\n'
+        )
+        _write_tree(tmp_path, "repro/sweep/fix_reg4_return.py", returned)
+        report = run_check([tmp_path])
+        assert [(f.rule, f.line) for f in report.new] == [("REG004", 5)]
+
+    def test_reg004_checks_the_shared_row_builder(self, tmp_path):
+        shared = (
+            "def cell_metrics(scenario, execution):\n"
+            '    return {"topology": scenario.topology}\n'
+        )
+        _write_tree(tmp_path, "repro/sweep/scenario.py", shared)
+        report = run_check([tmp_path])
+        assert [(f.rule, f.line) for f in report.new] == [("REG004", 2)]
 
 
 class TestPragma:

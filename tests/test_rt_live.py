@@ -58,6 +58,10 @@ class TestAsyncioTransport:
         for node in execution.topology.nodes:
             times = [e.real_time for e in execution.trace.for_node(node)]
             assert times == sorted(times)
+        # And so is the whole interleaved record: "now" is the loop's
+        # monotonic clock measured from one origin, nothing else.
+        recorded = [e.real_time for e in execution.trace]
+        assert recorded == sorted(recorded)
 
 
 class TestUdpTransport:

@@ -182,17 +182,58 @@ def start_daemon(store: Path, *, workers: int = 2) -> subprocess.Popen:
     )
 
 
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the ``(comm)`` field: state, ppid, ..."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def worker_pids(daemon_pid: int) -> list[int]:
+    """The daemon's forked pool workers: its direct children."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat_fields(int(entry.name))
+            if fields is not None and int(fields[1]) == daemon_pid:
+                pids.append(int(entry.name))
+    return sorted(pids)
+
+
+def outliving(pids: list[int], *, within: float) -> list[int]:
+    """The ``pids`` still running (not gone, not zombies) after ``within`` s."""
+    deadline = time.monotonic() + within
+    while True:
+        left = [
+            pid for pid in pids
+            if (fields := _stat_fields(pid)) is not None and fields[0] != "Z"
+        ]
+        if not left or time.monotonic() >= deadline:
+            return left
+        time.sleep(0.05)
+
+
 @pytest.fixture()
 def daemon(tmp_path):
-    """A live daemon over a fresh store; killed at teardown if needed."""
+    """A live daemon over a fresh store; killed at teardown if needed.
+
+    Teardown fails the test if a pool worker outlives its daemon —
+    SIGKILLed or shut down in order, the pool must be gone within 3 s.
+    """
     store = tmp_path / "store"
     proc = start_daemon(store)
     try:
+        with ServeClient(store=store) as client:
+            client.ping()  # advert written => the pool is already forked
+        workers = worker_pids(proc.pid)
         yield store, proc
     finally:
         if proc.poll() is None:
             proc.kill()
         proc.wait(timeout=10)
+    assert outliving(workers, within=3.0) == [], "orphaned pool workers"
 
 
 @pytest.mark.serve
@@ -348,6 +389,26 @@ class TestServeCrashResume:
 
         expected = [o.metrics for o in run_jobs(spec.jobs(), workers=1)]
         assert served == expected
+
+
+    def test_sigkilled_daemon_leaves_no_orphan_workers(self, tmp_path):
+        # Each worker inherits, through the fork, the parent end of its
+        # own pipe; unless it closes that copy its blocked recv() never
+        # sees EOF and it idles forever under pid 1.
+        store = tmp_path / "store"
+        proc = start_daemon(store, workers=2)
+        try:
+            with ServeClient(store=store) as client:
+                assert client.ping()["workers"] == 2
+            workers = worker_pids(proc.pid)
+            assert len(workers) == 2
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            assert outliving(workers, within=3.0) == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
 
 
 @pytest.mark.serve

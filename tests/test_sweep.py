@@ -222,6 +222,19 @@ class TestSpec:
             "4225db49f672d7acc7a0f1e5b4fa0dae72c72d295196a37780b7767be9cb4de4",
         ]
 
+    def test_live_cell_hash_is_pinned(self):
+        # Captured at the commit before Scenario.params wrote the dict:
+        # a live cell's key is (the nine scenario fields, transport,
+        # step, time_scale) whatever order they are assembled in.
+        (job,) = SweepSpec(
+            topologies=("line:5",), algorithms=("max-based",),
+            transports=("virtual",), seeds=(0,), duration=10.0,
+        ).jobs()
+        assert (job.kind, job.module) == ("live-run", "repro.rt.jobs")
+        assert job_hash(job) == (
+            "64bfeb7ad3c38d2c1500956d7a3c57f4ce0d5618fc96dace88f8943cd2ac5fab"
+        )
+
     def test_presets_expand(self):
         assert quick_spec().size >= 12
         assert full_spec().size >= 100
