@@ -35,7 +35,7 @@ setup(
         "networkx>=3.0",
     ],
     extras_require={
-        "test": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
+        "test": ["pytest>=7.0", "hypothesis>=6.0"],
     },
     entry_points={
         "console_scripts": [

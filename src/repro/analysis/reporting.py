@@ -1,9 +1,8 @@
 """Plain-text tables for experiment output.
 
-Every benchmark prints the rows its experiment defines through
-:class:`Table`, so the harness output reads like the paper's evaluation
-section: one table per artifact, aligned columns, a caption tying it
-back to the paper.
+Every experiment prints the rows it defines through :class:`Table`, so
+the output reads like the paper's evaluation section: one table per
+artifact, aligned columns, a caption tying it back to the paper.
 """
 
 from __future__ import annotations

@@ -12,10 +12,7 @@ reference loop by ``tests/test_engine_equivalence.py``) moves it back:
 this experiment runs each cell with tracing off (the at-scale
 configuration) and sweeps line / grid / random-geometric topologies
 past ``D = 512``, reporting both the profiles and the cost split (sim
-seconds vs. field build + query seconds per cell).  Both halves are
-benchmarkable artifacts (``benchmarks/bench_analysis.py`` pins the
-analysis speedup, ``benchmarks/bench_sim.py`` the loop's speedup over
-the reference).
+seconds vs. field build + query seconds per cell).
 """
 
 from __future__ import annotations

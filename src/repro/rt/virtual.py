@@ -20,7 +20,7 @@ divergence on the wall-clock backends is then attributable to real
 scheduling noise, not to adapter semantics.  It is also the fastest
 backend (no sleeping), which makes it the scale vehicle: ``--transport
 virtual`` runs arbitrarily long experiments in milliseconds of wall
-time (measured by ``benchmarks/bench_rt.py``).
+time.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class VirtualTimeTransport(Transport):
         self._now = 0.0
         self._finished = False
         self._timer_generation = 0
-        #: Events dispatched by :meth:`run` (the bench's throughput unit).
-        self.events_processed = 0
 
     # ------------------------------------------------------------------
     # Transport interface
@@ -95,7 +93,6 @@ class VirtualTimeTransport(Transport):
                 break
             time, event = self._queue.pop()
             self._now = time
-            self.events_processed += 1
             if isinstance(event, DeliverMessage):
                 message = event.message
                 nodes[event.node].deliver(message.sender, message.payload)

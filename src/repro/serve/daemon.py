@@ -9,11 +9,12 @@ carrying ``ok`` — ``submit``, ``status``, ``wait``, ``fetch``,
 
 Crash-safety choreography
 -------------------------
-* Workers are forked *before* the listener binds, so they never inherit
-  the listening socket: when the daemon is SIGKILLed the port closes
-  immediately and a client mid-request gets a prompt EOF (surfaced as a
-  named :class:`~repro.errors.ServeError` by the client) instead of a
-  hang.
+* No worker holds the listening socket or a client socket: the first
+  pool is forked *before* the listener binds, and a respawned worker
+  closes the copies its fork inherited.  When the daemon is SIGKILLed
+  the port closes immediately and a client mid-request gets a prompt
+  EOF (surfaced as a named :class:`~repro.errors.ServeError` by the
+  client) instead of a hang.
 * Workers only compute; the parent alone writes to the store.  Each
   worker closes the parent pipe ends it inherited through the fork, so
   after a parent SIGKILL its blocked ``recv`` sees EOF and it exits at
@@ -67,14 +68,17 @@ def _worker_main(worker: int, conn, inherited) -> None:
     ``None`` (or a closed pipe — the parent died) ends the loop; the
     worker never opens the store.
 
-    ``inherited`` are the parent ends of the pool's pipes that the fork
-    copied into this process (this worker's own and every earlier
-    worker's).  They are closed first: while any copy stays open the
-    kernel never reports EOF on the child ends, and a SIGKILLed daemon
-    would leave its workers blocked in ``recv`` forever.
+    ``inherited`` is everything of the parent's that the fork copied
+    into this process: the parent ends of the pool's pipes (this
+    worker's own and every earlier worker's) and, for a respawned
+    worker, the listener and the connected client sockets.  They are
+    closed first: while any copy stays open the kernel never reports EOF
+    on the other end, and a SIGKILLed daemon would leave its workers
+    blocked in ``recv`` forever, its port accepting and its clients
+    waiting on a busy worker.
     """
-    for parent_end in inherited:
-        parent_end.close()
+    for parent_handle in inherited:
+        parent_handle.close()
     while True:
         try:
             task = conn.recv()
@@ -187,9 +191,12 @@ class ServeDaemon:
 
     def _spawn_worker(self, worker: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = [parent_conn, *self._conns.values(), *self._clients]
+        if self._listener is not None:  # a respawn: the port is bound
+            inherited.append(self._listener)
         child = self._ctx.Process(
             target=_worker_main,
-            args=(worker, child_conn, [parent_conn, *self._conns.values()]),
+            args=(worker, child_conn, inherited),
             daemon=True,
         )
         child.start()

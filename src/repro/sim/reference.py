@@ -5,11 +5,11 @@ One heap pop per event, one bisect per clock read, one
 :class:`~repro.sim.clock.LogicalClock` and :class:`~repro.sim.node.NodeAPI`
 per node.  Nothing here is tuned and nothing should be: this loop exists
 so the differential harness (``tests/_engine_helpers.py``,
-``tests/test_engine_equivalence.py``) and ``benchmarks/bench_sim.py`` can
-hold the production :class:`~repro.sim.simulator.Simulator` to it with no
-tolerance.  It is unreachable from :func:`~repro.sim.simulator.run_simulation`,
-from every spec, job kind and CLI, and no module under ``src/repro``
-imports it (``tests/test_check.py`` pins that).
+``tests/test_engine_equivalence.py``) can hold the production
+:class:`~repro.sim.simulator.Simulator` to it with no tolerance.  It is
+unreachable from :func:`~repro.sim.simulator.run_simulation`, from every
+spec, job kind and CLI, and no module under ``src/repro`` imports it
+(``tests/test_check.py`` pins that).
 
 Everything fixed before the first event — validation, hardware clocks,
 RNG seeding, ``CrashingProcess`` promotion, the fault controller — is

@@ -102,10 +102,9 @@ def run_jobs(
 ) -> list[JobOutcome]:
     """Run ``jobs`` and return their outcomes, in job order.
 
-    ``workers=1`` runs serially in-process (the baseline the benchmark
-    compares against); ``workers>1`` fans uncached jobs across a
-    ``multiprocessing`` pool.  ``progress(done, total, outcome)`` is
-    called in the parent as each outcome lands.
+    ``workers=1`` runs serially in-process; ``workers>1`` fans uncached
+    jobs across a ``multiprocessing`` pool.  ``progress(done, total,
+    outcome)`` is called in the parent as each outcome lands.
     """
     if workers < 1:
         raise SweepError(f"workers must be >= 1, got {workers}")

@@ -12,8 +12,7 @@ compositions of three panel kinds:
 
 Everything is pure string assembly over the canvas primitives; there is
 no layout engine, just explicit ``(x, y, w, h)`` rectangles, which keeps
-render cost linear in the number of marks (the viz benchmark records
-heatmap cells/second).
+render cost linear in the number of marks.
 """
 
 from __future__ import annotations

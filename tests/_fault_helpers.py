@@ -1,7 +1,6 @@
 """Shared helpers for the per-algorithm crash-recovery tests.
 
-A plain module (not a conftest) so the test files can import it without
-colliding with ``benchmarks/conftest.py`` in whole-repo runs.
+A plain module (not a conftest): the test files import it by name.
 """
 
 from __future__ import annotations

@@ -104,6 +104,13 @@ class TestBehavior:
         # Local skew should stay near kappa + estimate error, far below
         # the free-drift accumulation (2*RHO/8 per unit distance * 120s).
         assert profile[1.0] < 3.0
+        # kappa trades local smoothness for global tightness: a larger
+        # budget never buys a tighter f(1).
+        loose = run_drifted(
+            BoundedCatchUpAlgorithm(period=0.5, kappa=4.0, mu=0.5),
+            duration=120.0,
+        ).gradient_profile()
+        assert loose[1.0] >= profile[1.0] - 0.5
 
 
 @pytest.mark.faults

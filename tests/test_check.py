@@ -328,6 +328,33 @@ class TestOneScenarioCell:
         ]
 
 
+class TestOneLedger:
+    """benchmarks/e2e is the only measuring system in the tree."""
+
+    def test_benchmarks_holds_only_the_ledger(self):
+        assert [p.name for p in (REPO / "benchmarks").iterdir()] == ["e2e"]
+        assert list(REPO.glob("BENCH_*.json")) == []
+
+    def test_nothing_names_a_deleted_bench_script_or_headline_file(self):
+        import re
+
+        legacy = re.compile(r"bench_\w*\.py|BENCH_")
+        roots = ["src", "scripts", "docs", "examples", ".claude",
+                 "README.md", "EXPERIMENTS.md"]
+        offenders = [
+            str(path.relative_to(REPO))
+            for root in roots
+            for path in sorted((REPO / root).rglob("*")) or [REPO / root]
+            if path.is_file() and path.suffix != ".pyc"
+            and legacy.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []
+
+    def test_ci_smoke_runs_the_test_suite_once(self):
+        script = (REPO / "scripts" / "ci_smoke.sh").read_text(encoding="utf-8")
+        assert script.count("pytest") == 1
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 

@@ -50,12 +50,12 @@ class TestRunners:
 
     def test_e04_linear_in_d(self):
         result = run_experiment("E04")
-        series = result.data["series"]["max-based"]
-        ds = sorted(series)
-        assert series[ds[-1]] > series[ds[0]]
-        # peak ~ D: within a small constant factor
-        for d in ds:
-            assert series[d] > 0.5 * d
+        for algorithm, series in result.data["series"].items():
+            ds = sorted(series)
+            assert series[ds[-1]] > series[ds[0]], algorithm
+            # peak ~ D: within a small constant factor
+            for d in ds:
+                assert series[d] > 0.5 * d, algorithm
 
     def test_e08_cluster_beats_multihop(self):
         result = run_experiment("E08")
@@ -77,6 +77,8 @@ class TestRunners:
         result = run_experiment("E11")
         rendered = result.render()
         assert "validity" in rendered
+        for row in result.tables[0].as_dicts():
+            assert row["validity"] == "ok", row["algorithm"]
         profiles = result.data["profiles"]
         assert set(profiles) == {
             "max-based",
@@ -118,9 +120,9 @@ class TestRunners:
 class TestSlowRunners:
     def test_e02_growth_with_diameter(self):
         result = run_experiment("E02")
-        series = result.data["series"]["max-based"]
-        ds = sorted(series)
-        assert series[ds[-1]] >= series[ds[0]] - 1e-9
+        for algorithm, series in result.data["series"].items():
+            ds = sorted(series)
+            assert series[ds[-1]] >= series[ds[0]] - 1e-9, algorithm
 
     def test_e05_all_verified(self):
         result = run_experiment("E05")

@@ -70,14 +70,29 @@ class TestConstruction:
         assert ex.delays_within(0.25, 0.75)
 
     def test_skew_grows_with_diameter(self):
-        small = LowerBoundAdversary(4, rho=0.5, shrink=4, seed=0).run(
-            MaxBasedAlgorithm()
-        )
-        large = LowerBoundAdversary(16, rho=0.5, shrink=4, seed=0).run(
-            MaxBasedAlgorithm()
-        )
-        assert large.peak_adjacent_skew >= small.peak_adjacent_skew - 1e-9
-        assert large.rounds_applied > small.rounds_applied
+        # The construction lands whatever the driver's free parameters:
+        # the shrink factor B (the proof's 384 tau f(1)), the attacked
+        # algorithm's gossip radius (tau >= radius keeps the oracle
+        # stack sound) and the drift bound.
+        for knobs in (
+            dict(rho=0.5, shrink=4),
+            dict(rho=0.5, shrink=2),
+            dict(rho=0.5, shrink=8),
+            dict(rho=0.4, shrink=4, comm_radius=2.0),
+            dict(rho=0.25, shrink=4),
+            dict(rho=0.125, shrink=4),
+        ):
+            small = LowerBoundAdversary(4, seed=0, **knobs).run(
+                MaxBasedAlgorithm()
+            )
+            large = LowerBoundAdversary(16, seed=0, **knobs).run(
+                MaxBasedAlgorithm()
+            )
+            assert (
+                large.peak_adjacent_skew >= small.peak_adjacent_skew - 1e-9
+            ), knobs
+            assert large.rounds_applied > small.rounds_applied, knobs
+            assert large.final_adjacent_skew > 0.1, knobs
 
     def test_works_against_other_algorithms(self):
         res = LowerBoundAdversary(8, rho=0.5, shrink=4, seed=0).run(

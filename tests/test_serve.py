@@ -390,6 +390,59 @@ class TestServeCrashResume:
         expected = [o.metrics for o in run_jobs(spec.jobs(), workers=1)]
         assert served == expected
 
+    def test_sigkill_while_a_respawned_worker_is_mid_cell(self, tmp_path):
+        # A respawned worker is forked after the listener bound and the
+        # clients connected.  Unless it closes the copies it inherited,
+        # a busy one keeps the port accepting and the waiter's socket
+        # open for as long as its cell runs (~10 s here).
+        store = tmp_path / "store"
+        spec = small_spec(
+            name="respawn", topologies=("line:17",), seeds=(0,),
+            duration=30000.0,
+        )
+        proc = start_daemon(store, workers=1)
+        respawned: list[int] = []
+        try:
+            with ServeClient(store=store, timeout=30) as waiter:
+                (first,) = worker_pids(proc.pid)
+                os.kill(first, signal.SIGKILL)
+                while not respawned:  # the dead one lingers as a zombie
+                    time.sleep(0.03)
+                    respawned = [
+                        pid for pid in worker_pids(proc.pid) if pid != first
+                    ]
+                sweep = waiter.submit(spec)["sweep"]
+                while not waiter.status(sweep)["counts"]["running"]:
+                    time.sleep(0.03)
+
+                box: dict = {}
+
+                def blocked_wait() -> None:
+                    try:
+                        waiter.wait(sweep, timeout=30)
+                    except ServeError as exc:
+                        box["error"] = str(exc)
+
+                thread = threading.Thread(target=blocked_wait, daemon=True)
+                thread.start()
+                time.sleep(0.1)
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)
+                thread.join(timeout=3.0)
+                assert not thread.is_alive(), "waiter saw no EOF within 3 s"
+                assert "repro-serve daemon" in box["error"]
+                with pytest.raises(ServeError, match="cannot reach"):
+                    ServeClient(port=waiter.port, timeout=3.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            # The busy worker would only notice at its next pipe write.
+            for pid in respawned:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_sigkilled_daemon_leaves_no_orphan_workers(self, tmp_path):
         # Each worker inherits, through the fork, the parent end of its

@@ -513,6 +513,13 @@ class TestExperimentIntegration:
         for row in result.tables[0].rows:
             if row[2] == "none":
                 assert float(row[6]) == pytest.approx(1.0)
+            assert float(row[4]) >= 0.0  # final_skew
+        # Churn measurably hurts at least one algorithm somewhere.
+        assert any(
+            float(row[6]) > 1.05
+            for row in result.tables[0].rows
+            if row[2].startswith("churn")
+        )
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_e16_identical_across_worker_counts(self, workers):
@@ -534,8 +541,22 @@ class TestExperimentIntegration:
         for row in result.tables[0].rows:
             if row[2] == "waypoint:0,4":
                 assert float(row[6]) == pytest.approx(1.0)
-        # Part 2 has one verdict per algorithm.
-        assert {row[5] for row in result.tables[1].rows} <= {"yes", "NO"}
+        # Motion raises the *adjacent* skew of at least one algorithm
+        # over its still twin (same geometry, speed 0).
+        final_adj = {
+            tuple(row[:3]): float(row[5]) for row in result.tables[0].rows
+        }
+        assert any(
+            adj > final_adj[(topology, algorithm, "waypoint:0,4")] + 1e-6
+            for (topology, algorithm, mobility), adj in final_adj.items()
+            if mobility.startswith("waypoint:") and mobility != "waypoint:0,4"
+        )
+        # Part 2 has one verdict per algorithm, each on a series that
+        # peaked at or above its pre-rewiring band.
+        assert len(result.tables[1].rows) >= 3
+        for row in result.tables[1].rows:
+            assert row[5] in {"yes", "NO"}
+            assert float(row[2]) >= float(row[1]) - 1e-9
 
     def test_unported_experiment_ignores_workers(self):
         from repro.experiments import run_experiment
