@@ -11,9 +11,10 @@
 # the sweep CLI, the observability layer (repro.viz: a headless
 # dashboard + mobility animation, the sweep report artifact, a live
 # router run streaming rolling tail panels), the sweep service
-# (repro.serve: start the daemon, submit a 3-cell grid, fetch the
-# tables, shut down cleanly, no orphan process, all within a 30s
-# budget), and the docs step (module doctests + markdown link check).
+# (repro.serve: start the daemon on the sweep step's cache directory,
+# find its grid already there, submit a 3-cell grid, fetch the tables,
+# shut down cleanly, no orphan process, all within a 30s budget), and
+# the docs step (module doctests + markdown link check).
 # Performance is not measured here: python3 benchmarks/e2e/run.py is
 # the one ledger (benchmarks/e2e/README.md).
 #
@@ -155,15 +156,19 @@ ls "$ARTIFACTS/tail"/tail_*.svg > /dev/null 2>&1 \
 
 echo
 echo "== sweep as a service (repro.serve) =="
-# Full daemon lifecycle inside one 30s budget: start against a fresh
-# store, submit a 3-cell grid through the experiments verb, block until
-# it settles, fetch the rendered tables, query status, stop cleanly.
+# Full daemon lifecycle inside one 30s budget: start on the directory
+# the sweep step above used as --cache-dir (one store layout: the quick
+# grid it swept must be all hits, nothing queued), submit a 3-cell grid
+# through the experiments verb, block until it settles, fetch the
+# rendered tables, query status, stop cleanly.
 timeout 30 bash -c '
     set -euo pipefail
-    STORE="$ARTIFACTS/serve_store"
+    STORE="$ARTIFACTS/cache"
     python -m repro.experiments serve start --store "$STORE" --workers 2 \
         > "$ARTIFACTS/serve_daemon.txt" &
     SERVE_PID=$!
+    python -m repro.experiments serve submit --store "$STORE" --quick \
+        --seeds 1 --duration 10 | grep -q " 0 queued)"
     python -m repro.experiments serve submit --store "$STORE" \
         --topologies line:5 --algorithms max-based --rates drifted \
         --seeds 3 --duration 8 --name ci --wait > "$ARTIFACTS/serve_submit.txt"

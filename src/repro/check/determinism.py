@@ -22,7 +22,9 @@ ban static:
   from the same :func:`repro.sweep.jobs.execute_job` the in-process
   runner calls, so a served sweep is bit-identical to ``run_jobs``
   (the differential contract ``tests/test_serve.py`` enforces), while
-  the daemon's own clocks only ever feed operational metadata.
+  the daemon's own clocks only ever feed operational metadata.  The
+  pool it runs on (:mod:`repro.sweep.pool`, shared with ``run_jobs``)
+  is *inside* the deterministic set and reads no clock at all.
 * ``DET002`` — ambient randomness: calls through the ``random`` module
   itself (``random.random()``, ``random.shuffle`` — global Mersenne
   state), the legacy ``numpy.random.*`` global functions, an *unseeded*

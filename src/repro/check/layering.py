@@ -17,7 +17,8 @@ The declared DAG (transitively closed by the test suite, pinned by
                       at module top level)
     serve          -> sweep and below (a leaf: nothing imports serve
                       at module top level — the daemon wraps the sweep
-                      engine, nothing depends on the daemon)
+                      engine's store, queue and pool; nothing depends
+                      on the daemon)
     experiments    -> everything
     check          -> (nothing: the linter must lint a broken tree)
 

@@ -1,7 +1,8 @@
 """Pickle-safety rules: nothing unpicklable flows into a job payload.
 
-The sweep engine fans jobs across a multiprocessing pool, so every
-value reaching a :class:`~repro.sweep.jobs.Job`, a
+The sweep engine fans jobs across forked pipe workers
+(:mod:`repro.sweep.pool` — ``run_jobs`` and the serve daemon alike), so
+every value reaching a :class:`~repro.sweep.jobs.Job`, a
 :class:`~repro.sweep.spec.SweepSpec` field, a
 :class:`~repro.sim.faults.FaultPlan` (and its windows), or a
 :class:`~repro.rt.run.LiveRunConfig` must survive ``pickle``.  Lambdas,

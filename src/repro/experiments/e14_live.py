@@ -35,7 +35,7 @@ from repro.analysis.skew import summarize
 from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.rt.run import LiveRunConfig, run_live
 from repro.sweep import SweepSpec, run_jobs
-from repro.sweep.families import TRANSPORT_FAMILIES, forking_transports
+from repro.sweep.families import TRANSPORT_FAMILIES
 
 __all__ = [
     "run",
@@ -152,13 +152,7 @@ def run(
         rho=rho,
         time_scale=time_scale,
     ).jobs()
-    # Cells that spawn OS processes, which daemonic pool workers may not
-    # do, run serially in the parent; everything else may fan out across
-    # the pool.
-    forking = forking_transports(backends)
-    pool_jobs = [j for j in jobs if j.params.get("transport") not in forking]
-    serial_jobs = [j for j in jobs if j.params.get("transport") in forking]
-    outcomes = run_jobs(pool_jobs, workers=workers) + run_jobs(serial_jobs, workers=1)
+    outcomes = run_jobs(jobs, workers=workers)
 
     cells: dict[tuple[str, str], dict] = {}
     for outcome in outcomes:

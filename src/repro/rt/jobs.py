@@ -14,10 +14,10 @@ additionally carry non-default ``faults`` / ``mobility`` params: live
 churn, counted in ``fault_events`` and ``rewirings`` like a simulator
 cell.
 
-Caveat for grids: ``udp`` and ``router`` cells spawn OS processes,
-which daemonic pool workers may not do — run those cells at
-``workers=1`` (the sweep runner's serial path); the in-process backends
-parallelize freely.
+``udp`` and ``router`` cells spawn OS processes, which daemonic pool
+workers may not do: ``run_jobs`` runs those cells in the calling
+process, one at a time, after its pool has drained; the in-process
+backends parallelize freely.
 """
 
 from __future__ import annotations

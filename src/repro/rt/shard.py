@@ -676,7 +676,7 @@ def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
         raise RtError(
             f"the {config.transport} transport spawns OS processes, which "
             f"daemonic pool workers may not do; run {config.transport} "
-            f"cells at workers=1"
+            f"cells through run_jobs, which keeps them off its pool"
         )
     ctx = multiprocessing.get_context("fork")
     # Pure in the config, so every shard re-derives these same objects

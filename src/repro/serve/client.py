@@ -18,33 +18,10 @@ from typing import Optional
 
 from repro.errors import ServeError
 from repro.serve.protocol import FrameBuffer, recv_frame, send_frame
-from repro.serve.store import ContentStore
 from repro.sweep.spec import SweepSpec
+from repro.sweep.store import ContentStore
 
-__all__ = ["ServeClient", "endpoint_from_store"]
-
-
-def endpoint_from_store(
-    store: ContentStore | str, *, retry_for: float = 0.0
-) -> dict:
-    """Read the daemon's ``serve.json`` advert, optionally waiting.
-
-    ``retry_for`` seconds of polling covers the start-up race (a client
-    launched side by side with ``repro-serve start``); 0 means one shot.
-    """
-    if not isinstance(store, ContentStore):
-        store = ContentStore(store)
-    deadline = time.monotonic() + retry_for
-    while True:
-        endpoint = store.read_endpoint()
-        if endpoint is not None:
-            return endpoint
-        if time.monotonic() >= deadline:
-            raise ServeError(
-                f"no repro-serve daemon advertised under {store.root} "
-                f"(no readable {store.endpoint_path.name}); is one running?"
-            )
-        time.sleep(0.05)
+__all__ = ["ServeClient"]
 
 
 class ServeClient:

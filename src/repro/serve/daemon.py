@@ -1,7 +1,8 @@
 """The ``repro-serve`` daemon: a long-running sweep service.
 
-One process owns a localhost TCP listener, a pool of forked worker
-processes, and a :class:`~repro.serve.store.ContentStore`.  Clients
+One process owns a localhost TCP listener, the sweep engine's worker
+pool (:class:`~repro.sweep.pool.WorkerPool`, its pipes registered in
+this event loop) and a :class:`~repro.sweep.store.ContentStore`.  Clients
 speak the length-prefixed JSON frames of :mod:`repro.serve.protocol`;
 each request is one frame carrying an ``op`` and each reply one frame
 carrying ``ok`` — ``submit``, ``status``, ``wait``, ``fetch``,
@@ -15,10 +16,8 @@ Crash-safety choreography
   the port closes immediately and a client mid-request gets a prompt
   EOF (surfaced as a named :class:`~repro.errors.ServeError` by the
   client) instead of a hang.
-* Workers only compute; the parent alone writes to the store.  Each
-  worker closes the parent pipe ends it inherited through the fork, so
-  after a parent SIGKILL its blocked ``recv`` sees EOF and it exits at
-  once (a busy one on its next pipe operation) without touching disk.
+* Workers only compute; the parent alone writes to the store, and no
+  worker outlives a SIGKILLed parent (:mod:`repro.sweep.pool`).
 * Manifests are written before the first cell of a sweep runs, and each
   finished cell's object is written before it is marked done.  A
   restarted daemon therefore re-derives exactly the missing cells from
@@ -36,73 +35,79 @@ the in-process runner uses, so a served sweep is bit-identical to
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import selectors
 import socket
 import time
-import traceback
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 from repro.errors import ServeError, SweepError
-from repro.serve.jobqueue import JobQueue, SweepBook
 from repro.serve.protocol import PROTOCOL_VERSION, FrameBuffer, send_frame
-from repro.serve.store import ContentStore, hashes_for
 from repro.sweep.families import forking_transports
-from repro.sweep.jobs import Job, execute_job
+from repro.sweep.pool import JobQueue, WorkerPool
 from repro.sweep.spec import SweepSpec
+from repro.sweep.store import ContentStore, hashes_for
 
-__all__ = ["ServeDaemon"]
-
-#: Total worker respawns tolerated before the daemon stops replacing
-#: crashed workers (a crash-looping job kind should fail its cells, not
-#: spin the machine).
-_RESPAWN_BUDGET = 8
+__all__ = ["ServeDaemon", "SweepBook"]
 
 
-def _worker_main(worker: int, conn, inherited) -> None:
-    """One pool worker: recv task, execute, send result, repeat.
+@dataclass
+class _SweepEntry:
+    name: str
+    hashes: tuple[str, ...]
+    spec_payload: dict = field(default_factory=dict)
 
-    A task is ``{"hash", "kind", "params", "module"}``; the result
-    echoes the hash with either ``metrics`` or a formatted ``error``.
-    ``None`` (or a closed pipe — the parent died) ends the loop; the
-    worker never opens the store.
 
-    ``inherited`` is everything of the parent's that the fork copied
-    into this process: the parent ends of the pool's pipes (this
-    worker's own and every earlier worker's) and, for a respawned
-    worker, the listener and the connected client sockets.  They are
-    closed first: while any copy stays open the kernel never reports EOF
-    on the other end, and a SIGKILLed daemon would leave its workers
-    blocked in ``recv`` forever, its port accepting and its clients
-    waiting on a busy worker.
+class SweepBook:
+    """Sweep-id -> ordered job hashes; per-sweep progress roll-ups.
+
+    The split from :class:`~repro.sweep.pool.JobQueue` mirrors the
+    store's layout (objects vs. manifests): cells are shared, sweeps are
+    views over them.  Every cell of a registered sweep has been offered
+    to the queue, so the queue knows each one's state.
     """
-    for parent_handle in inherited:
-        parent_handle.close()
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            break
-        if task is None:
-            break
-        try:
-            outcome = execute_job(
-                Job(kind=task["kind"], params=task["params"],
-                    module=task["module"])
-            )
-            reply = {
-                "hash": task["hash"],
-                "metrics": outcome.metrics,
-                "elapsed": outcome.elapsed,
-            }
-        except Exception:
-            reply = {"hash": task["hash"], "error": traceback.format_exc()}
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
+
+    def __init__(self) -> None:
+        self._sweeps: Dict[str, _SweepEntry] = {}
+
+    def register(
+        self, sweep_id: str, name: str, hashes: list[str], spec_payload: dict
+    ) -> None:
+        self._sweeps[sweep_id] = _SweepEntry(
+            name=name, hashes=tuple(hashes), spec_payload=dict(spec_payload)
+        )
+
+    def known(self, sweep_id: str) -> bool:
+        return sweep_id in self._sweeps
+
+    def ids(self) -> list[str]:
+        return sorted(self._sweeps)
+
+    def __getitem__(self, sweep_id: str) -> _SweepEntry:
+        return self._sweeps[sweep_id]
+
+    def counts(self, sweep_id: str, queue: JobQueue) -> dict:
+        """Queued/running/done/failed tally over the sweep's cells."""
+        entry = self._sweeps[sweep_id]
+        tally = {"queued": 0, "running": 0, "done": 0, "failed": 0}
+        errors = []
+        for digest in entry.hashes:
+            state = queue.state_of(digest)
+            tally[state] += 1
+            if state == "failed":
+                error = queue.error_of(digest)
+                if error and error not in errors:
+                    errors.append(error)
+        tally["total"] = len(entry.hashes)
+        if errors:
+            tally["errors"] = errors
+        return tally
+
+    def settled(self, sweep_id: str, queue: JobQueue) -> bool:
+        """No cell still queued or running (done or failed throughout)."""
+        counts = self.counts(sweep_id, queue)
+        return counts["queued"] == 0 and counts["running"] == 0
 
 
 class ServeDaemon:
@@ -116,13 +121,6 @@ class ServeDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ServeError(
-                "repro-serve needs the 'fork' start method (worker pipes "
-                "and the populated job-kind registry are inherited)"
-            )
-        if workers < 1:
-            raise ServeError(f"workers must be >= 1, got {workers}")
         self.store = ContentStore(store_dir)
         self.queue = JobQueue(self.store)
         self.book = SweepBook()
@@ -135,11 +133,6 @@ class ServeDaemon:
         self.skipped_manifests = 0
         self.clients_served = 0
         self.protocol_errors = 0
-        self._ctx = multiprocessing.get_context("fork")
-        self._children: dict[int, multiprocessing.Process] = {}
-        self._conns: dict[int, object] = {}
-        self._busy: dict[int, Optional[str]] = {}
-        self._respawns = 0
         self._listener: Optional[socket.socket] = None
         self._selector = selectors.DefaultSelector()
         self._clients: dict[socket.socket, FrameBuffer] = {}
@@ -153,8 +146,7 @@ class ServeDaemon:
     def start(self) -> None:
         """Resume from the store, fork workers, bind, advertise."""
         self._resume()
-        for worker in range(self.n_workers):
-            self._spawn_worker(worker)
+        self.pool = WorkerPool(self.queue, self.n_workers, self._selector)
         # Bind only after forking: workers must not inherit the
         # listening socket, or a SIGKILLed daemon would leave the port
         # open and clients hanging instead of seeing a prompt EOF.
@@ -168,7 +160,7 @@ class ServeDaemon:
         self._selector.register(listener, selectors.EVENT_READ, "listener")
         self.store.write_endpoint(self.host, self.port, workers=self.n_workers)
         self._started_at = time.monotonic()
-        self._pump()
+        self.pool.pump()
 
     def _resume(self) -> None:
         """Re-enqueue the missing cells of every manifested sweep."""
@@ -189,25 +181,6 @@ class ServeDaemon:
         # ones; later submissions' hits are ordinary cache hits.
         self.resumed = self.queue.hits
 
-    def _spawn_worker(self, worker: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        inherited = [parent_conn, *self._conns.values(), *self._clients]
-        if self._listener is not None:  # a respawn: the port is bound
-            inherited.append(self._listener)
-        child = self._ctx.Process(
-            target=_worker_main,
-            args=(worker, child_conn, inherited),
-            daemon=True,
-        )
-        child.start()
-        child_conn.close()
-        self._children[worker] = child
-        self._conns[worker] = parent_conn
-        self._busy[worker] = None
-        self._selector.register(
-            parent_conn, selectors.EVENT_READ, ("worker", worker)
-        )
-
     def close(self) -> None:
         """Orderly teardown: advert gone first, then sockets, then pool."""
         self.store.clear_endpoint()
@@ -220,24 +193,7 @@ class ServeDaemon:
                 pass
             self._listener.close()
             self._listener = None
-        for worker, conn in list(self._conns.items()):
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for child in self._children.values():
-            child.join(timeout=5.0)
-            if child.is_alive():  # pragma: no cover - wedged worker
-                child.terminate()
-        for conn in self._conns.values():
-            try:
-                self._selector.unregister(conn)
-            except KeyError:
-                pass
-            conn.close()
-        self._children.clear()
-        self._conns.clear()
-        self._busy.clear()
+        self.pool.close()
         self._selector.close()
 
     # ------------------------------------------------------------------
@@ -251,7 +207,8 @@ class ServeDaemon:
                     if key.data == "listener":
                         self._accept()
                     elif isinstance(key.data, tuple):
-                        self._on_worker_readable(key.data[1])
+                        self.pool.on_readable(key.data[1])
+                        self._flush_waiters()
                     else:
                         self._on_client_readable(key.fileobj)
         finally:
@@ -259,80 +216,6 @@ class ServeDaemon:
 
     def stop(self) -> None:
         self._stop = True
-
-    # ------------------------------------------------------------------
-    # worker pool plumbing
-
-    def _pump(self) -> None:
-        """Hand ready jobs to idle workers."""
-        for worker, digest in self._busy.items():
-            if digest is not None:
-                continue
-            item = self.queue.next_ready()
-            if item is None:
-                return
-            digest, job = item
-            self._busy[worker] = digest
-            try:
-                self._conns[worker].send(
-                    {
-                        "hash": digest,
-                        "kind": job.kind,
-                        "params": dict(job.params),
-                        "module": job.module,
-                    }
-                )
-            except (BrokenPipeError, OSError):
-                # Death noticed at dispatch time; the readable-EOF path
-                # will requeue and respawn.
-                self.queue.requeue(digest, reason="worker pipe closed")
-                self._busy[worker] = None
-
-    def _on_worker_readable(self, worker: int) -> None:
-        conn = self._conns[worker]
-        try:
-            result = conn.recv()
-        except (EOFError, OSError):
-            self._on_worker_death(worker)
-            return
-        digest = result["hash"]
-        if "error" in result:
-            self.queue.mark_failed(digest, result["error"])
-        else:
-            self.queue.mark_done(digest, result["metrics"])
-        self._busy[worker] = None
-        self._pump()
-        self._flush_waiters()
-
-    def _on_worker_death(self, worker: int) -> None:
-        """A worker died mid-job: requeue its cell, respawn the slot."""
-        digest = self._busy.get(worker)
-        exitcode = self._children[worker].exitcode
-        try:
-            self._selector.unregister(self._conns[worker])
-        except KeyError:
-            pass
-        self._conns[worker].close()
-        self._children[worker].join(timeout=1.0)
-        del self._children[worker], self._conns[worker], self._busy[worker]
-        if digest is not None:
-            self.queue.requeue(
-                digest, reason=f"worker died (exit code {exitcode})"
-            )
-        if self._respawns < _RESPAWN_BUDGET:
-            self._respawns += 1
-            self._spawn_worker(worker)
-            self._pump()
-        elif not self._children:
-            # Pool exhausted: fail everything still queued, promptly.
-            while True:
-                item = self.queue.next_ready()
-                if item is None:
-                    break
-                self.queue.mark_failed(
-                    item[0], "no workers left (respawn budget exhausted)"
-                )
-        self._flush_waiters()
 
     # ------------------------------------------------------------------
     # client plumbing
@@ -403,7 +286,7 @@ class ServeDaemon:
                 "ok": True,
                 "protocol": PROTOCOL_VERSION,
                 "pid": os.getpid(),
-                "workers": len(self._children),
+                "workers": self.pool.size,
             }
         if op == "submit":
             return self._handle_submit(request)
@@ -453,7 +336,7 @@ class ServeDaemon:
         tally = {"hit": 0, "dedup": 0, "queued": 0, "done": 0, "failed": 0}
         for digest, job in zip(hashes, jobs):
             tally[self.queue.offer(digest, job)] += 1
-        self._pump()
+        self.pool.pump()
         return {
             "ok": True,
             "sweep": sweep_id,
@@ -471,7 +354,7 @@ class ServeDaemon:
             listing = [
                 {
                     "sweep": sid,
-                    "name": self.book.name_of(sid),
+                    "name": self.book[sid].name,
                     "counts": self.book.counts(sid, self.queue),
                 }
                 for sid in self.book.ids()
@@ -485,9 +368,9 @@ class ServeDaemon:
         return {
             "ok": True,
             "sweep": sweep_id,
-            "name": self.book.name_of(sweep_id),
+            "name": self.book[sweep_id].name,
             "counts": self.book.counts(sweep_id, self.queue),
-            "spec": self.book.spec_payload_of(sweep_id),
+            "spec": self.book[sweep_id].spec_payload,
         }
 
     def _handle_wait(self, sock: socket.socket, request: dict) -> Optional[dict]:
@@ -523,27 +406,32 @@ class ServeDaemon:
                     f"cell(s); first error: {summary}"
                 ),
             }
-        if counts["done"] != counts["total"]:
-            return {
-                "ok": False,
-                "error": (
-                    f"sweep {sweep_id} is incomplete "
-                    f"({counts['done']}/{counts['total']} done); "
-                    "wait on it before fetching"
-                ),
-            }
-        results = self.store.results(self.book.hashes_of(sweep_id))
-        if results is None:  # pragma: no cover - objects deleted under us
-            return {
-                "ok": False,
-                "error": f"sweep {sweep_id}: store objects missing",
-            }
+        if counts["done"] == counts["total"]:
+            hashes = self.book[sweep_id].hashes
+            results = self.store.results(hashes)
+            if results is not None:
+                return {
+                    "ok": True,
+                    "sweep": sweep_id,
+                    "name": self.book[sweep_id].name,
+                    "spec": self.book[sweep_id].spec_payload,
+                    "results": results,
+                }
+            # An object that exists but does not parse is not a result
+            # (the queue's probe at offer time is existence only): run
+            # those cells again and have the client wait on them.
+            for digest in hashes:
+                if self.store.get_hash(digest) is None:
+                    self.queue.forget(digest)
+            self.pool.pump()
+            counts = self.book.counts(sweep_id, self.queue)
         return {
-            "ok": True,
-            "sweep": sweep_id,
-            "name": self.book.name_of(sweep_id),
-            "spec": self.book.spec_payload_of(sweep_id),
-            "results": results,
+            "ok": False,
+            "error": (
+                f"sweep {sweep_id} is incomplete "
+                f"({counts['done']}/{counts['total']} done); "
+                "wait on it before fetching"
+            ),
         }
 
     def _handle_stats(self) -> dict:
@@ -559,7 +447,7 @@ class ServeDaemon:
             "deduped": self.queue.deduped,
             "sweeps": len(self.book.ids()),
             "queue_depth": self.queue.depth,
-            "workers": len(self._children),
+            "workers": self.pool.size,
             "uptime_s": uptime,
             "jobs_per_sec": executed / uptime if uptime > 0 else 0.0,
             "clients_served": self.clients_served,

@@ -11,8 +11,10 @@ families x transports x seeds) expands into independent, picklable
 with deterministic per-job seeding (identical metrics at any worker
 count), and the aggregate layer folds the metrics back into the same
 ``Table``/``ExperimentResult`` shapes the E01..E14 experiments print.
-Results cache on disk keyed by job content hash, so re-running a grid
-costs only the cells that changed.
+Results persist in a :class:`ContentStore` keyed by job content hash, so
+re-running a grid costs only the cells that changed.  That store and the
+executor (:mod:`repro.sweep.pool`) are the one back end ``run_jobs`` and
+the ``repro-serve`` daemon share: a ``--cache-dir`` *is* a serve store.
 
 Layering: ``sweep`` depends on ``sim``/``topology``/``algorithms``/
 ``analysis`` only; ``repro.experiments`` builds on ``sweep`` (not the
@@ -54,9 +56,14 @@ from repro.sweep.jobs import (
     job_hash,
     job_kind,
 )
-from repro.sweep.runner import ResultCache, run_jobs
+from repro.sweep.runner import run_jobs
 from repro.sweep.scenario import Cell, Scenario, cell_metrics
 from repro.sweep.spec import SweepSpec, full_spec, quick_spec
+from repro.sweep.store import ContentStore
+
+#: The store's name from before the daemon's store and the runner's
+#: cache were one class; kept because callers construct it by this name.
+ResultCache = ContentStore
 
 __all__ = [
     # spec
@@ -74,7 +81,8 @@ __all__ = [
     "job_hash",
     "execute_job",
     "CACHE_VERSION",
-    # runner
+    # store and runner
+    "ContentStore",
     "ResultCache",
     "run_jobs",
     # aggregation

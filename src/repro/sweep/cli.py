@@ -2,8 +2,9 @@
 
 ``python -m repro.experiments sweep --quick --workers 4`` expands a
 preset (or user-supplied) grid, fans it across a worker pool, prints the
-aggregated tables, and optionally writes a JSON artifact and warms an
-on-disk cache.
+aggregated tables, and optionally writes a JSON artifact and keeps the
+results in a content store (``--cache-dir``; the same directory a
+``repro-serve`` daemon takes as ``--store``).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import time
 
 from repro.errors import ReproError, SweepError
 from repro.sweep.aggregate import sweep_result, to_json_payload, write_json
-from repro.sweep.families import forking_transports
-from repro.sweep.runner import ResultCache, run_jobs
+from repro.sweep.runner import run_jobs
 from repro.sweep.scenario import Scenario
 from repro.sweep.spec import SweepSpec, full_spec, quick_spec
+from repro.sweep.store import ContentStore
 
 __all__ = [
     "main",
@@ -132,8 +133,8 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "comma-separated execution backends per cell: 'sim' "
             "(simulator) and/or live transports 'virtual', 'asyncio', "
-            "'udp', 'router' (override preset; udp/router cells need "
-            "--workers 1)"
+            "'udp', 'router' (override preset; udp/router cells fork "
+            "node processes, so they run one at a time after the pool)"
         ),
     )
     parser.add_argument(
@@ -158,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: CPU count; 1 = serial)",
     )
     parser.add_argument(
-        "--cache-dir", metavar="DIR", help="reuse results cached under DIR"
+        "--cache-dir", metavar="DIR",
+        help="reuse results stored under DIR (also a repro-serve --store)"
     )
     parser.add_argument(
         "--json-out", metavar="FILE", help="write the full artifact as JSON"
@@ -223,18 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    forking = forking_transports(spec.transports)
-    if forking and args.workers > 1:
-        # Detectable before any work: these cells spawn OS processes,
-        # which daemonic pool workers may not do.
-        print(
-            f"error: {'/'.join(forking)} transport cells need --workers 1 "
-            "(node processes cannot be spawned from daemonic pool workers)",
-            file=sys.stderr,
-        )
-        return 2
 
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    cache = ContentStore(args.cache_dir) if args.cache_dir else None
     print(
         f"sweep '{spec.name}': {len(jobs)} jobs "
         f"({len(spec.topologies)} topologies x {len(spec.algorithms)} algorithms "
@@ -257,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - start  # repro: allow[DET001] progress display
 
     cache_stats = (
-        {"hits": cache.hits, "misses": cache.misses, "dir": str(cache.directory)}
+        {"hits": cache.hits, "misses": cache.misses, "dir": str(cache.root)}
         if cache
         else {}
     )
@@ -265,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     if cache:
         notes.append(
             f"cache: {cache.hits} hit(s), {cache.misses} miss(es) "
-            f"under {cache.directory}"
+            f"under {cache.root}"
         )
     result = sweep_result(
         spec, outcomes, include_seed_rows=args.per_job, notes=notes

@@ -515,7 +515,8 @@ class TransportFamily(NamedTuple):
     """What a live transport can do, as the layers above need to know it."""
 
     #: Spawns OS processes per run — impossible from daemonic pool
-    #: workers, so such cells run at ``workers=1`` and never in the daemon.
+    #: workers: ``run_jobs`` keeps such cells off its pool, the daemon
+    #: rejects them (both through :func:`forking_transports`).
     forks: bool
     #: Applies live churn (fault plans and mid-run rewirings).
     churn: bool

@@ -355,6 +355,98 @@ class TestOneLedger:
         assert script.count("pytest") == 1
 
 
+class TestOneSweepBackEnd:
+    """run_jobs and the daemon share one store, one queue, one pool."""
+
+    PACKAGE = SRC / "repro"
+
+    @classmethod
+    def _calls(cls, *names, under):
+        """``module:function`` of every ``name(...)`` / ``<x>.name(...)``."""
+        import ast
+
+        sites = []
+        for package in under:
+            for path in sorted((cls.PACKAGE / package).rglob("*.py")):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for scope in ast.walk(tree):
+                    if not isinstance(scope, ast.FunctionDef):
+                        continue
+                    sites += [
+                        f"{path.relative_to(cls.PACKAGE)}:{scope.name}"
+                        for node in ast.walk(scope)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "attr",
+                                    getattr(node.func, "id", None)) in names
+                    ]
+        return sites
+
+    def test_no_multiprocessing_pool_is_left(self):
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in sorted(self.PACKAGE.rglob("*.py"))
+            if any(needle in path.read_text(encoding="utf-8")
+                   for needle in (".Pool(", "imap"))
+        ]
+        assert offenders == []
+
+    def test_one_worker_loop_and_it_lives_in_sweep(self):
+        import ast
+
+        # Processes and pipes are made in one place outside rt ...
+        assert self._calls("Process", "Pipe", under=["sweep", "serve"]) == [
+            "sweep/pool.py:_spawn", "sweep/pool.py:_spawn",
+        ]
+        # ... whose target is the only forked loop calling execute_job.
+        pool = ast.parse(
+            (self.PACKAGE / "sweep" / "pool.py").read_text(encoding="utf-8")
+        )
+        targets = {
+            kw.value.id
+            for node in ast.walk(pool) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "target"
+        }
+        assert targets == {"_worker_main"}
+        callers = self._calls("execute_job", under=["sweep", "serve"])
+        # run_jobs' call is the workers=1 loop in the calling process.
+        assert callers == ["sweep/pool.py:_worker_main", "sweep/runner.py:run_jobs"]
+
+    def test_the_daemon_keeps_only_what_is_a_daemons(self):
+        import repro.serve
+        import repro.serve.daemon as daemon
+
+        for name in ("_worker_main", "_RESPAWN_BUDGET"):
+            assert not hasattr(daemon, name)
+        for method in ("_spawn_worker", "_pump", "_on_worker_readable",
+                       "_on_worker_death"):
+            assert not hasattr(daemon.ServeDaemon, method)
+        assert not hasattr(repro.serve, "endpoint_from_store")
+
+    def test_one_store_class_under_both_names(self):
+        import importlib.util
+
+        import repro.serve
+        from repro.sweep import ResultCache
+        from repro.sweep.store import ContentStore
+
+        assert ResultCache is ContentStore
+        assert repro.serve.ContentStore is ContentStore
+        assert importlib.util.find_spec("repro.serve.store") is None
+        assert importlib.util.find_spec("repro.serve.jobqueue") is None
+
+    def test_the_forking_rule_has_one_reader_per_scheduler(self):
+        readers = sorted(
+            str(path.relative_to(self.PACKAGE))
+            for path in self.PACKAGE.rglob("*.py")
+            if path.parts[-2] != "rt"
+            and any(needle in path.read_text(encoding="utf-8")
+                    for needle in ("forking_transports(", ".forks"))
+        )
+        assert readers == [
+            "serve/daemon.py", "sweep/families.py", "sweep/runner.py",
+        ]
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 

@@ -100,29 +100,24 @@ class TestTransportAxis:
         assert again.transports == ("sim", "virtual")
         assert again == spec
 
-    def test_cli_rejects_udp_cells_with_pool_workers(self, capsys):
+    @pytest.mark.rt
+    @pytest.mark.parametrize("transport", ["udp", "router"])
+    def test_cli_runs_forking_cells_with_pool_workers(self, capsys, transport):
+        # run_jobs keeps cells that fork node processes off its pool, so
+        # no worker count needs rejecting any more.
         from repro.sweep.cli import main as sweep_main
 
         code = sweep_main(
             ["--topologies", "line:4", "--algorithms", "gradient",
-             "--transports", "udp", "--seeds", "1", "--duration", "4",
-             "--workers", "2"]
+             "--transports", f"sim,{transport}", "--seeds", "1",
+             "--duration", "4", "--time-scale", "0.05", "--workers", "2",
+             "--per-job"]
         )
-        assert code == 2
-        assert "--workers 1" in capsys.readouterr().err
-
-    def test_cli_rejects_router_cells_with_pool_workers(self, capsys):
-        from repro.sweep.cli import main as sweep_main
-
-        code = sweep_main(
-            ["--topologies", "line:4", "--algorithms", "gradient",
-             "--transports", "router", "--seeds", "1", "--duration", "4",
-             "--workers", "2"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--workers 1" in err
-        assert "router" in err
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        rows = [line for line in captured.out.splitlines() if "line:4" in line]
+        assert any(transport in row for row in rows)
+        assert any("sim" in row for row in rows)
 
 
 class TestLiveRunJobs:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import socket
 import struct
@@ -30,12 +31,13 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.client import ServeClient
-from repro.serve.jobqueue import JobQueue, SweepBook
+from repro.serve.daemon import SweepBook
 from repro.serve.protocol import FrameBuffer, recv_frame, send_frame
-from repro.serve.store import ContentStore, hashes_for, sweep_id_for
 from repro.sweep.jobs import job_hash
+from repro.sweep.pool import JobQueue
 from repro.sweep.runner import run_jobs
 from repro.sweep.spec import SweepSpec
+from repro.sweep.store import ContentStore, hashes_for, sweep_id_for
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,6 +56,12 @@ def small_spec(name="unit", topologies=("line:5",), seeds=(0, 1), **kw):
 
 class TestContentStore:
     def test_generalizes_result_cache(self, tmp_path):
+        # One class under both names: a cache dir *is* a serve store.
+        import repro.serve
+        import repro.sweep
+
+        assert repro.sweep.ResultCache is ContentStore
+        assert repro.serve.ContentStore is ContentStore
         store = ContentStore(tmp_path / "store")
         spec = small_spec()
         job = spec.jobs()[0]
@@ -85,9 +93,7 @@ class TestContentStore:
         manifest = store.read_manifest(sweep_id)
         assert manifest["jobs"] == hashes
         assert SweepSpec.from_dict(manifest["spec"]) == spec
-        assert store.missing(hashes) == hashes
         store.put_hash(hashes[0], {"m": 1})
-        assert store.missing(hashes) == hashes[1:]
         assert store.results(hashes) is None
         for digest in hashes[1:]:
             store.put_hash(digest, {"m": 2})
@@ -160,7 +166,6 @@ class TestJobQueue:
                 break
             queue.mark_done(item[0], {"m": 1})
         assert book.settled(sweep_id, queue)
-        assert book.complete(sweep_id, queue)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +324,27 @@ class TestServeDifferential:
         assert stats["executed"] == first["total"]
 
 
+    def test_a_run_jobs_cache_dir_is_a_warm_serve_store(self, tmp_path):
+        store = tmp_path / "store"
+        spec = small_spec(name="shared", seeds=(0, 1, 2))
+        ran = run_jobs(spec.jobs(), workers=2, cache=ContentStore(store))
+        proc = start_daemon(store, workers=1)
+        try:
+            with ServeClient(store=store) as client:
+                receipt = client.submit(spec)
+                assert receipt["queued"] == 0
+                assert receipt["hits"] == receipt["total"] == 3
+                assert client.fetch(receipt["sweep"]) == [
+                    o.metrics for o in ran
+                ]
+                assert client.stats()["executed"] == 0
+                client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+
+
 @pytest.mark.serve
 class TestServeCrashResume:
     def test_sigkill_mid_sweep_then_resume_executes_only_missing(
@@ -371,6 +397,12 @@ class TestServeCrashResume:
         survivors = len(list((store / "objects").glob("*.json")))
         assert 1 <= survivors < total
 
+        # The twin resume: the in-process runner picks a copy of the
+        # dead daemon's store up as is and executes only what is missing.
+        twin = shutil.copytree(store, tmp_path / "twin")
+        resumed = run_jobs(spec.jobs(), workers=2, cache=ContentStore(twin))
+        assert [o.cached for o in resumed].count(True) == survivors
+
         proc2 = start_daemon(store, workers=1)
         try:
             with ServeClient(store=store) as client:
@@ -389,6 +421,43 @@ class TestServeCrashResume:
 
         expected = [o.metrics for o in run_jobs(spec.jobs(), workers=1)]
         assert served == expected
+        assert [o.metrics for o in resumed] == expected
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "bit-flipped"])
+    def test_an_unreadable_object_is_rerun_not_served(self, tmp_path, damage):
+        # offer()'s store probe is existence only, so a damaged object
+        # counts as done until somebody reads it: fetch must notice,
+        # re-run the cell and say "wait", not report the sweep lost.
+        store = ContentStore(tmp_path / "store")
+        spec = small_spec(name="rot", seeds=(0, 1, 2))
+        jobs = spec.jobs()
+        expected = [o.metrics for o in run_jobs(jobs, workers=1, cache=store)]
+        victim = store.path_for(job_hash(jobs[1]))
+        intact = victim.read_bytes()
+        victim.write_bytes({
+            "truncated": intact[: len(intact) // 2],
+            "empty": b"",
+            "bit-flipped": bytes([intact[0] ^ 0x80]) + intact[1:],
+        }[damage])
+
+        proc = start_daemon(store.root, workers=1)
+        try:
+            with ServeClient(store=store.root) as client:
+                receipt = client.submit(spec)
+                sweep = receipt["sweep"]
+                assert receipt["queued"] == 0
+                with pytest.raises(ServeError, match="incomplete.*wait on it"):
+                    client.fetch(sweep)
+                final = client.wait(sweep, timeout=60)
+                assert final["counts"]["done"] == len(jobs)
+                assert client.fetch(sweep) == expected
+                assert client.stats()["executed"] == 1
+                client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+        assert victim.read_bytes() == intact
 
     def test_sigkill_while_a_respawned_worker_is_mid_cell(self, tmp_path):
         # A respawned worker is forked after the listener bound and the

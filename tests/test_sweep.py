@@ -8,6 +8,10 @@ produced, and the family registries reject unknown names loudly.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.sweep import (
     execute_job,
     fault_plan_from_spec,
     job_hash,
+    job_kind,
     mobility_from_spec,
     quick_spec,
     run_jobs,
@@ -50,6 +55,25 @@ TINY = SweepSpec(
 
 def metrics_of(outcomes):
     return [o.metrics for o in outcomes]
+
+
+@job_kind("test-hazard")
+def _hazard(params):
+    """A cell that can take its worker down, or raise, on request."""
+    if params.get("hazard") == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if params.get("hazard") == "raise":
+        raise ValueError(f"cell {params['n']} is poisoned")
+    return {"n": params["n"]}
+
+
+def hazard_jobs(hazard: str):
+    """Six cells; the one at index 3 carries the hazard."""
+    return [
+        Job(kind="test-hazard",
+            params={"n": n, **({"hazard": hazard} if n == 3 else {})})
+        for n in range(6)
+    ]
 
 
 class TestFamilies:
@@ -260,6 +284,67 @@ class TestDeterminism:
         with pytest.raises(SweepError):
             run_jobs(TINY.jobs(), workers=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_job_given_twice_runs_once(self, serial_outcomes, workers):
+        jobs = TINY.jobs()[:2]
+        ran = []
+        twice = run_jobs(
+            [jobs[0], jobs[1], jobs[0]], workers=workers,
+            progress=lambda done, total, outcome: ran.append(outcome.elapsed),
+        )
+        assert metrics_of(twice) == metrics_of(
+            [serial_outcomes[0], serial_outcomes[1], serial_outcomes[0]]
+        )
+        # One execution filled both slots: same stopwatch reading.
+        assert twice[0].elapsed == twice[2].elapsed and len(ran) == 3
+
+
+class TestPoolFailures:
+    """The pool fails promptly and by name; it never hangs."""
+
+    def test_sigkilled_worker_fails_its_cell_by_name(self, tmp_path):
+        jobs = hazard_jobs("sigkill")
+        poisoned = job_hash(jobs[3])
+        store = ResultCache(tmp_path)
+        begin = time.perf_counter()
+        with pytest.raises(SweepError) as caught:
+            run_jobs(jobs, workers=2, cache=store)
+        assert time.perf_counter() - begin < 5.0
+        message = str(caught.value)
+        assert poisoned in message
+        assert "exit code -9" in message and "2 attempts" in message
+        # No pool worker outlives the call.
+        assert multiprocessing.active_children() == []
+        # The healthy cells finished and were stored ...
+        assert all(store.has_hash(job_hash(j)) for j in jobs if j is not jobs[3])
+        assert not store.has_hash(poisoned)
+        # ... so a second run executes only the poisoned one.
+        ran = []
+        with pytest.raises(SweepError, match=poisoned):
+            run_jobs(
+                jobs, workers=2, cache=store,
+                progress=lambda done, total, o: ran.append(o.cached),
+            )
+        assert ran == [True] * 5
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_job_raises_in_the_caller(self, tmp_path, workers):
+        jobs = hazard_jobs("raise")
+        store = ResultCache(tmp_path)
+        # In-process the job's own exception propagates; from a pool
+        # worker it arrives as a SweepError carrying the traceback.
+        raised = SweepError if workers > 1 else ValueError
+        with pytest.raises(raised, match="cell 3 is poisoned") as caught:
+            run_jobs(jobs, workers=workers, cache=store)
+        if workers > 1:
+            assert job_hash(jobs[3]) in str(caught.value)
+            assert "Traceback" in str(caught.value)
+        # The cells that finished are already stored.
+        finished = [j for j in jobs if store.has_hash(job_hash(j))]
+        assert jobs[3] not in finished
+        assert len(finished) == (5 if workers > 1 else 3)
+
 
 @pytest.mark.faults
 class TestFaultAxisDeterminism:
@@ -429,7 +514,7 @@ class TestCache:
         cache = ResultCache(tmp_path)
         job = TINY.jobs()[0]
         run_jobs([job], cache=cache)
-        (tmp_path / f"{job_hash(job)}.json").write_text("{not json")
+        cache.path_for(job_hash(job)).write_text("{not json")
         fresh = ResultCache(tmp_path)
         [outcome] = run_jobs([job], cache=fresh)
         assert fresh.hits == 0 and fresh.misses == 1
