@@ -4,8 +4,8 @@
 # every marked subset -- faults, rt, engine, serve -- is in it), then
 # each CLI surface end to end: one quick-scale parallel sweep and its
 # warm-cache re-run, the E13 fault table and the fault axis of the
-# sweep CLI, the live runtime (a virtual-time demo, a UDP
-# cell, a multiplexed router cell with live churn, the E14 sim-vs-live
+# sweep CLI, the live runtime (a virtual-time demo, an in-process
+# wall-clock cell, a UDP cell, a multiplexed router cell with live churn, the E14 sim-vs-live
 # table, one scenario argv through repro-live and repro-viz), the scale
 # experiment E15, the mobility experiment E16 and the mobility axis of
 # the sweep CLI, the observability layer (repro.viz: a headless
@@ -67,6 +67,12 @@ python -m repro.experiments live --alg gradient --topology line --nodes 8 \
     --transport virtual --duration 10 > "$ARTIFACTS/live_virtual.txt"
 grep -q "live-virtual" "$ARTIFACTS/live_virtual.txt" \
     || { echo "error: virtual live demo produced no summary" >&2; exit 1; }
+# The same loop on the in-process wall clock: ~0.5 s of real sleeping.
+python -m repro.experiments live --alg gradient --topology line --nodes 8 \
+    --transport asyncio --duration 10 --time-scale 0.05 \
+    > "$ARTIFACTS/live_asyncio.txt"
+grep -q "live-asyncio" "$ARTIFACTS/live_asyncio.txt" \
+    || { echo "error: asyncio live cell produced no summary" >&2; exit 1; }
 # One E14 quick cell on the UDP backend: one OS process per node,
 # bounded skew, well under the 30s budget.
 timeout 30 python -m repro.experiments live --alg gradient --topology line \

@@ -13,16 +13,17 @@ same, unchanged :class:`~repro.sim.node.Process` algorithm classes
   changes; its hardware clock is the simulator's own
   :class:`~repro.sim.clock.HardwareClock` over the cell's rate
   schedule, read at the transport's notion of "now";
-* four transport names carry the messages, on three loops:
-  :class:`VirtualTimeTransport` (``virtual``: deterministic,
-  simulator-equivalent — the cross-validation anchor),
-  :class:`InProcAsyncioTransport` (``asyncio``: real wall-clock asyncio),
-  and the one multi-process shard runtime
-  (:func:`repro.rt.shard.run_shards`: forked workers exchanging
-  :mod:`repro.wire` datagrams) under two names — ``udp``, one process
-  per node with frames addressed peer to peer, and ``router``, many
-  nodes multiplexed onto a few workers around one central switch socket
-  (the scale vehicle, and the only name that applies live churn:
+* four transport names carry the messages, on **one** loop
+  (:class:`ShardTransport`) configured by a clock and a carrier:
+  ``virtual`` (virtual clock, local carrier: deterministic and
+  byte-identical to the simulator — the cross-validation anchor),
+  ``asyncio`` (wall clock, local carrier: in-process, really sleeping),
+  and the multi-process runtime (:func:`repro.rt.shard.run_shards`:
+  forked shards of that same loop exchanging :mod:`repro.wire`
+  datagrams) under two names — ``udp``, one process per node with
+  frames addressed peer to peer, and ``router``, many nodes multiplexed
+  onto a few workers around one central switch socket (the scale
+  vehicle, and the only name that applies live churn:
   :class:`~repro.sim.faults.FaultPlan` crash/link windows and
   :class:`~repro.topology.dynamic.DynamicTopology` rewirings);
 * every run is recorded as a real
@@ -36,24 +37,22 @@ the ``live-run`` sweep job kind for grids, and experiment E14 for the
 sim-vs-live comparison table.
 """
 
-from repro.rt.asyncio_transport import InProcAsyncioTransport
 from repro.rt.jobs import live_run
 from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder, build_execution, merge_recorders
 from repro.rt.run import LiveRunConfig, run_live, with_transport
-from repro.rt.transport import TRANSPORT_NAMES, Transport
-from repro.rt.virtual import VirtualTimeTransport
+from repro.rt.shard import ShardTransport, host_shard
+from repro.rt.transport import TRANSPORT_NAMES
 
 __all__ = [
     "LiveNode",
     "LiveRecorder",
     "LiveRunConfig",
-    "Transport",
+    "ShardTransport",
     "TRANSPORT_NAMES",
-    "VirtualTimeTransport",
-    "InProcAsyncioTransport",
     "build_execution",
     "host_nodes",
+    "host_shard",
     "merge_recorders",
     "live_run",
     "run_live",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.analysis.reporting import Table
 from repro.analysis.skew import summarize
@@ -32,9 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-live",
         description=(
             "Run a clock synchronization algorithm live: unchanged "
-            "simulator processes on a virtual-time scheduler, real "
-            "asyncio tasks, one UDP process per node, or hundreds of "
-            "nodes multiplexed onto router worker processes."
+            "simulator processes on a virtual-time scheduler, an "
+            "in-process wall clock, one UDP process per node, or hundreds "
+            "of nodes multiplexed onto router worker processes."
         ),
     )
     add_scenario_arguments(parser)
@@ -78,9 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             tail = StreamingTail(
                 interval=args.tail_interval, out_dir=args.tail
             )
-        wall_start = time.perf_counter()
         execution = run_live(config, tail=tail)
-        wall = time.perf_counter() - wall_start
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -102,17 +99,15 @@ def main(argv: list[str] | None = None) -> int:
     table.add_row("mean |skew|", round(skew.mean_abs_skew, 4))
     table.add_row("messages sent", len(execution.messages))
     table.add_row("trace events", len(execution.trace))
-    live = execution.live_stats or {}
-    if "frames_dropped" in live:
-        table.add_row("frames dropped", live["frames_dropped"])
-    if "workers" in live:
-        table.add_row("worker processes", live["workers"])
+    live = execution.live_stats
+    table.add_row("frames dropped", live["frames_dropped"])
+    table.add_row("worker processes", live["workers"])
     if execution.fault_stats:
         injected = {k: v for k, v in execution.fault_stats.items() if v}
         table.add_row("fault events", injected or "none fired")
     if execution.is_dynamic:
         table.add_row("rewirings", len(execution.topology_timeline) - 1)
-    table.add_row("wall-clock seconds", round(wall, 3))
+    table.add_row("wall-clock seconds", round(live["wall_elapsed"], 3))
     if tail is not None:
         table.add_row("tail frames streamed", tail.frames_rendered)
     print(table.render())

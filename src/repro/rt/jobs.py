@@ -22,7 +22,6 @@ backends parallelize freely.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Mapping
 
 from repro.rt.run import LiveRunConfig, run_live
@@ -46,10 +45,8 @@ def live_run(params: Mapping[str, Any]) -> dict:
         transport=str(params["transport"]),
         time_scale=float(params.get("time_scale", 0.1)),
     )
-    wall_start = time.perf_counter()
     execution = run_live(config)
-    wall_elapsed = time.perf_counter() - wall_start
-    live = execution.live_stats or {}
+    live = execution.live_stats
     return {
         **cell_metrics(
             config,
@@ -60,13 +57,12 @@ def live_run(params: Mapping[str, Any]) -> dict:
         ),
         # Wire-level drop count (malformed/misdirected frames), distinct
         # from the injected losses inside ``fault_events``.
-        "frames_dropped": int(live.get("frames_dropped", 0)),
-        # Transport counters for sweep reports: udp and router cells
-        # count frames crossing the switch (none on udp) and callback
-        # events, and carry their process count; the in-process backends
-        # have no wire and no workers.
-        "frames_routed": int(live.get("frames_routed", 0)),
-        "events": int(live.get("events", 0)),
-        "workers": int(live.get("workers", 0)),
-        "wall_elapsed": round(wall_elapsed, 4),
+        "frames_dropped": int(live["frames_dropped"]),
+        # Transport counters for sweep reports: frames crossing the
+        # switch (router only), node callbacks dispatched, and forked
+        # processes (none for the in-process names).
+        "frames_routed": int(live["frames_routed"]),
+        "events": int(live["events"]),
+        "workers": int(live["workers"]),
+        "wall_elapsed": round(live["wall_elapsed"], 4),
     }

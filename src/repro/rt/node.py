@@ -5,7 +5,7 @@ ever touches — talks to five members of its host: ``now``, ``topology``,
 ``record``, ``send_message``, and ``set_timer``.  Inside the simulator
 that host is the :class:`~repro.sim.simulator.Simulator`; here it is a
 :class:`LiveNode`, which implements the same five members on top of a
-:class:`~repro.rt.transport.Transport`.  Algorithm code therefore needs
+:class:`~repro.rt.shard.ShardTransport`.  Algorithm code therefore needs
 **zero changes** to run live: the very same ``Process`` subclass objects
 execute in both worlds, which is what makes sim-vs-live comparisons
 (experiment E14) an apples-to-apples measurement.
@@ -39,7 +39,7 @@ from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rt.recorder import LiveRecorder
-    from repro.rt.transport import Transport
+    from repro.rt.shard import ShardTransport
     from repro.sweep.scenario import Cell, Scenario
 
 __all__ = ["LiveNode", "host_nodes"]
@@ -61,7 +61,7 @@ class LiveNode:
         schedule: PiecewiseConstantRate,
         rho: float,
         seed: int,
-        transport: "Transport",
+        transport: "ShardTransport",
         recorder: "LiveRecorder",
     ):
         self.node = node
@@ -124,17 +124,6 @@ class LiveNode:
         """Run the process's ``on_start`` callback."""
         self.process.on_start(self.api)
 
-    def start(self) -> None:
-        """Record START and run ``on_start`` in one step.
-
-        Wall-clock transports use this per-node form; the virtual
-        transport records every START before any ``on_start`` runs, the
-        exact order the simulator uses, so it calls the two halves
-        itself.
-        """
-        self.record_start()
-        self.begin()
-
     def deliver(self, sender: int, payload) -> None:
         """Record the RECEIVE event and run ``on_message``."""
         self.record(self._event(RECEIVE, (sender, payload)))
@@ -176,7 +165,7 @@ def host_nodes(
     cell: "Cell",
     members: Iterable[int],
     *,
-    transport: "Transport",
+    transport: "ShardTransport",
     recorder: "LiveRecorder",
 ) -> dict[int, LiveNode]:
     """Host ``members`` of a built cell on one transport.

@@ -5,26 +5,31 @@ the same code* as a simulated one: ``repro.analysis`` skew summaries,
 gradient profiles, convergence metrics, and the model-compliance checks
 all operate on an :class:`Execution`.  A :class:`LiveRecorder` therefore
 collects exactly what the simulator collects — trace events and sent
-messages — and :func:`build_execution` assembles them, together with the
-per-node clocks, into an ``Execution`` whose ``source`` names the
-transport it came from.
+messages — and :func:`build_execution` assembles the shard reports of a
+run (recorders, per-node clocks, counters) into an ``Execution`` whose
+``source`` names the transport it came from and whose ``live_stats``
+carry the run's transport counters and wall seconds.
 
-On the multi-process shard runtime (``udp`` / ``router``) every worker
-process records locally and ships its recorder state home;
-:func:`merge_recorders` splices the per-shard views into one globally
-time-ordered record.
+Every shard records locally — the one in-process shard of ``virtual`` /
+``asyncio``, or each forked worker of ``udp`` / ``router``, which ships
+its recorder home; :func:`merge_recorders` splices the per-shard views
+into one globally time-ordered record.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim.clock import HardwareClock, LogicalClock
+from repro.sim.clock import LogicalClock
 from repro.sim.execution import Execution
 from repro.sim.messages import Message
 from repro.sim.trace import ExecutionTrace, TraceEvent
-from repro.topology.base import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.rt.run import LiveRunConfig
+    from repro.sweep.scenario import Cell
 
 __all__ = ["LiveRecorder", "merge_recorders", "build_execution"]
 
@@ -75,36 +80,73 @@ def merge_recorders(recorders: list[LiveRecorder]) -> LiveRecorder:
 
 
 def build_execution(
+    config: "LiveRunConfig",
+    cell: "Cell",
+    reports: list[dict],
     *,
-    topology: Topology,
-    duration: float,
-    rho: float,
-    hardware: dict[int, HardwareClock],
-    logical: dict[int, LogicalClock],
-    recorder: LiveRecorder,
-    source: str,
-    fault_stats: dict | None = None,
-    topology_timeline: tuple | None = None,
-    live_stats: dict | None = None,
+    workers: int,
+    switch=None,
+    tail=None,
+    started: float,
 ) -> Execution:
-    """Assemble the finished live run into a measurable ``Execution``.
+    """Assemble the shard reports of a finished live run into an ``Execution``.
 
-    ``fault_stats`` and ``topology_timeline`` carry live churn (the
-    router backend runs :class:`~repro.sim.faults.FaultPlan` windows and
-    :class:`~repro.topology.dynamic.DynamicTopology` rewirings on real
-    transports); ``live_stats`` carries transport-level counters such as
-    the aggregate dropped-frame count.
+    ``reports`` are :func:`~repro.rt.shard.host_shard`'s, one per shard
+    (exactly one for an in-process run, with ``workers=0``); ``switch``
+    is the ``router`` frame switch, whose link-level fault counters join
+    the shards' node-level ones in ``fault_stats`` (live churn only) and
+    whose wire counters join the shards' in ``live_stats``.  A streaming
+    ``tail`` sees the final counters and is closed.  ``started`` is the
+    ``perf_counter`` reading at the top of ``run_live``: the run's wall
+    seconds are taken once, here.
     """
+    recorder = merge_recorders([report["recorder"] for report in reports])
+    logical: dict[int, LogicalClock] = {}
+    for report in reports:
+        logical.update(report["logical"])
+    dynamic = cell.dynamic
+    rewired = dynamic is not None and not dynamic.is_static()
+    fault_stats = None
+    if cell.fault_plan is not None or rewired:
+        fault_stats = switch.stats()
+        for report in reports:
+            for key, value in report["stats"].items():
+                fault_stats[key] = fault_stats.get(key, 0) + value
+    timeline = None
+    if rewired:
+        timeline = tuple(
+            (t, topo) for t, topo in dynamic.snapshots if t <= config.duration
+        )
+    # Wire counters: the switch's (zero without one) plus the shards' drops.
+    wire = (
+        switch.counters() if switch is not None
+        else {"frames_routed": 0, "frames_dropped": 0}
+    )
+    wire["frames_dropped"] += sum(report["frames_dropped"] for report in reports)
+    if tail is not None:
+        tail.stats(config.duration, **wire)
+        tail.close()
     return Execution(
-        topology=topology,
-        duration=duration,
-        rho=rho,
-        hardware=dict(hardware),
-        logical=dict(logical),
-        trace=ExecutionTrace(list(recorder.events)),
-        messages=list(recorder.messages),
+        topology=cell.topology,
+        duration=config.duration,
+        rho=config.rho,
+        hardware={node: logical[node].hardware for node in cell.topology.nodes},
+        logical=logical,
+        trace=ExecutionTrace(recorder.events),
+        messages=recorder.messages,
         fault_stats=fault_stats,
-        source=source,
-        topology_timeline=topology_timeline,
-        live_stats=live_stats,
+        source=f"live-{config.transport}",
+        topology_timeline=timeline,
+        # One key set with one meaning on every transport name.
+        live_stats={
+            # OS processes forked for the run (none in-process).
+            "workers": workers,
+            # Frames forwarded by the switch (``router`` only).
+            "frames_routed": wire["frames_routed"],
+            # Malformed or misdirected datagrams, switch and shards.
+            "frames_dropped": wire["frames_dropped"],
+            # Node callbacks dispatched: deliveries + timer firings.
+            "events": sum(report["events"] for report in reports),
+            "wall_elapsed": time.perf_counter() - started,
+        },
     )

@@ -6,22 +6,20 @@ engine and the simulator use — plus the four fields that say how to run
 it live, so a scenario moves between the simulator, the sweep grid, and
 the live runtime without translation.  :func:`run_live` builds the cell
 (:meth:`Scenario.build`, the same build the simulator path uses),
-dispatches to the requested transport backend, and returns an
-:class:`~repro.sim.execution.Execution` that every function in
-:mod:`repro.analysis` accepts verbatim.
+hosts it on the one live loop — in this process, or sharded over forked
+workers — and returns an :class:`~repro.sim.execution.Execution` that
+every function in :mod:`repro.analysis` accepts verbatim, with the
+run's counters and wall seconds in ``live_stats``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 from repro.errors import RtError
-from repro.rt.asyncio_transport import InProcAsyncioTransport
-from repro.rt.node import host_nodes
-from repro.rt.recorder import LiveRecorder, build_execution
-from repro.rt.shard import run_shards
-from repro.rt.transport import Transport
-from repro.rt.virtual import VirtualTimeTransport
+from repro.rt.recorder import build_execution
+from repro.rt.shard import host_shard, run_shards
 from repro.sim.execution import Execution
 from repro.sweep.families import TRANSPORT_FAMILIES
 from repro.sweep.scenario import Scenario
@@ -86,48 +84,19 @@ def run_live(config: LiveRunConfig, *, tail=None) -> Execution:
     ``udp`` mirrors sent frames to a parent-side tap socket — so rolling
     panels render *while the run executes*.
     """
-    if TRANSPORT_FAMILIES[config.transport].forks:
-        return run_shards(config, tail=tail)
-
+    started = time.perf_counter()
     cell = config.build()
-    recorder = LiveRecorder(
-        record_trace=config.record_trace,
-        tap=tail.event if tail is not None else None,
-    )
-    transport: Transport
-    if config.transport == "virtual":
-        transport = VirtualTimeTransport(
-            recorder=recorder, delay_policy=cell.delay_policy, seed=config.seed
-        )
+    if TRANSPORT_FAMILIES[config.transport].forks:
+        reports, switch = run_shards(config, cell, tail=tail)
+        workers = len(reports)
     else:
-        transport = InProcAsyncioTransport(
-            recorder=recorder,
-            delay_policy=cell.delay_policy,
-            seed=config.seed,
-            time_scale=config.time_scale,
-        )
-    nodes = host_nodes(
-        config, cell, cell.topology.nodes, transport=transport, recorder=recorder
-    )
-    transport.run(nodes, config.duration)
-    if tail is not None:
-        tail.close()
+        # The shard of every node, in this process, with no pipe.
+        tap = tail.event if tail is not None else None
+        reports = [host_shard(config, cell, cell.topology.nodes, tap=tap)]
+        switch, workers = None, 0
     return build_execution(
-        topology=cell.topology,
-        duration=config.duration,
-        rho=config.rho,
-        hardware={n: live.hardware for n, live in nodes.items()},
-        logical={n: live.logical for n, live in nodes.items()},
-        recorder=recorder,
-        source=f"live-{config.transport}",
-        # Every live backend reports transport counters; the in-process
-        # ones have no wire, so their drop count is structurally zero
-        # (live_stats is a dict on *all* live runs — callers never
-        # need a None guard to tell live from simulated).
-        live_stats={
-            "frames_dropped": 0,
-            "events": len(recorder.events),
-        },
+        config, cell, reports,
+        workers=workers, switch=switch, tail=tail, started=started,
     )
 
 

@@ -1,8 +1,16 @@
-"""The multi-process live runtime: shards of LiveNodes over localhost UDP.
+"""The live loop, and the multi-process runtime built from shards of it.
 
-``n`` nodes are split round-robin into *shards*; each shard is one
-forked worker process hosting its :class:`~repro.rt.node.LiveNode`
-objects inside one select/heap event loop (:class:`ShardTransport`),
+:class:`ShardTransport` is the one event loop of the live runtime: a
+heap of due deliveries, timers and churn events, driven by a clock
+(virtual or wall) and fed by a carrier (its own heap, or a UDP socket).
+:func:`host_shard` hosts a set of :class:`~repro.rt.node.LiveNode`
+objects on it and runs them.  The in-process names are one such shard
+holding every node (``virtual``: virtual clock; ``asyncio``: wall
+clock), called straight from :func:`~repro.rt.run.run_live`; the rest of
+this module is what the two multi-process names add.
+
+There, ``n`` nodes are split round-robin into *shards*; each shard is
+one forked worker process running :func:`host_shard` on a wall clock,
 and every message is one :mod:`repro.wire` frame in one datagram::
 
     {"seq": …, "src": i, "dst": j, "payload": …, "send": t, "delay": d}
@@ -13,9 +21,9 @@ because the receiver restores lists to tuples (every algorithm in
 sender-drawn and carried on the wire; the receiving shard holds each
 frame until its delivery instant.
 
-Two transport names run on this one runtime and differ only in how
-nodes are sharded and where a frame is sent (:func:`run_shards` works
-both out from ``config.transport``):
+The two multi-process names differ only in how nodes are sharded and
+where a frame is sent (:func:`run_shards` works both out from
+``config.transport``):
 
 * ``router`` — a handful of shards (:func:`default_workers`), and every
   frame goes to one central *switch* socket owned by the parent, which
@@ -50,7 +58,8 @@ Division of labor under churn
 
 Fault counters from both sides are merged into
 ``Execution.fault_stats``; wire-level drop counts and events/sec inputs
-land in ``Execution.live_stats`` (one key set for both names).
+land in ``Execution.live_stats`` (one key set for all four names; both
+written by :func:`~repro.rt.recorder.build_execution`).
 
 Timebase and failure handling
 -----------------------------
@@ -60,8 +69,9 @@ CLOCK_MONOTONIC epoch a short grace ahead and ships it to every shard;
 ``time.monotonic()`` is system-wide on Linux, so all shards agree on
 "simulation time 0" to scheduler precision.  A shard that still misses
 the epoch reports the fact and the parent warns.  After the run, shards
-ship their recorders and logical clocks home over pipes and the parent
-assembles one :class:`~repro.sim.execution.Execution`.  A shard process
+ship their :func:`host_shard` reports (recorder, logical clocks,
+counters) home over pipes and ``run_live`` assembles one
+:class:`~repro.sim.execution.Execution` from them.  A shard process
 that dies or closes its pipe without reporting raises a prompt
 :class:`RtError` naming it (:func:`collect_reports`).
 
@@ -74,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import multiprocessing
 import os
 import random
@@ -82,22 +93,28 @@ import socket
 import time
 import traceback
 import warnings
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
+from repro._constants import TIME_EPS
 from repro.errors import RtError
 from repro.rt.node import LiveNode, host_nodes
-from repro.rt.recorder import LiveRecorder, build_execution, merge_recorders
-from repro.rt.transport import DELAY_SEED_MIX, Transport
-from repro.sim.clock import HardwareClock
+from repro.rt.recorder import LiveRecorder
+from repro.rt.transport import DELAY_SEED_MIX
 from repro.sim.faults import FaultController, FaultPlan
+from repro.sim.messages import (
+    DelayPolicy,
+    HalfDistanceDelay,
+    Message,
+    validate_delay,
+)
 from repro.topology.dynamic import DynamicTopology
 from repro.wire import decode_frame, encode_frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rt.run import LiveRunConfig
-    from repro.sim.execution import Execution
+    from repro.sweep.scenario import Cell
 
-__all__ = ["ShardTransport", "run_shards", "default_workers"]
+__all__ = ["ShardTransport", "host_shard", "run_shards", "default_workers"]
 
 #: Wall seconds between the ready barrier and the shared start epoch.
 #: Every shard has already built its nodes and is blocked on its pipe by
@@ -130,8 +147,8 @@ def _untuple(value):
     return value
 
 
-class ShardTransport(Transport):
-    """The worker side: one event loop hosting a whole shard of nodes.
+class ShardTransport:
+    """The one live loop: time, messages and timers for the nodes it hosts.
 
     Heap entries carry the node they belong to, timers carry the crash
     epoch they were set in, and crash / recovery / rewiring instants are
@@ -139,28 +156,34 @@ class ShardTransport(Transport):
     lowest tiebreaks and dispatch before same-instant deliveries or
     timers — the simulator's ordering).
 
-    ``route`` maps every destination node to the address its frames are
-    sent to (the switch for ``router``, the owning peer for ``udp``);
-    ``mirror`` is an optional second address every sent frame is copied
-    to, so a streaming tail can watch a run whose traffic never crosses
-    the parent.
-    """
+    Two seams are chosen at construction and never again:
 
-    name = "shard"
+    * the **clock** — ``time_scale=None`` is *virtual* time: "now" jumps
+      to the head of the heap, nothing sleeps, and the run ends when the
+      heap is empty or its head lies past the horizon.  A number is
+      *wall* time: ``time_scale`` wall seconds per simulation unit,
+      measured from a CLOCK_MONOTONIC epoch, slept out in ``select``;
+    * the **carrier** — ``sock=None`` is *local*: a sent message goes
+      straight onto this loop's own heap (the loop hosts every node).
+      A socket is the *wire*: one :mod:`repro.wire` frame per message to
+      ``route[receiver]`` (the switch for ``router``, the owning peer
+      for ``udp``), plus a copy to ``mirror`` when a streaming tail
+      watches a run whose traffic never crosses the parent.
+    """
 
     def __init__(
         self,
         *,
-        shard: int,
-        n_shards: int,
-        sock: socket.socket,
-        route: Mapping[int, tuple],
-        mirror: Optional[tuple] = None,
         recorder: LiveRecorder,
-        delay_policy,
+        delay_policy: Optional[DelayPolicy],
         seed: int,
         duration: float,
-        time_scale: float,
+        time_scale: Optional[float],
+        shard: int = 0,
+        n_shards: int = 1,
+        sock: Optional[socket.socket] = None,
+        route: Optional[Mapping[int, tuple]] = None,
+        mirror: Optional[tuple] = None,
         plan: Optional[FaultPlan] = None,
         dynamic: Optional[DynamicTopology] = None,
     ):
@@ -169,20 +192,40 @@ class ShardTransport(Transport):
         self._sock = sock
         self._route = route
         self._mirror = mirror
-        # Per-shard delay stream: shards share no RNG, so each mixes its
-        # index into the simulator's delay-seed recipe.
-        self._init_messaging(
-            recorder=recorder,
-            delay_policy=delay_policy,
-            delay_rng=random.Random((seed ^ DELAY_SEED_MIX) * 0x9E37 + shard),
-            seed=seed,
+        # The two seams, bound here so no event pays for the choice.
+        #: Measured time in simulation units, as the clock defines it.
+        self._elapsed = self._head_due if time_scale is None else self._wall_elapsed
+        #: ``transmit(sender, receiver, payload)``: carry ``payload`` to
+        #: ``receiver`` under an injected model delay.
+        self.transmit = self._carry_local if sock is None else self._carry_wire
+        self._recorder = recorder
+        self.delay_policy: DelayPolicy = delay_policy or HalfDistanceDelay()
+        bind_run = getattr(self.delay_policy, "bind_run", None)
+        if bind_run is not None:
+            bind_run(seed)
+        # The simulator's own delay stream when the loop hosts every
+        # node (so ``virtual`` draws the very same delays); shards share
+        # no RNG, so each mixes its index into that recipe.
+        mixed = seed ^ DELAY_SEED_MIX
+        self._delay_rng = random.Random(
+            mixed if sock is None else mixed * 0x9E37 + shard
         )
+        self._msg_counter = 0
         self._duration = duration
         self._time_scale = time_scale
+        #: Measured time from which nothing more dispatches: the horizon
+        #: on a wall clock; on virtual time the first float past
+        #: ``duration + TIME_EPS``, so events due exactly at the horizon
+        #: still run (the simulator's ``>`` test, written as ``>=``).
+        self._cutoff = (
+            math.nextafter(duration + TIME_EPS, math.inf)
+            if time_scale is None else duration
+        )
         self._plan = plan
         self._dynamic = dynamic
-        self._epoch_wall: float | None = None
+        self._epoch_wall = 0.0
         self._now = 0.0
+        self._started = False
         # Pending (due, tiebreak, kind, data): deliveries, timers, churn.
         self._pending: list[tuple[float, int, str, tuple]] = []
         self._tiebreak = 0
@@ -210,26 +253,67 @@ class ShardTransport(Transport):
             "timers_cancelled": 0,
         }
 
-    def bind_epoch(self, epoch_wall: float) -> None:
-        """Anchor measured time to the shared CLOCK_MONOTONIC epoch."""
-        self._epoch_wall = epoch_wall
-
-    def _elapsed(self) -> float:
-        return (time.monotonic() - self._epoch_wall) / self._time_scale
-
     # ------------------------------------------------------------------
-    # Transport interface
+    # the clock seam
 
     def now(self) -> float:
+        """The current real time in simulation units.
+
+        Frozen for the duration of one node callback, so algorithm code
+        observes a single consistent instant per activation (the
+        simulator's instantaneous-computation semantics).
+        """
         return self._now
 
-    def _message_seq(self, counter: int) -> int:
-        # Run-unique seq without cross-shard coordination, for any run
-        # length: the counter is unique within the shard, and shards own
-        # disjoint residues mod the shard count.
-        return counter * self._n_shards + self._shard
+    def _wall_elapsed(self) -> float:
+        return (time.monotonic() - self._epoch_wall) / self._time_scale
 
-    def transmit(self, sender: LiveNode, receiver: int, payload) -> None:
+    def _head_due(self) -> float:
+        return self._pending[0][0]
+
+    # ------------------------------------------------------------------
+    # the send protocol and the carrier seam
+
+    def _next_message(
+        self, sender: LiveNode, receiver: int, payload
+    ) -> Optional[Message]:
+        """Draw one injected model-band delay and record the message.
+
+        Returns ``None`` when the policy's ``float('inf')`` sentinel
+        fires (the network lost the message).  The seq is run-unique
+        without cross-shard coordination, for any run length: the
+        counter is unique within the shard, and shards own disjoint
+        residues mod the shard count.
+        """
+        now = self._now
+        distance = sender.topology.distance(sender.node, receiver)
+        raw = self.delay_policy.delay(
+            sender.node, receiver, now, distance, self._msg_counter, self._delay_rng
+        )
+        seq = self._msg_counter * self._n_shards + self._shard
+        self._msg_counter += 1
+        if raw == float("inf"):
+            return None
+        message = Message(
+            seq=seq,
+            sender=sender.node,
+            receiver=receiver,
+            payload=payload,
+            send_time=now,
+            delay=validate_delay(raw, distance),
+        )
+        self._recorder.add_message(message)
+        return message
+
+    def _carry_local(self, sender: LiveNode, receiver: int, payload) -> None:
+        message = self._next_message(sender, receiver, payload)
+        if message is not None:
+            self._push(
+                message.receive_time, "msg",
+                (receiver, message.sender, message.send_time, payload),
+            )
+
+    def _carry_wire(self, sender: LiveNode, receiver: int, payload) -> None:
         message = self._next_message(sender, receiver, payload)
         if message is None:
             return
@@ -248,6 +332,7 @@ class ShardTransport(Transport):
             self._sock.sendto(frame, self._mirror)
 
     def schedule_timer(self, node: LiveNode, fire_at: float, name: str) -> None:
+        """Arrange ``on_timer(name)`` at simulation time ``fire_at``."""
         self._push(
             fire_at, "timer",
             (node.node, name, self._epochs.get(node.node, 0)),
@@ -258,11 +343,20 @@ class ShardTransport(Transport):
         self._tiebreak += 1
 
     # ------------------------------------------------------------------
-    # the shard event loop
+    # the event loop
 
-    def run(self, nodes: Mapping[int, LiveNode], duration: float) -> None:
-        if self._epoch_wall is None:
-            raise RtError("bind_epoch must be called before run")
+    def run(self, nodes: Mapping[int, LiveNode], epoch: float | None = None) -> None:
+        """Start every node and drive the run to its horizon.
+
+        ``epoch`` is the CLOCK_MONOTONIC instant that is simulation time
+        0 on a wall clock (shards are handed one shared epoch; default:
+        now).
+        """
+        if self._started:
+            raise RtError("a ShardTransport instance runs exactly once")
+        self._started = True
+        self._epoch_wall = time.monotonic() if epoch is None else epoch
+        duration = self._duration
         self._nodes = dict(nodes)
         down_at_start: set[int] = set()
         if self._plan is not None:
@@ -292,16 +386,22 @@ class ShardTransport(Transport):
         for node in sorted(self._nodes):
             if node not in down_at_start:
                 self._nodes[node].begin()
-        while True:
-            elapsed = self._elapsed()
-            if elapsed >= duration:
-                break
-            due = self._pending[0][0] if self._pending else duration
-            timeout = max(0.0, (min(due, duration) - elapsed) * self._time_scale)
-            readable, _, _ = select.select([self._sock], [], [], timeout)
-            if readable:
-                self._drain_socket()
+        if self._time_scale is None:
+            # Virtual time waits for nothing: "now" is the head's due
+            # time, until the heap runs dry or its head passes the cutoff.
             self._dispatch_due()
+        else:
+            socks = [] if self._sock is None else [self._sock]
+            while True:
+                elapsed = self._elapsed()
+                if elapsed >= duration:
+                    break
+                due = self._pending[0][0] if self._pending else duration
+                timeout = max(0.0, (min(due, duration) - elapsed) * self._time_scale)
+                readable, _, _ = select.select(socks, [], [], timeout)
+                if readable:
+                    self._drain_socket()
+                self._dispatch_due()
         self._now = duration
 
     def _drain_socket(self) -> None:
@@ -330,12 +430,12 @@ class ShardTransport(Transport):
         while self._pending:
             due = self._pending[0][0]
             elapsed = self._elapsed()
-            if due > elapsed or elapsed >= self._duration:
+            if due > elapsed or elapsed >= self._cutoff:
                 return
             _, _, kind, data = heapq.heappop(self._pending)
             # Freeze the callback's instant at measured time (>= due when
             # the OS woke us late), monotone and inside the run.
-            self._now = min(max(self._now, elapsed), self._duration)
+            self._now = min(max(self._now, elapsed), self._cutoff)
             if kind == "msg":
                 dst, src, send_time, payload = data
                 if self._delivery_lost(src, dst, send_time):
@@ -589,6 +689,49 @@ def warn_missed_epochs(reports: Mapping, *, role: str) -> None:
         )
 
 
+def host_shard(
+    config: "LiveRunConfig",
+    cell: "Cell",
+    members: Iterable[int],
+    *,
+    tap: Optional[Callable] = None,
+    barrier: Optional[Callable[[], tuple]] = None,
+    **wire,
+) -> dict:
+    """Host ``members`` of a built cell on the one loop, run it, report.
+
+    The one host-and-run path of all four names.  An in-process run is
+    the shard of every node in the calling process: no ``wire`` (the
+    loop's ``shard`` / ``n_shards`` / ``sock`` / ``route`` / ``mirror``
+    arguments), no ``barrier``, and ``tap`` sees every trace event as it
+    happens.  A forked shard passes a ``barrier`` that blocks until the
+    shared start epoch and returns ``(epoch, missed_it)``.
+    """
+    recorder = LiveRecorder(record_trace=config.record_trace, tap=tap)
+    transport = ShardTransport(
+        recorder=recorder,
+        delay_policy=cell.delay_policy,
+        seed=config.seed,
+        duration=config.duration,
+        time_scale=None if config.transport == "virtual" else config.time_scale,
+        plan=cell.fault_plan,
+        dynamic=cell.dynamic,
+        **wire,
+    )
+    nodes = host_nodes(config, cell, members, transport=transport, recorder=recorder)
+    # Everything expensive is built before the clock starts.
+    epoch, missed_epoch = barrier() if barrier is not None else (None, False)
+    transport.run(nodes, epoch)
+    return {
+        "recorder": recorder,
+        "logical": {node: live.logical for node, live in nodes.items()},
+        "frames_dropped": transport.frames_dropped,
+        "events": transport.events_processed,
+        "stats": transport.stats,
+        "missed_epoch": missed_epoch,
+    }
+
+
 def _shard_main(
     shard: int,
     shards: tuple,
@@ -599,46 +742,32 @@ def _shard_main(
     conn,
 ) -> None:
     """Entry point of one shard process (fork-inherited socket)."""
-    try:
-        sock.setblocking(False)
-        cell = config.build()
-        recorder = LiveRecorder(record_trace=config.record_trace)
-        transport = ShardTransport(
-            shard=shard,
-            n_shards=len(shards),
-            sock=sock,
-            route=route,
-            mirror=mirror,
-            recorder=recorder,
-            delay_policy=cell.delay_policy,
-            seed=config.seed,
-            duration=config.duration,
-            time_scale=config.time_scale,
-            plan=cell.fault_plan,
-            dynamic=cell.dynamic,
-        )
-        nodes = host_nodes(
-            config, cell, shards[shard], transport=transport, recorder=recorder
-        )
-        # Everything expensive is built; tell the parent we are ready
-        # and block until it publishes the shared epoch.
+
+    def barrier() -> tuple:
+        # Tell the parent we are ready, block until it publishes the
+        # shared epoch, and sleep off the start grace so every shard
+        # begins at the epoch.
         conn.send({"ready": True})
         epoch = conn.recv()["epoch"]
-        transport.bind_epoch(epoch)
-        # Sleep off the start grace so every shard begins at the epoch.
         lag = epoch - time.monotonic()
         if lag > 0:
             time.sleep(lag)
-        transport.run(nodes, config.duration)
+        return epoch, lag <= 0
+
+    try:
+        sock.setblocking(False)
         conn.send(
-            {
-                "recorder": recorder,
-                "logical": {node: live.logical for node, live in nodes.items()},
-                "frames_dropped": transport.frames_dropped,
-                "events": transport.events_processed,
-                "stats": transport.stats,
-                "missed_epoch": lag <= 0,
-            }
+            host_shard(
+                config,
+                config.build(),
+                shards[shard],
+                barrier=barrier,
+                shard=shard,
+                n_shards=len(shards),
+                sock=sock,
+                route=route,
+                mirror=mirror,
+            )
         )
     except Exception:  # pragma: no cover - surfaced as RtError in the parent
         conn.send({"error": traceback.format_exc()})
@@ -662,8 +791,14 @@ def _bound_socket() -> socket.socket:
     return sock
 
 
-def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
-    """Run one live scenario on the ``udp`` or ``router`` transport."""
+def run_shards(
+    config: "LiveRunConfig", cell: "Cell", *, tail=None
+) -> tuple[list[dict], Optional[_RouterCore]]:
+    """Fork one ``udp`` or ``router`` run of a built cell.
+
+    Returns every shard's :func:`host_shard` report, in shard order, and
+    the switch the frames crossed (``None`` on ``udp``).
+    """
     direct = config.transport == "udp"
     role = "node process" if direct else "router worker"
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -679,11 +814,10 @@ def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
             f"cells through run_jobs, which keeps them off its pool"
         )
     ctx = multiprocessing.get_context("fork")
-    # Pure in the config, so every shard re-derives these same objects
-    # from the config it is handed instead of having them shipped.
-    cell = config.build()
-    base, dynamic, schedules = cell.topology, cell.dynamic, cell.rates
-    plan = cell.fault_plan
+    # The cell is pure in the config, so every shard re-derives these
+    # same objects from the config it is handed instead of having them
+    # shipped.
+    base = cell.topology
     all_nodes = tuple(base.nodes)
     n_shards = (
         base.n if direct
@@ -717,8 +851,8 @@ def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
             core = _RouterCore(
                 sock=hub,
                 topology=base,
-                plan=plan,
-                dynamic=dynamic,
+                plan=cell.fault_plan,
+                dynamic=cell.dynamic,
                 seed=config.seed,
                 time_scale=config.time_scale,
                 owner=owner,
@@ -785,47 +919,4 @@ def run_shards(config: "LiveRunConfig", *, tail=None) -> "Execution":
 
     raise_reported_errors(reports, role=role)
     warn_missed_epochs(reports, role=role)
-
-    recorder = merge_recorders([reports[s]["recorder"] for s in sorted(reports)])
-    logical = {}
-    for s in sorted(reports):
-        logical.update(reports[s]["logical"])
-
-    churny = plan is not None or (dynamic is not None and not dynamic.is_static())
-    fault_stats = None
-    if churny:
-        fault_stats = core.stats()
-        for report in reports.values():
-            for key, value in report["stats"].items():
-                fault_stats[key] = fault_stats.get(key, 0) + value
-    timeline = None
-    if dynamic is not None and not dynamic.is_static():
-        timeline = tuple(
-            (t, topo) for t, topo in dynamic.snapshots if t <= config.duration
-        )
-    # Wire counters: the switch's (zero without one) plus the shards' drops.
-    switch = (
-        core.counters() if core is not None
-        else {"frames_routed": 0, "frames_dropped": 0}
-    )
-    switch["frames_dropped"] += sum(r["frames_dropped"] for r in reports.values())
-    if tail is not None:
-        tail.stats(config.duration, **switch)
-        tail.close()
-    return build_execution(
-        topology=base,
-        duration=config.duration,
-        rho=config.rho,
-        hardware={n: HardwareClock(schedules[n], config.rho) for n in base.nodes},
-        logical=logical,
-        recorder=recorder,
-        source=f"live-{config.transport}",
-        fault_stats=fault_stats,
-        topology_timeline=timeline,
-        live_stats={
-            "workers": n_shards,
-            "frames_routed": switch["frames_routed"],
-            "frames_dropped": switch["frames_dropped"],
-            "events": sum(r["events"] for r in reports.values()),
-        },
-    )
+    return [reports[s] for s in sorted(reports)], core

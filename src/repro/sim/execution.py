@@ -53,9 +53,10 @@ class Execution:
     #: queries, :func:`repro.gcs.properties.check_gradient`) evaluate
     #: against the network live at each instant.
     topology_timeline: tuple[tuple[float, Topology], ...] | None = None
-    #: Transport-level counters of a :mod:`repro.rt` run (aggregate
-    #: ``frames_dropped`` and ``events`` on every transport, plus
-    #: ``frames_routed`` and ``workers`` on udp/router); ``None`` for
+    #: Transport-level counters of a :mod:`repro.rt` run — one key set
+    #: on every transport name: ``workers``, ``frames_routed``,
+    #: ``frames_dropped``, ``events`` (node callbacks dispatched) and
+    #: ``wall_elapsed`` (seconds ``run_live`` took); ``None`` for
     #: simulator runs.  Dropped frames are wire-level losses (malformed
     #: or misdirected datagrams), distinct from the *injected* losses
     #: counted in :attr:`fault_stats`.

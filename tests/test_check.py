@@ -447,6 +447,56 @@ class TestOneSweepBackEnd:
         ]
 
 
+class TestOneLiveLoop:
+    """virtual, asyncio, udp and router are four settings of one loop."""
+
+    RT = SRC / "repro" / "rt"
+
+    @classmethod
+    def _rt_modules_with(cls, *needles):
+        return sorted(
+            path.name
+            for path in cls.RT.glob("*.py")
+            if any(n in path.read_text(encoding="utf-8") for n in needles)
+        )
+
+    def test_the_in_process_loop_modules_are_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.rt.virtual") is None
+        assert importlib.util.find_spec("repro.rt.asyncio_transport") is None
+
+    def test_one_heap_loop_and_one_run(self):
+        assert self._rt_modules_with("heapq.heappop(") == ["shard.py"]
+        assert self._rt_modules_with("def run(self, nodes") == ["shard.py"]
+
+    def test_rt_borrows_no_other_event_loop(self):
+        assert self._rt_modules_with(
+            "import asyncio", "from asyncio", "sim.events", "EventQueue",
+            "call_later", "abstractmethod",
+        ) == []
+
+    def test_the_transport_table_did_not_move(self):
+        from repro.sweep.families import TRANSPORT_FAMILIES
+
+        assert {n: tuple(f) for n, f in TRANSPORT_FAMILIES.items()} == {
+            "virtual": (False, False),
+            "asyncio": (False, False),
+            "udp": (True, False),
+            "router": (True, True),
+        }
+        assert tuple(TRANSPORT_FAMILIES) == ("virtual", "asyncio", "udp", "router")
+
+    def test_live_stats_is_written_at_one_site(self):
+        sites = [
+            str(path.relative_to(SRC))
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "live_stats={" in line
+        ]
+        assert sites == ["repro/rt/recorder.py"]
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 

@@ -9,6 +9,9 @@ exact values — wall-clock runs carry genuine OS scheduling noise.
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.e14_live import skew_bound
@@ -62,6 +65,58 @@ class TestAsyncioTransport:
         # monotonic clock measured from one origin, nothing else.
         recorded = [e.real_time for e in execution.trace]
         assert recorded == sorted(recorded)
+
+
+    def test_wall_clock_loop_sleeps_neither_spins_nor_ends_early(self):
+        """``duration x time_scale`` of wall, spent asleep in ``select``."""
+        config = LiveRunConfig(
+            topology="line:8", algorithm="gradient", duration=10.0,
+            rho=0.2, seed=0, transport="asyncio", time_scale=0.05,
+        )
+        wall_start, cpu_start = time.perf_counter(), time.process_time()
+        execution = run_live(config)
+        wall = time.perf_counter() - wall_start
+        cpu = time.process_time() - cpu_start
+        assert 0.5 <= wall <= 1.5
+        assert cpu < 0.5 * wall  # a zero-timeout select would burn it all
+        recorded = [e.real_time for e in execution.trace]
+        assert recorded == sorted(recorded)
+        assert 0.0 <= recorded[0]
+        assert 0.8 * config.duration <= recorded[-1] <= config.duration
+
+
+class TestLiveStats:
+    """One ``live_stats`` key set, one meaning per key, on all four names."""
+
+    CELL = LiveRunConfig(
+        topology="line:6", algorithm="gradient", duration=4.0, rho=0.2,
+        seed=0, transport="virtual", time_scale=0.05,
+    )
+
+    def test_events_counts_callbacks_with_or_without_a_trace(self):
+        traced = run_live(self.CELL)
+        untraced = run_live(replace(self.CELL, record_trace=False))
+        callbacks = len(traced.trace.of_kind("receive")) + len(
+            traced.trace.of_kind("timer")
+        )
+        assert traced.live_stats["events"] == callbacks > 0
+        assert untraced.live_stats["events"] == callbacks
+
+    def test_every_transport_reports_the_same_keys(self):
+        stats = {
+            name: run_live(replace(self.CELL, transport=name)).live_stats
+            for name in ("virtual", "asyncio", "udp", "router")
+        }
+        assert {frozenset(s) for s in stats.values()} == {
+            frozenset(
+                ("workers", "frames_routed", "frames_dropped", "events",
+                 "wall_elapsed")
+            )
+        }
+        assert [stats[name]["workers"] for name in stats] == [0, 0, 6, 1]
+        # The wall clocks sleep the run out; the virtual clock does not.
+        assert stats["virtual"]["wall_elapsed"] < 0.2
+        assert stats["asyncio"]["wall_elapsed"] >= 0.2
 
 
 class TestUdpTransport:

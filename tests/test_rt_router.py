@@ -223,7 +223,8 @@ class TestShardFailureHandling:
         execution = run_live(self.config(transport))
         assert execution.live_stats["frames_dropped"] >= 1
         assert sorted(execution.live_stats) == [
-            "events", "frames_dropped", "frames_routed", "workers",
+            "events", "frames_dropped", "frames_routed", "wall_elapsed",
+            "workers",
         ]
 
 

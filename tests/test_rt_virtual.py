@@ -1,48 +1,25 @@
 """Cross-validation: the virtual-time live runtime vs the simulator.
 
-The acceptance contract of the LiveNode adapter: an unchanged algorithm
-process run on :class:`VirtualTimeTransport` with the same (topology,
-rates, delays, seed, duration) produces an execution matching the
-:class:`Simulator`'s within the documented tolerance — in fact the two
-are identical to float round-off, because the engines share event
-ordering, RNG streams, and clock arithmetic.  Any widening of this gap
-is a semantic change in the adapter, not noise.
+The acceptance contract of the LiveNode adapter (contract 2): an
+unchanged algorithm process run through ``run_live`` on the ``virtual``
+transport produces the **same execution** as ``Scenario.simulate`` of
+the same cell — same trace digest, same ``Message`` tuples, bitwise the
+same logical- and hardware-clock matrices, no tolerance anywhere —
+because the two loops share event ordering, RNG streams and clock
+arithmetic.  ``assert_equivalent`` is the harness the simulator's own
+reference-vs-production contract uses, so a divergence is reported as
+the index of the first differing event, both events, and the last
+common one.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from _engine_helpers import assert_equivalent
 
 from repro.errors import RtError
 from repro.rt import LiveRunConfig, run_live
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.sweep.families import (
-    algorithm_from_spec,
-    delay_policy_from_spec,
-    rates_from_spec,
-    topology_from_spec,
-)
-
-#: Documented sim-vs-virtual tolerance on per-sample skew trajectories.
-TOLERANCE = 1e-9
-
-
-def _sim_twin(config: LiveRunConfig):
-    """The simulator run of exactly the scenario ``config`` describes."""
-    topology = topology_from_spec(config.topology)
-    algorithm = algorithm_from_spec(config.algorithm)
-    return run_simulation(
-        topology,
-        algorithm.processes(topology),
-        SimConfig(duration=config.duration, rho=config.rho, seed=config.seed),
-        rate_schedules=rates_from_spec(
-            config.rates, topology, rho=config.rho, seed=config.seed,
-            horizon=config.duration,
-        ),
-        delay_policy=delay_policy_from_spec(config.delays),
-    )
-
+from repro.sweep.families import ALGORITHM_KINDS
 
 GRADIENT_8 = LiveRunConfig(
     topology="line:8", algorithm="gradient", rates="drifted",
@@ -53,39 +30,39 @@ GRADIENT_8 = LiveRunConfig(
 class TestCrossValidation:
     def test_gradient_skew_trajectory_matches_simulator(self):
         """The acceptance criterion: 8-node line, gradient, same seed —
-        the max-skew trajectory agrees within TOLERANCE at every sample."""
+        the max-skew trajectory is equal, bit for bit, at every sample."""
         live = run_live(GRADIENT_8)
-        sim = _sim_twin(GRADIENT_8)
+        sim = GRADIENT_8.simulate(record_trace=True)
         times = sim.sample_times(0.5)
-        live_traj = np.array([live.max_skew(t) for t in times])
-        sim_traj = np.array([sim.max_skew(t) for t in times])
-        assert np.abs(live_traj - sim_traj).max() <= TOLERANCE
+        assert [live.max_skew(t) for t in times] == [sim.max_skew(t) for t in times]
 
     def test_trace_and_messages_identical(self):
-        live = run_live(GRADIENT_8)
-        sim = _sim_twin(GRADIENT_8)
-        assert len(live.trace) == len(sim.trace)
-        for a, b in zip(live.trace, sim.trace):
-            assert repr(a) == repr(b)
-        assert [repr(m) for m in live.messages] == [repr(m) for m in sim.messages]
+        assert_equivalent(GRADIENT_8.simulate(record_trace=True), run_live(GRADIENT_8))
 
-    @pytest.mark.parametrize(
-        "algorithm", ["max-based", "averaging", "slewing-max", "srikanth-toueg"]
-    )
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_KINDS))
     def test_every_algorithm_matches_simulator(self, algorithm):
+        for delays in ("half", "uniform"):
+            config = LiveRunConfig(
+                topology="ring:6", algorithm=algorithm, rates="spread",
+                delays=delays, duration=15.0, rho=0.2, seed=2,
+                transport="virtual",
+            )
+            assert_equivalent(config.simulate(record_trace=True), run_live(config))
+
+    def test_an_event_due_exactly_at_the_horizon_still_runs(self):
+        # Constant rates put the period-1 timers on whole numbers, so
+        # one fires at t == duration: the simulator runs it, and so must
+        # the virtual clock's horizon test.
         config = LiveRunConfig(
-            topology="ring:6", algorithm=algorithm, rates="spread",
-            delays="half", duration=15.0, rho=0.2, seed=2, transport="virtual",
+            topology="line:4", algorithm="max-based", rates="constant",
+            delays="half", duration=6.0, seed=1, transport="virtual",
         )
         live = run_live(config)
-        sim = _sim_twin(config)
-        for t in sim.sample_times(1.0):
-            assert abs(live.max_skew(t) - sim.max_skew(t)) <= TOLERANCE
+        assert_equivalent(config.simulate(record_trace=True), live)
+        assert live.trace.events[-1].real_time == config.duration
 
     def test_virtual_runs_deterministic(self):
-        one = run_live(GRADIENT_8)
-        two = run_live(GRADIENT_8)
-        assert [repr(e) for e in one.trace] == [repr(e) for e in two.trace]
+        assert_equivalent(run_live(GRADIENT_8), run_live(GRADIENT_8))
 
 
 class TestExecutionCompatibility:
@@ -130,9 +107,12 @@ class TestConfigValidation:
             LiveRunConfig(time_scale=-1.0)
 
     def test_virtual_transport_runs_once(self):
-        from repro.rt import LiveRecorder, VirtualTimeTransport
+        from repro.rt import LiveRecorder, ShardTransport
 
-        transport = VirtualTimeTransport(recorder=LiveRecorder(), seed=0)
-        transport.run({}, 1.0)
+        transport = ShardTransport(
+            recorder=LiveRecorder(), delay_policy=None, seed=0,
+            duration=1.0, time_scale=None,
+        )
+        transport.run({})
         with pytest.raises(RtError):
-            transport.run({}, 1.0)
+            transport.run({})

@@ -144,4 +144,4 @@ class TestStreamingTailLive:
         )
         assert len(seen) >= 2
         assert len(tail.latest) == 5  # every node observed via the tap
-        assert execution.live_stats["events"] == tail._events_seen
+        assert tail._events_seen == len(execution.trace)  # ... and every event
