@@ -145,6 +145,20 @@ test -s "$ARTIFACTS/viz/dashboard.svg" \
     || { echo "error: viz dashboard wrote no dashboard.svg" >&2; exit 1; }
 test -s "$ARTIFACTS/viz/mobility.svg" \
     || { echo "error: viz dashboard wrote no mobility.svg" >&2; exit 1; }
+# The dashboard is well-formed and small: its heatmaps are embedded
+# pixel grids, and a return of one mark per cell must fail here, by name
+# (for this cell that was 2 504 rects in 202 KB; it is 55 in 30 KB).
+python - "$ARTIFACTS/viz/dashboard.svg" <<'PY' \
+    || { echo "error: dashboard.svg is malformed, over 1 MB or draws a rect per heatmap cell" >&2; exit 1; }
+import sys, xml.etree.ElementTree as ET
+from pathlib import Path
+
+path = Path(sys.argv[1])
+rects = sum(e.tag.endswith("}rect") for e in ET.parse(path).iter())
+size = path.stat().st_size
+print(f"dashboard.svg: well-formed, {size} bytes, {rects} rects")
+sys.exit(size > 1_000_000 or rects > 1_000)
+PY
 # The sweep artifact from the first step, rendered as a report.
 python -m repro.experiments viz report "$ARTIFACTS/sweep.json" \
     --out "$ARTIFACTS/viz" >> "$ARTIFACTS/viz.txt"

@@ -71,6 +71,7 @@ class SkewField:
         self._max_series: np.ndarray | None = None
         self._adjacent_series: np.ndarray | None = None
         self._segments_cache: list | None = None
+        self._peak_pairs: list[np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -201,9 +202,33 @@ class SkewField:
         return column[:, None] - column[None, :]
 
     def heatmap(self) -> np.ndarray:
-        """The ``T x n x n`` stack of signed skew matrices."""
+        """The ``T x n x n`` stack of signed skew matrices, for offline
+        plotting: ``T * n**2 * 8`` bytes (126 MB at 49 samples of 256
+        nodes).  Questions about pairs over time — which pair peaked,
+        does each meet a bound — read the ``n x n`` :meth:`peak_pairs`."""
         columns = self.values.T
         return columns[:, :, None] - columns[:, None, :]
+
+    def peak_pairs(self) -> list[np.ndarray]:
+        """``max_t |L_i(t) - L_j(t)|`` as one symmetric ``n x n`` matrix
+        per topology segment (aligned with :meth:`topology_segments`,
+        over that segment's sample times), cached.
+
+        The one object Requirement 2 is read from: the gradient profile,
+        ``check_gradient`` and the dashboard's peak panel all fold it.
+        Entry for entry ``np.abs(heatmap()).max(axis=0)``, from one
+        ``|V[i+1:] - V[i]|`` row broadcast per anchor node.
+        """
+        if self._peak_pairs is None:
+            self._peak_pairs = []
+            for _, cols in self.topology_segments():
+                block = self.values[:, cols]
+                peak = np.zeros((self.n, self.n))
+                for i in range(self.n - 1):
+                    worst = np.abs(block[i + 1:] - block[i]).max(axis=1)
+                    peak[i, i + 1:] = peak[i + 1:, i] = worst
+                self._peak_pairs.append(peak)
+        return list(self._peak_pairs)
 
     def max_logical_increase(
         self, *, window: float = 1.0, step: float = 0.25, t_from: float = 0.0
@@ -219,10 +244,9 @@ class SkewField:
     def gradient_profile(self) -> dict[float, float]:
         """Max absolute skew per pair distance — the empirical ``f(d)``.
 
-        Row-vectorized: one ``|V[i+1:] - V[i]|`` broadcast per anchor
-        node yields every pair's worst skew over time; only the
-        group-by-distance fold stays in Python (it preserves the scalar
-        path's ``round(d, 9)`` keying exactly).
+        A group-by-distance over :meth:`peak_pairs`: grouped by exact
+        distance in one array step, then one entry per distinct distance
+        is keyed by the scalar path's ``round(d, 9)`` in Python.
 
         On dynamic executions each pair's skew is attributed to the
         distance it had *when the skew was observed* (one fold per
@@ -230,21 +254,15 @@ class SkewField:
         Requirement 2 read against time-varying distances.
         """
         profile: dict[float, float] = {}
-        for topology, cols in self.topology_segments():
-            distances = topology.distances
-            block = (
-                self.values
-                if cols.size == self.times.size
-                else self.values[:, cols]
-            )
-            for i in range(self.n - 1):
-                worst = np.abs(block[i + 1:] - block[i]).max(axis=1)
-                row = distances[i, i + 1:]
-                for offset in range(worst.shape[0]):
-                    d = round(float(row[offset]), 9)
-                    w = float(worst[offset])
-                    if w > profile.get(d, float("-inf")):
-                        profile[d] = w
+        upper = np.triu_indices(self.n, 1)
+        for (topology, _), peak in zip(self.topology_segments(), self.peak_pairs()):
+            distances, group = np.unique(topology.distances[upper], return_inverse=True)
+            worst = np.full(distances.size, float("-inf"))
+            np.maximum.at(worst, group, peak[upper])
+            for d, w in zip(distances.tolist(), worst.tolist()):
+                d = round(d, 9)
+                if w > profile.get(d, float("-inf")):
+                    profile[d] = w
         return dict(sorted(profile.items()))
 
     # ------------------------------------------------------------------

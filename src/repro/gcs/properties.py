@@ -98,10 +98,12 @@ def check_gradient(
     experiments only ever claim *violations* (which are witnessed
     exactly), never certifications.
 
-    Evaluated from one batched :class:`~repro.analysis.field.SkewField`
-    (one pair-series comparison per pair instead of a ``value_at`` per
-    (pair, time)); violations are returned in the scalar path's
-    time-major order.
+    Evaluated from one batched :class:`~repro.analysis.field.SkewField`:
+    each pair's peak over a topology segment (``field.peak_pairs()``) is
+    compared with ``bound(d)``, evaluated once per distinct distance, in
+    one array step; only a pair whose peak exceeds its limit is walked
+    sample by sample.  Violations come in the scalar path's time-major
+    order.
 
     On dynamic-topology executions the bound is evaluated against the
     **time-varying** pairwise distance: each sample time is charged
@@ -114,15 +116,22 @@ def check_gradient(
     """
     times = list(times) if times is not None else execution.sample_times()
     field = SkewField(execution, times)
-    segments = field.topology_segments()
+    # Row-major upper triangle: a pair's position here is its rank in
+    # ``topology.pairs()``, the tie-break within one sample time.
+    upper_i, upper_j = np.triu_indices(field.n, 1)
     hits: list[tuple[int, int, GradientViolation]] = []
-    for rank, (i, j) in enumerate(execution.topology.pairs()):
-        series = field.pair_series(i, j)
-        for topology, cols in segments:
+    for (topology, cols), peak in zip(field.topology_segments(), field.peak_pairs()):
+        distances, group = np.unique(
+            topology.distances[upper_i, upper_j], return_inverse=True
+        )
+        limits = np.array([bound(d) for d in distances.tolist()], dtype=float)
+        over = peak[upper_i, upper_j] > limits[group] + 1e-9
+        for rank in np.nonzero(over)[0].tolist():
+            i, j = int(upper_i[rank]), int(upper_j[rank])
+            series = field.pair_series(i, j)
             d = topology.distance(i, j)
             limit = bound(d)
-            block = series if cols.size == series.size else series[cols]
-            for offset in np.nonzero(block > limit + 1e-9)[0]:
+            for offset in np.nonzero(series[cols] > limit + 1e-9)[0]:
                 k = int(cols[offset])
                 hits.append(
                     (

@@ -16,8 +16,9 @@ table uses — so the figures and the numbers can never disagree:
 * a **stat strip** carrying ``source``, ``live_stats`` (frames dropped /
   routed, workers), ``fault_stats`` counters, and rewiring counts.
 
-All rendering is headless string assembly; ``save_svg`` writes to paths
-or in-memory buffers.
+All rendering is headless: marks and text are assembled as SVG strings,
+each heatmap is one embedded PNG pixel grid; ``save_svg`` writes to
+paths or in-memory buffers.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from repro.analysis.field import SkewField
 from repro.sim.trace import CRASH, RECOVER, TOPOLOGY
 from repro.viz.panels import (
+    HEATMAP_LIMIT,
     EventMarker,
     Series,
     heatmap_panel,
@@ -53,10 +55,14 @@ def trace_markers(execution) -> list[EventMarker]:
 
 
 def dashboard_field(execution, *, step: float | None = None) -> SkewField:
-    """A dashboard-resolution field: ~256 sample columns regardless of
-    duration, so render cost does not scale with run length."""
+    """A dashboard-resolution field: exactly as many sample columns as a
+    heatmap draws (both ends of the run among them) regardless of
+    duration, so render cost does not scale with run length and no
+    column is pooled away."""
     if step is None:
-        step = max(execution.duration / 256.0, 1e-3)
+        return SkewField(
+            execution, np.linspace(0.0, execution.duration, HEATMAP_LIMIT)
+        )
     return SkewField(execution, step=step)
 
 
@@ -74,21 +80,17 @@ def _pair_heatmap_data(field: SkewField):
     the mask grays a row's cells wherever that pair is not adjacent in
     the segment owning the column.
     """
-    segments = field.topology_segments()
-    union: list[tuple[int, int]] = []
-    seen = set()
-    for topo, _ in segments:
-        for pair in topo.adjacent_pairs():
-            if pair not in seen:
-                seen.add(pair)
-                union.append(pair)
-    union.sort()
+    segments = [
+        (set(topo.adjacent_pairs()), cols)
+        for topo, cols in field.topology_segments()
+    ]
+    union = sorted(set().union(*(adjacent for adjacent, _ in segments)))
     matrix = np.empty((len(union), field.n_samples))
     mask = np.ones((len(union), field.n_samples), dtype=bool)
     for row, (i, j) in enumerate(union):
-        matrix[row] = np.abs(field.values[i] - field.values[j])
-        for topo, cols in segments:
-            if (i, j) in set(topo.adjacent_pairs()):
+        matrix[row] = field.pair_series(i, j)
+        for adjacent, cols in segments:
+            if (i, j) in adjacent:
                 mask[row, cols] = False
     labels = [f"{i}-{j}" for i, j in union]
     if len(union) > MAX_PAIR_ROWS:
@@ -97,15 +99,6 @@ def _pair_heatmap_data(field: SkewField):
         matrix, mask = matrix[worst], mask[worst]
         labels = [labels[k] for k in worst]
     return matrix, mask, labels
-
-
-def _peak_pair_matrix(field: SkewField) -> np.ndarray:
-    """``max_t |L_i - L_j|`` for every pair — one row broadcast per node."""
-    n = field.n
-    peak = np.zeros((n, n))
-    for i in range(n):
-        peak[i] = np.abs(field.values - field.values[i]).max(axis=1)
-    return peak
 
 
 def _stats_items(execution) -> list[tuple[str, object]]:
@@ -175,7 +168,7 @@ def skew_dashboard(
 
     heatmap_panel(
         canvas, 710, 80, 190, 190,
-        _peak_pair_matrix(field),
+        np.maximum.reduce(field.peak_pairs()),
         title="peak pairwise skew",
         x_extent=None,
         colorbar=True,

@@ -7,10 +7,11 @@ compositions of three panel kinds:
 * :func:`line_panel` — time series with optional vertical event markers
   (CRASH / RECOVER / topology changes) and segment boundaries;
 * :func:`heatmap_panel` — a matrix of colored cells with a colorbar,
-  column-downsampled so arbitrarily long sample grids stay renderable;
+  max-pooled in both axes so long sample grids and large networks stay
+  renderable, colored in one array step and drawn as one pixel grid;
 * :func:`bar_panel` — grouped bars for per-cell sweep metrics.
 
-Everything is pure string assembly over the canvas primitives; there is
+Everything else is string assembly over the canvas primitives; there is
 no layout engine, just explicit ``(x, y, w, h)`` rectangles, which keeps
 render cost linear in the number of marks.
 """
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.viz.svg import SvgCanvas, sequential_color
+from repro.viz.svg import SvgCanvas, sequential_color, sequential_rgb
 
 __all__ = [
     "EventMarker",
@@ -34,7 +35,11 @@ __all__ = [
     "bar_panel",
     "stat_strip",
     "downsample_columns",
+    "HEATMAP_LIMIT",
 ]
+
+#: Most cells a heatmap draws along either axis.
+HEATMAP_LIMIT = 256
 
 #: Marker palette by trace-event kind.
 MARKER_COLORS = {
@@ -177,7 +182,9 @@ def line_panel(
         canvas.text(legend_x + 18, y + 13 + 12 * k, s.label, size=8, fill="#333333")
 
 
-def downsample_columns(matrix: np.ndarray, limit: int = 256) -> tuple[np.ndarray, int]:
+def downsample_columns(
+    matrix: np.ndarray, limit: int = HEATMAP_LIMIT
+) -> tuple[np.ndarray, int]:
     """Max-pool matrix columns down to ``limit``.
 
     Max (not mean) pooling, so a one-sample skew spike survives the
@@ -217,18 +224,24 @@ def heatmap_panel(
 ) -> int:
     """Draw a rows x columns heatmap; returns the number of cells drawn.
 
-    ``mask`` (same shape, truthy = not-in-force) grays cells out — used
-    for adjacent pairs that are not adjacent in the current topology
-    segment of a dynamic run.
+    Both axes are max-pooled to :data:`HEATMAP_LIMIT` cells, drawn as
+    one image.  ``mask`` (same shape, truthy = not-in-force) grays cells
+    out — used for adjacent pairs that are not adjacent in the current
+    topology segment of a dynamic run.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("heatmap needs a non-empty 2-D matrix")
-    m, stride = downsample_columns(m)
+
+    def pooled(a: np.ndarray) -> tuple[np.ndarray, int]:
+        a, _ = downsample_columns(a)
+        a, row_stride = downsample_columns(a.T)
+        return a.T, row_stride
+
+    m, row_stride = pooled(m)
+    row_labels = row_labels[::row_stride]
     if mask is not None:
-        mask = np.asarray(mask)
-        mask, _ = downsample_columns(mask.astype(float))
-        mask = mask > 0.5
+        mask = pooled(np.asarray(mask).astype(float))[0] > 0.5
     rows, cols = m.shape
     finite = m[np.isfinite(m)]
     lo = float(vmin) if vmin is not None else (float(finite.min()) if finite.size else 0.0)
@@ -236,15 +249,11 @@ def heatmap_panel(
     if hi <= lo:
         hi = lo + 1.0
     _frame(canvas, x, y, w, h, title)
-    cell_w, cell_h = w / cols, h / rows
-    for i in range(rows):
-        for k in range(cols):
-            if mask is not None and mask[i, k]:
-                fill = "#f0f0f0"
-            else:
-                fill = sequential_color((m[i, k] - lo) / (hi - lo))
-            canvas.rect(x + k * cell_w, y + i * cell_h, cell_w + 0.05,
-                        cell_h + 0.05, fill=fill, klass=None)
+    rgb = sequential_rgb((m - lo) / (hi - lo))
+    if mask is not None:
+        rgb[mask] = 0xF0  # not in force: #f0f0f0
+    canvas.image(x, y, w, h, rgb)
+    cell_h = h / rows
     for i, label in enumerate(row_labels):
         if rows > 24 and i % max(1, rows // 24):
             continue

@@ -1,12 +1,14 @@
 """A dependency-light SVG writer: the drawing substrate of :mod:`repro.viz`.
 
 Everything this package renders — skew dashboards, mobility animations,
-sweep reports, streaming-tail frames — is SVG text assembled by a
-:class:`SvgCanvas`.  SVG is the right artifact format here: it is plain
-UTF-8 (diffable, greppable, versionable next to the tables it
-illustrates), renders in any browser, and needs no third-party imaging
-stack, so every renderer runs headless in CI and draws into in-memory
-buffers in tests.
+sweep reports, streaming-tail frames — is one SVG document assembled by
+a :class:`SvgCanvas`.  Marks and text are SVG elements: plain UTF-8,
+greppable, diffable next to the tables they illustrate.  A dense matrix
+is one ``<image>`` holding a PNG ``data:`` URI (:meth:`SvgCanvas.image`,
+a stdlib ``zlib`` + ``struct`` encoder) instead of a ``<rect>`` per cell
+— a changed pixel is a changed blob, not a changed line.  Either way the
+file renders in any browser and needs no third-party imaging stack, so
+every renderer runs headless in CI and draws into in-memory buffers.
 
 Escaping contract
 -----------------
@@ -18,19 +20,27 @@ property: any label round-trips through ``xml.etree`` parsing.
 
 Colors come from two small interpolated ramps (:func:`sequential_color`,
 :func:`diverging_color`) so heatmaps and edge colorings look the same in
-every renderer without an external colormap library.
+every renderer without an external colormap library;
+:func:`sequential_rgb` reads the same ramp for whole arrays from a table.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import io
+import struct
+import zlib
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "SvgCanvas",
     "escape_text",
     "escape_attr",
     "sequential_color",
+    "sequential_rgb",
     "diverging_color",
     "save_svg",
 ]
@@ -110,6 +120,50 @@ def diverging_color(t: float) -> str:
     return _ramp(_DIVERGING, t)
 
 
+#: Steps of the array ramp's table.  The steepest channel climbs 131
+#: levels per anchor interval: an entry is within a third of a level.
+_TABLE_STEPS = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_table() -> np.ndarray:
+    """:func:`sequential_color` at ``k / _TABLE_STEPS``, then at NaN, as
+    ``uint8`` RGB rows — the interpolation itself is not written twice."""
+    stops = [k / _TABLE_STEPS for k in range(_TABLE_STEPS + 1)] + [float("nan")]
+    return np.array(
+        [list(bytes.fromhex(sequential_color(t)[1:])) for t in stops], np.uint8)
+
+
+def sequential_rgb(t: np.ndarray) -> np.ndarray:
+    """:func:`sequential_color` of an array, as ``t.shape + (3,)``
+    ``uint8``: within one level a channel (``t`` is rounded to 1/1024);
+    out-of-range values clamp and NaN is the same mid-gray."""
+    index = np.rint(np.clip(np.asarray(t, dtype=float), 0.0, 1.0) * _TABLE_STEPS)
+    index = np.where(np.isnan(index), _TABLE_STEPS + 1, index)
+    return _sequential_table()[index.astype(np.intp)]
+
+
+def _png_chunk(kind: bytes, data: bytes) -> bytes:
+    crc = zlib.crc32(kind + data)
+    return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", crc)
+
+
+def _png_data_uri(rgb: np.ndarray) -> str:
+    """A ``rows x cols x 3`` ``uint8`` array as a ``data:image/png`` URI:
+    8-bit truecolor, every scanline filter 0, one ``IDAT`` at a fixed
+    zlib level — the same bytes for the same array, on any zlib."""
+    rows, cols, _ = rgb.shape
+    scanlines = np.zeros((rows, 1 + 3 * cols), dtype=np.uint8)
+    scanlines[:, 1:] = rgb.reshape(rows, -1)
+    png = (
+        b"\x89PNG\r\n\x1a\n"
+        + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", cols, rows, 8, 2, 0, 0, 0))
+        + _png_chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 6))
+        + _png_chunk(b"IEND", b"")
+    )
+    return "data:image/png;base64," + base64.b64encode(png).decode("ascii")
+
+
 # ----------------------------------------------------------------------
 # the canvas
 
@@ -180,6 +234,15 @@ class SvgCanvas:
                 ]
             )
             + (">" + body if title else "/>")
+        )
+
+    def image(self, x: float, y: float, w: float, h: float, rgb: np.ndarray) -> None:
+        """Stretch a ``rows x cols x 3`` ``uint8`` pixel grid over a
+        rectangle: one element, hard-edged cells at any zoom."""
+        self._parts.append(
+            f'<image x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
+            f'height="{_fmt(h)}" preserveAspectRatio="none" '
+            f'style="image-rendering: pixelated" href="{_png_data_uri(rgb)}"/>'
         )
 
     def line(

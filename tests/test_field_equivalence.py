@@ -22,6 +22,7 @@ from repro.sweep.families import (
     rates_from_spec,
     topology_from_spec,
 )
+from repro.sweep.scenario import Scenario
 
 RHO = 0.5
 
@@ -197,6 +198,51 @@ class TestFieldEquivalence:
         assert execution.max_logical_increase(
             window=1.0, step=0.5
         ) == pytest.approx(worst, abs=1e-9)
+
+
+def row_fold_profile(field):
+    """``gradient_profile`` as it was before ``peak_pairs``: one Python
+    fold step per (segment, pair)."""
+    profile: dict[float, float] = {}
+    for topology, cols in field.topology_segments():
+        block = field.values[:, cols]
+        for i in range(field.n - 1):
+            worst = np.abs(block[i + 1:] - block[i]).max(axis=1)
+            row = topology.distances[i, i + 1:]
+            for offset in range(worst.shape[0]):
+                d = round(float(row[offset]), 9)
+                w = float(worst[offset])
+                if w > profile.get(d, float("-inf")):
+                    profile[d] = w
+    return dict(sorted(profile.items()))
+
+
+class TestPeakPairs:
+    """The one cached pairwise reduction vs the full ``T x n x n`` stack."""
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(topology="grid:3,4", algorithm="max-based", duration=12.0, seed=3),
+        Scenario(topology="line:9", faults="crash-recover:0.3,4",
+                 duration=12.0, seed=5),
+        Scenario(topology="line:12", mobility="waypoint:0.5", duration=12.0,
+                 seed=1),
+        Scenario(topology="line:10", faults="crash-recover:0.25,3",
+                 mobility="waypoint:0.5", duration=12.0, seed=2),
+    ], ids=["static", "faulted", "waypoint", "faulted-waypoint"])
+    def test_peak_pairs_equal_the_reduced_stack_per_segment(self, scenario):
+        execution = scenario.simulate()
+        field = SkewField(execution, step=0.25)
+        segments = field.topology_segments()
+        assert (len(segments) > 1) == (scenario.mobility != "static")
+        stack = np.abs(field.heatmap())
+        peaks = field.peak_pairs()
+        assert len(peaks) == len(segments)
+        for (_, cols), peak in zip(segments, peaks):
+            assert np.array_equal(peak, stack[cols].max(axis=0))
+        assert field.peak_pairs()[0] is peaks[0]  # computed once
+        # The profile folds the same numbers the row loop did: dict-equal,
+        # keys and floats.
+        assert field.gradient_profile() == row_fold_profile(field)
 
 
 @pytest.mark.rt

@@ -2,17 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms import MaxBasedAlgorithm, NullAlgorithm
+from repro.analysis.field import SkewField
 from repro.gcs.properties import (
     GradientBound,
+    GradientViolation,
     check_gradient,
     check_validity,
     empirical_f,
 )
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
+from repro.sweep.scenario import Scenario
 from repro.topology.generators import line
 
 RHO = 0.5
@@ -64,6 +68,52 @@ class TestCheckGradient:
         bound = GradientBound.constant(1.0)
         early = check_gradient(ex, bound, times=[0.0, 0.5])
         assert early == []  # no skew accumulated yet
+
+
+def per_pair_check_gradient(execution, bound, times=None):
+    """Requirement 2 one pair at a time — ``check_gradient`` before it
+    screened pairs by their peak; the reference for its answer."""
+    times = list(times) if times is not None else execution.sample_times()
+    field = SkewField(execution, times)
+    hits = []
+    for rank, (i, j) in enumerate(execution.topology.pairs()):
+        series = field.pair_series(i, j)
+        for topology, cols in field.topology_segments():
+            d = topology.distance(i, j)
+            limit = bound(d)
+            for offset in np.nonzero(series[cols] > limit + 1e-9)[0]:
+                k = int(cols[offset])
+                hits.append((k, rank, GradientViolation(
+                    i, j, float(times[k]), float(series[k]), d, limit)))
+    hits.sort(key=lambda h: (h[0], h[1]))
+    return [violation for _, _, violation in hits]
+
+
+class TestCheckGradientMatchesPerPairReference:
+    """Same list — order, pairs and every float — as the per-pair loop."""
+
+    @pytest.fixture(scope="class", params=["static", "dynamic"])
+    def execution(self, request):
+        mobility = "waypoint:0.5" if request.param == "dynamic" else "static"
+        execution = Scenario(
+            topology="line:12", algorithm="max-based", mobility=mobility,
+            duration=12.0, rho=0.3, seed=4,
+        ).simulate()
+        assert execution.is_dynamic == (request.param == "dynamic")
+        return execution
+
+    @pytest.mark.parametrize("bound, violated", [
+        (GradientBound.linear(100.0), False),
+        (GradientBound.linear(0.05), True),
+        (GradientBound.constant(0.3), True),
+    ], ids=["generous", "linear-0.05", "constant-0.3"])
+    def test_identical_violation_list(self, execution, bound, violated):
+        reference = per_pair_check_gradient(execution, bound)
+        assert bool(reference) == violated
+        assert check_gradient(execution, bound) == reference
+        times = execution.sample_times(0.4)
+        assert check_gradient(execution, bound, times=times) == (
+            per_pair_check_gradient(execution, bound, times))
 
 
 class TestEmpiricalF:

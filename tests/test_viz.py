@@ -11,10 +11,13 @@ rendering deps.
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 import math
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -38,14 +41,16 @@ from repro.viz import (
     write_report,
 )
 from repro.viz.cli import main as viz_main, run_scenario
+from repro.viz.dashboard import MAX_PAIR_ROWS, _pair_heatmap_data, dashboard_field
 from repro.viz.panels import (
+    HEATMAP_LIMIT,
     bar_panel,
     downsample_columns,
     heatmap_panel,
     line_panel,
     nice_ticks,
 )
-from repro.viz.svg import escape_attr, escape_text, sequential_color
+from repro.viz.svg import escape_attr, escape_text, sequential_color, sequential_rgb
 
 
 def parsed(svg: str) -> ET.Element:
@@ -53,6 +58,41 @@ def parsed(svg: str) -> ET.Element:
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     return root
+
+
+def images(svg: str) -> list[ET.Element]:
+    return [e for e in parsed(svg).iter() if e.tag.endswith("}image")]
+
+
+def read_png(element: ET.Element) -> np.ndarray:
+    """An independent reader for the one PNG shape the canvas writes:
+    the pixels of an ``<image>``'s data URI as ``rows x cols x 3``."""
+    head = "data:image/png;base64,"
+    href = element.get("href")
+    assert href.startswith(head)
+    data = base64.b64decode(href[len(head):], validate=True)
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, at = [], 8
+    while at < len(data):
+        (length,) = struct.unpack(">I", data[at:at + 4])
+        kind, body = data[at + 4:at + 8], data[at + 8:at + 8 + length]
+        (crc,) = struct.unpack(">I", data[at + 8 + length:at + 12 + length])
+        assert crc == zlib.crc32(kind + body)
+        chunks.append((kind, body))
+        at += 12 + length
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    cols, rows, depth, color, compression, filtering, interlace = struct.unpack(
+        ">IIBBBBB", chunks[0][1])
+    assert (depth, color, compression, filtering, interlace) == (8, 2, 0, 0, 0)
+    lines = np.frombuffer(
+        zlib.decompress(chunks[1][1]), dtype=np.uint8
+    ).reshape(rows, 1 + 3 * cols)
+    assert not lines[:, 0].any()  # every scanline is filter type 0
+    return lines[:, 1:].reshape(rows, cols, 3)
+
+
+def hex_rgb(color: str) -> tuple[int, int, int]:
+    return tuple(bytes.fromhex(color[1:]))
 
 
 # ----------------------------------------------------------------------
@@ -95,12 +135,37 @@ class TestSvgPrimitives:
         assert nice_ticks(5.0, 5.0)  # degenerate span still yields ticks
         assert nice_ticks(float("nan"), 1.0) == [0.0]
 
+    def test_array_ramp_is_the_scalar_ramp_within_one_level(self):
+        ts = np.concatenate([np.linspace(-0.5, 1.5, 5001),
+                             [float("nan"), float("inf"), float("-inf")]])
+        scalar = np.array([hex_rgb(sequential_color(t)) for t in ts], dtype=int)
+        assert np.abs(sequential_rgb(ts).astype(int) - scalar).max() <= 1
+        ends = sequential_rgb(np.array([0.0, 1.0, float("nan")]))
+        assert [tuple(c) for c in ends] == [
+            hex_rgb(sequential_color(0.0)), hex_rgb(sequential_color(1.0)),
+            (0x99, 0x99, 0x99)]
+
     def test_downsample_columns_max_pools_spikes(self):
         matrix = np.zeros((2, 1000))
         matrix[1, 777] = 9.0  # a one-sample spike must survive pooling
         pooled, stride = downsample_columns(matrix, limit=100)
         assert pooled.shape[1] <= 100 and stride > 1
         assert pooled.max() == 9.0
+
+    def test_heatmap_panel_max_pools_rows_too(self):
+        """An n x n peak matrix of a large network is bounded in both
+        axes, and a one-cell spike survives in its pooled pixel."""
+        matrix = np.zeros((1000, 300))
+        matrix[777, 150] = 9.0
+        canvas = SvgCanvas(300, 300)
+        cells = heatmap_panel(canvas, 10, 10, 190, 190, matrix, colorbar=False)
+        (image,) = images(canvas.to_string())
+        pixels = read_png(image)
+        assert pixels.shape[0] <= HEATMAP_LIMIT and pixels.shape[1] <= HEATMAP_LIMIT
+        assert cells == pixels.shape[0] * pixels.shape[1]
+        hot = hex_rgb(sequential_color(1.0))
+        assert (pixels == hot).all(axis=2).sum() == 1
+        assert tuple(pixels[777 // 4, 150 // 2]) == hot
 
     @given(st.text(max_size=60))
     @settings(max_examples=120, deadline=None)
@@ -152,14 +217,25 @@ class TestPanels:
         matrix = np.arange(12.0).reshape(3, 4)
         mask = np.zeros((3, 4), dtype=bool)
         mask[0, 0] = True
+        matrix[2, 1] = float("nan")
         cells = heatmap_panel(
             canvas, 30, 20, 200, 120, matrix,
             row_labels=["r0", "r1", "r2"], x_extent=(0.0, 4.0), mask=mask,
         )
         assert cells == 12
-        svg = canvas.to_string()
-        parsed(svg)
-        assert "#f0f0f0" in svg  # the masked (not-in-force) cell
+        (image,) = images(canvas.to_string())
+        pixels = read_png(image)
+        assert pixels.shape == (3, 4, 3)  # rows x cols, one pixel a cell
+        assert tuple(pixels[0, 0]) == (240, 240, 240)  # masked: #f0f0f0
+        assert tuple(pixels[2, 1]) == (153, 153, 153)  # NaN: #999999
+        # Every other pixel is sequential_color of its entry, to within
+        # one level a channel: the array ramp is a lookup table.
+        for i in range(3):
+            for k in range(4):
+                if (i, k) in ((0, 0), (2, 1)):
+                    continue
+                want = hex_rgb(sequential_color(matrix[i, k] / 11.0))
+                assert np.abs(pixels[i, k].astype(int) - want).max() <= 1
 
     def test_heatmap_rejects_empty_matrix(self):
         with pytest.raises(ValueError):
@@ -214,6 +290,41 @@ class TestDashboard:
         buf = io.StringIO()
         save_svg(skew_dashboard(churny_execution), buf)
         parsed(buf.getvalue())
+
+    def test_heatmaps_are_two_pixel_grids_not_a_mark_per_cell(
+            self, churny_execution):
+        svg = skew_dashboard(churny_execution)
+        pair, peak = images(svg)
+        # The default grid fits the heatmap limit exactly: no column of
+        # the pair heatmap is pooled away, and none is missing.
+        assert read_png(pair).shape == (MAX_PAIR_ROWS, HEATMAP_LIMIT, 3)
+        assert read_png(peak).shape == (64, 64, 3)
+        # Close above the measurement (102 KB, 55 rects); a rect per cell
+        # was 812 KB and 10 343 of them.
+        assert len(svg.encode("utf-8")) < 150_000
+        assert svg.count("<rect") < 200
+        assert skew_dashboard(churny_execution) == svg  # byte-stable
+
+    def test_pair_heatmap_data_matches_per_row_reference(self, churny_execution):
+        """The hoisted adjacency sets change nothing: same rows, same
+        gray cells, same labels as rebuilding the set per (row, segment)."""
+        field = dashboard_field(churny_execution)
+        segments = field.topology_segments()
+        union = sorted({p for topo, _ in segments for p in topo.adjacent_pairs()})
+        matrix = np.empty((len(union), field.n_samples))
+        mask = np.ones((len(union), field.n_samples), dtype=bool)
+        for row, (i, j) in enumerate(union):
+            matrix[row] = np.abs(field.values[i] - field.values[j])
+            for topo, cols in segments:
+                if (i, j) in set(topo.adjacent_pairs()):
+                    mask[row, cols] = False
+        assert len(union) > MAX_PAIR_ROWS and len(segments) > 1
+        worst = np.sort(np.argsort(-matrix.max(axis=1))[:MAX_PAIR_ROWS])
+        got_matrix, got_mask, got_labels = _pair_heatmap_data(field)
+        assert got_matrix.tobytes() == matrix[worst].tobytes()
+        assert got_mask.tobytes() == mask[worst].tobytes()
+        assert got_labels == [f"{union[k][0]}-{union[k][1]}" for k in worst]
+        assert got_mask.any() and not got_mask.all()
 
     def test_static_run_dashboard_has_no_boundaries(self):
         execution = run_scenario(
