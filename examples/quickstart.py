@@ -12,30 +12,17 @@ Covers the three things the library does:
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    LowerBoundAdversary,
-    MaxBasedAlgorithm,
-    SimConfig,
-    UniformRandomDelay,
-    line,
-    lower_bound_curve,
-    run_simulation,
-)
+from repro import LowerBoundAdversary, MaxBasedAlgorithm, lower_bound_curve
 from repro.analysis import Table
-from repro.experiments.common import drifted_rates
+from repro.sweep import Scenario
 
 
 def benign_run() -> None:
     print("=== 1. a benign run: 13 drifting nodes on a line ===")
-    topology = line(13)
-    algorithm = MaxBasedAlgorithm(period=0.5)
-    execution = run_simulation(
-        topology,
-        algorithm.processes(topology),
-        SimConfig(duration=60.0, rho=0.2, seed=7),
-        rate_schedules=drifted_rates(topology, rho=0.2, seed=7),
-        delay_policy=UniformRandomDelay(),
-    )
+    execution = Scenario(
+        topology="line:13", algorithm="max-based:0.5", rates="drifted",
+        delays="uniform", duration=60.0, rho=0.2, seed=7,
+    ).simulate()
     execution.check_validity()   # Requirement 1 holds
     execution.check_delay_bounds()  # the model's [0, d] band holds
 

@@ -14,15 +14,8 @@ Run:  python examples/sensor_field.py
 
 from collections import defaultdict
 
-from repro import SimConfig, UniformRandomDelay, random_geometric, run_simulation
-from repro.algorithms import (
-    BoundedCatchUpAlgorithm,
-    MaxBasedAlgorithm,
-    NullAlgorithm,
-    SlewingMaxAlgorithm,
-)
 from repro.analysis import Table
-from repro.experiments.common import drifted_rates
+from repro.sweep import Scenario, topology_from_spec
 
 RHO = 0.15
 DURATION = 90.0
@@ -44,7 +37,7 @@ def binned_profile(execution) -> dict[float, float]:
 
 
 def main() -> None:
-    field = random_geometric(40, seed=5)
+    field = topology_from_spec("geometric:40,5")
     print(
         f"sensor field: {field.n} nodes, diameter {field.diameter:.1f} "
         f"(delay-uncertainty units), max degree {field.max_degree}\n"
@@ -59,22 +52,19 @@ def main() -> None:
         "gradient property in a realistic deployment",
     )
     for algorithm in (
-        NullAlgorithm(),
-        MaxBasedAlgorithm(period=0.5),
-        SlewingMaxAlgorithm(period=0.5),
-        BoundedCatchUpAlgorithm(period=0.5, kappa=0.5, mu=0.5),
+        "null",
+        "max-based:0.5",
+        "slewing-max:0.5",
+        "bounded-catch-up:0.5,0.5,0.5",
     ):
-        execution = run_simulation(
-            field,
-            algorithm.processes(field),
-            SimConfig(duration=DURATION, rho=RHO, seed=5),
-            rate_schedules=drifted_rates(field, rho=RHO, seed=5),
-            delay_policy=UniformRandomDelay(),
-        )
+        execution = Scenario(
+            topology="geometric:40,5", algorithm=algorithm, rates="drifted",
+            delays="uniform", duration=DURATION, rho=RHO, seed=5,
+        ).simulate()
         execution.check_validity()
         profile = binned_profile(execution)
         table.add_row(
-            algorithm.name, *(profile.get(b, 0.0) for b in BINS)
+            algorithm.partition(":")[0], *(profile.get(b, 0.0) for b in BINS)
         )
     print(table.render())
 

@@ -11,22 +11,17 @@ locality argument in action.
 Run:  python examples/sensor_fusion.py
 """
 
-from repro import SimConfig, UniformRandomDelay, balanced_tree, run_simulation
-from repro.algorithms import (
-    BoundedCatchUpAlgorithm,
-    MaxBasedAlgorithm,
-    NullAlgorithm,
-)
 from repro.analysis import Table
 from repro.apps.fusion import evaluate_fusion, fusion_groups
-from repro.experiments.common import drifted_rates
+from repro.sweep import Scenario, topology_from_spec
 
 RHO = 0.1
 DURATION = 90.0
 
 
 def main() -> None:
-    topology = balanced_tree(3, 2)  # 13 sensors: root, 3 relays, 9 leaves
+    tree = "tree:3,2"  # 13 sensors: root, 3 relays, 9 leaves
+    topology = topology_from_spec(tree)
     groups = fusion_groups(topology, root=0)
     print(
         f"sensor tree: {topology.n} nodes, {len(groups)} fusion groups "
@@ -39,18 +34,11 @@ def main() -> None:
         caption="fraction of (event, group) pairs whose sibling timestamps "
         "disagreed by more than the tolerance",
     )
-    for algorithm in (
-        NullAlgorithm(),
-        MaxBasedAlgorithm(period=0.5),
-        BoundedCatchUpAlgorithm(period=0.5, kappa=0.5, mu=0.5),
-    ):
-        execution = run_simulation(
-            topology,
-            algorithm.processes(topology),
-            SimConfig(duration=DURATION, rho=RHO, seed=11),
-            rate_schedules=drifted_rates(topology, rho=RHO, seed=11),
-            delay_policy=UniformRandomDelay(),
-        )
+    for algorithm in ("null", "max-based:0.5", "bounded-catch-up:0.5,0.5,0.5"):
+        execution = Scenario(
+            topology=tree, algorithm=algorithm, rates="drifted",
+            delays="uniform", duration=DURATION, rho=RHO, seed=11,
+        ).simulate()
         execution.check_validity()
         rates = []
         worst = 0.0
@@ -64,7 +52,7 @@ def main() -> None:
             )
             rates.append(report.misfusion_rate)
             worst = max(worst, report.worst_spread)
-        table.add_row(algorithm.name, *rates, worst)
+        table.add_row(algorithm.partition(":")[0], *rates, worst)
     print(table.render())
     print(
         "\nTakeaway: siblings are *nearby* nodes — an algorithm with a "

@@ -11,10 +11,9 @@ distance* between the cooperating sensors.
 Run:  python examples/target_tracking.py
 """
 
-from repro import MaxBasedAlgorithm, SimConfig, UniformRandomDelay, line, run_simulation
 from repro.analysis import Table
 from repro.apps.tracking import required_skew_for_accuracy, track_velocity
-from repro.experiments.common import drifted_rates
+from repro.sweep import Scenario
 
 RHO = 0.05
 VELOCITY = 0.5
@@ -22,15 +21,10 @@ DURATION = 160.0
 
 
 def main() -> None:
-    topology = line(33)
-    algorithm = MaxBasedAlgorithm(period=0.5)
-    execution = run_simulation(
-        topology,
-        algorithm.processes(topology),
-        SimConfig(duration=DURATION, rho=RHO, seed=21),
-        rate_schedules=drifted_rates(topology, rho=RHO, seed=21),
-        delay_policy=UniformRandomDelay(),
-    )
+    execution = Scenario(
+        topology="line:33", algorithm="max-based:0.5", rates="drifted",
+        delays="uniform", duration=DURATION, rho=RHO, seed=21,
+    ).simulate()
     table = Table(
         title=f"velocity estimation, true v = {VELOCITY}",
         headers=[

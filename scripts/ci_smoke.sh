@@ -128,10 +128,11 @@ grep -q "re-convergence after rewiring" "$ARTIFACTS/e16.txt" \
 grep -q "rewirings" "$ARTIFACTS/e16.txt" \
     || { echo "error: E16 produced no mobility ladder" >&2; exit 1; }
 # The mobility axis end-to-end through the sweep CLI.
-python -m repro.experiments sweep --topologies line:5 --algorithms max-based \
-    --rates drifted --mobility static,waypoint:0.5,4 \
+python -m repro.experiments sweep --topologies line:5 \
+    --algorithms bounded-catch-up:0.5,0.5,0.5 \
+    --rates drifted --mobility static,waypoint:0.5,4,interleave:0.5 \
     --seeds 1 --duration 8 --workers 2 > "$ARTIFACTS/mobility_sweep.txt"
-grep -q "2 mobility families" "$ARTIFACTS/mobility_sweep.txt" \
+grep -q "3 mobility families" "$ARTIFACTS/mobility_sweep.txt" \
     || { echo "error: sweep CLI did not expand the mobility axis" >&2; exit 1; }
 
 echo

@@ -32,8 +32,10 @@ class ProfileFit:
 
 def fit_linear(profile: Mapping[float, float]) -> ProfileFit:
     """Fit ``skew = a * distance + b`` to a gradient profile."""
+    if not profile:
+        raise ValueError("empty profile")
     if len(profile) < 2:
-        d, v = next(iter(profile.items()))
+        [v] = profile.values()
         return ProfileFit(slope=0.0, intercept=v, residual_rms=0.0, max_over_linear=1.0)
     ds = np.array(sorted(profile))
     vs = np.array([profile[d] for d in sorted(profile)])

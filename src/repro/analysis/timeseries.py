@@ -29,7 +29,7 @@ def sparkline(values: Sequence[float], *, lo: float | None = None,
     ``lo``/``hi`` pin the scale (defaults: data min/max); constant data
     renders as a flat low bar.
     """
-    if not values:
+    if len(values) == 0:
         return ""
     lo = min(values) if lo is None else lo
     hi = max(values) if hi is None else hi

@@ -1,32 +1,18 @@
-"""Shared infrastructure for the E01-E15 experiment runners.
-
-The benign rate families (:func:`drifted_rates`, :func:`spread_rates`,
-:func:`wandering_rates`) now live in :mod:`repro.sweep.families` — the
-sweep engine's registry of named scenario ingredients — and are
-re-exported here so experiment code keeps a single import site.
+"""Shared infrastructure for the E01-E16 experiment runners: the
+:class:`ExperimentResult` every runner returns and the ``quick`` /
+``full`` scale switch.  Nothing here builds an execution — a benign
+cell is a :class:`repro.sweep.Scenario`, an adversary-dictated one a
+:class:`repro.gcs.schedule.AdversarySchedule`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._constants import DEFAULT_RHO
 from repro.analysis.reporting import Table
 from repro.errors import ExperimentError
-from repro.sweep.families import (  # noqa: F401  (re-exported API)
-    drifted_rates,
-    spread_rates,
-    wandering_rates,
-)
 
-__all__ = [
-    "ExperimentResult",
-    "Scale",
-    "drifted_rates",
-    "spread_rates",
-    "wandering_rates",
-    "DEFAULT_RHO",
-]
+__all__ = ["ExperimentResult", "Scale"]
 
 #: Experiment scale: "quick" keeps benchmark runtime low; "full" matches
 #: the writeup in EXPERIMENTS.md.

@@ -1,13 +1,11 @@
 """E03 — Figure 1: the staggered rate-gamma windows of execution beta.
 
-The beta construction-and-run is a single sweep-engine job
-(``figure1-beta``), so repeated invocations — e.g. from a cached sweep —
-pay for the simulation only once.
+Applies one Add Skew plan to the quiet schedule, runs the resulting
+:class:`~repro.gcs.schedule.AdversarySchedule`, and reads the windows
+back from it.
 """
 
 from __future__ import annotations
-
-from typing import Any, Mapping
 
 from repro._constants import tau as tau_of
 from repro.algorithms import MaxBasedAlgorithm
@@ -15,49 +13,9 @@ from repro.analysis.reporting import Table
 from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.gcs.add_skew import AddSkewPlan, apply_add_skew
 from repro.gcs.schedule import AdversarySchedule
-from repro.sweep import Job, job_kind, run_jobs
 from repro.topology.generators import line
 
 __all__ = ["run"]
-
-
-def _build_plan(n: int, rho: float) -> tuple[AddSkewPlan, AdversarySchedule]:
-    i, j = 1, n - 2
-    tau = tau_of(rho)
-    schedule = AdversarySchedule.quiet(range(n), tau * (j - i))
-    plan = AddSkewPlan(
-        i=i, j=j, n=n, alpha_duration=schedule.duration, rho=rho, lead="lo"
-    )
-    return plan, schedule
-
-
-@job_kind("figure1-beta")
-def figure1_beta(params: Mapping[str, Any]) -> dict:
-    """Apply the Add Skew plan, run beta, and read the windows back."""
-    n = int(params["n"])
-    rho = float(params["rho"])
-    seed = int(params["seed"])
-    topology = line(n)
-    plan, schedule = _build_plan(n, rho)
-    beta_schedule = apply_add_skew(schedule, plan)
-    # Run it so the schedule is exercised, not just printed.
-    beta = beta_schedule.run(topology, MaxBasedAlgorithm(), rho=rho, seed=seed)
-    beta.check_drift_bounds()
-    windows = plan.gamma_windows()
-    measured = []
-    for node in range(n):
-        knee, end = windows[node]
-        span = max(end - knee, 0.0)
-        mid = (knee + end) / 2.0 if span > 0 else plan.window_start
-        measured.append(
-            float(beta_schedule.rates[node].rate_at(mid)) if span > 1e-9 else 1.0
-        )
-    return {  # repro: allow[REG004] not a sweep-cell row
-        "n": n,
-        "windows": [[float(a), float(b)] for a, b in (windows[k] for k in range(n))],
-        "measured_rates": measured,
-        "gamma": float(plan.gamma),
-    }
 
 
 def run(scale: Scale = "quick", *, rho: float = 0.5, seed: int = 0) -> ExperimentResult:
@@ -71,12 +29,24 @@ def run(scale: Scale = "quick", *, rho: float = 0.5, seed: int = 0) -> Experimen
     """
     n = pick(scale, 10, 14)
     tau = tau_of(rho)
-    [outcome] = run_jobs(
-        [Job(kind="figure1-beta", params={"n": n, "rho": rho, "seed": seed})]
+    i, j = 1, n - 2
+    schedule = AdversarySchedule.quiet(range(n), tau * (j - i))
+    plan = AddSkewPlan(
+        i=i, j=j, n=n, alpha_duration=schedule.duration, rho=rho, lead="lo"
     )
-    plan, _ = _build_plan(n, rho)
-    windows = {node: tuple(w) for node, w in enumerate(outcome.metrics["windows"])}
-    measured_rates = outcome.metrics["measured_rates"]
+    beta_schedule = apply_add_skew(schedule, plan)
+    # Run it so the schedule is exercised, not just printed.
+    beta = beta_schedule.run(line(n), MaxBasedAlgorithm(), rho=rho, seed=seed)
+    beta.check_drift_bounds()
+    windows = plan.gamma_windows()
+    measured_rates = []
+    for node in range(n):
+        knee, end = windows[node]
+        measured_rates.append(
+            float(beta_schedule.rates[node].rate_at((knee + end) / 2.0))
+            if end - knee > 1e-9
+            else 1.0
+        )
 
     table = Table(
         title="E03: Figure 1 — rate-gamma window per node",
@@ -113,5 +83,5 @@ def run(scale: Scale = "quick", *, rho: float = 0.5, seed: int = 0) -> Experimen
         title="Figure 1: hardware rate schedule of beta",
         paper_artifact="Figure 1 (the paper's only figure)",
         tables=[table, figure],
-        data={"windows": windows, "gamma": outcome.metrics["gamma"]},
+        data={"windows": windows, "gamma": plan.gamma},
     )

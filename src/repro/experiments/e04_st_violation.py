@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms import MaxBasedAlgorithm, SrikanthTouegAlgorithm
+from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
 from repro.experiments.common import ExperimentResult, Scale, pick
+from repro.gcs.schedule import AdversarySchedule
 from repro.gcs.theory import ThreeNodeScenario
 from repro.sim.messages import PerPairDelay
 from repro.sim.rates import PiecewiseConstantRate
-from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.base import Topology
 
 __all__ = ["run", "build_scenario_topology", "run_scenario"]
@@ -58,17 +59,13 @@ def run_scenario(
     delays.set(scenario.z, scenario.x, 0.0)
     delays.set_after(scenario.x, scenario.y, cut_time, 0.0)  # the drop
 
-    execution = run_simulation(
-        topology,
-        algorithm.processes(topology),
-        SimConfig(duration=duration, rho=rho, seed=seed),
-        rate_schedules=rates,
-        delay_policy=delays,
+    execution = AdversarySchedule(rates, delays, duration).run(
+        topology, algorithm, rho=rho, seed=seed
     )
-    times = np.arange(0.0, duration, 0.25)
-    skews = [abs(execution.skew(scenario.y, scenario.z, t)) for t in times]
-    peak_idx = int(np.argmax(skews))
-    return execution, float(skews[peak_idx]), float(times[peak_idx])
+    field = SkewField(execution, np.arange(0.0, duration, 0.25))
+    skews = field.pair_series(scenario.y, scenario.z)
+    peak_idx = int(skews.argmax())
+    return execution, float(skews[peak_idx]), float(field.times[peak_idx])
 
 
 def run(scale: Scale = "quick", *, rho: float = 0.5, seed: int = 0) -> ExperimentResult:

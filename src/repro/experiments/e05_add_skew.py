@@ -46,7 +46,7 @@ def add_skew_cell(params: Mapping[str, Any]) -> dict:
     # The attacked pair's full skew trajectory in beta, answered from one
     # batched trajectory matrix (the cell's measurement path).
     peak_pair = float(SkewField(beta, step=1.0).pair_series(0, span).max())
-    return {  # repro: allow[REG004] not a sweep-cell row
+    return {  # repro: allow[REG004] add-skew-cell: a declared non-cell job kind
         "algorithm": params["algorithm"],
         "algorithm_name": algorithm.name,
         "span": span,

@@ -3,24 +3,12 @@
 from __future__ import annotations
 
 from repro._constants import lower_bound_curve
-from repro.algorithms import MaxBasedAlgorithm, RBSAlgorithm
+from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
-from repro.experiments.common import ExperimentResult, Scale, drifted_rates, pick
-from repro.sim.messages import JitterDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.topology.generators import broadcast_cluster, line
+from repro.experiments.common import ExperimentResult, Scale, pick
+from repro.sweep import Scenario
 
 __all__ = ["run"]
-
-
-def _receiver_peak_skew(execution, beacon: int, *, step: float = 0.5) -> float:
-    """Worst pairwise skew among non-beacon nodes over time."""
-    nodes = [n for n in execution.topology.nodes if n != beacon]
-    worst = 0.0
-    for t in execution.sample_times(step):
-        values = [execution.logical_value(n, t) for n in nodes]
-        worst = max(worst, max(values) - min(values))
-    return worst
 
 
 def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> ExperimentResult:
@@ -33,31 +21,23 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
     a tiny diameter it is tiny — growing again as the network expands.
     """
     n = pick(scale, 8, 16)
-    eps = 0.01
     duration = pick(scale, 40.0, 80.0)
 
-    cluster = broadcast_cluster(n, uncertainty=eps)
-    rbs = RBSAlgorithm(period=2.0)
-    cluster_exec = run_simulation(
-        cluster,
-        rbs.processes(cluster),
-        SimConfig(duration=duration, rho=rho, seed=seed),
-        rate_schedules=drifted_rates(cluster, rho=rho, seed=seed),
-        delay_policy=JitterDelay(),
-    )
-    cluster_skew = _receiver_peak_skew(cluster_exec, rbs.beacon)
+    cluster_exec = Scenario(
+        topology=f"cluster:{n}", algorithm="rbs:2", rates="drifted",
+        delays="jitter", duration=duration, rho=rho, seed=seed,
+    ).simulate()
+    cluster = cluster_exec.topology
+    # Worst pairwise skew among the receivers (node 0 is the beacon).
+    receivers = SkewField(cluster_exec, step=0.5).values[1:]
+    cluster_skew = float((receivers.max(axis=0) - receivers.min(axis=0)).max())
 
-    multihop = line(n)
-    gossip = MaxBasedAlgorithm()
-    line_exec = run_simulation(
-        multihop,
-        gossip.processes(multihop),
-        SimConfig(duration=duration, rho=rho, seed=seed),
-        rate_schedules=drifted_rates(multihop, rho=rho, seed=seed),
-    )
-    line_skew = max(
-        line_exec.max_skew(t) for t in line_exec.sample_times(1.0)
-    )
+    line_exec = Scenario(
+        topology=f"line:{n}", algorithm="max-based", rates="drifted",
+        delays="half", duration=duration, rho=rho, seed=seed,
+    ).simulate()
+    multihop = line_exec.topology
+    line_skew = SkewField(line_exec).max_skew()
 
     table = Table(
         title="E08: RBS broadcast cluster vs multi-hop gossip",
@@ -96,5 +76,9 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
             "The RBS cluster deliberately relaxes the min-distance "
             "normalization (DESIGN.md, substitutions).",
         ],
-        data={"cluster_skew": cluster_skew, "line_skew": line_skew, "eps": eps},
+        data={
+            "cluster_skew": cluster_skew,
+            "line_skew": line_skew,
+            "eps": cluster.diameter,
+        },
     )

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-from repro.algorithms import (
-    BoundedCatchUpAlgorithm,
-    MaxBasedAlgorithm,
-    NullAlgorithm,
-)
 from repro.analysis.reporting import Table
 from repro.apps.fusion import evaluate_fusion
-from repro.experiments.common import ExperimentResult, Scale, drifted_rates, pick
-from repro.sim.messages import UniformRandomDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.topology.generators import balanced_tree
+from repro.experiments.common import ExperimentResult, Scale, pick
+from repro.sweep import Scenario
 
 __all__ = ["run"]
 
@@ -27,12 +20,7 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
     branching, height = pick(scale, (3, 2), (3, 3))
     duration = pick(scale, 60.0, 120.0)
     tolerances = pick(scale, [0.5, 1.0, 2.0], [0.25, 0.5, 1.0, 2.0, 4.0])
-    topology = balanced_tree(branching, height)
-    algorithms = [
-        NullAlgorithm(),
-        MaxBasedAlgorithm(period=0.5),
-        BoundedCatchUpAlgorithm(period=0.5, kappa=0.5, mu=0.5),
-    ]
+    algorithms = ["null", "max-based:0.5", "bounded-catch-up:0.5,0.5,0.5"]
     table = Table(
         title="E09: mis-fusion rate vs tolerance (sensor tree)",
         headers=[
@@ -49,15 +37,14 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
         ),
     )
     series: dict[str, dict[float, float]] = {}
-    for algorithm in algorithms:
-        execution = run_simulation(
-            topology,
-            algorithm.processes(topology),
-            SimConfig(duration=duration, rho=rho, seed=seed),
-            rate_schedules=drifted_rates(topology, rho=rho, seed=seed),
-            delay_policy=UniformRandomDelay(),
-        )
-        series[algorithm.name] = {}
+    for spec in algorithms:
+        execution = Scenario(
+            topology=f"tree:{branching},{height}", algorithm=spec,
+            rates="drifted", delays="uniform", duration=duration, rho=rho,
+            seed=seed,
+        ).simulate()
+        name = spec.partition(":")[0]
+        series[name] = {}
         for tolerance in tolerances:
             report = evaluate_fusion(
                 execution,
@@ -67,13 +54,13 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
                 seed=seed,
             )
             table.add_row(
-                algorithm.name,
+                name,
                 tolerance,
                 report.misfusion_rate,
                 report.worst_spread,
                 report.mean_spread,
             )
-            series[algorithm.name][tolerance] = report.misfusion_rate
+            series[name][tolerance] = report.misfusion_rate
     return ExperimentResult(
         experiment_id="E09",
         title="data fusion needs nearby-node synchronization",

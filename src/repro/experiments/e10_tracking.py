@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm
 from repro.analysis.reporting import Table
 from repro.apps.tracking import required_skew_for_accuracy, track_velocity
-from repro.experiments.common import ExperimentResult, Scale, drifted_rates, pick
-from repro.sim.messages import UniformRandomDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.topology.generators import line
+from repro.experiments.common import ExperimentResult, Scale, pick
+from repro.sweep import Scenario
 
 __all__ = ["run"]
 
@@ -24,8 +21,7 @@ def run(scale: Scale = "quick", *, rho: float = 0.05, seed: int = 0) -> Experime
     separations = [s for s in (1, 2, 4, 8, 16, 32) if s < n]
     velocity = 0.5
     duration = pick(scale, 80.0, 160.0)
-    topology = line(n)
-    algorithms = [MaxBasedAlgorithm(period=0.5), BoundedCatchUpAlgorithm(period=0.5, kappa=0.5, mu=0.5)]
+    algorithms = ["max-based:0.5", "bounded-catch-up:0.5,0.5,0.5"]
     table = Table(
         title="E10: velocity estimate error vs separation",
         headers=[
@@ -42,15 +38,13 @@ def run(scale: Scale = "quick", *, rho: float = 0.05, seed: int = 0) -> Experime
         ),
     )
     series: dict[str, dict[int, float]] = {}
-    for algorithm in algorithms:
-        execution = run_simulation(
-            topology,
-            algorithm.processes(topology),
-            SimConfig(duration=duration, rho=rho, seed=seed),
-            rate_schedules=drifted_rates(topology, rho=rho, seed=seed),
-            delay_policy=UniformRandomDelay(),
-        )
-        series[algorithm.name] = {}
+    for spec in algorithms:
+        execution = Scenario(
+            topology=f"line:{n}", algorithm=spec, rates="drifted",
+            delays="uniform", duration=duration, rho=rho, seed=seed,
+        ).simulate()
+        name = spec.partition(":")[0]
+        series[name] = {}
         for sep in separations:
             # Average several passes at different times to denoise.
             starts = [duration * frac for frac in (0.3, 0.4, 0.5)]
@@ -65,14 +59,14 @@ def run(scale: Scale = "quick", *, rho: float = 0.05, seed: int = 0) -> Experime
             meets = mean_error <= 0.01
             budget = required_skew_for_accuracy(sep, velocity)
             table.add_row(
-                algorithm.name,
+                name,
                 sep,
                 mean_skew,
                 mean_error,
                 "yes" if meets else "no",
                 budget,
             )
-            series[algorithm.name][sep] = mean_error
+            series[name][sep] = mean_error
     return ExperimentResult(
         experiment_id="E10",
         title="target tracking: error tolerance forms a gradient",

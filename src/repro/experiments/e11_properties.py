@@ -6,11 +6,9 @@ from repro.algorithms import standard_suite
 from repro.analysis.gradient_profile import fit_linear
 from repro.analysis.reporting import Table
 from repro.errors import ValidityError
-from repro.experiments.common import ExperimentResult, Scale, drifted_rates, pick
+from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.gcs.properties import GradientBound, check_gradient, empirical_f
-from repro.sim.messages import UniformRandomDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.topology.generators import line
+from repro.sweep import Scenario
 
 __all__ = ["run"]
 
@@ -21,7 +19,6 @@ def run(scale: Scale = "quick", *, rho: float = 0.3, seed: int = 0) -> Experimen
     n = pick(scale, 13, 25)
     duration = pick(scale, 60.0, 120.0)
     diameter = n - 1
-    topology = line(n)
     table = Table(
         title="E11: requirements audit under benign drifted executions",
         headers=[
@@ -40,21 +37,19 @@ def run(scale: Scale = "quick", *, rho: float = 0.3, seed: int = 0) -> Experimen
         ),
     )
     profiles: dict[str, dict[float, float]] = {}
-    for algorithm in standard_suite():
-        execution = run_simulation(
-            topology,
-            algorithm.processes(topology),
-            SimConfig(duration=duration, rho=rho, seed=seed),
-            rate_schedules=drifted_rates(topology, rho=rho, seed=seed),
-            delay_policy=UniformRandomDelay(),
-        )
+    # Every suite algorithm's name is its default-parameter spec string.
+    for name in (algorithm.name for algorithm in standard_suite()):
+        execution = Scenario(
+            topology=f"line:{n}", algorithm=name, rates="drifted",
+            delays="uniform", duration=duration, rho=rho, seed=seed,
+        ).simulate()
         try:
             execution.check_validity()
             validity = "ok"
         except ValidityError:
             validity = "VIOLATED"
         profile = empirical_f([execution])
-        profiles[algorithm.name] = profile
+        profiles[name] = profile
         fit = fit_linear(profile)
         f1 = profile.get(1.0, 0.0)
         fmid = profile.get(float(diameter // 2), 0.0)
@@ -62,7 +57,7 @@ def run(scale: Scale = "quick", *, rho: float = 0.3, seed: int = 0) -> Experimen
         constant_bound = GradientBound.constant(max(f1, 1e-9))
         violations = check_gradient(execution, constant_bound)
         table.add_row(
-            algorithm.name,
+            name,
             validity,
             f1,
             fmid,

@@ -30,18 +30,11 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms import (
-    BoundedCatchUpAlgorithm,
-    MaxBasedAlgorithm,
-    SlewingMaxAlgorithm,
-)
 from repro.analysis.reporting import Table
-from repro.experiments.common import ExperimentResult, Scale, drifted_rates, pick
+from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.experiments.e04_st_violation import run_scenario
 from repro.gcs.properties import empirical_f
-from repro.sim.messages import UniformRandomDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.topology.generators import line
+from repro.sweep import Scenario, algorithm_from_spec
 
 __all__ = ["run"]
 
@@ -49,21 +42,16 @@ __all__ = ["run"]
 ATTACK_RHO = 0.2
 
 
-def _candidates():
-    """Candidates parameterized for drift up to ATTACK_RHO.
-
-    Stability requires the catch-up budget to beat the worst drift
-    differential: slewing needs ``sigma >= 2 rho * period`` per period
-    with slack; blocking needs ``(1 + mu)(1 - rho) > 1 + rho``.  (With
-    budgets below these thresholds a slow node can never keep up and
-    local skew degrades — a genuine design constraint this experiment
-    surfaced; see the notes.)
-    """
-    return [
-        MaxBasedAlgorithm(period=0.5),
-        SlewingMaxAlgorithm(period=0.5, sigma=1.0),
-        BoundedCatchUpAlgorithm(period=0.5, kappa=0.5, mu=1.0),
-    ]
+#: Candidates parameterized for drift up to ATTACK_RHO (period, then
+#: sigma for slewing, kappa and mu for blocking).
+#:
+#: Stability requires the catch-up budget to beat the worst drift
+#: differential: slewing needs ``sigma >= 2 rho * period`` per period
+#: with slack; blocking needs ``(1 + mu)(1 - rho) > 1 + rho``.  (With
+#: budgets below these thresholds a slow node can never keep up and
+#: local skew degrades — a genuine design constraint this experiment
+#: surfaced; see the notes.)
+_CANDIDATES = ("max-based:0.5", "slewing-max:0.5,1", "bounded-catch-up:0.5,0.5,1")
 
 
 def _envelope_constant(profile: dict[float, float], diameter: int) -> float:
@@ -93,35 +81,32 @@ def run(scale: Scale = "quick", *, rho: float = 0.1, seed: int = 0) -> Experimen
     )
     spikes: dict[str, dict[int, float]] = {}
     constants: dict[str, dict[int, float]] = {}
-    for algorithm in _candidates():
-        spikes[algorithm.name] = {}
-        constants[algorithm.name] = {}
+    for spec in _CANDIDATES:
+        name = spec.partition(":")[0]
+        spikes[name] = {}
+        constants[name] = {}
         for diameter in diameters:
-            topology = line(diameter + 1)
-            execution = run_simulation(
-                topology,
-                algorithm.processes(topology),
-                SimConfig(
-                    duration=duration_factor * diameter, rho=rho, seed=seed
-                ),
-                rate_schedules=drifted_rates(topology, rho=rho, seed=seed),
-                delay_policy=UniformRandomDelay(),
-            )
+            execution = Scenario(
+                topology=f"line:{diameter + 1}", algorithm=spec,
+                rates="drifted", delays="uniform",
+                duration=duration_factor * diameter, rho=rho, seed=seed,
+            ).simulate()
             profile = empirical_f([execution])
             c = _envelope_constant(profile, diameter)
             _, spike, _ = run_scenario(
-                algorithm, float(diameter), rho=ATTACK_RHO, seed=seed
+                algorithm_from_spec(spec), float(diameter), rho=ATTACK_RHO,
+                seed=seed,
             )
             table.add_row(
-                algorithm.name,
+                name,
                 diameter,
                 profile.get(1.0, 0.0),
                 profile.get(float(diameter), 0.0),
                 c,
                 spike,
             )
-            spikes[algorithm.name][diameter] = spike
-            constants[algorithm.name][diameter] = c
+            spikes[name][diameter] = spike
+            constants[name][diameter] = c
     return ExperimentResult(
         experiment_id="E12",
         title="candidate gradient algorithms (extension: Section 9 conjecture)",

@@ -9,42 +9,24 @@ multi-hundred-diameter network is one trajectory-matrix build plus array
 arithmetic — which moved the bottleneck to the simulation itself.  The
 simulator's batched event loop (held byte-identical to the naive
 reference loop by ``tests/test_engine_equivalence.py``) moves it back:
-this experiment runs each cell with tracing off (the at-scale
-configuration) and sweeps line / grid / random-geometric topologies
-past ``D = 512``, reporting both the profiles and the cost split (sim
-seconds vs. field build + query seconds per cell).
+this experiment runs each cell — a :class:`~repro.sweep.Scenario` of
+the ``bounded-catch-up`` candidate, simulated untraced (the at-scale
+configuration) — over line / grid / random-geometric topologies past
+``D = 512``, reporting both the profiles and the cost split (seconds in
+``Scenario.simulate`` vs. field build + query seconds per cell).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.algorithms import BoundedCatchUpAlgorithm
 from repro.analysis.field import SkewField
 from repro.analysis.gradient_profile import fit_linear
 from repro.analysis.reporting import Table
 from repro.experiments.common import ExperimentResult, Scale, pick
-from repro.sim.messages import UniformRandomDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.sweep.families import drifted_rates
-from repro.topology.generators import grid, line, random_geometric
+from repro.sweep import Scenario
 
 __all__ = ["run"]
-
-#: Topology families swept, each built to hit a target diameter ``D``:
-#: the line has ``D + 1`` nodes, the 4-row grid ``4 (D - 2)``, and the
-#: geometric field uses ``D`` nodes (its realized diameter is measured).
-FAMILIES = ("line", "grid", "geometric")
-
-
-def _build_topology(family: str, diameter: int, *, seed: int):
-    if family == "line":
-        return line(diameter + 1)
-    if family == "grid":
-        return grid(4, diameter - 2)
-    if family == "geometric":
-        return random_geometric(diameter, seed=seed)
-    raise ValueError(f"unknown topology family {family!r}")
 
 
 def run(
@@ -61,7 +43,14 @@ def run(
     """
     diameters = pick(scale, [32, 64, 128], [32, 64, 128, 256, 512, 768])
     duration = pick(scale, 20.0, 30.0)
-    algorithm = BoundedCatchUpAlgorithm()
+    # Each family is built to hit a target diameter ``D``: the line has
+    # ``D + 1`` nodes, the 4-row grid ``4 (D - 2)``, and the geometric
+    # field uses ``D`` nodes (its realized diameter is measured).
+    cells = (
+        [("line", d, f"line:{d + 1}") for d in diameters]
+        + [("grid", d, f"grid:4,{d - 2}") for d in diameters]
+        + [("geometric", d, f"geometric:{d},{seed}") for d in diameters]
+    )
     table = Table(
         title="E15: gradient profiles at scale (batched analysis path)",
         headers=[
@@ -89,63 +78,54 @@ def run(
     )
     profiles: dict[str, dict[float, float]] = {}
     timings: dict[str, dict[str, float]] = {}
-    for family in FAMILIES:
-        for diameter in diameters:
-            topology = _build_topology(family, diameter, seed=seed)
-            sim_start = time.perf_counter()
-            execution = run_simulation(
-                topology,
-                algorithm.processes(topology),
-                SimConfig(
-                    duration=duration,
-                    rho=rho,
-                    seed=seed,
-                    # At-scale configuration: no trace.  Every
-                    # measurement below reads clocks, not the trace.
-                    record_trace=False,
-                ),
-                rate_schedules=drifted_rates(topology, rho=rho, seed=seed),
-                delay_policy=UniformRandomDelay(),
-            )
-            sim_s = time.perf_counter() - sim_start
+    for family, diameter, spec in cells:
+        sim_start = time.perf_counter()
+        # Untraced, like every ``simulate()``: each measurement below
+        # reads clocks, not the trace.
+        execution = Scenario(
+            topology=spec, algorithm="bounded-catch-up", rates="drifted",
+            delays="uniform", duration=duration, rho=rho, seed=seed,
+        ).simulate()
+        sim_s = time.perf_counter() - sim_start
+        topology = execution.topology
 
-            build_start = time.perf_counter()
-            field = SkewField(execution, step=0.5)
-            field_s = time.perf_counter() - build_start
+        build_start = time.perf_counter()
+        field = SkewField(execution, step=0.5)
+        field_s = time.perf_counter() - build_start
 
-            query_start = time.perf_counter()
-            profile = field.gradient_profile()
-            field.summary()
-            field.max_adjacent_series()
-            query_s = time.perf_counter() - query_start
+        query_start = time.perf_counter()
+        profile = field.gradient_profile()
+        field.summary()
+        field.max_adjacent_series()
+        query_s = time.perf_counter() - query_start
 
-            actual = topology.diameter
-            fit = fit_linear(profile)
-            distances = sorted(profile)
-            mid = distances[len(distances) // 2]
-            cell = f"{family}:{diameter}"
-            profiles[cell] = profile
-            timings[cell] = {
-                "sim_s": sim_s,
-                "field_s": field_s,
-                "query_s": query_s,
-                "n": topology.n,
-                "samples": field.n_samples,
-            }
-            table.add_row(
-                topology.name,
-                diameter,
-                actual,
-                topology.n,
-                field.n_samples,
-                round(sim_s, 3),
-                round(field_s, 4),
-                round(query_s, 4),
-                profile[distances[0]],
-                profile[mid],
-                profile[distances[-1]],
-                f"{fit.slope:.3f}*d+{fit.intercept:.3f}",
-            )
+        actual = topology.diameter
+        fit = fit_linear(profile)
+        distances = sorted(profile)
+        mid = distances[len(distances) // 2]
+        cell = f"{family}:{diameter}"
+        profiles[cell] = profile
+        timings[cell] = {
+            "sim_s": sim_s,
+            "field_s": field_s,
+            "query_s": query_s,
+            "n": topology.n,
+            "samples": field.n_samples,
+        }
+        table.add_row(
+            topology.name,
+            diameter,
+            actual,
+            topology.n,
+            field.n_samples,
+            round(sim_s, 3),
+            round(field_s, 4),
+            round(query_s, 4),
+            profile[distances[0]],
+            profile[mid],
+            profile[distances[-1]],
+            f"{fit.slope:.3f}*d+{fit.intercept:.3f}",
+        )
     return ExperimentResult(
         experiment_id="E15",
         title="gradient profiles at scale (vectorized analysis core)",

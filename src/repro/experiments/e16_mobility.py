@@ -10,8 +10,8 @@ change.  This experiment opens the mobility axis in two parts:
    (bounded-catch-up), and averaging, each next to its static baseline.
    Faster rewiring hurts dead-reckoned neighbor state more than
    max-propagation, and the ladder shows by how much.
-2. **Re-convergence after rewiring**: a hand-authored two-phase network
-   (a line whose node order is interleaved mid-run, so every
+2. **Re-convergence after rewiring**: the ``interleave`` mobility family
+   on a line (its node order is interleaved mid-run, so every
    neighborhood re-forms at once).  For each algorithm the table reports
    the pre-change adjacent skew, the spike when new neighbors meet, and
    the time the adjacent series takes to re-tighten below its pre-change
@@ -29,17 +29,11 @@ import numpy as np
 
 from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
-from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.gcs.properties import GradientBound, check_gradient
-from repro.sim.messages import UniformRandomDelay
-from repro.sim.simulator import SimConfig, run_simulation
-from repro.sweep import SweepSpec, algorithm_from_spec, run_jobs
-from repro.sweep.families import drifted_rates
-from repro.topology.base import Topology
-from repro.topology.dynamic import snapshot_sequence
+from repro.sweep import Scenario, SweepSpec, run_jobs
 
-__all__ = ["run", "SPEED_LADDER", "interleaved_line"]
+__all__ = ["run", "SPEED_LADDER"]
 
 #: The mobility-intensity ladder, stillness to fast drift (speeds in
 #: distance units per real-time unit; snapshots every 4 time units).
@@ -56,29 +50,6 @@ SPEED_LADDER = (
     "waypoint:1,4",
     "waypoint:2,4",
 )
-
-
-def interleaved_line(n: int, *, interleave: bool = False) -> Topology:
-    """A line whose *node order* along the axis can be interleaved.
-
-    With ``interleave=False`` this is the plain Section 8 line
-    (node ``i`` at position ``i``).  With ``interleave=True`` the even
-    nodes take the first positions and the odd nodes the rest — every
-    node keeps its identity but nearly every neighborhood changes, the
-    worst single rewiring a line can suffer.  Both variants share the
-    node set, so they form a valid two-phase
-    :class:`~repro.topology.dynamic.DynamicTopology`.
-    """
-    if n < 4:
-        raise ExperimentError("interleaved_line needs at least 4 nodes")
-    order = list(range(0, n, 2)) + list(range(1, n, 2)) if interleave else list(range(n))
-    position = {node: idx for idx, node in enumerate(order)}
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = abs(position[i] - position[j])
-    suffix = "interleaved" if interleave else "straight"
-    return Topology.with_radius(d, 1.0, name=f"line({n},{suffix})")
 
 
 def run(
@@ -169,11 +140,6 @@ def run(
     n = pick(scale, 9, 13)
     total = pick(scale, 40.0, 80.0)
     change_at = total / 2.0
-    before = interleaved_line(n)
-    after = interleaved_line(n, interleave=True)
-    dyn = snapshot_sequence(
-        (0.0, before), (change_at, after), name=f"line({n})-interleave"
-    )
     bound = GradientBound.linear(2.0 * rho, 1.0)
 
     reconv_table = Table(
@@ -200,14 +166,11 @@ def run(
     )
     reconvergence: dict[str, dict] = {}
     for name in algorithms:
-        algorithm = algorithm_from_spec(name)
-        execution = run_simulation(
-            dyn,
-            algorithm.processes(before),
-            SimConfig(duration=total, rho=rho, seed=seed),
-            rate_schedules=drifted_rates(before, rho=rho, seed=seed),
-            delay_policy=UniformRandomDelay(),
-        )
+        execution = Scenario(
+            topology=f"line:{n}", algorithm=name, rates="drifted",
+            delays="uniform", mobility="interleave:0.5", duration=total,
+            rho=rho, seed=seed,
+        ).simulate()
         field = SkewField(execution, execution.sample_times(0.25))
         series = field.max_adjacent_series()
         times = field.times

@@ -41,8 +41,6 @@ from repro.sweep.families import (
     drifted_rates,
     fault_plan_from_spec,
     mobility_from_spec,
-    parse_fault_spec,
-    parse_mobility_spec,
     rates_from_spec,
     spread_rates,
     topology_from_spec,
@@ -104,9 +102,7 @@ __all__ = [
     "rates_from_spec",
     "delay_policy_from_spec",
     "fault_plan_from_spec",
-    "parse_fault_spec",
     "mobility_from_spec",
-    "parse_mobility_spec",
     "drifted_rates",
     "spread_rates",
     "wandering_rates",

@@ -9,8 +9,7 @@ module owns the registries that turn those strings back into objects
 inside whichever process runs the job.
 
 The rate-family helpers (:func:`drifted_rates`, :func:`spread_rates`,
-:func:`wandering_rates`) live here too; :mod:`repro.experiments.common`
-re-exports them so existing experiment code keeps working.
+:func:`wandering_rates`) live here too.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ import random
 import zlib
 from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
+import numpy as np
+
 from repro._constants import DEFAULT_RHO
 from repro.algorithms import (
     AveragingAlgorithm,
@@ -26,6 +27,7 @@ from repro.algorithms import (
     ExternalSyncAlgorithm,
     MaxBasedAlgorithm,
     NullAlgorithm,
+    RBSAlgorithm,
     SlewingMaxAlgorithm,
     SrikanthTouegAlgorithm,
     SyncAlgorithm,
@@ -42,7 +44,12 @@ from repro.sim.messages import (
 from repro.sim.rates import PiecewiseConstantRate, random_walk_schedule
 from repro.topology import generators
 from repro.topology.base import Topology
-from repro.topology.dynamic import DynamicTopology, link_schedule, random_waypoint
+from repro.topology.dynamic import (
+    DynamicTopology,
+    link_schedule,
+    random_waypoint,
+    snapshot_sequence,
+)
 
 __all__ = [
     "drifted_rates",
@@ -53,9 +60,7 @@ __all__ = [
     "rates_from_spec",
     "delay_policy_from_spec",
     "fault_plan_from_spec",
-    "parse_fault_spec",
     "mobility_from_spec",
-    "parse_mobility_spec",
     "TOPOLOGY_KINDS",
     "ALGORITHM_KINDS",
     "RATE_FAMILIES",
@@ -69,7 +74,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# rate families (moved from repro.experiments.common)
+# rate families
 
 
 def drifted_rates(
@@ -134,6 +139,19 @@ def _split(spec: str) -> tuple[str, list[str]]:
     return head.strip(), [p for p in tail.split(",") if p] if tail else []
 
 
+def _from_spec(kinds: Dict[str, Callable], what: str, spec: str, *context):
+    """Split ``spec``, float its arguments and call its builder after
+    ``context``; every failure is a :class:`SweepError` naming the spec
+    (surplus arguments included — a builder's arity is its grammar)."""
+    name, args = _split(spec)
+    if name not in kinds:
+        raise SweepError(f"unknown {what} {spec!r}; known: {sorted(kinds)}")
+    try:
+        return kinds[name](*context, *(float(a) for a in args))
+    except (TypeError, ValueError, FaultError, TopologyError) as exc:
+        raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
+
+
 def _int_args(spec: str, args: list[str], count: int) -> list[int]:
     if len(args) != count:
         raise SweepError(f"{spec!r} needs {count} integer argument(s)")
@@ -186,37 +204,35 @@ def topology_from_spec(spec: str) -> Topology:
         raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
 
 
-#: name -> builder(period) for algorithm spec strings.  An optional
-#: ``:period`` suffix (hardware-time units) overrides the default 1.0,
-#: e.g. ``"max-based:0.5"``; algorithms without a period ignore it.
-ALGORITHM_KINDS: Dict[str, Callable[[float], SyncAlgorithm]] = {
-    "max-based": lambda period: MaxBasedAlgorithm(period=period),
-    "srikanth-toueg": lambda period: SrikanthTouegAlgorithm(),
-    "averaging": lambda period: AveragingAlgorithm(period=period),
-    "bounded-catch-up": lambda period: BoundedCatchUpAlgorithm(period=period),
+def _bounded_catch_up(period=1.0, kappa=2.0, mu=1.0):
+    return BoundedCatchUpAlgorithm(period=period, kappa=kappa, mu=mu)
+
+
+#: name -> builder(*numeric args) for algorithm spec strings.  Every
+#: argument is optional and positional, ``period`` (hardware-time units)
+#: first: ``max-based:0.5``, ``slewing-max:0.5,1`` (period, sigma),
+#: ``bounded-catch-up:0.5,0.5,1`` (period, kappa, mu).
+ALGORITHM_KINDS: Dict[str, Callable[..., SyncAlgorithm]] = {
+    "max-based": lambda period=1.0: MaxBasedAlgorithm(period=period),
+    "srikanth-toueg": lambda: SrikanthTouegAlgorithm(),
+    "averaging": lambda period=1.0: AveragingAlgorithm(period=period),
+    "bounded-catch-up": _bounded_catch_up,
     # The Section 9 gradient candidate under the name everyone reaches
     # for first (``repro-live --alg gradient``).
-    "gradient": lambda period: BoundedCatchUpAlgorithm(period=period),
-    "slewing-max": lambda period: SlewingMaxAlgorithm(period=period),
-    "external": lambda period: ExternalSyncAlgorithm(period=period),
-    "null": lambda period: NullAlgorithm(),
+    "gradient": _bounded_catch_up,
+    "slewing-max": lambda period=1.0, sigma=1.0: SlewingMaxAlgorithm(
+        period=period, sigma=sigma
+    ),
+    "external": lambda period=1.0: ExternalSyncAlgorithm(period=period),
+    # Node 0 is the beacon; meant for ``cluster:n`` topologies.
+    "rbs": lambda period=1.0: RBSAlgorithm(period=period),
+    "null": lambda: NullAlgorithm(),
 }
 
 
 def algorithm_from_spec(spec: str) -> SyncAlgorithm:
     """Build an algorithm from a spec string, e.g. ``"averaging:0.5"``."""
-    name, args = _split(spec)
-    if name not in ALGORITHM_KINDS:
-        raise SweepError(
-            f"unknown algorithm {spec!r}; kinds: {sorted(ALGORITHM_KINDS)}"
-        )
-    if len(args) > 1:
-        raise SweepError(f"{spec!r}: at most one period argument")
-    try:
-        period = float(args[0]) if args else 1.0
-    except ValueError as exc:
-        raise SweepError(f"{spec!r}: non-numeric period") from exc
-    return ALGORITHM_KINDS[name](period)
+    return _from_spec(ALGORITHM_KINDS, "algorithm", spec)
 
 
 #: family -> builder(topology, rho, seed, horizon) for per-node rate
@@ -260,19 +276,7 @@ DELAY_POLICIES: Dict[str, Callable[..., DelayPolicy]] = {
 
 def delay_policy_from_spec(spec: str) -> DelayPolicy:
     """Build a delay policy from a spec string, e.g. ``"uniform:0.25,0.75"``."""
-    name, args = _split(spec)
-    if name not in DELAY_POLICIES:
-        raise SweepError(
-            f"unknown delay policy {spec!r}; kinds: {sorted(DELAY_POLICIES)}"
-        )
-    try:
-        values = [float(a) for a in args]
-    except ValueError as exc:
-        raise SweepError(f"{spec!r}: non-numeric argument") from exc
-    try:
-        return DELAY_POLICIES[name](*values)
-    except TypeError as exc:
-        raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
+    return _from_spec(DELAY_POLICIES, "delay policy", spec)
 
 
 # ----------------------------------------------------------------------
@@ -356,19 +360,6 @@ FAULT_FAMILIES: Dict[str, Callable[..., FaultPlan]] = {
 }
 
 
-def parse_fault_spec(spec: str) -> tuple[str, list[float]]:
-    """Fail-fast parse of a fault spec string (no topology needed)."""
-    name, args = _split(spec)
-    if name not in FAULT_FAMILIES:
-        raise SweepError(
-            f"unknown fault family {spec!r}; families: {sorted(FAULT_FAMILIES)}"
-        )
-    try:
-        return name, [float(a) for a in args]
-    except ValueError as exc:
-        raise SweepError(f"{spec!r}: non-numeric argument") from exc
-
-
 # ----------------------------------------------------------------------
 # mobility families (the dynamic-topology axis; see repro.topology.dynamic)
 
@@ -439,28 +430,46 @@ def _blink_mobility(
     return link_schedule(topology, down, name=f"{topology.name}+blink")
 
 
+def _interleave_mobility(
+    topology: Topology, seed: int, horizon: float, at_frac: float = 0.5
+) -> DynamicTopology:
+    """One all-at-once rewiring of the cell topology at ``at_frac * horizon``.
+
+    The even nodes take the first places and the odd nodes the rest:
+    every node keeps its identity and the network keeps its shape, but
+    nearly every neighborhood re-forms at once — on a line, the worst
+    single rewiring it can suffer.
+    """
+    if not 0.0 < at_frac < 1.0:
+        raise SweepError(f"interleave fraction must be in (0, 1), got {at_frac}")
+    order = [*range(0, topology.n, 2), *range(1, topology.n, 2)]
+    place = np.argsort(order)  # place[node]: where the node now stands
+    after = Topology(
+        topology.distances[np.ix_(place, place)],
+        frozenset(
+            (min(order[a], order[b]), max(order[a], order[b]))
+            for a, b in topology.comm_edges
+        ),
+        name=f"{topology.name}+interleaved",
+        require_unit_min=topology.require_unit_min,
+    )
+    return snapshot_sequence(
+        (0.0, topology),
+        (at_frac * horizon, after),
+        name=f"{topology.name}+interleave",
+    )
+
+
 #: family -> builder(topology, seed, horizon, *numeric args) for dynamic
 #: topologies: ``static`` (no mobility — the free, byte-identical path),
-#: ``waypoint:speed[,interval]``, ``blink:frac[,period]``.
+#: ``waypoint:speed[,interval]``, ``blink:frac[,period]``,
+#: ``interleave[:at_frac]``.
 MOBILITY_FAMILIES: Dict[str, Callable[..., Optional[DynamicTopology]]] = {
     "static": lambda topology, seed, horizon: None,
     "waypoint": _waypoint_mobility,
     "blink": _blink_mobility,
+    "interleave": _interleave_mobility,
 }
-
-
-def parse_mobility_spec(spec: str) -> tuple[str, list[float]]:
-    """Fail-fast parse of a mobility spec string (no topology needed)."""
-    name, args = _split(spec)
-    if name not in MOBILITY_FAMILIES:
-        raise SweepError(
-            f"unknown mobility family {spec!r}; families: "
-            f"{sorted(MOBILITY_FAMILIES)}"
-        )
-    try:
-        return name, [float(a) for a in args]
-    except ValueError as exc:
-        raise SweepError(f"{spec!r}: non-numeric argument") from exc
 
 
 def mobility_from_spec(
@@ -473,13 +482,9 @@ def mobility_from_spec(
     byte-identity contract) untouched.  Deterministic: the dynamic
     topology is a pure function of ``(spec, topology, seed, horizon)``.
     """
-    name, values = parse_mobility_spec(spec)
-    try:
-        return MOBILITY_FAMILIES[name](topology, seed, horizon, *values)
-    except TypeError as exc:
-        raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
-    except TopologyError as exc:
-        raise SweepError(f"{spec!r}: {exc}") from exc
+    return _from_spec(
+        MOBILITY_FAMILIES, "mobility family", spec, topology, seed, horizon
+    )
 
 
 def fault_plan_from_spec(
@@ -490,12 +495,11 @@ def fault_plan_from_spec(
     The plan is salted with a hash of the spec string so distinct
     families draw distinct fault-RNG streams under the same seed.
     """
-    name, values = parse_fault_spec(spec)
+    plan = _from_spec(
+        FAULT_FAMILIES, "fault family", spec, topology, seed, horizon
+    )
     try:
-        plan = FAULT_FAMILIES[name](topology, seed, horizon, *values)
         plan.validate(topology)
-    except TypeError as exc:
-        raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
     except FaultError as exc:
         raise SweepError(f"{spec!r}: {exc}") from exc
     if plan.is_empty():

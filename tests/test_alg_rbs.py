@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import RBSAlgorithm
-from repro.experiments.common import drifted_rates
+from repro.sweep import drifted_rates
 from repro.sim.messages import JitterDelay
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import broadcast_cluster

@@ -73,6 +73,10 @@ class TestFitLinear:
         assert fit.slope == 0.0
         assert fit.intercept == 5.0
 
+    def test_empty_profile_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty profile"):
+            fit_linear({})
+
     def test_max_over_linear(self):
         profile = {1.0: 2.0, 2.0: 4.0, 3.0: 9.0}  # last point above trend
         fit = fit_linear(profile)

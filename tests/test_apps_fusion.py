@@ -5,7 +5,7 @@ import pytest
 from repro.algorithms import NullAlgorithm
 from repro.apps.fusion import evaluate_fusion, fusion_groups
 from repro.errors import ExperimentError
-from repro.experiments.common import drifted_rates
+from repro.sweep import drifted_rates
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import balanced_tree, line
 

@@ -17,6 +17,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import subprocess
@@ -244,6 +245,28 @@ class TestOneScenarioCell:
         assert self._modules_with(builder) == sorted(
             ["sweep/families.py", "sweep/scenario.py", *also]
         )
+
+    def test_an_execution_is_born_from_a_scenario_or_a_schedule(self):
+        # The simulator's definition and its three callers: a benign
+        # cell (Scenario.simulate), an adversary's dictation
+        # (AdversarySchedule.run) and the replay of a recorded run.
+        assert self._modules_with("run_simulation(") == [
+            "gcs/schedule.py",
+            "sim/replay.py",
+            "sim/simulator.py",
+            "sweep/scenario.py",
+        ]
+        for under in ("experiments", "apps"):
+            assert self._modules_with("SimConfig(", under) == [], under
+            assert self._modules_with("run_simulation", under) == [], under
+        common = ast.parse(
+            (self.PACKAGE / "experiments" / "common.py").read_text()
+        )
+        assert not [
+            node.module
+            for node in ast.walk(common)
+            if isinstance(node, ast.ImportFrom) and "sweep" in node.module
+        ]
 
     def test_the_metrics_row_is_written_once(self):
         assert self._modules_with('"steady_worst_adjacent_skew"') == [

@@ -42,7 +42,7 @@ from repro.sim.messages import (
     UniformRandomDelay,
 )
 from repro.sim.rates import PiecewiseConstantRate
-from repro.sweep.families import drifted_rates, wandering_rates
+from repro.sweep.families import drifted_rates, mobility_from_spec, wandering_rates
 from repro.topology.dynamic import snapshot_sequence
 from repro.topology.generators import complete, grid, line, random_geometric, ring
 
@@ -165,6 +165,19 @@ class TestMobility:
         dyn = snapshot_sequence((0.0, line(6)), (8.0, ring(6)), (16.0, line(6)))
         scalar, batched = run_both(
             dyn, ALGORITHMS[alg_name], duration=20.0, seed=5
+        )
+        assert scalar.is_dynamic and batched.is_dynamic
+        assert_equivalent(scalar, batched)
+
+    @pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+    def test_interleave_family_equivalent(self, alg_name):
+        # Every neighborhood re-forms at one instant, with messages to
+        # the old neighbors still in flight.
+        dyn = mobility_from_spec("interleave:0.5", line(9), seed=0, horizon=20.0)
+        scalar, batched = run_both(
+            dyn, ALGORITHMS[alg_name], duration=20.0, seed=5,
+            rate_schedules=drifted_rates(line(9), rho=0.3, seed=5),
+            delay_policy=UniformRandomDelay(),
         )
         assert scalar.is_dynamic and batched.is_dynamic
         assert_equivalent(scalar, batched)

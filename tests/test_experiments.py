@@ -2,14 +2,34 @@
 
 Each experiment runs at quick scale with reduced parameters where the
 runner supports it; assertions check the *shape* claims the paper makes,
-not absolute numbers.
+not absolute numbers — except :class:`TestGoldenTables`, which pins the
+quick tables of the experiments whose cells became a ``Scenario`` (or an
+``AdversarySchedule``) to the rows captured before that change.
 """
+
+import functools
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import REGISTRY, run_experiment
 from repro.experiments.cli import main as cli_main
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_experiment_tables.json").read_text()
+)
+
+#: E15's stopwatch columns: wall time, the one thing a table may not pin.
+STOPWATCH = ("sim s", "field s", "query s")
+
+
+@functools.lru_cache(maxsize=None)
+def quick(experiment_id):
+    """One quick-scale run per experiment per session, shared by the
+    shape tests and the golden tables."""
+    return run_experiment(experiment_id)
 
 
 class TestRegistry:
@@ -34,7 +54,7 @@ class TestRegistry:
 
 class TestRunners:
     def test_e01_linear_growth(self):
-        result = run_experiment("E01")
+        result = quick("E01")
         series = result.data["series"]["max-based"]
         ds = sorted(series)
         assert series[ds[-1]] > series[ds[0]]
@@ -43,13 +63,13 @@ class TestRunners:
             assert skew >= d / 12.0 - 1e-6
 
     def test_e03_figure_shape(self):
-        result = run_experiment("E03")
+        result = quick("E03")
         windows = result.data["windows"]
         knees = [w[0] for w in windows.values()]
         assert knees == sorted(knees)
 
     def test_e04_linear_in_d(self):
-        result = run_experiment("E04")
+        result = quick("E04")
         for algorithm, series in result.data["series"].items():
             ds = sorted(series)
             assert series[ds[-1]] > series[ds[0]], algorithm
@@ -58,23 +78,23 @@ class TestRunners:
                 assert series[d] > 0.5 * d, algorithm
 
     def test_e08_cluster_beats_multihop(self):
-        result = run_experiment("E08")
+        result = quick("E08")
         assert result.data["cluster_skew"] < result.data["line_skew"]
 
     def test_e09_sync_beats_null(self):
-        result = run_experiment("E09")
+        result = quick("E09")
         series = result.data["series"]
         tolerances = sorted(series["max-based"])
         mid = tolerances[len(tolerances) // 2]
         assert series["max-based"][mid] < series["null"][mid]
 
     def test_e10_budget_grows_linearly(self):
-        result = run_experiment("E10")
+        result = quick("E10")
         series = result.data["series"]["max-based"]
         assert len(series) >= 3
 
     def test_e11_renders(self):
-        result = run_experiment("E11")
+        result = quick("E11")
         rendered = result.render()
         assert "validity" in rendered
         for row in result.tables[0].as_dicts():
@@ -90,7 +110,7 @@ class TestRunners:
         }
 
     def test_e15_scale_cells_and_timings(self):
-        result = run_experiment("E15")
+        result = quick("E15")
         profiles = result.data["profiles"]
         # Three topology families per diameter, profiles rising to D=128.
         assert {c.split(":")[0] for c in profiles} == {
@@ -110,7 +130,7 @@ class TestRunners:
             ), cell
 
     def test_result_render_contains_tables(self):
-        result = run_experiment("E03")
+        result = quick("E03")
         out = result.render()
         assert "E03" in out
         assert "paper artifact" in out
@@ -119,36 +139,56 @@ class TestRunners:
 @pytest.mark.slow
 class TestSlowRunners:
     def test_e02_growth_with_diameter(self):
-        result = run_experiment("E02")
+        result = quick("E02")
         for algorithm, series in result.data["series"].items():
             ds = sorted(series)
             assert series[ds[-1]] >= series[ds[0]] - 1e-9, algorithm
 
     def test_e05_all_verified(self):
-        result = run_experiment("E05")
+        result = quick("E05")
         for row in result.tables[0].as_dicts():
             assert row["indist."] == "yes"
             assert row["delays in [d/4,3d/4]"] == "yes"
 
     def test_e06_within_bound(self):
-        result = run_experiment("E06")
+        result = quick("E06")
         for row in result.tables[0].as_dicts():
             assert row["within bound"] == "yes"
 
     def test_e07_adversarial_collisions_appear(self):
-        result = run_experiment("E07")
+        result = quick("E07")
         adv = result.data["series"]["adversarial"]
         quiet = result.data["series"]["quiet"]
         assert all(v == 0 for v in quiet.values())
         assert any(v > 0 for v in adv.values())
 
     def test_e12_candidates_flat_spikes(self):
-        result = run_experiment("E12")
+        result = quick("E12")
         spikes = result.data["spikes"]
         ds = sorted(spikes["max-based"])
         assert spikes["max-based"][ds[-1]] > 2.0 * spikes["max-based"][ds[0]]
         for name in ("slewing-max", "bounded-catch-up"):
             assert spikes[name][ds[-1]] < spikes["max-based"][ds[-1]] / 2.0
+
+
+class TestGoldenTables:
+    """Same tables: every cell of every row, as captured at the parent
+    commit (strings as printed, no tolerance)."""
+
+    @pytest.mark.parametrize("experiment_id", sorted(GOLDEN))
+    def test_quick_tables_are_the_captured_ones(self, experiment_id):
+        tables = []
+        for table in quick(experiment_id).tables:
+            keep = [
+                k for k, header in enumerate(table.headers)
+                if not (experiment_id == "E15" and header in STOPWATCH)
+            ]
+            tables.append({
+                "title": table.title,
+                "headers": [table.headers[k] for k in keep],
+                "rows": [[row[k] for k in keep] for row in table.rows],
+            })
+        assert tables == GOLDEN[experiment_id]
 
 
 class TestCLI:

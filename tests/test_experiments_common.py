@@ -3,43 +3,8 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.common import (
-    ExperimentResult,
-    drifted_rates,
-    pick,
-    spread_rates,
-)
+from repro.experiments.common import ExperimentResult, pick
 from repro.analysis.reporting import Table
-from repro.topology.generators import line
-
-
-class TestRates:
-    def test_drifted_rates_within_band(self):
-        topo = line(10)
-        rates = drifted_rates(topo, rho=0.3, seed=1)
-        assert set(rates) == set(topo.nodes)
-        for r in rates.values():
-            assert 0.7 - 1e-9 <= r.rate_at(0.0) <= 1.3 + 1e-9
-
-    def test_drifted_rates_seeded(self):
-        topo = line(5)
-        a = drifted_rates(topo, rho=0.3, seed=7)
-        b = drifted_rates(topo, rho=0.3, seed=7)
-        c = drifted_rates(topo, rho=0.3, seed=8)
-        assert [a[n].rate_at(0.0) for n in topo.nodes] == [
-            b[n].rate_at(0.0) for n in topo.nodes
-        ]
-        assert [a[n].rate_at(0.0) for n in topo.nodes] != [
-            c[n].rate_at(0.0) for n in topo.nodes
-        ]
-
-    def test_spread_rates_linear(self):
-        topo = line(5)
-        rates = spread_rates(topo, rho=0.2)
-        values = [rates[n].rate_at(0.0) for n in topo.nodes]
-        assert values[0] == pytest.approx(0.8)
-        assert values[-1] == pytest.approx(1.2)
-        assert values == sorted(values)
 
 
 class TestPick:

@@ -9,7 +9,7 @@ from repro.gcs.indistinguishability import assert_indistinguishable_prefix
 from repro.gcs.schedule import AdversarySchedule
 from repro.sim.messages import UniformRandomDelay
 from repro.sim.simulator import SimConfig, run_simulation
-from repro.experiments.common import drifted_rates
+from repro.sweep import drifted_rates
 from repro.topology.generators import balanced_tree, grid, line, ring
 
 RHO = 0.3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import AveragingAlgorithm, MaxBasedAlgorithm
-from repro.experiments.common import drifted_rates
+from repro.sweep import drifted_rates
 from repro.sim.messages import UniformRandomDelay
 from repro.sim.replay import delay_script, replay, verify_replay
 from repro.sim.simulator import SimConfig, run_simulation

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.algorithms import MaxBasedAlgorithm
+from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm
 from repro.errors import SweepError
 from repro.sim.faults import FaultPlan
 from repro.sweep import (
@@ -24,6 +24,7 @@ from repro.sweep import (
     SweepSpec,
     algorithm_from_spec,
     delay_policy_from_spec,
+    drifted_rates,
     execute_job,
     fault_plan_from_spec,
     job_hash,
@@ -31,6 +32,7 @@ from repro.sweep import (
     mobility_from_spec,
     quick_spec,
     run_jobs,
+    spread_rates,
     summary_table,
     sweep_result,
     to_json_payload,
@@ -38,6 +40,7 @@ from repro.sweep import (
     write_json,
 )
 from repro.topology.dynamic import DynamicTopology
+from repro.topology.generators import line
 from repro.sweep.aggregate import CELL_KEYS
 from repro.sweep.spec import full_spec
 
@@ -76,6 +79,35 @@ def hazard_jobs(hazard: str):
     ]
 
 
+class TestRates:
+    def test_drifted_rates_within_band(self):
+        topo = line(10)
+        rates = drifted_rates(topo, rho=0.3, seed=1)
+        assert set(rates) == set(topo.nodes)
+        for r in rates.values():
+            assert 0.7 - 1e-9 <= r.rate_at(0.0) <= 1.3 + 1e-9
+
+    def test_drifted_rates_seeded(self):
+        topo = line(5)
+        a = drifted_rates(topo, rho=0.3, seed=7)
+        b = drifted_rates(topo, rho=0.3, seed=7)
+        c = drifted_rates(topo, rho=0.3, seed=8)
+        assert [a[n].rate_at(0.0) for n in topo.nodes] == [
+            b[n].rate_at(0.0) for n in topo.nodes
+        ]
+        assert [a[n].rate_at(0.0) for n in topo.nodes] != [
+            c[n].rate_at(0.0) for n in topo.nodes
+        ]
+
+    def test_spread_rates_linear(self):
+        topo = line(5)
+        rates = spread_rates(topo, rho=0.2)
+        values = [rates[n].rate_at(0.0) for n in topo.nodes]
+        assert values[0] == pytest.approx(0.8)
+        assert values[-1] == pytest.approx(1.2)
+        assert values == sorted(values)
+
+
 class TestFamilies:
     def test_topology_specs(self):
         assert topology_from_spec("line:5").n == 5
@@ -88,6 +120,21 @@ class TestFamilies:
         assert isinstance(algorithm, MaxBasedAlgorithm)
         assert algorithm.period == 0.5
         assert algorithm_from_spec("null").name == "null"
+
+    @pytest.mark.parametrize("name", ["bounded-catch-up", "gradient"])
+    def test_algorithm_specs_take_trailing_arguments(self, name):
+        algorithm = algorithm_from_spec(f"{name}:0.5,0.5,0.5")
+        assert isinstance(algorithm, BoundedCatchUpAlgorithm)
+        assert (algorithm.period, algorithm.kappa, algorithm.mu) == (0.5, 0.5, 0.5)
+        default = algorithm_from_spec(name)
+        assert algorithm_from_spec(f"{name}:1") == default
+        assert (default.kappa, default.mu) == (2.0, 1.0)
+        assert algorithm_from_spec("slewing-max:0.5,2").sigma == 2.0
+
+    def test_rbs_spec(self):
+        algorithm = algorithm_from_spec("rbs:2")
+        assert algorithm.name == "rbs"
+        assert algorithm.period == 2.0 and algorithm.beacon == 0
 
     def test_delay_specs(self):
         assert delay_policy_from_spec("half").delay(0, 1, 0.0, 2.0, 0, None) == 1.0
@@ -133,14 +180,42 @@ class TestFamilies:
     @pytest.mark.parametrize(
         "spec",
         ["teleport", "waypoint:fast", "waypoint:-1", "waypoint:0.5,0",
-         "blink:1.5", "blink:0.3,0", "blink:0.3,8,9,10"],
+         "blink:1.5", "blink:0.3,0", "blink:0.3,8,9,10",
+         "interleave:0", "interleave:0.5,2"],
     )
     def test_bad_mobility_specs_raise(self, spec):
         topo = topology_from_spec("line:5")
         with pytest.raises(SweepError):
             mobility_from_spec(spec, topo, seed=0, horizon=20.0)
 
-    @pytest.mark.parametrize("spec", ["teleport", "waypoint:fast", "blink:1.5"])
+    @pytest.mark.parametrize("spec", ["null:3", "srikanth-toueg:0.25", "max-based:x"])
+    def test_bad_algorithm_specs_fail_at_spec_validation(self, spec):
+        # ... before any job is hashed.
+        with pytest.raises(SweepError, match=spec):
+            SweepSpec(algorithms=(spec,)).jobs()
+
+    def test_interleave_is_one_even_nodes_first_rewiring(self):
+        # The two-phase line E16 used to author by hand: at half time
+        # node k moves to where [0, 2, 4, 6, 8, 1, 3, 5, 7][.] puts it.
+        topo = topology_from_spec("line:9")
+        dyn = mobility_from_spec("interleave:0.5", topo, seed=0, horizon=40.0)
+        assert dyn.change_times == (20.0,)
+        (_, before), (_, after) = dyn.snapshots
+        assert before is topo
+        place = {node: k for k, node in enumerate([0, 2, 4, 6, 8, 1, 3, 5, 7])}
+        for i in range(9):
+            for j in range(9):
+                assert after.distance(i, j) == abs(place[i] - place[j])
+        assert after.comm_pairs() == sorted(
+            (i, j) for i in range(9) for j in range(i + 1, 9)
+            if abs(place[i] - place[j]) == 1
+        )
+        default = mobility_from_spec("interleave", topo, seed=0, horizon=40.0)
+        assert default.change_times == dyn.change_times
+
+    @pytest.mark.parametrize(
+        "spec", ["teleport", "waypoint:fast", "blink:1.5", "interleave:1"]
+    )
     def test_bad_mobility_specs_fail_at_spec_validation(self, spec):
         with pytest.raises(SweepError):
             SweepSpec(mobilities=(spec,)).jobs()
@@ -174,6 +249,14 @@ class TestFamilies:
             (topology_from_spec, "grid:3"),
             (algorithm_from_spec, "quantum"),
             (algorithm_from_spec, "max-based:1,2"),
+            # Arguments the algorithm does not take used to be dropped:
+            # one execution under two job hashes.
+            (algorithm_from_spec, "null:3"),
+            (algorithm_from_spec, "srikanth-toueg:0.25"),
+            (algorithm_from_spec, "rbs:2,1"),
+            (algorithm_from_spec, "bounded-catch-up:0.5,0.5,0.5,0.5"),
+            (algorithm_from_spec, "bounded-catch-up:0.5,-1"),
+            (algorithm_from_spec, "averaging:fast"),
             (delay_policy_from_spec, "telepathy"),
             (delay_policy_from_spec, "fraction:fast"),
         ],

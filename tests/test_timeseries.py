@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import NullAlgorithm
+from repro.analysis.field import SkewField
 from repro.analysis.timeseries import (
     adjacent_skew_series,
     render_csv,
@@ -30,6 +31,11 @@ def drift_exec():
 class TestSparkline:
     def test_empty(self):
         assert sparkline([]) == ""
+
+    def test_accepts_the_arrays_a_skew_field_returns(self, drift_exec):
+        series = SkewField(drift_exec).max_skew_series()
+        assert sparkline(series) == sparkline(list(series))
+        assert sparkline(series[:0]) == ""
 
     def test_constant_is_flat(self):
         assert sparkline([2.0, 2.0, 2.0]) == "▁▁▁"

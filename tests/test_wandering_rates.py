@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm
 from repro.errors import ScheduleError
-from repro.experiments.common import wandering_rates
+from repro.sweep import wandering_rates
 from repro.sim.rates import random_walk_schedule
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import line
