@@ -4,9 +4,10 @@
 # every marked subset -- faults, rt, engine, serve -- is in it), then
 # each CLI surface end to end: one quick-scale parallel sweep and its
 # warm-cache re-run, the E13 fault table and the fault axis of the
-# sweep CLI, the live runtime (a virtual-time demo, an in-process
-# wall-clock cell, a UDP cell, a multiplexed router cell with live churn, the E14 sim-vs-live
-# table, one scenario argv through repro-live and repro-viz), the scale
+# sweep CLI, the live runtime (a virtual-time demo of a faulted mobile
+# cell, an in-process wall-clock cell, a UDP cell, a multiplexed router
+# cell with live churn, the E14 sim-vs-live table, one scenario argv
+# through repro-live and repro-viz), the scale
 # experiment E15, the mobility experiment E16 and the mobility axis of
 # the sweep CLI, the observability layer (repro.viz: a headless
 # dashboard + mobility animation, the sweep report artifact, a live
@@ -62,11 +63,18 @@ grep -q "3 fault families" "$ARTIFACTS/fault_sweep.txt" \
 
 echo
 echo "== live runtime (repro.rt) =="
-# A virtual-time live demo: 10 sim units, milliseconds of wall clock.
+# A virtual-time live demo: 10 sim units, milliseconds of wall clock —
+# of a faulted, mobile cell: every transport runs churn, not only router.
 python -m repro.experiments live --alg gradient --topology line --nodes 8 \
-    --transport virtual --duration 10 > "$ARTIFACTS/live_virtual.txt"
+    --transport virtual --duration 10 \
+    --faults crash-recover:0.3,2 --mobility blink:0.3,4 \
+    > "$ARTIFACTS/live_virtual.txt"
 grep -q "live-virtual" "$ARTIFACTS/live_virtual.txt" \
     || { echo "error: virtual live demo produced no summary" >&2; exit 1; }
+grep -q "fault events" "$ARTIFACTS/live_virtual.txt" \
+    || { echo "error: virtual live demo reported no fault events" >&2; exit 1; }
+grep -q "rewirings" "$ARTIFACTS/live_virtual.txt" \
+    || { echo "error: virtual live demo reported no rewirings" >&2; exit 1; }
 # The same loop on the in-process wall clock: ~0.5 s of real sleeping.
 python -m repro.experiments live --alg gradient --topology line --nodes 8 \
     --transport asyncio --duration 10 --time-scale 0.05 \

@@ -23,9 +23,11 @@ same, unchanged :class:`~repro.sim.node.Process` algorithm classes
   datagrams) under two names — ``udp``, one process per node with
   frames addressed peer to peer, and ``router``, many nodes multiplexed
   onto a few workers around one central switch socket (the scale
-  vehicle, and the only name that applies live churn:
-  :class:`~repro.sim.faults.FaultPlan` crash/link windows and
-  :class:`~repro.topology.dynamic.DynamicTopology` rewirings);
+  vehicle).  Every name runs churn —
+  :class:`~repro.sim.faults.FaultPlan` crash/link windows through the
+  simulator's own :class:`~repro.sim.faults.FaultController`, and
+  :class:`~repro.topology.dynamic.DynamicTopology` rewirings — and
+  ``virtual`` stays byte-identical to the simulator under it;
 * every run is recorded as a real
   :class:`~repro.sim.execution.Execution`, so skew, gradient-profile,
   and model-compliance queries — and all of :mod:`repro.analysis` —

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_arguments(parser)
     parser.add_argument(
         "--transport", choices=list(TRANSPORT_NAMES), default="virtual",
-        help="live backend (non-default --faults / --mobility need router)",
+        help="live backend (every one runs --faults / --mobility cells)",
     )
     parser.add_argument(
         "--time-scale", type=float, default=0.1,

@@ -9,10 +9,10 @@ line them up by the shared metric names.  The row *is* ``benign-run``'s
 live counters (``frames_dropped``, ``frames_routed``, ``events``,
 ``workers``, ``wall_elapsed``), so every downstream consumer — summary
 tables, JSON artifacts, E14 — treats sim and live rows uniformly, and
-rows of one cell agree on every scenario-derived key.  Router cells may
-additionally carry non-default ``faults`` / ``mobility`` params: live
+rows of one cell agree on every scenario-derived key.  Cells on any
+transport may carry non-default ``faults`` / ``mobility`` params: live
 churn, counted in ``fault_events`` and ``rewirings`` like a simulator
-cell.
+cell — and on ``virtual``, to the very same counts.
 
 ``udp`` and ``router`` cells spawn OS processes, which daemonic pool
 workers may not do: ``run_jobs`` runs those cells in the calling
@@ -35,8 +35,7 @@ __all__ = ["live_run"]
 def live_run(params: Mapping[str, Any]) -> dict:
     """One live scenario cell -> the ``benign-run`` metric schema.
 
-    Params: the nine :class:`~repro.sweep.scenario.Scenario` fields
-    (non-default ``faults`` / ``mobility`` on router cells only) and
+    Params: the nine :class:`~repro.sweep.scenario.Scenario` fields and
     ``transport``, plus optional ``step``, ``time_scale`` and
     ``settle_threshold``.
     """

@@ -94,6 +94,9 @@ class LiveNode:
     def send_message(self, sender: int, receiver: int, payload) -> None:
         if sender == receiver:
             raise RtError(f"node {sender} tried to message itself")
+        faults = self._transport.faults
+        if faults is not None and faults.node_down(sender):
+            return  # crashed nodes emit nothing (the simulator's guard)
         self.record(self._event(SEND, (receiver, payload)))
         self._transport.transmit(self, receiver, payload)
 

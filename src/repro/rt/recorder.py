@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro._constants import TIME_EPS
 from repro.sim.clock import LogicalClock
 from repro.sim.execution import Execution
 from repro.sim.messages import Message
@@ -58,9 +59,6 @@ class LiveRecorder:
         if self.tap is not None:
             self.tap(event)
 
-    def add_message(self, message: Message) -> None:
-        self.messages.append(message)
-
 
 def merge_recorders(recorders: list[LiveRecorder]) -> LiveRecorder:
     """Splice per-node recorders into one global, time-ordered record.
@@ -92,30 +90,31 @@ def build_execution(
     """Assemble the shard reports of a finished live run into an ``Execution``.
 
     ``reports`` are :func:`~repro.rt.shard.host_shard`'s, one per shard
-    (exactly one for an in-process run, with ``workers=0``); ``switch``
-    is the ``router`` frame switch, whose link-level fault counters join
-    the shards' node-level ones in ``fault_stats`` (live churn only) and
-    whose wire counters join the shards' in ``live_stats``.  A streaming
-    ``tail`` sees the final counters and is closed.  ``started`` is the
-    ``perf_counter`` reading at the top of ``run_live``: the run's wall
-    seconds are taken once, here.
+    (exactly one for an in-process run, with ``workers=0``), each with
+    its fault controller's counters, summed into ``fault_stats``
+    (``None`` without a plan, as in the simulator); ``switch`` is the
+    ``router`` frame switch, whose wire counters join the shards' in
+    ``live_stats``.  A streaming ``tail`` sees the final counters and is
+    closed.  ``started`` is the ``perf_counter`` reading at the top of
+    ``run_live``: the run's wall seconds are taken once, here.
     """
     recorder = merge_recorders([report["recorder"] for report in reports])
     logical: dict[int, LogicalClock] = {}
     for report in reports:
         logical.update(report["logical"])
-    dynamic = cell.dynamic
-    rewired = dynamic is not None and not dynamic.is_static()
     fault_stats = None
-    if cell.fault_plan is not None or rewired:
-        fault_stats = switch.stats()
+    if cell.fault_plan is not None:
+        fault_stats = {}
         for report in reports:
             for key, value in report["stats"].items():
                 fault_stats[key] = fault_stats.get(key, 0) + value
+    # The change-points the loop put on its heap (the simulator's rule).
+    dynamic = cell.dynamic
     timeline = None
-    if rewired:
+    if dynamic is not None and not dynamic.is_static():
         timeline = tuple(
-            (t, topo) for t, topo in dynamic.snapshots if t <= config.duration
+            (t, topo) for t, topo in dynamic.snapshots
+            if t <= config.duration + TIME_EPS
         )
     # Wire counters: the switch's (zero without one) plus the shards' drops.
     wire = (

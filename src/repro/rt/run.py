@@ -34,12 +34,10 @@ class LiveRunConfig(Scenario):
     ``time_scale`` (wall seconds per simulation unit) only matters to
     the wall-clock backends; the virtual backend ignores it.
 
-    Live churn — non-default ``faults`` / ``mobility`` — is implemented
-    only by the ``router`` backend, whose central switch and multiplexed
-    workers can drop/reroute frames and down/recover nodes mid-run; the
-    other backends accept only the fault-free defaults.  ``workers``
-    sizes the router's process pool (``0`` = auto, about one worker per
-    16 nodes).
+    Every backend runs every cell: non-default ``faults`` / ``mobility``
+    are executed by the one live loop the way the simulator executes
+    them, whatever the transport.  ``workers`` sizes the router's
+    process pool (``0`` = auto, about one worker per 16 nodes).
     """
 
     transport: str = "virtual"
@@ -59,19 +57,6 @@ class LiveRunConfig(Scenario):
             raise RtError(f"time_scale must be positive, got {self.time_scale}")
         if self.workers < 0:
             raise RtError(f"workers must be >= 0, got {self.workers}")
-        if not TRANSPORT_FAMILIES[self.transport].churn:
-            if self.faults != "none":
-                raise RtError(
-                    f"transport {self.transport!r} cannot inject faults "
-                    f"(faults={self.faults!r}); live churn needs "
-                    f"transport='router'"
-                )
-            if self.mobility != "static":
-                raise RtError(
-                    f"transport {self.transport!r} cannot rewire mid-run "
-                    f"(mobility={self.mobility!r}); live churn needs "
-                    f"transport='router'"
-                )
 
 
 def run_live(config: LiveRunConfig, *, tail=None) -> Execution:

@@ -27,39 +27,38 @@ where a frame is sent (:func:`run_shards` works both out from
 
 * ``router`` — a handful of shards (:func:`default_workers`), and every
   frame goes to one central *switch* socket owned by the parent, which
-  forwards it to the owning shard.  This is the scale vehicle (hundreds
-  to thousands of nodes on one machine) and where live *churn* becomes
-  real: the switch is the single point every frame crosses, so it
-  enforces the in-force communication graph of a
-  :class:`~repro.topology.dynamic.DynamicTopology` (frames on links the
-  current snapshot does not have are dropped) and applies
-  :class:`~repro.sim.faults.LinkFault` loss/duplication/reordering/down
-  windows via the simulator's own
-  :class:`~repro.sim.faults.FaultController`.
+  forwards it to the owning shard.  This is the scale vehicle: hundreds
+  to thousands of nodes on one machine.
 * ``udp`` — one shard per node, and every frame goes straight to the
   owning peer's port: the deployment shape of a real sync client fleet,
-  scaled down to one machine.  There is no switch, hence no link-level
-  churn (``LiveRunConfig`` rejects it); the parent owns a socket only
-  when a streaming tail is attached, and senders then mirror their
-  frames to it.
+  scaled down to one machine.  There is no switch; the parent owns a
+  socket only when a streaming tail is attached, and senders then
+  mirror their frames to it.
 
 Division of labor under churn
 -----------------------------
-* **switch (parent)** — wire + network level: malformed frames, comm
-  graph membership at forward time, link loss / duplication / reorder /
-  down windows.  Mid-flight frames of a link that rewired away are
-  dropped at the switch — a slightly *stronger* adversary than the
-  simulator, which lets in-flight messages finish.
-* **shards** — node level: crash/recovery windows (recording the same
-  CRASH/RECOVER trace events the simulator records and invoking
-  ``on_recover``), crash-epoch timer cancellation, receiver-down and
-  sender-in-flight delivery loss, mid-run topology swaps visible to
-  ``api.neighbors()``.
+Every name runs fault plans and moving topologies, the same way:
 
-Fault counters from both sides are merged into
-``Execution.fault_stats``; wire-level drop counts and events/sec inputs
-land in ``Execution.live_stats`` (one key set for all four names; both
-written by :func:`~repro.rt.recorder.build_execution`).
+* **the controller decides** — a loop whose cell has a
+  :class:`~repro.sim.faults.FaultPlan` holds one
+  :class:`~repro.sim.faults.FaultController`, the simulator's, and asks
+  it what the simulator asks: which copies of a send survive the link
+  (sender-side, so lost copies are never on the wire or in the message
+  record), whether a delivery dies with a crash, whether a timer was
+  cancelled by one.  The controller keeps the counters.
+* **the loop dispatches** — crash, recovery and rewiring instants are
+  heap events ordered as the simulator orders them; the loop records
+  the CRASH / RECOVER / TOPOLOGY trace events, invokes ``on_recover``
+  and swaps its nodes onto the new snapshot.  Frames in flight across
+  a rewiring finish, as in the simulator.
+* **the switch forwards** — it checks that a frame is well formed and
+  that its ends exist, feeds the tail, and passes it on.
+
+Each shard's controller counters are summed into
+``Execution.fault_stats`` (``virtual`` reports the simulator's, to the
+count); wire-level drop counts and events/sec inputs land in
+``Execution.live_stats`` (one key set for all four names; both written
+by :func:`~repro.rt.recorder.build_execution`).
 
 Timebase and failure handling
 -----------------------------
@@ -100,6 +99,7 @@ from repro.errors import RtError
 from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder
 from repro.rt.transport import DELAY_SEED_MIX
+from repro.sim.events import CrashNode
 from repro.sim.faults import FaultController, FaultPlan
 from repro.sim.messages import (
     DelayPolicy,
@@ -107,6 +107,8 @@ from repro.sim.messages import (
     Message,
     validate_delay,
 )
+from repro.sim.trace import TOPOLOGY, TraceEvent
+from repro.topology.base import Topology
 from repro.topology.dynamic import DynamicTopology
 from repro.wire import decode_frame, encode_frame
 
@@ -151,10 +153,12 @@ class ShardTransport:
     """The one live loop: time, messages and timers for the nodes it hosts.
 
     Heap entries carry the node they belong to, timers carry the crash
-    epoch they were set in, and crash / recovery / rewiring instants are
-    ordinary heap events (pushed before anything else, so they take the
-    lowest tiebreaks and dispatch before same-instant deliveries or
-    timers — the simulator's ordering).
+    epoch they were set in, and rewiring / crash / recovery instants are
+    ordinary heap events (pushed in that order before anything else, so
+    they take the lowest tiebreaks and dispatch before same-instant
+    deliveries or timers — the simulator's ordering).  What a fault plan
+    means is the :class:`~repro.sim.faults.FaultController`'s business:
+    the loop holds one when the cell has a plan, and none otherwise.
 
     Two seams are chosen at construction and never again:
 
@@ -184,6 +188,7 @@ class ShardTransport:
         sock: Optional[socket.socket] = None,
         route: Optional[Mapping[int, tuple]] = None,
         mirror: Optional[tuple] = None,
+        topology: Optional[Topology] = None,
         plan: Optional[FaultPlan] = None,
         dynamic: Optional[DynamicTopology] = None,
     ):
@@ -200,15 +205,22 @@ class ShardTransport:
         self.transmit = self._carry_local if sock is None else self._carry_wire
         self._recorder = recorder
         self.delay_policy: DelayPolicy = delay_policy or HalfDistanceDelay()
-        bind_run = getattr(self.delay_policy, "bind_run", None)
-        if bind_run is not None:
-            bind_run(seed)
-        # The simulator's own delay stream when the loop hosts every
-        # node (so ``virtual`` draws the very same delays); shards share
-        # no RNG, so each mixes its index into that recipe.
+        # The simulator's own delay and fault streams when the loop
+        # hosts every node (so ``virtual`` draws the very same delays
+        # and losses); shards share no RNG, so each mixes its index in.
         mixed = seed ^ DELAY_SEED_MIX
         self._delay_rng = random.Random(
             mixed if sock is None else mixed * 0x9E37 + shard
+        )
+        #: The plan's one executor — ``None`` on a fault-free cell, which
+        #: then pays one ``is not None`` test per event.  Every shard
+        #: knows every node's crash window (the in-flight check asks
+        #: about remote senders) but runs only its own nodes' events.
+        self.faults: Optional[FaultController] = (
+            None if plan is None
+            else FaultController(
+                plan, topology, seed if sock is None else seed * 0x9E37 + shard
+            )
         )
         self._msg_counter = 0
         self._duration = duration
@@ -221,7 +233,6 @@ class ShardTransport:
             math.nextafter(duration + TIME_EPS, math.inf)
             if time_scale is None else duration
         )
-        self._plan = plan
         self._dynamic = dynamic
         self._epoch_wall = 0.0
         self._now = 0.0
@@ -230,28 +241,10 @@ class ShardTransport:
         self._pending: list[tuple[float, int, str, tuple]] = []
         self._tiebreak = 0
         self._nodes: dict[int, LiveNode] = {}
-        #: Shard nodes currently inside a crash window.
-        self._down: set[int] = set()
-        #: Per-node crash epoch; stale-epoch timers never fire.
-        self._epochs: dict[int, int] = {}
-        #: Crash windows by node — *all* nodes, not just the shard, so
-        #: the in-flight check knows about remote senders' crashes.
-        self._crash_by_node = (
-            {c.node: c for c in plan.crashes} if plan is not None else {}
-        )
         #: Malformed or misdirected datagrams dropped at the wire.
         self.frames_dropped = 0
         #: Callback events dispatched (deliveries + timer firings).
         self.events_processed = 0
-        #: Node-level fault counters, merged parent-side with the
-        #: switch's FaultController stats into Execution.fault_stats.
-        self.stats = {
-            "crashes": 0,
-            "recoveries": 0,
-            "lost_receiver_down": 0,
-            "lost_in_flight": 0,
-            "timers_cancelled": 0,
-        }
 
     # ------------------------------------------------------------------
     # the clock seam
@@ -274,15 +267,18 @@ class ShardTransport:
     # ------------------------------------------------------------------
     # the send protocol and the carrier seam
 
-    def _next_message(
+    def _next_messages(
         self, sender: LiveNode, receiver: int, payload
-    ) -> Optional[Message]:
-        """Draw one injected model-band delay and record the message.
+    ) -> list[Message]:
+        """Draw one injected model-band delay and record what survives.
 
-        Returns ``None`` when the policy's ``float('inf')`` sentinel
-        fires (the network lost the message).  The seq is run-unique
-        without cross-shard coordination, for any run length: the
-        counter is unique within the shard, and shards own disjoint
+        One message on a reliable link; under a fault plan the
+        controller decides, here at the sender as in the simulator,
+        which copies the link carries — none (lost), one (possibly with
+        a redrawn delay) or two (duplicated, sharing the send's seq) —
+        so only those reach the wire and the message record.  The seq is
+        run-unique without cross-shard coordination, for any run length:
+        the counter is unique within the shard, and shards own disjoint
         residues mod the shard count.
         """
         now = self._now
@@ -292,55 +288,59 @@ class ShardTransport:
         )
         seq = self._msg_counter * self._n_shards + self._shard
         self._msg_counter += 1
-        if raw == float("inf"):
-            return None
-        message = Message(
-            seq=seq,
-            sender=sender.node,
-            receiver=receiver,
-            payload=payload,
-            send_time=now,
-            delay=validate_delay(raw, distance),
-        )
-        self._recorder.add_message(message)
-        return message
+        delay = validate_delay(raw, distance)
+        delays = [delay]
+        if self.faults is not None:
+            delays = [
+                validate_delay(chosen, distance)
+                for chosen in self.faults.outbound_delays(
+                    sender.node, receiver, now, distance, delay
+                )
+            ]
+        copies = [
+            Message(seq, sender.node, receiver, payload, now, delay)
+            for delay in delays
+        ]
+        self._recorder.messages.extend(copies)
+        return copies
 
     def _carry_local(self, sender: LiveNode, receiver: int, payload) -> None:
-        message = self._next_message(sender, receiver, payload)
-        if message is not None:
+        for message in self._next_messages(sender, receiver, payload):
             self._push(
                 message.receive_time, "msg",
                 (receiver, message.sender, message.send_time, payload),
             )
 
     def _carry_wire(self, sender: LiveNode, receiver: int, payload) -> None:
-        message = self._next_message(sender, receiver, payload)
-        if message is None:
-            return
-        frame = encode_frame(
-            {
-                "seq": message.seq,
-                "src": message.sender,
-                "dst": message.receiver,
-                "payload": message.payload,
-                "send": message.send_time,
-                "delay": message.delay,
-            }
-        )
-        self._sock.sendto(frame, self._route[receiver])
-        if self._mirror is not None:
-            self._sock.sendto(frame, self._mirror)
+        for message in self._next_messages(sender, receiver, payload):
+            frame = encode_frame(
+                {
+                    "seq": message.seq,
+                    "src": message.sender,
+                    "dst": message.receiver,
+                    "payload": message.payload,
+                    "send": message.send_time,
+                    "delay": message.delay,
+                }
+            )
+            self._sock.sendto(frame, self._route[receiver])
+            if self._mirror is not None:
+                self._sock.sendto(frame, self._mirror)
 
     def schedule_timer(self, node: LiveNode, fire_at: float, name: str) -> None:
         """Arrange ``on_timer(name)`` at simulation time ``fire_at``."""
-        self._push(
-            fire_at, "timer",
-            (node.node, name, self._epochs.get(node.node, 0)),
-        )
+        epoch = 0 if self.faults is None else self.faults.epoch(node.node)
+        self._push(fire_at, "timer", (node.node, name, epoch))
 
     def _push(self, due: float, kind: str, data: tuple) -> None:
         heapq.heappush(self._pending, (due, self._tiebreak, kind, data))
         self._tiebreak += 1
+
+    def _push_fault(self, due: float, event) -> None:
+        """The controller's ``schedule`` sink: this shard's nodes only."""
+        if event.node in self._nodes:
+            kind = "crash" if isinstance(event, CrashNode) else "recover"
+            self._push(due, kind, (event.node,))
 
     # ------------------------------------------------------------------
     # the event loop
@@ -358,33 +358,21 @@ class ShardTransport:
         self._epoch_wall = time.monotonic() if epoch is None else epoch
         duration = self._duration
         self._nodes = dict(nodes)
-        down_at_start: set[int] = set()
-        if self._plan is not None:
-            for crash in self._plan.crashes:
-                if crash.node not in self._nodes:
-                    continue
-                if crash.at <= 0.0:
-                    # Down from the start: never begins (mirrors the
-                    # simulator's down preseed).
-                    down_at_start.add(crash.node)
-                    self._down.add(crash.node)
-                    self._epochs[crash.node] = 1
-                    self.stats["crashes"] += 1
-                else:
-                    self._push(crash.at, "crash", (crash.node,))
-                if crash.recover_at is not None:
-                    self._push(crash.recover_at, "recover", (crash.node,))
+        faults = self.faults
+        # The simulator's opening order: rewirings onto the heap first,
+        # then crash / recovery instants (a crash at time 0 is an event
+        # like any other; the controller already has the node down),
+        # then every START before any ``on_start``, in node order.
         if self._dynamic is not None:
-            for index, t in enumerate(self._dynamic.change_times):
-                if t <= duration:
-                    self._push(t, "topo", (index + 1,))
-        # All STARTs recorded before any on_start runs, in node order —
-        # the simulator's opening order.
+            for at, snapshot in self._dynamic.snapshots[1:]:
+                if at <= duration + TIME_EPS:
+                    self._push(at, "topo", (snapshot,))
+        if faults is not None:
+            faults.schedule(self._push_fault)
         for node in sorted(self._nodes):
-            if node not in down_at_start:
-                self._nodes[node].record_start()
+            self._nodes[node].record_start()
         for node in sorted(self._nodes):
-            if node not in down_at_start:
+            if faults is None or not faults.node_down(node):
                 self._nodes[node].begin()
         if self._time_scale is None:
             # Virtual time waits for nothing: "now" is the head's due
@@ -427,6 +415,7 @@ class ShardTransport:
             )
 
     def _dispatch_due(self) -> None:
+        faults = self.faults
         while self._pending:
             due = self._pending[0][0]
             elapsed = self._elapsed()
@@ -438,48 +427,39 @@ class ShardTransport:
             self._now = min(max(self._now, elapsed), self._cutoff)
             if kind == "msg":
                 dst, src, send_time, payload = data
-                if self._delivery_lost(src, dst, send_time):
+                if faults is not None and faults.delivery_suppressed_fields(
+                    src, dst, send_time, self._now
+                ):
                     continue
                 self.events_processed += 1
                 self._nodes[dst].deliver(src, payload)
             elif kind == "timer":
                 node, name, set_epoch = data
-                if node in self._down or set_epoch != self._epochs.get(node, 0):
-                    self.stats["timers_cancelled"] += 1
+                if faults is not None and faults.timer_cancelled(node, set_epoch):
                     continue
                 self.events_processed += 1
                 self._nodes[node].fire_timer(name)
             elif kind == "crash":
                 (node,) = data
-                self._down.add(node)
-                self._epochs[node] = self._epochs.get(node, 0) + 1
-                self.stats["crashes"] += 1
+                faults.on_crash(node)
                 self._nodes[node].mark_crash()
             elif kind == "recover":
                 (node,) = data
-                self._down.discard(node)
-                self.stats["recoveries"] += 1
+                faults.on_recover(node)
                 self._nodes[node].recover()
-            else:  # "topo": swap every hosted node onto the new snapshot
-                (index,) = data
-                snapshot = self._dynamic.snapshots[index][1]
+            else:
+                # "topo": every hosted node sees the new network from
+                # this instant; frames already in flight keep their
+                # delays.  Recorded once per run (shard 0), with
+                # ``node = -1``: the adversary's action, as the
+                # simulator records it.
+                (snapshot,) = data
                 for live in self._nodes.values():
                     live.topology = snapshot
-
-    def _delivery_lost(self, src: int, dst: int, send_time: float) -> bool:
-        """Crash-window delivery suppression (the simulator's semantics)."""
-        if dst in self._down:
-            self.stats["lost_receiver_down"] += 1
-            return True
-        crash = self._crash_by_node.get(src)
-        if (
-            crash is not None
-            and crash.lose_in_flight
-            and send_time < crash.at <= self._now
-        ):
-            self.stats["lost_in_flight"] += 1
-            return True
-        return False
+                if self._shard == 0:
+                    self._recorder.record(
+                        TraceEvent(self._now, -1, 0.0, 0.0, TOPOLOGY, snapshot.name)
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -487,45 +467,30 @@ class ShardTransport:
 
 
 class _RouterCore:
-    """The frame switch: decode, apply network-level churn, forward."""
+    """The frame switch: decode, check both ends exist, feed the tail, forward."""
 
     def __init__(
         self,
         *,
         sock: socket.socket,
-        topology,
-        plan: Optional[FaultPlan],
-        dynamic: Optional[DynamicTopology],
-        seed: int,
         time_scale: float,
         owner: Mapping[int, int],
         ports: Mapping[int, int],
         tail=None,
     ):
         self._sock = sock
-        self._topology = topology
-        self._dynamic = dynamic
         self._time_scale = time_scale
         #: Optional streaming tail: sees every well-formed frame that
-        #: crosses the switch, before churn decides its fate, plus the
-        #: wire counters as they stood when the frame arrived.
+        #: crosses the switch, plus the wire counters as they stood when
+        #: the frame arrived.
         self._tail = tail
-        self._owner = dict(owner)
-        self._addrs = {s: ("127.0.0.1", port) for s, port in ports.items()}
-        # Link-level faults ride the simulator's own controller (loss /
-        # duplication / reorder / down windows + their stats); crash
-        # windows are executed shard-side, so the controller's crash
-        # machinery sits unused here.
-        self._controller = (
-            FaultController(plan, topology, seed) if plan is not None else None
-        )
-        self._edge_cache: dict[int, frozenset] = {}
+        self._addrs = {
+            node: ("127.0.0.1", ports[shard]) for node, shard in owner.items()
+        }
         self._epoch_wall: float | None = None
         self.frames_routed = 0
         #: Malformed frames or frames for unknown destinations.
         self.frames_dropped = 0
-        #: Frames dropped because the in-force comm graph lacks the link.
-        self.dropped_no_edge = 0
 
     def bind_epoch(self, epoch_wall: float) -> None:
         self._epoch_wall = epoch_wall
@@ -535,58 +500,23 @@ class _RouterCore:
         return {
             "frames_routed": self.frames_routed,
             "frames_dropped": self.frames_dropped,
-            "lost_no_edge": self.dropped_no_edge,
         }
-
-    def stats(self) -> dict:
-        merged = dict(self._controller.stats) if self._controller else {}
-        merged["lost_no_edge"] = self.dropped_no_edge
-        return merged
-
-    def _edges(self, topo) -> frozenset:
-        cached = self._edge_cache.get(id(topo))
-        if cached is None:
-            cached = frozenset(
-                (min(i, j), max(i, j)) for i, j in topo.comm_edges
-            )
-            self._edge_cache[id(topo)] = cached
-        return cached
 
     def handle(self, datagram: bytes) -> None:
         record = decode_frame(datagram)
         if record is None:
             self.frames_dropped += 1
             return
-        src, dst = record.get("src"), record.get("dst")
-        if dst not in self._owner or src not in self._owner:
+        addr = self._addrs.get(record.get("dst"))
+        if addr is None or record.get("src") not in self._addrs:
             self.frames_dropped += 1
             return
-        now = (time.monotonic() - self._epoch_wall) / self._time_scale
         if self._tail is not None:
+            now = (time.monotonic() - self._epoch_wall) / self._time_scale
             self._tail.frame(record, now)
             self._tail.stats(now, **self.counters())
-        topo = self._dynamic.at(now) if self._dynamic else self._topology
-        if (min(src, dst), max(src, dst)) not in self._edges(topo):
-            self.dropped_no_edge += 1
-            return
-        addr = self._addrs[self._owner[dst]]
-        if self._controller is None:
-            self._sock.sendto(datagram, addr)
-            self.frames_routed += 1
-            return
-        send_time = float(record["send"])
-        delay = float(record["delay"])
-        delays = self._controller.outbound_delays(
-            src, dst, send_time, topo.distance(src, dst), delay
-        )
-        for out_delay in delays:
-            out = (
-                datagram
-                if out_delay == delay
-                else encode_frame({**record, "delay": out_delay})
-            )
-            self._sock.sendto(out, addr)
-            self.frames_routed += 1
+        self._sock.sendto(datagram, addr)
+        self.frames_routed += 1
 
 
 # ----------------------------------------------------------------------
@@ -714,6 +644,7 @@ def host_shard(
         seed=config.seed,
         duration=config.duration,
         time_scale=None if config.transport == "virtual" else config.time_scale,
+        topology=cell.topology,
         plan=cell.fault_plan,
         dynamic=cell.dynamic,
         **wire,
@@ -727,7 +658,7 @@ def host_shard(
         "logical": {node: live.logical for node, live in nodes.items()},
         "frames_dropped": transport.frames_dropped,
         "events": transport.events_processed,
-        "stats": transport.stats,
+        "stats": None if transport.faults is None else transport.faults.stats,
         "missed_epoch": missed_epoch,
     }
 
@@ -850,10 +781,6 @@ def run_shards(
             mirror = None
             core = _RouterCore(
                 sock=hub,
-                topology=base,
-                plan=cell.fault_plan,
-                dynamic=cell.dynamic,
-                seed=config.seed,
                 time_scale=config.time_scale,
                 owner=owner,
                 ports=ports,

@@ -18,9 +18,14 @@ name         clock    carrier  what it is
 ``udp``      wall     wire     one forked process per node, frames
                                addressed straight to the owning peer
 ``router``   wall     wire     a few forked shards around one central
-                               switch socket, which also applies live
-                               churn (crash windows, rewirings)
+                               switch socket: the scale vehicle
 ===========  =======  =======  ========================================
+
+Faults and mobility are not a transport's business: the loop runs a
+cell's :class:`~repro.sim.faults.FaultPlan` through the simulator's
+:class:`~repro.sim.faults.FaultController` and swaps
+:class:`~repro.topology.dynamic.DynamicTopology` snapshots at their
+change-points, under every name.
 
 (``asyncio`` names the in-process wall clock for history's sake — the
 name is a CLI choice and a job parameter — and no longer involves the

@@ -322,8 +322,9 @@ class ServeDaemon:
                 "error": (
                     f"{'/'.join(forking)} transport cells spawn node "
                     "processes, which the daemon's pool workers may not "
-                    "do; run them via 'repro-experiments sweep "
-                    "--workers 1' instead"
+                    "do; run them via 'repro-experiments sweep', or submit "
+                    "the grid on the 'virtual' transport, which the daemon "
+                    "runs (fault and mobility cells included)"
                 ),
             }
         hashes = hashes_for(jobs)

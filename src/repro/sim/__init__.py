@@ -10,8 +10,6 @@ from repro.sim.events import BatchEventQueue, EventQueue
 from repro.sim.execution import Execution
 from repro.sim.faults import (
     CrashWindow,
-    CrashingProcess,
-    DroppingDelayPolicy,
     FaultPlan,
     LinkFault,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "FaultPlan",
     "CrashWindow",
     "LinkFault",
-    "CrashingProcess",
-    "DroppingDelayPolicy",
     "Message",
     "HalfDistanceDelay",
     "FixedFractionDelay",

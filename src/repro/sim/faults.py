@@ -3,8 +3,10 @@
 The paper assumes a reliable network and non-crashing nodes.  Real
 deployments of the algorithms we implement do not enjoy that luxury, so
 this module gives the adversary a second dial besides rates and delays:
-a declarative, picklable :class:`FaultPlan` that the
-:class:`~repro.sim.simulator.Simulator` consumes natively.
+a declarative, picklable :class:`FaultPlan`, executed by one
+:class:`FaultController` — the simulator, the reference loop and the
+live runtime's loop (:mod:`repro.rt.shard`) each hold one and ask it
+the same questions, so a plan means the same thing wherever it runs.
 
 A plan is a frozen value with three parts:
 
@@ -45,11 +47,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import FaultError
-from repro.sim.messages import DelayPolicy
-from repro.sim.node import NodeAPI, Process
 from repro.topology.base import Topology
 
 __all__ = [
@@ -57,14 +57,7 @@ __all__ = [
     "LinkFault",
     "FaultPlan",
     "FaultController",
-    "CrashingProcess",
-    "DroppingDelayPolicy",
-    "DROPPED",
 ]
-
-#: Sentinel delay meaning "never delivered"; understood by the simulator
-#: (the message is discarded before scheduling).
-DROPPED = float("inf")
 
 
 # ----------------------------------------------------------------------
@@ -220,19 +213,19 @@ class FaultPlan:
 
 
 class FaultController:
-    """Executes a :class:`FaultPlan` inside one simulation.
+    """Executes a :class:`FaultPlan` inside one run — its only executor.
 
-    Owned by the simulator, consulted on every send, delivery and timer
+    Owned by the event loop (the simulator's, the reference loop's or
+    the live runtime's), consulted on every send, delivery and timer
     firing.  All randomness comes from a dedicated RNG derived from the
-    simulation seed and the plan's salt, drawn in deterministic event
-    order.
+    run's seed and the plan's salt, drawn in deterministic event order.
     """
 
     def __init__(self, plan: FaultPlan, topology: Topology, seed: int):
         plan.validate(topology)
         self.plan = plan
         self._rng = random.Random(((seed * 0x9E3779B1) ^ plan.seed_salt) ^ 0xFA017)
-        self._crash_by_node = {c.node: c for c in plan.crashes}
+        self._crash_windows = {c.node: c for c in plan.crashes}
         #: nodes currently down (crashes at t <= 0 start down).
         self._down: set[int] = {c.node for c in plan.crashes if c.at <= 0.0}
         #: per-node crash epoch; timers remember the epoch they were set
@@ -358,7 +351,7 @@ class FaultController:
         if receiver in self._down:
             self.stats["lost_receiver_down"] += 1
             return True
-        crash = self._crash_by_node.get(sender)
+        crash = self._crash_windows.get(sender)
         if (
             crash is not None
             and crash.lose_in_flight
@@ -367,101 +360,3 @@ class FaultController:
             self.stats["lost_in_flight"] += 1
             return True
         return False
-
-
-# ----------------------------------------------------------------------
-# wrappers (the pre-FaultPlan interface, kept for convenience)
-
-
-class CrashingProcess(Process):
-    """Crash-stop wrapper: fail-stop at a chosen *hardware* clock reading.
-
-    The crash point is a hardware reading because that is the only
-    notion of time the node has.  The :class:`~repro.sim.simulator`
-    **promotes** this wrapper to a native crash: at construction time it
-    converts ``crash_at_hardware`` to the real time at which the node's
-    hardware clock reaches that reading (the rate schedule makes the
-    conversion exact) and registers a crash-stop
-    :class:`CrashWindow` there.
-
-    Chosen crash semantics (enforced natively, see the module docstring):
-
-    * the node executes **nothing** at hardware readings at or beyond
-      the crash point — no callbacks, no sends, no timer re-arms, and
-      pending timers never fire (they are not even recorded in the
-      trace);
-    * messages the node had handed to the network but still in flight at
-      the crash instant are lost with it (``lose_in_flight``);
-    * the node's clocks keep advancing (hardware is physical), so skew
-      metrics still see the dead node drift.
-
-    The callback guards below are kept as defense in depth for
-    simulators that do not promote the wrapper; prefer
-    ``FaultPlan().with_crash(...)`` in new code.
-    """
-
-    def __init__(self, inner: Process, crash_at_hardware: float):
-        if crash_at_hardware < 0:
-            raise ValueError(
-                f"crash reading must be >= 0, got {crash_at_hardware}"
-            )
-        self.inner = inner
-        self.crash_at_hardware = crash_at_hardware
-        self._dead = False
-
-    def _alive(self, api: NodeAPI) -> bool:
-        if not self._dead and api.hardware_now() >= self.crash_at_hardware:
-            self._dead = True
-        return not self._dead
-
-    def on_start(self, api: NodeAPI) -> None:
-        if self._alive(api):
-            self.inner.on_start(api)
-
-    def on_message(self, api: NodeAPI, sender: int, payload: Any) -> None:
-        if self._alive(api):
-            self.inner.on_message(api, sender, payload)
-
-    def on_timer(self, api: NodeAPI, name: str) -> None:
-        if self._alive(api):
-            self.inner.on_timer(api, name)
-
-
-class DroppingDelayPolicy:
-    """Drop each message with probability ``drop_prob``; else delegate.
-
-    Uses its own deterministic RNG so drop decisions do not perturb the
-    inner policy's random stream.  The simulator calls :meth:`bind_run`
-    at construction, re-deriving the RNG and zeroing the ``dropped``
-    counter from the run's seed — so one policy instance shared across a
-    whole sweep grid leaks no state between cells, and identical runs
-    drop identical messages.
-    """
-
-    def __init__(self, inner: DelayPolicy, drop_prob: float, seed: int = 0):
-        if not 0.0 <= drop_prob < 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
-        self.inner = inner
-        self.drop_prob = drop_prob
-        self.seed = seed
-        self._rng = random.Random(seed ^ 0xD60B)
-        self.dropped = 0
-
-    def bind_run(self, run_seed: int) -> None:
-        """Reset per-run state; called by the simulator before each run."""
-        self._rng = random.Random(((run_seed * 0x9E3779B1) ^ self.seed) ^ 0xD60B)
-        self.dropped = 0
-
-    def delay(
-        self,
-        sender: int,
-        receiver: int,
-        send_time: float,
-        distance: float,
-        seq: int,
-        rng: random.Random,
-    ) -> float:
-        if self._rng.random() < self.drop_prob:
-            self.dropped += 1
-            return DROPPED
-        return self.inner.delay(sender, receiver, send_time, distance, seq, rng)

@@ -12,7 +12,7 @@ spec, job kind and CLI, and no module under ``src/repro`` imports it
 (``tests/test_check.py`` pins that).
 
 Everything fixed before the first event — validation, hardware clocks,
-RNG seeding, ``CrashingProcess`` promotion, the fault controller — is
+RNG seeding, the fault controller — is
 the production constructor's :class:`~repro.sim.simulator.RunSetup`,
 shared rather than copied: the two loops must start from the same state
 to be comparable at all.
@@ -101,11 +101,6 @@ class ReferenceSimulator(RunSetup):
         seq = self._msg_counter
         self._msg_counter += 1
         self._record_at(sender, SEND, (receiver, payload))
-        if raw == float("inf"):
-            # Fault-injection sentinel (sim.faults.DROPPED): the node sent
-            # but the network lost the message.  Outside the paper's
-            # reliable model.
-            return
         delay = validate_delay(raw, distance)
         delays = [delay]
         if self._faults is not None:

@@ -74,7 +74,7 @@ from repro.errors import SimulationError
 from repro.sim.clock import HardwareClock, LogicalClock
 from repro.sim.events import BatchEventQueue, CrashNode
 from repro.sim.execution import Execution
-from repro.sim.faults import CrashingProcess, FaultController, FaultPlan
+from repro.sim.faults import FaultController, FaultPlan
 from repro.sim.messages import (
     DelayPolicy,
     HalfDistanceDelay,
@@ -127,9 +127,9 @@ class SimConfig:
 class RunSetup:
     """Everything about a run that is fixed before its first event.
 
-    Validation, the hardware clocks, RNG seeding, ``CrashingProcess``
-    promotion and the fault controller — the part of the constructor
-    that :class:`Simulator` and the reference loop
+    Validation, the hardware clocks, RNG seeding and the fault
+    controller — the part of the constructor that :class:`Simulator`
+    and the reference loop
     (:class:`repro.sim.reference.ReferenceSimulator`) must agree on to
     be comparable at all, so there is one copy of it.
     """
@@ -168,9 +168,6 @@ class RunSetup:
         self.now = 0.0
         self._finished = False
         self._delay_rng = random.Random(config.seed ^ 0x5EED)
-        bind_run = getattr(self.delay_policy, "bind_run", None)
-        if bind_run is not None:
-            bind_run(config.seed)
 
         schedules = dict(rate_schedules or {})
         self._hardware: dict[int, HardwareClock] = {
@@ -180,19 +177,12 @@ class RunSetup:
             for node in topology.nodes
         }
 
-        # Promote CrashingProcess wrappers to native crash-stop windows:
-        # the wrapper names a *hardware* reading, which the node's rate
-        # schedule converts to an exact real time.
-        plan = fault_plan or FaultPlan()
-        for node, process in self._processes.items():
-            if isinstance(process, CrashingProcess):
-                plan = plan.with_crash(
-                    node, self._hardware[node].time_at(process.crash_at_hardware)
-                )
         # The empty plan builds no controller at all, keeping fault-free
         # runs byte-identical to a simulator without fault support.
         self._faults: Optional[FaultController] = (
-            None if plan.is_empty() else FaultController(plan, topology, config.seed)
+            None
+            if fault_plan is None or fault_plan.is_empty()
+            else FaultController(fault_plan, topology, config.seed)
         )
 
     def _node_rng(self, node: int) -> random.Random:
@@ -530,11 +520,6 @@ class Simulator(RunSetup):
         seq = self._msg_counter
         self._msg_counter = seq + 1
         self._record(sender, SEND, (receiver, payload))
-        if raw == float("inf"):
-            # Fault-injection sentinel (sim.faults.DROPPED): the node sent
-            # but the network lost the message.  Outside the paper's
-            # reliable model.
-            return
         delay = validate_delay(raw, distance)
         delays = [delay]
         if faults is not None:

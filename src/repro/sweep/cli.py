@@ -124,8 +124,7 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "comma-separated mobility families (override preset), e.g. "
             "'static,waypoint:0.5,blink:0.3,8' (a comma starts a new "
-            "family only before a name, so numeric arguments stay "
-            "intact); non-static families need --transports sim/router"
+            "family only before a name, so numeric arguments stay intact)"
         ),
     )
     parser.add_argument(

@@ -522,8 +522,6 @@ class TransportFamily(NamedTuple):
     #: workers: ``run_jobs`` keeps such cells off its pool, the daemon
     #: rejects them (both through :func:`forking_transports`).
     forks: bool
-    #: Applies live churn (fault plans and mid-run rewirings).
-    churn: bool
 
 
 #: live transport name -> capabilities, in CLI/table order.  Pure data:
@@ -531,10 +529,10 @@ class TransportFamily(NamedTuple):
 #: must not import.  ``"sim"`` (the simulator) is not a live transport
 #: and is not listed.
 TRANSPORT_FAMILIES: Dict[str, TransportFamily] = {
-    "virtual": TransportFamily(forks=False, churn=False),
-    "asyncio": TransportFamily(forks=False, churn=False),
-    "udp": TransportFamily(forks=True, churn=False),
-    "router": TransportFamily(forks=True, churn=True),
+    "virtual": TransportFamily(forks=False),
+    "asyncio": TransportFamily(forks=False),
+    "udp": TransportFamily(forks=True),
+    "router": TransportFamily(forks=True),
 }
 
 

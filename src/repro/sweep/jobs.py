@@ -45,7 +45,8 @@ __all__ = [
 #: v7: live-run metrics add the transport counters sweep reports chart
 #: (``frames_routed``, ``events``, ``workers``); cached v6 rows lack
 #: them, so they must be re-run.
-CACHE_VERSION = 7
+#: v8: live churn cells report the simulator's ``messages`` / ``fault_events``.
+CACHE_VERSION = 8
 
 #: kind name -> (callable, defining module name)
 _JOB_KINDS: Dict[str, tuple[Callable[[Mapping[str, Any]], dict], str]] = {}

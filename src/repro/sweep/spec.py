@@ -55,11 +55,9 @@ class SweepSpec:
     ``"sim"`` (the discrete-event simulator, a ``benign-run`` job) or a
     live backend from :data:`repro.sweep.families.TRANSPORT_FAMILIES`
     (``"virtual"``, ``"asyncio"``, ``"udp"``, ``"router"`` — a
-    ``live-run`` job).  Of the live backends only ``"router"``
-    implements churn (its central switch applies fault plans and
-    rewirings to real frames), so a grid naming non-default faults or
-    mobilities may combine them with ``"sim"`` and ``"router"`` cells
-    but is rejected if it also names a churnless live backend.
+    ``live-run`` job).  Every engine runs every cell, so the fault and
+    mobility axes cross the transport axis freely; ``"virtual"`` cells
+    reproduce their ``"sim"`` twins exactly.
 
     The ``mobilities`` axis selects the dynamic-topology family per cell
     (:data:`repro.sweep.families.MOBILITY_FAMILIES`): ``"static"`` runs
@@ -118,28 +116,12 @@ class SweepSpec:
                     f"unknown rate family {spec!r}; families: "
                     f"{sorted(RATE_FAMILIES)}"
                 )
-        live = [t for t in self.transports if t != "sim"]
-        for spec in live:
-            if spec not in TRANSPORT_FAMILIES:
+        for spec in self.transports:
+            if spec != "sim" and spec not in TRANSPORT_FAMILIES:
                 raise SweepError(
                     f"unknown transport {spec!r}; backends: ['sim', "
                     f"{', '.join(repr(t) for t in TRANSPORT_FAMILIES)}]"
                 )
-        # A grid may combine faults/mobility with sim cells and live
-        # backends that implement churn, but a churnless live backend
-        # in the same grid is rejected.
-        churnless = [t for t in live if not TRANSPORT_FAMILIES[t].churn]
-        if churnless and any(f != "none" for f in self.fault_families):
-            raise SweepError(
-                f"live transports {churnless} have no fault support; keep "
-                "fault_families=('none',) or sweep transport='router'"
-            )
-        if churnless and any(m != "static" for m in self.mobilities):
-            raise SweepError(
-                f"live transports {churnless} have no dynamic-topology "
-                "support; keep mobilities=('static',) or sweep "
-                "transport='router'"
-            )
 
     @property
     def size(self) -> int:

@@ -11,7 +11,7 @@ finalize:
 * the **router** backend taps every frame crossing the central switch
   in the parent — ``("clock", value)`` payloads yield per-node logical
   estimates straight off the wire — plus a counter snapshot per frame
-  (``frames_routed`` / ``frames_dropped`` / ``lost_no_edge``);
+  (``frames_routed`` / ``frames_dropped``);
 * the **udp** backend mirrors each sent frame to a parent-side tap
   socket (opt-in, only when a tail is attached), which drains into the
   same ``frame`` entry point.

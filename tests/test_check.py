@@ -299,9 +299,8 @@ class TestOneScenarioCell:
         assert [n for n, f in TRANSPORT_FAMILIES.items() if f.forks] == [
             "udp", "router",
         ]
-        assert [n for n, f in TRANSPORT_FAMILIES.items() if f.churn] == [
-            "router"
-        ]
+        # One capability: what a transport *can run* is every cell.
+        assert {f._fields for f in TRANSPORT_FAMILIES.values()} == {("forks",)}
 
     def test_validating_a_live_spec_never_loads_the_runtime(self):
         # The transport table is pure data in sweep: expanding a grid
@@ -494,8 +493,10 @@ class TestOneLiveLoop:
         assert self._rt_modules_with("def run(self, nodes") == ["shard.py"]
 
     def test_rt_borrows_no_other_event_loop(self):
+        # (The loop does import ``sim.events.CrashNode`` — the marker the
+        # fault controller's ``schedule`` hands its sink — but no queue.)
         assert self._rt_modules_with(
-            "import asyncio", "from asyncio", "sim.events", "EventQueue",
+            "import asyncio", "from asyncio", "EventQueue",
             "call_later", "abstractmethod",
         ) == []
 
@@ -503,10 +504,10 @@ class TestOneLiveLoop:
         from repro.sweep.families import TRANSPORT_FAMILIES
 
         assert {n: tuple(f) for n, f in TRANSPORT_FAMILIES.items()} == {
-            "virtual": (False, False),
-            "asyncio": (False, False),
-            "udp": (True, False),
-            "router": (True, True),
+            "virtual": (False,),
+            "asyncio": (False,),
+            "udp": (True,),
+            "router": (True,),
         }
         assert tuple(TRANSPORT_FAMILIES) == ("virtual", "asyncio", "udp", "router")
 
@@ -518,6 +519,32 @@ class TestOneLiveLoop:
             if "live_stats={" in line
         ]
         assert sites == ["repro/rt/recorder.py"]
+
+
+class TestOneFaultExecutor:
+    """A FaultPlan is executed by FaultController and by nothing else."""
+
+    _modules_with = TestOneScenarioCell._modules_with
+
+    def test_the_controller_is_built_by_the_two_loops_only(self):
+        # The simulator's RunSetup (shared by the reference loop) and
+        # the live loop; the switch has none.
+        assert self._modules_with("FaultController(") == [
+            "rt/shard.py", "sim/simulator.py",
+        ]
+
+    @pytest.mark.parametrize("needle", [
+        # the shard loop's hand-copied crash machinery
+        "_delivery_lost", "_crash_by_node",
+        # the switch's comm-edge check and its counter
+        "dropped_no_edge", "lost_no_edge",
+        # the capability column that kept three names away from churn
+        ".churn",
+        # the pre-FaultPlan wrappers and their sentinel
+        "CrashingProcess", "DroppingDelayPolicy", "DROPPED",
+    ])
+    def test_the_copies_are_gone(self, needle):
+        assert self._modules_with(needle) == []
 
 
 class TestRuleFixtures:

@@ -19,13 +19,7 @@ import pytest
 
 from repro.algorithms import AveragingAlgorithm, MaxBasedAlgorithm
 from repro.errors import FaultError
-from repro.sim.faults import (
-    CrashingProcess,
-    CrashWindow,
-    DroppingDelayPolicy,
-    FaultPlan,
-    LinkFault,
-)
+from repro.sim.faults import CrashWindow, FaultPlan, LinkFault
 from repro.sim.messages import HalfDistanceDelay, UniformRandomDelay
 from repro.sim.simulator import SimConfig, Simulator, run_simulation
 from repro.topology.generators import line, ring
@@ -299,24 +293,40 @@ class TestLinkFaults:
 
 
 class TestCrashingProcessWrapper:
-    """The legacy wrapper, now promoted to a native crash by the simulator."""
+    """Crash at a *hardware* reading, expressed on the plan.
+
+    (The class keeps the name of the pre-``FaultPlan`` wrapper whose
+    cases these are; the wrapper itself is gone.)  A node only knows its
+    hardware clock, so "crash when H reads 5" is
+    ``with_crash(node, hardware.time_at(5.0))`` — the rate schedule
+    makes the conversion exact.
+    """
+
+    @staticmethod
+    def _run(topo, node, reading, *, duration=20.0, rho=0.2, rates=None):
+        from repro.sim.clock import HardwareClock
+        from repro.sim.rates import PiecewiseConstantRate
+
+        schedule = (rates or {}).get(node, PiecewiseConstantRate.constant(1.0))
+        at = HardwareClock(schedule, rho).time_at(reading)
+        return run_simulation(
+            topo,
+            MaxBasedAlgorithm().processes(topo),
+            SimConfig(duration=duration, rho=rho, seed=0),
+            rate_schedules=rates,
+            fault_plan=FaultPlan().with_crash(node, at),
+        )
 
     def test_crashed_node_stops_sending(self):
-        topo = line(3)
-        procs = MaxBasedAlgorithm().processes(topo)
-        procs[0] = CrashingProcess(procs[0], crash_at_hardware=5.0)
-        ex = run_simulation(topo, procs, SimConfig(duration=20.0, seed=0))
+        ex = self._run(line(3), 0, 5.0)
         sends_from_0 = [e for e in ex.trace.of_kind("send") if e.node == 0]
         assert sends_from_0, "node 0 should send before crashing"
         assert all(e.hardware < 5.0 + 1e-9 for e in sends_from_0)
 
     def test_crashed_node_stops_emitting_entirely(self):
-        """Promotion closes the old leaks: no timer firings, receives or
-        in-flight deliveries from the crashed node after the crash."""
-        topo = line(3)
-        procs = MaxBasedAlgorithm().processes(topo)
-        procs[0] = CrashingProcess(procs[0], crash_at_hardware=5.0)
-        ex = run_simulation(topo, procs, SimConfig(duration=20.0, seed=0))
+        """No timer firings, receives or in-flight deliveries from the
+        crashed node after the crash."""
+        ex = self._run(line(3), 0, 5.0)
         post = [e for e in ex.trace.events if e.node == 0 and e.real_time > 5.0]
         assert post == []
         assert ex.trace.of_kind("crash")
@@ -325,30 +335,18 @@ class TestCrashingProcessWrapper:
         """The crash reading converts through the node's own rate."""
         from repro.sim.rates import PiecewiseConstantRate
 
-        topo = line(2)
-        procs = MaxBasedAlgorithm().processes(topo)
-        procs[0] = CrashingProcess(procs[0], crash_at_hardware=5.0)
         rates = {0: PiecewiseConstantRate.constant(0.5),
                  1: PiecewiseConstantRate.constant(1.0)}
-        ex = run_simulation(
-            topo, procs, SimConfig(duration=20.0, rho=0.5, seed=0),
-            rate_schedules=rates,
-        )
+        ex = self._run(line(2), 0, 5.0, rho=0.5, rates=rates)
         [crash] = ex.trace.of_kind("crash")
         assert crash.real_time == pytest.approx(10.0)  # H(10) = 5 at rate 0.5
 
     def test_crash_at_zero_never_starts(self):
-        topo = line(3)
-        procs = MaxBasedAlgorithm().processes(topo)
-        procs[1] = CrashingProcess(procs[1], crash_at_hardware=0.0)
-        ex = run_simulation(topo, procs, SimConfig(duration=10.0, seed=0))
+        ex = self._run(line(3), 1, 0.0, duration=10.0)
         assert not [e for e in ex.trace.of_kind("send") if e.node == 1]
 
     def test_survivors_keep_syncing(self):
-        topo = line(4)
-        procs = MaxBasedAlgorithm().processes(topo)
-        procs[3] = CrashingProcess(procs[3], crash_at_hardware=2.0)
-        ex = run_simulation(topo, procs, SimConfig(duration=30.0, seed=0))
+        ex = self._run(line(4), 3, 2.0, duration=30.0)
         ex.check_validity()
         late_sends = [
             e
@@ -358,77 +356,69 @@ class TestCrashingProcessWrapper:
         assert late_sends
 
     def test_rejects_negative_reading(self):
-        with pytest.raises(ValueError):
-            CrashingProcess(MaxBasedAlgorithm().processes(line(2))[0], -1.0)
+        from repro.errors import ScheduleError
+
+        with pytest.raises(ScheduleError):  # no clock ever reads -1
+            self._run(line(2), 0, -1.0)
 
 
 class TestDropping:
+    """Random message loss, expressed on the plan (``with_link(loss=p)``)."""
+
+    @staticmethod
+    def _run(topo, loss, *, duration=40.0, seed=0, plan_seed_salt=0):
+        plan = FaultPlan(seed_salt=plan_seed_salt).with_link(loss=loss)
+        return run_simulation(
+            topo,
+            MaxBasedAlgorithm(period=0.5).processes(topo),
+            SimConfig(duration=duration, seed=seed),
+            fault_plan=plan,
+        )
+
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            DroppingDelayPolicy(HalfDistanceDelay(), drop_prob=1.0)
+        with pytest.raises(FaultError):  # refused when the run is built
+            self._run(line(2), 1.0)
 
     def test_drops_expected_fraction(self):
-        topo = line(4)
-        alg = MaxBasedAlgorithm(period=0.5)
-        policy = DroppingDelayPolicy(HalfDistanceDelay(), drop_prob=0.5, seed=3)
-        ex = run_simulation(
-            topo,
-            alg.processes(topo),
-            SimConfig(duration=40.0, seed=0),
-            delay_policy=policy,
-        )
+        ex = self._run(line(4), 0.5, plan_seed_salt=3)
         sent = len(ex.trace.of_kind("send"))
         received = len(ex.trace.of_kind("receive"))
-        assert policy.dropped > 0
+        dropped = ex.fault_stats["lost_random"]
+        assert dropped > 0
         assert received < sent
         # Roughly half dropped (binomial; wide tolerance).
-        assert 0.3 < policy.dropped / sent < 0.7
+        assert 0.3 < dropped / sent < 0.7
 
     def test_zero_probability_drops_nothing(self):
-        topo = line(3)
-        alg = MaxBasedAlgorithm()
-        policy = DroppingDelayPolicy(HalfDistanceDelay(), drop_prob=0.0)
-        ex = run_simulation(
-            topo,
-            alg.processes(topo),
-            SimConfig(duration=10.0, seed=0),
-            delay_policy=policy,
-        )
-        assert policy.dropped == 0
+        ex = self._run(line(3), 0.0, duration=10.0)
+        assert ex.fault_stats["lost_random"] == 0
+        assert len(ex.messages) == len(ex.trace.of_kind("send"))
 
     def test_shared_instance_leaks_nothing_between_runs(self):
-        """One policy object reused across a grid: every run re-derives
-        its RNG and counter from the run seed (satellite fix)."""
+        """One plan value reused across a grid: every run derives its
+        drop stream from (run seed, plan salt) alone, so rerunning a
+        cell never sees the runs in between."""
         topo = line(4)
         alg = MaxBasedAlgorithm(period=0.5)
-        policy = DroppingDelayPolicy(HalfDistanceDelay(), drop_prob=0.4, seed=7)
+        plan = FaultPlan(seed_salt=7).with_link(loss=0.4)
 
         def one_run(seed):
             ex = run_simulation(
                 topo,
                 alg.processes(topo),
                 SimConfig(duration=30.0, seed=seed),
-                delay_policy=policy,
+                fault_plan=plan,
             )
-            return policy.dropped, [e for e in ex.trace.events]
+            return ex.fault_stats["lost_random"], [e for e in ex.trace.events]
 
         first = one_run(0)
-        second = one_run(1)  # perturb the policy's state
+        second = one_run(1)
         again = one_run(0)
         assert first == again, "rerunning a cell must not see earlier runs"
         assert first != second
 
     def test_sync_survives_light_loss(self):
-        topo = line(4)
-        alg = MaxBasedAlgorithm(period=0.5)
-        policy = DroppingDelayPolicy(HalfDistanceDelay(), drop_prob=0.2, seed=1)
-        ex = run_simulation(
-            topo,
-            alg.processes(topo),
-            SimConfig(duration=40.0, seed=0),
-            delay_policy=policy,
-        )
-        ex.check_validity()
+        self._run(line(4), 0.2, plan_seed_salt=1).check_validity()
 
 
 @pytest.mark.engine

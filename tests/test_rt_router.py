@@ -32,6 +32,7 @@ from repro.experiments.e14_live import skew_bound
 from repro.rt import LiveRecorder, LiveRunConfig, run_live, with_transport
 from repro.rt import shard as shard_rt
 from repro.rt.shard import ShardTransport
+from repro.rt.transport import TRANSPORT_NAMES
 from repro.sweep.families import topology_from_spec
 from repro.wire import decode_frame, encode_frame
 
@@ -92,15 +93,15 @@ class TestWireFormatProperties:
 
 
 class TestConfigValidation:
-    def test_faults_rejected_on_non_router_transports(self):
-        for transport in ("virtual", "asyncio", "udp"):
-            with pytest.raises(RtError, match="router"):
-                LiveRunConfig(transport=transport, faults="crash:0.25")
+    def test_faults_accepted_on_every_transport(self):
+        for transport in TRANSPORT_NAMES:
+            config = LiveRunConfig(transport=transport, faults="crash:0.25")
+            assert config.build().fault_plan is not None
 
-    def test_mobility_rejected_on_non_router_transports(self):
-        for transport in ("virtual", "asyncio", "udp"):
-            with pytest.raises(RtError, match="router"):
-                LiveRunConfig(transport=transport, mobility="blink:0.2,2")
+    def test_mobility_accepted_on_every_transport(self):
+        for transport in TRANSPORT_NAMES:
+            config = LiveRunConfig(transport=transport, mobility="blink:0.2,2")
+            assert config.build().dynamic is not None
 
     def test_negative_workers_rejected(self):
         with pytest.raises(RtError, match="workers"):
@@ -319,3 +320,28 @@ class TestRouterTransport:
         assert execution.topology_timeline is not None
         assert execution.is_dynamic
         assert len(execution.topology_timeline) >= 2
+        # The same row a simulated mobile cell gives: one TOPOLOGY event
+        # per swap (recorded once, not once per shard) and no fault
+        # counters on a cell with no fault plan.
+        assert len(execution.trace.of_kind("topology")) == (
+            len(execution.topology_timeline) - 1
+        )
+        assert execution.fault_stats is None
+
+    @pytest.mark.parametrize("faults", ["loss:0.2", "duplicate:0.2"])
+    def test_router_messages_are_the_copies_the_link_carried(self, faults):
+        # The sender's controller drops lost copies before they are
+        # recorded or framed — the simulator's identity, on the wire.
+        config = LiveRunConfig(
+            topology="line:6", algorithm="gradient", duration=8.0,
+            rho=0.2, seed=3, transport="router", time_scale=0.05,
+            faults=faults, workers=2,
+        )
+        execution = run_live(config)
+        stats = execution.fault_stats
+        assert stats["lost_random"] + stats["duplicated"] > 0
+        assert len(execution.messages) == (
+            len(execution.trace.of_kind("send")) - stats["lost_random"]
+            - stats["lost_link_down"] + stats["duplicated"]
+        )
+        assert execution.live_stats["frames_routed"] == len(execution.messages)

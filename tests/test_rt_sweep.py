@@ -69,13 +69,21 @@ class TestTransportAxis:
         with pytest.raises(SweepError):
             _spec(transports=("sim", "telepathy")).jobs()
 
-    def test_churnless_live_cells_with_faults_rejected(self):
-        with pytest.raises(SweepError):
-            _spec(fault_families=("none", "loss:0.2")).jobs()
+    def test_fault_axis_crosses_every_live_transport(self):
+        jobs = _spec(
+            transports=("sim", "virtual", "asyncio", "udp", "router"),
+            fault_families=("none", "loss:0.2"),
+        ).jobs()
+        assert len(jobs) == 10
+        assert {j.params["faults"] for j in jobs} == {"none", "loss:0.2"}
 
-    def test_churnless_live_cells_with_mobility_rejected(self):
-        with pytest.raises(SweepError):
-            _spec(mobilities=("static", "blink:0.2,2")).jobs()
+    def test_mobility_axis_crosses_every_live_transport(self):
+        jobs = _spec(
+            transports=("sim", "virtual", "asyncio", "udp", "router"),
+            mobilities=("static", "blink:0.2,2"),
+        ).jobs()
+        assert len(jobs) == 10
+        assert {j.params["mobility"] for j in jobs} == {"static", "blink:0.2,2"}
 
     def test_router_cells_accept_faults_and_mobility(self):
         jobs = _spec(
@@ -129,6 +137,28 @@ class TestLiveRunJobs:
         for metric in ("max_skew", "final_skew", "mean_abs_skew", "messages"):
             assert live[metric] == pytest.approx(sim[metric], abs=1e-9)
         assert live["wall_elapsed"] >= 0.0
+
+    def test_virtual_rows_equal_sim_rows_on_faulted_cells(self):
+        # One fault executor: a virtual cell's row is its sim twin's on
+        # every key the scenario determines, injected losses included.
+        live_only = {
+            "transport", "frames_dropped", "frames_routed", "events",
+            "workers", "wall_elapsed",
+        }
+        outcomes = run_jobs(
+            _spec(fault_families=("none", "loss:0.2")).jobs(), workers=1
+        )
+        rows = {
+            (o.metrics["faults"], o.metrics["transport"]): o.metrics
+            for o in outcomes
+        }
+        for faults in ("none", "loss:0.2"):
+            sim, live = rows[faults, "sim"], rows[faults, "virtual"]
+            assert set(live) - set(sim) == live_only - {"transport"}
+            assert {k: v for k, v in live.items() if k not in live_only} == {
+                k: v for k, v in sim.items() if k != "transport"
+            }
+        assert rows["loss:0.2", "virtual"]["fault_events"]["lost_random"] > 0
 
     def test_workers_resolve_live_kind_by_module(self):
         # A worker pool (fresh interpreter state on spawn platforms)

@@ -621,8 +621,13 @@ class TestServeProtocolErrors:
         store, _proc = daemon
         spec = small_spec(name="forky", transports=("udp",), seeds=(0,))
         with ServeClient(store=store) as client:
-            with pytest.raises(ServeError, match="udp.*workers 1"):
+            with pytest.raises(ServeError) as refused:
                 client.submit(spec)
+        message = str(refused.value)
+        assert "udp" in message and "'repro-experiments sweep'" in message
+        assert "'virtual'" in message
+        # run_jobs runs forking cells at any worker count (PR 17).
+        assert "--workers" not in message
 
     def test_malformed_spec_rejected_with_sweep_error_text(self, daemon):
         store, _proc = daemon
