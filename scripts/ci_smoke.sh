@@ -125,6 +125,11 @@ echo "== gradient profiles at scale (E15, vectorized analysis core) =="
 timeout 60 python -m repro.experiments E15 --scale quick > "$ARTIFACTS/e15.txt"
 grep -q "field s" "$ARTIFACTS/e15.txt" \
     || { echo "error: E15 produced no timing table" >&2; exit 1; }
+# E15's largest full-scale network (n = 3064) must build and answer its
+# adjacent pairs with array queries; an O(n^2) Python pair scan takes
+# seconds here.
+timeout 3 python -c "from repro.sweep import topology_from_spec as t; t('grid:4,766').adjacent_pairs()" \
+    || { echo "error: building grid:4,766 and its adjacent pairs took over 3s" >&2; exit 1; }
 
 echo
 echo "== mobility & dynamic topologies (E16) =="

@@ -119,16 +119,12 @@ class NeighborEstimates:
         credited = value + self.delay_compensation * api.distance(sender)
         self._last[sender] = (credited, api.hardware_now())
 
-    def estimate(self, api: NodeAPI, sender: int) -> float | None:
-        if sender not in self._last:
-            return None
-        value, hw_then = self._last[sender]
-        return value + (api.hardware_now() - hw_then)
-
     def estimates(self, api: NodeAPI) -> dict[int, float]:
+        """Every remembered neighbor's dead-reckoned clock, now."""
+        hw = api.hardware_now()
         return {
-            sender: self.estimate(api, sender)  # type: ignore[misc]
-            for sender in self._last
+            sender: value + (hw - hw_then)
+            for sender, (value, hw_then) in self._last.items()
         }
 
     def known(self) -> list[int]:

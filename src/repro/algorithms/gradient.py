@@ -68,14 +68,12 @@ class BoundedCatchUpProcess(PeriodicProcess):
         if not estimates:
             return
         own = api.logical_now()
-        ahead = max(
-            value - own - self.kappa * api.distance(u)
-            for u, value in estimates.items()
-        )
-        behind = max(
-            own - value - self.kappa * api.distance(u)
-            for u, value in estimates.items()
-        )
+        kappa = self.kappa
+        ahead = behind = float("-inf")
+        for u, value in estimates.items():
+            slack = kappa * api.distance(u)
+            ahead = max(ahead, value - own - slack)
+            behind = max(behind, own - value - slack)
         if ahead > max(behind, 0.0):
             api.set_logical_multiplier(1.0 + self.mu)
         else:

@@ -192,33 +192,33 @@ class BatchEventQueue:
         pend_times = np.asarray(self._pend_times, dtype=float)
         order = np.argsort(pend_times, kind="stable")
         pend_times = pend_times[order]
-        # Gather with python ints (C-level map) — indexing a list with
-        # numpy integers is several times slower.
-        pend_events = list(map(self._pend_events.__getitem__, order.tolist()))
 
         rem_times = self._spine_times[self._cursor :]
-        rem_events = self._spine_events[self._cursor :]
-        if not rem_events:
+        # Remaining spine events, then pending ones in push order: the
+        # merged events are one permutation of this list.
+        combined = self._spine_events[self._cursor :] + self._pend_events
+        n_rem = len(rem_times)
+        if not n_rem:
             merged_times = pend_times.tolist()
-            merged_events = pend_events
+            perm = order
         else:
             pos = np.searchsorted(
                 np.asarray(rem_times, dtype=float), pend_times, side="right"
             )
-            total = len(rem_events) + len(pend_events)
+            total = n_rem + order.size
+            pend_slots = pos + np.arange(order.size)
             take_pending = np.zeros(total, dtype=bool)
-            pend_slots = (pos + np.arange(len(pend_events))).tolist()
             take_pending[pend_slots] = True
             merged = np.empty(total, dtype=float)
             merged[take_pending] = pend_times
             merged[~take_pending] = rem_times
             merged_times = merged.tolist()
-            merged_events = [None] * total
-            for slot, event in zip(pend_slots, pend_events):
-                merged_events[slot] = event
-            rem_slots = np.nonzero(~take_pending)[0].tolist()
-            for slot, event in zip(rem_slots, rem_events):
-                merged_events[slot] = event
+            perm = np.empty(total, dtype=np.intp)
+            perm[pend_slots] = order + n_rem
+            perm[~take_pending] = np.arange(n_rem)
+        # Gather with python ints (C-level map) — indexing a list with
+        # numpy integers is several times slower.
+        merged_events = list(map(combined.__getitem__, perm.tolist()))
         # In-place swaps: callers (the simulator's drain loop) hold
         # direct references to these lists, so identity must survive.
         self._spine_times[:] = merged_times

@@ -37,12 +37,14 @@ loop exploits that without changing a single observable:
   instead of bisecting from scratch; the per-segment arithmetic is the
   exact expression of ``value_at``/``read``, so every reading is bitwise
   identical;
-* **precomputed broadcast delivery** — delay policies that depend only
-  on the pair distance (:class:`~repro.sim.messages.HalfDistanceDelay`,
+* **batched broadcast delivery** — every fault-free broadcast schedules
+  its deliveries in one pass over ``(neighbor, distance, delay)``
+  triples cached per node and topology.  Policies that depend only on
+  the pair distance (:class:`~repro.sim.messages.HalfDistanceDelay`,
   :class:`~repro.sim.messages.FixedFractionDelay`) declare a
-  ``broadcast_delays`` hook; each node's per-neighbor delays are
-  validated once per topology and a whole broadcast's deliveries are
-  scheduled in one pass;
+  ``broadcast_delays`` hook, so their delays are validated once per
+  topology; any other policy's delay is drawn inside the pass, one
+  ``delay`` call per neighbor in neighbor order;
 * **columnar trace and message stores** — the hot loop appends plain
   tuples; :class:`~repro.sim.trace.ColumnarTrace` and the
   :class:`~repro.sim.messages.Message` list materialize once at the end.
@@ -58,9 +60,11 @@ invariants, enforced by the differential harness
 (``tests/test_engine_equivalence.py`` and ``tests/_engine_helpers.py``)
 across the full algorithm x topology x fault x mobility grid, plus
 hypothesis-generated random scenarios.  All randomness flows through the
-same RNG objects in the same draw order: fault decisions, random delay
-policies, and node RNGs are untouched by the batching — a policy or
-fault plan that draws per send simply keeps the per-send path.
+same RNG objects in the same draw order: a random delay policy is asked
+once per send, in neighbor order, whether the send is batched or not,
+and node RNGs are untouched by the batching.  Only runs with faults
+take the per-send path (``send_message``), because the fault controller
+decides loss, duplication and reordering per send.
 """
 
 from __future__ import annotations
@@ -230,8 +234,9 @@ _CRASH = 2
 _RECOVER = 3
 _TOPOLOGY = 4
 
-#: Sentinel marking a node API's cached broadcast pairs as needing a
-#: rebuild (distinct from ``None``, which marks the per-send fallback).
+#: Sentinel marking a node API's cached broadcast triples as needing a
+#: rebuild (distinct from ``None``, which marks a run with faults, whose
+#: sends all take ``send_message``).
 _STALE = object()
 
 
@@ -340,10 +345,11 @@ class _SimNodeAPI(NodeAPI):
         self._pend_times = queue._pend_times
         self._pend_events = queue._pend_events
         self._faults = simulator._faults
-        #: Validated (neighbor, delay) pairs for the current topology,
-        #: ``None`` when broadcasts must take the general per-send path,
-        #: or ``_STALE`` until (re)built — the simulator marks every API
-        #: stale on a topology swap.
+        #: ``(neighbor, distance, delay)`` triples for the current
+        #: topology (``delay`` validated, or ``None`` when each send
+        #: draws its own), ``None`` in a run with faults, or ``_STALE``
+        #: until (re)built — the simulator marks every API stale on a
+        #: topology swap.
         self._pairs: Any = _STALE
         #: Int encoding for this node's fault-free default-named timer.
         self._tick_event = -1 - node
@@ -367,13 +373,15 @@ class _SimNodeAPI(NodeAPI):
     def broadcast(self, payload: Any) -> None:
         """One gossip broadcast: every neighbor, batch-scheduled.
 
-        Only distance-dependent deterministic policies (those with a
-        ``broadcast_delays`` hook) take the batch path, and only in
-        fault-free runs — anything touching an RNG or the fault
-        controller falls back to the per-send path so draw order stays
-        identical to the reference loop.  The sender's clock readings
-        are computed once for the whole broadcast: the reference loop's
-        per-send reads are pure, so each would return the same floats.
+        Every fault-free broadcast takes this one loop, whatever the
+        delay policy: a delay the policy's ``broadcast_delays`` hook
+        fixed is read from the cached triples, any other is drawn here
+        with ``policy.delay`` in neighbor order — the reference loop's
+        per-send draw order, so the RNG stream is identical.  Only runs
+        with faults go through ``send_message``, once per neighbor.  The
+        sender's clock readings are computed once for the whole
+        broadcast: the reference loop's per-send reads are pure, so each
+        would return the same floats.
         """
         sim = self._sim
         node = self.node
@@ -385,6 +393,8 @@ class _SimNodeAPI(NodeAPI):
                 sim.send_message(node, dest, payload)
             return
         now = sim.now
+        draw = sim.delay_policy.delay
+        rng = sim._delay_rng
         rows = sim._rows
         if rows is not None:
             lc = self._logical
@@ -400,7 +410,11 @@ class _SimNodeAPI(NodeAPI):
         pend_events = self._pend_events
         queue = self._queue
         pend_min = queue._pend_min
-        for dest, delay in pairs:
+        for dest, distance, delay in pairs:
+            if delay is None:
+                delay = validate_delay(
+                    draw(node, dest, now, distance, seq, rng), distance
+                )
             if rows is not None:
                 rows.append((now, node, hw, logical, SEND, (dest, payload)))
             at = now + delay
@@ -485,14 +499,6 @@ class Simulator(RunSetup):
             self._logical[node] = lc
             self._api[node] = _SimNodeAPI(self, node, lc, self._node_rng(node))
 
-        #: The policy's distance-only ``broadcast_delays`` hook, when it
-        #: declares one and no fault machinery is active.
-        self._bcast_hook = (
-            None
-            if self._faults is not None
-            else getattr(self.delay_policy, "broadcast_delays", None)
-        )
-
     # ------------------------------------------------------------------
     # services used by the node API
 
@@ -505,7 +511,8 @@ class Simulator(RunSetup):
             )
 
     def send_message(self, sender: int, receiver: int, payload: Any) -> None:
-        """The general (fault-aware, arbitrary-policy) send path."""
+        """The per-send path: every send of a run with faults, and
+        :meth:`NodeAPI.send` (fault-free broadcasts batch instead)."""
         if sender == receiver:
             raise SimulationError(f"node {sender} tried to message itself")
         faults = self._faults
@@ -534,19 +541,24 @@ class Simulator(RunSetup):
             self._queue.push(self.now + chosen, len(self._msgs))
             self._msgs.append((seq, sender, receiver, payload, self.now, chosen))
 
-    def _broadcast_pairs(self, node: int) -> list[tuple[int, float]] | None:
-        """One node's validated ``(neighbor, delay)`` pairs on the
-        current topology, or ``None`` when every send must draw its own
-        delay."""
-        if self._bcast_hook is None:
+    def _broadcast_pairs(
+        self, node: int
+    ) -> list[tuple[int, float, float | None]] | None:
+        """One node's ``(neighbor, distance, delay)`` triples on the
+        current topology — ``delay`` validated from the policy's
+        ``broadcast_delays`` hook, or ``None`` without one — or ``None``
+        when faults are present and every send takes ``send_message``."""
+        if self._faults is not None:
             return None
         neighbors = self.topology.neighbors(node)
         distances = [self.topology.distance(node, dest) for dest in neighbors]
-        raws = self._bcast_hook(node, neighbors, distances)
-        return [
-            (dest, validate_delay(raw, dist))
-            for dest, raw, dist in zip(neighbors, raws, distances)
-        ]
+        hook = getattr(self.delay_policy, "broadcast_delays", None)
+        if hook is None:
+            delays: list = [None] * len(neighbors)
+        else:
+            raws = hook(node, neighbors, distances)
+            delays = list(map(validate_delay, raws, distances))
+        return list(zip(neighbors, distances, delays))
 
     # ------------------------------------------------------------------
     # the event loop

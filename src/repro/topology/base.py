@@ -38,6 +38,13 @@ from repro.errors import TopologyError
 __all__ = ["Topology"]
 
 
+def _upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The ``(i, j)``, ``i < j``, where ``mask`` holds: row-major tuples
+    of Python ints, in one array pass instead of an ``O(n^2)`` loop."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 @dataclass
 class Topology:
     """A set of nodes with pairwise delay-uncertainty distances.
@@ -89,6 +96,19 @@ class Topology:
             if i == j or not (0 <= i < d.shape[0]) or not (0 <= j < d.shape[0]):
                 raise TopologyError(f"bad communication edge ({i}, {j})")
 
+    def __eq__(self, other: object) -> bool:
+        # The generated ``__eq__`` would ``==`` the distance arrays and
+        # raise; equal values are equal topologies (still unhashable).
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.require_unit_min == other.require_unit_min
+            and self.comm_edges == other.comm_edges
+            and self.positions == other.positions
+            and np.array_equal(self.distances, other.distances)
+        )
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -97,11 +117,9 @@ class Topology:
         cls, distances: np.ndarray, *, name: str = "topology", **kwargs
     ) -> "Topology":
         """All pairs communicate (the model's default power)."""
-        n = np.asarray(distances).shape[0]
-        edges = frozenset(
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        )
-        return cls(np.asarray(distances, dtype=float), edges, name=name, **kwargs)
+        d = np.asarray(distances, dtype=float)
+        edges = frozenset(_upper_pairs(np.ones(d.shape, dtype=bool)))
+        return cls(d, edges, name=name, **kwargs)
 
     @classmethod
     def with_radius(
@@ -114,15 +132,9 @@ class Topology:
     ) -> "Topology":
         """Communication restricted to pairs at distance ``<= radius``."""
         d = np.asarray(distances, dtype=float)
-        n = d.shape[0]
-        edges = frozenset(
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if d[i, j] <= radius + 1e-9
-        )
+        edges = frozenset(_upper_pairs(d <= radius + 1e-9))
         topo = cls(d, edges, name=name, **kwargs)
-        if any(not topo.neighbors(i) for i in range(n)):
+        if any(not topo.neighbors(i) for i in topo.nodes):
             raise TopologyError(f"radius {radius} leaves a node isolated")
         return topo
 
@@ -139,7 +151,7 @@ class Topology:
 
     def distance(self, i: int, j: int) -> float:
         """The delay uncertainty ``d_ij``."""
-        return float(self.distances[i, j])
+        return self.distances.item(i, j)
 
     @property
     def diameter(self) -> float:
@@ -181,7 +193,7 @@ class Topology:
                 yield i, j
 
     def pairs_at_distance(self, d: float, *, tol: float = 1e-9) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in self.pairs() if abs(self.distance(i, j) - d) <= tol]
+        return _upper_pairs(np.abs(self.distances - d) <= tol)
 
     def adjacent_pairs(self) -> list[tuple[int, int]]:
         """Pairs at the minimum distance — the pairs Theorem 8.1 is about.

@@ -87,16 +87,13 @@ def grid(rows: int, cols: int, *, comm_radius: float = 1.0) -> Topology:
     Connectivity: connected for every ``comm_radius >= 1`` (the lattice
     edges).  Determinism: pure function of ``(rows, cols, comm_radius)``.
     """
-    if rows * cols < 2:
+    if rows < 1 or cols < 1 or rows * cols < 2:
         raise TopologyError("grid needs at least 2 nodes")
-    coords = [(r, c) for r in range(rows) for c in range(cols)]
-    n = len(coords)
-    d = np.zeros((n, n))
-    for a, (ra, ca) in enumerate(coords):
-        for b, (rb, cb) in enumerate(coords):
-            d[a, b] = abs(ra - rb) + abs(ca - cb)
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    # Integer Manhattan distances in one broadcast: exact, then cast.
+    d = (np.abs(r[:, None] - r) + np.abs(c[:, None] - c)).astype(float)
     topo = Topology.with_radius(d, comm_radius, name=f"grid({rows}x{cols})")
-    topo.positions = {i: (float(c), float(r)) for i, (r, c) in enumerate(coords)}
+    topo.positions = {i: (float(i % cols), float(i // cols)) for i in topo.nodes}
     return topo
 
 
@@ -215,9 +212,8 @@ def broadcast_cluster(n: int, *, uncertainty: float = 0.01) -> Topology:
         raise TopologyError("cluster needs at least 2 nodes")
     d = np.full((n, n), float(uncertainty))
     np.fill_diagonal(d, 0.0)
-    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-    return Topology(
-        d, edges, name=f"rbs-cluster({n})", require_unit_min=False
+    return Topology.fully_connected(
+        d, name=f"rbs-cluster({n})", require_unit_min=False
     )
 
 

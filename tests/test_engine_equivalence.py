@@ -39,9 +39,12 @@ from repro.sim.messages import (
     FixedFractionDelay,
     JitterDelay,
     PerPairDelay,
+    SequenceDelay,
     UniformRandomDelay,
 )
 from repro.sim.rates import PiecewiseConstantRate
+from repro.sim.reference import ReferenceSimulator
+from repro.sim.simulator import SimConfig, Simulator
 from repro.sweep.families import drifted_rates, mobility_from_spec, wandering_rates
 from repro.topology.dynamic import snapshot_sequence
 from repro.topology.generators import complete, grid, line, random_geometric, ring
@@ -96,22 +99,24 @@ class TestHighFanOut:
 class TestDelayPolicies:
     """Policies with and without a ``broadcast_delays`` hook.
 
-    ``FixedFractionDelay`` exercises the batch-scheduled broadcast path;
-    the RNG-driven and stateful policies have no hook, so the simulator
-    must fall back to per-send delay draws in exactly the reference
-    loop's RNG order.
+    Every fault-free broadcast is batch-scheduled.  ``FixedFractionDelay``
+    has the hook, so its delays are fixed once per topology; the
+    RNG-driven and stateful policies have none, so the batch draws each
+    delay inside the pass — in exactly the reference loop's per-send RNG
+    order, which the delay RNG's final state pins.
     """
 
-    @pytest.mark.parametrize(
-        "policy_factory",
-        [
-            lambda: FixedFractionDelay(0.75),
-            lambda: UniformRandomDelay(),
-            lambda: UniformRandomDelay(0.25, 0.75),
-            lambda: JitterDelay(),
-            lambda: PerPairDelay().set(0, 1, 0.9).set_after(1, 0, 6.0, 0.1),
-        ],
-    )
+    POLICIES = [
+        lambda: FixedFractionDelay(0.75),
+        lambda: UniformRandomDelay(),
+        lambda: UniformRandomDelay(0.25, 0.75),
+        lambda: JitterDelay(),
+        lambda: PerPairDelay().set(0, 1, 0.9).set_after(1, 0, 6.0, 0.1),
+        # What ``sim/replay.py`` feeds: scripted seqs, random fallback.
+        lambda: SequenceDelay({0: 0.5, 3: 0.0, 7: 1.0}, UniformRandomDelay()),
+    ]
+
+    @pytest.mark.parametrize("policy_factory", POLICIES)
     def test_equivalent(self, policy_factory):
         topo = line(6)
         scalar, batched = run_both(
@@ -123,6 +128,26 @@ class TestDelayPolicies:
             delay_policy=policy_factory(),
         )
         assert_equivalent(scalar, batched)
+
+    @pytest.mark.parametrize("policy_factory", POLICIES)
+    def test_delay_rng_draw_order(self, policy_factory):
+        # A batch that drew in another order could still land on equal
+        # digests by luck; it cannot leave the RNG in the same state.
+        topo = line(6)
+        rates = drifted_rates(topo, rho=0.2, seed=3)
+        loops = []
+        for loop in (ReferenceSimulator, Simulator):
+            sim = loop(
+                topo,
+                MaxBasedAlgorithm().processes(topo),
+                SimConfig(duration=15.0, rho=0.3, seed=3),
+                rate_schedules=rates,
+                delay_policy=policy_factory(),
+            )
+            sim.run()
+            loops.append(sim)
+        reference, production = loops
+        assert production._delay_rng.getstate() == reference._delay_rng.getstate()
 
 
 class TestFaultPlans:
