@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import LowerBoundAdversary, MaxBasedAlgorithm, lower_bound_curve
-from repro.analysis import Table
+from repro.analysis import SkewField, Table
 from repro.sweep import Scenario
 
 
@@ -30,7 +30,7 @@ def benign_run() -> None:
         title="gradient profile (empirical f)",
         headers=["distance d", "max |L_i - L_j| observed"],
     )
-    for d, skew in execution.gradient_profile().items():
+    for d, skew in SkewField(execution).gradient_profile().items():
         table.add_row(d, skew)
     print(table.render())
     print()

@@ -12,7 +12,7 @@ Run:  python examples/skew_timeline.py
 from pathlib import Path
 
 from repro import MaxBasedAlgorithm
-from repro.analysis import adjacent_skew_series, skew_series, sparkline, write_csv
+from repro.analysis import SkewField, sparkline, write_csv
 from repro.gcs import LowerBoundAdversary
 
 D = 32
@@ -25,8 +25,10 @@ def main() -> None:
     execution = result.final_execution
     i, j = result.final_pair
 
-    times, adjacent = adjacent_skew_series(execution, step=1.0)
-    _, pair = skew_series(execution, i, j, step=1.0)
+    field = SkewField(execution, step=1.0)
+    times = field.times.tolist()
+    adjacent = field.max_adjacent_series().tolist()
+    pair = field.pair_series(i, j).tolist()
 
     print(f"Theorem 8.1 against max-based, D = {D}, "
           f"{result.rounds_applied} rounds, duration {execution.duration:.1f}\n")

@@ -1,7 +1,15 @@
-"""Measurement and reporting helpers for experiments and tests."""
+"""Measurement and reporting helpers for experiments and tests.
 
-from repro.analysis.convergence import SteadyState, settling_time, steady_state
-from repro.analysis.field import SkewField
+:class:`SkewField` is the one measurement surface: every skew statistic
+of an execution (series, peaks, the gradient profile ``f(d)``,
+settling time, steady state, the headline :class:`SkewSummary`) is one
+of its methods, answered from one materialized trajectory matrix.  The
+rest of the package turns numbers into output — profile fits, tables,
+sparklines and CSV.  ``summarize`` is kept for the frozen end-to-end
+ledger only.
+"""
+
+from repro.analysis.field import SkewField, SkewSummary, SteadyState
 from repro.analysis.gradient_profile import (
     ProfileFit,
     fit_linear,
@@ -9,39 +17,20 @@ from repro.analysis.gradient_profile import (
     profile_ratio,
 )
 from repro.analysis.reporting import Table
-from repro.analysis.timeseries import (
-    adjacent_skew_series,
-    render_csv,
-    skew_series,
-    sparkline,
-    write_csv,
-)
-from repro.analysis.skew import (
-    SkewSummary,
-    peak_adjacent_over_time,
-    peak_skew_over_time,
-    skew_heatmap,
-    summarize,
-)
+from repro.analysis.skew import summarize
+from repro.analysis.timeseries import render_csv, sparkline, write_csv
 
 __all__ = [
     "SkewField",
+    "SkewSummary",
+    "SteadyState",
     "ProfileFit",
     "fit_linear",
     "normalize_profile",
     "profile_ratio",
     "Table",
-    "SkewSummary",
     "summarize",
-    "peak_skew_over_time",
-    "peak_adjacent_over_time",
-    "skew_heatmap",
     "sparkline",
-    "skew_series",
-    "adjacent_skew_series",
     "write_csv",
     "render_csv",
-    "SteadyState",
-    "settling_time",
-    "steady_state",
 ]

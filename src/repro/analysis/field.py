@@ -16,22 +16,44 @@ bitwise for max/peak queries and well within 1e-9 everywhere else — an
 equivalence the hypothesis suite pins.
 
 The scalar ``value_at`` API stays untouched for the simulator hot loop;
-this class is the post-hoc measurement path.
+this class is the post-hoc measurement path, and the only one:
+:class:`~repro.sim.execution.Execution` reads clocks, ``SkewField``
+measures skew.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.convergence import SteadyState
-    from repro.analysis.skew import SkewSummary
-    from repro.sim.execution import Execution
-    from repro.topology.base import Topology
+from repro.sim.execution import Execution
+from repro.topology.base import Topology
 
-__all__ = ["SkewField"]
+__all__ = ["SkewField", "SkewSummary", "SteadyState"]
+
+
+@dataclass(frozen=True)
+class SkewSummary:
+    """Headline skew numbers for one execution."""
+
+    max_skew: float
+    max_adjacent_skew: float
+    final_skew: float
+    final_adjacent_skew: float
+    mean_abs_skew: float
+
+
+@dataclass(frozen=True)
+class SteadyState:
+    """Tail-of-run skew summary."""
+
+    mean_max_skew: float
+    worst_max_skew: float
+    mean_adjacent_skew: float
+    worst_adjacent_skew: float
+    tail_start: float
 
 
 class SkewField:
@@ -57,7 +79,7 @@ class SkewField:
 
     def __init__(
         self,
-        execution: "Execution",
+        execution: Execution,
         times: Sequence[float] | np.ndarray | None = None,
         *,
         step: float = 1.0,
@@ -81,7 +103,7 @@ class SkewField:
     def n_samples(self) -> int:
         return int(self.times.size)
 
-    def topology_segments(self) -> list[tuple["Topology", np.ndarray]]:
+    def topology_segments(self) -> list[tuple[Topology, np.ndarray]]:
         """``(topology, column indices)`` groups of the sample grid.
 
         Static executions yield one group holding every column; dynamic
@@ -184,12 +206,6 @@ class SkewField:
         """Largest absolute adjacent skew over all sample times."""
         return float(self.max_adjacent_series().max())
 
-    def peak_skew(self) -> tuple[float, float]:
-        """``(time, skew)`` of the largest all-pairs skew (first peak)."""
-        series = self.max_skew_series()
-        k = int(series.argmax())
-        return float(self.times[k]), float(series[k])
-
     def peak_adjacent_skew(self) -> tuple[float, float]:
         """``(time, skew)`` of the largest adjacent skew (first peak)."""
         series = self.max_adjacent_series()
@@ -229,14 +245,6 @@ class SkewField:
                     peak[i, i + 1:] = peak[i + 1:, i] = worst
                 self._peak_pairs.append(peak)
         return list(self._peak_pairs)
-
-    def max_logical_increase(
-        self, *, window: float = 1.0, step: float = 0.25, t_from: float = 0.0
-    ) -> float:
-        """Lemma 7.1's quantity (its own window grid, not this field's)."""
-        return self.execution.max_logical_increase(
-            window=window, step=step, t_from=t_from
-        )
 
     # ------------------------------------------------------------------
     # profiles
@@ -283,14 +291,17 @@ class SkewField:
             return None
         return float(self.times[last + 1])
 
-    def steady_state(self, tail_fraction: float = 0.25) -> "SteadyState":
+    def steady_state(self, tail_fraction: float = 0.25) -> SteadyState:
         """Tail-of-run skew summary over the final ``tail_fraction``."""
-        from repro.analysis.convergence import SteadyState
-
         if not 0.0 < tail_fraction <= 1.0:
             raise ValueError("tail_fraction must be in (0, 1]")
         start = self.execution.duration * (1.0 - tail_fraction)
         mask = self.times >= start
+        if not mask.any():
+            raise ValueError(
+                f"no sample time in the steady-state tail: it starts at "
+                f"{start}, the grid ends at {float(self.times[-1])}"
+            )
         maxes = self.max_skew_series()[mask]
         adjacents = self.max_adjacent_series()[mask]
         return SteadyState(
@@ -304,15 +315,13 @@ class SkewField:
     # ------------------------------------------------------------------
     # headline summary
 
-    def summary(self) -> "SkewSummary":
+    def summary(self) -> SkewSummary:
         """The headline numbers, all answered from the one matrix.
 
         ``final_*`` read the last sample column — which, with the
         deduped :meth:`~repro.sim.execution.Execution.sample_times`
         grid, is the ``t = duration`` sample computed exactly once.
         """
-        from repro.analysis.skew import SkewSummary
-
         series = self.max_skew_series()
         adjacent = self.max_adjacent_series()
         return SkewSummary(

@@ -1,80 +1,19 @@
-"""Skew measurement utilities shared by experiments and tests.
+"""``summarize``: the one-call headline skew numbers of an execution.
 
-All functions here are thin views over a
-:class:`~repro.analysis.field.SkewField`: the execution's logical-value
-matrix is materialized once and every statistic is answered from it,
-instead of a ``value_at`` bisect per (node, sample time).
+Every skew statistic is a :class:`~repro.analysis.field.SkewField`
+method; this function survives only because the frozen end-to-end
+ledger imports it (``benchmarks/e2e/workloads_live.py``).  New code
+calls ``SkewField(execution).summary()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
-
-from repro.analysis.field import SkewField
+from repro.analysis.field import SkewField, SkewSummary
 from repro.sim.execution import Execution
 
-__all__ = [
-    "SkewSummary",
-    "summarize",
-    "peak_skew_over_time",
-    "peak_adjacent_over_time",
-    "skew_heatmap",
-]
+__all__ = ["summarize"]
 
 
-@dataclass(frozen=True)
-class SkewSummary:
-    """Headline skew numbers for one execution."""
-
-    max_skew: float
-    max_adjacent_skew: float
-    final_skew: float
-    final_adjacent_skew: float
-    mean_abs_skew: float
-
-    def as_row(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.max_skew,
-            self.max_adjacent_skew,
-            self.final_skew,
-            self.final_adjacent_skew,
-            self.mean_abs_skew,
-        )
-
-
-def summarize(
-    execution: Execution, *, step: float = 1.0, field: SkewField | None = None
-) -> SkewSummary:
-    """Peak/final skew statistics over a sampled grid.
-
-    Pass a prebuilt ``field`` to share one trajectory matrix across
-    several statistics (the sweep engine's benign-run jobs do); the
-    final ``t = duration`` sample is read from the grid's last column
-    instead of being recomputed.
-    """
-    field = field if field is not None else SkewField(execution, step=step)
-    return field.summary()
-
-
-def peak_skew_over_time(
-    execution: Execution, times: Sequence[float]
-) -> np.ndarray:
-    """``max_{i,j} |L_i - L_j|`` per sample time."""
-    return SkewField(execution, times).max_skew_series()
-
-
-def peak_adjacent_over_time(
-    execution: Execution, times: Sequence[float]
-) -> np.ndarray:
-    """``max adjacent |L_i - L_j|`` per sample time — Theorem 8.1's series."""
-    return SkewField(execution, times).max_adjacent_series()
-
-
-def skew_heatmap(
-    execution: Execution, times: Iterable[float]
-) -> np.ndarray:
-    """Stack of signed skew matrices, one per sample (for offline plotting)."""
-    return SkewField(execution, list(times)).heatmap()
+def summarize(execution: Execution, *, step: float = 1.0) -> SkewSummary:
+    """``SkewField(execution, step=step).summary()``."""
+    return SkewField(execution, step=step).summary()

@@ -12,12 +12,7 @@ import io
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from repro.analysis.field import SkewField
-from repro.sim.execution import Execution
-
-__all__ = ["sparkline", "skew_series", "adjacent_skew_series", "write_csv"]
+__all__ = ["sparkline", "render_csv", "write_csv"]
 
 _BARS = "▁▂▃▄▅▆▇█"
 
@@ -43,31 +38,12 @@ def sparkline(values: Sequence[float], *, lo: float | None = None,
     return "".join(out)
 
 
-def skew_series(
-    execution: Execution, i: int, j: int, *, step: float = 1.0
-) -> tuple[list[float], list[float]]:
-    """``(times, |L_i - L_j|)`` sampled across the execution (batched)."""
-    times = execution.sample_times(step)
-    series = np.abs(execution.skew_trajectory(i, j, times))
-    return times, [float(v) for v in series]
+def render_csv(times: Sequence[float], columns: dict[str, Sequence[float]]) -> str:
+    """``time, <column>...`` rows as one CSV string (``\\r\\n`` line ends).
 
-
-def adjacent_skew_series(
-    execution: Execution, *, step: float = 1.0
-) -> tuple[list[float], list[float]]:
-    """``(times, max adjacent skew)`` — Theorem 8.1's watched quantity."""
-    times = execution.sample_times(step)
-    series = SkewField(execution, times).max_adjacent_series()
-    return times, [float(v) for v in series]
-
-
-def write_csv(
-    path: str | Path,
-    times: Sequence[float],
-    columns: dict[str, Sequence[float]],
-) -> Path:
-    """Write ``time, <column>...`` rows to ``path``; returns the path."""
-    path = Path(path)
+    Raises :class:`ValueError` naming the first column whose length
+    differs from ``times``.
+    """
     names = sorted(columns)
     for name in names:
         if len(columns[name]) != len(times):
@@ -75,20 +51,20 @@ def write_csv(
                 f"column {name!r} has {len(columns[name])} values for "
                 f"{len(times)} times"
             )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *names])
-        for k, t in enumerate(times):
-            writer.writerow([t, *(columns[n][k] for n in names)])
-    return path
-
-
-def render_csv(times: Sequence[float], columns: dict[str, Sequence[float]]) -> str:
-    """Same as :func:`write_csv` but to a string (for tests/pipelines)."""
     buf = io.StringIO()
-    names = sorted(columns)
     writer = csv.writer(buf)
     writer.writerow(["time", *names])
     for k, t in enumerate(times):
         writer.writerow([t, *(columns[n][k] for n in names)])
     return buf.getvalue()
+
+
+def write_csv(
+    path: str | Path,
+    times: Sequence[float],
+    columns: dict[str, Sequence[float]],
+) -> Path:
+    """Write :func:`render_csv`'s rows to ``path``; returns the path."""
+    path = Path(path)
+    path.write_text(render_csv(times, columns), newline="")
+    return path

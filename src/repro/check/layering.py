@@ -96,7 +96,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
 #: Extra edges allowed only inside function bodies (lazy imports): the
 #: cycle-breaking idiom for optional, higher-layer integrations.
 LAZY_ALLOWED: dict[str, frozenset[str]] = {
-    "sim": frozenset({"analysis"}),  # Execution's measurement helpers
     "sweep": frozenset({"rt", "viz", "experiments"}),  # live-run job kind,
     # --report rendering, ExperimentResult table shapes
     "rt": frozenset({"viz"}),  # --tail streaming panels

@@ -30,8 +30,8 @@ this is the reproduction graduating from model to system.
 
 from __future__ import annotations
 
+from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
-from repro.analysis.skew import summarize
 from repro.experiments.common import ExperimentResult, Scale, pick
 from repro.rt.run import LiveRunConfig, run_live
 from repro.sweep import SweepSpec, run_jobs
@@ -106,7 +106,7 @@ def ladder_cell(
         record_trace=topology_nodes(topology) <= 64,
     )
     execution = run_live(config)
-    skew = summarize(execution)
+    skew = SkewField(execution).summary()
     live = execution.live_stats
     events, wall = int(live["events"]), live["wall_elapsed"]
     return {

@@ -158,9 +158,9 @@ def empirical_f(
     """
     profile: dict[float, float] = {}
     for execution in executions:
-        for d, skew in execution.gradient_profile(
-            execution.sample_times(times_step)
-        ).items():
+        for d, skew in SkewField(
+            execution, step=times_step
+        ).gradient_profile().items():
             if skew > profile.get(d, float("-inf")):
                 profile[d] = skew
     # Enforce monotonicity (f must be nondecreasing): cumulative max.

@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
-from repro.analysis.skew import summarize
 from repro.errors import ReproError
 from repro.rt.run import LiveRunConfig, run_live
 from repro.rt.transport import TRANSPORT_NAMES
@@ -81,15 +81,15 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    skew = summarize(execution)
+    skew = SkewField(execution).summary()
     table = Table(
         title=f"live run [{execution.source}]: {config.algorithm} on "
               f"{config.topology}",
         headers=["metric", "value"],
         caption=(
             f"duration {config.duration} sim units, seed {config.seed}, "
-            f"rho {config.rho}; measured with the same Execution queries "
-            f"the simulator uses"
+            f"rho {config.rho}; measured with the same SkewField "
+            f"the simulator's runs use"
         ),
     )
     table.add_row("max skew", round(skew.max_skew, 4))

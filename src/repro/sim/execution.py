@@ -1,18 +1,19 @@
-"""Finished executions and the measurements defined on them.
+"""Finished executions: clock reads and the model-compliance checks.
 
 An :class:`Execution` is the complete record of one run: clocks, trace,
-and delivered messages.  All of the paper's quantities are queries on it:
-clock skew ``L_i(t) - L_j(t)`` at any real time, the gradient profile
-(max skew as a function of distance), and the model-compliance checks
-(Assumption 1 drift bounds, Requirement 1 validity, the ``[0, d_ij]``
-delay band, and the tighter bands the lemmas assume).
+and delivered messages.  It reads clocks — ``L_i(t)``, the ``n x T``
+logical matrix, signed skew at one instant — and runs the
+model-compliance checks (Assumption 1 drift bounds, Requirement 1
+validity, the ``[0, d_ij]`` delay band, and the tighter bands the lemmas
+assume).  Skew over a sample grid — series, peaks, the gradient profile
+``f(d)`` — is measured by :class:`repro.analysis.field.SkewField`.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,11 +97,6 @@ class Execution:
         """``L_i(t) - L_j(t)`` (signed)."""
         return self.logical_value(i, t) - self.logical_value(j, t)
 
-    def skew_matrix(self, t: float) -> np.ndarray:
-        """Signed skew between every ordered pair at time ``t``."""
-        values = np.array([self.logical_value(n, t) for n in self.topology.nodes])
-        return values[:, None] - values[None, :]
-
     def logical_snapshot(self, t: float) -> dict[int, float]:
         """All logical values at time ``t``."""
         return {n: self.logical_value(n, t) for n in self.topology.nodes}
@@ -119,44 +115,6 @@ class Execution:
             [self.logical[n].values_at(t) for n in self.topology.nodes]
         )
 
-    # ------------------------------------------------------------------
-    # skew summaries
-
-    def max_skew(self, t: float) -> float:
-        """Largest absolute skew over all pairs at time ``t``."""
-        return float(np.abs(self.skew_matrix(t)).max())
-
-    def max_skew_pair(self, t: float) -> tuple[int, int, float]:
-        """The pair achieving the largest absolute skew at ``t``."""
-        m = np.abs(self.skew_matrix(t))
-        i, j = np.unravel_index(int(m.argmax()), m.shape)
-        return int(i), int(j), float(m[i, j])
-
-    def max_adjacent_skew(self, t: float) -> float:
-        """Largest absolute skew over minimum-distance pairs at ``t``.
-
-        This is the quantity Theorem 8.1 bounds from below: skew between
-        nodes at distance 1.  On dynamic runs the minimum-distance pairs
-        are those of the network live at ``t``.
-        """
-        return max(
-            abs(self.skew(i, j, t)) for i, j in self.topology_at(t).adjacent_pairs()
-        )
-
-    def peak_adjacent_skew(self, times: Iterable[float]) -> tuple[float, float]:
-        """``(time, skew)`` of the largest adjacent skew over sample times.
-
-        Raises :class:`ValueError` on an empty ``times`` iterable — the
-        old behaviour silently returned ``(0.0, -inf)``, which poisoned
-        every downstream max/mean it flowed into.
-        """
-        times = list(times)
-        if not times:
-            raise ValueError("peak_adjacent_skew needs at least one sample time")
-        from repro.analysis.field import SkewField
-
-        return SkewField(self, times).peak_adjacent_skew()
-
     def sample_times(self, step: float = 1.0) -> list[float]:
         """Evenly spaced sample times covering the execution.
 
@@ -174,24 +132,29 @@ class Execution:
         times.append(float(self.duration))
         return times
 
-    def gradient_profile(
-        self, times: Iterable[float] | None = None
-    ) -> dict[float, float]:
-        """Max absolute skew observed per pair distance.
+    # ------------------------------------------------------------------
+    # per-instant skew: contract 3's scalar reference, which every
+    # ``SkewField`` answer is held to (``tests/test_field_equivalence.py``)
 
-        The empirical ``f(d)``: for each distinct distance ``d`` in the
-        network, the largest ``|L_i(t) - L_j(t)|`` seen over the sampled
-        times among pairs at distance ``d``.  An algorithm satisfies
-        ``f``-GCS on this run iff the profile sits below ``f``.
+    def skew_matrix(self, t: float) -> np.ndarray:
+        """Signed skew between every ordered pair at time ``t``."""
+        values = np.array([self.logical_value(n, t) for n in self.topology.nodes])
+        return values[:, None] - values[None, :]
 
-        Answered from a :class:`~repro.analysis.field.SkewField` (one
-        batched trajectory matrix instead of ``O(T n^2)`` bisect
-        lookups), which is what makes diameters in the hundreds usable.
+    def max_skew(self, t: float) -> float:
+        """Largest absolute skew over all pairs at time ``t``."""
+        return float(np.abs(self.skew_matrix(t)).max())
+
+    def max_adjacent_skew(self, t: float) -> float:
+        """Largest absolute skew over minimum-distance pairs at ``t``.
+
+        This is the quantity Theorem 8.1 bounds from below: skew between
+        nodes at distance 1.  On dynamic runs the minimum-distance pairs
+        are those of the network live at ``t``.
         """
-        from repro.analysis.field import SkewField
-
-        times = list(times) if times is not None else self.sample_times()
-        return SkewField(self, times).gradient_profile()
+        return max(
+            abs(self.skew(i, j, t)) for i, j in self.topology_at(t).adjacent_pairs()
+        )
 
     # ------------------------------------------------------------------
     # model-compliance checks
@@ -261,37 +224,14 @@ class Execution:
         return True
 
     # ------------------------------------------------------------------
-    # trajectory helpers (used by analysis & plots)
-
-    def logical_trajectory(
-        self, node: int, times: Sequence[float]
-    ) -> np.ndarray:
-        return self.logical[node].values_at(np.asarray(times, dtype=float))
-
-    def skew_trajectory(
-        self, i: int, j: int, times: Sequence[float]
-    ) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        return self.logical[i].values_at(t) - self.logical[j].values_at(t)
-
-    def increase_window_starts(
-        self, *, window: float = 1.0, step: float = 0.25, t_from: float = 0.0
-    ) -> np.ndarray:
-        """The Lemma 7.1 window grid :meth:`max_logical_increase` sweeps.
-
-        Exposed so tests can pin the window count: the old ``t += step``
-        accumulator drifted and silently skipped the last window near
-        ``duration`` once executions got long enough.
-        """
-        return window_starts(
-            self.duration, window=window, step=step, t_from=t_from
-        )
+    # Lemma 7.1 (a per-clock quantity on its own window grid)
 
     def max_logical_increase(self, *, window: float = 1.0, step: float = 0.25,
                              t_from: float = 0.0) -> float:
-        """``max_i max_t L_i(t + window) - L_i(t)`` — Lemma 7.1's quantity."""
-        starts = self.increase_window_starts(
-            window=window, step=step, t_from=t_from
+        """``max_i max_t L_i(t + window) - L_i(t)`` — Lemma 7.1's quantity,
+        over :func:`repro._constants.window_starts`' grid."""
+        starts = window_starts(
+            self.duration, window=window, step=step, t_from=t_from
         )
         if starts.size == 0:
             return 0.0

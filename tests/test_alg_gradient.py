@@ -4,6 +4,7 @@ import pytest
 
 from _fault_helpers import assert_monotone_logical, run_crash_recovery
 from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm, NullAlgorithm
+from repro.analysis.field import SkewField
 from repro.sim.messages import PerPairDelay, UniformRandomDelay
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
@@ -100,16 +101,16 @@ class TestBehavior:
     def test_local_skew_bounded_under_heavy_drift(self):
         alg = BoundedCatchUpAlgorithm(period=0.5, kappa=0.5, mu=0.5)
         ex = run_drifted(alg, duration=120.0)
-        profile = ex.gradient_profile()
+        profile = SkewField(ex).gradient_profile()
         # Local skew should stay near kappa + estimate error, far below
         # the free-drift accumulation (2*RHO/8 per unit distance * 120s).
         assert profile[1.0] < 3.0
         # kappa trades local smoothness for global tightness: a larger
         # budget never buys a tighter f(1).
-        loose = run_drifted(
+        loose = SkewField(run_drifted(
             BoundedCatchUpAlgorithm(period=0.5, kappa=4.0, mu=0.5),
             duration=120.0,
-        ).gradient_profile()
+        )).gradient_profile()
         assert loose[1.0] >= profile[1.0] - 0.5
 
 

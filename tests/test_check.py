@@ -547,6 +547,69 @@ class TestOneFaultExecutor:
         assert self._modules_with(needle) == []
 
 
+class TestOneMeasurementSurface:
+    """Execution reads clocks; SkewField measures skew; sim never
+    reaches up into analysis."""
+
+    DELETED_EXECUTION_METHODS = (
+        "peak_adjacent_skew", "gradient_profile", "max_skew_pair",
+        "logical_trajectory", "skew_trajectory", "increase_window_starts",
+    )
+
+    def test_sim_has_no_lazy_edge(self):
+        assert "sim" not in LAZY_ALLOWED
+
+    def test_a_lazy_analysis_import_under_sim_is_a_finding(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            "repro/sim/fix_lazy.py",
+            "def field_of(execution):\n"
+            "    from repro.analysis.field import SkewField\n"
+            "    return SkewField(execution)\n",
+        )
+        report = run_check([tmp_path])
+        assert [(f.rule, f.line) for f in report.new] == [("LAY001", 2)]
+
+    def test_nothing_under_sim_imports_analysis(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for path in sorted((SRC / "repro" / "sim").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("repro.analysis"))
+            or (isinstance(node, ast.Import)
+                and any(a.name.startswith("repro.analysis") for a in node.names))
+        ]
+        assert offenders == []
+
+    def test_the_convergence_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.analysis.convergence") is None
+
+    def test_execution_keeps_no_grid_query(self):
+        from repro.sim.execution import Execution
+
+        for name in self.DELETED_EXECUTION_METHODS:
+            assert not hasattr(Execution, name), name
+
+    def test_analysis_exports_no_execution_function_but_summarize(self):
+        import inspect
+
+        import repro.analysis
+
+        takes_execution = sorted(
+            name
+            for name in repro.analysis.__all__
+            if inspect.isfunction(obj := getattr(repro.analysis, name))
+            and any(
+                p.name == "execution" or "Execution" in str(p.annotation)
+                for p in inspect.signature(obj).parameters.values()
+            )
+        )
+        assert takes_execution == ["summarize"]
+
+
 class TestRuleFixtures:
     """Each rule family: the bad snippet fires, the good one does not."""
 
@@ -719,12 +782,12 @@ class TestLayerDag:
 
     def test_lazy_edges_do_not_weaken_low_layers(self):
         # The packages below the runtimes may never reach rt/sweep/viz,
-        # not even lazily.
-        for pkg in ("sim", "analysis", "gcs", "topology", "algorithms"):
+        # not even lazily; sim and topology have no lazy edge at all.
+        for pkg in ("sim", "topology"):
+            assert LAZY_ALLOWED.get(pkg, frozenset()) == frozenset(), pkg
+        for pkg in ("analysis", "gcs", "algorithms"):
             lazy = LAZY_ALLOWED.get(pkg, frozenset())
-            assert not lazy & {"rt", "viz"}, pkg
-            if pkg != "sim":
-                assert not lazy & {"sweep"}, pkg
+            assert not lazy & {"rt", "sweep", "viz"}, pkg
 
     def test_exemptions_carry_reasons(self):
         for module, (extra, reason) in MODULE_EXEMPT.items():

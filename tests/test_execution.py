@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro._constants import TIME_EPS, window_starts
 from repro.algorithms import MaxBasedAlgorithm, NullAlgorithm
+from repro.analysis.field import SkewField
 from repro.errors import DelayBoundError
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
@@ -53,8 +55,10 @@ class TestClockQueries:
 class TestSkewSummaries:
     def test_max_skew_and_pair(self):
         ex = drifted(fast_node=3)
-        i, j, s = ex.max_skew_pair(20.0)
-        assert {i, j} == {3, 0} or s == pytest.approx(10.0)
+        peak = SkewField(ex, [20.0]).peak_pairs()[0]
+        i, j = np.unravel_index(int(peak.argmax()), peak.shape)
+        assert 3 in (i, j)
+        assert peak[i, j] == pytest.approx(10.0)
         assert ex.max_skew(20.0) == pytest.approx(10.0)
 
     def test_max_adjacent_skew(self):
@@ -64,7 +68,7 @@ class TestSkewSummaries:
 
     def test_peak_adjacent_skew_over_times(self):
         ex = drifted(fast_node=2)
-        t, s = ex.peak_adjacent_skew([0.0, 10.0, 20.0])
+        t, s = SkewField(ex, [0.0, 10.0, 20.0]).peak_adjacent_skew()
         assert t == 20.0
         assert s == pytest.approx(10.0)
 
@@ -97,14 +101,12 @@ class TestSkewSummaries:
 
     def test_peak_adjacent_skew_empty_times_raises(self):
         ex = drifted(fast_node=2)
-        with pytest.raises(ValueError):
-            ex.peak_adjacent_skew([])
-        with pytest.raises(ValueError):
-            ex.peak_adjacent_skew(iter(()))
+        with pytest.raises(ValueError, match="non-empty"):
+            SkewField(ex, [])
 
     def test_gradient_profile_monotone_in_distance_for_drift(self):
         ex = drifted(fast_node=4, duration=10.0)
-        profile = ex.gradient_profile()
+        profile = SkewField(ex).gradient_profile()
         assert set(profile) == {1.0, 2.0, 3.0, 4.0}
         # Node 4 is fastest: skew grows with distance from it.
         assert profile[4.0] >= profile[1.0]
@@ -155,12 +157,12 @@ class TestValidators:
 class TestTrajectories:
     def test_logical_trajectory(self):
         ex = drifted(fast_node=1, duration=10.0)
-        traj = ex.logical_trajectory(1, [0.0, 5.0, 10.0])
+        traj = ex.logical_matrix([0.0, 5.0, 10.0])[1]
         assert traj == pytest.approx([0.0, 7.5, 15.0])
 
     def test_skew_trajectory(self):
         ex = drifted(fast_node=1, duration=10.0)
-        traj = ex.skew_trajectory(1, 0, [0.0, 10.0])
+        traj = SkewField(ex, [0.0, 10.0]).pair_series(1, 0)
         assert traj == pytest.approx([0.0, 5.0])
 
     def test_max_logical_increase(self):
@@ -171,7 +173,7 @@ class TestTrajectories:
     def test_increase_window_count_pinned(self):
         ex = drifted(duration=10.0)
         # floor((10 - 1) / 0.25) + 1 = 37 windows, last start at 9.0.
-        starts = ex.increase_window_starts(window=1.0, step=0.25)
+        starts = window_starts(ex.duration, window=1.0, step=0.25)
         assert starts.size == 37
         assert starts[0] == 0.0
         assert starts[-1] == pytest.approx(9.0)
@@ -179,8 +181,6 @@ class TestTrajectories:
     def test_increase_window_grid_does_not_drift(self):
         # The old `t += step` accumulator drifts by ~count * eps * t and
         # silently skipped the final Lemma 7.1 window at this scale.
-        from repro._constants import TIME_EPS, window_starts
-
         duration, window, step = 4096.0, 1.0, 0.05
         t, accumulated = 0.0, 0
         while t + window <= duration + TIME_EPS:

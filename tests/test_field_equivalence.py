@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._constants import window_starts
 from repro.analysis.field import SkewField
 from repro.analysis.skew import summarize
 from repro.sim.clock import HardwareClock, LogicalClock
@@ -187,7 +188,7 @@ class TestFieldEquivalence:
     def test_max_logical_increase_matches_scalar_grid(self, case):
         topology_spec, rates_spec, faults_spec, seed = case
         execution = random_execution(topology_spec, rates_spec, faults_spec, seed)
-        starts = execution.increase_window_starts(window=1.0, step=0.5)
+        starts = window_starts(execution.duration, window=1.0, step=0.5)
         worst = 0.0
         for node in execution.topology.nodes:
             for t in starts:

@@ -202,14 +202,15 @@ class TestExecutionCompatibility:
         execution.check_delay_bounds()
 
     def test_analysis_functions_accept_live_runs(self):
-        from repro.analysis.convergence import settling_time
+        from repro.analysis.field import SkewField
         from repro.analysis.skew import summarize
 
         execution = run_live(GRADIENT_8)
         skew = summarize(execution)
         assert skew.max_skew > 0.0
-        settling_time(execution, threshold=5.0)  # shape check, value free
-        profile = execution.gradient_profile()
+        field = SkewField(execution)
+        field.settling_time(5.0)  # shape check, value free
+        profile = field.gradient_profile()
         assert min(profile) == pytest.approx(1.0)
         assert execution.source == "live-virtual"
 

@@ -4,13 +4,7 @@ import pytest
 
 from repro.algorithms import NullAlgorithm
 from repro.analysis.field import SkewField
-from repro.analysis.timeseries import (
-    adjacent_skew_series,
-    render_csv,
-    skew_series,
-    sparkline,
-    write_csv,
-)
+from repro.analysis.timeseries import render_csv, sparkline, write_csv
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import line
@@ -52,19 +46,22 @@ class TestSparkline:
 
 class TestSeries:
     def test_skew_series_grows_with_drift(self, drift_exec):
-        times, values = skew_series(drift_exec, 3, 0, step=2.0)
-        assert len(times) == len(values)
+        field = SkewField(drift_exec, step=2.0)
+        values = field.pair_series(3, 0)
+        assert len(field.times) == len(values)
         assert values[0] == pytest.approx(0.0)
         assert values[-1] == pytest.approx(5.0)
 
     def test_adjacent_series(self, drift_exec):
-        times, values = adjacent_skew_series(drift_exec, step=5.0)
+        values = SkewField(drift_exec, step=5.0).max_adjacent_series()
         assert values[-1] == pytest.approx(5.0)
 
 
 class TestCSV:
     def test_write_and_read_back(self, drift_exec, tmp_path):
-        times, values = skew_series(drift_exec, 3, 0, step=5.0)
+        field = SkewField(drift_exec, step=5.0)
+        times = field.times.tolist()
+        values = field.pair_series(3, 0).tolist()
         path = write_csv(tmp_path / "skew.csv", times, {"skew30": values})
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time,skew30"
@@ -79,3 +76,17 @@ class TestCSV:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "bad.csv", [0.0, 1.0], {"a": [1.0]})
+
+    @pytest.mark.parametrize("column", [[1.0], [1.0, 2.0, 3.0]],
+                             ids=["short", "long"])
+    def test_render_csv_rejects_a_mismatched_column(self, column):
+        # A long column used to be truncated silently, a short one to
+        # raise a bare IndexError.
+        with pytest.raises(ValueError, match=r"column 'a' has \d values for 2"):
+            render_csv([0.0, 1.0], {"a": column})
+
+    def test_file_holds_render_csv_bytes(self, tmp_path):
+        times, columns = [0.0, 0.5], {"b": [3.0, 4.0], "a": [1.0, 2.0]}
+        path = write_csv(tmp_path / "out.csv", times, columns)
+        assert path.read_bytes() == render_csv(times, columns).encode()
+        assert path.read_bytes() == b"time,a,b\r\n0.0,1.0,3.0\r\n0.5,2.0,4.0\r\n"
