@@ -13,8 +13,9 @@
 # dashboard + mobility animation, the sweep report artifact, a live
 # router run streaming rolling tail panels), the sweep service
 # (repro.serve: start the daemon on the sweep step's cache directory,
-# find its grid already there, submit a 3-cell grid, fetch the tables,
-# shut down cleanly, no orphan process, all within a 30s budget), and
+# find its grid already there, submit a 3-cell grid, fetch the tables
+# twice -- the second from the sweep's pack, identical -- shut down
+# cleanly, no orphan process, all within a 30s budget), and
 # the docs step (module doctests + markdown link check).
 # Performance is not measured here: python3 benchmarks/e2e/run.py is
 # the one ledger (benchmarks/e2e/README.md).
@@ -194,7 +195,7 @@ echo "== sweep as a service (repro.serve) =="
 # the sweep step above used as --cache-dir (one store layout: the quick
 # grid it swept must be all hits, nothing queued), submit a 3-cell grid
 # through the experiments verb, block until it settles, fetch the
-# rendered tables, query status, stop cleanly.
+# rendered tables twice, query status, stop cleanly.
 timeout 30 bash -c '
     set -euo pipefail
     STORE="$ARTIFACTS/cache"
@@ -211,6 +212,15 @@ timeout 30 bash -c '
     python -m repro.experiments serve fetch --store "$STORE" "$SWEEP" \
         > "$ARTIFACTS/serve_fetch.txt"
     grep -q "max_skew" "$ARTIFACTS/serve_fetch.txt"
+    # The second fetch is spliced from the pack the first one wrote:
+    # same output, one pack, and nothing under sweeps/ but the
+    # manifests of the two submitted grids.
+    python -m repro.experiments serve fetch --store "$STORE" "$SWEEP" \
+        > "$ARTIFACTS/serve_fetch_packed.txt"
+    cmp "$ARTIFACTS/serve_fetch.txt" "$ARTIFACTS/serve_fetch_packed.txt"
+    test "$(ls "$STORE/packs" | wc -l)" -eq 1
+    test -f "$STORE/packs/$SWEEP.json"
+    test "$(ls "$STORE/sweeps" | wc -l)" -eq 2
     python -m repro.experiments serve status --store "$STORE" "$SWEEP" \
         | grep -q "3/3 done"
     python -m repro.experiments serve stop --store "$STORE"

@@ -23,6 +23,17 @@ Crash-safety choreography
   restarted daemon therefore re-derives exactly the missing cells from
   (manifest, objects) and re-executes only those — the resume contract
   ``tests/test_serve.py`` kills a live daemon to verify.
+* A reply is sent within :data:`REPLY_TIMEOUT_S` or its client is
+  dropped (and counted as stalled): one client that stops reading
+  cannot wedge the event loop every other client shares.
+
+The warm path
+-------------
+A resubmitted sweep is tallied from the hashes :class:`SweepBook`
+already holds (no spec expansion, no re-hashing), and a finished
+sweep's fetch reply is spliced from its digest-checked pack
+(:mod:`repro.sweep.store`) — one file read, no per-cell parse and no
+re-encode, yet byte-identical to encoding the full reply.
 
 Like the live runtime (:mod:`repro.rt`), this package is outside the
 deterministic core: it reads wall clocks for uptime/throughput and
@@ -43,13 +54,23 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import ServeError, SweepError
-from repro.serve.protocol import PROTOCOL_VERSION, FrameBuffer, send_frame
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    FrameBuffer,
+    encode_frame,
+    splice_frame,
+)
 from repro.sweep.families import forking_transports
 from repro.sweep.pool import JobQueue, WorkerPool
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import ContentStore, hashes_for
+from repro.sweep.store import ContentStore, hashes_for, sweep_id_for
 
-__all__ = ["ServeDaemon", "SweepBook"]
+__all__ = ["REPLY_TIMEOUT_S", "ServeDaemon", "SweepBook"]
+
+#: Longest one reply may take to send.  A client that stops reading
+#: lets the socket buffers fill; past this bound it is dropped instead
+#: of blocking the daemon's single event loop.
+REPLY_TIMEOUT_S = 2.0
 
 
 @dataclass
@@ -128,10 +149,14 @@ class ServeDaemon:
         self.host = host
         self.port = port
         self.resumed = 0
-        #: Manifests found in the store whose spec no longer parses —
-        #: their sweeps will not resume; surfaced by the ``stats`` op.
+        #: Manifests found in the store that do not read or whose spec
+        #: no longer parses — their sweeps will not resume; surfaced by
+        #: the ``stats`` op.
         self.skipped_manifests = 0
         self.clients_served = 0
+        #: Clients dropped because a reply to them outlasted
+        #: :data:`REPLY_TIMEOUT_S`.
+        self.stalled_clients = 0
         self.protocol_errors = 0
         self._listener: Optional[socket.socket] = None
         self._selector = selectors.DefaultSelector()
@@ -165,16 +190,18 @@ class ServeDaemon:
     def _resume(self) -> None:
         """Re-enqueue the missing cells of every manifested sweep."""
         for manifest in self.store.manifests():
+            if manifest is None:  # torn, empty, not UTF-8 JSON
+                self.skipped_manifests += 1
+                continue
             try:
-                spec = SweepSpec.from_dict(manifest["spec"])
+                sweep_id, payload = manifest["sweep"], manifest["spec"]
+                spec = SweepSpec.from_dict(payload)
                 jobs = spec.jobs()
-            except SweepError:
+            except (KeyError, SweepError):
                 self.skipped_manifests += 1
                 continue
             hashes = hashes_for(jobs)
-            self.book.register(
-                manifest["sweep"], spec.name, hashes, manifest["spec"]
-            )
+            self.book.register(sweep_id, spec.name, hashes, payload)
             for digest, job in zip(hashes, jobs):
                 self.queue.offer(digest, job)
         # Cells found already on disk during the scan are the resumed
@@ -266,12 +293,19 @@ class ServeDaemon:
                 if not self._reply(sock, reply):
                     return
 
-    def _reply(self, sock: socket.socket, reply: dict) -> bool:
+    def _reply(self, sock: socket.socket, reply: dict | bytes) -> bool:
+        """Send a record, or a frame already spliced, within
+        :data:`REPLY_TIMEOUT_S`; a client that fails it is dropped."""
+        frame = reply if isinstance(reply, bytes) else encode_frame(reply)
         try:
-            sock.setblocking(True)
-            send_frame(sock, reply)
+            sock.settimeout(REPLY_TIMEOUT_S)
+            sock.sendall(frame)
             sock.setblocking(False)
             return True
+        except socket.timeout:
+            self.stalled_clients += 1
+            self._drop_client(sock)
+            return False
         except OSError:
             self._drop_client(sock)
             return False
@@ -279,7 +313,9 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # request handling
 
-    def _handle(self, sock: socket.socket, request: dict) -> Optional[dict]:
+    def _handle(
+        self, sock: socket.socket, request: dict
+    ) -> Optional[dict | bytes]:
         op = request.get("op")
         if op == "ping":
             return {
@@ -310,7 +346,6 @@ class ServeDaemon:
             return {"ok": False, "error": "submit needs a 'spec' object"}
         try:
             spec = SweepSpec.from_dict(payload)
-            jobs = spec.jobs()
         except SweepError as exc:
             return {"ok": False, "error": str(exc)}
         # Cells that fork OS processes are impossible under daemonic
@@ -327,16 +362,30 @@ class ServeDaemon:
                     "runs (fault and mobility cells included)"
                 ),
             }
-        hashes = hashes_for(jobs)
-        # Manifest before any cell runs: from this instant a kill at any
-        # point leaves a resumable sweep on disk.
-        sweep_id = self.store.write_manifest(spec, hashes)
-        self.book.register(
-            sweep_id, spec.name, hashes, json.loads(spec.to_json())
-        )
+        sweep_id = sweep_id_for(spec)
         tally = {"hit": 0, "dedup": 0, "queued": 0, "done": 0, "failed": 0}
-        for digest, job in zip(hashes, jobs):
-            tally[self.queue.offer(digest, job)] += 1
+        if self.book.known(sweep_id):
+            # Resubmission: every cell was offered when the sweep was
+            # registered, so the queue tracks each hash the book holds.
+            hashes = self.book[sweep_id].hashes
+            # Rewritten anyway, so a deleted or damaged manifest heals.
+            self.store.write_manifest(spec, hashes)
+            for digest in hashes:
+                tally[self.queue.revisit(digest)] += 1
+        else:
+            try:
+                jobs = spec.jobs()
+            except SweepError as exc:
+                return {"ok": False, "error": str(exc)}
+            hashes = hashes_for(jobs)
+            # Manifest before any cell runs: from this instant a kill at
+            # any point leaves a resumable sweep on disk.
+            self.store.write_manifest(spec, hashes)
+            self.book.register(
+                sweep_id, spec.name, hashes, json.loads(spec.to_json())
+            )
+            for digest, job in zip(hashes, jobs):
+                tally[self.queue.offer(digest, job)] += 1
         self.pool.pump()
         return {
             "ok": True,
@@ -392,7 +441,7 @@ class ServeDaemon:
                 still.append((sock, sweep_id))
         self._waiters = still
 
-    def _handle_fetch(self, request: dict) -> dict:
+    def _handle_fetch(self, request: dict) -> dict | bytes:
         sweep_id = request.get("sweep")
         if not self.book.known(sweep_id):
             return {"ok": False, "error": f"unknown sweep {sweep_id!r}"}
@@ -408,23 +457,9 @@ class ServeDaemon:
                 ),
             }
         if counts["done"] == counts["total"]:
-            hashes = self.book[sweep_id].hashes
-            results = self.store.results(hashes)
-            if results is not None:
-                return {
-                    "ok": True,
-                    "sweep": sweep_id,
-                    "name": self.book[sweep_id].name,
-                    "spec": self.book[sweep_id].spec_payload,
-                    "results": results,
-                }
-            # An object that exists but does not parse is not a result
-            # (the queue's probe at offer time is existence only): run
-            # those cells again and have the client wait on them.
-            for digest in hashes:
-                if self.store.get_hash(digest) is None:
-                    self.queue.forget(digest)
-            self.pool.pump()
+            frame = self._results_frame(sweep_id)
+            if frame is not None:
+                return frame
             counts = self.book.counts(sweep_id, self.queue)
         return {
             "ok": False,
@@ -434,6 +469,32 @@ class ServeDaemon:
                 "wait on it before fetching"
             ),
         }
+
+    def _results_frame(self, sweep_id: str) -> Optional[bytes]:
+        """The fetch reply of a done sweep, spliced from its pack.
+
+        A missing or damaged pack is rewritten from the objects.  An
+        object that exists but does not parse is not a result (the
+        queue's probe at offer time is existence only): those cells run
+        again, and ``None`` tells the client to wait on them.
+        """
+        entry = self.book[sweep_id]
+        body = self.store.read_pack(sweep_id, entry.hashes)
+        if body is None:
+            results, missing = self.store.gather(entry.hashes)
+            if missing:
+                for digest in missing:
+                    self.queue.forget(digest)
+                self.pool.pump()
+                return None
+            body = self.store.write_pack(sweep_id, entry.hashes, results)
+        head = {
+            "ok": True,
+            "sweep": sweep_id,
+            "name": entry.name,
+            "spec": entry.spec_payload,
+        }
+        return splice_frame(head, "results", body)
 
     def _handle_stats(self) -> dict:
         uptime = time.monotonic() - self._started_at
@@ -453,4 +514,5 @@ class ServeDaemon:
             "jobs_per_sec": executed / uptime if uptime > 0 else 0.0,
             "clients_served": self.clients_served,
             "protocol_errors": self.protocol_errors,
+            "stalled_clients": self.stalled_clients,
         }

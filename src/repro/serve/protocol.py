@@ -21,10 +21,16 @@ top-level value is not an object, or a length prefix past
 stream there is no resynchronizing after garbage — the connection is
 poisoned and must be dropped), while an incomplete tail simply waits
 for more bytes.
+
+A reply may also be spliced: :func:`splice_frame` puts an already
+encoded value (a packed sweep's results, :mod:`repro.sweep.store`) into
+a frame without parsing and re-encoding it, and the frame is byte for
+byte the one :func:`encode_frame` would have made of the whole record.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 from typing import Iterator, Optional
 
@@ -39,6 +45,7 @@ __all__ = [
     "encode_frame",
     "recv_frame",
     "send_frame",
+    "splice_frame",
 ]
 
 #: Bump on incompatible request/reply shape changes; ``ping`` echoes it.
@@ -102,6 +109,23 @@ class FrameBuffer:
 def send_frame(sock: socket.socket, record: dict) -> None:
     """Write one record to a connected stream socket."""
     sock.sendall(encode_frame(record))
+
+
+def splice_frame(head: dict, key: str, raw: bytes) -> bytes:
+    """``encode_frame({**head, key: value})``, byte for byte, for a
+    ``value`` already encoded as ``raw`` — that is,
+    ``json.dumps(value, separators=(",", ":")).encode()``.
+
+    ``key`` goes last, where ``encode_frame`` puts a key new to ``head``.
+    """
+    if key in head:
+        raise ValueError(f"spliced key {key!r} is already in the head")
+    opening = json.dumps(head, separators=(",", ":")).encode()[:-1]
+    if head:
+        opening += b","
+    opening += json.dumps(key).encode() + b":"
+    length = len(opening) + len(raw) + 1
+    return b"".join((LENGTH_PREFIX.pack(length), opening, raw, b"}"))
 
 
 def recv_frame(

@@ -81,12 +81,9 @@ class JobQueue:
         warm grid per submission would double its cost); a caller that
         then finds an object unreadable says so with :meth:`forget`.
         """
-        tracked = self._tracked.get(digest)
-        if tracked is not None:
-            if tracked.state in ("done", "failed"):
-                return tracked.state
-            self.deduped += 1
-            return "dedup"
+        known = self.revisit(digest)
+        if known is not None:
+            return known
         if self.store is not None and self.store.has_hash(digest):
             self.hits += 1
             self._tracked[digest] = _Tracked(job=job, state="done")
@@ -94,6 +91,19 @@ class JobQueue:
         self._tracked[digest] = _Tracked(job=job)
         self._ready.append(digest)
         return "queued"
+
+    def revisit(self, digest: str) -> Optional[str]:
+        """:meth:`offer`'s rule for a cell this queue already tracks —
+        ``"done"`` / ``"failed"`` if settled, else ``"dedup"`` (counted) —
+        or ``None`` for one it has never seen.  Needs no :class:`Job`, so
+        a resubmitted sweep is tallied without expanding its spec."""
+        tracked = self._tracked.get(digest)
+        if tracked is None:
+            return None
+        if tracked.state in ("done", "failed"):
+            return tracked.state
+        self.deduped += 1
+        return "dedup"
 
     def forget(self, digest: str) -> None:
         """A done cell's object did not parse, so it is not a result:

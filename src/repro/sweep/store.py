@@ -16,10 +16,21 @@ atomic (unique temp file + rename), so concurrent writers — a serve
 daemon, a second ``run_jobs``, a killed run restarting — can only ever
 race to install identical bytes.
 
+A pack is a finished sweep's results in one file, so a warm fetch reads
+one file instead of one object per cell.  Its first line is a header
+binding two sha256 digests — of the sweep's ordered job hashes and of
+the body — and the body is ``json.dumps(results, separators=(",", ":"))``,
+the exact bytes the fetch reply carries.  A pack is a derived copy, never
+the only one: the daemon writes it when a fetch first assembles the
+complete result list from the objects, and rewrites it from the objects
+whenever it is missing or fails either digest (torn, bit-rotted, written
+for another job list).
+
 Layout under the store root::
 
     objects/<job_hash>.json   one metrics dict per completed job
     sweeps/<sweep_id>.json    manifest: spec + ordered job hashes
+    packs/<sweep_id>.json     pack: digest header line + results body
     serve.json                daemon endpoint advert (while one runs)
 """
 
@@ -57,23 +68,49 @@ def hashes_for(jobs) -> list[str]:
     return [job_hash(job) for job in jobs]
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _jobs_digest(hashes) -> str:
+    """What a pack header binds the body to: the ordered job list."""
+    return _sha256(",".join(hashes).encode())
+
+
+def _load_manifest(path: Path) -> Optional[dict]:
+    """The manifest at ``path``, ``None`` if it is of another
+    ``CACHE_VERSION``; raises ``OSError`` / ``ValueError`` if it does
+    not read."""
+    manifest = json.loads(path.read_bytes())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path.name} is not a JSON object")
+    if manifest.get("cache_version") != CACHE_VERSION:
+        # Stale-version manifest: its objects are unreachable under the
+        # current hash scheme, so resuming it would re-run everything
+        # under ids that no longer match; skip it.
+        return None
+    return manifest
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
     # Per-process temp name: concurrent writers of the same file
     # (identical content by construction) never clobber mid-rename, and
     # a writer killed mid-write leaves a ``.tmp`` orphan, never a torn
     # file a reader would trust.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     tmp.replace(path)
 
 
 class ContentStore:
-    """A directory of per-job metric objects, sweep manifests, an advert."""
+    """A directory of per-job metric objects, sweep manifests and packs,
+    an advert."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.directory = self.root / "objects"
         self.sweep_dir = self.root / "sweeps"
+        self.pack_dir = self.root / "packs"
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sweep_dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
@@ -100,7 +137,9 @@ class ContentStore:
         return metrics
 
     def put_hash(self, digest: str, metrics: dict) -> None:
-        _write_atomic(self.path_for(digest), json.dumps(metrics, sort_keys=True))
+        _write_atomic(
+            self.path_for(digest), json.dumps(metrics, sort_keys=True).encode()
+        )
 
     def get(self, job: Job) -> Optional[dict]:
         return self.get_hash(job_hash(job))
@@ -111,15 +150,22 @@ class ContentStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
 
-    def results(self, hashes: list[str]) -> Optional[list[dict]]:
-        """All metrics for ``hashes`` in order, or ``None`` if any miss."""
-        out = []
+    def gather(self, hashes) -> tuple[list[dict], list[str]]:
+        """One read of every object: the metrics that read, in order, and
+        the digests that did not (absent or unparseable)."""
+        found, missing = [], []
         for digest in hashes:
             metrics = self.get_hash(digest)
             if metrics is None:
-                return None
-            out.append(metrics)
-        return out
+                missing.append(digest)
+            else:
+                found.append(metrics)
+        return found, missing
+
+    def results(self, hashes: list[str]) -> Optional[list[dict]]:
+        """All metrics for ``hashes`` in order, or ``None`` if any miss."""
+        found, missing = self.gather(hashes)
+        return None if missing else found
 
     # -- manifests ------------------------------------------------------
 
@@ -138,28 +184,69 @@ class ContentStore:
         }
         _write_atomic(
             self.manifest_path(sweep_id),
-            json.dumps(manifest, sort_keys=True, indent=2),
+            json.dumps(manifest, sort_keys=True, indent=2).encode(),
         )
         return sweep_id
 
     def read_manifest(self, sweep_id: str) -> Optional[dict]:
+        """The sweep's current-version manifest; ``None`` if it is absent,
+        does not read or is stale."""
         try:
-            manifest = json.loads(self.manifest_path(sweep_id).read_text())
+            return _load_manifest(self.manifest_path(sweep_id))
         except (OSError, ValueError):
             return None
-        if manifest.get("cache_version") != CACHE_VERSION:
-            # Stale-version manifest: its objects are unreachable under
-            # the current hash scheme, so resuming it would re-run
-            # everything under ids that no longer match; skip it.
-            return None
-        return manifest
 
-    def manifests(self) -> Iterator[dict]:
-        """Every readable current-version manifest, in sweep-id order."""
+    def manifests(self) -> Iterator[Optional[dict]]:
+        """Every current-version manifest, in sweep-id order.
+
+        ``None`` stands for a manifest that does not read (torn, empty,
+        not UTF-8 JSON, not an object), so a caller can count what it
+        cannot resume.  A readable manifest of another ``cache_version``
+        is skipped without a trace, by design: a version bump retires it
+        with the objects it indexes.
+        """
         for path in sorted(self.sweep_dir.glob("*.json")):
-            manifest = self.read_manifest(path.stem)
+            try:
+                manifest = _load_manifest(path)
+            except (OSError, ValueError):
+                yield None
+                continue
             if manifest is not None:
                 yield manifest
+
+    # -- packs ----------------------------------------------------------
+
+    def pack_path(self, sweep_id: str) -> Path:
+        return self.pack_dir / f"{sweep_id}.json"
+
+    def write_pack(
+        self, sweep_id: str, hashes, results: list[dict]
+    ) -> bytes:
+        """Pack a complete sweep's results; returns the body."""
+        body = json.dumps(results, separators=(",", ":")).encode()
+        header = json.dumps(
+            {"body": _sha256(body), "jobs": _jobs_digest(hashes)},
+            sort_keys=True,
+        )
+        self.pack_dir.mkdir(exist_ok=True)
+        _write_atomic(self.pack_path(sweep_id), header.encode() + b"\n" + body)
+        return body
+
+    def read_pack(self, sweep_id: str, hashes) -> Optional[bytes]:
+        """The pack body for exactly ``hashes``, or ``None`` if there is
+        no pack or it fails either digest of its header."""
+        try:
+            header, _, body = self.pack_path(sweep_id).read_bytes().partition(
+                b"\n"
+            )
+            bound = json.loads(header)
+            intact = (
+                bound["jobs"] == _jobs_digest(hashes)
+                and bound["body"] == _sha256(body)
+            )
+        except (OSError, ValueError, TypeError, KeyError):
+            return None
+        return body if intact else None
 
     # -- daemon endpoint advert -----------------------------------------
 
@@ -170,7 +257,9 @@ class ContentStore:
     def write_endpoint(self, host: str, port: int, *, workers: int) -> None:
         payload = {"host": host, "port": port, "pid": os.getpid(),
                    "workers": workers}
-        _write_atomic(self.endpoint_path, json.dumps(payload, sort_keys=True))
+        _write_atomic(
+            self.endpoint_path, json.dumps(payload, sort_keys=True).encode()
+        )
 
     def read_endpoint(self) -> Optional[dict]:
         try:

@@ -25,14 +25,20 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ServeError
 from repro.serve.client import ServeClient
-from repro.serve.daemon import SweepBook
-from repro.serve.protocol import FrameBuffer, recv_frame, send_frame
+from repro.serve.daemon import ServeDaemon, SweepBook
+from repro.serve.protocol import (
+    FrameBuffer,
+    encode_frame,
+    recv_frame,
+    send_frame,
+)
 from repro.sweep.jobs import job_hash
 from repro.sweep.pool import JobQueue
 from repro.sweep.runner import run_jobs
@@ -101,11 +107,35 @@ class TestContentStore:
             len(hashes) - 1
         )
 
+    def test_gather_returns_what_read_and_what_did_not(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        hashes = hashes_for(small_spec(seeds=(0, 1, 2)).jobs())
+        store.put_hash(hashes[0], {"m": 0})
+        store.put_hash(hashes[2], {"m": 2})
+        store.path_for(hashes[2]).write_text('{"m": ')
+        assert store.gather(hashes) == ([{"m": 0}], hashes[1:])
+
+    def test_pack_roundtrip_binds_job_list_and_body(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        hashes = hashes_for(small_spec(seeds=(0, 1, 2)).jobs())
+        results = [{"max_skew": 0.25, "name": "\u03c3"}, {"x": None}, {}]
+        assert store.read_pack("s", hashes) is None  # none yet
+        body = store.write_pack("s", hashes, results)
+        assert body == json.dumps(results, separators=(",", ":")).encode()
+        assert store.read_pack("s", hashes) == body
+        # The header binds the ordered job list: another order misses.
+        assert store.read_pack("s", hashes[::-1]) is None
+        # Packs stay out of the directory the manifest scan globs.
+        assert store.pack_path("s").parent == tmp_path / "store" / "packs"
+        assert list(store.manifests()) == []
+
     def test_torn_manifest_is_ignored(self, tmp_path):
         store = ContentStore(tmp_path / "store")
         (store.sweep_dir / "deadbeef.json").write_text('{"sweep": "dead')
         assert store.read_manifest("deadbeef") is None
-        assert list(store.manifests()) == []
+        # Not a sweep, but not silent either: the scan yields a None the
+        # daemon counts as a skipped manifest.
+        assert list(store.manifests()) == [None]
 
 
 class TestJobQueue:
@@ -166,6 +196,72 @@ class TestJobQueue:
                 break
             queue.mark_done(item[0], {"m": 1})
         assert book.settled(sweep_id, queue)
+
+
+def bare_daemon(root: Path) -> ServeDaemon:
+    """An unstarted daemon whose pool is a no-op: submit runs in-process."""
+    daemon = ServeDaemon(root)
+    daemon.pool = types.SimpleNamespace(pump=lambda: None)
+    return daemon
+
+
+def drain(queue: JobQueue, *, fail: int = 0) -> None:
+    """Run every queued cell to done, failing the first ``fail`` of them."""
+    while (item := queue.next_ready()) is not None:
+        if fail:
+            queue.mark_failed(item[0], "boom")
+            fail -= 1
+        else:
+            queue.mark_done(item[0], {"m": 1})
+
+
+class TestResubmission:
+    """A resubmitted sweep is tallied from the book, never re-expanded,
+    and its receipt equals the full-expansion path's in every state."""
+
+    @pytest.mark.parametrize("state", [
+        "stored", "done", "queued", "running", "failed",
+    ])
+    def test_book_receipt_equals_full_expansion_receipt(
+        self, tmp_path, monkeypatch, state
+    ):
+        spec = small_spec(name="again", seeds=(0, 1, 2, 3))
+        jobs = spec.jobs()
+        hashes = hashes_for(jobs)
+        request = {"op": "submit", "spec": json.loads(spec.to_json())}
+        # Twins with one queue history: ``book`` learned the sweep from a
+        # submit, ``full`` saw the same offers but never registered it,
+        # so its next submit takes the full-expansion path.
+        book, full = bare_daemon(tmp_path / "b"), bare_daemon(tmp_path / "f")
+        for twin in (book, full):
+            if state == "stored":
+                for digest in hashes:
+                    twin.store.put_hash(digest, {"m": 0})
+        book._handle_submit(request)
+        for digest, job in zip(hashes, jobs):
+            full.queue.offer(digest, job)
+        for twin in (book, full):
+            if state in ("done", "failed"):
+                drain(twin.queue, fail=int(state == "failed"))
+            elif state == "running":
+                twin.queue.next_ready()
+                twin.queue.next_ready()
+        assert not full.book.known(sweep_id_for(spec))
+
+        def no_expansion(self):
+            raise AssertionError("a known sweep was expanded again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SweepSpec, "jobs", no_expansion)
+            again = book._handle_submit(request)
+        assert again == full._handle_submit(request)
+        assert (book.queue.hits, book.queue.deduped) == (
+            full.queue.hits, full.queue.deduped
+        )
+        # The manifest is rewritten from the book's hashes.
+        assert book.store.read_manifest(again["sweep"])["jobs"] == hashes
+        for twin in (book, full):
+            twin._selector.close()
 
 
 # ----------------------------------------------------------------------
@@ -533,15 +629,184 @@ class TestServeCrashResume:
                 proc.wait(timeout=10)
 
 
+def raw_request(host: str, port: int, record: dict) -> bytes:
+    """One request on a fresh connection; the reply frame's exact bytes."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        send_frame(sock, record)
+        data = b""
+        while len(data) < 4 or len(data) < 4 + struct.unpack(">I", data[:4])[0]:
+            chunk = sock.recv(65536)
+            assert chunk, "daemon closed the connection mid-reply"
+            data += chunk
+    return data
+
+
+PACK_DAMAGE = [
+    "truncated", "empty", "bit-flipped body", "other job list",
+    "orphan tmp", "no packs dir",
+]
+
+
+@pytest.mark.serve
+class TestServePacks:
+    """A finished sweep's fetch is spliced from one packed file.
+
+    The reply is byte for byte ``encode_frame`` of the full reply, and a
+    pack that is missing or fails a digest is never served: fetch falls
+    back to the objects and rewrites the pack, executing nothing.
+    """
+
+    def test_fetch_reply_is_encode_frame_of_the_full_reply(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        spec = small_spec(name="bytes \u2713", seeds=(0, 1, 2))
+        expected = [
+            o.metrics for o in run_jobs(spec.jobs(), workers=1, cache=store)
+        ]
+        proc = start_daemon(store.root, workers=1)
+        try:
+            with ServeClient(store=store.root) as client:
+                sweep = client.submit(spec)["sweep"]
+                request = {"op": "fetch", "sweep": sweep}
+                first = raw_request(client.host, client.port, request)
+                assert store.pack_path(sweep).exists()
+                second = raw_request(client.host, client.port, request)
+                client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+        # The results as the objects hold them (keys sorted), which is
+        # what the per-object path has always put on the wire.
+        stored = store.results(hashes_for(spec.jobs()))
+        assert stored == expected
+        full_reply = {
+            "ok": True, "sweep": sweep, "name": spec.name,
+            "spec": json.loads(spec.to_json()), "results": stored,
+        }
+        assert first == second == encode_frame(full_reply)
+
+    @pytest.mark.parametrize("damage", PACK_DAMAGE)
+    def test_a_damaged_pack_is_rewritten_not_served(self, tmp_path, damage):
+        store = ContentStore(tmp_path / "store")
+        spec = small_spec(name="packed", seeds=(0, 1, 2))
+        jobs = spec.jobs()
+        expected = [o.metrics for o in run_jobs(jobs, workers=1, cache=store)]
+        proc = start_daemon(store.root, workers=1)
+        try:
+            with ServeClient(store=store.root) as client:
+                sweep = client.submit(spec)["sweep"]
+                assert client.fetch(sweep) == expected
+                pack = store.pack_path(sweep)
+                intact = pack.read_bytes()
+                orphan = pack.with_name(f"{pack.name}.99999.tmp")
+                if damage == "truncated":
+                    pack.write_bytes(intact[: len(intact) // 2])
+                elif damage == "empty":
+                    pack.write_bytes(b"")
+                elif damage == "bit-flipped body":
+                    flipped = bytearray(intact)
+                    flipped[-2] ^= 0x01
+                    pack.write_bytes(bytes(flipped))
+                elif damage == "other job list":
+                    store.write_pack(sweep, hashes_for(jobs)[::-1], expected)
+                elif damage == "orphan tmp":
+                    # A crash between temp-write and rename.
+                    pack.unlink()
+                    orphan.write_bytes(intact[:100])
+                else:
+                    shutil.rmtree(store.pack_dir)
+                assert not pack.exists() or pack.read_bytes() != intact
+                assert client.fetch(sweep) == expected
+                assert pack.read_bytes() == intact
+                assert client.stats()["executed"] == 0
+                client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+        left = sorted(path.name for path in store.pack_dir.iterdir())
+        assert left == sorted(
+            [pack.name] + ([orphan.name] if damage == "orphan tmp" else [])
+        )
+
+    def test_a_client_that_stops_reading_cannot_wedge_the_daemon(
+        self, tmp_path
+    ):
+        store = ContentStore(tmp_path / "store")
+        spec = small_spec(name="stall", seeds=(0, 1, 2))
+        # Large objects: forty pipelined replies overflow every socket
+        # buffer, and the cells never run, since their objects exist.
+        for digest in hashes_for(spec.jobs()):
+            store.put_hash(digest, {"pad": "x" * 100_000})
+        proc = start_daemon(store.root, workers=1)
+        stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            with ServeClient(store=store.root) as client:
+                sweep = client.submit(spec)["sweep"]
+                host, port = client.host, client.port
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.connect((host, port))
+            fetch = encode_frame({"op": "fetch", "sweep": sweep})
+            stalled.sendall(fetch * 40)  # ... and never reads
+            time.sleep(1.0)
+            with ServeClient(store=store.root, timeout=3.0) as other:
+                begin = time.perf_counter()
+                assert other.ping()["ok"]
+                assert time.perf_counter() - begin < 3.0
+                stats = other.stats()
+                assert stats["stalled_clients"] == 1
+                assert len(other.fetch(sweep)) == 3
+                other.shutdown()
+        finally:
+            stalled.close()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+
+
 @pytest.mark.serve
 class TestServeResumesRetiredSpecFields:
     """A store written before ``SweepSpec.engine`` was retired.
 
     Its manifests carry ``"engine": "scalar"`` and an id hashed over
     that payload; the daemon must still resume them under the old id,
-    and must say so when it cannot parse a manifest instead of skipping
-    it silently.
+    and must say so when it cannot parse a manifest — or cannot read one
+    at all (torn, empty, bit-flipped) — instead of skipping it silently:
+    both count in ``skipped_manifests``.  A readable manifest of another
+    ``cache_version`` is the one uncounted skip, by design: a version
+    bump retires it together with the objects it indexes.
     """
+
+    def test_unreadable_manifests_are_counted_and_the_good_one_resumes(
+        self, tmp_path
+    ):
+        spec = small_spec(name="good", seeds=(0, 1))
+        jobs = spec.jobs()
+        store = ContentStore(tmp_path / "store")
+        good = store.write_manifest(spec, hashes_for(jobs))
+        intact = store.manifest_path(good).read_bytes()
+        for stem, data in {
+            "0" * 16: intact[: len(intact) // 2],
+            "1" * 16: b"",
+            "2" * 16: bytes([intact[0] ^ 0x80]) + intact[1:],
+        }.items():
+            store.manifest_path(stem).write_bytes(data)
+        expected = [o.metrics for o in run_jobs(jobs, workers=1)]
+
+        proc = start_daemon(store.root, workers=1)
+        try:
+            with ServeClient(store=store.root) as client:
+                final = client.wait(good, timeout=60)
+                assert final["counts"]["done"] == len(jobs)
+                stats = client.stats()
+                assert stats["skipped_manifests"] == 3
+                assert stats["executed"] == len(jobs)
+                assert client.fetch(good) == expected
+                client.shutdown()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
 
     def test_old_manifest_with_half_its_objects_resumes_the_rest(
         self, tmp_path

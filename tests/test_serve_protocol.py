@@ -9,20 +9,22 @@ need: :class:`~repro.serve.protocol.FrameBuffer` must reassemble any
 frame sequence from any chunking of the byte stream, byte-for-byte,
 and poison the connection (a :class:`~repro.errors.ServeError`, never
 a wrong record or a hang) on malformed bodies or absurd length
-prefixes.
+prefixes.  A spliced fetch reply (:func:`~repro.serve.protocol.splice_frame`)
+must be byte for byte the frame ``encode_frame`` makes of the full reply.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.serve.protocol as protocol
 import repro.wire as wire
 from repro.errors import ServeError
-from repro.serve.protocol import MAX_FRAME, FrameBuffer, encode_frame
+from repro.serve.protocol import MAX_FRAME, FrameBuffer, encode_frame, splice_frame
 
 json_scalars = st.one_of(
     st.none(),
@@ -126,3 +128,45 @@ class TestFrameBuffer:
         buffer = FrameBuffer()
         buffer.feed(frame)
         assert buffer.pop() == record
+
+
+metric_values = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+
+result_lists = st.lists(
+    st.dictionaries(st.text(max_size=8), metric_values, max_size=4),
+    max_size=5,
+)
+
+
+class TestSplicedFrame:
+    """A fetch reply spliced from a packed body is the encoded full reply."""
+
+    @given(name=st.text(max_size=12), spec=frame_records, results=result_lists)
+    @example(
+        name="σweep ✓ 測試",
+        spec={"seeds": [0, 1]},
+        results=[{"max_skew": float("nan"), "ratio": 1e-300, "n": 3}],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_splice_equals_encode_frame_of_full_reply(self, name, spec, results):
+        head = {"ok": True, "sweep": "0123456789abcdef", "name": name,
+                "spec": spec}
+        raw = json.dumps(results, separators=(",", ":")).encode()
+        assert splice_frame(head, "results", raw) == encode_frame(
+            {**head, "results": results}
+        )
+
+    def test_empty_head(self):
+        raw = json.dumps([1.5, None], separators=(",", ":")).encode()
+        assert splice_frame({}, "results", raw) == encode_frame(
+            {"results": [1.5, None]}
+        )
+
+    def test_a_key_already_in_the_head_is_refused(self):
+        with pytest.raises(ValueError, match="results"):
+            splice_frame({"results": []}, "results", b"[]")
