@@ -38,9 +38,6 @@ BOUNDED_INCREASE_FACTOR = 16.0
 #: Theorem 8.1: skew after round ``k`` is at least ``k * ROUND_SKEW_RATE``.
 ROUND_SKEW_RATE = 1.0 / 24.0
 
-#: Theorem 8.1's interval shrink factor is ``384 * tau * f(1)``.
-SHRINK_NUMERATOR = 384.0
-
 #: Default drift bound used across experiments; chosen <= 1/2 so that the
 #: validity requirement holds with margin for hardware-rate logical clocks.
 DEFAULT_RHO = 0.5
@@ -114,23 +111,3 @@ def lower_bound_curve(diameter: float) -> float:
     if diameter <= math.e:
         return 0.0
     return math.log(diameter) / math.log(math.log(diameter))
-
-
-def shrink_factor(rho: float, f_of_one: float) -> float:
-    """Theorem 8.1's per-round interval shrink ``B = 384 tau f(1)``."""
-    if f_of_one <= 0:
-        raise ValueError("f(1) must be positive")
-    return SHRINK_NUMERATOR * tau(rho) * f_of_one
-
-
-def rounds_for(diameter: int, shrink: float) -> int:
-    """Number of Add Skew rounds available: ``floor(log_B (D - 1))``.
-
-    ``shrink`` is the per-round factor ``B``; the construction runs while
-    ``n_k = (D - 1) / B^k >= 1``.
-    """
-    if diameter < 2:
-        return 0
-    if shrink <= 1.0:
-        raise ValueError("shrink factor must exceed 1")
-    return int(math.floor(math.log(diameter - 1) / math.log(shrink)))

@@ -10,12 +10,7 @@ ledger only.
 """
 
 from repro.analysis.field import SkewField, SkewSummary, SteadyState
-from repro.analysis.gradient_profile import (
-    ProfileFit,
-    fit_linear,
-    normalize_profile,
-    profile_ratio,
-)
+from repro.analysis.gradient_profile import ProfileFit, fit_linear
 from repro.analysis.reporting import Table
 from repro.analysis.skew import summarize
 from repro.analysis.timeseries import render_csv, sparkline, write_csv
@@ -26,8 +21,6 @@ __all__ = [
     "SteadyState",
     "ProfileFit",
     "fit_linear",
-    "normalize_profile",
-    "profile_ratio",
     "Table",
     "summarize",
     "sparkline",

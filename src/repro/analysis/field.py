@@ -217,7 +217,7 @@ class SkewField:
         column = self.values[:, k]
         return column[:, None] - column[None, :]
 
-    def heatmap(self) -> np.ndarray:
+    def heatmap(self) -> np.ndarray:  # repro: allow[DEAD001] frozen e2e workloads_analyze
         """The ``T x n x n`` stack of signed skew matrices, for offline
         plotting: ``T * n**2 * 8`` bytes (126 MB at 49 samples of 256
         nodes).  Questions about pairs over time — which pair peaked,

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["ProfileFit", "fit_linear", "profile_ratio", "normalize_profile"]
+__all__ = ["ProfileFit", "fit_linear"]
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,6 @@ class ProfileFit:
     intercept: float
     residual_rms: float
     max_over_linear: float  # max of observed / (slope*d + intercept)
-
-    def predict(self, d: float) -> float:
-        return self.slope * d + self.intercept
 
 
 def fit_linear(profile: Mapping[float, float]) -> ProfileFit:
@@ -51,24 +48,3 @@ def fit_linear(profile: Mapping[float, float]) -> ProfileFit:
         residual_rms=residual,
         max_over_linear=float(np.max(ratios)),
     )
-
-
-def profile_ratio(
-    profile: Mapping[float, float], reference: Mapping[float, float]
-) -> dict[float, float]:
-    """Pointwise ``profile / reference`` on shared distances."""
-    out = {}
-    for d in sorted(set(profile) & set(reference)):
-        ref = reference[d]
-        out[d] = profile[d] / ref if ref > 1e-12 else float("inf")
-    return out
-
-
-def normalize_profile(profile: Mapping[float, float]) -> dict[float, float]:
-    """Scale a profile so its value at the smallest distance is 1."""
-    if not profile:
-        return {}
-    base = profile[min(profile)]
-    if base <= 1e-12:
-        return dict(profile)
-    return {d: v / base for d, v in profile.items()}

@@ -60,7 +60,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
-
-    # convenience for experiments that want machine-readable output too
-    def as_dicts(self) -> list[dict[str, str]]:
-        return [dict(zip(self.headers, row)) for row in self.rows]

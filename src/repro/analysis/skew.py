@@ -14,6 +14,8 @@ from repro.sim.execution import Execution
 __all__ = ["summarize"]
 
 
-def summarize(execution: Execution, *, step: float = 1.0) -> SkewSummary:
+def summarize(  # repro: allow[DEAD001] frozen e2e workloads_live
+    execution: Execution, *, step: float = 1.0
+) -> SkewSummary:
     """``SkewField(execution, step=step).summary()``."""
     return SkewField(execution, step=step).summary()

@@ -59,7 +59,7 @@ def render_csv(times: Sequence[float], columns: dict[str, Sequence[float]]) -> s
     return buf.getvalue()
 
 
-def write_csv(
+def write_csv(  # repro: allow[DEAD001] examples/skew_timeline.py
     path: str | Path,
     times: Sequence[float],
     columns: dict[str, Sequence[float]],

@@ -93,10 +93,6 @@ class TDMAReport:
     def collision_rate(self) -> float:
         return self.collisions / self.transmissions if self.transmissions else 0.0
 
-    @property
-    def collided(self) -> bool:
-        return self.collisions > 0
-
 
 def _transmission_intervals(
     execution: Execution,

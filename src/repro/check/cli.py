@@ -4,13 +4,12 @@ Usage::
 
     repro-check [PATHS...]               # default: src/ (or cwd's repro/)
     repro-check src --format json
-    repro-check src --baseline check_baseline.json
-    repro-check src --write-baseline check_baseline.json
     repro-check src --rules FLT001,LAY001
     repro-check --list-rules
 
-Exit codes: 0 — clean (no new findings, no stale pragmas); 1 — new
-findings; 2 — usage or I/O error.
+Exit codes: 0 — clean (no findings, no stale pragmas); 1 — findings;
+2 — usage or I/O error.  The only way to suppress a finding is a
+same-line ``# repro: allow[CODE] <reason>`` pragma.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.check.baseline import write_baseline
 from repro.check.runner import ALL_RULES, default_rules, run_check
 
 __all__ = ["main"]
@@ -49,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Static invariant linter for the gradient-clock-sync repo: "
             "determinism, float discipline, layering, pickle safety, "
-            "registry sync.  Suppress one finding with a same-line "
+            "registry sync, dead API.  Suppress one finding with a same-line "
             "'# repro: allow[CODE]' pragma."
         ),
     )
@@ -64,21 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["text", "json"],
         default="text",
         help="output format",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "baseline of grandfathered findings (default: "
-            "check_baseline.json next to the first path, if present)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="write all current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -96,42 +79,23 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     paths = [Path(p) for p in args.paths] or _default_paths()
-    baseline = args.baseline
-    if baseline is None:
-        anchor = paths[0] if paths[0].is_dir() else paths[0].parent
-        for candidate in (
-            anchor / "check_baseline.json",
-            anchor.parent / "check_baseline.json",
-        ):
-            if candidate.exists():
-                baseline = candidate
-                break
 
     try:
         rules = default_rules(
             args.rules.split(",") if args.rules else None
         )
         start = time.perf_counter()
-        report = run_check(paths, rules=rules, baseline=baseline)
+        report = run_check(paths, rules=rules)
         elapsed = time.perf_counter() - start
     except (FileNotFoundError, SyntaxError, ValueError) as exc:
         print(f"repro-check: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), report.all_current)
-        print(
-            f"wrote {len(report.all_current)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
 
     if args.format == "json":
         payload = {
             "checked_files": report.checked_files,
             "elapsed_s": round(elapsed, 3),
             "new": [vars(f) for f in report.new],
-            "grandfathered": len(report.grandfathered),
             "suppressed": report.suppressed,
             "stale_pragmas": [vars(f) for f in report.stale_pragmas],
             "exit_code": report.exit_code,
@@ -144,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     summary = (
         f"repro-check: {report.checked_files} file(s), "
         f"{len(report.new)} new finding(s), "
-        f"{len(report.grandfathered)} grandfathered, "
         f"{report.suppressed} suppressed, "
         f"{len(report.stale_pragmas)} stale pragma(s) "
         f"[{elapsed:.2f}s]"

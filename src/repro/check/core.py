@@ -9,10 +9,10 @@ state:
 * :class:`ModuleInfo` — one parsed source file (path, dotted module
   name, package, AST annotated with parent links, raw source lines);
 * :class:`Project` — every module of one scan plus lazily-extracted
-  central registries (trace-event kinds, sweep cell keys) that the
-  registry-sync rules compare literals against;
-* :class:`Finding` — one rule violation with a stable fingerprint used
-  by the committed baseline.
+  project-wide indexes (trace-event kinds, sweep cell keys, the names
+  the tree references) that the registry-sync and dead-API rules
+  compare against;
+* :class:`Finding` — one rule violation at one source location.
 
 Rules subclass :class:`Rule` and yield findings from
 ``check(module, project)``.  Every rule has a short *code* (``DET001``,
@@ -23,10 +23,9 @@ and a *hint* telling the author how to fix the finding.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "BASE_PACKAGES",
@@ -36,6 +35,7 @@ __all__ = [
     "Rule",
     "attr_chain",
     "enclosing_function",
+    "is_job_kind",
     "parse_module",
     "terminal_name",
 ]
@@ -57,18 +57,6 @@ class Finding:
     message: str
     hint: str
     source: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline.
-
-        Hashing ``(rule, path, stripped source line)`` keeps
-        grandfathered findings pinned across unrelated edits that only
-        shift line numbers; editing the offending line itself makes the
-        finding "new" again, which is exactly when it should resurface.
-        """
-        blob = f"{self.rule}|{self.path}|{self.source.strip()}"
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -248,6 +236,44 @@ class Project:
             self._registry_cache["cell_keys"] = keys
         return self._registry_cache["cell_keys"]  # type: ignore[return-value]
 
+    def references(self) -> frozenset[str]:
+        """Every name the scanned modules use, for DEAD001.
+
+        A reference is a ``Name``/``Attribute`` load, or an
+        identifier-shaped string constant outside ``__all__`` (so
+        ``getattr(obj, "name")`` and op-name dispatch tables count).
+        Import statements and ``__all__`` re-exports do not.
+        """
+        if "references" not in self._registry_cache:
+            names: set[str] = set()
+            for info in self.modules:
+                exported = {
+                    id(node)
+                    for stmt in info.tree.body
+                    if isinstance(stmt, ast.Assign)
+                    and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in stmt.targets
+                    )
+                    for node in ast.walk(stmt.value)
+                }
+                for node in ast.walk(info.tree):
+                    if isinstance(node, ast.Name):
+                        if isinstance(node.ctx, ast.Load):
+                            names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        if isinstance(node.ctx, ast.Load):
+                            names.add(node.attr)
+                    elif (
+                        isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and node.value.isidentifier()
+                        and id(node) not in exported
+                    ):
+                        names.add(node.value)
+            self._registry_cache["references"] = frozenset(names)
+        return self._registry_cache["references"]  # type: ignore[return-value]
+
 
 class Rule:
     """Base class: one invariant, one code, one fix hint."""
@@ -308,8 +334,9 @@ def terminal_name(node: ast.AST) -> str | None:
     return None
 
 
-def iter_findings(
-    rules: Iterable[Rule], module: ModuleInfo, project: Project
-) -> Iterator[Finding]:
-    for rule in rules:
-        yield from rule.check(module, project)
+def is_job_kind(node: ast.AST) -> bool:
+    """Whether a ``def`` is registered with a ``@job_kind(...)`` decorator."""
+    return any(
+        isinstance(dec, ast.Call) and terminal_name(dec.func) == "job_kind"
+        for dec in getattr(node, "decorator_list", ())
+    )

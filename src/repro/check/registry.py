@@ -32,6 +32,7 @@ from repro.check.core import (
     ModuleInfo,
     Project,
     Rule,
+    is_job_kind,
     terminal_name,
 )
 
@@ -291,11 +292,7 @@ class CellKeysCoveredRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if any(
-                isinstance(dec, ast.Call)
-                and terminal_name(dec.func) == "job_kind"
-                for dec in node.decorator_list
-            ):
+            if is_job_kind(node):
                 what = f"@job_kind '{node.name}'"
             elif node.name == _SHARED_ROW_FUNCTION:
                 what = f"shared row builder '{node.name}'"

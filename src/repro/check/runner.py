@@ -4,8 +4,8 @@
 the self-tests all share.  It parses every ``*.py`` under the given
 paths (files or directories), runs each registered rule over each
 module, drops findings suppressed by a same-line
-``# repro: allow[CODE]`` pragma, reports stale pragma codes, and splits
-the remainder against the committed baseline.
+``# repro: allow[CODE]`` pragma (the one suppression path), and reports
+stale pragma codes.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.check.baseline import load_baseline, partition
 from repro.check.core import Finding, ModuleInfo, Project, Rule, parse_module
+from repro.check.deadcode import UnreferencedApiRule
 from repro.check.determinism import AmbientRandomnessRule, WallClockRule
 from repro.check.floats import FloatTimeEqualityRule
 from repro.check.layering import LayeringRule
@@ -43,6 +43,7 @@ ALL_RULES: tuple[Rule, ...] = (
     AllExportsExistRule(),
     InitExportsDeclaredRule(),
     CellKeysCoveredRule(),
+    UnreferencedApiRule(),
 )
 
 
@@ -62,7 +63,6 @@ class CheckReport:
     """Everything one run produced."""
 
     new: list[Finding] = field(default_factory=list)
-    grandfathered: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     stale_pragmas: list[Finding] = field(default_factory=list)
     checked_files: int = 0
@@ -70,11 +70,6 @@ class CheckReport:
     @property
     def exit_code(self) -> int:
         return 1 if (self.new or self.stale_pragmas) else 0
-
-    @property
-    def all_current(self) -> list[Finding]:
-        """New + grandfathered (what --write-baseline persists)."""
-        return self.new + self.grandfathered
 
 
 def _collect_files(paths: Sequence[Path]) -> list[Path]:
@@ -93,7 +88,6 @@ def run_check(
     paths: Sequence[Path | str],
     *,
     rules: Sequence[Rule] | None = None,
-    baseline: Path | str | None = None,
 ) -> CheckReport:
     """Run the checker over ``paths`` and return a :class:`CheckReport`."""
     resolved = [Path(p) for p in paths]
@@ -112,7 +106,6 @@ def run_check(
         modules.append(info)
 
     report = CheckReport(checked_files=len(modules))
-    raw: list[Finding] = []
     for info in modules:
         allow = suppressions(info)
         for rule in active:
@@ -120,7 +113,7 @@ def run_check(
                 if finding.rule in allow.get(finding.line, frozenset()):
                     report.suppressed += 1
                 else:
-                    raw.append(finding)
+                    report.new.append(finding)
         for lineno, code in unknown_codes(info, known):
             report.stale_pragmas.append(
                 Finding(
@@ -134,10 +127,5 @@ def run_check(
                 )
             )
 
-    pinned = (
-        load_baseline(Path(baseline)) if baseline is not None else frozenset()
-    )
-    report.new, report.grandfathered = partition(raw, pinned)
     report.new.sort(key=lambda f: (f.path, f.line, f.rule))
-    report.grandfathered.sort(key=lambda f: (f.path, f.line, f.rule))
     return report

@@ -39,11 +39,6 @@ class BoundedIncreaseReport:
     def satisfied(self) -> bool:
         return self.max_increase <= self.bound + 1e-6
 
-    @property
-    def ratio(self) -> float:
-        """``measured / bound`` — how much slack the lemma leaves."""
-        return self.max_increase / self.bound if self.bound > 0 else float("inf")
-
 
 def check_preconditions(execution: Execution, *, rho: float) -> None:
     """Raise unless the execution satisfies the lemma's preconditions.

@@ -48,7 +48,9 @@ class GradientBound:
         return cls(lambda d: slope * d + intercept, f"{slope}*d+{intercept}")
 
     @classmethod
-    def conjectured(cls, diameter: float, slope: float = 1.0) -> "GradientBound":
+    def conjectured(  # repro: allow[DEAD001] frozen e2e workloads_analyze
+        cls, diameter: float, slope: float = 1.0
+    ) -> "GradientBound":
         """Section 9's conjecture shape: ``f(d) = slope * (d + log D)``."""
         log_d = math.log(max(diameter, 1.0))
         return cls(

@@ -76,12 +76,14 @@ class AdversarySchedule:
             raise ScheduleError(f"extension must be positive, got {extra}")
         return replace(self, duration=self.duration + extra)
 
-    def with_rates(
+    def with_rates(  # repro: allow[DEAD001] ROADMAP search mutates schedules
         self, rates: Mapping[int, PiecewiseConstantRate]
     ) -> "AdversarySchedule":
         return replace(self, rates=dict(rates))
 
-    def with_oracle(self, oracle: DelayPolicy) -> "AdversarySchedule":
+    def with_oracle(  # repro: allow[DEAD001] ROADMAP search mutates schedules
+        self, oracle: DelayPolicy
+    ) -> "AdversarySchedule":
         return replace(self, delay_oracle=oracle)
 
     # ------------------------------------------------------------------

@@ -1,23 +1,22 @@
-"""Closed-form quantities from the paper, in one importable place.
+"""The paper's constants and Section 2's worked example, in one place.
 
-Everything here is arithmetic — no simulation — so experiments can print
-"paper says / we measured" columns from a single source of truth.
+Everything here is arithmetic — no simulation.  The bounds themselves
+are computed where they are checked: Lemma 6.1's gain by
+:class:`~repro.gcs.add_skew.AddSkewPlan`, Lemma 7.1's cap by
+:mod:`repro.gcs.bounded_increase`, the Section 9 envelope by
+:class:`~repro.gcs.properties.GradientBound`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro._constants import (
     ADD_SKEW_GAIN,
     BOUNDED_INCREASE_FACTOR,
     ROUND_SKEW_RATE,
-    SHRINK_NUMERATOR,
     gamma,
     lower_bound_curve,
-    rounds_for,
-    shrink_factor,
     tau,
     window_shrink,
 )
@@ -27,38 +26,12 @@ __all__ = [
     "gamma",
     "window_shrink",
     "lower_bound_curve",
-    "shrink_factor",
-    "rounds_for",
-    "add_skew_gain",
-    "bounded_increase_bound",
-    "theorem_skew_after_rounds",
-    "conjectured_upper_bound",
     "ThreeNodeScenario",
     "ADD_SKEW_GAIN",
     "BOUNDED_INCREASE_FACTOR",
     "ROUND_SKEW_RATE",
-    "SHRINK_NUMERATOR",
 ]
 
-
-def add_skew_gain(span: float) -> float:
-    """Lemma 6.1's guaranteed skew gain for a pair at distance ``span``."""
-    return ADD_SKEW_GAIN * span
-
-
-def bounded_increase_bound(f_of_one: float) -> float:
-    """Lemma 7.1's cap on one-unit logical gain: ``16 f(1)``."""
-    return BOUNDED_INCREASE_FACTOR * f_of_one
-
-
-def theorem_skew_after_rounds(k: int) -> float:
-    """Theorem 8.1's guaranteed adjacent skew after ``k`` rounds: ``k/24``."""
-    return ROUND_SKEW_RATE * k
-
-
-def conjectured_upper_bound(d: float, diameter: float, slope: float = 1.0) -> float:
-    """Section 9's conjecture: some algorithm achieves ``O(d + log D)``."""
-    return slope * (d + math.log(max(diameter, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -86,11 +59,6 @@ class ThreeNodeScenario:
     x: int = 0
     y: int = 1
     z: int = 2
-
-    @property
-    def expected_peak_skew(self) -> float:
-        """The paper's headline figure for the (y, z) pair."""
-        return self.big_d + 1.0
 
     @property
     def distances(self) -> dict[tuple[int, int], float]:

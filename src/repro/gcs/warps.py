@@ -50,10 +50,6 @@ class TimeWarp:
     # constructors
 
     @classmethod
-    def identity(cls, span: float = 1.0) -> "TimeWarp":
-        return cls((0.0, span), (0.0, span))
-
-    @classmethod
     def knee(cls, knee_x: float, end_x: float, slope_after: float) -> "TimeWarp":
         """Identity up to ``knee_x``, then slope ``slope_after`` to ``end_x``.
 
@@ -95,26 +91,3 @@ class TimeWarp:
             k = 0
         slope = (self.ys[k + 1] - self.ys[k]) / (self.xs[k + 1] - self.xs[k])
         return self.xs[k] + (y - self.ys[k]) / slope
-
-    # ------------------------------------------------------------------
-    # properties
-
-    @property
-    def domain_end(self) -> float:
-        return self.xs[-1]
-
-    @property
-    def range_end(self) -> float:
-        return self.ys[-1]
-
-    def is_identity_until(self, x: float) -> bool:
-        """Whether the warp is the identity on ``[0, x]``."""
-        return abs(self(x) - x) <= 1e-9 and all(
-            abs(self(p) - p) <= 1e-9 for p in self.xs if p <= x
-        )
-
-    def slope_at(self, t: float) -> float:
-        k = min(bisect_right(self.xs, t) - 1, len(self.xs) - 2)
-        if k < 0:
-            k = 0
-        return (self.ys[k + 1] - self.ys[k]) / (self.xs[k + 1] - self.xs[k])

@@ -85,6 +85,8 @@ def run_live(config: LiveRunConfig, *, tail=None) -> Execution:
     )
 
 
-def with_transport(config: LiveRunConfig, transport: str) -> LiveRunConfig:
+def with_transport(  # repro: allow[DEAD001] examples/live_run.py
+    config: LiveRunConfig, transport: str
+) -> LiveRunConfig:
     """The same scenario on a different backend (E14's comparison axis)."""
     return replace(config, transport=transport)

@@ -16,14 +16,13 @@ from repro.sim.faults import (
 from repro.sim.messages import (
     FixedFractionDelay,
     HalfDistanceDelay,
-    JitterDelay,
     Message,
     PerPairDelay,
     SequenceDelay,
     UniformRandomDelay,
 )
 from repro.sim.node import NodeAPI, Process
-from repro.sim.rates import PiecewiseConstantRate, constant_schedules
+from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, Simulator, run_simulation
 from repro.sim.trace import ColumnarTrace, ExecutionTrace, TraceEvent
 
@@ -41,12 +40,10 @@ __all__ = [
     "FixedFractionDelay",
     "UniformRandomDelay",
     "PerPairDelay",
-    "JitterDelay",
     "SequenceDelay",
     "NodeAPI",
     "Process",
     "PiecewiseConstantRate",
-    "constant_schedules",
     "SimConfig",
     "Simulator",
     "run_simulation",

@@ -103,7 +103,6 @@ class LogicalClock:
         self._times: list[float] = [0.0]
         self._values: list[float] = [float(initial_value)]
         self._mults: list[float] = [1.0]
-        self._total_jump = 0.0
 
     # ------------------------------------------------------------------
     # runtime interface (used by algorithms during simulation)
@@ -159,7 +158,6 @@ class LogicalClock:
             return 0.0
         value = self.read(t) + amount
         self._append_segment(t, value, self._mults[-1])
-        self._total_jump += amount
         return amount
 
     def min_multiplier(self) -> float:
@@ -249,13 +247,6 @@ class LogicalClock:
             # The value falls inside a forward jump: crossed at the jump.
             return self._times[k + 1]
         return t
-
-    def total_jump(self) -> float:
-        """Sum of all forward jumps taken."""
-        return self._total_jump
-
-    def max_multiplier_used(self) -> float:
-        return max(self._mults)
 
     def check_validity(
         self, horizon: float, *, rate: float = 0.5, step: float = 0.25

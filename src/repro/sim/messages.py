@@ -26,7 +26,6 @@ __all__ = [
     "FixedFractionDelay",
     "UniformRandomDelay",
     "PerPairDelay",
-    "JitterDelay",
     "SequenceDelay",
     "validate_delay",
 ]
@@ -214,32 +213,6 @@ class PerPairDelay:
         if key in self._fixed:
             return self._fixed[key]
         return self._fallback.delay(sender, receiver, send_time, distance, seq, rng)
-
-
-@dataclass(frozen=True)
-class JitterDelay:
-    """A common propagation base plus small uniform jitter, for RBS clusters.
-
-    Models a radio broadcast: everyone hears the signal after ``base``
-    plus at most ``d_ij`` of jitter, so the *uncertainty* stays ``d_ij``
-    while the absolute delay can be larger than the distance.  To stay
-    inside the model band the base must not exceed the distance; RBS
-    topologies therefore carry the base inside ``d_ij`` (see
-    ``topology.broadcast_cluster``).
-    """
-
-    jitter_frac: float = 1.0
-
-    def delay(
-        self,
-        sender: int,
-        receiver: int,
-        send_time: float,
-        distance: float,
-        seq: int,
-        rng: random.Random,
-    ) -> float:
-        return rng.uniform(0.0, self.jitter_frac * distance)
 
 
 class SequenceDelay:

@@ -126,11 +126,6 @@ class NodeAPI:
         )
 
     @property
-    def logical_multiplier(self) -> float:
-        """The current logical rate multiplier."""
-        return self._logical.multiplier
-
-    @property
     def min_logical_multiplier(self) -> float:
         """The validity-safe multiplier floor ``1 / (2 (1 - rho))``."""
         return self._logical.min_multiplier()

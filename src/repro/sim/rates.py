@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.errors import ScheduleError
 __all__ = [
     "RateSegment",
     "PiecewiseConstantRate",
-    "constant_schedules",
     "random_walk_schedule",
 ]
 
@@ -93,17 +92,6 @@ class PiecewiseConstantRate:
         """A schedule running at ``rate`` forever."""
         return cls(starts=(0.0,), rates=(rate,))
 
-    @classmethod
-    def from_segments(
-        cls, segments: Iterable[tuple[float, float]]
-    ) -> "PiecewiseConstantRate":
-        """Build from ``(start, rate)`` pairs (must start at 0)."""
-        pairs = sorted(segments)
-        return cls(
-            starts=tuple(start for start, _ in pairs),
-            rates=tuple(rate for _, rate in pairs),
-        ).normalized()
-
     # ------------------------------------------------------------------
     # queries
 
@@ -164,10 +152,6 @@ class PiecewiseConstantRate:
             end = self.starts[k + 1] if k + 1 < len(self.starts) else float("inf")
             yield RateSegment(start, end, rate)
 
-    def breakpoints_in(self, a: float, b: float) -> list[float]:
-        """Breakpoints strictly inside the open interval ``(a, b)``."""
-        return [t for t in self.starts if a < t < b]
-
     def min_rate(self, a: float = 0.0, b: float = float("inf")) -> float:
         """Minimum rate over ``[a, b]``."""
         return min(seg.rate for seg in self.segments() if seg.end > a and seg.start < b)
@@ -225,25 +209,6 @@ class PiecewiseConstantRate:
             starts.append(start)
             rates.append(rate)
         return PiecewiseConstantRate(tuple(starts), tuple(rates))
-
-    def equivalent_to(
-        self, other: "PiecewiseConstantRate", *, until: float = float("inf")
-    ) -> bool:
-        """Whether the two schedules define the same rate function on ``[0, until)``."""
-        mine = [s for s in self.normalized().segments() if s.start < until]
-        theirs = [s for s in other.normalized().segments() if s.start < until]
-        if len(mine) != len(theirs):
-            return False
-        for sa, sb in zip(mine, theirs):
-            if abs(sa.start - sb.start) > TIME_EPS or sa.rate != sb.rate:
-                return False
-        return True
-
-
-def constant_schedules(nodes: Sequence[int], rate: float = 1.0) -> dict[int, PiecewiseConstantRate]:
-    """Convenience: the all-nodes-at-``rate`` schedule map used by ``alpha_0``."""
-    schedule = PiecewiseConstantRate.constant(rate)
-    return {node: schedule for node in nodes}
 
 
 def random_walk_schedule(

@@ -221,6 +221,8 @@ class ReferenceSimulator(RunSetup):
         )
 
 
-def run_reference(topology, processes, config, **adversary) -> Execution:
+def run_reference(  # repro: allow[DEAD001] contract 4 reference loop
+    topology, processes, config, **adversary
+) -> Execution:
     """:func:`~repro.sim.simulator.run_simulation` on the reference loop."""
     return ReferenceSimulator(topology, processes, config, **adversary).run()

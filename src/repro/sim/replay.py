@@ -65,7 +65,7 @@ def replay(
     )
 
 
-def verify_replay(
+def verify_replay(  # repro: allow[DEAD001] contract 4 replay check
     execution: Execution,
     algorithm: SyncAlgorithm,
     *,

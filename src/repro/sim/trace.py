@@ -110,10 +110,6 @@ class ExecutionTrace:
         """
         return [(e.kind, e.hardware, e.detail) for e in self.for_node(node)]
 
-    def message_records(self) -> list[TraceEvent]:
-        """All receive events (each corresponds to one delivered message)."""
-        return self.of_kind(RECEIVE)
-
     def digest(self) -> str:
         """Canonical SHA-256 of the trace.
 

@@ -32,13 +32,12 @@ from repro.algorithms import (
     SrikanthTouegAlgorithm,
     SyncAlgorithm,
 )
-from repro.errors import FaultError, SweepError, TopologyError
+from repro.errors import DelayBoundError, FaultError, SweepError, TopologyError
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import (
     DelayPolicy,
     FixedFractionDelay,
     HalfDistanceDelay,
-    JitterDelay,
     UniformRandomDelay,
 )
 from repro.sim.rates import PiecewiseConstantRate, random_walk_schedule
@@ -148,7 +147,7 @@ def _from_spec(kinds: Dict[str, Callable], what: str, spec: str, *context):
         raise SweepError(f"unknown {what} {spec!r}; known: {sorted(kinds)}")
     try:
         return kinds[name](*context, *(float(a) for a in args))
-    except (TypeError, ValueError, FaultError, TopologyError) as exc:
+    except (TypeError, ValueError, DelayBoundError, FaultError, TopologyError) as exc:
         raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
 
 
@@ -200,7 +199,7 @@ def topology_from_spec(spec: str) -> Topology:
     values = _int_args(spec, args, len(args)) if args else []
     try:
         return TOPOLOGY_KINDS[kind](*values)
-    except TypeError as exc:
+    except (TypeError, TopologyError) as exc:
         raise SweepError(f"{spec!r}: bad arguments ({exc})") from exc
 
 
@@ -265,12 +264,14 @@ def rates_from_spec(
 
 
 #: name -> builder(args) for delay-policy spec strings: ``half``,
-#: ``uniform`` / ``uniform:0.25,0.75``, ``fraction:0.3``, ``jitter``.
+#: ``uniform`` / ``uniform:0.25,0.75``, ``fraction:0.3``, ``jitter`` /
+#: ``jitter:frac`` (an RBS radio's receive jitter: uniform in
+#: ``[0, frac * d]``, the same draw as ``uniform:0,frac``).
 DELAY_POLICIES: Dict[str, Callable[..., DelayPolicy]] = {
     "half": lambda: HalfDistanceDelay(),
     "uniform": lambda lo=0.0, hi=1.0: UniformRandomDelay(lo_frac=lo, hi_frac=hi),
     "fraction": lambda f: FixedFractionDelay(f),
-    "jitter": lambda frac=1.0: JitterDelay(jitter_frac=frac),
+    "jitter": lambda frac=1.0: UniformRandomDelay(lo_frac=0.0, hi_frac=frac),
 }
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -45,6 +46,10 @@ from repro.sweep.jobs import Job
 from repro.sweep.scenario import Scenario
 
 __all__ = ["SweepSpec", "quick_spec", "full_spec"]
+
+#: The grid's axes: spec strings, then the integer seeds.
+_AXES = ("topologies", "algorithms", "rate_families", "delay_policies",
+         "fault_families", "mobilities", "transports", "seeds")
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,27 @@ class SweepSpec:
     name: str = "sweep"
 
     def __post_init__(self) -> None:
-        for axis in ("topologies", "algorithms", "rate_families",
-                     "delay_policies", "fault_families", "mobilities",
-                     "transports", "seeds"):
+        # A JSON grid (a daemon submit, a manifest) can carry any type in
+        # any field; each one fails here by name, not as a bare
+        # TypeError deep in the expansion.
+        for axis in _AXES:
             if not getattr(self, axis):
                 raise SweepError(f"spec axis {axis!r} must be non-empty")
+        for axis in _AXES[:-1]:
+            for entry in getattr(self, axis):
+                if not isinstance(entry, str):
+                    raise SweepError(
+                        f"spec axis {axis!r} holds {entry!r}, not a spec string"
+                    )
+        for seed in self.seeds:
+            try:
+                int(seed)
+            except (TypeError, ValueError):
+                raise SweepError(f"seed {seed!r} is not an integer") from None
+        for name in ("duration", "rho", "step", "time_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise SweepError(f"spec field {name!r} must be a number, got {value!r}")
         if self.duration <= 0:
             raise SweepError(f"duration must be positive, got {self.duration}")
 
@@ -200,10 +221,12 @@ class SweepSpec:
         extra = set(coerced) - known
         if extra:
             raise SweepError(f"unknown SweepSpec fields: {sorted(extra)}")
-        for axis in ("topologies", "algorithms", "rate_families",
-                     "delay_policies", "fault_families", "mobilities",
-                     "transports", "seeds"):
+        for axis in _AXES:
             if axis in coerced:
+                if not isinstance(coerced[axis], (list, tuple)):
+                    raise SweepError(
+                        f"spec axis {axis!r} must be a list, got {coerced[axis]!r}"
+                    )
                 coerced[axis] = tuple(coerced[axis])
         return cls(**coerced)
 

@@ -144,7 +144,7 @@ class ContentStore:
     def get(self, job: Job) -> Optional[dict]:
         return self.get_hash(job_hash(job))
 
-    def put(self, job: Job, metrics: dict) -> None:
+    def put(self, job: Job, metrics: dict) -> None:  # repro: allow[DEAD001] frozen e2e workloads_serve
         self.put_hash(job_hash(job), metrics)
 
     def __len__(self) -> int:
@@ -187,14 +187,6 @@ class ContentStore:
             json.dumps(manifest, sort_keys=True, indent=2).encode(),
         )
         return sweep_id
-
-    def read_manifest(self, sweep_id: str) -> Optional[dict]:
-        """The sweep's current-version manifest; ``None`` if it is absent,
-        does not read or is stale."""
-        try:
-            return _load_manifest(self.manifest_path(sweep_id))
-        except (OSError, ValueError):
-            return None
 
     def manifests(self) -> Iterator[Optional[dict]]:
         """Every current-version manifest, in sweep-id order.

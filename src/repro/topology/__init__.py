@@ -24,7 +24,6 @@ from repro.topology.generators import (
     random_geometric,
     ring,
     star,
-    two_nodes,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "balanced_tree",
     "random_geometric",
     "broadcast_cluster",
-    "two_nodes",
 ]

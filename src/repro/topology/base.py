@@ -183,7 +183,7 @@ class Topology:
         return len(self.neighbors(i))
 
     @property
-    def max_degree(self) -> int:
+    def max_degree(self) -> int:  # repro: allow[DEAD001] examples/sensor_field.py
         return max(self.degree(i) for i in self.nodes)
 
     def pairs(self) -> Iterable[tuple[int, int]]:

@@ -88,7 +88,9 @@ def _components_of(
     return tuple(sorted(out))
 
 
-def components(topology: Topology) -> tuple[tuple[int, ...], ...]:
+def components(  # repro: allow[DEAD001] examples/mobile_field.py
+    topology: Topology,
+) -> tuple[tuple[int, ...], ...]:
     """Connected components of the *communication* graph, deterministic.
 
     Components are sorted internally and by their smallest member, so

@@ -45,7 +45,6 @@ __all__ = [
     "balanced_tree",
     "random_geometric",
     "broadcast_cluster",
-    "two_nodes",
 ]
 
 
@@ -215,15 +214,3 @@ def broadcast_cluster(n: int, *, uncertainty: float = 0.01) -> Topology:
     return Topology.fully_connected(
         d, name=f"rbs-cluster({n})", require_unit_min=False
     )
-
-
-def two_nodes(distance: float) -> Topology:
-    """The folklore lower bound's network: two nodes at distance ``d >= 1``.
-
-    Connectivity: the single pair communicates.  Determinism: pure
-    function of ``distance``.
-    """
-    if distance < 1.0:
-        raise TopologyError("paper normalization requires d >= 1")
-    d = np.array([[0.0, distance], [distance, 0.0]])
-    return Topology.fully_connected(d, name=f"pair(d={distance})")

@@ -6,8 +6,7 @@
 (:mod:`repro.viz.tail`), and sweep/experiment report artifacts
 (:mod:`repro.viz.report`) — all by pure string assembly over
 :class:`~repro.viz.svg.SvgCanvas`.  No third-party imaging or plotting
-dependency, no display: every renderer returns an SVG string and writes
-to paths or in-memory buffers via :func:`~repro.viz.svg.save_svg`.
+dependency, no display: every renderer returns an SVG string.
 """
 
 from repro.viz.dashboard import dashboard_field, skew_dashboard, trace_markers
@@ -20,7 +19,7 @@ from repro.viz.report import (
     rows_from_artifact,
     write_report,
 )
-from repro.viz.svg import SvgCanvas, save_svg
+from repro.viz.svg import SvgCanvas
 from repro.viz.tail import StreamingTail
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "EventMarker",
     "Series",
     "SvgCanvas",
-    "save_svg",
 ]

@@ -17,8 +17,7 @@ table uses — so the figures and the numbers can never disagree:
   routed, workers), ``fault_stats`` counters, and rewiring counts.
 
 All rendering is headless: marks and text are assembled as SVG strings,
-each heatmap is one embedded PNG pixel grid; ``save_svg`` writes to
-paths or in-memory buffers.
+each heatmap is one embedded PNG pixel grid.
 """
 
 from __future__ import annotations

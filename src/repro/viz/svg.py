@@ -8,7 +8,7 @@ is one ``<image>`` holding a PNG ``data:`` URI (:meth:`SvgCanvas.image`,
 a stdlib ``zlib`` + ``struct`` encoder) instead of a ``<rect>`` per cell
 — a changed pixel is a changed blob, not a changed line.  Either way the
 file renders in any browser and needs no third-party imaging stack, so
-every renderer runs headless in CI and draws into in-memory buffers.
+every renderer runs headless in CI and returns its document as a string.
 
 Escaping contract
 -----------------
@@ -18,9 +18,9 @@ XML-escape *and* strip characters that are invalid in XML 1.0 (control
 characters other than tab/newline/CR).  Tests pin this with a hypothesis
 property: any label round-trips through ``xml.etree`` parsing.
 
-Colors come from two small interpolated ramps (:func:`sequential_color`,
-:func:`diverging_color`) so heatmaps and edge colorings look the same in
-every renderer without an external colormap library;
+Colors come from one small interpolated ramp (:func:`sequential_color`)
+so heatmaps and edge colorings look the same in every renderer without
+an external colormap library;
 :func:`sequential_rgb` reads the same ramp for whole arrays from a table.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import io
 import struct
 import zlib
 from typing import Iterable, Sequence
@@ -41,8 +40,6 @@ __all__ = [
     "escape_attr",
     "sequential_color",
     "sequential_rgb",
-    "diverging_color",
-    "save_svg",
 ]
 
 #: Characters XML 1.0 forbids outright (control chars except \t \n \r).
@@ -90,13 +87,6 @@ _SEQUENTIAL = (
     (253, 231, 37),
 )
 
-#: Blue - light gray - red, for signed quantities.
-_DIVERGING = (
-    (59, 76, 192),
-    (221, 221, 221),
-    (180, 4, 38),
-)
-
 
 def _ramp(anchors: Sequence[tuple[int, int, int]], t: float) -> str:
     if t != t:  # NaN guards: render as mid-gray, never crash a panel
@@ -113,11 +103,6 @@ def _ramp(anchors: Sequence[tuple[int, int, int]], t: float) -> str:
 def sequential_color(t: float) -> str:
     """Map ``t in [0, 1]`` onto the sequential (magnitude) ramp."""
     return _ramp(_SEQUENTIAL, t)
-
-
-def diverging_color(t: float) -> str:
-    """Map ``t in [0, 1]`` onto the diverging (signed) ramp; 0.5 = zero."""
-    return _ramp(_DIVERGING, t)
 
 
 #: Steps of the array ramp's table.  The steepest channel climbs 131
@@ -379,22 +364,3 @@ class SvgCanvas:
             f'viewBox="0 0 {_fmt(self.width)} {_fmt(self.height)}">'
         )
         return head + "".join(self._parts) + "</svg>"
-
-
-def save_svg(svg: str, target) -> None:
-    """Write an SVG string to a path or any text/binary buffer.
-
-    Accepts a filesystem path (``str`` / ``PathLike``) or a file-like
-    object — tests render into :class:`io.StringIO` so the whole
-    pipeline runs without touching disk.
-    """
-    if hasattr(target, "write"):
-        if isinstance(target, (io.RawIOBase, io.BufferedIOBase)) or (
-            hasattr(target, "mode") and "b" in getattr(target, "mode", "")
-        ):
-            target.write(svg.encode("utf-8"))
-        else:
-            target.write(svg)
-        return
-    with open(target, "w", encoding="utf-8") as handle:
-        handle.write(svg)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms import RBSAlgorithm
 from repro.sweep import drifted_rates
-from repro.sim.messages import JitterDelay
+from repro.sim.messages import UniformRandomDelay
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import broadcast_cluster
 
@@ -19,7 +19,7 @@ def run_cluster(n=6, duration=40.0, eps=0.01, seed=0):
         alg.processes(topo),
         SimConfig(duration=duration, rho=RHO, seed=seed),
         rate_schedules=drifted_rates(topo, rho=RHO, seed=seed),
-        delay_policy=JitterDelay(),
+        delay_policy=UniformRandomDelay(),
     )
     return ex, alg
 

@@ -5,11 +5,7 @@ import pytest
 
 from repro.algorithms import NullAlgorithm
 from repro.analysis.field import SkewField
-from repro.analysis.gradient_profile import (
-    fit_linear,
-    normalize_profile,
-    profile_ratio,
-)
+from repro.analysis.gradient_profile import fit_linear
 from repro.analysis.reporting import Table
 from repro.analysis.skew import summarize
 from repro.sim.rates import PiecewiseConstantRate
@@ -43,11 +39,6 @@ class TestTable:
         assert "-" in rendered
         assert "0.5" in rendered
 
-    def test_as_dicts(self):
-        t = Table(title="T", headers=["a", "b"])
-        t.add_row(1, 2)
-        assert t.as_dicts() == [{"a": "1", "b": "2"}]
-
     def test_extend(self):
         t = Table(title="T", headers=["a"])
         t.extend([[1], [2]])
@@ -61,7 +52,6 @@ class TestFitLinear:
         assert fit.slope == pytest.approx(2.0)
         assert fit.intercept == pytest.approx(1.0)
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
-        assert fit.predict(4.0) == pytest.approx(9.0)
 
     def test_single_point_degenerates(self):
         fit = fit_linear({2.0: 5.0})
@@ -76,19 +66,6 @@ class TestFitLinear:
         profile = {1.0: 2.0, 2.0: 4.0, 3.0: 9.0}  # last point above trend
         fit = fit_linear(profile)
         assert fit.max_over_linear > 1.0
-
-
-class TestProfileUtils:
-    def test_profile_ratio(self):
-        r = profile_ratio({1.0: 2.0, 2.0: 6.0}, {1.0: 1.0, 2.0: 3.0})
-        assert r == {1.0: 2.0, 2.0: 2.0}
-
-    def test_normalize(self):
-        n = normalize_profile({1.0: 2.0, 4.0: 8.0})
-        assert n == {1.0: 1.0, 4.0: 4.0}
-
-    def test_normalize_empty(self):
-        assert normalize_profile({}) == {}
 
 
 class TestSkewSummaries:

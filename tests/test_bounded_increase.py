@@ -58,7 +58,6 @@ class TestMeasurement:
         assert report.max_increase == pytest.approx(1.0)
         assert report.bound == 16.0
         assert report.satisfied
-        assert report.ratio == pytest.approx(1.0 / 16.0)
 
     def test_bound_scales_with_f(self):
         report = measure_bounded_increase(quiet_execution(), 0.5, rho=RHO)

@@ -3,16 +3,17 @@
 Three layers of coverage:
 
 * **the repo itself is clean** — the full checker runs over ``src/``
-  against the committed (empty) baseline and must report nothing: this
-  is the tier-1 gate that makes every rule a standing guarantee;
+  and must report nothing (there is no baseline: a same-line pragma is
+  the one suppression path): this is the tier-1 gate that makes every
+  rule a standing guarantee;
 * **per-rule fixtures** — for each rule family a known-good and a
   known-bad snippet, written into a ``repro/``-shaped tmp tree, with
   the bad one asserting exactly the expected code fires (and the good
   one that nothing does);
 * **machinery** — a hypothesis property pinning that the
   ``# repro: allow[CODE]`` pragma suppresses *exactly* its rule, the
-  declared layer DAG pinned literally and checked acyclic, baseline
-  round-trips, and the CLI's exit-code/JSON contract.
+  declared layer DAG pinned literally and checked acyclic, and the
+  CLI's exit-code/JSON contract.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,10 +33,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check import (
     ALL_RULES,
+    PRAGMA_RE,
     default_rules,
-    load_baseline,
+    parse_module,
     run_check,
-    write_baseline,
+    suppressions,
 )
 from repro.check.core import BASE_PACKAGES
 from repro.check.layering import ALLOWED_IMPORTS, LAZY_ALLOWED, MODULE_EXEMPT
@@ -41,7 +46,6 @@ pytestmark = pytest.mark.check
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
-BASELINE = REPO / "check_baseline.json"
 
 RULE_CODES = tuple(rule.code for rule in ALL_RULES)
 
@@ -120,6 +124,19 @@ SNIPPETS: dict[str, tuple[str, str, int, str]] = {
         "    metrics = dict(params)\n"
         "    return metrics\n",
     ),
+    # DEAD001 judges only a scan of the whole package, so its fixture
+    # is the package root itself.
+    "DEAD001": (
+        "repro/__init__.py",
+        '__all__ = ["orphaned_helper"]\n\n'
+        "def orphaned_helper():\n"
+        "    return 1\n",
+        3,
+        '__all__ = ["called_helper", "VALUE"]\n\n'
+        "def called_helper():\n"
+        "    return 1\n\n"
+        "VALUE = called_helper()\n",
+    ),
 }
 
 
@@ -134,26 +151,83 @@ def _codes(report) -> list[str]:
     return [f.rule for f in report.new]
 
 
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m ARGV`` from the repo root, ``src/`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=env,
+    )
+
+
 class TestRepoIsClean:
     """The tier-1 gate: the tree at head has zero findings."""
 
-    def test_full_tree_empty_against_committed_baseline(self):
-        report = run_check([SRC], baseline=BASELINE)
+    def test_full_tree_is_clean(self):
+        report = run_check([SRC])
         assert report.checked_files > 100
         assert report.new == [], "\n".join(f.render() for f in report.new)
         assert report.stale_pragmas == []
         assert report.exit_code == 0
 
-    def test_committed_baseline_is_empty(self):
-        assert load_baseline(BASELINE) == frozenset()
+    def test_the_baseline_is_retired(self):
+        # The pragma is the one suppression path: no baseline module, no
+        # baseline flag, no committed baseline file.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.check.baseline")
+        help_text = _run_module("repro.check", "--help").stdout
+        assert "--baseline" not in help_text
+        assert "--write-baseline" not in help_text
+        assert not (REPO / "check_baseline.json").exists()
 
-    def test_suppressions_in_tree_are_documented(self):
-        # The tree carries a handful of reviewed pragmas (metadata
-        # stopwatches, the exact-origin normalization); each must
-        # suppress a rule that would otherwise fire, i.e. stay load-
-        # bearing rather than rot.
-        report = run_check([SRC], baseline=BASELINE)
-        assert report.suppressed >= 1
+    def test_suppressions_in_tree_are_documented(self, tmp_path):
+        # Every reviewed pragma states its reason and stays load-bearing:
+        # with the pragma comments stripped, each of its codes fires on
+        # its line.  A DEAD001 pragma names the caller outside src/ that
+        # keeps the definition, and that caller uses the name.
+        tree = tmp_path / "src"
+        shutil.copytree(SRC, tree)
+        pragmas: set[tuple[str, int, str]] = set()
+        for path in sorted(tree.rglob("*.py")):
+            info = parse_module(path, root=tree)
+            lines = list(info.lines)
+            for lineno, codes in suppressions(info).items():
+                line = lines[lineno - 1]
+                match = PRAGMA_RE.search(line)
+                reason = line[match.end():].strip()
+                assert len(reason) > 5, f"{info.rel}:{lineno} gives no reason"
+                if "DEAD001" in codes:
+                    name = re.search(r"(?:def|class)\s+(\w+)", line).group(1)
+                    assert _dead_api_caller_uses(reason, name), (
+                        f"{info.rel}:{lineno}: '{reason}' does not call {name}"
+                    )
+                pragmas |= {(info.rel, lineno, code) for code in codes}
+                lines[lineno - 1] = line[: match.start()].rstrip()
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert {c for _, _, c in pragmas} >= {"DET001", "DEAD001"}
+        assert run_check([SRC]).suppressed == len(pragmas)
+        fired = {(f.path, f.line, f.rule) for f in run_check([tree]).new}
+        assert pragmas <= fired, sorted(pragmas - fired)
+
+
+def _dead_api_caller_uses(reason: str, name: str) -> bool:
+    """Whether the caller a DEAD001 pragma names references ``name``."""
+    if match := re.search(r"examples/\w+\.py", reason):
+        sources = [REPO / match.group(0)]
+    elif "frozen e2e" in reason:
+        sources = sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
+    elif "contract 4" in reason:
+        sources = sorted((REPO / "tests").glob("*.py"))
+    elif "ROADMAP" in reason:
+        sources = [REPO / "ROADMAP.md"]
+    else:
+        return False
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return any(word.search(src.read_text(encoding="utf-8")) for src in sources)
 
 
 class TestOneSimulatorLoop:
@@ -635,8 +709,6 @@ class TestRuleFixtures:
     def test_injected_bad_fixture_fails_full_tree(self, tmp_path, code):
         """Acceptance criterion: src/ + any known-bad snippet -> nonzero."""
         rel, bad, _lineno, _good = SNIPPETS[code]
-        import shutil
-
         tree = tmp_path / "src"
         shutil.copytree(SRC, tree)
         inject = tree / Path(rel).parent / ("injected_" + Path(rel).name)
@@ -645,7 +717,7 @@ class TestRuleFixtures:
             inject = tree / "repro" / "apps" / "injected" / "__init__.py"
             inject.parent.mkdir()
         inject.write_text(bad, encoding="utf-8")
-        report = run_check([tree], baseline=BASELINE)
+        report = run_check([tree])
         assert report.exit_code == 1
         assert code in _codes(report)
 
@@ -671,6 +743,78 @@ class TestRuleFixtures:
         _write_tree(tmp_path, "repro/sweep/scenario.py", shared)
         report = run_check([tmp_path])
         assert [(f.rule, f.line) for f in report.new] == [("REG004", 2)]
+
+
+class TestDeadApi:
+    """DEAD001's reference index: what counts as a caller, and what is judged."""
+
+    @staticmethod
+    def _dead(tmp_path, modules: dict[str, str]) -> list[str]:
+        _write_tree(tmp_path, "repro/__init__.py", "__all__ = []\n")
+        for rel, source in modules.items():
+            _write_tree(tmp_path, rel, source)
+        report = run_check([tmp_path], rules=default_rules(["DEAD001"]))
+        return [f.message for f in report.new]
+
+    def test_a_string_is_a_reference_an_import_or_export_is_not(self, tmp_path):
+        dead = self._dead(tmp_path, {
+            "repro/mod.py": (
+                '__all__ = ["exported"]\n\n'
+                "def exported():\n    return 1\n\n"
+                "def imported():\n    return 2\n\n"
+                "def by_name():\n    return 3\n\n"
+                'HOOK = getattr(object(), "by_name", None)\n'
+            ),
+            "repro/user.py": "from repro.mod import imported\n",
+        })
+        assert dead == [
+            'public function "exported" has no reference in the tree',
+            'public function "imported" has no reference in the tree',
+        ]
+
+    def test_only_public_non_job_kind_definitions_are_judged(self, tmp_path):
+        dead = self._dead(tmp_path, {
+            "repro/mod.py": (
+                "from repro.sweep.jobs import job_kind\n\n"
+                '@job_kind("kind")\n'
+                "def kind(params):\n    return {}\n\n"
+                "def _private():\n    return 0\n\n"
+                "class Thing:\n"
+                "    def __init__(self):\n        self.x = _private()\n\n"
+                "    def _helper(self):\n        return 1\n\n"
+                "    def used(self):\n        return 2\n\n"
+                "    def unused(self):\n        return 3\n\n"
+                "VALUE = Thing().used()\n"
+            ),
+        })
+        assert dead == ['public method "Thing.unused" has no reference in the tree']
+
+    def test_a_decorated_definition_is_reported_on_its_def_line(self, tmp_path):
+        # The pragma goes where the finding lands: the ``def`` line,
+        # below any decorator.
+        source = (
+            "class Thing:\n"
+            "    @property\n"
+            "    def size(self):  # repro: allow[DEAD001] kept for a caller\n"
+            "        return 1\n\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls()\n\n"
+            "VALUE = Thing\n"
+        )
+        dead = self._dead(tmp_path, {"repro/mod.py": source})
+        assert dead == ['public method "Thing.make" has no reference in the tree']
+        report = run_check([tmp_path], rules=default_rules(["DEAD001"]))
+        assert [f.line for f in report.new] == [7]
+        assert report.suppressed == 1
+
+    def test_a_partial_scan_judges_nothing(self, tmp_path):
+        # Without the package root the scan cannot see every caller.
+        rel, bad, _lineno, _good = SNIPPETS["DEAD001"]
+        _write_tree(tmp_path, "repro/sim/orphan.py", bad)
+        assert run_check([tmp_path]).new == []
+        _write_tree(tmp_path, rel, "__all__ = []\n")
+        assert _codes(run_check([tmp_path])) == ["DEAD001"]
 
 
 class TestPragma:
@@ -796,33 +940,6 @@ class TestLayerDag:
             assert len(reason) > 20, "exemptions must be justified"
 
 
-class TestBaseline:
-    def test_write_load_roundtrip_and_grandfathering(self, tmp_path):
-        rel, bad, _lineno, _good = SNIPPETS["FLT001"]
-        _write_tree(tmp_path, rel, bad)
-        report = run_check([tmp_path])
-        assert report.new
-        baseline = tmp_path / "check_baseline.json"
-        write_baseline(baseline, report.all_current)
-        assert load_baseline(baseline)
-        again = run_check([tmp_path], baseline=baseline)
-        assert again.new == []
-        assert len(again.grandfathered) == len(report.new)
-        assert again.exit_code == 0
-
-    def test_baseline_survives_line_shifts_not_edits(self, tmp_path):
-        rel, bad, _lineno, _good = SNIPPETS["FLT001"]
-        path = _write_tree(tmp_path, rel, bad)
-        baseline = tmp_path / "check_baseline.json"
-        write_baseline(baseline, run_check([tmp_path]).all_current)
-        # Prepending comment lines shifts line numbers: still pinned.
-        path.write_text("# moved\n# down\n" + bad, encoding="utf-8")
-        assert run_check([tmp_path], baseline=baseline).new == []
-        # Editing the offending line makes the finding new again.
-        path.write_text(bad.replace("t == end", "t != end"), encoding="utf-8")
-        assert run_check([tmp_path], baseline=baseline).new
-
-
 class TestRunnerApi:
     def test_default_rules_selection(self):
         assert default_rules() == ALL_RULES
@@ -844,21 +961,11 @@ class TestRunnerApi:
 
 
 class TestCli:
-    def _run(self, *argv: str, cwd: Path = REPO):
-        import os
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run(
-            [sys.executable, "-m", "repro.check", *argv],
-            capture_output=True,
-            text=True,
-            cwd=cwd,
-            env=env,
-        )
+    def _run(self, *argv: str):
+        return _run_module("repro.check", *argv)
 
     def test_clean_tree_exits_zero(self):
-        proc = self._run("src", "--baseline", str(BASELINE))
+        proc = self._run("src")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 new finding(s)" in proc.stdout
 
@@ -883,25 +990,7 @@ class TestCli:
             assert code in proc.stdout
 
     def test_experiments_check_verb(self):
-        import os
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "check",
-                "src",
-                "--baseline",
-                str(BASELINE),
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-            env=env,
-        )
+        proc = _run_module("repro.experiments", "check", "src")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_unknown_rule_exits_two(self):

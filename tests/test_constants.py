@@ -68,41 +68,9 @@ class TestLowerBoundCurve:
         assert values == sorted(values)
 
 
-class TestRoundSchedule:
-    def test_shrink_factor(self):
-        assert c.shrink_factor(0.5, 1.0) == pytest.approx(384.0 * 2.0)
-
-    def test_shrink_factor_rejects_bad_f(self):
-        with pytest.raises(ValueError):
-            c.shrink_factor(0.5, 0.0)
-
-    def test_rounds_for(self):
-        # D - 1 = 81, B = 3 -> 4 rounds
-        assert c.rounds_for(82, 3.0) == 4
-        assert c.rounds_for(2, 4.0) == 0
-        assert c.rounds_for(1, 4.0) == 0
-
-    def test_rounds_for_rejects_bad_shrink(self):
-        with pytest.raises(ValueError):
-            c.rounds_for(64, 1.0)
-
-
 class TestTheoryModule:
-    def test_add_skew_gain(self):
-        assert theory.add_skew_gain(12.0) == pytest.approx(1.0)
-
-    def test_bounded_increase_bound(self):
-        assert theory.bounded_increase_bound(2.0) == 32.0
-
-    def test_theorem_skew_after_rounds(self):
-        assert theory.theorem_skew_after_rounds(24) == pytest.approx(1.0)
-
-    def test_conjectured_upper_bound(self):
-        assert theory.conjectured_upper_bound(3.0, math.e) == pytest.approx(4.0)
-
     def test_three_node_scenario(self):
         s = theory.ThreeNodeScenario(16.0)
-        assert s.expected_peak_skew == 17.0
         d = s.distances
         assert d[(s.x, s.y)] == 16.0
         assert d[(s.y, s.z)] == 1.0

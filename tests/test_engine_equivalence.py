@@ -37,7 +37,6 @@ from repro.algorithms import (
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import (
     FixedFractionDelay,
-    JitterDelay,
     PerPairDelay,
     SequenceDelay,
     UniformRandomDelay,
@@ -110,7 +109,7 @@ class TestDelayPolicies:
         lambda: FixedFractionDelay(0.75),
         lambda: UniformRandomDelay(),
         lambda: UniformRandomDelay(0.25, 0.75),
-        lambda: JitterDelay(),
+        lambda: UniformRandomDelay(),
         lambda: PerPairDelay().set(0, 1, 0.9).set_after(1, 0, 6.0, 0.1),
         # What ``sim/replay.py`` feeds: scripted seqs, random fallback.
         lambda: SequenceDelay({0: 0.5, 3: 0.0, 7: 1.0}, UniformRandomDelay()),
@@ -310,7 +309,7 @@ def scenarios(draw):
         "half": None,
         "fraction": FixedFractionDelay(0.5),
         "uniform": UniformRandomDelay(),
-        "jitter": JitterDelay(),
+        "jitter": UniformRandomDelay(),
     }[policy]
     plan = None
     if draw(st.booleans()):

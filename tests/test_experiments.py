@@ -32,6 +32,11 @@ def quick(experiment_id):
     return run_experiment(experiment_id)
 
 
+def rows_of(table):
+    """A table's rows as ``{header: cell}`` dicts."""
+    return [dict(zip(table.headers, row)) for row in table.rows]
+
+
 class TestRegistry:
     def test_all_experiments_present(self):
         # E01-E11 reproduce the paper; E12 (Section 9 candidates), E13
@@ -97,7 +102,7 @@ class TestRunners:
         result = quick("E11")
         rendered = result.render()
         assert "validity" in rendered
-        for row in result.tables[0].as_dicts():
+        for row in rows_of(result.tables[0]):
             assert row["validity"] == "ok", row["algorithm"]
         profiles = result.data["profiles"]
         assert set(profiles) == {
@@ -146,13 +151,13 @@ class TestSlowRunners:
 
     def test_e05_all_verified(self):
         result = quick("E05")
-        for row in result.tables[0].as_dicts():
+        for row in rows_of(result.tables[0]):
             assert row["indist."] == "yes"
             assert row["delays in [d/4,3d/4]"] == "yes"
 
     def test_e06_within_bound(self):
         result = quick("E06")
-        for row in result.tables[0].as_dicts():
+        for row in rows_of(result.tables[0]):
             assert row["within bound"] == "yes"
 
     def test_e07_adversarial_collisions_appear(self):

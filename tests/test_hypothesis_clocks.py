@@ -5,8 +5,6 @@ integration/inversion round-trips, monotonicity, validity preservation
 under arbitrary forward-jump sequences.
 """
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import HardwareClock, LogicalClock
@@ -106,6 +104,7 @@ def test_logical_value_at_matches_read_at_present(schedule, jumps, extra):
 @given(rate_schedules(), jump_sequences())
 @settings(max_examples=100)
 def test_total_jump_equals_sum(schedule, jumps):
+    # At multiplier 1, L - H is exactly the sum of the jumps taken.
     hw = HardwareClock(schedule, RHO)
     lc = LogicalClock(hw)
     t = 0.0
@@ -113,7 +112,7 @@ def test_total_jump_equals_sum(schedule, jumps):
     for gap, amount in jumps:
         t += gap
         expected += lc.jump_by(t, amount)
-    assert math.isclose(lc.total_jump(), expected, abs_tol=1e-9)
+    assert abs(lc.read(t) - hw.value_at(t) - expected) <= 1e-9
 
 
 @given(

@@ -8,7 +8,6 @@ from repro.errors import DelayBoundError
 from repro.sim.messages import (
     FixedFractionDelay,
     HalfDistanceDelay,
-    JitterDelay,
     Message,
     PerPairDelay,
     SequenceDelay,
@@ -107,7 +106,7 @@ class TestPerPair:
 
 class TestJitter:
     def test_within_uncertainty(self):
-        policy = JitterDelay()
+        policy = UniformRandomDelay()
         rng = random.Random(7)
         for _ in range(100):
             delay = policy.delay(0, 1, 0.0, 0.01, 0, rng)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ScheduleError
-from repro.sim.rates import PiecewiseConstantRate, constant_schedules
+from repro.sim.rates import PiecewiseConstantRate
 
 
 class TestConstruction:
@@ -54,11 +54,6 @@ class TestConstruction:
     def test_length_mismatch(self):
         with pytest.raises(ScheduleError):
             PiecewiseConstantRate(starts=(0.0, 1.0), rates=(1.0,))
-
-    def test_from_segments_sorts(self):
-        r = PiecewiseConstantRate.from_segments([(2.0, 3.0), (0.0, 1.0)])
-        assert r.rate_at(1.0) == 1.0
-        assert r.rate_at(2.5) == 3.0
 
 
 class TestIntegration:
@@ -144,10 +139,6 @@ class TestQueries:
         assert r.within_bounds(0.9, 1.3)
         assert not r.within_bounds(1.1, 1.3)
 
-    def test_breakpoints_in(self):
-        r = PiecewiseConstantRate(starts=(0.0, 1.0, 2.0, 3.0), rates=(1,) * 4)
-        assert r.breakpoints_in(0.5, 2.5) == [1.0, 2.0]
-
     def test_segments_iteration(self):
         r = PiecewiseConstantRate(starts=(0.0, 2.0), rates=(1.0, 2.0))
         segs = list(r.segments())
@@ -156,16 +147,9 @@ class TestQueries:
         assert math.isinf(segs[1].end)
 
     def test_equivalent_to(self):
+        # One rate function, two spellings: normalization makes them equal.
         a = PiecewiseConstantRate(starts=(0.0, 2.0), rates=(1.0, 2.0))
         b = PiecewiseConstantRate(starts=(0.0, 1.0, 2.0), rates=(1.0, 1.0, 2.0))
-        assert a.equivalent_to(b)
+        assert b.normalized() == a
         c = PiecewiseConstantRate(starts=(0.0, 2.5), rates=(1.0, 2.0))
-        assert not a.equivalent_to(c)
-        # But they agree before the divergence point.
-        assert a.equivalent_to(c, until=1.5)
-
-
-def test_constant_schedules_helper():
-    schedules = constant_schedules(range(4), 1.0)
-    assert set(schedules) == {0, 1, 2, 3}
-    assert all(s.rate_at(0.0) == 1.0 for s in schedules.values())
+        assert c.normalized() != a

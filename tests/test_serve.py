@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import signal
 import socket
@@ -95,8 +96,8 @@ class TestContentStore:
         spec = small_spec()
         jobs = spec.jobs()
         hashes = hashes_for(jobs)
-        sweep_id = store.write_manifest(spec, hashes)
-        manifest = store.read_manifest(sweep_id)
+        store.write_manifest(spec, hashes)
+        [manifest] = store.manifests()
         assert manifest["jobs"] == hashes
         assert SweepSpec.from_dict(manifest["spec"]) == spec
         store.put_hash(hashes[0], {"m": 1})
@@ -132,7 +133,6 @@ class TestContentStore:
     def test_torn_manifest_is_ignored(self, tmp_path):
         store = ContentStore(tmp_path / "store")
         (store.sweep_dir / "deadbeef.json").write_text('{"sweep": "dead')
-        assert store.read_manifest("deadbeef") is None
         # Not a sweep, but not silent either: the scan yields a None the
         # daemon counts as a skipped manifest.
         assert list(store.manifests()) == [None]
@@ -259,7 +259,8 @@ class TestResubmission:
             full.queue.hits, full.queue.deduped
         )
         # The manifest is rewritten from the book's hashes.
-        assert book.store.read_manifest(again["sweep"])["jobs"] == hashes
+        manifest = json.loads(book.store.manifest_path(again["sweep"]).read_text())
+        assert manifest["jobs"] == hashes
         for twin in (book, full):
             twin._selector.close()
 
@@ -901,6 +902,27 @@ class TestServeProtocolErrors:
                 client._request(
                     {"op": "submit", "spec": {"no_such_axis": [1]}}
                 )
+
+    def test_mistyped_grids_are_named_errors_and_the_daemon_lives(self, daemon):
+        # Each of these once escaped _handle_submit as a bare TypeError,
+        # ValueError, TopologyError or DelayBoundError and ended the
+        # daemon's event loop.
+        store, _proc = daemon
+        cases = [
+            ({"seeds": 3}, "'seeds'"),
+            ({"rate_families": 5}, "'rate_families'"),
+            ({"duration": "x"}, "'duration'"),
+            ({"seeds": ["a"]}, "seed 'a'"),
+            ({"topologies": ["line:1"]}, "'line:1'"),
+            ({"topologies": ["grid:0,3"]}, "'grid:0,3'"),
+            ({"delay_policies": ["uniform:0.5,0.2"]}, "'uniform:0.5,0.2'"),
+            ({"delay_policies": ["fraction:2"]}, "'fraction:2'"),
+        ]
+        with ServeClient(store=store) as client:
+            for payload, named in cases:
+                with pytest.raises(ServeError, match=re.escape(named)):
+                    client._request({"op": "submit", "spec": payload})
+            assert client.ping()["ok"]
 
     def test_wire_garbage_gets_error_reply_then_disconnect(self, daemon):
         store, _proc = daemon

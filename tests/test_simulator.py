@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator (sim.simulator)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -8,7 +9,14 @@ from repro.sim.node import NodeAPI, Process
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, Simulator, run_simulation
 from repro.sim.trace import RECEIVE, SEND, TIMER
-from repro.topology.generators import line, two_nodes
+from repro.topology.base import Topology
+from repro.topology.generators import line
+
+
+def pair(distance):
+    """Two nodes at ``distance``: the single pair communicates."""
+    d = np.array([[0.0, distance], [distance, 0.0]])
+    return Topology.fully_connected(d)
 
 
 class Echo(Process):
@@ -39,7 +47,7 @@ class TickCounter(Process):
 
 class TestBasics:
     def test_message_round_trip(self):
-        topo = two_nodes(2.0)
+        topo = pair(2.0)
         ex = run_simulation(
             topo, {0: Echo(), 1: Echo()}, SimConfig(duration=10.0, seed=0)
         )
@@ -54,7 +62,7 @@ class TestBasics:
             def on_start(self, api):
                 api.send(api.node, "oops")
 
-        topo = two_nodes(1.0)
+        topo = pair(1.0)
         with pytest.raises(SimulationError):
             run_simulation(
                 topo, {0: SelfSender(), 1: Process()}, SimConfig(duration=1.0)
@@ -78,7 +86,7 @@ class TestBasics:
             sim.run()
 
     def test_events_beyond_duration_not_processed(self):
-        topo = two_nodes(10.0)
+        topo = pair(10.0)
 
         class LateSender(Process):
             def on_start(self, api):

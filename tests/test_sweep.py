@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 
@@ -18,6 +19,7 @@ import pytest
 from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm
 from repro.errors import SweepError
 from repro.sim.faults import FaultPlan
+from repro.sim.messages import UniformRandomDelay
 from repro.sweep import (
     Job,
     ResultCache,
@@ -307,6 +309,33 @@ class TestSpec:
         assert clone == spec
         with pytest.raises(SweepError):
             SweepSpec.from_dict({"warp_factor": 9})
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"seeds": 3}, "'seeds'"),
+            ({"rate_families": 5}, "'rate_families'"),
+            ({"duration": "x"}, "'duration'"),
+            ({"seeds": ["a"]}, "seed 'a'"),
+            ({"transports": [["sim"]]}, "'transports'"),
+            ({"topologies": ["line:1"]}, "'line:1'"),
+            ({"topologies": ["grid:0,3"]}, "'grid:0,3'"),
+            ({"delay_policies": ["uniform:0.5,0.2"]}, "'uniform:0.5,0.2'"),
+            ({"delay_policies": ["fraction:2"]}, "'fraction:2'"),
+            ({"delay_policies": ["jitter:2"]}, "'jitter:2'"),
+        ],
+    )
+    def test_a_mistyped_grid_is_a_sweep_error_naming_it(self, payload, named):
+        # A JSON grid can carry any type in any field: each one must fail
+        # as a SweepError naming the field or spec, never a bare
+        # TypeError/ValueError/TopologyError/DelayBoundError.
+        with pytest.raises(SweepError, match=re.escape(named)):
+            SweepSpec.from_dict(payload).jobs()
+
+    def test_jitter_is_the_uniform_draw_from_zero(self):
+        # One delay class: ``jitter[:frac]`` is uniform on [0, frac * d].
+        assert delay_policy_from_spec("jitter") == UniformRandomDelay(0.0, 1.0)
+        assert delay_policy_from_spec("jitter:0.3") == UniformRandomDelay(0.0, 0.3)
 
     def test_retired_engine_field_is_accepted_and_discarded(self):
         # Manifests on disk and older clients still carry the field.
@@ -814,6 +843,23 @@ class TestSweepCLI:
         code = cli_main(["sweep", "--topologies", "klein-bottle:4"])
         assert code == 2
         assert "unknown topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("--topologies", "line:1"),
+            ("--topologies", "grid:0,3"),
+            ("--delays", "fraction:2"),
+            ("--delays", "jitter:2"),
+        ],
+    )
+    def test_sweep_verb_out_of_range_spec_exits_two(self, capsys, flag, spec):
+        from repro.experiments.cli import main as cli_main
+
+        code = cli_main(["sweep", flag, spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(spec) in err
 
     def test_sweep_verb_bad_fault_family_exits_nonzero(self, capsys):
         from repro.experiments.cli import main as cli_main

@@ -19,7 +19,6 @@ from repro.topology.generators import (
     random_geometric,
     ring,
     star,
-    two_nodes,
 )
 
 
@@ -164,15 +163,6 @@ class TestGenerators:
         topo = broadcast_cluster(6, uncertainty=0.01)
         assert topo.diameter == pytest.approx(0.01)
         assert not topo.require_unit_min
-
-    def test_two_nodes(self):
-        topo = two_nodes(5.0)
-        assert topo.n == 2
-        assert topo.diameter == 5.0
-
-    def test_two_nodes_rejects_below_unit(self):
-        with pytest.raises(TopologyError):
-            two_nodes(0.5)
 
 
 class TestTopologyEquality:

@@ -63,10 +63,6 @@ class TestProjections:
         assert obs[0] == (START, 0.0, None)
         assert obs[1] == (RECEIVE, 1.0, (0, "hello"))
 
-    def test_message_records(self):
-        tr = sample_trace()
-        assert len(tr.message_records()) == 1
-
 
 class TestColumnarTrace:
     def rows(self):

@@ -1,6 +1,6 @@
 """The observability layer: headless renderers, escaping, CLI verbs.
 
-Everything here draws to strings or in-memory buffers and re-parses the
+Everything here draws to strings and re-parses the
 result with :mod:`xml.etree` — well-formedness is the contract every
 SVG consumer (browsers, CI artifact viewers) actually relies on.  The
 acceptance scenario is the ISSUE's: a 64-node dynamic-topology faulted
@@ -12,7 +12,6 @@ rendering deps.
 from __future__ import annotations
 
 import base64
-import io
 import json
 import math
 import struct
@@ -36,7 +35,6 @@ from repro.viz import (
     render_report,
     report_payload,
     rows_from_artifact,
-    save_svg,
     skew_dashboard,
     write_report,
 )
@@ -108,20 +106,6 @@ class TestSvgPrimitives:
         canvas.circle(100, 50, 8, fill="#0000ff", title='say "hi"')
         canvas.text(5, 95, "label <&> done", klass="t")
         parsed(canvas.to_string())
-
-    def test_save_svg_accepts_paths_and_buffers(self, tmp_path):
-        canvas = SvgCanvas(50, 50)
-        canvas.text(10, 25, "x")
-        svg = canvas.to_string()
-        target = tmp_path / "out.svg"
-        save_svg(svg, target)
-        assert target.read_text(encoding="utf-8") == svg
-        text_buf = io.StringIO()
-        save_svg(svg, text_buf)
-        assert text_buf.getvalue() == svg
-        byte_buf = io.BytesIO()
-        save_svg(svg, byte_buf)
-        assert byte_buf.getvalue().decode("utf-8") == svg
 
     def test_color_ramps_are_hex_and_nan_safe(self):
         for t in (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, float("nan")):
@@ -285,11 +269,6 @@ class TestDashboard:
         assert "source: sim" in svg
         assert "rewirings:" in svg
         assert "faults:" in svg
-
-    def test_dashboard_writes_to_memory_buffer(self, churny_execution):
-        buf = io.StringIO()
-        save_svg(skew_dashboard(churny_execution), buf)
-        parsed(buf.getvalue())
 
     def test_heatmaps_are_two_pixel_grids_not_a_mark_per_cell(
             self, churny_execution):

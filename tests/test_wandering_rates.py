@@ -25,7 +25,7 @@ class TestRandomWalkSchedule:
     def test_deterministic_per_seed(self):
         a = random_walk_schedule(rho=RHO, horizon=50.0, interval=2.0, seed=9)
         b = random_walk_schedule(rho=RHO, horizon=50.0, interval=2.0, seed=9)
-        assert a.equivalent_to(b)
+        assert a == b
 
     def test_bad_params_rejected(self):
         with pytest.raises(ScheduleError):
@@ -61,4 +61,4 @@ class TestWanderingExecution:
     def test_per_node_schedules_differ(self):
         topo = line(5)
         rates = wandering_rates(topo, rho=RHO, horizon=40.0, seed=3)
-        assert not rates[0].equivalent_to(rates[1])
+        assert rates[0] != rates[1]

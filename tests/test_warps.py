@@ -32,7 +32,7 @@ class TestConstruction:
 
 class TestEvaluation:
     def test_identity(self):
-        w = TimeWarp.identity(10.0)
+        w = TimeWarp((0.0, 10.0), (0.0, 10.0))
         for t in (0.0, 3.3, 10.0, 15.0):
             assert w(t) == pytest.approx(t)
 
@@ -52,7 +52,7 @@ class TestEvaluation:
         assert w(12.0) == pytest.approx(w(10.0) + 1.0)
 
     def test_negative_time_rejected(self):
-        w = TimeWarp.identity()
+        w = TimeWarp((0.0, 1.0), (0.0, 1.0))
         with pytest.raises(ScheduleError):
             w(-1.0)
         with pytest.raises(ScheduleError):
@@ -72,20 +72,22 @@ class TestInverse:
 
 
 class TestProperties:
+    """The Lemma 6.1 knee: identity up to the knee, slope after it."""
+
     def test_domain_and_range(self):
         w = TimeWarp.knee(4.0, 10.0, 0.5)
-        assert w.domain_end == 10.0
-        assert w.range_end == pytest.approx(7.0)
+        assert w.xs[-1] == 10.0
+        assert w.ys[-1] == pytest.approx(7.0)
 
     def test_is_identity_until(self):
         w = TimeWarp.knee(4.0, 10.0, 0.5)
-        assert w.is_identity_until(4.0)
-        assert not w.is_identity_until(5.0)
+        assert all(w(t) == t for t in (0.0, 1.0, 2.5, 4.0))
+        assert w(5.0) != pytest.approx(5.0)
 
     def test_slope_at(self):
         w = TimeWarp.knee(4.0, 10.0, 0.5)
-        assert w.slope_at(1.0) == pytest.approx(1.0)
-        assert w.slope_at(6.0) == pytest.approx(0.5)
+        assert w(2.0) - w(1.0) == pytest.approx(1.0)
+        assert w(7.0) - w(6.0) == pytest.approx(0.5)
 
     def test_monotonicity_sampled(self):
         w = TimeWarp.knee(2.0, 8.0, 0.7)
