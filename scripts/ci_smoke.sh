@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke: the static invariant linter (repro.check over the full
 # tree, < 10s, zero findings), then tier-1 (the test suite, run once:
-# every marked subset -- faults, rt, engine, serve -- is in it), then
+# every marked subset -- faults, rt, engine, serve -- is in it), the
+# simulator's differential property tests at the larger ``ci``
+# hypothesis budget, then
 # each CLI surface end to end: one quick-scale parallel sweep and its
 # warm-cache re-run, the E13 fault table and the fault axis of the
 # sweep CLI, the live runtime (a virtual-time demo of a faulted mobile
@@ -38,6 +40,16 @@ timeout 10 python -m repro.check src \
 echo
 echo "== tier-1: full test suite =="
 python -m pytest -x -q
+
+echo
+echo "== simulator differential properties at the ci budget =="
+# The reference-vs-production random scenarios and the queue-order
+# property guard the batched broadcast and the spine merge; tier-1 runs
+# them at small budgets, the ``ci`` hypothesis profile (tests/conftest.py)
+# at 200 examples each.
+timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
+    "tests/test_engine_equivalence.py::TestRandomScenarios" \
+    "tests/test_events.py::TestBatchQueueEquivalence"
 
 echo
 echo "== quick-scale parallel sweep (end-to-end) =="

@@ -107,33 +107,38 @@ class NeighborEstimates:
     ``[0, d]``, so ``0.5`` matches both the uniform average and the
     quiet ``d/2`` schedules; ``0`` reproduces the uncompensated
     pessimistic estimate).
+
+    ``readings`` maps each remembered neighbor to ``(value, hw_then)``
+    in first-heard order; a rule scans it in one pass, estimating each
+    neighbor as ``value + (hw - hw_then)`` with ``hw`` read once.
     """
 
     def __init__(self, delay_compensation: float = 0.0) -> None:
         if not 0.0 <= delay_compensation <= 1.0:
             raise ValueError("delay compensation must be in [0, 1]")
         self.delay_compensation = delay_compensation
-        self._last: dict[int, tuple[float, float]] = {}
+        self.readings: dict[int, tuple[float, float]] = {}
 
     def update(self, api: NodeAPI, sender: int, value: float) -> None:
         credited = value + self.delay_compensation * api.distance(sender)
-        self._last[sender] = (credited, api.hardware_now())
+        self.readings[sender] = (credited, api.hardware_now())
 
-    def estimates(self, api: NodeAPI) -> dict[int, float]:
-        """Every remembered neighbor's dead-reckoned clock, now."""
+    def max_estimate(self, api: NodeAPI) -> float | None:
+        """The largest neighbor's dead-reckoned clock now (``None``
+        before any neighbor is heard from)."""
+        readings = self.readings
+        if not readings:
+            return None
         hw = api.hardware_now()
-        return {
-            sender: value + (hw - hw_then)
-            for sender, (value, hw_then) in self._last.items()
-        }
+        return max([value + (hw - hw_then) for value, hw_then in readings.values()])
 
     def known(self) -> list[int]:
-        return sorted(self._last)
+        return sorted(self.readings)
 
     def clear(self) -> None:
         """Forget everything — estimates dead-reckoned across a crash
         outage are arbitrarily stale and must not be extrapolated."""
-        self._last.clear()
+        self.readings.clear()
 
 
 @dataclass

@@ -64,16 +64,26 @@ class BoundedCatchUpProcess(PeriodicProcess):
         api.set_logical_multiplier(1.0)
 
     def _adjust(self, api: NodeAPI) -> None:
-        estimates = self.estimates.estimates(api)
-        if not estimates:
+        readings = self.estimates.readings
+        if not readings:
             return
+        hw = api.hardware_now()
         own = api.logical_now()
         kappa = self.kappa
+        distance = api.distance
         ahead = behind = float("-inf")
-        for u, value in estimates.items():
-            slack = kappa * api.distance(u)
-            ahead = max(ahead, value - own - slack)
-            behind = max(behind, own - value - slack)
+        # One pass over the readings: each neighbor's estimate, its
+        # slack, and both running maxima (``x > best`` keeps the first
+        # maximum, exactly as ``max(best, x)`` does).
+        for u, (value, hw_then) in readings.items():
+            estimate = value + (hw - hw_then)
+            slack = kappa * distance(u)
+            lead = estimate - own - slack
+            if lead > ahead:
+                ahead = lead
+            lag = own - estimate - slack
+            if lag > behind:
+                behind = lag
         if ahead > max(behind, 0.0):
             api.set_logical_multiplier(1.0 + self.mu)
         else:

@@ -85,19 +85,27 @@ class SweepBook:
 
     The split from :class:`~repro.sweep.pool.JobQueue` mirrors the
     store's layout (objects vs. manifests): cells are shared, sweeps are
-    views over them.  Every cell of a registered sweep has been offered
-    to the queue, so the queue knows each one's state.
+    views over them.  Every cell of a registered sweep is offered to the
+    queue, so the queue knows each one's state, and the queue watches
+    each sweep, so :meth:`settled` costs one lookup however large the
+    sweep.
     """
 
     def __init__(self) -> None:
         self._sweeps: Dict[str, _SweepEntry] = {}
 
     def register(
-        self, sweep_id: str, name: str, hashes: list[str], spec_payload: dict
+        self,
+        sweep_id: str,
+        name: str,
+        hashes: list[str],
+        spec_payload: dict,
+        queue: JobQueue,
     ) -> None:
         self._sweeps[sweep_id] = _SweepEntry(
             name=name, hashes=tuple(hashes), spec_payload=dict(spec_payload)
         )
+        queue.watch(sweep_id, hashes)
 
     def known(self, sweep_id: str) -> bool:
         return sweep_id in self._sweeps
@@ -127,8 +135,7 @@ class SweepBook:
 
     def settled(self, sweep_id: str, queue: JobQueue) -> bool:
         """No cell still queued or running (done or failed throughout)."""
-        counts = self.counts(sweep_id, queue)
-        return counts["queued"] == 0 and counts["running"] == 0
+        return queue.unsettled(sweep_id) == 0
 
 
 class ServeDaemon:
@@ -201,7 +208,7 @@ class ServeDaemon:
                 self.skipped_manifests += 1
                 continue
             hashes = hashes_for(jobs)
-            self.book.register(sweep_id, spec.name, hashes, payload)
+            self.book.register(sweep_id, spec.name, hashes, payload, self.queue)
             for digest, job in zip(hashes, jobs):
                 self.queue.offer(digest, job)
         # Cells found already on disk during the scan are the resumed
@@ -382,7 +389,7 @@ class ServeDaemon:
             # any point leaves a resumable sweep on disk.
             self.store.write_manifest(spec, hashes)
             self.book.register(
-                sweep_id, spec.name, hashes, json.loads(spec.to_json())
+                sweep_id, spec.name, hashes, json.loads(spec.to_json()), self.queue
             )
             for digest, job in zip(hashes, jobs):
                 tally[self.queue.offer(digest, job)] += 1

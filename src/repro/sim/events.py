@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 __all__ = [
@@ -139,13 +137,13 @@ class BatchEventQueue:
       exceeds every spine event's, so a pending event can only precede
       the spine head if its *time* is strictly earlier — until then
       pops come off the spine untouched.  When that happens (or the
-      spine drains) the whole batch is stable-sorted by time (numpy
-      ``argsort``; stability supplies the seq tie-break) and merged in
-      one vectorized pass.
+      spine drains) the remaining spine and the batch are merged by
+      one stable ``sorted`` over their times (stability supplies the
+      seq tie-break; timsort merges the already-sorted spine run).
 
     Periodic-broadcast gossip schedules whole epochs of future firings
-    between consecutive pops, so merges are rare and large — the
-    amortized cost per event is a couple of array reads.  The
+    between consecutive pops, so merges are rare — the amortized cost
+    per event is a couple of list reads.  The
     equivalence property test (``tests/test_events.py``) drives random
     push/pop interleavings through both queues and asserts identical
     drain order.
@@ -153,7 +151,7 @@ class BatchEventQueue:
 
     def __init__(self) -> None:
         # The spine is kept as plain python lists (cheap scalar reads in
-        # the drain loop); merges round-trip through numpy.
+        # the drain loop).
         self._spine_times: list[float] = []
         self._spine_events: list[Any] = []
         self._cursor = 0
@@ -180,49 +178,24 @@ class BatchEventQueue:
     # the merge
 
     def _merge(self) -> None:
-        """Fold the pending batch into the spine (one vectorized sort).
+        """Fold the pending batch into the spine (one stable timsort).
 
         Pending entries hold strictly later seqs than every spine entry
         (the counter is global and monotone), so seqs never need to be
-        materialized: a *stable* sort of the batch by time realizes the
-        within-batch seq tie-break, and inserting each pending event
-        *after* the last equal-time spine entry (``side="right"``)
-        realizes it across the batch boundary.
+        materialized: the remaining spine followed by the pending batch
+        in push order *is* seq order, and a *stable* sort of that list
+        by time realizes the ``(time, seq)`` tie-break.  Timsort finds
+        the already-sorted spine as one run, so the cost is about a
+        sort of the (small) batch plus a linear merge.
         """
-        pend_times = np.asarray(self._pend_times, dtype=float)
-        order = np.argsort(pend_times, kind="stable")
-        pend_times = pend_times[order]
-
-        rem_times = self._spine_times[self._cursor :]
-        # Remaining spine events, then pending ones in push order: the
-        # merged events are one permutation of this list.
-        combined = self._spine_events[self._cursor :] + self._pend_events
-        n_rem = len(rem_times)
-        if not n_rem:
-            merged_times = pend_times.tolist()
-            perm = order
-        else:
-            pos = np.searchsorted(
-                np.asarray(rem_times, dtype=float), pend_times, side="right"
-            )
-            total = n_rem + order.size
-            pend_slots = pos + np.arange(order.size)
-            take_pending = np.zeros(total, dtype=bool)
-            take_pending[pend_slots] = True
-            merged = np.empty(total, dtype=float)
-            merged[take_pending] = pend_times
-            merged[~take_pending] = rem_times
-            merged_times = merged.tolist()
-            perm = np.empty(total, dtype=np.intp)
-            perm[pend_slots] = order + n_rem
-            perm[~take_pending] = np.arange(n_rem)
-        # Gather with python ints (C-level map) — indexing a list with
-        # numpy integers is several times slower.
-        merged_events = list(map(combined.__getitem__, perm.tolist()))
+        cursor = self._cursor
+        times = self._spine_times[cursor:] + self._pend_times
+        events = self._spine_events[cursor:] + self._pend_events
+        order = sorted(range(len(times)), key=times.__getitem__)
         # In-place swaps: callers (the simulator's drain loop) hold
         # direct references to these lists, so identity must survive.
-        self._spine_times[:] = merged_times
-        self._spine_events[:] = merged_events
+        self._spine_times[:] = map(times.__getitem__, order)
+        self._spine_events[:] = map(events.__getitem__, order)
         self._cursor = 0
         self._pend_times.clear()
         self._pend_events.clear()

@@ -30,21 +30,26 @@ deliveries whose order is fully determined by ``(time, seq)``), and this
 loop exploits that without changing a single observable:
 
 * **sorted-spine event queue** — a :class:`~repro.sim.events.BatchEventQueue`;
-  epochs of scheduled work merge in one numpy pass instead of one heap
-  push per event, and the drain loop is a cursor advance;
+  epochs of scheduled work merge in one stable timsort instead of one
+  heap push per event, and the drain loop is a cursor advance;
 * **cursor clocks** — the simulation clock ``now`` is nondecreasing, so
   piecewise schedules are evaluated by *walking* a segment cursor
   instead of bisecting from scratch; the per-segment arithmetic is the
   exact expression of ``value_at``/``read``, so every reading is bitwise
   identical;
-* **batched broadcast delivery** — every fault-free broadcast schedules
-  its deliveries in one pass over ``(neighbor, distance, delay)``
-  triples cached per node and topology.  Policies that depend only on
-  the pair distance (:class:`~repro.sim.messages.HalfDistanceDelay`,
+* **batched broadcast delivery** — every broadcast schedules its
+  deliveries in one pass over ``(neighbor, distance, delay)`` triples
+  cached per node and topology.  Policies that depend only on the pair
+  distance (:class:`~repro.sim.messages.HalfDistanceDelay`,
   :class:`~repro.sim.messages.FixedFractionDelay`) declare a
   ``broadcast_delays`` hook, so their delays are validated once per
   topology; any other policy's delay is drawn inside the pass, one
-  ``delay`` call per neighbor in neighbor order;
+  ``delay`` call per neighbor in neighbor order.  In a run with faults
+  the pass also asks the fault controller, per neighbor, for the
+  send's copies (lost, redrawn or duplicated);
+* **neighbor distance table** — ``api.distance(u)`` reads a per-node
+  ``neighbor -> distance`` dict built with the broadcast triples, and
+  falls back to the topology only for a non-neighbor;
 * **columnar trace and message stores** — the hot loop appends plain
   tuples; :class:`~repro.sim.trace.ColumnarTrace` and the
   :class:`~repro.sim.messages.Message` list materialize once at the end.
@@ -60,11 +65,11 @@ invariants, enforced by the differential harness
 (``tests/test_engine_equivalence.py`` and ``tests/_engine_helpers.py``)
 across the full algorithm x topology x fault x mobility grid, plus
 hypothesis-generated random scenarios.  All randomness flows through the
-same RNG objects in the same draw order: a random delay policy is asked
-once per send, in neighbor order, whether the send is batched or not,
-and node RNGs are untouched by the batching.  Only runs with faults
-take the per-send path (``send_message``), because the fault controller
-decides loss, duplication and reordering per send.
+same RNG objects in the same draw order: a random delay policy and the
+fault controller are each asked once per send, in neighbor order,
+whether the send is batched or not, and node RNGs are untouched by the
+batching.  Only :meth:`NodeAPI.send` takes the per-send path
+(``send_message``).
 """
 
 from __future__ import annotations
@@ -234,9 +239,8 @@ _CRASH = 2
 _RECOVER = 3
 _TOPOLOGY = 4
 
-#: Sentinel marking a node API's cached broadcast triples as needing a
-#: rebuild (distinct from ``None``, which marks a run with faults, whose
-#: sends all take ``send_message``).
+#: Sentinel marking a node API's cached neighborhood (broadcast triples
+#: and distance table) as needing a rebuild.
 _STALE = object()
 
 
@@ -347,12 +351,30 @@ class _SimNodeAPI(NodeAPI):
         self._faults = simulator._faults
         #: ``(neighbor, distance, delay)`` triples for the current
         #: topology (``delay`` validated, or ``None`` when each send
-        #: draws its own), ``None`` in a run with faults, or ``_STALE``
-        #: until (re)built — the simulator marks every API stale on a
-        #: topology swap.
+        #: draws its own), or ``_STALE`` until (re)built — the simulator
+        #: marks every API stale on a topology swap.
         self._pairs: Any = _STALE
+        #: ``neighbor -> distance`` on the current topology, built and
+        #: invalidated together with ``_pairs``.
+        self._distances: dict[int, float] = {}
         #: Int encoding for this node's fault-free default-named timer.
         self._tick_event = -1 - node
+
+    def _neighborhood(self) -> list[tuple[int, float, float | None]]:
+        """(Re)build the broadcast triples and the distance table."""
+        pairs = self._pairs = self._sim._broadcast_pairs(self.node)
+        self._distances = {dest: distance for dest, distance, _ in pairs}
+        return pairs
+
+    def distance(self, other: int) -> float:
+        if self._pairs is _STALE:
+            self._neighborhood()
+        distance = self._distances.get(other)
+        if distance is None:
+            # Not a neighbor now — e.g. a sender whose message was in
+            # flight across a rewiring.
+            return self._sim.topology.distance(self.node, other)
+        return distance
 
     def hardware_now(self) -> float:
         return self._logical._cursor.value(self._sim.now)
@@ -373,25 +395,28 @@ class _SimNodeAPI(NodeAPI):
     def broadcast(self, payload: Any) -> None:
         """One gossip broadcast: every neighbor, batch-scheduled.
 
-        Every fault-free broadcast takes this one loop, whatever the
-        delay policy: a delay the policy's ``broadcast_delays`` hook
+        Every broadcast takes this one loop, whatever the delay policy
+        and fault plan: a delay the policy's ``broadcast_delays`` hook
         fixed is read from the cached triples, any other is drawn here
         with ``policy.delay`` in neighbor order — the reference loop's
-        per-send draw order, so the RNG stream is identical.  Only runs
-        with faults go through ``send_message``, once per neighbor.  The
-        sender's clock readings are computed once for the whole
-        broadcast: the reference loop's per-send reads are pure, so each
-        would return the same floats.
+        per-send draw order, so the RNG stream is identical.  In a run
+        with faults each send's delay then goes through the fault
+        controller (its own RNG, also in neighbor order), which may
+        lose it or add a copy; every copy is validated, as
+        ``send_message`` does.  The sender's clock readings are
+        computed once for the whole broadcast: the reference loop's
+        per-send reads are pure, so each would return the same floats.
         """
         sim = self._sim
         node = self.node
+        faults = self._faults
+        if faults is not None and faults.node_down(node):
+            # Crashed nodes emit nothing.  Callbacks are already
+            # suppressed, so this only catches misbehaving wrappers.
+            return
         pairs = self._pairs
         if pairs is _STALE:
-            pairs = self._pairs = sim._broadcast_pairs(node)
-        if pairs is None:
-            for dest in sim.topology.neighbors(node):
-                sim.send_message(node, dest, payload)
-            return
+            pairs = self._neighborhood()
         now = sim.now
         draw = sim.delay_policy.delay
         rng = sim._delay_rng
@@ -417,14 +442,25 @@ class _SimNodeAPI(NodeAPI):
                 )
             if rows is not None:
                 rows.append((now, node, hw, logical, SEND, (dest, payload)))
-            at = now + delay
-            pend_times.append(at)
-            pend_events.append(idx)
-            if at < pend_min:
-                pend_min = at
-            msgs.append((seq, node, dest, payload, now, delay))
+            if faults is None:
+                copies: Any = (delay,)
+            else:
+                # Link faults may lose the send, redraw its delay or add
+                # a copy.  Copies share the send's seq: the network
+                # duplicated one message.
+                copies = [
+                    validate_delay(copy, distance)
+                    for copy in faults.outbound_delays(node, dest, now, distance, delay)
+                ]
+            for copy in copies:
+                at = now + copy
+                pend_times.append(at)
+                pend_events.append(idx)
+                if at < pend_min:
+                    pend_min = at
+                msgs.append((seq, node, dest, payload, now, copy))
+                idx += 1
             seq += 1
-            idx += 1
         queue._pend_min = pend_min
         sim._msg_counter = seq
 
@@ -511,8 +547,8 @@ class Simulator(RunSetup):
             )
 
     def send_message(self, sender: int, receiver: int, payload: Any) -> None:
-        """The per-send path: every send of a run with faults, and
-        :meth:`NodeAPI.send` (fault-free broadcasts batch instead)."""
+        """The per-send path of :meth:`NodeAPI.send` (broadcasts batch
+        instead, in :meth:`_SimNodeAPI.broadcast`)."""
         if sender == receiver:
             raise SimulationError(f"node {sender} tried to message itself")
         faults = self._faults
@@ -541,15 +577,10 @@ class Simulator(RunSetup):
             self._queue.push(self.now + chosen, len(self._msgs))
             self._msgs.append((seq, sender, receiver, payload, self.now, chosen))
 
-    def _broadcast_pairs(
-        self, node: int
-    ) -> list[tuple[int, float, float | None]] | None:
+    def _broadcast_pairs(self, node: int) -> list[tuple[int, float, float | None]]:
         """One node's ``(neighbor, distance, delay)`` triples on the
         current topology — ``delay`` validated from the policy's
-        ``broadcast_delays`` hook, or ``None`` without one — or ``None``
-        when faults are present and every send takes ``send_message``."""
-        if self._faults is not None:
-            return None
+        ``broadcast_delays`` hook, or ``None`` without one."""
         neighbors = self.topology.neighbors(node)
         distances = [self.topology.distance(node, dest) for dest in neighbors]
         hook = getattr(self.delay_policy, "broadcast_delays", None)

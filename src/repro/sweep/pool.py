@@ -50,6 +50,10 @@ MAX_ATTEMPTS = 2
 _RESPAWN_BUDGET = 8
 
 
+#: The states a cell does not leave on its own.
+_SETTLED = ("done", "failed")
+
+
 @dataclass
 class _Tracked:
     job: Job
@@ -59,12 +63,21 @@ class _Tracked:
 
 
 class JobQueue:
-    """Hash-keyed dedup queue over an optional :class:`ContentStore`."""
+    """Hash-keyed dedup queue over an optional :class:`ContentStore`.
+
+    A group of cells (a daemon sweep) can be :meth:`watch`-ed: every
+    state change keeps the group's count of unsettled cells, so asking
+    whether a group has settled is one lookup, not a walk of its cells.
+    """
 
     def __init__(self, store: Optional[ContentStore] = None):
         self.store = store
         self._tracked: Dict[str, _Tracked] = {}
         self._ready: deque[str] = deque()
+        #: hash -> the watched groups holding it (once per occurrence).
+        self._groups_of: Dict[str, list[str]] = {}
+        #: group -> its cells not done or failed.
+        self._unsettled: Dict[str, int] = {}
         self.executed = 0
         self.failed = 0
         self.hits = 0
@@ -84,11 +97,11 @@ class JobQueue:
         known = self.revisit(digest)
         if known is not None:
             return known
+        self._tracked[digest] = _Tracked(job=job)
         if self.store is not None and self.store.has_hash(digest):
             self.hits += 1
-            self._tracked[digest] = _Tracked(job=job, state="done")
+            self._move(digest, "done")
             return "hit"
-        self._tracked[digest] = _Tracked(job=job)
         self._ready.append(digest)
         return "queued"
 
@@ -100,7 +113,7 @@ class JobQueue:
         tracked = self._tracked.get(digest)
         if tracked is None:
             return None
-        if tracked.state in ("done", "failed"):
+        if tracked.state in _SETTLED:
             return tracked.state
         self.deduped += 1
         return "dedup"
@@ -108,10 +121,8 @@ class JobQueue:
     def forget(self, digest: str) -> None:
         """A done cell's object did not parse, so it is not a result:
         queue the cell again; its re-execution overwrites the object."""
-        tracked = self._tracked[digest]
-        if tracked.state == "done":
-            tracked.state = "queued"
-            tracked.attempts = 0
+        if self._tracked[digest].state == "done":
+            self._move(digest, "queued").attempts = 0
             self._ready.append(digest)
 
     # -- dispatch -------------------------------------------------------
@@ -120,8 +131,7 @@ class JobQueue:
         if not self._ready:
             return None
         digest = self._ready.popleft()
-        tracked = self._tracked[digest]
-        tracked.state = "running"
+        tracked = self._move(digest, "running")
         tracked.attempts += 1
         return digest, tracked.job
 
@@ -130,23 +140,50 @@ class JobQueue:
         kill between the two can only lose bookkeeping, never results."""
         if self.store is not None:
             self.store.put_hash(digest, metrics)
-        self._tracked[digest].state = "done"
+        self._move(digest, "done")
         self.executed += 1
 
     def mark_failed(self, digest: str, error: str) -> None:
-        tracked = self._tracked[digest]
-        tracked.state = "failed"
-        tracked.error = error
+        self._move(digest, "failed").error = error
         self.failed += 1
 
     def requeue(self, digest: str, *, reason: str) -> None:
         """A worker died holding this job; retry or give up."""
-        tracked = self._tracked[digest]
-        if tracked.attempts >= MAX_ATTEMPTS:
-            self.mark_failed(digest, f"{reason} ({tracked.attempts} attempts)")
+        attempts = self._tracked[digest].attempts
+        if attempts >= MAX_ATTEMPTS:
+            self.mark_failed(digest, f"{reason} ({attempts} attempts)")
             return
-        tracked.state = "queued"
+        self._move(digest, "queued")
         self._ready.appendleft(digest)
+
+    def _move(self, digest: str, state: str) -> _Tracked:
+        """Set a cell's state, keeping each watching group's unsettled
+        count: the one place a state changes."""
+        tracked = self._tracked[digest]
+        settles = state in _SETTLED
+        if settles != (tracked.state in _SETTLED):
+            step = -1 if settles else 1
+            for group in self._groups_of.get(digest, ()):
+                self._unsettled[group] += step
+        tracked.state = state
+        return tracked
+
+    # -- groups ---------------------------------------------------------
+
+    def watch(self, group: str, digests) -> None:
+        """Count ``group``'s unsettled cells from now on (a cell not yet
+        offered counts as unsettled until it is)."""
+        unsettled = 0
+        for digest in digests:
+            self._groups_of.setdefault(digest, []).append(group)
+            tracked = self._tracked.get(digest)
+            if tracked is None or tracked.state not in _SETTLED:
+                unsettled += 1
+        self._unsettled[group] = unsettled
+
+    def unsettled(self, group: str) -> int:
+        """How many of a watched group's cells are not done or failed."""
+        return self._unsettled[group]
 
     # -- queries --------------------------------------------------------
 

@@ -17,6 +17,7 @@ one throughout the harness.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from repro.sim.messages import SequenceDelay
 from repro.sim.reference import run_reference
@@ -30,9 +31,18 @@ __all__ = [
     "run_engine",
     "replay_on_reference",
     "first_divergence",
+    "example_budget",
 ]
 
 _LOOPS = {"scalar": run_reference, "batched": run_simulation}
+
+
+def example_budget(tier1: int) -> int:
+    """A differential property test's hypothesis budget: ``tier1``, or
+    the ``ci`` profile's (``tests/conftest.py``) when that is loaded."""
+    if settings.get_current_profile_name() == "ci":
+        return settings.default.max_examples
+    return tier1
 
 
 def run_engine(

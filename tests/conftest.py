@@ -8,6 +8,7 @@ the adversary.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.algorithms import MaxBasedAlgorithm
 from repro.gcs.add_skew import AddSkewPlan, apply_add_skew
@@ -18,6 +19,12 @@ from repro.topology.generators import line
 
 RHO = 0.5
 TAU = 1.0 / RHO
+
+# ``pytest --hypothesis-profile ci`` (a scripts/ci_smoke.sh step) runs the
+# differential property tests guarding the simulator's batched paths —
+# those reading ``_engine_helpers.example_budget`` — at this budget;
+# tier-1 keeps each test's own.
+settings.register_profile("ci", max_examples=200, deadline=None)
 
 
 def pytest_configure(config):

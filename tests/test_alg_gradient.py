@@ -3,12 +3,19 @@
 import pytest
 
 from _fault_helpers import assert_monotone_logical, run_crash_recovery
-from repro.algorithms import BoundedCatchUpAlgorithm, MaxBasedAlgorithm, NullAlgorithm
+from repro.algorithms import (
+    AveragingAlgorithm,
+    BoundedCatchUpAlgorithm,
+    MaxBasedAlgorithm,
+    NullAlgorithm,
+    SlewingMaxAlgorithm,
+)
 from repro.analysis.field import SkewField
 from repro.sim.messages import PerPairDelay, UniformRandomDelay
+from repro.sim.node import Process
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
-from repro.sim.trace import JUMP
+from repro.sim.trace import JUMP, RATE
 from repro.topology.generators import line
 
 RHO = 0.2
@@ -43,6 +50,38 @@ class TestParameters:
     def test_rejects_bad_compensation(self):
         with pytest.raises(ValueError):
             BoundedCatchUpAlgorithm(compensation=2.0).processes(line(3))
+
+
+class TestEmptyEstimates:
+    """Before any neighbor is heard from, the estimate rules have nothing
+    to act on: bounded-catch-up must not reset the multiplier (with no
+    readings its scan would find ``ahead == -inf`` and pick slow mode),
+    and averaging / slewing must not jump."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [BoundedCatchUpAlgorithm(), AveragingAlgorithm(), SlewingMaxAlgorithm()],
+        ids=lambda alg: alg.name,
+    )
+    def test_silent_neighborhood_leaves_clock_and_multiplier(self, algorithm):
+        topo = line(2)
+        inner = algorithm.processes(topo)[0]
+
+        class Primed(Process):
+            def on_start(self, api):
+                api.set_logical_multiplier(1.5)
+                inner.on_start(api)
+
+            def on_timer(self, api, name):
+                inner.on_timer(api, name)
+
+        ex = run_simulation(
+            topo, {0: Primed(), 1: Process()}, SimConfig(duration=10.0)
+        )
+        assert inner.estimates.readings == {}
+        assert [e.detail for e in ex.trace.of_kind(RATE)] == [1.5]
+        assert ex.trace.of_kind(JUMP) == []
+        assert ex.logical_value(0, 10.0) == 15.0
 
 
 class TestBehavior:

@@ -447,8 +447,13 @@ class TestOneLedger:
         assert offenders == []
 
     def test_ci_smoke_runs_the_test_suite_once(self):
+        # One whole-suite run; the only other pytest call re-runs named
+        # property tests at the ``ci`` hypothesis budget.
         script = (REPO / "scripts" / "ci_smoke.sh").read_text(encoding="utf-8")
-        assert script.count("pytest") == 1
+        calls = [line.strip() for line in script.splitlines() if "pytest" in line]
+        assert len(calls) == 2
+        assert calls[0] == "python -m pytest -x -q"
+        assert "--hypothesis-profile ci" in calls[1]
 
 
 class TestOneSweepBackEnd:

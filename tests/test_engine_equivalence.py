@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from _engine_helpers import (
     assert_equivalent,
+    example_budget,
     first_divergence,
     run_both,
     run_engine,
@@ -44,7 +45,12 @@ from repro.sim.messages import (
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.simulator import SimConfig, Simulator
-from repro.sweep.families import drifted_rates, mobility_from_spec, wandering_rates
+from repro.sweep.families import (
+    drifted_rates,
+    fault_plan_from_spec,
+    mobility_from_spec,
+    wandering_rates,
+)
 from repro.topology.dynamic import snapshot_sequence
 from repro.topology.generators import complete, grid, line, random_geometric, ring
 
@@ -98,7 +104,7 @@ class TestHighFanOut:
 class TestDelayPolicies:
     """Policies with and without a ``broadcast_delays`` hook.
 
-    Every fault-free broadcast is batch-scheduled.  ``FixedFractionDelay``
+    Every broadcast is batch-scheduled.  ``FixedFractionDelay``
     has the hook, so its delays are fixed once per topology; the
     RNG-driven and stateful policies have none, so the batch draws each
     delay inside the pass — in exactly the reference loop's per-send RNG
@@ -128,12 +134,15 @@ class TestDelayPolicies:
         )
         assert_equivalent(scalar, batched)
 
+    @pytest.mark.parametrize("faulted", [False, True])
     @pytest.mark.parametrize("policy_factory", POLICIES)
-    def test_delay_rng_draw_order(self, policy_factory):
+    def test_delay_rng_draw_order(self, policy_factory, faulted):
         # A batch that drew in another order could still land on equal
         # digests by luck; it cannot leave the RNG in the same state.
+        # With link faults the pass draws from the fault RNG too.
         topo = line(6)
         rates = drifted_rates(topo, rho=0.2, seed=3)
+        plan = FaultPlan().with_link(loss=0.1, duplicate=0.1, reorder=0.2)
         loops = []
         for loop in (ReferenceSimulator, Simulator):
             sim = loop(
@@ -142,15 +151,27 @@ class TestDelayPolicies:
                 SimConfig(duration=15.0, rho=0.3, seed=3),
                 rate_schedules=rates,
                 delay_policy=policy_factory(),
+                fault_plan=plan if faulted else None,
             )
             sim.run()
             loops.append(sim)
         reference, production = loops
         assert production._delay_rng.getstate() == reference._delay_rng.getstate()
+        if faulted:
+            assert (
+                production._faults._rng.getstate()
+                == reference._faults._rng.getstate()
+            )
 
 
 class TestFaultPlans:
-    """Crash windows, link faults and down windows under both loops."""
+    """Crash windows, link faults and down windows under both loops.
+
+    A faulted broadcast is batch-scheduled like any other: per neighbor
+    the pass draws the policy's delay (delay RNG), then asks the fault
+    controller for the send's copies (fault RNG).  The uniform variant
+    puts both RNG streams into that one pass.
+    """
 
     PLANS = {
         "crash-recover": lambda: FaultPlan().with_crash(2, 4.0, recover_at=9.0),
@@ -165,9 +186,10 @@ class TestFaultPlans:
         .with_link_down(1, 2, (3.0, 7.0)),
     }
 
+    @pytest.mark.parametrize("delays", ["half", "uniform"])
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
-    @pytest.mark.parametrize("alg_name", ["max", "avg"])
-    def test_equivalent(self, plan_name, alg_name):
+    @pytest.mark.parametrize("alg_name", ["max", "avg", "bcu"])
+    def test_equivalent(self, plan_name, alg_name, delays):
         topo = grid(3, 3)
         scalar, batched = run_both(
             topo,
@@ -175,10 +197,27 @@ class TestFaultPlans:
             duration=14.0,
             seed=11,
             rate_schedules=drifted_rates(topo, rho=0.3, seed=11),
+            delay_policy=UniformRandomDelay() if delays == "uniform" else None,
             fault_plan=self.PLANS[plan_name](),
         )
         assert scalar.fault_stats is not None
         assert_equivalent(scalar, batched)
+
+    def test_faulted_mobile_random_delays(self):
+        # Crashes, a rewiring with messages in flight, and random delays:
+        # every ingredient of the batched faulted pass at once.
+        base = line(9)
+        plan = fault_plan_from_spec("crash-recover:0.3,4", base, seed=5, horizon=20.0)
+        dyn = mobility_from_spec("interleave:0.5", base, seed=5, horizon=20.0)
+        for alg_name in sorted(ALGORITHMS):
+            scalar, batched = run_both(
+                dyn, ALGORITHMS[alg_name], duration=20.0, seed=5,
+                rate_schedules=drifted_rates(base, rho=0.3, seed=5),
+                delay_policy=UniformRandomDelay(),
+                fault_plan=plan,
+            )
+            assert scalar.fault_stats["crashes"] > 0 and scalar.is_dynamic
+            assert_equivalent(scalar, batched)
 
 
 class TestMobility:
@@ -285,7 +324,8 @@ class TestFirstDivergenceReport:
 
 @st.composite
 def scenarios(draw):
-    """A whole random scenario: network, rates, algorithm, delays, faults."""
+    """A whole random scenario: network, mobility, rates, algorithm,
+    delays, faults."""
     n = draw(st.integers(min_value=3, max_value=8))
     shape = draw(st.sampled_from(["line", "ring", "grid"]))
     if shape == "line":
@@ -329,12 +369,16 @@ def scenarios(draw):
                 duplicate=draw(st.sampled_from([0.0, 0.2])),
                 reorder=draw(st.sampled_from([0.0, 0.3])),
             )
+    mobility = draw(st.sampled_from(["static", "interleave", "blink"]))
+    dynamic = mobility_from_spec(mobility, topo, seed=seed, horizon=10.0)
+    if dynamic is not None:
+        topo = dynamic
     return topo, rho, seed, rates, alg_name, delay_policy, plan
 
 
 class TestRandomScenarios:
     @given(scenarios())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=example_budget(25), deadline=None)
     def test_random_scenario_equivalent(self, scenario):
         topo, rho, seed, rates, alg_name, delay_policy, plan = scenario
         scalar, batched = run_both(

@@ -78,6 +78,7 @@ class TestEventTypes:
 
 from hypothesis import given, settings, strategies as st
 
+from _engine_helpers import example_budget
 from repro.sim.events import BatchEventQueue, TopologyChange
 
 
@@ -137,11 +138,26 @@ def _run_program(program, make_queue):
 
 class TestBatchQueueEquivalence:
     @given(queue_programs())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=example_budget(200), deadline=None)
     def test_drains_in_scalar_heap_order(self, program):
         scalar = _run_program(program, EventQueue)
         batched = _run_program(program, BatchEventQueue)
         assert scalar == batched
+
+    def test_equal_times_straddling_a_merge(self):
+        # After the first pop the spine holds a1, a3 (t=1) and a2 (t=2);
+        # the pending batch brings more t=1 and t=2 entries plus b3 at
+        # t=0.5, which forces the merge.  Each tie resolves spine first,
+        # then push order — exactly the heap's (time, seq) order.
+        program = [
+            ("batch", [1.0, 2.0, 1.0, 0.0]),  # a1 a2 a3 a0
+            ("pop", 1),
+            ("batch", [2.0, 1.0, 0.5, 1.0]),  # b1 b2 b3 b4
+        ]
+        batched = _run_program(program, BatchEventQueue)
+        assert batched == _run_program(program, EventQueue)
+        a1, a2, a3, a0, b1, b2, b3, b4 = range(8)
+        assert [tag for _, tag in batched] == [a0, b3, a1, a3, b2, b4, a2, b1]
 
     def test_same_instant_ties_break_by_insertion_order(self):
         q = BatchEventQueue()

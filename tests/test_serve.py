@@ -185,7 +185,9 @@ class TestJobQueue:
         jobs = spec.jobs()
         hashes = hashes_for(jobs)
         sweep_id = sweep_id_for(spec)
-        book.register(sweep_id, spec.name, hashes, json.loads(spec.to_json()))
+        book.register(
+            sweep_id, spec.name, hashes, json.loads(spec.to_json()), queue
+        )
         for digest, job in zip(hashes, jobs):
             queue.offer(digest, job)
         assert book.counts(sweep_id, queue)["queued"] == len(jobs)
@@ -196,6 +198,59 @@ class TestJobQueue:
                 break
             queue.mark_done(item[0], {"m": 1})
         assert book.settled(sweep_id, queue)
+
+    def test_settling_a_large_sweep_costs_linear_lookups(self):
+        # The daemon asks ``settled`` after every worker-pipe event, so
+        # with one waiter a sweep of N cells asks N times.  A walk of
+        # the sweep per question is N^2 queue lookups (4 * 10^8 here);
+        # the budget below allows a constant number per cell.
+        n = 20_000
+        budget = 10 * n
+
+        class CountingDict(dict):
+            lookups = 0
+
+            def _count(self):
+                CountingDict.lookups += 1
+                if CountingDict.lookups > budget:
+                    raise AssertionError(f"over {budget} queue lookups")
+
+            def __getitem__(self, key):
+                self._count()
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self._count()
+                return super().get(key, default)
+
+        queue = JobQueue()
+        queue._tracked = CountingDict()
+        book = SweepBook()
+        hashes = [f"{i:064x}" for i in range(n)]
+        for digest in hashes:
+            queue.offer(digest, None)
+        book.register("big", "big", hashes, {}, queue)
+        while (item := queue.next_ready()) is not None:
+            assert not book.settled("big", queue)
+            queue.mark_done(item[0], {})
+        assert book.settled("big", queue)
+        assert CountingDict.lookups <= budget
+
+    def test_forget_after_settle_unsettles_every_sweep_holding_the_cell(self):
+        queue, book = JobQueue(), SweepBook()
+        # Registered before and after its cells are offered, sharing one.
+        book.register("early", "early", ["a", "b"], {}, queue)
+        for digest in ("a", "b", "c"):
+            queue.offer(digest, None)
+        book.register("late", "late", ["b", "c"], {}, queue)
+        drain(queue)
+        assert book.settled("early", queue) and book.settled("late", queue)
+        queue.forget("b")
+        assert not book.settled("early", queue)
+        assert not book.settled("late", queue)
+        assert book.counts("early", queue)["queued"] == 1
+        drain(queue)
+        assert book.settled("early", queue) and book.settled("late", queue)
 
 
 def bare_daemon(root: Path) -> ServeDaemon:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.base import PeriodicProcess
 from repro.errors import SimulationError
 from repro.sim.messages import HalfDistanceDelay
 from repro.sim.node import NodeAPI, Process
@@ -10,7 +11,8 @@ from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, Simulator, run_simulation
 from repro.sim.trace import RECEIVE, SEND, TIMER
 from repro.topology.base import Topology
-from repro.topology.generators import line
+from repro.topology.dynamic import snapshot_sequence
+from repro.topology.generators import line, ring
 
 
 def pair(distance):
@@ -211,6 +213,33 @@ class TestNodeAPI:
         assert seen[1][0] == [0, 2]
         assert seen[0][1] == 1.0
         assert seen[3][1] == 3.0  # distance(3, 0)
+
+    def test_distance_table_follows_a_rewiring(self):
+        # ring(6) until 8.25, then line(6).  Node 5's broadcast at 8.0 is
+        # in flight to node 0 across the swap and lands from a sender
+        # that is no longer a neighbor: ring distance 1, line distance 5.
+        new = line(6)
+        dyn = snapshot_sequence((0.0, ring(6)), (8.25, new))
+        seen = []
+
+        class Probe(PeriodicProcess):
+            def on_message(self, api, sender, payload):
+                live = api._sim.topology
+                asked = [sender, *api.neighbors()]
+                seen.append((
+                    live is new,
+                    sender in api.neighbors(),
+                    [api.distance(u) for u in asked],
+                    [live.distance(api.node, u) for u in asked],
+                ))
+
+        run_simulation(
+            dyn, {n: Probe(1.0) for n in new.nodes}, SimConfig(duration=12.0)
+        )
+        assert all(table == truth for _, _, table, truth in seen)
+        after = [(neighbor, table) for rewired, neighbor, table, _ in seen if rewired]
+        assert after
+        assert (False, [5.0, 1.0]) in after  # node 0 hears node 5
 
     def test_jump_records_trace_event(self):
         class Jumper(Process):
