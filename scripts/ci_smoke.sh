@@ -208,7 +208,8 @@ echo "== sweep as a service (repro.serve) =="
 # the sweep step above used as --cache-dir (one store layout: the quick
 # grid it swept must be all hits, nothing queued), submit a 3-cell grid
 # through the experiments verb, block until it settles, fetch the
-# rendered tables twice, query status, stop cleanly.
+# rendered tables twice, query status, serve a live sim,router grid (a
+# pool worker forks the router cell's shards), stop cleanly.
 timeout 30 bash -c '
     set -euo pipefail
     STORE="$ARTIFACTS/cache"
@@ -236,6 +237,14 @@ timeout 30 bash -c '
     test "$(ls "$STORE/sweeps" | wc -l)" -eq 2
     python -m repro.experiments serve status --store "$STORE" "$SWEEP" \
         | grep -q "3/3 done"
+    python -m repro.experiments serve submit --store "$STORE" \
+        --topologies line:4 --algorithms gradient --transports sim,router \
+        --seeds 1 --duration 4 --time-scale 0.05 --name ci-live --wait \
+        > "$ARTIFACTS/serve_submit_live.txt"
+    LIVE="$(sed -n "s/^sweep \([0-9a-f]*\):.*/\1/p" "$ARTIFACTS/serve_submit_live.txt" | head -1)"
+    python -m repro.experiments serve fetch --store "$STORE" "$LIVE" \
+        > "$ARTIFACTS/serve_fetch_live.txt"
+    grep -q "router" "$ARTIFACTS/serve_fetch_live.txt"
     python -m repro.experiments serve stop --store "$STORE"
     wait "$SERVE_PID"
 ' || { echo "error: serve daemon lifecycle failed or blew the 30s budget" >&2; exit 1; }

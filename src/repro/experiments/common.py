@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.analysis.reporting import Table
 from repro.errors import ExperimentError
 
-__all__ = ["ExperimentResult", "Scale"]
+__all__ = ["ExperimentResult", "Scale", "seed_mean_ladder"]
 
 #: Experiment scale: "quick" keeps benchmark runtime low; "full" matches
 #: the writeup in EXPERIMENTS.md.
@@ -62,3 +62,57 @@ def pick(scale: Scale, quick, full):
     if scale == "full":
         return full
     raise ExperimentError(f"unknown scale {scale!r} (use 'quick' or 'full')")
+
+
+def seed_mean_ladder(
+    table: Table,
+    outcomes,
+    *,
+    topologies,
+    algorithms,
+    axis: str,
+    rungs,
+    baseline: str,
+    count: str,
+) -> dict[str, dict]:
+    """Add one seed-mean row per (topology, algorithm, rung) to ``table``.
+
+    ``axis`` is the metric key the ladder varies (``"faults"``,
+    ``"mobility"``); each row is the rung's max / final / final-adjacent
+    skew, its final skew as a multiple of the ``baseline`` rung's, and
+    the integer mean of ``count``.  Returns the same means as curves:
+    ``"topology/algorithm" -> rung -> {max_skew, final_skew,
+    degradation}``.
+    """
+    cells: dict[tuple[str, str, str], list[dict]] = {}
+    for outcome in outcomes:
+        m = outcome.metrics
+        cells.setdefault((m["topology"], m["algorithm"], m[axis]), []).append(m)
+
+    def mean(key: tuple[str, str, str], metric: str) -> float:
+        group = cells[key]
+        return sum(m[metric] for m in group) / len(group)
+
+    curves: dict[str, dict] = {}
+    for topology in topologies:
+        for algorithm in algorithms:
+            base = max(mean((topology, algorithm, baseline), "final_skew"), 1e-9)
+            for rung in rungs:
+                key = (topology, algorithm, rung)
+                final = mean(key, "final_skew")
+                table.add_row(
+                    topology,
+                    algorithm,
+                    rung,
+                    round(mean(key, "max_skew"), 3),
+                    round(final, 3),
+                    round(mean(key, "final_adjacent_skew"), 3),
+                    round(final / base, 2),
+                    int(mean(key, count)),
+                )
+                curves.setdefault(f"{topology}/{algorithm}", {})[rung] = {
+                    "max_skew": mean(key, "max_skew"),
+                    "final_skew": final,
+                    "degradation": final / base,
+                }
+    return curves

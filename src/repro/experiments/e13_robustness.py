@@ -18,7 +18,12 @@ count (the sweep engine guarantees it, and a test enforces it).
 from __future__ import annotations
 
 from repro.analysis.reporting import Table
-from repro.experiments.common import ExperimentResult, Scale, pick
+from repro.experiments.common import (
+    ExperimentResult,
+    Scale,
+    pick,
+    seed_mean_ladder,
+)
 from repro.sweep import SweepSpec, run_jobs
 
 __all__ = ["run", "FAULT_LADDER"]
@@ -65,18 +70,6 @@ def run(
     )
     outcomes = run_jobs(spec.jobs(), workers=workers)
 
-    # Mean-over-seeds metrics per (topology, algorithm, fault) cell, in
-    # grid order (topology-major, then algorithm, then ladder rung).
-    cells: dict[tuple[str, str, str], list[dict]] = {}
-    for outcome in outcomes:
-        m = outcome.metrics
-        key = (m["topology"], m["algorithm"], m["faults"])
-        cells.setdefault(key, []).append(m)
-
-    def mean(key: tuple[str, str, str], metric: str) -> float:
-        group = cells[key]
-        return sum(m[metric] for m in group) / len(group)
-
     table = Table(
         title="E13: skew degradation under fault intensity",
         headers=[
@@ -96,29 +89,10 @@ def run(
             "measures how far a dead clock drifts."
         ),
     )
-    curves: dict[str, dict] = {}
-    for topology in topologies:
-        for algorithm in algorithms:
-            base_key = (topology, algorithm, "none")
-            baseline = max(mean(base_key, "final_skew"), 1e-9)
-            for fault in ladder:
-                key = (topology, algorithm, fault)
-                final = mean(key, "final_skew")
-                table.add_row(
-                    topology,
-                    algorithm,
-                    fault,
-                    round(mean(key, "max_skew"), 3),
-                    round(final, 3),
-                    round(mean(key, "final_adjacent_skew"), 3),
-                    round(final / baseline, 2),
-                    int(mean(key, "messages")),
-                )
-                curves.setdefault(f"{topology}/{algorithm}", {})[fault] = {
-                    "max_skew": mean(key, "max_skew"),
-                    "final_skew": final,
-                    "degradation": final / baseline,
-                }
+    curves = seed_mean_ladder(
+        table, outcomes, topologies=topologies, algorithms=algorithms,
+        axis="faults", rungs=ladder, baseline="none", count="messages",
+    )
     return ExperimentResult(
         experiment_id="E13",
         title="robustness under faults & churn (beyond the paper's model)",

@@ -29,7 +29,12 @@ import numpy as np
 
 from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
-from repro.experiments.common import ExperimentResult, Scale, pick
+from repro.experiments.common import (
+    ExperimentResult,
+    Scale,
+    pick,
+    seed_mean_ladder,
+)
 from repro.gcs.properties import GradientBound, check_gradient
 from repro.sweep import Scenario, SweepSpec, run_jobs
 
@@ -81,15 +86,6 @@ def run(
     )
     outcomes = run_jobs(spec.jobs(), workers=workers)
 
-    cells: dict[tuple[str, str, str], list[dict]] = {}
-    for outcome in outcomes:
-        m = outcome.metrics
-        cells.setdefault((m["topology"], m["algorithm"], m["mobility"]), []).append(m)
-
-    def mean(key: tuple[str, str, str], metric: str) -> float:
-        group = cells[key]
-        return sum(m[metric] for m in group) / len(group)
-
     ladder_table = Table(
         title="E16: skew vs mobility speed (random waypoint)",
         headers=[
@@ -112,28 +108,10 @@ def run(
         ),
     )
     still = "waypoint:0,4" if "waypoint:0,4" in ladder else "static"
-    curves: dict[str, dict] = {}
-    for topology in topologies:
-        for algorithm in algorithms:
-            baseline = max(mean((topology, algorithm, still), "final_skew"), 1e-9)
-            for mobility in ladder:
-                key = (topology, algorithm, mobility)
-                final = mean(key, "final_skew")
-                ladder_table.add_row(
-                    topology,
-                    algorithm,
-                    mobility,
-                    round(mean(key, "max_skew"), 3),
-                    round(final, 3),
-                    round(mean(key, "final_adjacent_skew"), 3),
-                    round(final / baseline, 2),
-                    int(mean(key, "rewirings")),
-                )
-                curves.setdefault(f"{topology}/{algorithm}", {})[mobility] = {
-                    "max_skew": mean(key, "max_skew"),
-                    "final_skew": final,
-                    "degradation": final / baseline,
-                }
+    curves = seed_mean_ladder(
+        ladder_table, outcomes, topologies=topologies, algorithms=algorithms,
+        axis="mobility", rungs=ladder, baseline=still, count="rewirings",
+    )
 
     # ------------------------------------------------------------------
     # part 2: re-convergence after one all-at-once rewiring

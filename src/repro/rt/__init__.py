@@ -44,14 +44,12 @@ from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder, build_execution, merge_recorders
 from repro.rt.run import LiveRunConfig, run_live, with_transport
 from repro.rt.shard import ShardTransport, host_shard
-from repro.rt.transport import TRANSPORT_NAMES
 
 __all__ = [
     "LiveNode",
     "LiveRecorder",
     "LiveRunConfig",
     "ShardTransport",
-    "TRANSPORT_NAMES",
     "build_execution",
     "host_nodes",
     "host_shard",

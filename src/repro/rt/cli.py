@@ -20,8 +20,8 @@ from repro.analysis.field import SkewField
 from repro.analysis.reporting import Table
 from repro.errors import ReproError
 from repro.rt.run import LiveRunConfig, run_live
-from repro.rt.transport import TRANSPORT_NAMES
 from repro.sweep.cli import add_scenario_arguments, scenario_from_args
+from repro.sweep.families import TRANSPORT_FAMILIES
 
 __all__ = ["main", "build_parser"]
 
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scenario_arguments(parser)
     parser.add_argument(
-        "--transport", choices=list(TRANSPORT_NAMES), default="virtual",
+        "--transport", choices=list(TRANSPORT_FAMILIES), default="virtual",
         help="live backend (every one runs --faults / --mobility cells)",
     )
     parser.add_argument(

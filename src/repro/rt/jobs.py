@@ -12,12 +12,9 @@ tables, JSON artifacts, E14 — treats sim and live rows uniformly, and
 rows of one cell agree on every scenario-derived key.  Cells on any
 transport may carry non-default ``faults`` / ``mobility`` params: live
 churn, counted in ``fault_events`` and ``rewirings`` like a simulator
-cell — and on ``virtual``, to the very same counts.
-
-``udp`` and ``router`` cells spawn OS processes, which daemonic pool
-workers may not do: ``run_jobs`` runs those cells in the calling
-process, one at a time, after its pool has drained; the in-process
-backends parallelize freely.
+cell — and on ``virtual``, to the very same counts.  A ``udp`` or
+``router`` cell forks its shards from whichever process runs it, a
+``run_jobs`` or daemon pool worker included.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from repro.errors import RtError
 from repro.rt.recorder import build_execution
 from repro.rt.shard import host_shard, run_shards
+from repro.rt.transport import TRANSPORT_SHAPES
 from repro.sim.execution import Execution
 from repro.sweep.families import TRANSPORT_FAMILIES
 from repro.sweep.scenario import Scenario
@@ -71,14 +72,14 @@ def run_live(config: LiveRunConfig, *, tail=None) -> Execution:
     """
     started = time.perf_counter()
     cell = config.build()
-    if TRANSPORT_FAMILIES[config.transport].forks:
-        reports, switch = run_shards(config, cell, tail=tail)
-        workers = len(reports)
-    else:
+    if TRANSPORT_SHAPES[config.transport].carrier == "local":
         # The shard of every node, in this process, with no pipe.
         tap = tail.event if tail is not None else None
         reports = [host_shard(config, cell, cell.topology.nodes, tap=tap)]
         switch, workers = None, 0
+    else:
+        reports, switch = run_shards(config, cell, tail=tail)
+        workers = len(reports)
     return build_execution(
         config, cell, reports,
         workers=workers, switch=switch, tail=tail, started=started,

@@ -98,7 +98,7 @@ from repro._constants import TIME_EPS
 from repro.errors import RtError
 from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder
-from repro.rt.transport import DELAY_SEED_MIX
+from repro.rt.transport import DELAY_SEED_MIX, TRANSPORT_SHAPES
 from repro.sim.events import CrashNode
 from repro.sim.faults import FaultController, FaultPlan
 from repro.sim.messages import (
@@ -140,6 +140,24 @@ def default_workers(n: int) -> int:
     """
     cores = os.cpu_count() or 2
     return max(1, min(cores, 8, (n + 15) // 16))
+
+
+def _decode_message(datagram: bytes) -> Optional[dict]:
+    """One message frame, or ``None`` unless it decodes to the record
+    :meth:`ShardTransport._carry_wire` sends: integer ends, numeric send
+    and delay, a payload.  Every receiving site checks this once, so a
+    stray datagram is dropped and counted, never a crash."""
+    record = decode_frame(datagram)
+    if (
+        isinstance(record, dict)
+        and "payload" in record
+        and isinstance(record.get("src"), int)
+        and isinstance(record.get("dst"), int)
+        and isinstance(record.get("send"), (int, float))
+        and isinstance(record.get("delay"), (int, float))
+    ):
+        return record
+    return None
 
 
 def _untuple(value):
@@ -398,20 +416,15 @@ class ShardTransport:
                 datagram, _ = self._sock.recvfrom(65536)
             except BlockingIOError:
                 return
-            record = decode_frame(datagram)
-            if record is None or record.get("dst") not in self._nodes:
+            record = _decode_message(datagram)
+            if record is None or record["dst"] not in self._nodes:
                 self.frames_dropped += 1
                 continue
-            deliver_at = float(record["send"]) + float(record["delay"])
+            send = float(record["send"])
             self._push(
-                deliver_at,
+                send + float(record["delay"]),
                 "msg",
-                (
-                    int(record["dst"]),
-                    int(record["src"]),
-                    float(record["send"]),
-                    _untuple(record["payload"]),
-                ),
+                (record["dst"], record["src"], send, _untuple(record["payload"])),
             )
 
     def _dispatch_due(self) -> None:
@@ -503,12 +516,9 @@ class _RouterCore:
         }
 
     def handle(self, datagram: bytes) -> None:
-        record = decode_frame(datagram)
-        if record is None:
-            self.frames_dropped += 1
-            return
-        addr = self._addrs.get(record.get("dst"))
-        if addr is None or record.get("src") not in self._addrs:
+        record = _decode_message(datagram)
+        addr = None if record is None else self._addrs.get(record["dst"])
+        if addr is None or record["src"] not in self._addrs:
             self.frames_dropped += 1
             return
         if self._tail is not None:
@@ -643,7 +653,10 @@ def host_shard(
         delay_policy=cell.delay_policy,
         seed=config.seed,
         duration=config.duration,
-        time_scale=None if config.transport == "virtual" else config.time_scale,
+        time_scale=(
+            None if TRANSPORT_SHAPES[config.transport].clock == "virtual"
+            else config.time_scale
+        ),
         topology=cell.topology,
         plan=cell.fault_plan,
         dynamic=cell.dynamic,
@@ -667,12 +680,14 @@ def _shard_main(
     shard: int,
     shards: tuple,
     config: "LiveRunConfig",
+    cell: "Cell",
     route: Mapping[int, tuple],
     mirror: Optional[tuple],
     sock: socket.socket,
     conn,
 ) -> None:
-    """Entry point of one shard process (fork-inherited socket)."""
+    """Entry point of one shard process: the parent's built ``cell`` and
+    the socket come through the fork, so nothing is pickled or rebuilt."""
 
     def barrier() -> tuple:
         # Tell the parent we are ready, block until it publishes the
@@ -690,7 +705,7 @@ def _shard_main(
         conn.send(
             host_shard(
                 config,
-                config.build(),
+                cell,
                 shards[shard],
                 barrier=barrier,
                 shard=shard,
@@ -709,10 +724,10 @@ def _shard_main(
 
 def _feed_tail(tail, datagram: bytes) -> None:
     """Hand one mirrored frame to the streaming tail of a ``udp`` run."""
-    record = decode_frame(datagram)
+    record = _decode_message(datagram)
     if record is not None:
         # A mirrored frame's sim-time axis is its own send stamp.
-        tail.frame(record, float(record.get("send", 0.0)))
+        tail.frame(record, float(record["send"]))
 
 
 def _bound_socket() -> socket.socket:
@@ -730,7 +745,7 @@ def run_shards(
     Returns every shard's :func:`host_shard` report, in shard order, and
     the switch the frames crossed (``None`` on ``udp``).
     """
-    direct = config.transport == "udp"
+    direct = TRANSPORT_SHAPES[config.transport].carrier == "peer"
     role = "node process" if direct else "router worker"
     if "fork" not in multiprocessing.get_all_start_methods():
         raise RtError(
@@ -740,14 +755,11 @@ def run_shards(
         )
     if multiprocessing.current_process().daemon:
         raise RtError(
-            f"the {config.transport} transport spawns OS processes, which "
-            f"daemonic pool workers may not do; run {config.transport} "
-            f"cells through run_jobs, which keeps them off its pool"
+            f"the {config.transport} transport forks shard processes, which "
+            f"a daemonic process may not do; call run_live from a "
+            f"non-daemonic one"
         )
     ctx = multiprocessing.get_context("fork")
-    # The cell is pure in the config, so every shard re-derives these
-    # same objects from the config it is handed instead of having them
-    # shipped.
     base = cell.topology
     all_nodes = tuple(base.nodes)
     n_shards = (
@@ -792,7 +804,8 @@ def run_shards(
         children = {
             s: ctx.Process(
                 target=_shard_main,
-                args=(s, shards, config, route, mirror, sockets[s], pipes[s][1]),
+                args=(s, shards, config, cell, route, mirror, sockets[s],
+                      pipes[s][1]),
                 daemon=True,
             )
             for s in range(n_shards)

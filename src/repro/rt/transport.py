@@ -5,8 +5,11 @@ A transport is exactly the three powers the model grants the
 time, it carries messages subject to the ``[0, d_ij]`` delay model, and
 it fires hardware-time timers.  One class does all three for every name
 — :class:`~repro.rt.shard.ShardTransport`, one heap loop — and the four
-names (:data:`TRANSPORT_NAMES`) are its configurations, a choice of
-*clock* and of *carrier* made once per run from ``config.transport``:
+names (:data:`~repro.sweep.families.TRANSPORT_FAMILIES`) are its
+configurations (:data:`TRANSPORT_SHAPES`), a choice of *clock* and of
+*carrier* made once per run from ``config.transport``.  The carrier is
+``local`` (the loop's own heap) or the wire, each frame addressed to
+its owning ``peer`` or to a central ``switch``:
 
 ===========  =======  =======  ========================================
 name         clock    carrier  what it is
@@ -15,9 +18,9 @@ name         clock    carrier  what it is
                                jumps from event to event, nothing sleeps
 ``asyncio``  wall     local    in-process wall clock: every node in one
                                process, real sleeping, injected delays
-``udp``      wall     wire     one forked process per node, frames
+``udp``      wall     peer     one forked process per node, frames
                                addressed straight to the owning peer
-``router``   wall     wire     a few forked shards around one central
+``router``   wall     switch   a few forked shards around one central
                                switch socket: the scale vehicle
 ===========  =======  =======  ========================================
 
@@ -40,13 +43,25 @@ reconstructed execution passes ``check_delay_bounds``.
 
 from __future__ import annotations
 
-from repro.sweep.families import TRANSPORT_FAMILIES
+from typing import NamedTuple
 
-__all__ = ["TRANSPORT_NAMES", "DELAY_SEED_MIX"]
+__all__ = ["TRANSPORT_SHAPES", "DELAY_SEED_MIX"]
 
-#: The transport spec names accepted by the CLI, sweep axis, and E14 —
-#: the keys of the capability table the layers below ``rt`` also read.
-TRANSPORT_NAMES = tuple(TRANSPORT_FAMILIES)
+
+class Shape(NamedTuple):
+    """One row of the table above."""
+
+    clock: str  # virtual | wall
+    carrier: str  # local | peer | switch
+
+
+#: The table above as the loop reads it: transport name -> shape.
+TRANSPORT_SHAPES = {
+    "virtual": Shape("virtual", "local"),
+    "asyncio": Shape("wall", "local"),
+    "udp": Shape("wall", "peer"),
+    "router": Shape("wall", "switch"),
+}
 
 #: Delay-RNG seed mix, identical to the simulator's (``seed ^ 0x5EED``)
 #: so the virtual backend draws the very same delay stream.

@@ -2,7 +2,9 @@
 
 One process owns a localhost TCP listener, the sweep engine's worker
 pool (:class:`~repro.sweep.pool.WorkerPool`, its pipes registered in
-this event loop) and a :class:`~repro.sweep.store.ContentStore`.  Clients
+this event loop) and a :class:`~repro.sweep.store.ContentStore`.  The
+pool runs every cell a grid can name; a worker holding a live ``udp`` /
+``router`` cell forks that cell's shards itself.  Clients
 speak the length-prefixed JSON frames of :mod:`repro.serve.protocol`;
 each request is one frame carrying an ``op`` and each reply one frame
 carrying ``ok`` — ``submit``, ``status``, ``wait``, ``fetch``,
@@ -60,7 +62,6 @@ from repro.serve.protocol import (
     encode_frame,
     splice_frame,
 )
-from repro.sweep.families import forking_transports
 from repro.sweep.pool import JobQueue, WorkerPool
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ContentStore, hashes_for, sweep_id_for
@@ -355,20 +356,6 @@ class ServeDaemon:
             spec = SweepSpec.from_dict(payload)
         except SweepError as exc:
             return {"ok": False, "error": str(exc)}
-        # Cells that fork OS processes are impossible under daemonic
-        # pool workers, so they are rejected at submit time.
-        forking = forking_transports(spec.transports)
-        if forking:
-            return {
-                "ok": False,
-                "error": (
-                    f"{'/'.join(forking)} transport cells spawn node "
-                    "processes, which the daemon's pool workers may not "
-                    "do; run them via 'repro-experiments sweep', or submit "
-                    "the grid on the 'virtual' transport, which the daemon "
-                    "runs (fault and mobility cells included)"
-                ),
-            }
         sweep_id = sweep_id_for(spec)
         tally = {"hit": 0, "dedup": 0, "queued": 0, "done": 0, "failed": 0}
         if self.book.known(sweep_id):

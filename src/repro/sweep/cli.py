@@ -132,8 +132,7 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "comma-separated execution backends per cell: 'sim' "
             "(simulator) and/or live transports 'virtual', 'asyncio', "
-            "'udp', 'router' (override preset; udp/router cells fork "
-            "node processes, so they run one at a time after the pool)"
+            "'udp', 'router' (override preset)"
         ),
     )
     parser.add_argument(

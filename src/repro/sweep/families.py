@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Callable, Dict, Iterable, NamedTuple, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -67,8 +67,6 @@ __all__ = [
     "FAULT_FAMILIES",
     "MOBILITY_FAMILIES",
     "TRANSPORT_FAMILIES",
-    "TransportFamily",
-    "forking_transports",
 ]
 
 
@@ -516,31 +514,8 @@ def fault_plan_from_spec(
 # transport families (the live-backend axis; see repro.rt)
 
 
-class TransportFamily(NamedTuple):
-    """What a live transport can do, as the layers above need to know it."""
-
-    #: Spawns OS processes per run — impossible from daemonic pool
-    #: workers: ``run_jobs`` keeps such cells off its pool, the daemon
-    #: rejects them (both through :func:`forking_transports`).
-    forks: bool
-
-
-#: live transport name -> capabilities, in CLI/table order.  Pure data:
-#: the loops behind the names live in :mod:`repro.rt`, which this module
-#: must not import.  ``"sim"`` (the simulator) is not a live transport
-#: and is not listed.
-TRANSPORT_FAMILIES: Dict[str, TransportFamily] = {
-    "virtual": TransportFamily(forks=False),
-    "asyncio": TransportFamily(forks=False),
-    "udp": TransportFamily(forks=True),
-    "router": TransportFamily(forks=True),
-}
-
-
-def forking_transports(transports: Iterable[Optional[str]]) -> list[str]:
-    """The names among ``transports`` whose cells fork processes, sorted."""
-    return sorted(
-        name
-        for name in set(transports)
-        if name in TRANSPORT_FAMILIES and TRANSPORT_FAMILIES[name].forks
-    )
+#: The live transport names, in CLI/table order.  Pure data: the loops
+#: behind the names (and what tells them apart) live in :mod:`repro.rt`,
+#: which this module must not import.  ``"sim"`` (the simulator) is not
+#: a live transport and is not listed.
+TRANSPORT_FAMILIES = ("virtual", "asyncio", "udp", "router")

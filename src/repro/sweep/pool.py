@@ -29,7 +29,9 @@ the populated job-kind registry are inherited.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import selectors
+import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
@@ -215,7 +217,15 @@ def _worker_main(conn, inherited) -> None:
     open the kernel never reports EOF on the other end, and a SIGKILLed
     parent would leave its workers blocked in ``recv`` forever, its port
     accepting and its clients waiting on a busy worker.
+
+    The pool forks workers daemonic, so the parent's exit cleanup still
+    reaps an unclosed pool; each worker clears the flag in itself, so a
+    cell may fork processes of its own (a live ``udp`` / ``router``
+    cell's shards).  Those children close their copy of ``conn`` at
+    once: a killed worker reads as EOF while its shards still run.
     """
+    multiprocessing.current_process().daemon = False
+    os.register_at_fork(after_in_child=conn.close)
     for parent_handle in inherited:
         parent_handle.close()
     while True:
@@ -351,8 +361,14 @@ class WorkerPool:
         conn = self._conns.pop(worker)
         child = self._children.pop(worker)
         self._release(conn)
-        # EOF can beat the zombie: reap before reading the exit code.
-        child.join(timeout=1.0)
+        # EOF can beat the zombie by a moment: poll for the exit code, up
+        # to about a second.  Not ``join``: it waits on the worker's
+        # sentinel, which shards the worker forked hold open until their
+        # own run ends.
+        for _ in range(1000):
+            if child.exitcode is not None:
+                break
+            time.sleep(0.001)
         if digest is not None:
             self.queue.requeue(
                 digest, reason=f"worker died (exit code {child.exitcode})"

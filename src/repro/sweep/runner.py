@@ -17,12 +17,9 @@ daemon runs on (:mod:`repro.sweep.pool`): every job not already in the
 (deduped by content hash, so a job given twice runs once), which a
 ``WorkerPool`` drains — or, at ``workers=1``, a loop in the calling
 process that never forks.  Store probes happen in the parent before any
-pool exists, so a fully warm sweep forks nothing.
-
-Cells whose transport forks OS processes of its own
-(:data:`~repro.sweep.families.TRANSPORT_FAMILIES` ``.forks``) cannot run
-under daemonic pool workers; this is the one place that rule is applied:
-they run in the calling process, one at a time, after the pool drains.
+pool exists, so a fully warm sweep forks nothing.  Every cell is the
+same to the pool: a live ``udp`` / ``router`` cell forks its shards from
+whichever worker runs it.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import selectors
 from typing import Callable, Optional, Sequence
 
 from repro.errors import SweepError
-from repro.sweep.families import forking_transports
 from repro.sweep.jobs import Job, JobOutcome, execute_job, job_hash
 from repro.sweep.pool import JobQueue, WorkerPool
 from repro.sweep.store import ContentStore
@@ -73,12 +69,6 @@ def run_jobs(
     queue = JobQueue(cache)
     waiting: dict[str, list[int]] = {}  # hash -> the job slots it fills
 
-    def admit(digest: str, job: Job) -> None:
-        if queue.offer(digest, job) == "hit":
-            # Present but unreadable (the parse probe below just missed).
-            queue.forget(digest)
-
-    parent_only: list[tuple[str, Job]] = []
     for index, job in enumerate(jobs):
         digest = job_hash(job)
         metrics = cache.get_hash(digest) if cache is not None else None
@@ -86,10 +76,9 @@ def run_jobs(
             land(index, metrics, 0.0, cached=True)
             continue
         waiting.setdefault(digest, []).append(index)
-        if workers > 1 and forking_transports([job.params.get("transport")]):
-            parent_only.append((digest, job))
-        else:
-            admit(digest, job)
+        if queue.offer(digest, job) == "hit":
+            # Present but unreadable (the parse probe just missed).
+            queue.forget(digest)
 
     if workers > 1 and queue.depth:
         selector = selectors.DefaultSelector()
@@ -109,8 +98,6 @@ def run_jobs(
                 f"{queue.error_of(failed[0])}"
             )
 
-    for digest, job in parent_only:
-        admit(digest, job)
     while (item := queue.next_ready()) is not None:
         digest, job = item
         outcome = execute_job(job)

@@ -106,12 +106,12 @@ class StreamingTail:
         self._observe(event.real_time)
 
     def frame(self, record: dict, now: float) -> None:
-        """Observe one wire frame (router tap / udp mirror)."""
+        """Observe one wire frame (router tap / udp mirror), its shape
+        already checked where it was received."""
         self._frames_seen += 1
-        value = _clock_value(record.get("payload"))
-        src = record.get("src")
-        if value is not None and isinstance(src, int):
-            self.latest[src] = (float(record.get("send", now)), value)
+        value = _clock_value(record["payload"])
+        if value is not None:
+            self.latest[record["src"]] = (float(record["send"]), value)
         self._observe(now)
 
     def stats(self, now: float, **counters) -> None:

@@ -361,20 +361,22 @@ class TestOneScenarioCell:
             assert self._modules_with(flag) == ["sweep/cli.py"], flag
 
     def test_transport_capabilities_live_in_one_table(self):
-        for needle in ('"udp", "router"', '!= "router"', '== "router"',
-                       "_FORKING_TRANSPORTS"):
+        # Nothing compares transport names: rt reads a name's clock and
+        # carrier off its one table, and nothing above rt asks at all.
+        for needle in ('!= "router"', '== "router"', '== "udp"',
+                       '.transport == "', "_FORKING_TRANSPORTS",
+                       "TRANSPORT_NAMES", "TransportFamily", ".forks"):
             assert self._modules_with(needle) == [], needle
+        assert self._modules_with('"udp", "router"') == ["sweep/families.py"]
         from repro.experiments.e14_live import BACKENDS
-        from repro.rt.transport import TRANSPORT_NAMES
+        from repro.rt.transport import TRANSPORT_SHAPES
         from repro.sweep.families import TRANSPORT_FAMILIES
 
-        assert TRANSPORT_NAMES == tuple(TRANSPORT_FAMILIES)
+        assert tuple(TRANSPORT_SHAPES) == TRANSPORT_FAMILIES
         assert BACKENDS == ("sim", *TRANSPORT_FAMILIES)
-        assert [n for n, f in TRANSPORT_FAMILIES.items() if f.forks] == [
-            "udp", "router",
+        assert self._modules_with("TRANSPORT_SHAPES") == [
+            "rt/run.py", "rt/shard.py", "rt/transport.py",
         ]
-        # One capability: what a transport *can run* is every cell.
-        assert {f._fields for f in TRANSPORT_FAMILIES.values()} == {("forks",)}
 
     def test_validating_a_live_spec_never_loads_the_runtime(self):
         # The transport table is pure data in sweep: expanding a grid
@@ -535,17 +537,26 @@ class TestOneSweepBackEnd:
         assert importlib.util.find_spec("repro.serve.store") is None
         assert importlib.util.find_spec("repro.serve.jobqueue") is None
 
-    def test_the_forking_rule_has_one_reader_per_scheduler(self):
-        readers = sorted(
-            str(path.relative_to(self.PACKAGE))
-            for path in self.PACKAGE.rglob("*.py")
-            if path.parts[-2] != "rt"
-            and any(needle in path.read_text(encoding="utf-8")
-                    for needle in ("forking_transports(", ".forks"))
-        )
-        assert readers == [
-            "serve/daemon.py", "sweep/families.py", "sweep/runner.py",
-        ]
+    def test_no_scheduler_reads_a_transport_name(self):
+        # A live cell is a cell like any other: both schedulers hand it
+        # to the one pool, whose workers may fork the cell's shards.
+        import ast
+
+        from repro.sweep.families import TRANSPORT_FAMILIES
+
+        for module in ("sweep/runner.py", "sweep/pool.py", "serve/daemon.py"):
+            tree = ast.parse((self.PACKAGE / module).read_text(encoding="utf-8"))
+            words = {
+                word
+                for node in ast.walk(tree)
+                for word in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None), getattr(node, "value", None),
+                )
+                if isinstance(word, str) and word.isidentifier()
+            }
+            assert not words & {*TRANSPORT_FAMILIES, "parent_only"}, module
+            assert not [w for w in words if "transport" in w.lower()], module
 
 
 class TestOneLiveLoop:
@@ -580,15 +591,16 @@ class TestOneLiveLoop:
         ) == []
 
     def test_the_transport_table_did_not_move(self):
+        from repro.rt.transport import TRANSPORT_SHAPES
         from repro.sweep.families import TRANSPORT_FAMILIES
 
-        assert {n: tuple(f) for n, f in TRANSPORT_FAMILIES.items()} == {
-            "virtual": (False,),
-            "asyncio": (False,),
-            "udp": (True,),
-            "router": (True,),
+        assert TRANSPORT_FAMILIES == ("virtual", "asyncio", "udp", "router")
+        assert {n: tuple(s) for n, s in TRANSPORT_SHAPES.items()} == {
+            "virtual": ("virtual", "local"),
+            "asyncio": ("wall", "local"),
+            "udp": ("wall", "peer"),
+            "router": ("wall", "switch"),
         }
-        assert tuple(TRANSPORT_FAMILIES) == ("virtual", "asyncio", "udp", "router")
 
     def test_live_stats_is_written_at_one_site(self):
         sites = [

@@ -32,8 +32,7 @@ from repro.experiments.e14_live import skew_bound
 from repro.rt import LiveRecorder, LiveRunConfig, run_live, with_transport
 from repro.rt import shard as shard_rt
 from repro.rt.shard import ShardTransport
-from repro.rt.transport import TRANSPORT_NAMES
-from repro.sweep.families import topology_from_spec
+from repro.sweep.families import TRANSPORT_FAMILIES, topology_from_spec
 from repro.wire import decode_frame, encode_frame
 
 json_scalars = st.one_of(
@@ -94,12 +93,12 @@ class TestWireFormatProperties:
 
 class TestConfigValidation:
     def test_faults_accepted_on_every_transport(self):
-        for transport in TRANSPORT_NAMES:
+        for transport in TRANSPORT_FAMILIES:
             config = LiveRunConfig(transport=transport, faults="crash:0.25")
             assert config.build().fault_plan is not None
 
     def test_mobility_accepted_on_every_transport(self):
-        for transport in TRANSPORT_NAMES:
+        for transport in TRANSPORT_FAMILIES:
             config = LiveRunConfig(transport=transport, mobility="blink:0.2,2")
             assert config.build().dynamic is not None
 
@@ -197,7 +196,7 @@ class TestShardFailureHandling:
         assert time.perf_counter() - start < 3.0
 
     def test_closed_pipe_is_not_a_raw_eoferror(self, monkeypatch, transport):
-        def eof_main(shard, shards, config, route, mirror, sock, conn):
+        def eof_main(shard, shards, config, cell, route, mirror, sock, conn):
             conn.close()  # clean exit, no report: EOF on the parent side
             os._exit(0)
 
@@ -209,20 +208,32 @@ class TestShardFailureHandling:
 
     def test_frames_dropped_surfaces_on_execution(self, monkeypatch, transport):
         real_main = shard_rt._shard_main
+        junk_frames = {
+            "not JSON": b"\x00\x00\x00\x08not-json",
+            # Valid JSON of the wrong shape: each once killed the run.
+            "a list": encode_frame([1, 2]),
+            "no send": encode_frame(
+                {"src": 0, "dst": 1, "payload": 0, "delay": 0.1}
+            ),
+            "a text send": encode_frame(
+                {"src": 0, "dst": 1, "payload": 0, "send": "x", "delay": 0.1}
+            ),
+        }
 
-        def noisy_main(shard, shards, config, route, mirror, sock, conn):
+        def noisy_main(shard, shards, config, cell, route, mirror, sock, conn):
             if shard == 0:
                 # A malformed datagram into the port node 1's frames go
                 # to (the peer itself on udp, the switch on router): it
                 # must be counted, not crash the receiver or vanish.
                 junk = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                junk.sendto(b"\x00\x00\x00\x08not-json", route[1])
+                junk.sendto(frame, route[1])
                 junk.close()
-            real_main(shard, shards, config, route, mirror, sock, conn)
+            real_main(shard, shards, config, cell, route, mirror, sock, conn)
 
         monkeypatch.setattr(shard_rt, "_shard_main", noisy_main)
-        execution = run_live(self.config(transport))
-        assert execution.live_stats["frames_dropped"] >= 1
+        for name, frame in junk_frames.items():
+            execution = run_live(self.config(transport))
+            assert execution.live_stats["frames_dropped"] >= 1, name
         assert sorted(execution.live_stats) == [
             "events", "frames_dropped", "frames_routed", "wall_elapsed",
             "workers",

@@ -111,8 +111,8 @@ class TestTransportAxis:
     @pytest.mark.rt
     @pytest.mark.parametrize("transport", ["udp", "router"])
     def test_cli_runs_forking_cells_with_pool_workers(self, capsys, transport):
-        # run_jobs keeps cells that fork node processes off its pool, so
-        # no worker count needs rejecting any more.
+        # A pool worker runs a udp / router cell like any other cell,
+        # forking the cell's shards itself.
         from repro.sweep.cli import main as sweep_main
 
         code = sweep_main(

@@ -16,8 +16,10 @@ restarted daemon completes the sweep re-executing only missing cells.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
+import selectors
 import shutil
 import signal
 import socket
@@ -41,7 +43,7 @@ from repro.serve.protocol import (
     send_frame,
 )
 from repro.sweep.jobs import job_hash
-from repro.sweep.pool import JobQueue
+from repro.sweep.pool import JobQueue, WorkerPool
 from repro.sweep.runner import run_jobs
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ContentStore, hashes_for, sweep_id_for
@@ -372,6 +374,22 @@ def outliving(pids: list[int], *, within: float) -> list[int]:
         time.sleep(0.05)
 
 
+def processes_naming(needle: str) -> list[int]:
+    """Running (not zombie) processes whose command line holds ``needle``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        fields = _stat_fields(int(entry.name))
+        if needle.encode() in cmdline and fields is not None and fields[0] != "Z":
+            pids.append(int(entry.name))
+    return pids
+
+
 @pytest.fixture()
 def daemon(tmp_path):
     """A live daemon over a fresh store; killed at teardown if needed.
@@ -461,6 +479,33 @@ class TestServeDifferential:
         assert stats["failed"] == 0
         objects = list((store / "objects").glob("*.json"))
         assert len(objects) == len(distinct)
+
+    @pytest.mark.rt
+    def test_served_live_grid_matches_run_jobs(self, daemon):
+        # A live cell is a cell like any other: a pool worker runs the
+        # router cell, forking its shards, beside the sim and virtual ones.
+        store, _proc = daemon
+        spec = small_spec(
+            name="live", topologies=("line:4",), seeds=(0,), duration=4.0,
+            transports=("sim", "virtual", "router"), time_scale=0.05,
+        )
+        with ServeClient(store=store) as client:
+            receipt = client.submit(spec)
+            final = client.wait(receipt["sweep"], timeout=120)
+            assert final["counts"]["done"] == receipt["total"] == 3
+            served = client.fetch(receipt["sweep"])
+        # Every key but the virtual row's stopwatch reading.
+        rows = {row["transport"]: row for row in served}
+        rows["virtual"].pop("wall_elapsed")
+        in_process = [o.metrics for o in run_jobs(spec.jobs()[:2], workers=1)]
+        in_process[1].pop("wall_elapsed")
+        assert [rows["sim"], rows["virtual"]] == in_process
+        router, sim = rows["router"], rows["sim"]
+        assert router["workers"] >= 1
+        for key in ("topology", "algorithm", "rates", "delays", "faults",
+                    "mobility", "seed", "n_nodes", "diameter",
+                    "settle_threshold", "rewirings"):
+            assert router[key] == sim[key], key
 
     def test_resubmission_is_all_hits(self, daemon):
         store, _proc = daemon
@@ -664,6 +709,51 @@ class TestServeCrashResume:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+    @pytest.mark.rt
+    def test_a_worker_killed_mid_router_cell_is_noticed_at_once(self):
+        # The shards a worker forks do not hold its pipe, and its exit
+        # code is read without waiting on the sentinel they share: the
+        # death is noticed while the orphaned shards still run, and the
+        # cell runs again on a respawned worker.
+        job = small_spec(
+            name="kill", topologies=("line:8",), seeds=(0,), duration=16.0,
+            transports=("router",), time_scale=0.25,
+        ).jobs()[0]
+        digest = job_hash(job)
+        requeues: list[tuple[float, str]] = []
+
+        class Recording(JobQueue):
+            def requeue(self, digest, *, reason):
+                requeues.append((time.perf_counter(), reason))
+                super().requeue(digest, reason=reason)
+
+        queue = Recording()
+        queue.offer(digest, job)
+        selector = selectors.DefaultSelector()
+        pool = WorkerPool(queue, 1, selector)
+        try:
+            pool.pump()
+            (worker,) = multiprocessing.active_children()
+            deadline = time.monotonic() + 10.0
+            while not (shards := worker_pids(worker.pid)):
+                assert time.monotonic() < deadline, "the worker forked no shard"
+                time.sleep(0.02)
+            time.sleep(0.5)  # the run is under way
+            killed = time.perf_counter()
+            os.kill(worker.pid, signal.SIGKILL)
+            results = list(pool.drain())
+        finally:
+            pool.close()
+            selector.close()
+        (noticed, reason), = requeues
+        # Milliseconds: waiting on the sentinel the shards share cost a
+        # whole second, and the shards' copy of the pipe several.
+        assert noticed - killed < 0.5
+        assert reason == "worker died (exit code -9)"
+        assert queue.state_of(digest) == "done"
+        assert [r["hash"] for r in results] == [digest]
+        assert outliving(shards, within=10.0) == []
 
     def test_sigkilled_daemon_leaves_no_orphan_workers(self, tmp_path):
         # Each worker inherits, through the fork, the parent end of its
@@ -938,18 +1028,6 @@ class TestServeProtocolErrors:
                 client.fetch(sweep)
             client.shutdown()
 
-    def test_forking_transports_rejected_at_submit(self, daemon):
-        store, _proc = daemon
-        spec = small_spec(name="forky", transports=("udp",), seeds=(0,))
-        with ServeClient(store=store) as client:
-            with pytest.raises(ServeError) as refused:
-                client.submit(spec)
-        message = str(refused.value)
-        assert "udp" in message and "'repro-experiments sweep'" in message
-        assert "'virtual'" in message
-        # run_jobs runs forking cells at any worker count (PR 17).
-        assert "--workers" not in message
-
     def test_malformed_spec_rejected_with_sweep_error_text(self, daemon):
         store, _proc = daemon
         with ServeClient(store=store) as client:
@@ -1003,12 +1081,12 @@ class TestServeProtocolErrors:
 
 @pytest.mark.serve
 class TestServeCli:
-    def run_cli(self, *args: str) -> subprocess.CompletedProcess:
+    def run_cli(self, *args: str, timeout=120) -> subprocess.CompletedProcess:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, "-m", "repro.serve", *args],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, timeout=timeout,
         )
 
     def test_submit_status_fetch_stop_roundtrip(self, daemon):
@@ -1033,6 +1111,27 @@ class TestServeCli:
         stopped = self.run_cli("stop", "--store", str(store))
         assert stopped.returncode == 0
         assert proc.wait(timeout=10) == 0
+
+    def test_start_on_a_port_in_use_fails_fast_and_leaves_no_worker(
+        self, tmp_path
+    ):
+        # The pool is forked before the listener binds.  Its workers are
+        # daemonic to the parent, so a failed bind still ends the
+        # process at once and the exit cleanup takes the workers along.
+        store = tmp_path / "store"
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            begin = time.perf_counter()
+            result = self.run_cli(
+                "start", "--store", str(store), "--workers", "2",
+                "--port", str(busy.getsockname()[1]), timeout=10,
+            )
+            elapsed = time.perf_counter() - begin
+        assert result.returncode != 0
+        assert "error" in result.stderr
+        assert elapsed < 3.0
+        assert processes_naming(str(store)) == []
 
     def test_experiments_verb_dispatches_to_serve(self, tmp_path):
         env = dict(os.environ)
