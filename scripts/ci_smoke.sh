@@ -77,6 +77,19 @@ grep -q "3 fault families" "$ARTIFACTS/fault_sweep.txt" \
 
 echo
 echo "== live runtime (repro.rt) =="
+# live_step ERR CMD...: run a forked live step with its stderr kept in
+# ERR (shown if the step fails); a shard that woke after the shared start
+# epoch (rt/shard.py's warning) fails the step, so the start grace is
+# checked under real scheduling noise.
+live_step() {
+    local err="$1"; shift
+    "$@" 2> "$err" || { cat "$err" >&2; return 1; }
+    if grep -q "missed the shared start epoch" "$err"; then
+        cat "$err" >&2
+        echo "error: a shard missed the shared start epoch: $*" >&2
+        return 1
+    fi
+}
 # A virtual-time live demo: 10 sim units, milliseconds of wall clock —
 # of a faulted, mobile cell: every transport runs churn, not only router.
 python -m repro.experiments live --alg gradient --topology line --nodes 8 \
@@ -97,14 +110,16 @@ grep -q "live-asyncio" "$ARTIFACTS/live_asyncio.txt" \
     || { echo "error: asyncio live cell produced no summary" >&2; exit 1; }
 # One E14 quick cell on the UDP backend: one OS process per node,
 # bounded skew, well under the 30s budget.
-timeout 30 python -m repro.experiments live --alg gradient --topology line \
+live_step "$ARTIFACTS/live_udp.err" \
+    timeout 30 python -m repro.experiments live --alg gradient --topology line \
     --nodes 4 --transport udp --duration 6 --time-scale 0.2 \
     > "$ARTIFACTS/live_udp.txt"
 grep -q "live-udp" "$ARTIFACTS/live_udp.txt" \
     || { echo "error: udp live cell produced no summary" >&2; exit 1; }
 # A router cell with live churn: 32 nodes multiplexed onto worker
 # processes, a crash-recover fault plan applied to real frames.
-timeout 30 python -m repro.experiments live --alg gradient --topology line \
+live_step "$ARTIFACTS/live_router.err" \
+    timeout 30 python -m repro.experiments live --alg gradient --topology line \
     --nodes 32 --transport router --duration 6 --time-scale 0.1 \
     --faults crash-recover:0.3,2 > "$ARTIFACTS/live_router.txt"
 grep -q "live-router" "$ARTIFACTS/live_router.txt" \
@@ -112,7 +127,8 @@ grep -q "live-router" "$ARTIFACTS/live_router.txt" \
 grep -q "fault events" "$ARTIFACTS/live_router.txt" \
     || { echo "error: router live cell reported no fault events" >&2; exit 1; }
 # The sim-vs-live comparison table end to end.
-python -m repro.experiments E14 --scale quick > "$ARTIFACTS/e14.txt"
+live_step "$ARTIFACTS/e14.err" \
+    python -m repro.experiments E14 --scale quick > "$ARTIFACTS/e14.txt"
 grep -q "d final vs sim" "$ARTIFACTS/e14.txt" \
     || { echo "error: E14 produced no comparison table" >&2; exit 1; }
 if grep -q " NO " "$ARTIFACTS/e14.txt"; then

@@ -71,6 +71,10 @@ class LiveNode:
         self.logical = LogicalClock(self.hardware)
         self._transport = transport
         self._recorder = recorder
+        #: Whether anything keeps the events this node would build: a
+        #: recorded trace or a tap.  Otherwise a send, delivery or timer
+        #: skips its event (three clock reads) altogether.
+        self._tracing = recorder.record_trace or recorder.tap is not None
         self.api = NodeAPI(
             self, node, self.logical, random.Random((seed * NODE_SEED_MIX) ^ node)
         )
@@ -97,7 +101,7 @@ class LiveNode:
         faults = self._transport.faults
         if faults is not None and faults.node_down(sender):
             return  # crashed nodes emit nothing (the simulator's guard)
-        self.record(self._event(SEND, (receiver, payload)))
+        self._trace(SEND, (receiver, payload))
         self._transport.transmit(self, receiver, payload)
 
     def set_timer(self, node: int, delta_hardware: float, name: str) -> None:
@@ -129,12 +133,12 @@ class LiveNode:
 
     def deliver(self, sender: int, payload) -> None:
         """Record the RECEIVE event and run ``on_message``."""
-        self.record(self._event(RECEIVE, (sender, payload)))
+        self._trace(RECEIVE, (sender, payload))
         self.process.on_message(self.api, sender, payload)
 
     def fire_timer(self, name: str) -> None:
         """Record the TIMER event and run ``on_timer``."""
-        self.record(self._event(TIMER, name))
+        self._trace(TIMER, name)
         self.process.on_timer(self.api, name)
 
     def mark_crash(self) -> None:
@@ -144,22 +148,27 @@ class LiveNode:
         dispatching its deliveries and timers; the clocks keep advancing
         (hardware is physical), matching the simulator's contract.
         """
-        self.record(self._event(CRASH, None))
+        self._trace(CRASH, None)
 
     def recover(self) -> None:
         """Record the RECOVER event and run ``on_recover``."""
-        self.record(self._event(RECOVER, None))
+        self._trace(RECOVER, None)
         self.process.on_recover(self.api)
 
-    def _event(self, kind: str, detail) -> TraceEvent:
+    def _trace(self, kind: str, detail) -> None:
+        """Record one event at the current instant, if anything keeps it."""
+        if not self._tracing:
+            return
         t = self.now
-        return TraceEvent(
-            real_time=t,
-            node=self.node,
-            hardware=self.hardware.value_at(t),
-            logical=self.logical.read(t),
-            kind=kind,
-            detail=detail,
+        self._recorder.record(
+            TraceEvent(
+                real_time=t,
+                node=self.node,
+                hardware=self.hardware.value_at(t),
+                logical=self.logical.read(t),
+                kind=kind,
+                detail=detail,
+            )
         )
 
 

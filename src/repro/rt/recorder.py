@@ -146,6 +146,8 @@ def build_execution(
             "frames_dropped": wire["frames_dropped"],
             # Node callbacks dispatched: deliveries + timer firings.
             "events": sum(report["events"] for report in reports),
+            # Shards that started after the shared epoch (0 in-process).
+            "missed_epochs": sum(report["missed_epoch"] for report in reports),
             "wall_elapsed": time.perf_counter() - started,
         },
     )

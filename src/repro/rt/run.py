@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import RtError
 from repro.rt.recorder import build_execution
-from repro.rt.shard import host_shard, run_shards
+from repro.rt.shard import host_shard, run_shards, warn_missed_epochs
 from repro.rt.transport import TRANSPORT_SHAPES
 from repro.sim.execution import Execution
 from repro.sweep.families import TRANSPORT_FAMILIES
@@ -80,10 +80,12 @@ def run_live(config: LiveRunConfig, *, tail=None) -> Execution:
     else:
         reports, switch = run_shards(config, cell, tail=tail)
         workers = len(reports)
-    return build_execution(
+    execution = build_execution(
         config, cell, reports,
         workers=workers, switch=switch, tail=tail, started=started,
     )
+    warn_missed_epochs(execution.live_stats, transport=config.transport)
+    return execution
 
 
 def with_transport(  # repro: allow[DEAD001] examples/live_run.py

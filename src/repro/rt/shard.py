@@ -64,10 +64,12 @@ Timebase and failure handling
 -----------------------------
 The parent waits for every shard to report ready (the barrier absorbs
 fork + construction lag, however large n gets), then picks one
-CLOCK_MONOTONIC epoch a short grace ahead and ships it to every shard;
-``time.monotonic()`` is system-wide on Linux, so all shards agree on
-"simulation time 0" to scheduler precision.  A shard that still misses
-the epoch reports the fact and the parent warns.  After the run, shards
+CLOCK_MONOTONIC epoch a short grace ahead (:data:`_START_GRACE`, which
+covers only pipe latency and waking every shard) and ships it to every
+shard; ``time.monotonic()`` is system-wide on Linux, so all shards agree
+on "simulation time 0" to scheduler precision.  A shard that still
+misses the epoch reports the fact; ``live_stats["missed_epochs"]``
+counts such shards and ``run_live`` warns.  After the run, shards
 ship their :func:`host_shard` reports (recorder, logical clocks,
 counters) home over pipes and ``run_live`` assembles one
 :class:`~repro.sim.execution.Execution` from them.  A shard process
@@ -85,7 +87,6 @@ import functools
 import heapq
 import math
 import multiprocessing
-import os
 import random
 import select
 import socket
@@ -108,6 +109,7 @@ from repro.sim.messages import (
     validate_delay,
 )
 from repro.sim.trace import TOPOLOGY, TraceEvent
+from repro.sweep.pool import usable_cpus
 from repro.topology.base import Topology
 from repro.topology.dynamic import DynamicTopology
 from repro.wire import decode_frame, encode_frame
@@ -120,9 +122,11 @@ __all__ = ["ShardTransport", "host_shard", "run_shards", "default_workers"]
 
 #: Wall seconds between the ready barrier and the shared start epoch.
 #: Every shard has already built its nodes and is blocked on its pipe by
-#: the time the parent publishes the epoch, so this only needs to cover
-#: pipe latency — not fork + construction lag, which the barrier absorbs.
-_START_GRACE = 0.25
+#: the time the parent publishes the epoch, so this covers only pipe
+#: latency plus waking every shard — not fork + construction lag, which
+#: the barrier absorbs.  A shard that wakes late anyway is counted in
+#: ``live_stats["missed_epochs"]`` and warned about.
+_START_GRACE = 0.02
 
 #: Base wall seconds the parent grants shards to build themselves and
 #: report ready; scaled up with node count.
@@ -136,10 +140,10 @@ def default_workers(n: int) -> int:
     """Auto shard count for ``router``: one per ~16 nodes, capped by cores.
 
     Small runs stay in one worker (no multiplexing overhead); large runs
-    fan out to at most ``min(cores, 8)`` workers, each hosting a shard.
+    fan out to at most ``min(cores, 8)`` workers, each hosting a shard,
+    where ``cores`` counts the CPUs this process may run on.
     """
-    cores = os.cpu_count() or 2
-    return max(1, min(cores, 8, (n + 15) // 16))
+    return max(1, min(usable_cpus(), 8, (n + 15) // 16))
 
 
 def _decode_message(datagram: bytes) -> Optional[dict]:
@@ -610,20 +614,21 @@ def raise_reported_errors(reports: Mapping, *, role: str) -> None:
         raise RtError(f"{role} {key} failed:\n{trace}")
 
 
-def warn_missed_epochs(reports: Mapping, *, role: str) -> None:
-    """Warn when any shard started after the shared epoch had passed.
+def warn_missed_epochs(live_stats: Mapping, *, transport: str) -> None:
+    """Warn when ``live_stats`` counts shards that started after the
+    shared epoch had passed.
 
     With the ready barrier in place this should not happen; if it does
     (extreme scheduler pressure), skew measurements are offset by the
     late start and the run must not pass silently.
     """
-    missed = sorted(key for key, r in reports.items() if r.get("missed_epoch"))
+    missed = live_stats["missed_epochs"]
     if missed:
-        names = ", ".join(str(key) for key in missed)
         warnings.warn(
-            f"{role} {names} missed the shared start epoch (lag exceeded "
-            f"the {_START_GRACE}s post-barrier grace); clocks started "
-            f"late and skew measurements may be offset",
+            f"{missed} of {live_stats['workers']} {transport} shard(s) "
+            f"missed the shared start epoch (lag exceeded the "
+            f"{_START_GRACE}s post-barrier grace); clocks started late "
+            f"and skew measurements may be offset",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -858,5 +863,4 @@ def run_shards(
                 child.terminate()
 
     raise_reported_errors(reports, role=role)
-    warn_missed_epochs(reports, role=role)
     return [reports[s] for s in sorted(reports)], core

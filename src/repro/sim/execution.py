@@ -56,8 +56,9 @@ class Execution:
     topology_timeline: tuple[tuple[float, Topology], ...] | None = None
     #: Transport-level counters of a :mod:`repro.rt` run — one key set
     #: on every transport name: ``workers``, ``frames_routed``,
-    #: ``frames_dropped``, ``events`` (node callbacks dispatched) and
-    #: ``wall_elapsed`` (seconds ``run_live`` took); ``None`` for
+    #: ``frames_dropped``, ``events`` (node callbacks dispatched),
+    #: ``missed_epochs`` (forked shards that started after the shared
+    #: epoch) and ``wall_elapsed`` (seconds ``run_live`` took); ``None`` for
     #: simulator runs.  Dropped frames are wire-level losses (malformed
     #: or misdirected datagrams), distinct from the *injected* losses
     #: counted in :attr:`fault_stats`.

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
 
 from repro.errors import ReproError, SweepError
 from repro.sweep.aggregate import sweep_result, to_json_payload, write_json
+from repro.sweep.pool import usable_cpus
 from repro.sweep.runner import run_jobs
 from repro.sweep.scenario import Scenario
 from repro.sweep.spec import SweepSpec, full_spec, quick_spec
@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=max(os.cpu_count() or 1, 1),
-        help="worker processes (default: CPU count; 1 = serial)",
+        default=usable_cpus(),
+        help="worker processes (default: usable CPU count; 1 = serial)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR",

@@ -40,7 +40,7 @@ from typing import Dict, Iterator, Optional
 from repro.sweep.jobs import Job, execute_job
 from repro.sweep.store import ContentStore
 
-__all__ = ["JobQueue", "WorkerPool", "MAX_ATTEMPTS"]
+__all__ = ["JobQueue", "WorkerPool", "MAX_ATTEMPTS", "usable_cpus"]
 
 #: A job whose worker died gets requeued this many times total before
 #: the queue marks it failed instead of crash-looping the pool.
@@ -54,6 +54,17 @@ _RESPAWN_BUDGET = 8
 
 #: The states a cell does not leave on its own.
 _SETTLED = ("done", "failed")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    (what ``taskset`` or a container's cpuset leaves it), or the
+    machine's count where the OS keeps no mask.  Auto worker counts
+    read this, so a pinned process does not oversubscribe its CPUs."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 @dataclass

@@ -110,10 +110,12 @@ class TestLiveStats:
         assert {frozenset(s) for s in stats.values()} == {
             frozenset(
                 ("workers", "frames_routed", "frames_dropped", "events",
-                 "wall_elapsed")
+                 "missed_epochs", "wall_elapsed")
             )
         }
         assert [stats[name]["workers"] for name in stats] == [0, 0, 6, 1]
+        assert stats["virtual"]["missed_epochs"] == 0
+        assert stats["asyncio"]["missed_epochs"] == 0
         # The wall clocks sleep the run out; the virtual clock does not.
         assert stats["virtual"]["wall_elapsed"] < 0.2
         assert stats["asyncio"]["wall_elapsed"] >= 0.2

@@ -235,9 +235,67 @@ class TestShardFailureHandling:
             execution = run_live(self.config(transport))
             assert execution.live_stats["frames_dropped"] >= 1, name
         assert sorted(execution.live_stats) == [
-            "events", "frames_dropped", "frames_routed", "wall_elapsed",
-            "workers",
+            "events", "frames_dropped", "frames_routed", "missed_epochs",
+            "wall_elapsed", "workers",
         ]
+
+
+class TestWorkerCount:
+    def test_auto_counts_read_the_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU gets one worker, however many
+        CPUs the machine has (``os.cpu_count`` would say otherwise)."""
+        from repro.sweep.cli import build_parser
+        from repro.sweep.pool import usable_cpus
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert usable_cpus() == 1
+        assert shard_rt.default_workers(512) == 1
+        assert build_parser().parse_args([]).workers == 1
+
+    def test_shard_count_grows_with_n_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+        assert shard_rt.default_workers(16) == 1
+        assert shard_rt.default_workers(64) == 4
+        assert shard_rt.default_workers(4096) == 8
+
+
+@pytest.mark.rt
+class TestStartEpoch:
+    """A forked run costs its pinned span plus its work, not a wait."""
+
+    def test_start_grace_covers_pipe_latency_only(self):
+        # The ready barrier has every shard built and blocked on its pipe
+        # before the epoch is published, so the grace covers the epoch's
+        # pipe write and waking each shard -- milliseconds, not the fork
+        # and construction lag the barrier already absorbed.
+        assert 0.0 < shard_rt._START_GRACE <= 0.05
+
+    def test_router_run_adds_little_to_its_pinned_span(self):
+        config = LiveRunConfig(
+            topology="line:8", algorithm="gradient", duration=2.0,
+            rho=0.2, seed=0, transport="router", time_scale=0.05,
+        )
+        span = config.duration * config.time_scale
+        # Best of three, so one run slowed by a loaded machine does not
+        # fail the bound; a 0.25 s grace alone put every run past it.
+        overhead = min(
+            run_live(config).live_stats["wall_elapsed"] - span
+            for _ in range(3)
+        )
+        assert overhead < 0.2
+
+    @BOTH
+    def test_missed_epochs_are_counted_and_warned(self, monkeypatch, transport):
+        # An epoch published already in the past: every shard misses it.
+        monkeypatch.setattr(shard_rt, "_START_GRACE", -0.05)
+        config = LiveRunConfig(
+            topology="line:3", algorithm="gradient", duration=2.0,
+            rho=0.2, seed=0, transport=transport, time_scale=0.05,
+        )
+        with pytest.warns(RuntimeWarning, match="missed the shared start epoch"):
+            execution = run_live(config)
+        stats = execution.live_stats
+        assert stats["missed_epochs"] == stats["workers"] >= 1
 
 
 @pytest.mark.rt

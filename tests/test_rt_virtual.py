@@ -17,6 +17,8 @@ common one.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from _engine_helpers import assert_equivalent
 
@@ -190,6 +192,50 @@ class TestChurnGrid:
         assert len(execution.trace.of_kind("crash")) == stats["crashes"]
         assert len(execution.trace.of_kind("topology")) >= 1
         assert execution.is_dynamic
+
+
+class _EventTap:
+    """A streaming-tail stand-in that keeps every event it is fed."""
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, event):
+        self.events.append(event)
+
+    def stats(self, now, **counters):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestUntracedRuns:
+    """With no trace and no tap, live nodes build no events — and the
+    run computes exactly what the traced run computes."""
+
+    CELL = churn_cell(faults="crash-recover:0.25,3", mobility="blink:0.3,4")
+
+    @pytest.mark.parametrize("faults", ["none", "crash-recover:0.25,3"])
+    def test_untraced_run_computes_the_traced_run(self, faults):
+        config = replace(self.CELL, faults=faults)
+        traced = run_live(config)
+        untraced = run_live(replace(config, record_trace=False))
+        assert len(untraced.trace) == 0 < len(traced.trace)
+        assert untraced.messages == traced.messages
+        assert {n: c.segments() for n, c in untraced.logical.items()} == {
+            n: c.segments() for n, c in traced.logical.items()
+        }
+        assert untraced.live_stats["events"] == traced.live_stats["events"]
+        assert untraced.fault_stats == traced.fault_stats
+
+    def test_a_tap_sees_every_event_without_a_trace(self):
+        tap = _EventTap()
+        run_live(replace(self.CELL, record_trace=False), tail=tap)
+        assert tap.events == run_live(self.CELL).trace.events
+        assert {e.kind for e in tap.events} >= {
+            "send", "receive", "timer", "crash", "recover", "topology",
+        }
 
 
 class TestExecutionCompatibility:
