@@ -224,8 +224,9 @@ echo "== sweep as a service (repro.serve) =="
 # the sweep step above used as --cache-dir (one store layout: the quick
 # grid it swept must be all hits, nothing queued), submit a 3-cell grid
 # through the experiments verb, block until it settles, fetch the
-# rendered tables twice, query status, serve a live sim,router grid (a
-# pool worker forks the router cell's shards), stop cleanly.
+# rendered tables twice, resubmit it (no manifest write; a deleted
+# manifest heals), query status, serve a live sim,router grid (a pool
+# worker forks the router cell's shards), stop cleanly.
 timeout 30 bash -c '
     set -euo pipefail
     STORE="$ARTIFACTS/cache"
@@ -234,9 +235,10 @@ timeout 30 bash -c '
     SERVE_PID=$!
     python -m repro.experiments serve submit --store "$STORE" --quick \
         --seeds 1 --duration 10 | grep -q " 0 queued)"
-    python -m repro.experiments serve submit --store "$STORE" \
-        --topologies line:5 --algorithms max-based --rates drifted \
-        --seeds 3 --duration 8 --name ci --wait > "$ARTIFACTS/serve_submit.txt"
+    CI_GRID=(--topologies line:5 --algorithms max-based --rates drifted
+             --seeds 3 --duration 8 --name ci)
+    python -m repro.experiments serve submit --store "$STORE" "${CI_GRID[@]}" \
+        --wait > "$ARTIFACTS/serve_submit.txt"
     SWEEP="$(sed -n "s/^sweep \([0-9a-f]*\):.*/\1/p" "$ARTIFACTS/serve_submit.txt" | head -1)"
     test -n "$SWEEP"
     python -m repro.experiments serve fetch --store "$STORE" "$SWEEP" \
@@ -251,6 +253,21 @@ timeout 30 bash -c '
     test "$(ls "$STORE/packs" | wc -l)" -eq 1
     test -f "$STORE/packs/$SWEEP.json"
     test "$(ls "$STORE/sweeps" | wc -l)" -eq 2
+    # A warm resubmit is a read: the manifest keeps its bytes and its
+    # inode (every store write is a temp file renamed over the old one,
+    # so a rewrite would change the inode).  Deleted, it heals on the
+    # next resubmit, byte for byte.
+    MANIFEST="$STORE/sweeps/$SWEEP.json"
+    cp "$MANIFEST" "$ARTIFACTS/serve_manifest.json"
+    INODE="$(stat -c %i "$MANIFEST")"
+    python -m repro.experiments serve submit --store "$STORE" "${CI_GRID[@]}" \
+        | grep -q "^sweep $SWEEP:"
+    cmp "$MANIFEST" "$ARTIFACTS/serve_manifest.json"
+    test "$(stat -c %i "$MANIFEST")" = "$INODE"
+    rm "$MANIFEST"
+    python -m repro.experiments serve submit --store "$STORE" "${CI_GRID[@]}" \
+        | grep -q "^sweep $SWEEP:"
+    cmp "$MANIFEST" "$ARTIFACTS/serve_manifest.json"
     python -m repro.experiments serve status --store "$STORE" "$SWEEP" \
         | grep -q "3/3 done"
     python -m repro.experiments serve submit --store "$STORE" \

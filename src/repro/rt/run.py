@@ -14,6 +14,7 @@ run's counters and wall seconds in ``live_stats``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -52,10 +53,10 @@ class LiveRunConfig(Scenario):
                 f"unknown transport {self.transport!r}; "
                 f"backends: {list(TRANSPORT_FAMILIES)}"
             )
-        if self.duration <= 0:
-            raise RtError(f"duration must be positive, got {self.duration}")
-        if self.time_scale <= 0:
-            raise RtError(f"time_scale must be positive, got {self.time_scale}")
+        for name in ("duration", "time_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise RtError(f"{name} must be positive and finite, got {value}")
         if self.workers < 0:
             raise RtError(f"workers must be >= 0, got {self.workers}")
 

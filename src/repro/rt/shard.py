@@ -148,9 +148,11 @@ def default_workers(n: int) -> int:
 
 def _decode_message(datagram: bytes) -> Optional[dict]:
     """One message frame, or ``None`` unless it decodes to the record
-    :meth:`ShardTransport._carry_wire` sends: integer ends, numeric send
-    and delay, a payload.  Every receiving site checks this once, so a
-    stray datagram is dropped and counted, never a crash."""
+    :meth:`ShardTransport._carry_wire` sends: integer ends, a finite send
+    time, a finite delay ``>= 0``, a payload.  Every receiving site
+    checks this once, so a stray or forged datagram is dropped and
+    counted, never a crash, a NaN heap key or a delivery outside the
+    model's delay band."""
     record = decode_frame(datagram)
     if (
         isinstance(record, dict)
@@ -159,6 +161,9 @@ def _decode_message(datagram: bytes) -> Optional[dict]:
         and isinstance(record.get("dst"), int)
         and isinstance(record.get("send"), (int, float))
         and isinstance(record.get("delay"), (int, float))
+        and math.isfinite(record["send"])
+        and math.isfinite(record["delay"])
+        and record["delay"] >= 0
     ):
         return record
     return None

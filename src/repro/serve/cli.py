@@ -106,7 +106,7 @@ def _cmd_start(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     spec = resolve_spec(args)
     if args.name:
-        payload = json.loads(spec.to_json())
+        payload = spec.payload()
         payload["name"] = args.name
         spec = SweepSpec.from_dict(payload)
     with ServeClient(store=args.store) as client:

@@ -11,7 +11,6 @@ bound on, mirroring ``tests/test_rt_router.py``).
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 from typing import Optional
@@ -111,9 +110,7 @@ class ServeClient:
 
     def submit(self, spec: SweepSpec) -> dict:
         """Submit a sweep; returns the receipt (``sweep`` id, counts)."""
-        return self._request(
-            {"op": "submit", "spec": json.loads(spec.to_json())}
-        )
+        return self._request({"op": "submit", "spec": spec.payload()})
 
     def status(self, sweep: Optional[str] = None) -> dict:
         record = {"op": "status"}

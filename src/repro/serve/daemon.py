@@ -31,9 +31,12 @@ Crash-safety choreography
 
 The warm path
 -------------
-A resubmitted sweep is tallied from the hashes :class:`SweepBook`
-already holds (no spec expansion, no re-hashing), and a finished
-sweep's fetch reply is spliced from its digest-checked pack
+A resubmitted sweep is a read: :class:`SweepBook` already holds its
+hashes and manifest bytes (no spec expansion, no re-hashing, no
+manifest re-encode), the manifest on disk is rewritten only if it no
+longer matches them, and the sweep's tallies come from the queue's
+per-sweep counts, not a walk of its cells.  A finished sweep's fetch
+reply is spliced from its digest-checked pack
 (:mod:`repro.sweep.store`) — one file read, no per-cell parse and no
 re-encode, yet byte-identical to encoding the full reply.
 
@@ -47,7 +50,6 @@ the in-process runner uses, so a served sweep is bit-identical to
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import socket
@@ -79,6 +81,9 @@ class _SweepEntry:
     name: str
     hashes: tuple[str, ...]
     spec_payload: dict = field(default_factory=dict)
+    #: The manifest's bytes as this daemon wrote them; ``None`` for a
+    #: sweep resumed from disk until its first resubmission encodes them.
+    manifest: Optional[bytes] = None
 
 
 class SweepBook:
@@ -88,8 +93,8 @@ class SweepBook:
     store's layout (objects vs. manifests): cells are shared, sweeps are
     views over them.  Every cell of a registered sweep is offered to the
     queue, so the queue knows each one's state, and the queue watches
-    each sweep, so :meth:`settled` costs one lookup however large the
-    sweep.
+    each sweep, so :meth:`counts` and :meth:`settled` cost one lookup
+    however large the sweep.
     """
 
     def __init__(self) -> None:
@@ -102,9 +107,13 @@ class SweepBook:
         hashes: list[str],
         spec_payload: dict,
         queue: JobQueue,
+        manifest: Optional[bytes] = None,
     ) -> None:
         self._sweeps[sweep_id] = _SweepEntry(
-            name=name, hashes=tuple(hashes), spec_payload=dict(spec_payload)
+            name=name,
+            hashes=tuple(hashes),
+            spec_payload=dict(spec_payload),
+            manifest=manifest,
         )
         queue.watch(sweep_id, hashes)
 
@@ -118,20 +127,20 @@ class SweepBook:
         return self._sweeps[sweep_id]
 
     def counts(self, sweep_id: str, queue: JobQueue) -> dict:
-        """Queued/running/done/failed tally over the sweep's cells."""
+        """Queued/running/done/failed tally over the sweep's cells; only
+        a sweep with failed cells is walked, to list their errors."""
         entry = self._sweeps[sweep_id]
-        tally = {"queued": 0, "running": 0, "done": 0, "failed": 0}
-        errors = []
-        for digest in entry.hashes:
-            state = queue.state_of(digest)
-            tally[state] += 1
-            if state == "failed":
-                error = queue.error_of(digest)
-                if error and error not in errors:
-                    errors.append(error)
+        tally = queue.tally(sweep_id)
         tally["total"] = len(entry.hashes)
-        if errors:
-            tally["errors"] = errors
+        if tally["failed"]:
+            errors = []
+            for digest in entry.hashes:
+                if queue.state_of(digest) == "failed":
+                    error = queue.error_of(digest)
+                    if error and error not in errors:
+                        errors.append(error)
+            if errors:
+                tally["errors"] = errors
         return tally
 
     def settled(self, sweep_id: str, queue: JobQueue) -> bool:
@@ -360,12 +369,16 @@ class ServeDaemon:
         tally = {"hit": 0, "dedup": 0, "queued": 0, "done": 0, "failed": 0}
         if self.book.known(sweep_id):
             # Resubmission: every cell was offered when the sweep was
-            # registered, so the queue tracks each hash the book holds.
-            hashes = self.book[sweep_id].hashes
-            # Rewritten anyway, so a deleted or damaged manifest heals.
-            self.store.write_manifest(spec, hashes)
-            for digest in hashes:
-                tally[self.queue.revisit(digest)] += 1
+            # registered, so the queue's tally of the sweep is its
+            # dispositions.
+            entry = self.book[sweep_id]
+            hashes = entry.hashes
+            # Read back, rewritten only if deleted or damaged.
+            if entry.manifest is None:
+                entry.manifest = self.store.write_manifest(spec, hashes)
+            else:
+                self.store.heal_manifest(sweep_id, entry.manifest)
+            tally.update(self.queue.revisit_group(sweep_id))
         else:
             try:
                 jobs = spec.jobs()
@@ -374,9 +387,9 @@ class ServeDaemon:
             hashes = hashes_for(jobs)
             # Manifest before any cell runs: from this instant a kill at
             # any point leaves a resumable sweep on disk.
-            self.store.write_manifest(spec, hashes)
+            manifest = self.store.write_manifest(spec, hashes)
             self.book.register(
-                sweep_id, spec.name, hashes, json.loads(spec.to_json()), self.queue
+                sweep_id, spec.name, hashes, spec.payload(), self.queue, manifest
             )
             for digest, job in zip(hashes, jobs):
                 tally[self.queue.offer(digest, job)] += 1

@@ -74,6 +74,7 @@ batching.  Only :meth:`NodeAPI.send` takes the per-send path
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
@@ -166,8 +167,12 @@ class RunSetup:
             self._dynamic = None
         if set(processes) != set(topology.nodes):
             raise SimulationError("processes must cover exactly the topology's nodes")
-        if config.duration <= 0:
-            raise SimulationError("duration must be positive")
+        if not (math.isfinite(config.duration) and config.duration > 0):
+            # NaN fails every comparison, so ``duration <= 0`` lets it
+            # through and the run loop's ``time > limit`` never ends it.
+            raise SimulationError(
+                f"duration must be positive and finite, got {config.duration}"
+            )
         self.topology = topology
         self._topology_timeline: list[tuple[float, Topology]] = [(0.0, topology)]
         self.config = config

@@ -151,7 +151,7 @@ def sweep_result(
         paper_artifact="batched benign-scenario grid (beyond the paper)",
         tables=tables,
         notes=list(notes),
-        data={"spec": json.loads(spec.to_json()),
+        data={"spec": spec.payload(),
               "metrics": [o.metrics for o in outcomes]},
     )
 
@@ -166,7 +166,7 @@ def to_json_payload(
 ) -> dict:
     """The machine-readable sweep artifact."""
     return {
-        "spec": json.loads(spec.to_json()),
+        "spec": spec.payload(),
         "workers": workers,
         "elapsed": elapsed,
         "cache": cache_stats or {},

@@ -209,7 +209,7 @@ def resolve_spec(args: argparse.Namespace) -> SweepSpec:
     if args.time_scale is not None:
         overrides["time_scale"] = args.time_scale
     if overrides:
-        payload = json.loads(spec.to_json())
+        payload = spec.payload()
         payload.update(overrides)
         spec = SweepSpec.from_dict(payload)
     return spec

@@ -79,8 +79,9 @@ class JobQueue:
     """Hash-keyed dedup queue over an optional :class:`ContentStore`.
 
     A group of cells (a daemon sweep) can be :meth:`watch`-ed: every
-    state change keeps the group's count of unsettled cells, so asking
-    whether a group has settled is one lookup, not a walk of its cells.
+    state change keeps the group's tally of cells per state, so a
+    group's counts, whether it has settled, and a resubmission's
+    dispositions are each one lookup, not a walk of its cells.
     """
 
     def __init__(self, store: Optional[ContentStore] = None):
@@ -89,8 +90,8 @@ class JobQueue:
         self._ready: deque[str] = deque()
         #: hash -> the watched groups holding it (once per occurrence).
         self._groups_of: Dict[str, list[str]] = {}
-        #: group -> its cells not done or failed.
-        self._unsettled: Dict[str, int] = {}
+        #: group -> state -> its cells in that state.
+        self._tallies: Dict[str, Dict[str, int]] = {}
         self.executed = 0
         self.failed = 0
         self.hits = 0
@@ -170,33 +171,49 @@ class JobQueue:
         self._ready.appendleft(digest)
 
     def _move(self, digest: str, state: str) -> _Tracked:
-        """Set a cell's state, keeping each watching group's unsettled
-        count: the one place a state changes."""
+        """Set a cell's state, keeping each watching group's tally: the
+        one place a state changes."""
         tracked = self._tracked[digest]
-        settles = state in _SETTLED
-        if settles != (tracked.state in _SETTLED):
-            step = -1 if settles else 1
+        if state != tracked.state:
             for group in self._groups_of.get(digest, ()):
-                self._unsettled[group] += step
+                tally = self._tallies[group]
+                tally[tracked.state] -= 1
+                tally[state] += 1
         tracked.state = state
         return tracked
 
     # -- groups ---------------------------------------------------------
 
     def watch(self, group: str, digests) -> None:
-        """Count ``group``'s unsettled cells from now on (a cell not yet
-        offered counts as unsettled until it is)."""
-        unsettled = 0
+        """Tally ``group``'s cells by state from now on, once per
+        occurrence (a cell not yet offered counts as queued, the state
+        :meth:`offer` admits it in)."""
+        tally = dict.fromkeys(("queued", "running", "done", "failed"), 0)
         for digest in digests:
             self._groups_of.setdefault(digest, []).append(group)
             tracked = self._tracked.get(digest)
-            if tracked is None or tracked.state not in _SETTLED:
-                unsettled += 1
-        self._unsettled[group] = unsettled
+            tally["queued" if tracked is None else tracked.state] += 1
+        self._tallies[group] = tally
+
+    def tally(self, group: str) -> dict:
+        """A watched group's cells per state: ``queued`` / ``running`` /
+        ``done`` / ``failed`` counts."""
+        return dict(self._tallies[group])
 
     def unsettled(self, group: str) -> int:
         """How many of a watched group's cells are not done or failed."""
-        return self._unsettled[group]
+        tally = self._tallies[group]
+        return tally["queued"] + tally["running"]
+
+    def revisit_group(self, group: str) -> dict:
+        """:meth:`revisit` for every cell of a watched group whose cells
+        were all offered: its ``done`` / ``failed`` / ``dedup``
+        dispositions from the tally, the unsettled cells counted as
+        dedups."""
+        tally = self._tallies[group]
+        dedup = self.unsettled(group)
+        self.deduped += dedup
+        return {"done": tally["done"], "failed": tally["failed"], "dedup": dedup}
 
     # -- queries --------------------------------------------------------
 

@@ -26,9 +26,9 @@ Usage::
 from __future__ import annotations
 
 import itertools
-import json
+import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro._constants import DEFAULT_RHO
@@ -108,6 +108,10 @@ class SweepSpec:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise SweepError(f"spec field {name!r} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                # NaN and inf pass every comparison a run loop makes
+                # (``time > limit`` is never true): a cell would not end.
+                raise SweepError(f"spec field {name!r} must be finite, got {value!r}")
         if self.duration <= 0:
             raise SweepError(f"duration must be positive, got {self.duration}")
 
@@ -205,8 +209,14 @@ class SweepSpec:
 
     # ------------------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+    def payload(self) -> dict:
+        """The spec as plain JSON data, fields in sorted order, axes as
+        lists: what a client submits, a manifest records and a sweep id
+        hashes."""
+        return {
+            name: list(getattr(self, name)) if name in _AXES else getattr(self, name)
+            for name in sorted(self.__dataclass_fields__)  # type: ignore[attr-defined]
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":

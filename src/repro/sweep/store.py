@@ -11,10 +11,13 @@ Objects are keyed by :func:`repro.sweep.jobs.job_hash` (which folds in
 ``CACHE_VERSION``), so overlapping sweeps dedup at the cell level for
 free.  A manifest records the spec a client submitted plus the full
 ordered list of its job hashes, so the store alone answers "which cells
-of this sweep exist yet?" — the whole resume story.  Every write is
-atomic (unique temp file + rename), so concurrent writers — a serve
-daemon, a second ``run_jobs``, a killed run restarting — can only ever
-race to install identical bytes.
+of this sweep exist yet?" — the whole resume story.  A resubmitted
+sweep's manifest is read, not rewritten: it is written again only when
+the file is missing or its bytes differ from the ones the daemon wrote,
+so a deleted or damaged manifest heals and an intact one costs a read.
+Every write is atomic (unique temp file + rename), so concurrent
+writers — a serve daemon, a second ``run_jobs``, a killed run
+restarting — can only ever race to install identical bytes.
 
 A pack is a finished sweep's results in one file, so a warm fetch reads
 one file instead of one object per cell.  Its first line is a header
@@ -56,7 +59,7 @@ def sweep_id_for(spec: SweepSpec) -> str:
     the same manifest, status, and results.
     """
     canonical = json.dumps(
-        {"spec": json.loads(spec.to_json()), "v": CACHE_VERSION},
+        {"spec": spec.payload(), "v": CACHE_VERSION},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -172,21 +175,33 @@ class ContentStore:
     def manifest_path(self, sweep_id: str) -> Path:
         return self.sweep_dir / f"{sweep_id}.json"
 
-    def write_manifest(self, spec: SweepSpec, hashes: list[str]) -> str:
-        """Persist the sweep's identity *before* any cell runs."""
+    def write_manifest(self, spec: SweepSpec, hashes) -> bytes:
+        """Persist the sweep's identity *before* any cell runs, and return
+        the manifest's bytes.  A file that already holds exactly those
+        bytes is left alone (see :meth:`heal_manifest`)."""
         sweep_id = sweep_id_for(spec)
         manifest = {
             "sweep": sweep_id,
             "name": spec.name,
             "cache_version": CACHE_VERSION,
-            "spec": json.loads(spec.to_json()),
+            "spec": spec.payload(),
             "jobs": list(hashes),
         }
-        _write_atomic(
-            self.manifest_path(sweep_id),
-            json.dumps(manifest, sort_keys=True, indent=2).encode(),
-        )
-        return sweep_id
+        data = json.dumps(manifest, sort_keys=True, indent=2).encode()
+        self.heal_manifest(sweep_id, data)
+        return data
+
+    def heal_manifest(self, sweep_id: str, data: bytes) -> None:
+        """Rewrite a manifest only if the file is missing or its bytes
+        differ from ``data`` (what :meth:`write_manifest` returned): an
+        intact manifest costs one read, a deleted or damaged one heals."""
+        path = self.manifest_path(sweep_id)
+        try:
+            if path.read_bytes() == data:
+                return
+        except OSError:
+            pass
+        _write_atomic(path, data)
 
     def manifests(self) -> Iterator[Optional[dict]]:
         """Every current-version manifest, in sweep-id order.

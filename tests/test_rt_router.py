@@ -218,6 +218,19 @@ class TestShardFailureHandling:
             "a text send": encode_frame(
                 {"src": 0, "dst": 1, "payload": 0, "send": "x", "delay": 0.1}
             ),
+            # Forged numbers: a NaN heap key breaks the delivery order, and
+            # a negative delay delivers outside the model's band [0, d].
+            "a NaN send": encode_frame(
+                {"src": 0, "dst": 1, "payload": 0, "send": float("nan"),
+                 "delay": 0.1}
+            ),
+            "an infinite delay": encode_frame(
+                {"src": 0, "dst": 1, "payload": 0, "send": 0.5,
+                 "delay": float("inf")}
+            ),
+            "a negative delay": encode_frame(
+                {"src": 0, "dst": 1, "payload": 0, "send": 0.5, "delay": -0.3}
+            ),
         }
 
         def noisy_main(shard, shards, config, cell, route, mirror, sock, conn):

@@ -104,7 +104,7 @@ class TestTransportAxis:
         import json
 
         spec = _spec()
-        again = SweepSpec.from_dict(json.loads(spec.to_json()))
+        again = SweepSpec.from_dict(json.loads(json.dumps(spec.payload())))
         assert again.transports == ("sim", "virtual")
         assert again == spec
 

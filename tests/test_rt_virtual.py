@@ -280,6 +280,13 @@ class TestConfigValidation:
         with pytest.raises(RtError):
             LiveRunConfig(time_scale=-1.0)
 
+    @pytest.mark.parametrize("field", ["duration", "time_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_duration_and_time_scale_rejected(self, field, value):
+        # NaN passes ``<= 0``; either would leave a run with no end.
+        with pytest.raises(RtError, match=f"{field} must be positive and finite"):
+            LiveRunConfig(**{field: value})
+
     def test_virtual_transport_runs_once(self):
         from repro.rt import LiveRecorder, ShardTransport
 

@@ -15,6 +15,7 @@ restarted daemon completes the sweep re-executing only missing cells.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -42,10 +43,11 @@ from repro.serve.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.sweep import store as store_mod
 from repro.sweep.jobs import job_hash
 from repro.sweep.pool import JobQueue, WorkerPool
 from repro.sweep.runner import run_jobs
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, quick_spec
 from repro.sweep.store import ContentStore, hashes_for, sweep_id_for
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,7 +190,7 @@ class TestJobQueue:
         hashes = hashes_for(jobs)
         sweep_id = sweep_id_for(spec)
         book.register(
-            sweep_id, spec.name, hashes, json.loads(spec.to_json()), queue
+            sweep_id, spec.name, hashes, spec.payload(), queue
         )
         for digest, job in zip(hashes, jobs):
             queue.offer(digest, job)
@@ -238,6 +240,54 @@ class TestJobQueue:
         assert book.settled("big", queue)
         assert CountingDict.lookups <= budget
 
+    def test_group_tallies_equal_a_walk_through_every_transition(self):
+        # The tallies _move keeps must always equal counting each cell's
+        # state: duplicates count per occurrence, and a cell watched
+        # before it is offered counts as queued.
+        import random
+
+        rng = random.Random(7)
+        queue = JobQueue()
+        cells = [f"{i:x}" for i in range(12)]
+        groups = {
+            "early": cells[:8] + cells[:2],
+            "late": cells[4:],
+        }
+        queue.watch("early", groups["early"])
+
+        def check():
+            for group, digests in groups.items():
+                if group not in queue._tallies:
+                    continue
+                walk = dict.fromkeys(("queued", "running", "done", "failed"), 0)
+                for digest in digests:
+                    walk[queue.state_of(digest) or "queued"] += 1
+                assert queue.tally(group) == walk
+                assert queue.unsettled(group) == walk["queued"] + walk["running"]
+
+        for digest in cells[:6]:
+            queue.offer(digest, None)
+        queue.watch("late", groups["late"])
+        for digest in cells[6:]:
+            queue.offer(digest, None)
+        check()
+        running = []
+        for _ in range(200):
+            step = rng.randrange(5)
+            if step == 0 and (item := queue.next_ready()) is not None:
+                running.append(item[0])
+            elif step == 1 and running:
+                queue.mark_done(running.pop(rng.randrange(len(running))), {})
+            elif step == 2 and running:
+                queue.mark_failed(running.pop(rng.randrange(len(running))), "x")
+            elif step == 3 and running:
+                queue.requeue(running.pop(rng.randrange(len(running))), reason="x")
+            elif step == 4:
+                digest = rng.choice(cells)
+                if queue.state_of(digest) == "done":
+                    queue.forget(digest)
+            check()
+
     def test_forget_after_settle_unsettles_every_sweep_holding_the_cell(self):
         queue, book = JobQueue(), SweepBook()
         # Registered before and after its cells are offered, sharing one.
@@ -285,7 +335,7 @@ class TestResubmission:
         spec = small_spec(name="again", seeds=(0, 1, 2, 3))
         jobs = spec.jobs()
         hashes = hashes_for(jobs)
-        request = {"op": "submit", "spec": json.loads(spec.to_json())}
+        request = {"op": "submit", "spec": spec.payload()}
         # Twins with one queue history: ``book`` learned the sweep from a
         # submit, ``full`` saw the same offers but never registered it,
         # so its next submit takes the full-expansion path.
@@ -320,6 +370,149 @@ class TestResubmission:
         assert manifest["jobs"] == hashes
         for twin in (book, full):
             twin._selector.close()
+
+
+class TestWarmResubmit:
+    """A warm resubmission is a read: no store write, no re-encoded
+    manifest, and its tallies cost a constant number of queue lookups."""
+
+    @staticmethod
+    def count_writes(monkeypatch) -> list:
+        written = []
+        real = store_mod._write_atomic
+
+        def counting(path, data):
+            written.append(path)
+            real(path, data)
+
+        monkeypatch.setattr(store_mod, "_write_atomic", counting)
+        return written
+
+    def test_resubmitting_a_warm_sweep_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        spec = small_spec(name="warm", seeds=(0, 1, 2))
+        request = {"op": "submit", "spec": spec.payload()}
+        daemon = bare_daemon(tmp_path / "s")
+        for digest in hashes_for(spec.jobs()):
+            daemon.store.put_hash(digest, {"m": 0})
+        first = daemon._handle_submit(request)
+        path = daemon.store.manifest_path(first["sweep"])
+        intact, inode = path.read_bytes(), path.stat().st_ino
+        written = self.count_writes(monkeypatch)
+        for _ in range(5):
+            assert daemon._handle_submit(request)["hits"] == first["total"]
+        assert written == []
+        assert path.read_bytes() == intact and path.stat().st_ino == inode
+        daemon._selector.close()
+
+    def test_a_resumed_sweep_resubmits_without_a_write(
+        self, tmp_path, monkeypatch
+    ):
+        spec = small_spec(name="resumed")
+        request = {"op": "submit", "spec": spec.payload()}
+        before = bare_daemon(tmp_path / "s")
+        before._handle_submit(request)
+        before._selector.close()
+        # A new lifetime learns the sweep from its manifest, not a submit.
+        after = bare_daemon(tmp_path / "s")
+        after._resume()
+        written = self.count_writes(monkeypatch)
+        for _ in range(3):
+            after._handle_submit(request)
+        assert written == []
+        after._selector.close()
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "bit flip"])
+    def test_a_damaged_manifest_heals_byte_identical(self, tmp_path, damage):
+        spec = small_spec(name="heal")
+        request = {"op": "submit", "spec": spec.payload()}
+        daemon = bare_daemon(tmp_path / "s")
+        sweep_id = daemon._handle_submit(request)["sweep"]
+        path = daemon.store.manifest_path(sweep_id)
+        intact = path.read_bytes()
+        if damage == "deleted":
+            path.unlink()
+        elif damage == "truncated":
+            path.write_bytes(intact[: len(intact) // 2])
+        else:
+            flipped = bytearray(intact)
+            flipped[len(intact) // 2] ^= 0x01
+            path.write_bytes(bytes(flipped))
+        daemon._handle_submit(request)
+        assert path.read_bytes() == intact
+        daemon._selector.close()
+
+    @pytest.mark.parametrize("spec, sweep_id", [
+        (quick_spec(), "516d98ad077146ae"),
+        (SweepSpec(
+            name="every", topologies=("line:5", "ring:6"),
+            algorithms=("max-based", "averaging"),
+            rate_families=("drifted", "spread"),
+            delay_policies=("uniform", "half"),
+            fault_families=("none", "loss:0.1"),
+            mobilities=("static", "waypoint:0.5"),
+            transports=("sim", "virtual"), seeds=(0, 3),
+            duration=12.5, rho=0.1, step=0.5, time_scale=0.02,
+        ), "6da4f4b62a002204"),
+    ], ids=["quick", "every-axis"])
+    def test_payload_is_the_json_of_the_spec_and_ids_are_pinned(
+        self, spec, sweep_id
+    ):
+        # The encoding every caller once parsed back: deep copy, indented.
+        legacy = json.loads(
+            json.dumps(dataclasses.asdict(spec), sort_keys=True, indent=2)
+        )
+        assert spec.payload() == legacy
+        assert list(spec.payload()) == list(legacy)  # key order: frame bytes
+        assert sweep_id_for(spec) == sweep_id
+
+    def test_a_large_resubmit_and_its_counts_cost_constant_lookups(
+        self, tmp_path
+    ):
+        # Each resubmission once revisited every hash and each ``counts``
+        # walked the sweep; both are now one lookup of the queue's tally.
+        n, budget = 20_000, 10
+        spec = small_spec(name="big")
+        sweep_id = sweep_id_for(spec)
+        hashes = [f"{i:064x}" for i in range(n)]
+        daemon = bare_daemon(tmp_path / "s")
+        daemon.book.register(
+            sweep_id, spec.name, hashes, spec.payload(), daemon.queue,
+            daemon.store.write_manifest(spec, hashes),
+        )
+        for digest in hashes:
+            daemon.queue.offer(digest, None)
+        for _ in range(n // 2):  # half done, one running, the rest queued
+            daemon.queue.mark_done(daemon.queue.next_ready()[0], {})
+        daemon.queue.next_ready()
+
+        class CountingDict(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                CountingDict.lookups += 1
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                CountingDict.lookups += 1
+                return super().get(key, default)
+
+        daemon.queue._tracked = CountingDict(daemon.queue._tracked)
+        deduped = daemon.queue.deduped
+        receipt = daemon._handle_submit({"op": "submit", "spec": spec.payload()})
+        assert CountingDict.lookups <= budget
+        CountingDict.lookups = 0
+        counts = daemon.book.counts(sweep_id, daemon.queue)
+        assert CountingDict.lookups <= budget
+        assert receipt["hits"] == n // 2
+        assert receipt["deduped"] == n - n // 2
+        assert daemon.queue.deduped - deduped == receipt["deduped"]
+        assert receipt["counts"] == counts == {
+            "queued": n - n // 2 - 1, "running": 1, "done": n // 2,
+            "failed": 0, "total": n,
+        }
+        daemon._selector.close()
 
 
 # ----------------------------------------------------------------------
@@ -827,7 +1020,7 @@ class TestServePacks:
         assert stored == expected
         full_reply = {
             "ok": True, "sweep": sweep, "name": spec.name,
-            "spec": json.loads(spec.to_json()), "results": stored,
+            "spec": spec.payload(), "results": stored,
         }
         assert first == second == encode_frame(full_reply)
 
@@ -929,8 +1122,8 @@ class TestServeResumesRetiredSpecFields:
         spec = small_spec(name="good", seeds=(0, 1))
         jobs = spec.jobs()
         store = ContentStore(tmp_path / "store")
-        good = store.write_manifest(spec, hashes_for(jobs))
-        intact = store.manifest_path(good).read_bytes()
+        good = sweep_id_for(spec)
+        intact = store.write_manifest(spec, hashes_for(jobs))
         for stem, data in {
             "0" * 16: intact[: len(intact) // 2],
             "1" * 16: b"",
@@ -964,7 +1157,7 @@ class TestServeResumesRetiredSpecFields:
         spec = small_spec(name="old", seeds=(0, 1, 2, 3))
         jobs = spec.jobs()
         hashes = hashes_for(jobs)
-        old_payload = {**json.loads(spec.to_json()), "engine": "scalar"}
+        old_payload = {**spec.payload(), "engine": "scalar"}
         old_id = hashlib.sha256(
             json.dumps(
                 {"spec": old_payload, "v": CACHE_VERSION},
@@ -1045,6 +1238,11 @@ class TestServeProtocolErrors:
             ({"seeds": 3}, "'seeds'"),
             ({"rate_families": 5}, "'rate_families'"),
             ({"duration": "x"}, "'duration'"),
+            # NaN / Infinity are JSON tokens the frame decoder accepts;
+            # a NaN duration once ran a cell that never ended.
+            ({"duration": float("nan")}, "'duration'"),
+            ({"duration": float("inf")}, "'duration'"),
+            ({"time_scale": float("nan")}, "'time_scale'"),
             ({"seeds": ["a"]}, "seed 'a'"),
             ({"topologies": ["line:1"]}, "'line:1'"),
             ({"topologies": ["grid:0,3"]}, "'grid:0,3'"),

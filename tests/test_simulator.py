@@ -80,6 +80,15 @@ class TestBasics:
         with pytest.raises(SimulationError):
             Simulator(topo, {0: Process(), 1: Process()}, SimConfig(duration=0.0))
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_duration_must_be_finite(self, duration):
+        # NaN passes ``<= 0`` and the loop's ``time > limit`` never ends it.
+        topo = line(2)
+        with pytest.raises(SimulationError, match="positive and finite"):
+            Simulator(
+                topo, {0: Process(), 1: Process()}, SimConfig(duration=duration)
+            )
+
     def test_run_only_once(self):
         topo = line(2)
         sim = Simulator(topo, {0: Process(), 1: Process()}, SimConfig(duration=1.0))

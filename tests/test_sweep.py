@@ -305,7 +305,7 @@ class TestSpec:
 
     def test_round_trips_through_json(self):
         spec = quick_spec()
-        clone = SweepSpec.from_dict(json.loads(spec.to_json()))
+        clone = SweepSpec.from_dict(json.loads(json.dumps(spec.payload())))
         assert clone == spec
         with pytest.raises(SweepError):
             SweepSpec.from_dict({"warp_factor": 9})
@@ -323,6 +323,11 @@ class TestSpec:
             ({"delay_policies": ["uniform:0.5,0.2"]}, "'uniform:0.5,0.2'"),
             ({"delay_policies": ["fraction:2"]}, "'fraction:2'"),
             ({"delay_policies": ["jitter:2"]}, "'jitter:2'"),
+            ({"duration": float("nan")}, "'duration'"),
+            ({"duration": float("inf")}, "'duration'"),
+            ({"rho": float("nan")}, "'rho'"),
+            ({"step": float("-inf")}, "'step'"),
+            ({"time_scale": float("nan")}, "'time_scale'"),
         ],
     )
     def test_a_mistyped_grid_is_a_sweep_error_naming_it(self, payload, named):
@@ -339,7 +344,7 @@ class TestSpec:
 
     def test_retired_engine_field_is_accepted_and_discarded(self):
         # Manifests on disk and older clients still carry the field.
-        payload = json.loads(TINY.to_json())
+        payload = TINY.payload()
         for retired in ("scalar", "batched"):
             assert SweepSpec.from_dict({**payload, "engine": retired}) == TINY
         with pytest.raises(SweepError):
