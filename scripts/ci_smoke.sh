@@ -11,7 +11,9 @@
 # cell with live churn, the E14 sim-vs-live table, one scenario argv
 # through repro-live and repro-viz), the scale
 # experiment E15, the mobility experiment E16 and the mobility axis of
-# the sweep CLI, the observability layer (repro.viz: a headless
+# the sweep CLI, the numpy-only step (E07, E09 and a tree cell run
+# under a networkx stub that refuses to import, diffed against the
+# plain run), the observability layer (repro.viz: a headless
 # dashboard + mobility animation, the sweep report artifact, a live
 # router run streaming rolling tail panels), the sweep service
 # (repro.serve: start the daemon on the sweep step's cache directory,
@@ -177,6 +179,32 @@ python -m repro.experiments sweep --topologies line:5 \
     --seeds 1 --duration 8 --workers 2 > "$ARTIFACTS/mobility_sweep.txt"
 grep -q "3 mobility families" "$ARTIFACTS/mobility_sweep.txt" \
     || { echo "error: sweep CLI did not expand the mobility axis" >&2; exit 1; }
+
+echo
+echo "== numpy is the only third-party dependency =="
+# A networkx.py that refuses to import, first on the path, stands in for
+# a machine without networkx: E07 (TDMA colouring), E09 (fusion tree)
+# and a tree:2,2 x external cell (BFS source tree) must print exactly
+# what they print without the stub, stopwatch lines aside.
+mkdir -p "$ARTIFACTS/no_networkx"
+echo 'raise ImportError("networkx is not installed")' \
+    > "$ARTIFACTS/no_networkx/networkx.py"
+if PYTHONPATH="$ARTIFACTS/no_networkx:$PYTHONPATH" python -c "import networkx" 2> /dev/null; then
+    echo "error: the networkx stub did not shadow networkx" >&2; exit 1
+fi
+no_networkx_runs() {
+    python -m repro.experiments E07 --scale quick
+    python -m repro.experiments E09 --scale quick
+    python -m repro.experiments sweep --topologies tree:2,2 \
+        --algorithms external --rates drifted --seeds 1 --duration 8
+}
+no_networkx_runs | grep -v -E '^\[E[0-9]+ took |^note: .* jobs in ' \
+    > "$ARTIFACTS/with_networkx.txt"
+PYTHONPATH="$ARTIFACTS/no_networkx:$PYTHONPATH" no_networkx_runs \
+    | grep -v -E '^\[E[0-9]+ took |^note: .* jobs in ' \
+    > "$ARTIFACTS/without_networkx.txt"
+diff "$ARTIFACTS/with_networkx.txt" "$ARTIFACTS/without_networkx.txt" \
+    || { echo "error: output changed where networkx cannot be imported" >&2; exit 1; }
 
 echo
 echo "== observability (repro.viz) =="

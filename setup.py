@@ -32,7 +32,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.24",
-        "networkx>=3.0",
     ],
     extras_require={
         "test": ["pytest>=7.0", "hypothesis>=6.0"],

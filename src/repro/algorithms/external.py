@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.algorithms.base import PeriodicProcess, SyncAlgorithm
 from repro.errors import TopologyError
 from repro.sim.node import NodeAPI, Process
@@ -93,13 +91,7 @@ class ExternalSyncAlgorithm(SyncAlgorithm):
     name: str = "external"
 
     def processes(self, topology: Topology) -> dict[int, Process]:
-        graph = nx.Graph(topology.comm_pairs())
-        graph.add_nodes_from(topology.nodes)
-        if self.source not in graph:
-            raise TopologyError(f"source {self.source} not in topology")
-        parents: dict[int, int | None] = {self.source: None}
-        for child, parent in nx.bfs_predecessors(graph, self.source):
-            parents[child] = parent
+        parents = topology.bfs_parents(self.source)
         missing = set(topology.nodes) - set(parents)
         if missing:
             raise TopologyError(

@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
-
 from repro.errors import ExperimentError
 from repro.sim.execution import Execution
 from repro.topology.base import Topology
@@ -47,13 +45,12 @@ def fusion_groups(topology: Topology, root: int = 0) -> list[FusionGroup]:
     Each internal node fuses its direct children — the paper's
     "children of the same parent" locality structure.
     """
-    graph = nx.Graph(topology.comm_pairs())
-    graph.add_nodes_from(topology.nodes)
-    if root not in graph:
+    if root not in topology.nodes:
         raise ExperimentError(f"root {root} not in topology")
     children: dict[int, list[int]] = {n: [] for n in topology.nodes}
-    for child, parent in nx.bfs_predecessors(graph, root):
-        children[parent].append(child)
+    for child, parent in topology.bfs_parents(root).items():
+        if parent is not None:
+            children[parent].append(child)
     return [
         FusionGroup(parent=p, children=tuple(sorted(cs)))
         for p, cs in sorted(children.items())

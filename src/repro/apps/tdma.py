@@ -23,8 +23,8 @@ large networks — experiment E07 measures exactly that.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-import networkx as nx
 
 from repro.errors import ExperimentError
 from repro.sim.execution import Execution
@@ -70,12 +70,17 @@ def assign_slots(
     with constant degree the frame length stays constant as the network
     grows — the precondition of the paper's TDMA claim.
     """
-    graph = nx.Graph(topology.comm_pairs())
-    graph.add_nodes_from(topology.nodes)
-    coloring = nx.greedy_color(graph, strategy="largest_first")
+    adjacency = topology.comm_adjacency()
+    # Largest-first greedy: a stable sort by degree, descending, then
+    # each node takes the least slot no coloured neighbour holds.
+    coloring: dict[int, int] = {}
+    order = sorted(adjacency, key=lambda u: len(adjacency[u]), reverse=True)
+    for node in order:
+        taken = {coloring[v] for v in adjacency[node] if v in coloring}
+        coloring[node] = next(c for c in itertools.count() if c not in taken)
     n_slots = max(coloring.values()) + 1
     return TDMASchedule(
-        slots=dict(coloring), n_slots=n_slots, slot_width=slot_width, guard=guard
+        slots=coloring, n_slots=n_slots, slot_width=slot_width, guard=guard
     )
 
 

@@ -159,6 +159,9 @@ class ServeDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        if not 0 <= port <= 65535:
+            # bind() would raise a bare OverflowError, after the fork.
+            raise ServeError(f"--port must be in 0-65535, got {port}")
         self.store = ContentStore(store_dir)
         self.queue = JobQueue(self.store)
         self.book = SweepBook()

@@ -14,7 +14,9 @@ consumers.
 Streams add one wrinkle datagrams do not have: a TCP read may return
 half a frame, or two and a half.  :class:`FrameBuffer` is the
 incremental parser both sides use — feed it whatever ``recv`` returned,
-pop complete records as they materialize.  Its error contract mirrors
+pop complete records as they materialize.  It hands each frame to
+``decode_frame`` as a view of its buffer, so a large reply is not
+sliced or copied before it is parsed.  Its error contract mirrors
 ``decode_frame``'s: a body that is not valid UTF-8 JSON, a frame whose
 top-level value is not an object, or a length prefix past
 :data:`MAX_FRAME` raises :class:`~repro.errors.ServeError` (on a
@@ -26,6 +28,8 @@ A reply may also be spliced: :func:`splice_frame` puts an already
 encoded value (a packed sweep's results, :mod:`repro.sweep.store`) into
 a frame without parsing and re-encoding it, and the frame is byte for
 byte the one :func:`encode_frame` would have made of the whole record.
+The value may be a view (the store hands out a view of the pack file's
+bytes), so the splice's join is the one copy the daemon makes of it.
 """
 
 from __future__ import annotations
@@ -90,11 +94,13 @@ class FrameBuffer:
         end = LENGTH_PREFIX.size + length
         if len(self._buf) < end:
             return None
-        # Reassemble the datagram shape so decode_frame — the validation
-        # path the live runtime uses — is the single decoder.
-        datagram = bytes(self._buf[:end])
+        # decode_frame — the validation path the live runtime uses — is
+        # the single decoder; it reads the frame through a view, so the
+        # buffer is not copied.  The view is released before the consumed
+        # bytes are deleted (a bytearray with a live view cannot resize).
+        with memoryview(self._buf) as view:
+            record = decode_frame(view[:end])
         del self._buf[:end]
-        record = decode_frame(datagram)
         if record is None:
             raise ServeError(
                 "malformed frame body (not UTF-8 JSON); corrupt stream"
@@ -111,10 +117,11 @@ def send_frame(sock: socket.socket, record: dict) -> None:
     sock.sendall(encode_frame(record))
 
 
-def splice_frame(head: dict, key: str, raw: bytes) -> bytes:
+def splice_frame(head: dict, key: str, raw: bytes | memoryview) -> bytes:
     """``encode_frame({**head, key: value})``, byte for byte, for a
     ``value`` already encoded as ``raw`` — that is,
-    ``json.dumps(value, separators=(",", ":")).encode()``.
+    ``json.dumps(value, separators=(",", ":")).encode()``, or a view of
+    it (the join below is the one copy the reply's bytes take).
 
     ``key`` goes last, where ``encode_frame`` puts a key new to ``head``.
     """

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
+from repro.errors import SweepError
 from repro.sweep.jobs import Job, execute_job
 from repro.sweep.store import ContentStore
 
@@ -291,6 +292,9 @@ class WorkerPool:
     def __init__(
         self, queue: JobQueue, workers: int, selector: selectors.BaseSelector
     ):
+        if workers < 1:
+            # A pool of none would accept every job and run none of them.
+            raise SweepError(f"--workers must be >= 1, got {workers}")
         self.queue = queue
         self._selector = selector
         self._ctx = multiprocessing.get_context("fork")

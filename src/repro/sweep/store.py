@@ -239,13 +239,16 @@ class ContentStore:
         _write_atomic(self.pack_path(sweep_id), header.encode() + b"\n" + body)
         return body
 
-    def read_pack(self, sweep_id: str, hashes) -> Optional[bytes]:
+    def read_pack(self, sweep_id: str, hashes) -> Optional[memoryview]:
         """The pack body for exactly ``hashes``, or ``None`` if there is
-        no pack or it fails either digest of its header."""
+        no pack or it fails either digest of its header.
+
+        The body is a view of the file's bytes, not a copy of them.
+        """
         try:
-            header, _, body = self.pack_path(sweep_id).read_bytes().partition(
-                b"\n"
-            )
+            data = self.pack_path(sweep_id).read_bytes()
+            cut = data.find(b"\n") + 1
+            header, body = data[:cut], memoryview(data)[cut:]
             bound = json.loads(header)
             intact = (
                 bound["jobs"] == _jobs_digest(hashes)

@@ -28,6 +28,7 @@ Usage::
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -209,3 +210,37 @@ class Topology:
     def comm_pairs(self) -> list[tuple[int, int]]:
         """The communication edges, sorted for determinism."""
         return sorted(self.comm_edges)
+
+    def comm_adjacency(self) -> dict[int, list[int]]:
+        """The communication graph as ordered neighbour lists.
+
+        Nodes are keyed in order of first appearance in
+        :meth:`comm_pairs`, isolated nodes last; each list holds a node's
+        neighbours in the order its edges appear there, each once.  Graph
+        walks (BFS trees, greedy colourings) iterate this order, so their
+        results are a pure function of the topology.
+        """
+        adjacency: dict[int, dict[int, None]] = {}
+        for i, j in self.comm_pairs():
+            adjacency.setdefault(i, {})[j] = None
+            adjacency.setdefault(j, {})[i] = None
+        for node in self.nodes:
+            adjacency.setdefault(node, {})
+        return {node: list(nbrs) for node, nbrs in adjacency.items()}
+
+    def bfs_parents(self, root: int) -> dict[int, int | None]:
+        """``{node: parent}`` of the breadth-first tree of the
+        communication graph from ``root`` (``root`` maps to ``None``), in
+        visit order; nodes unreachable from ``root`` are absent."""
+        if root not in self.nodes:
+            raise TopologyError(f"BFS root {root} not in topology")
+        adjacency = self.comm_adjacency()
+        parents: dict[int, int | None] = {root: None}
+        frontier = deque([root])
+        while frontier:
+            node = frontier.popleft()
+            for child in adjacency[node]:
+                if child not in parents:
+                    parents[child] = node
+                    frontier.append(child)
+        return parents

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import TopologyError
@@ -137,13 +136,24 @@ def balanced_tree(branching: int, height: int) -> Topology:
     """
     if branching < 2 or height < 1:
         raise TopologyError("tree needs branching >= 2 and height >= 1")
-    g = nx.balanced_tree(branching, height)
-    n = g.number_of_nodes()
-    lengths = dict(nx.all_pairs_shortest_path_length(g))
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = float(lengths[i][j])
+    # Heap numbering: root 0, levels left to right, node i's parent is
+    # (i - 1) // b.  Path length is depth(i) + depth(j) - 2 depth(lca),
+    # and the lca depth counts the levels k >= 1 at which i and j have
+    # the same ancestor.
+    n = (branching ** (height + 1) - 1) // (branching - 1)
+    depth = np.zeros(n, dtype=np.int64)
+    for k in range(1, height + 1):
+        depth[(branching**k - 1) // (branching - 1):] += 1
+    ancestor, level = np.arange(n), depth.copy()
+    lca = np.zeros((n, n), dtype=np.int64)
+    for k in range(height, 0, -1):
+        deeper = level > k
+        ancestor[deeper] = (ancestor[deeper] - 1) // branching
+        level[deeper] -= 1
+        # A node above level k has no ancestor there (key -1).
+        key = np.where(depth >= k, ancestor, -1)
+        lca += (key[:, None] == key) & (key >= 0)
+    d = (depth[:, None] + depth - 2 * lca).astype(float)
     return Topology.with_radius(d, 1.0, name=f"tree(b={branching},h={height})")
 
 

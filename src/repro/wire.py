@@ -28,15 +28,19 @@ def encode_frame(record: dict) -> bytes:
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
-def decode_frame(datagram: bytes) -> dict | None:
-    """Parse a frame; ``None`` for truncated or malformed datagrams."""
-    if len(datagram) < LENGTH_PREFIX.size:
+def decode_frame(datagram: bytes | bytearray | memoryview) -> dict | None:
+    """Parse a frame; ``None`` for truncated or malformed datagrams.
+
+    Any buffer will do: the body is decoded straight from a view of it,
+    so a large frame is copied once, into the text JSON parses.
+    """
+    view = memoryview(datagram)
+    if len(view) < LENGTH_PREFIX.size:
         return None
-    (length,) = LENGTH_PREFIX.unpack_from(datagram)
-    body = datagram[LENGTH_PREFIX.size:]
-    if len(body) != length:
+    (length,) = LENGTH_PREFIX.unpack_from(view)
+    if len(view) - LENGTH_PREFIX.size != length:
         return None
     try:
-        return json.loads(body.decode())
+        return json.loads(str(view[LENGTH_PREFIX.size:], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None

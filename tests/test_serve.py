@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ServeError, SweepError
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon, SweepBook
 from repro.serve.protocol import (
@@ -1331,6 +1331,27 @@ class TestServeCli:
         assert elapsed < 3.0
         assert processes_naming(str(store)) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-3"),
+        ("--port", "65536"), ("--port", "-1"),
+    ])
+    def test_start_with_a_bad_count_or_port_fails_by_name(
+        self, tmp_path, flag, value
+    ):
+        # A zero-worker daemon used to queue sweeps it could never run,
+        # and an out-of-range port died in bind() after the fork.
+        store = tmp_path / "store"
+        begin = time.perf_counter()
+        result = self.run_cli(
+            "start", "--store", str(store), flag, value, timeout=10,
+        )
+        elapsed = time.perf_counter() - begin
+        assert result.returncode != 0
+        assert flag in result.stderr and value in result.stderr
+        assert "Traceback" not in result.stderr
+        assert elapsed < 3.0
+        assert processes_naming(str(store)) == []
+
     def test_experiments_verb_dispatches_to_serve(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -1345,6 +1366,18 @@ class TestServeCli:
         # not fall through to the experiment-id parser.
         assert result.returncode == 2
         assert "repro-serve" in result.stderr
+
+
+def test_a_pool_of_no_workers_and_an_unbindable_port_are_refused(tmp_path):
+    store = ContentStore(tmp_path / "store")
+    with selectors.DefaultSelector() as selector:
+        for workers in (0, -1):
+            with pytest.raises(SweepError, match=f"--workers.*{workers}"):
+                WorkerPool(JobQueue(store), workers, selector)
+        assert selector.get_map() == {}
+    for port in (-1, 65536):
+        with pytest.raises(ServeError, match=f"--port.*{port}"):
+            ServeDaemon(tmp_path / "store", port=port)
 
 
 def test_send_frame_recv_frame_roundtrip_over_socketpair():

@@ -71,6 +71,16 @@ class TestSharedFraming:
         body = b"\xff\xfe\x00\x01"
         assert protocol.decode_frame(struct.pack(">I", len(body)) + body) is None
 
+    @given(record=frame_records)
+    @settings(max_examples=30, deadline=None)
+    def test_any_buffer_decodes_alike(self, record):
+        frame = protocol.encode_frame(record)
+        for buffer in (bytearray(frame), memoryview(frame)):
+            assert protocol.decode_frame(buffer) == record
+        view = memoryview(bytearray(frame) + b"tail")[:len(frame)]
+        assert protocol.decode_frame(view) == record
+        assert protocol.decode_frame(view[:-1]) is None
+
 
 class TestFrameBuffer:
     @given(records=st.lists(frame_records, max_size=6), data=st.data())
@@ -106,6 +116,32 @@ class TestFrameBuffer:
         body = b"\xff\xfe\x00\x01"
         buffer = FrameBuffer()
         buffer.feed(struct.pack(">I", len(body)) + body)
+        with pytest.raises(ServeError, match="UTF-8"):
+            buffer.pop()
+
+    def test_large_frame_then_half_a_frame(self):
+        # A fetch-sized frame is decoded through a view of the buffer;
+        # the partial frame behind it stays buffered, byte for byte.
+        big = {"results": [{"cell": k, "skew": k / 7} for k in range(9000)]}
+        small = {"ok": True, "sweep": "0123456789abcdef"}
+        first, second = encode_frame(big), encode_frame(small)
+        assert len(first) >= 256 * 1024
+        half = len(second) // 2
+        buffer = FrameBuffer()
+        buffer.feed(first + second[:half])
+        assert buffer.pop() == big
+        assert buffer.pop() is None
+        assert len(buffer) == half
+        buffer.feed(second[half:])
+        assert buffer.pop() == small
+        assert len(buffer) == 0
+
+    def test_non_utf8_body_after_a_large_frame_poisons_the_stream(self):
+        big = {"results": ["x" * 64] * 5000}
+        body = b"\xff\xfe\x00\x01"
+        buffer = FrameBuffer()
+        buffer.feed(encode_frame(big) + struct.pack(">I", len(body)) + body)
+        assert buffer.pop() == big
         with pytest.raises(ServeError, match="UTF-8"):
             buffer.pop()
 
@@ -159,6 +195,13 @@ class TestSplicedFrame:
         raw = json.dumps(results, separators=(",", ":")).encode()
         assert splice_frame(head, "results", raw) == encode_frame(
             {**head, "results": results}
+        )
+
+    def test_a_view_of_the_raw_value_splices_alike(self):
+        body = json.dumps([{"n": 1}, None], separators=(",", ":")).encode()
+        view = memoryview(b"header\n" + body)[len(b"header\n"):]
+        assert splice_frame({"ok": True}, "results", view) == encode_frame(
+            {"ok": True, "results": [{"n": 1}, None]}
         )
 
     def test_empty_head(self):
