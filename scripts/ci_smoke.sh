@@ -2,8 +2,8 @@
 # CI smoke: the static invariant linter (repro.check over the full
 # tree, < 10s, zero findings), then tier-1 (the test suite, run once:
 # every marked subset -- faults, rt, engine, serve -- is in it), the
-# simulator's differential property tests at the larger ``ci``
-# hypothesis budget, then
+# simulator's and the analysis matrix's differential property tests at
+# the larger ``ci`` hypothesis budget, then
 # each CLI surface end to end: one quick-scale parallel sweep and its
 # warm-cache re-run, the E13 fault table and the fault axis of the
 # sweep CLI, the live runtime (a virtual-time demo of a faulted mobile
@@ -46,12 +46,15 @@ python -m pytest -x -q
 echo
 echo "== simulator differential properties at the ci budget =="
 # The reference-vs-production random scenarios and the queue-order
-# property guard the batched broadcast and the spine merge; tier-1 runs
-# them at small budgets, the ``ci`` hypothesis profile (tests/conftest.py)
-# at 200 examples each.
+# property guard the batched broadcast and the spine merge; the clock
+# batch properties and the all-node logical-matrix gather guard the
+# analysis matrix.  Tier-1 runs them at small budgets, the ``ci``
+# hypothesis profile (tests/conftest.py) at 200 examples each.
 timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_engine_equivalence.py::TestRandomScenarios" \
-    "tests/test_events.py::TestBatchQueueEquivalence"
+    "tests/test_events.py::TestBatchQueueEquivalence" \
+    "tests/test_field_equivalence.py::TestClockBatchEquivalence" \
+    "tests/test_field_equivalence.py::TestLogicalMatrixGather"
 
 echo
 echo "== quick-scale parallel sweep (end-to-end) =="

@@ -19,7 +19,6 @@ into the reconstructed :class:`~repro.sim.execution.Execution`.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import RtError
@@ -43,11 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sweep.scenario import Cell, Scenario
 
 __all__ = ["LiveNode", "host_nodes"]
-
-#: Per-node RNG seed mix, identical to the simulator's so live and
-#: simulated runs of a randomized algorithm draw the same streams.
-NODE_SEED_MIX = 1_000_003
-
 
 class LiveNode:
     """One node of a live run: process + clocks + the NodeAPI host shim."""
@@ -75,9 +69,7 @@ class LiveNode:
         #: recorded trace or a tap.  Otherwise a send, delivery or timer
         #: skips its event (three clock reads) altogether.
         self._tracing = recorder.record_trace or recorder.tap is not None
-        self.api = NodeAPI(
-            self, node, self.logical, random.Random((seed * NODE_SEED_MIX) ^ node)
-        )
+        self.api = NodeAPI(self, node, self.logical, seed)
 
     # ------------------------------------------------------------------
     # the five members NodeAPI expects of its host ("the simulator")

@@ -220,6 +220,12 @@ class LogicalClock:
         mults = np.asarray(self._mults, dtype=float)
         return values[k] + mults[k] * (h_now - h_seg[k])
 
+    def columns(self) -> tuple[list[float], list[float], list[float]]:
+        """The segments as ``(times, values, multipliers)`` lists (the
+        clock's own; read, do not mutate): from real time ``times[k]``,
+        ``L = values[k] + multipliers[k] * (H(t) - H(times[k]))``."""
+        return self._times, self._values, self._mults
+
     def segments(self) -> list[tuple[float, float, float]]:
         """All recorded ``(real_time, value, multiplier)`` control points."""
         return list(zip(self._times, self._values, self._mults))

@@ -12,19 +12,47 @@ assume).  Skew over a sample grid — series, peaks, the gradient profile
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro._constants import TIME_EPS, VALIDITY_RATE, window_starts
-from repro.errors import DelayBoundError, ValidityError
+from repro.errors import DelayBoundError, ScheduleError, ValidityError
 from repro.sim.clock import HardwareClock, LogicalClock
 from repro.sim.messages import Message
 from repro.sim.trace import ExecutionTrace
 from repro.topology.base import Topology
 
 __all__ = ["Execution"]
+
+
+def _gather(columns: list) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Per-node segment columns (one tuple of equal-length sequences per
+    row) concatenated column by column, with each entry's row number and
+    each row's first position in the concatenation."""
+    n = len(columns)
+    lengths = np.fromiter(map(len, (c[0] for c in columns)), dtype=np.intp, count=n)
+    total = int(lengths.sum())
+    stacked = [
+        np.fromiter(chain.from_iterable(c[i] for c in columns), dtype=float, count=total)
+        for i in range(len(columns[0]))
+    ]
+    first = np.zeros(n, dtype=np.intp)
+    np.cumsum(lengths[:-1], out=first[1:])
+    return stacked, np.repeat(np.arange(n, dtype=float), lengths), first
+
+
+def _keys(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The complex keys ``rows + 1j * times``, built by assigning both
+    parts (so each is exact) rather than by complex arithmetic."""
+    rows, times = np.broadcast_arrays(rows, times)
+    keys = np.empty(rows.shape, dtype=complex)
+    keys.real = rows
+    keys.imag = times
+    return keys
 
 
 @dataclass
@@ -104,17 +132,50 @@ class Execution:
 
     def logical_matrix(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
         """The ``n x T`` matrix of logical values: row ``i`` is ``L_i``
-        over ``times``.
+        over ``times`` (any order, repeats allowed).
 
-        One batched :meth:`~repro.sim.clock.LogicalClock.values_at` call
-        per node replaces a ``value_at`` bisect per (node, time); this is
-        the trajectory matrix every :class:`~repro.analysis.field.SkewField`
-        query is answered from.
+        One gather for every node at once: all nodes' logical segments
+        and hardware schedules are concatenated, each ``(row, t)`` sample
+        is keyed as the complex number ``row + 1j * t`` (numpy orders
+        complex numbers by real part, then imaginary part, so
+        ``searchsorted`` compares the keys exactly), and one
+        ``searchsorted`` per array locates every sample's segment.  The
+        element-wise float operations are
+        :meth:`~repro.sim.clock.LogicalClock.values_at`'s, so each row
+        equals that node's ``values_at(times)`` bitwise.  This is the
+        trajectory matrix every :class:`~repro.analysis.field.SkewField`
+        query is answered from.  A non-finite or negative time raises
+        :class:`~repro.errors.ScheduleError`.
         """
-        t = np.asarray(times, dtype=float)
-        return np.vstack(
-            [self.logical[n].values_at(t) for n in self.topology.nodes]
+        t = np.asarray(times, dtype=float).ravel()
+        if t.size:
+            if not np.isfinite(t).all():
+                bad = float(t[~np.isfinite(t)][0])
+                raise ScheduleError(f"time must be finite, got {bad}")
+            if float(t.min()) < 0.0:
+                raise ScheduleError(f"time must be nonnegative, got {float(t.min())}")
+        nodes = self.topology.nodes
+        (seg_t, values, mults), seg_rows, seg_first = _gather(
+            [self.logical[node].columns() for node in nodes]
         )
+        (hw_start, rates, cumulative), hw_rows, _ = _gather(
+            [self.hardware[node].schedule.columns() for node in nodes]
+        )
+        if float(seg_t.min()) < 0.0:
+            raise ScheduleError(f"time must be nonnegative, got {float(seg_t.min())}")
+        hw_keys = _keys(hw_rows, hw_start)
+        rows = np.arange(len(nodes), dtype=float)[:, None]
+        sample_keys = _keys(rows, t)
+        # Clamping at each row's first segment is ``values_at``'s
+        # ``max(k, 0)``; hardware indices need none (``starts[0] = 0``).
+        k = np.searchsorted(_keys(seg_rows, seg_t), sample_keys, side="right") - 1
+        k = np.maximum(k, seg_first[:, None])
+        h = np.searchsorted(hw_keys, sample_keys, side="right") - 1
+        h_now = cumulative[h] + (t - hw_start[h]) * rates[h]
+        at = seg_t[k]
+        h = np.searchsorted(hw_keys, _keys(rows, at), side="right") - 1
+        h_seg = cumulative[h] + (at - hw_start[h]) * rates[h]
+        return values[k] + mults[k] * (h_now - h_seg)
 
     def sample_times(self, step: float = 1.0) -> list[float]:
         """Evenly spaced sample times covering the execution.
@@ -125,8 +186,8 @@ class Execution:
         used to double-count the final sample in every mean computed on
         this grid.  Entries are plain Python floats.
         """
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"step must be positive and finite, got {step}")
         times = [float(t) for t in np.arange(0.0, self.duration, step)]
         while times and times[-1] >= self.duration - TIME_EPS:
             times.pop()
@@ -236,10 +297,5 @@ class Execution:
         )
         if starts.size == 0:
             return 0.0
-        ends = starts + window
-        worst = 0.0
-        for node in self.topology.nodes:
-            clock = self.logical[node]
-            gains = clock.values_at(ends) - clock.values_at(starts)
-            worst = max(worst, float(gains.max()))
-        return worst
+        gains = self.logical_matrix(starts + window) - self.logical_matrix(starts)
+        return max(0.0, float(gains.max()))

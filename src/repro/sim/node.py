@@ -22,6 +22,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Process", "NodeAPI"]
 
+#: Per-node RNG seed mix: node ``i`` of a run seeded ``s`` draws from
+#: ``random.Random((s * NODE_SEED_MIX) ^ i)`` on every loop and transport.
+NODE_SEED_MIX = 1_000_003
+
+
+def node_rng(seed: int, node: int) -> random.Random:
+    """The RNG node ``node`` of a run seeded ``seed`` sees as ``api.rng``."""
+    return random.Random((seed * NODE_SEED_MIX) ^ node)
+
 
 class Process:
     """Base class for node behaviors (the algorithm ``A`` of the paper).
@@ -55,7 +64,9 @@ class NodeAPI:
 
     Created by the simulator, one per node.  Every method either reads the
     hardware clock, manipulates the logical clock (forward jumps only), or
-    sends messages / sets hardware-time timers.
+    sends messages / sets hardware-time timers.  ``rng`` is the node's
+    RNG, or the run's seed, from which :attr:`rng` makes the node's RNG
+    (:func:`node_rng`) on first access.
     """
 
     def __init__(
@@ -63,12 +74,30 @@ class NodeAPI:
         simulator: "Simulator",
         node: int,
         logical: LogicalClock,
-        rng: random.Random,
+        rng: random.Random | int,
     ):
         self._sim = simulator
         self.node = node
         self._logical = logical
-        self.rng = rng
+        if isinstance(rng, random.Random):
+            self._rng, self._seed = rng, None
+        else:
+            self._rng, self._seed = None, rng
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's private RNG, ``random.Random((seed * 1_000_003) ^
+        node)`` for the run's ``seed``.
+
+        Made on first access: no algorithm in this package draws from
+        it, so a run seeds no Mersenne Twister per node unless one does.
+        The stream is the same whenever it is made — it depends only on
+        ``(seed, node)``.
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = node_rng(self._seed, self.node)
+        return rng
 
     # ------------------------------------------------------------------
     # clocks

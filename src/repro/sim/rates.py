@@ -109,6 +109,11 @@ class PiecewiseConstantRate:
         k = self._index_at(t)
         return self._cumulative[k] + (t - self.starts[k]) * self.rates[k]
 
+    def columns(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """``(starts, rates, cumulative)``: on segment ``k``,
+        ``H(t) = cumulative[k] + (t - starts[k]) * rates[k]``."""
+        return self.starts, self.rates, self._cumulative
+
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached ``(starts, rates, cumulative)`` as numpy arrays."""
         cached = self.__dict__.get("_np_cache")

@@ -77,6 +77,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Mapping, Optional
 
 from repro._constants import DEFAULT_RHO, TIME_EPS
@@ -91,7 +92,7 @@ from repro.sim.messages import (
     Message,
     validate_delay,
 )
-from repro.sim.node import NodeAPI, Process
+from repro.sim.node import NodeAPI, Process, node_rng
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.trace import (
     CRASH,
@@ -200,8 +201,10 @@ class RunSetup:
         )
 
     def _node_rng(self, node: int) -> random.Random:
-        """The node-local RNG algorithms see as ``api.rng``."""
-        return random.Random((self.config.seed * 1_000_003) ^ node)
+        """The node-local RNG algorithms see as ``api.rng``, made now
+        (the production loop hands its APIs the seed instead, and each
+        makes this same RNG on first use)."""
+        return node_rng(self.config.seed, node)
 
     def _begin(self) -> None:
         if self._finished:
@@ -538,7 +541,7 @@ class Simulator(RunSetup):
             hw = self._hardware[node]
             lc = _CursorLogicalClock(hw, _ScheduleCursor(hw.schedule))
             self._logical[node] = lc
-            self._api[node] = _SimNodeAPI(self, node, lc, self._node_rng(node))
+            self._api[node] = _SimNodeAPI(self, node, lc, config.seed)
 
     # ------------------------------------------------------------------
     # services used by the node API
@@ -700,7 +703,8 @@ class Simulator(RunSetup):
         queue._cursor = k
         queue._last_popped = time
 
-        messages = list(map(Message._make, msgs))
+        # ``Message._make`` per row, as one C-level call per row.
+        messages = list(map(tuple.__new__, repeat(Message), msgs))
         return self._execution(self._logical, ColumnarTrace(rows), messages)
 
     def _control(self, event: tuple) -> None:

@@ -78,9 +78,12 @@ class Topology:
             raise TopologyError(f"distance matrix must be square, got {d.shape}")
         if d.shape[0] < 2:
             raise TopologyError("a network needs at least two nodes")
-        if not np.allclose(d, d.T):
+        # The exact tests pass for every generated matrix; ``allclose``
+        # runs only to forgive float-level asymmetry or diagonal noise.
+        if not np.array_equal(d, d.T) and not np.allclose(d, d.T):
             raise TopologyError("distances must be symmetric")
-        if not np.allclose(np.diag(d), 0.0):
+        diag = np.diag(d)
+        if diag.any() and not np.allclose(diag, 0.0):
             raise TopologyError("self-distance must be zero")
         off = d[~np.eye(d.shape[0], dtype=bool)]
         if np.any(off <= 0):

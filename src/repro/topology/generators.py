@@ -177,20 +177,29 @@ def random_geometric(
     several components for sparse fields (use
     :func:`repro.topology.dynamic.components` to inspect).
     Determinism: all randomness comes from ``seed``; identical arguments
-    give identical fields.
+    give identical fields.  The ``n (n - 1) / 2`` pair distances are
+    built in array passes, each still ``math.hypot`` of the two
+    coordinate differences, so the matrix is bitwise the one a per-pair
+    loop builds.
     """
     if n < 2:
         raise TopologyError("need at least 2 nodes")
     rng = random.Random(seed)
     side = side if side is not None else math.sqrt(n)
     pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+    # ``math.hypot``, not ``np.hypot``: the two may differ in the last bit.
+    xy = np.array(pts)
+    upper, lower = np.triu_indices(n, 1)
+    diff = xy[upper] - xy[lower]
+    dist = np.fromiter(
+        map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist()),
+        dtype=float,
+        count=upper.size,
+    )
     d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-            d[i, j] = d[j, i] = dist
-    off = d[~np.eye(n, dtype=bool)]
-    scale = off.min()
+    d[upper, lower] = dist
+    d[lower, upper] = dist
+    scale = dist.min()
     if scale <= 0:
         raise TopologyError("duplicate points; use another seed")
     d /= scale

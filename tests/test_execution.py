@@ -1,12 +1,14 @@
 """Tests for Execution measurement and validation (sim.execution)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro._constants import TIME_EPS, window_starts
 from repro.algorithms import MaxBasedAlgorithm, NullAlgorithm
 from repro.analysis.field import SkewField
-from repro.errors import DelayBoundError
+from repro.errors import DelayBoundError, ScheduleError
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.topology.generators import line
@@ -82,6 +84,12 @@ class TestSkewSummaries:
         ex = drifted()
         with pytest.raises(ValueError):
             ex.sample_times(0.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_sample_times_rejects_a_non_finite_step(self, step):
+        ex = drifted()
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            ex.sample_times(step)
 
     def test_sample_times_dedupes_inexact_tail(self):
         # duration = 3 * 0.1 is not exactly representable; np.arange
@@ -191,3 +199,28 @@ class TestTrajectories:
         assert accumulated == 81900  # the drifting loop drops one
         # Every start honours the defining inequality, including the last.
         assert starts[-1] + window <= duration + TIME_EPS
+
+
+class TestNonFiniteSampleTimes:
+    """A NaN or infinite sample time is an error naming the value, never a
+    row of NaNs behind a ``RuntimeWarning``."""
+
+    @pytest.mark.parametrize("times, named", [
+        ([0.0, float("nan"), 2.0], "nan"),
+        ([0.0, float("inf")], "inf"),
+        ([float("-inf"), 1.0], "-inf"),
+    ])
+    def test_logical_matrix_rejects_a_non_finite_time(self, times, named):
+        ex = drifted()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError, match=f"finite, got {named}$"):
+                ex.logical_matrix(times)
+
+    @pytest.mark.parametrize("times", [[0.0, float("nan"), 2.0], [0.0, float("inf")]])
+    def test_skew_field_summary_is_not_silently_nan(self, times):
+        ex = drifted(fast_node=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError):
+                SkewField(ex, times=times).summary()

@@ -7,13 +7,17 @@ virtual executions.  Clock-level batch evaluation is additionally
 required to be *bitwise* identical (same float operations, same order).
 """
 
+import functools
+
 import numpy as np
 import pytest
+from _engine_helpers import example_budget
 from hypothesis import given, settings, strategies as st
 
 from repro._constants import window_starts
 from repro.analysis.field import SkewField
 from repro.analysis.skew import summarize
+from repro.errors import ScheduleError
 from repro.sim.clock import HardwareClock, LogicalClock
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.simulator import SimConfig, run_simulation
@@ -54,14 +58,14 @@ sample_grids = st.lists(
 
 class TestClockBatchEquivalence:
     @given(rate_schedules(), sample_grids)
-    @settings(max_examples=150)
+    @settings(max_examples=example_budget(150))
     def test_schedule_values_at_bitwise(self, schedule, times):
         batched = schedule.values_at(times)
         for t, v in zip(times, batched):
             assert v == schedule.value_at(t)
 
     @given(rate_schedules(), sample_grids)
-    @settings(max_examples=100)
+    @settings(max_examples=example_budget(100))
     def test_hardware_values_at_bitwise(self, schedule, times):
         hw = HardwareClock(schedule, RHO)
         batched = hw.values_at(times)
@@ -79,7 +83,7 @@ class TestClockBatchEquivalence:
         ),
         sample_grids,
     )
-    @settings(max_examples=150)
+    @settings(max_examples=example_budget(150))
     def test_logical_values_at_bitwise(self, schedule, jumps, times):
         hw = HardwareClock(schedule, RHO)
         lc = LogicalClock(hw)
@@ -276,3 +280,94 @@ class TestLiveFieldEquivalence:
         assert summarize(execution).max_skew == pytest.approx(
             field.summary().max_skew, abs=1e-9
         )
+
+
+# ----------------------------------------------------------------------
+# ``Execution.logical_matrix`` gathers every node's segments at once; the
+# per-node loop it replaced stays here as the reference.
+
+
+def per_node_matrix(execution, times):
+    """One ``LogicalClock.values_at`` per node, stacked in node order."""
+    t = np.asarray(times, dtype=float)
+    return np.vstack(
+        [execution.logical[node].values_at(t) for node in execution.topology.nodes]
+    )
+
+
+GATHER_DURATION = 12.0
+GATHER_CASES = {
+    "faulted": dict(topology="line:7", algorithm="max-based", rates="wandering",
+                    faults="crash-recover:0.3,4", seed=4),
+    "lossy-mobile": dict(topology="line:10", algorithm="averaging",
+                         faults="loss:0.2", mobility="waypoint:0.5", seed=1),
+    "rate-modulated": dict(topology="grid:3,3", algorithm="bounded-catch-up",
+                           rates="wandering", seed=2),
+    "virtual": dict(topology="ring:6", algorithm="gradient", rates="drifted",
+                    seed=3, transport="virtual"),
+    "virtual-churn": dict(topology="line:6", algorithm="max-based",
+                          faults="crash-recover:0.3,2", mobility="blink:0.3,4",
+                          seed=5, transport="virtual"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def gather_execution(name):
+    params = dict(GATHER_CASES[name], duration=GATHER_DURATION, rho=0.2)
+    if "transport" in params:
+        from repro.rt import LiveRunConfig, run_live
+
+        return run_live(LiveRunConfig(**params))
+    return Scenario(**params).simulate()
+
+
+@st.composite
+def gather_grids(draw):
+    """An unsorted grid with repeated times, ``0`` and the duration, plus
+    picks into the execution's segment start times (exact boundaries)."""
+    inner = draw(st.lists(st.floats(0.0, GATHER_DURATION), max_size=30))
+    times = inner + [0.0, GATHER_DURATION]
+    times += draw(st.lists(st.sampled_from(times), max_size=6))
+    picks = draw(st.lists(st.integers(0, 10**6), max_size=6))
+    return draw(st.permutations(times)), picks
+
+
+class TestLogicalMatrixGather:
+    @given(st.sampled_from(sorted(GATHER_CASES)), gather_grids())
+    @settings(max_examples=example_budget(60), deadline=None)
+    def test_matrix_equals_per_node_rows_bitwise(self, name, grid):
+        execution = gather_execution(name)
+        times, picks = grid
+        starts = sorted(
+            {t for lc in execution.logical.values() for t in lc.columns()[0]}
+        )
+        times = list(times) + [starts[p % len(starts)] for p in picks]
+        batched = execution.logical_matrix(times)
+        reference = per_node_matrix(execution, times)
+        assert batched.shape == reference.shape == (execution.topology.n, len(times))
+        assert np.array_equal(batched.view(np.int64), reference.view(np.int64))
+
+    @pytest.mark.parametrize("name", sorted(GATHER_CASES))
+    def test_cases_exercise_what_they_name(self, name):
+        execution = gather_execution(name)
+        assert execution.source == ("live-virtual" if "virtual" in name else "sim")
+        if "faulted" in name or "churn" in name:
+            assert execution.fault_stats
+        if "mobile" in name or "churn" in name:
+            assert execution.is_dynamic
+        if name == "rate-modulated":
+            mults = {m for lc in execution.logical.values() for m in lc.columns()[2]}
+            assert len(mults) > 1
+
+    def test_negative_time_raises_the_per_node_error(self):
+        execution = gather_execution("faulted")
+        times = [1.0, -0.5, 2.0, -0.25]
+        with pytest.raises(ScheduleError) as per_node:
+            per_node_matrix(execution, times)
+        with pytest.raises(ScheduleError) as batched:
+            execution.logical_matrix(times)
+        assert str(batched.value) == str(per_node.value)
+
+    def test_an_empty_grid_is_an_n_by_0_matrix(self):
+        execution = gather_execution("faulted")
+        assert execution.logical_matrix([]).shape == (execution.topology.n, 0)

@@ -1,13 +1,17 @@
 """Tests for the discrete-event simulator (sim.simulator)."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.algorithms.base import PeriodicProcess
+from repro.algorithms.base import PeriodicProcess, SyncAlgorithm
 from repro.errors import SimulationError
+from repro.sim import node as node_module
 from repro.sim.messages import HalfDistanceDelay
 from repro.sim.node import NodeAPI, Process
 from repro.sim.rates import PiecewiseConstantRate
+from repro.sim.reference import run_reference
 from repro.sim.simulator import SimConfig, Simulator, run_simulation
 from repro.sim.trace import RECEIVE, SEND, TIMER
 from repro.topology.base import Topology
@@ -275,3 +279,92 @@ class TestNodeAPI:
         rates = ex.trace.of_kind("rate")
         assert len(rates) == 1
         assert rates[0].detail == pytest.approx(1.5)
+
+
+class RngDrawer(Process):
+    """Draws from ``api.rng`` at start and on every tick, jumping by each
+    draw, and records the draws in a shared ``{node: [draw, ...]}``."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def on_start(self, api):
+        self._draw(api)
+
+    def on_timer(self, api, name):
+        self._draw(api)
+
+    def _draw(self, api):
+        x = api.rng.random()
+        self.draws.setdefault(api.node, []).append(x)
+        api.jump_logical_by(x)
+        api.set_timer(1.0, "tick")
+
+
+class RngAlgorithm(SyncAlgorithm):
+    name = "rng-drawer"
+
+    def __init__(self):
+        self.draws = {}
+
+    def processes(self, topology):
+        return {n: RngDrawer(self.draws) for n in topology.nodes}
+
+
+class TestLazyNodeRng:
+    """``api.rng`` is made on first access, from the eager formula."""
+
+    SEED = 7
+
+    def eager(self, node, count):
+        rng = random.Random((self.SEED * 1_000_003) ^ node)
+        return [rng.random() for _ in range(count)]
+
+    def test_sim_reference_and_virtual_draw_the_eager_stream(self, monkeypatch):
+        from repro.rt import LiveRunConfig, run_live
+        from repro.sweep import scenario as scenario_module
+
+        topo = line(4)
+        config = SimConfig(duration=5.0, seed=self.SEED)
+        runs = {}
+        for name, loop in (("sim", run_simulation), ("reference", run_reference)):
+            algorithm = RngAlgorithm()
+            loop(topo, algorithm.processes(topo), config)
+            runs[name] = algorithm.draws
+        live = RngAlgorithm()
+        monkeypatch.setattr(scenario_module, "algorithm_from_spec", lambda spec: live)
+        run_live(LiveRunConfig(topology="line:4", algorithm="null", duration=5.0,
+                               seed=self.SEED, transport="virtual"))
+        runs["virtual"] = live.draws
+        for name, draws in runs.items():
+            assert sorted(draws) == list(topo.nodes), name
+            for node, seq in draws.items():
+                assert len(seq) >= 3, name
+                assert seq == self.eager(node, len(seq)), (name, node)
+
+    def test_each_node_makes_its_rng_once(self, monkeypatch):
+        made = []
+        real = node_module.node_rng
+        monkeypatch.setattr(
+            node_module, "node_rng", lambda seed, node: made.append(node) or real(seed, node)
+        )
+        topo = line(4)
+        algorithm = RngAlgorithm()
+        run_simulation(topo, algorithm.processes(topo), SimConfig(duration=5.0, seed=1))
+        assert sorted(made) == list(topo.nodes)
+
+    def test_a_fault_free_gossip_cell_makes_no_node_rng(self):
+        from repro.sweep.scenario import Scenario
+
+        for algorithm in ("max-based", "gradient", "averaging"):
+            scenario = Scenario(topology="grid:3,3", algorithm=algorithm,
+                                delays="uniform", duration=8.0, seed=2)
+            cell = scenario.build()
+            sim = Simulator(
+                cell.topology, cell.processes,
+                SimConfig(duration=scenario.duration, rho=scenario.rho,
+                          seed=scenario.seed, record_trace=True),
+                rate_schedules=cell.rates, delay_policy=cell.delay_policy,
+            )
+            sim.run()
+            assert all(api._rng is None for api in sim._api.values()), algorithm

@@ -1,5 +1,8 @@
 """Tests for Topology and its generators."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +229,22 @@ def reference_grid_distances(rows, cols):
     return d
 
 
+def reference_geometric(n, seed):
+    """``random_geometric``'s distances and positions as the double
+    ``math.hypot`` loop over Python floats built them."""
+    rng = random.Random(seed)
+    side = math.sqrt(n)
+    pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            d[i, j] = d[j, i] = dist
+    scale = d[~np.eye(n, dtype=bool)].min()
+    d /= scale
+    return d, {i: (pts[i][0] / scale, pts[i][1] / scale) for i in range(n)}
+
+
 def all_python_ints(pairs):
     return all(type(i) is int and type(j) is int for i, j in pairs)
 
@@ -263,6 +282,46 @@ def boundary_matrices(draw):
     d = np.zeros((n, n))
     d[np.triu_indices(n, 1)] = upper
     return d + d.T, radius, target
+
+
+class TestArrayBuildsMatchLoops:
+    """The array-pass builds equal the loops they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [2, 3, 16, 50, 256])
+    def test_random_geometric_matches_the_hypot_loop(self, n, seed):
+        topo = random_geometric(n, seed=seed)
+        distances, positions = reference_geometric(n, seed)
+        assert topo.distances.tobytes() == distances.tobytes()
+        assert list(topo.positions) == list(positions)
+        assert np.array(list(topo.positions.values())).tobytes() == (
+            np.array(list(positions.values())).tobytes()
+        )
+
+    def test_still_rejects_an_asymmetry_of_1e_3(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.001, 1.0, 0.0]])
+        with pytest.raises(TopologyError, match="symmetric"):
+            Topology.fully_connected(d)
+
+    def test_still_accepts_an_asymmetry_of_1e_12(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0 + 1e-12, 1.0, 0.0]])
+        topo = Topology.fully_connected(d)
+        assert topo.distances[2, 0] == 2.0 + 1e-12  # kept as given, as before
+
+    def test_still_rejects_a_nonzero_diagonal(self):
+        d = np.array([[0.0, 1.0], [1.0, 1e-3]])
+        with pytest.raises(TopologyError, match="self-distance"):
+            Topology.fully_connected(d)
+
+    def test_still_accepts_diagonal_noise_of_1e_12(self):
+        d = np.array([[1e-12, 1.0], [1.0, 0.0]])
+        assert Topology.fully_connected(d).n == 2
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_still_rejects_a_non_positive_distance(self, bad):
+        d = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
+        with pytest.raises(TopologyError, match="positive distance"):
+            Topology.fully_connected(d)
 
 
 class TestVectorisedQueriesMatchLoops:
