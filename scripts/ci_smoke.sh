@@ -48,13 +48,15 @@ echo "== simulator differential properties at the ci budget =="
 # The reference-vs-production random scenarios and the queue-order
 # property guard the batched broadcast and the spine merge; the clock
 # batch properties and the all-node logical-matrix gather guard the
-# analysis matrix.  Tier-1 runs them at small budgets, the ``ci``
-# hypothesis profile (tests/conftest.py) at 200 examples each.
+# analysis matrix; the exact Requirement 1 check is held to the grid walk
+# it replaced.  Tier-1 runs them at small budgets, the ``ci`` hypothesis
+# profile (tests/conftest.py) at 200 examples each.
 timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_engine_equivalence.py::TestRandomScenarios" \
     "tests/test_events.py::TestBatchQueueEquivalence" \
     "tests/test_field_equivalence.py::TestClockBatchEquivalence" \
-    "tests/test_field_equivalence.py::TestLogicalMatrixGather"
+    "tests/test_field_equivalence.py::TestLogicalMatrixGather" \
+    "tests/test_hypothesis_clocks.py::TestExactValidityAgainstGrid"
 
 echo
 echo "== quick-scale parallel sweep (end-to-end) =="

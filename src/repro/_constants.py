@@ -53,7 +53,7 @@ def window_starts(
 
     Returns ``t_from + k * step`` for every ``k`` with
     ``t_from + k * step + window <= horizon + TIME_EPS`` — the windows a
-    Lemma 7.1 / Requirement 1 sweep must visit.  A ``t += step``
+    Lemma 7.1 sweep must visit.  A ``t += step``
     accumulator drifts by roughly ``count * eps * t`` and, at production
     scales (tens of thousands of windows), silently skips the final
     window near ``horizon``; the integer-index grid cannot.

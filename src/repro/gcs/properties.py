@@ -3,7 +3,7 @@
 * Assumption 1 — bounded drift (checked by construction and re-checked
   on executions);
 * Requirement 1 — validity: every logical clock gains at least ``r/2``
-  over every interval of length ``r``;
+  over every interval of length ``r`` (checked exactly, on breakpoints);
 * Requirement 2 — the f-gradient property: ``|L_i(t) - L_j(t)| <=
   f(d_ij)`` for all pairs at all times.
 
@@ -81,9 +81,10 @@ class GradientViolation:
         )
 
 
-def check_validity(execution: Execution, *, rate: float = 0.5, step: float = 0.5) -> None:
-    """Requirement 1 over the whole execution; raises on violation."""
-    execution.check_validity(rate=rate, step=step)
+def check_validity(execution: Execution, *, rate: float = 0.5) -> None:
+    """Requirement 1 over the whole execution, checked exactly on every
+    clock's breakpoints; raises :class:`~repro.errors.ValidityError`."""
+    execution.check_validity(rate=rate)
 
 
 def check_gradient(
@@ -94,11 +95,12 @@ def check_gradient(
 ) -> list[GradientViolation]:
     """Evaluate Requirement 2; return all violations found (empty = holds).
 
-    Sampled at ``times`` (default: unit grid).  Sampling is sound for our
-    algorithms between events because skew is piecewise linear in time;
-    the unit grid plus event density makes misses negligible, and the
-    experiments only ever claim *violations* (which are witnessed
-    exactly), never certifications.
+    Requirement 2 is still *sampled*, at ``times`` (default: unit grid):
+    skew is piecewise linear in time, but a peak just before a jump can
+    fall between samples, so a pass here is not a certificate — only
+    the violations it reports are witnessed exactly.  Requirement 1, by
+    contrast, is checked exactly on every clock's breakpoints
+    (:func:`check_validity`).
 
     Evaluated from one batched :class:`~repro.analysis.field.SkewField`:
     each pair's peak over a topology segment (``field.peak_pairs()``) is

@@ -6,7 +6,7 @@ computed by the node from its hardware clock and the messages it receives.
 
 Algorithms in this package realize logical clocks in the standard two
 ways, both satisfying the paper's validity requirement (Requirement 1:
-rate at least 1/2) by construction:
+every interval of length ``r`` gains at least ``r/2``) by construction:
 
 * **forward jumps** — ``L`` advances at the hardware rate and takes
   discrete jumps, never backward (max-based, Srikanth–Toueg, ...);
@@ -17,21 +17,122 @@ rate at least 1/2) by construction:
 
 With ``rho <= 1/2`` the logical rate is always at least
 ``1 - rho >= 1/2`` and jumps only move forward, so Requirement 1 holds.
+
+Both clocks are piecewise linear in real time, so Requirement 1 is
+checked exactly, on their breakpoints rather than on a sample grid:
+it holds on ``[0, horizon]`` iff no jump up to the horizon is negative
+and the slope ``multiplier * hardware rate`` of every piece starting
+before it is at least the required rate (both within ``TIME_EPS``).
+:meth:`LogicalClock.check_validity` runs that test for one clock and
+``Execution.check_validity`` for every node at once, in one array pass
+over the gathered segments of all clocks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from repro._constants import TIME_EPS, window_starts
+from repro._constants import TIME_EPS
 from repro.errors import DriftBoundError, ValidityError
 from repro.sim.rates import PiecewiseConstantRate
 
 __all__ = ["HardwareClock", "LogicalClock"]
+
+
+def _gather(columns: list) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Per-node segment columns (one tuple of equal-length sequences per
+    row) concatenated column by column, with each entry's row number and
+    each row's first position in the concatenation."""
+    n = len(columns)
+    lengths = np.fromiter(map(len, (c[0] for c in columns)), dtype=np.intp, count=n)
+    total = int(lengths.sum())
+    stacked = [
+        np.fromiter(chain.from_iterable(c[i] for c in columns), dtype=float, count=total)
+        for i in range(len(columns[0]))
+    ]
+    first = np.zeros(n, dtype=np.intp)
+    np.cumsum(lengths[:-1], out=first[1:])
+    return stacked, np.repeat(np.arange(n, dtype=float), lengths), first
+
+
+def _keys(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The complex keys ``rows + 1j * times``, built by assigning both
+    parts (so each is exact) rather than by complex arithmetic."""
+    rows, times = np.broadcast_arrays(rows, times)
+    keys = np.empty(rows.shape, dtype=complex)
+    keys.real = rows
+    keys.imag = times
+    return keys
+
+
+def _validity_witnesses(
+    logical: list, hardware: list, horizon: float, rate: float
+) -> list[tuple[int, float, str, float]]:
+    """Requirement 1 on ``[0, horizon]`` for rows of clocks, exactly.
+
+    ``logical[r]`` is row ``r``'s :meth:`LogicalClock.columns` and
+    ``hardware[r]`` its ``PiecewiseConstantRate.columns()``.  Returns one
+    ``(row, time, kind, value)`` per failing row, rows ascending: the
+    row's earliest failure, a ``"jump"`` (a segment opening below the
+    previous segment carried to its start, ``value`` the jump) before a
+    ``"slope"`` (``value = multiplier * hardware rate`` on the piece
+    starting at ``time``) at one instant.
+
+    Every row is gathered into one array and keyed ``row + 1j * t``, as
+    in ``Execution.logical_matrix``.  The pieces of a row start at its
+    logical and hardware breakpoints; each piece's slope is read at its
+    start (both factors are right-continuous), so no merge is needed.
+    """
+    (seg_t, values, mults), seg_rows, seg_first = _gather(logical)
+    (hw_start, rates, cumulative), hw_rows, _ = _gather(hardware)
+    seg_keys = _keys(seg_rows, seg_t)
+    hw_keys = _keys(hw_rows, hw_start)
+    h = np.searchsorted(hw_keys, seg_keys, side="right") - 1
+    h_seg = cumulative[h] + (seg_t - hw_start[h]) * rates[h]
+    # A segment's opening jump: its value minus the previous segment
+    # carried to its start.  A row's first segment opens with none.
+    jumps = np.zeros(seg_t.size)
+    jumps[1:] = values[1:] - (values[:-1] + mults[:-1] * (h_seg[1:] - h_seg[:-1]))
+    jumps[seg_first] = 0.0
+    k = np.searchsorted(seg_keys, hw_keys, side="right") - 1
+    slopes = np.concatenate((mults * rates[h], mults[k] * rates))
+    starts = np.concatenate((seg_t, hw_start))
+    jump_bad = np.nonzero((jumps < -TIME_EPS) & (seg_t <= horizon + TIME_EPS))[0]
+    slope_bad = np.nonzero((slopes < rate - TIME_EPS) & (starts < horizon))[0]
+    if not (jump_bad.size or slope_bad.size):
+        return []
+    rows = np.concatenate((seg_rows, hw_rows))
+    kind = np.concatenate((np.zeros(jump_bad.size), np.ones(slope_bad.size)))
+    bad_rows = np.concatenate((seg_rows[jump_bad], rows[slope_bad]))
+    bad_t = np.concatenate((seg_t[jump_bad], starts[slope_bad]))
+    bad_v = np.concatenate((jumps[jump_bad], slopes[slope_bad]))
+    order = np.lexsort((kind, bad_t, bad_rows))
+    _, first = np.unique(bad_rows[order], return_index=True)
+    return [
+        (int(bad_rows[i]), float(bad_t[i]), "slope" if kind[i] else "jump", float(bad_v[i]))
+        for i in order[first].tolist()
+    ]
+
+
+def _validity_error(
+    label: str, witness: tuple[int, float, str, float], rate: float
+) -> ValidityError:
+    """The :class:`ValidityError` for one of :func:`_validity_witnesses`'
+    witnesses, naming ``label`` (the clock or node)."""
+    _, t, kind, value = witness
+    if kind == "jump":
+        return ValidityError(
+            f"{label}: backward jump of {value} at t={t} violates Requirement 1"
+        )
+    return ValidityError(
+        f"{label}: logical rate {value} from t={t} is below {rate} "
+        f"(Requirement 1)"
+    )
 
 
 @dataclass(frozen=True)
@@ -254,28 +355,18 @@ class LogicalClock:
             return self._times[k + 1]
         return t
 
-    def check_validity(
-        self, horizon: float, *, rate: float = 0.5, step: float = 0.25
-    ) -> None:
+    def check_validity(self, horizon: float, *, rate: float = 0.5) -> None:
         """Assert Requirement 1: ``L(t + r) - L(t) >= rate * r`` on ``[0, horizon]``.
 
         With forward-only jumps, multipliers >= 1, and hardware rate
         ``>= 1 - rho``, this can fail only for out-of-model inputs; the
         check exists so experiments *demonstrate* compliance rather than
-        assume it.
-
-        Windows walk an integer-index grid (not a ``t += step``
-        accumulator, which drifts and can skip the final window) and are
-        evaluated in one batched pass per clock.
+        assume it.  Exact: every jump and every piece's slope up to the
+        horizon is tested (see the module docstring), and the earliest
+        failure is reported.
         """
-        starts = window_starts(horizon, window=step, step=step)
-        if starts.size == 0:
-            return
-        gains = self.values_at(starts + step) - self.values_at(starts)
-        bad = np.nonzero(gains < rate * step - 1e-6)[0]
-        if bad.size:
-            t = float(starts[bad[0]])
-            raise ValidityError(
-                f"logical clock gained {float(gains[bad[0]])} over "
-                f"[{t}, {t + step}]; requirement is {rate * step}"
-            )
+        witnesses = _validity_witnesses(
+            [self.columns()], [self.hardware.schedule.columns()], horizon, rate
+        )
+        if witnesses:
+            raise _validity_error("logical clock", witnesses[0], rate)

@@ -14,45 +14,25 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro._constants import TIME_EPS, VALIDITY_RATE, window_starts
 from repro.errors import DelayBoundError, ScheduleError, ValidityError
-from repro.sim.clock import HardwareClock, LogicalClock
+from repro.sim.clock import (
+    HardwareClock,
+    LogicalClock,
+    _gather,
+    _keys,
+    _validity_error,
+    _validity_witnesses,
+)
 from repro.sim.messages import Message
 from repro.sim.trace import ExecutionTrace
 from repro.topology.base import Topology
 
 __all__ = ["Execution"]
-
-
-def _gather(columns: list) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Per-node segment columns (one tuple of equal-length sequences per
-    row) concatenated column by column, with each entry's row number and
-    each row's first position in the concatenation."""
-    n = len(columns)
-    lengths = np.fromiter(map(len, (c[0] for c in columns)), dtype=np.intp, count=n)
-    total = int(lengths.sum())
-    stacked = [
-        np.fromiter(chain.from_iterable(c[i] for c in columns), dtype=float, count=total)
-        for i in range(len(columns[0]))
-    ]
-    first = np.zeros(n, dtype=np.intp)
-    np.cumsum(lengths[:-1], out=first[1:])
-    return stacked, np.repeat(np.arange(n, dtype=float), lengths), first
-
-
-def _keys(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The complex keys ``rows + 1j * times``, built by assigning both
-    parts (so each is exact) rather than by complex arithmetic."""
-    rows, times = np.broadcast_arrays(rows, times)
-    keys = np.empty(rows.shape, dtype=complex)
-    keys.real = rows
-    keys.imag = times
-    return keys
 
 
 @dataclass
@@ -221,10 +201,23 @@ class Execution:
     # ------------------------------------------------------------------
     # model-compliance checks
 
-    def check_validity(self, *, rate: float = VALIDITY_RATE, step: float = 0.5) -> None:
-        """Requirement 1 for every node; raises :class:`ValidityError`."""
-        for node in self.topology.nodes:
-            self.logical[node].check_validity(self.duration, rate=rate, step=step)
+    def check_validity(self, *, rate: float = VALIDITY_RATE) -> None:
+        """Requirement 1 for every node on ``[0, duration]``, exactly;
+        raises :class:`ValidityError` naming the first failing node (in
+        node order), the time, and the bad jump or slope.
+
+        One array pass over every node's gathered segments; each node's
+        verdict is its own :meth:`LogicalClock.check_validity`'s.
+        """
+        nodes = self.topology.nodes
+        witnesses = _validity_witnesses(
+            [self.logical[node].columns() for node in nodes],
+            [self.hardware[node].schedule.columns() for node in nodes],
+            self.duration,
+            rate,
+        )
+        if witnesses:
+            raise _validity_error(f"node {nodes[witnesses[0][0]]}", witnesses[0], rate)
 
     def check_drift_bounds(self) -> None:
         """Assumption 1 for every node (re-validated; construction enforces it)."""

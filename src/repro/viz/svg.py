@@ -135,15 +135,17 @@ def _png_chunk(kind: bytes, data: bytes) -> bytes:
 
 def _png_data_uri(rgb: np.ndarray) -> str:
     """A ``rows x cols x 3`` ``uint8`` array as a ``data:image/png`` URI:
-    8-bit truecolor, every scanline filter 0, one ``IDAT`` at a fixed
-    zlib level — the same bytes for the same array, on any zlib."""
+    8-bit truecolor, every scanline filter 0, one ``IDAT`` at the fixed
+    zlib level 1 — the same bytes for the same array, on any zlib.
+    On heatmaps level 1 is several times faster than level 6, for a few
+    percent more bytes."""
     rows, cols, _ = rgb.shape
     scanlines = np.zeros((rows, 1 + 3 * cols), dtype=np.uint8)
     scanlines[:, 1:] = rgb.reshape(rows, -1)
     png = (
         b"\x89PNG\r\n\x1a\n"
         + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", cols, rows, 8, 2, 0, 0, 0))
-        + _png_chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 6))
+        + _png_chunk(b"IDAT", zlib.compress(scanlines.tobytes(), 1))
         + _png_chunk(b"IEND", b"")
     )
     return "data:image/png;base64," + base64.b64encode(png).decode("ascii")
