@@ -49,14 +49,16 @@ echo "== simulator differential properties at the ci budget =="
 # property guard the batched broadcast and the spine merge; the clock
 # batch properties and the all-node logical-matrix gather guard the
 # analysis matrix; the exact Requirement 1 check is held to the grid walk
-# it replaced.  Tier-1 runs them at small budgets, the ``ci`` hypothesis
-# profile (tests/conftest.py) at 200 examples each.
+# it replaced, and the spread-screened Requirement 2 check to the per-pair
+# loop over drawn linear bounds.  Tier-1 runs them at small budgets, the
+# ``ci`` hypothesis profile (tests/conftest.py) at 200 examples each.
 timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_engine_equivalence.py::TestRandomScenarios" \
     "tests/test_events.py::TestBatchQueueEquivalence" \
     "tests/test_field_equivalence.py::TestClockBatchEquivalence" \
     "tests/test_field_equivalence.py::TestLogicalMatrixGather" \
-    "tests/test_hypothesis_clocks.py::TestExactValidityAgainstGrid"
+    "tests/test_hypothesis_clocks.py::TestExactValidityAgainstGrid" \
+    "tests/test_properties.py::TestCheckGradientMatchesPerPairReference::test_drawn_linear_bounds"
 
 echo
 echo "== quick-scale parallel sweep (end-to-end) =="

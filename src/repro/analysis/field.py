@@ -230,8 +230,10 @@ class SkewField:
         per topology segment (aligned with :meth:`topology_segments`,
         over that segment's sample times), cached.
 
-        The one object Requirement 2 is read from: the gradient profile,
-        ``check_gradient`` and the dashboard's peak panel all fold it.
+        The gradient profile and the dashboard's peak panel fold it;
+        ``check_gradient`` no longer folds it — it screens pairs by the
+        column spread and computes exact peaks only for the pairs whose
+        limit the spread exceeds.
         Entry for entry ``np.abs(heatmap()).max(axis=0)``, from one
         ``|V[i+1:] - V[i]|`` row broadcast per anchor node.
         """
@@ -253,8 +255,10 @@ class SkewField:
         """Max absolute skew per pair distance — the empirical ``f(d)``.
 
         A group-by-distance over :meth:`peak_pairs`: grouped by exact
-        distance in one array step, then one entry per distinct distance
-        is keyed by the scalar path's ``round(d, 9)`` in Python.
+        distance in one array step (the topology's cached
+        :meth:`~repro.topology.base.Topology.distance_classes`), then one
+        entry per distinct distance is keyed by the scalar path's
+        ``round(d, 9)`` in Python.
 
         On dynamic executions each pair's skew is attributed to the
         distance it had *when the skew was observed* (one fold per
@@ -264,7 +268,7 @@ class SkewField:
         profile: dict[float, float] = {}
         upper = np.triu_indices(self.n, 1)
         for (topology, _), peak in zip(self.topology_segments(), self.peak_pairs()):
-            distances, group = np.unique(topology.distances[upper], return_inverse=True)
+            distances, group = topology.distance_classes()
             worst = np.full(distances.size, float("-inf"))
             np.maximum.at(worst, group, peak[upper])
             for d, w in zip(distances.tolist(), worst.tolist()):

@@ -81,6 +81,11 @@ class GradientViolation:
         )
 
 
+#: Pair-sample differences ``check_gradient`` holds in memory at once
+#: while it computes exact peaks for the pairs the spread screen keeps.
+_PEAK_CHUNK = 1 << 16
+
+
 def check_validity(execution: Execution, *, rate: float = 0.5) -> None:
     """Requirement 1 over the whole execution, checked exactly on every
     clock's breakpoints; raises :class:`~repro.errors.ValidityError`."""
@@ -102,12 +107,19 @@ def check_gradient(
     contrast, is checked exactly on every clock's breakpoints
     (:func:`check_validity`).
 
-    Evaluated from one batched :class:`~repro.analysis.field.SkewField`:
-    each pair's peak over a topology segment (``field.peak_pairs()``) is
-    compared with ``bound(d)``, evaluated once per distinct distance, in
-    one array step; only a pair whose peak exceeds its limit is walked
-    sample by sample.  Violations come in the scalar path's time-major
-    order.
+    Evaluated from one batched :class:`~repro.analysis.field.SkewField`,
+    one topology segment at a time, with ``bound(d)`` evaluated once per
+    distinct distance (:meth:`~repro.topology.base.Topology.distance_classes`).
+    A pair is screened by the segment's column spread first: float
+    subtraction rounds monotonically, so in every column
+    ``|fl(L_i - L_j)| <= fl(max - min)``, and a pair whose threshold
+    ``bound(d) + 1e-9`` is not below the largest spread cannot be over
+    it.  Only the remaining pairs get an exact peak ``max_t |L_j - L_i|``
+    (gathered in chunks; the ``n x n``
+    :meth:`~repro.analysis.field.SkewField.peak_pairs` is never built
+    here), and only a pair whose peak exceeds its threshold is walked
+    sample by sample.  The screen drops no violation and adds
+    none, and violations come in the scalar path's time-major order.
 
     On dynamic-topology executions the bound is evaluated against the
     **time-varying** pairwise distance: each sample time is charged
@@ -123,14 +135,22 @@ def check_gradient(
     # Row-major upper triangle: a pair's position here is its rank in
     # ``topology.pairs()``, the tie-break within one sample time.
     upper_i, upper_j = np.triu_indices(field.n, 1)
+    spread = field.max_skew_series()
     hits: list[tuple[int, int, GradientViolation]] = []
-    for (topology, cols), peak in zip(field.topology_segments(), field.peak_pairs()):
-        distances, group = np.unique(
-            topology.distances[upper_i, upper_j], return_inverse=True
-        )
+    for topology, cols in field.topology_segments():
+        distances, group = topology.distance_classes()
         limits = np.array([bound(d) for d in distances.tolist()], dtype=float)
-        over = peak[upper_i, upper_j] > limits[group] + 1e-9
-        for rank in np.nonzero(over)[0].tolist():
+        thresholds = limits[group] + 1e-9
+        ranks = np.nonzero(thresholds < spread[cols].max())[0]
+        if ranks.size == 0:
+            continue
+        block = field.values[:, cols]
+        parts = math.ceil(ranks.size * cols.size / _PEAK_CHUNK)
+        peak = np.concatenate([
+            np.abs(block[upper_j[part]] - block[upper_i[part]]).max(axis=1)
+            for part in np.array_split(ranks, parts)
+        ])
+        for rank in ranks[peak > thresholds[ranks]].tolist():
             i, j = int(upper_i[rank]), int(upper_j[rank])
             series = field.pair_series(i, j)
             d = topology.distance(i, j)

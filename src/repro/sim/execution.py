@@ -35,6 +35,24 @@ from repro.topology.base import Topology
 __all__ = ["Execution"]
 
 
+def _last_start(
+    ts: np.ndarray, starts: np.ndarray, rows: np.ndarray, n: int
+) -> np.ndarray:
+    """``index[r, j]``: the position in the gathered ``starts`` of row
+    ``r``'s last start ``<= ts[j]`` (sorted ``ts``, rows ``0 .. n-1``),
+    or of the row's first start minus one where none is.
+
+    A start counts from the first sample at or after it, so one
+    ``searchsorted`` places every start in its row's block of
+    ``T + 1`` slots (slot ``T``: after every sample) and one running
+    count over all blocks, minus one, is the index: a row's block opens
+    after every earlier row's starts."""
+    size = ts.size + 1
+    placed = rows.astype(np.intp) * size + np.searchsorted(ts, starts, side="left")
+    counts = np.cumsum(np.bincount(placed, minlength=n * size))
+    return counts.reshape(n, size)[:, :-1] - 1
+
+
 @dataclass
 class Execution:
     """The result of one simulated execution ``alpha``."""
@@ -114,13 +132,18 @@ class Execution:
         """The ``n x T`` matrix of logical values: row ``i`` is ``L_i``
         over ``times`` (any order, repeats allowed).
 
-        One gather for every node at once: all nodes' logical segments
-        and hardware schedules are concatenated, each ``(row, t)`` sample
-        is keyed as the complex number ``row + 1j * t`` (numpy orders
-        complex numbers by real part, then imaginary part, so
-        ``searchsorted`` compares the keys exactly), and one
-        ``searchsorted`` per array locates every sample's segment.  The
-        element-wise float operations are
+        One gather for every node at once, indexed by counting: with the
+        sample times sorted (stably) once, the segment a row reads at a
+        sample is its last logical segment (and last hardware segment)
+        starting at or before it, i.e. the number of that row's starts
+        ``<= t`` minus one.  One ``searchsorted`` of every start into the
+        sorted times, one ``bincount`` and one ``cumsum`` per index count
+        them for all ``n x T`` samples (:func:`_last_start`), and the
+        columns are un-permuted at the end.  Each logical segment's starting hardware
+        value is read once per segment, keyed as the complex number
+        ``row + 1j * t`` (numpy orders complex numbers by real part, then
+        imaginary part, so ``searchsorted`` compares the keys exactly).
+        The element-wise float operations are
         :meth:`~repro.sim.clock.LogicalClock.values_at`'s, so each row
         equals that node's ``values_at(times)`` bitwise.  This is the
         trajectory matrix every :class:`~repro.analysis.field.SkewField`
@@ -143,19 +166,20 @@ class Execution:
         )
         if float(seg_t.min()) < 0.0:
             raise ScheduleError(f"time must be nonnegative, got {float(seg_t.min())}")
-        hw_keys = _keys(hw_rows, hw_start)
-        rows = np.arange(len(nodes), dtype=float)[:, None]
-        sample_keys = _keys(rows, t)
+        order = np.argsort(t, kind="stable")
+        ts = t[order]
         # Clamping at each row's first segment is ``values_at``'s
         # ``max(k, 0)``; hardware indices need none (``starts[0] = 0``).
-        k = np.searchsorted(_keys(seg_rows, seg_t), sample_keys, side="right") - 1
-        k = np.maximum(k, seg_first[:, None])
-        h = np.searchsorted(hw_keys, sample_keys, side="right") - 1
-        h_now = cumulative[h] + (t - hw_start[h]) * rates[h]
-        at = seg_t[k]
-        h = np.searchsorted(hw_keys, _keys(rows, at), side="right") - 1
-        h_seg = cumulative[h] + (at - hw_start[h]) * rates[h]
-        return values[k] + mults[k] * (h_now - h_seg)
+        k = np.maximum(_last_start(ts, seg_t, seg_rows, len(nodes)), seg_first[:, None])
+        h = _last_start(ts, hw_start, hw_rows, len(nodes))
+        h_now = cumulative[h] + (ts - hw_start[h]) * rates[h]
+        at = np.searchsorted(
+            _keys(hw_rows, hw_start), _keys(seg_rows, seg_t), side="right"
+        ) - 1
+        h_seg = cumulative[at] + (seg_t - hw_start[at]) * rates[at]
+        out = np.empty(k.shape)
+        out[:, order] = values[k] + mults[k] * (h_now - h_seg[k])
+        return out
 
     def sample_times(self, step: float = 1.0) -> list[float]:
         """Evenly spaced sample times covering the execution.

@@ -210,6 +210,25 @@ class Topology:
             self.__dict__["_adjacent_cache"] = cached
         return list(cached)
 
+    def distance_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(distances, group)``: the distinct pair distances, ascending,
+        and each unordered pair's index into them, the pairs in
+        row-major upper-triangle order (``np.triu_indices(n, 1)``, the
+        order of :meth:`pairs`) — ``np.unique(..., return_inverse=True)``.
+
+        Cached, and read-only: every distance-grouped measurement (the
+        gradient profile, the Requirement 2 check) shares one copy.
+        """
+        cached = self.__dict__.get("_distance_classes")
+        if cached is None:
+            cached = np.unique(
+                self.distances[np.triu_indices(self.n, 1)], return_inverse=True
+            )
+            for array in cached:
+                array.flags.writeable = False
+            self.__dict__["_distance_classes"] = cached
+        return cached
+
     def comm_pairs(self) -> list[tuple[int, int]]:
         """The communication edges, sorted for determinism."""
         return sorted(self.comm_edges)

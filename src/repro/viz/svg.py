@@ -62,14 +62,24 @@ def escape_text(value: str) -> str:
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def escape_attr(value: str) -> str:
-    """Escape a string for use inside a double-quoted SVG attribute."""
+    """Escape a string for use inside a double-quoted SVG attribute.
+
+    Memoized: a figure repeats a few colors, classes and fonts on
+    thousands of marks."""
     return escape_text(value).replace('"', "&quot;")
 
 
 def _fmt(number: float) -> str:
-    """Compact coordinate formatting (SVG files get large fast)."""
-    text = f"{float(number):.2f}".rstrip("0").rstrip(".")
+    """Compact coordinate formatting (SVG files get large fast): two
+    decimals, trailing zeros and a bare point dropped.  The text holds
+    only digits, ``-``, ``.`` (or ``nan`` / ``inf``), never anything an
+    attribute must escape."""
+    text = f"{float(number):.2f}"
+    if not text.endswith("0"):
+        return text
+    text = text.rstrip("0").rstrip(".")
     return text if text else "0"
 
 
@@ -185,8 +195,9 @@ class SvgCanvas:
             if value is None:
                 continue
             if isinstance(value, float):
-                value = _fmt(value)
-            chunks.append(f' {key}="{escape_attr(str(value))}"')
+                chunks.append(f' {key}="{_fmt(value)}"')
+            else:
+                chunks.append(f' {key}="{escape_attr(str(value))}"')
         return "".join(chunks)
 
     # -- primitives ----------------------------------------------------

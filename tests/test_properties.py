@@ -1,12 +1,16 @@
 """Tests for the gradient/validity property checkers (gcs.properties)."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from _engine_helpers import example_budget
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import MaxBasedAlgorithm, NullAlgorithm
 from repro.analysis.field import SkewField
+from repro.gcs import properties
 from repro.gcs.properties import (
     GradientBound,
     GradientViolation,
@@ -72,7 +76,8 @@ class TestCheckGradient:
 
 def per_pair_check_gradient(execution, bound, times=None):
     """Requirement 2 one pair at a time — ``check_gradient`` before it
-    screened pairs by their peak; the reference for its answer."""
+    screened pairs by the column spread and then by their peak; the
+    reference for its answer."""
     times = list(times) if times is not None else execution.sample_times()
     field = SkewField(execution, times)
     hits = []
@@ -89,18 +94,52 @@ def per_pair_check_gradient(execution, bound, times=None):
     return [violation for _, _, violation in hits]
 
 
+#: ``line:12`` × ``max-based`` executions the screened check is held to
+#: the per-pair loop on: static, mobile (one screen per snapshot) and
+#: faulted (crashed nodes' clocks stall, then jump on recovery).
+SCREEN_CASES = {
+    "static": dict(mobility="static"),
+    "dynamic": dict(mobility="waypoint:0.5"),
+    "faulted": dict(faults="crash-recover:0.3,2"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def screen_execution(name):
+    execution = Scenario(
+        topology="line:12", algorithm="max-based", duration=12.0, rho=0.3,
+        seed=4, **SCREEN_CASES[name],
+    ).simulate()
+    assert execution.is_dynamic == (name == "dynamic")
+    assert bool(execution.fault_stats) == (name == "faulted")
+    return execution
+
+
+def screen_counts(execution, bound, times=None):
+    """Per topology segment, ``(classes whose threshold is below the
+    segment's largest column spread, classes)`` — what the screen in
+    ``check_gradient`` keeps and what it sees."""
+    times = list(times) if times is not None else execution.sample_times()
+    field = SkewField(execution, times)
+    spread = field.max_skew_series()
+    counts = []
+    for topology, cols in field.topology_segments():
+        distances, _ = topology.distance_classes()
+        thresholds = np.array([bound(d) for d in distances.tolist()]) + 1e-9
+        counts.append((int((thresholds < spread[cols].max()).sum()), distances.size))
+    return counts
+
+
+def refuse_peak_pairs(self):
+    raise AssertionError("check_gradient built the n x n peak matrix")
+
+
 class TestCheckGradientMatchesPerPairReference:
     """Same list — order, pairs and every float — as the per-pair loop."""
 
-    @pytest.fixture(scope="class", params=["static", "dynamic"])
+    @pytest.fixture(scope="class", params=sorted(SCREEN_CASES))
     def execution(self, request):
-        mobility = "waypoint:0.5" if request.param == "dynamic" else "static"
-        execution = Scenario(
-            topology="line:12", algorithm="max-based", mobility=mobility,
-            duration=12.0, rho=0.3, seed=4,
-        ).simulate()
-        assert execution.is_dynamic == (request.param == "dynamic")
-        return execution
+        return screen_execution(request.param)
 
     @pytest.mark.parametrize("bound, violated", [
         (GradientBound.linear(100.0), False),
@@ -112,6 +151,42 @@ class TestCheckGradientMatchesPerPairReference:
         assert bool(reference) == violated
         assert check_gradient(execution, bound) == reference
         times = execution.sample_times(0.4)
+        assert check_gradient(execution, bound, times=times) == (
+            per_pair_check_gradient(execution, bound, times))
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "many-chunks"])
+    def test_partial_screen(self, execution, monkeypatch, chunk):
+        # Near distances are limited below the spread, far ones above it.
+        bound = GradientBound.linear(0.25)
+        counts = screen_counts(execution, bound)
+        assert any(0 < kept < classes for kept, classes in counts)
+        reference = per_pair_check_gradient(execution, bound)
+        assert reference
+        monkeypatch.setattr(SkewField, "peak_pairs", refuse_peak_pairs)
+        if chunk is not None:
+            monkeypatch.setattr(properties, "_PEAK_CHUNK", chunk)
+        assert check_gradient(execution, bound) == reference
+
+    def test_no_limit_below_the_spread_builds_no_peak_matrix(
+        self, execution, monkeypatch
+    ):
+        bound = GradientBound.conjectured(execution.topology.diameter)
+        assert all(kept == 0 for kept, _ in screen_counts(execution, bound))
+        assert per_pair_check_gradient(execution, bound) == []
+        monkeypatch.setattr(SkewField, "peak_pairs", refuse_peak_pairs)
+        assert check_gradient(execution, bound) == []
+
+    @given(
+        name=st.sampled_from(sorted(SCREEN_CASES)),
+        slope=st.floats(0.0, 0.4),
+        intercept=st.floats(-0.5, 1.5),
+        step=st.sampled_from([None, 0.4, 0.75]),
+    )
+    @settings(max_examples=example_budget(50), deadline=None)
+    def test_drawn_linear_bounds(self, name, slope, intercept, step):
+        execution = screen_execution(name)
+        bound = GradientBound.linear(slope, intercept)
+        times = None if step is None else execution.sample_times(step)
         assert check_gradient(execution, bound, times=times) == (
             per_pair_check_gradient(execution, bound, times))
 

@@ -13,6 +13,7 @@ from repro.errors import TopologyError
 from repro.sim.simulator import SimConfig, run_simulation
 from repro.sweep import topology_from_spec
 from repro.topology.base import Topology
+from repro.topology.dynamic import random_waypoint
 from repro.topology.generators import (
     balanced_tree,
     broadcast_cluster,
@@ -193,6 +194,45 @@ class TestTopologyEquality:
     def test_still_unhashable(self):
         with pytest.raises(TypeError):
             hash(line(4))
+
+
+class TestDistanceClasses:
+    """The cached ``np.unique`` grouping every distance fold shares."""
+
+    STATIC = [line(9), ring(8), grid(3, 4), star(6), complete(5),
+              balanced_tree(2, 3), random_geometric(12, seed=3),
+              broadcast_cluster(4)]
+
+    @staticmethod
+    def fresh(topology):
+        upper = np.triu_indices(topology.n, 1)
+        return np.unique(topology.distances[upper], return_inverse=True)
+
+    @pytest.mark.parametrize("topology", STATIC, ids=lambda t: t.name)
+    def test_equals_a_fresh_unique(self, topology):
+        distances, group = topology.distance_classes()
+        want_distances, want_group = self.fresh(topology)
+        assert np.array_equal(distances, want_distances)
+        assert np.array_equal(group, want_group)
+        assert topology.distance_classes() is topology.distance_classes()
+
+    def test_every_dynamic_snapshot(self):
+        dynamic = random_waypoint(10, speed=0.7, duration=20.0, interval=2.0, seed=5)
+        assert len(dynamic) > 5
+        for _, snapshot in dynamic.snapshots:
+            distances, group = snapshot.distance_classes()
+            want_distances, want_group = self.fresh(snapshot)
+            assert np.array_equal(distances, want_distances)
+            assert np.array_equal(group, want_group)
+
+    def test_read_only(self):
+        distances, group = line(5).distance_classes()
+        with pytest.raises(ValueError):
+            distances[0] = 7.0
+        with pytest.raises(ValueError):
+            group[0] = 1
+        with pytest.raises(ValueError):
+            distances.sort()
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,13 @@ from repro.viz.panels import (
     line_panel,
     nice_ticks,
 )
-from repro.viz.svg import escape_attr, escape_text, sequential_color, sequential_rgb
+from repro.viz.svg import (
+    _fmt,
+    escape_attr,
+    escape_text,
+    sequential_color,
+    sequential_rgb,
+)
 
 
 def parsed(svg: str) -> ET.Element:
@@ -173,6 +179,32 @@ class TestSvgPrimitives:
                 body = body.replace(entity, "")
             assert "&" not in body
         assert '"' not in escape_attr(text).replace("&quot;", "")
+
+    # The formatting fast paths against the expressions they replaced.
+
+    @given(st.floats(allow_nan=True, allow_infinity=True)
+           | st.integers(-10**6, 10**6).map(lambda k: k / 100))
+    @settings(max_examples=300, deadline=None)
+    def test_fmt_equals_the_strip_expression(self, number):
+        text = f"{float(number):.2f}".rstrip("0").rstrip(".")
+        assert _fmt(number) == (text if text else "0")
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["x", "fill", "class", "stroke-width"]),
+        st.none() | st.floats(allow_nan=True, allow_infinity=True)
+        | st.integers(-999, 999) | st.text(max_size=12),
+    ), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_attrs_equal_escaping_every_value(self, pairs):
+        chunks = []
+        for key, value in pairs:
+            if value is None:
+                continue
+            if isinstance(value, float):
+                value = _fmt(value)
+            escaped = escape_text(str(value)).replace('"', "&quot;")
+            chunks.append(f' {key}="{escaped}"')
+        assert SvgCanvas(1, 1)._attrs(pairs) == "".join(chunks)
 
 
 # ----------------------------------------------------------------------
