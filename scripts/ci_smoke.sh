@@ -46,15 +46,17 @@ python -m pytest -x -q
 echo
 echo "== simulator differential properties at the ci budget =="
 # The reference-vs-production random scenarios and the queue-order
-# property guard the batched broadcast and the spine merge; the clock
-# batch properties and the all-node logical-matrix gather guard the
-# analysis matrix; the exact Requirement 1 check is held to the grid walk
+# properties (short programs, and long ones that reach the secondary
+# run and its fold) guard the batched broadcast and the queue's merges;
+# the clock batch properties and the all-node logical-matrix gather
+# guard the analysis matrix; the exact Requirement 1 check is held to the grid walk
 # it replaced, and the spread-screened Requirement 2 check to the per-pair
 # loop over drawn linear bounds.  Tier-1 runs them at small budgets, the
 # ``ci`` hypothesis profile (tests/conftest.py) at 200 examples each.
 timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_engine_equivalence.py::TestRandomScenarios" \
     "tests/test_events.py::TestBatchQueueEquivalence" \
+    "tests/test_events.py::TestBatchQueueLongPrograms::test_long_programs_drain_in_scalar_heap_order" \
     "tests/test_field_equivalence.py::TestClockBatchEquivalence" \
     "tests/test_field_equivalence.py::TestLogicalMatrixGather" \
     "tests/test_hypothesis_clocks.py::TestExactValidityAgainstGrid" \

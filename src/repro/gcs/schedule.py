@@ -76,16 +76,6 @@ class AdversarySchedule:
             raise ScheduleError(f"extension must be positive, got {extra}")
         return replace(self, duration=self.duration + extra)
 
-    def with_rates(  # repro: allow[DEAD001] ROADMAP search mutates schedules
-        self, rates: Mapping[int, PiecewiseConstantRate]
-    ) -> "AdversarySchedule":
-        return replace(self, rates=dict(rates))
-
-    def with_oracle(  # repro: allow[DEAD001] ROADMAP search mutates schedules
-        self, oracle: DelayPolicy
-    ) -> "AdversarySchedule":
-        return replace(self, delay_oracle=oracle)
-
     # ------------------------------------------------------------------
     # execution
 

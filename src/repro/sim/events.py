@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Optional
 
 from repro.errors import SimulationError
@@ -122,43 +124,60 @@ class EventQueue:
         return bool(self._heap)
 
 
+#: The entry closing both sorted runs of a :class:`BatchEventQueue`: its
+#: ``inf`` time never wins a head comparison, so a drain reads run heads
+#: without bounds checks.  Sorts are stable and it is always the last
+#: entry of its list, so it stays last even beside ``inf``-time entries.
+_END: tuple = (math.inf, None)
+
+#: The sort key of a ``(time, event)`` entry.
+_TIME = itemgetter(0)
+
+
 class BatchEventQueue:
-    """The sorted-spine event queue behind :class:`~repro.sim.simulator.Simulator`.
+    """The sorted-run event queue behind :class:`~repro.sim.simulator.Simulator`.
 
     Same contract as :class:`EventQueue` — events pop in ``(time, seq)``
-    order, where ``seq`` is global insertion order — realized as sorted
-    arrays instead of a binary heap:
+    order, where ``seq`` is global insertion order — realized as lists of
+    ``(time, event)`` entries instead of a binary heap.  Seqs are never
+    stored: every list below holds its entries in seq order within each
+    time, and every sort is a *stable* ``list.sort`` keyed by time, so
+    the seq tie-break is a matter of which entries a list holds first.
 
-    * a **spine**: aligned time/event lists already in lexicographic
-      ``(time, seq)`` order, drained by advancing a cursor (an O(1)
-      pop, no heap rebalancing, no per-entry wrapper objects);
-    * a **pending batch**: events pushed since the last merge.  Because
-      insertion order is global and monotone, every pending event's seq
-      exceeds every spine event's, so a pending event can only precede
-      the spine head if its *time* is strictly earlier — until then
-      pops come off the spine untouched.  When that happens (or the
-      spine drains) the remaining spine and the batch are merged by
-      one stable ``sorted`` over their times (stability supplies the
-      seq tie-break; timsort merges the already-sorted spine run).
+    * the **spine**: the large sorted run, drained by advancing a cursor
+      (an O(1) pop, no heap rebalancing);
+    * the **run**: a second, smaller sorted run with its own cursor.  A
+      pop takes the earlier of the two heads; ties go to the spine,
+      because every run entry was pushed after every spine entry;
+    * the **pending batch**: entries pushed since the last merge, in
+      push order.  Each was pushed after every stored entry, so it can
+      only precede the heads if its *time* is strictly earlier — until
+      then pops come off the runs untouched.
 
-    Periodic-broadcast gossip schedules whole epochs of future firings
-    between consecutive pops, so merges are rare — the amortized cost
-    per event is a couple of list reads.  The
-    equivalence property test (``tests/test_events.py``) drives random
-    push/pop interleavings through both queues and asserts identical
-    drain order.
+    Under a delay drawn anywhere in ``[0, d]`` (the ``uniform`` family)
+    a fresh batch almost always holds an entry due before both heads,
+    and the batch spans the whole spine's time range: merges are
+    frequent (every ~70 events on ``line:512``) and cannot stop at a
+    prefix.  So a merge never touches the spine: the batch is sorted
+    into the run, costing O(run + batch log batch).  The run folds into
+    the spine only once it outgrows a quarter of the remaining spine,
+    which makes the fold's O(spine) cost a constant per entry folded.
+    Every pop and every ``len`` sees the state the simulator's inlined
+    drain loop sees.  The equivalence property tests
+    (``tests/test_events.py``) drive random push/pop programs through
+    this queue and :class:`EventQueue` and assert identical drain order.
     """
 
     def __init__(self) -> None:
-        # The spine is kept as plain python lists (cheap scalar reads in
-        # the drain loop).
-        self._spine_times: list[float] = []
-        self._spine_events: list[Any] = []
+        # Both runs always end with ``_END``; the consumed prefix
+        # (``[:cursor]``) is dead until the next merge or fold drops it.
+        self._spine: list[tuple] = [_END]
         self._cursor = 0
-        self._pend_times: list[float] = []
-        self._pend_events: list[Any] = []
-        self._pend_min = float("inf")
-        self._last_popped = float("-inf")
+        self._run: list[tuple] = [_END]
+        self._run_cursor = 0
+        self._pending: list[tuple] = []
+        self._pend_min = math.inf
+        self._last_popped = -math.inf
 
     # ------------------------------------------------------------------
     # pushes
@@ -169,8 +188,7 @@ class BatchEventQueue:
             raise SimulationError(
                 f"event scheduled at {time} before current time {self._last_popped}"
             )
-        self._pend_times.append(time)
-        self._pend_events.append(event)
+        self._pending.append((time, event))
         if time < self._pend_min:
             self._pend_min = time
 
@@ -178,28 +196,35 @@ class BatchEventQueue:
     # the merge
 
     def _merge(self) -> None:
-        """Fold the pending batch into the spine (one stable timsort).
+        """Sort the pending batch into the run; fold a grown run into the spine.
 
-        Pending entries hold strictly later seqs than every spine entry
-        (the counter is global and monotone), so seqs never need to be
-        materialized: the remaining spine followed by the pending batch
-        in push order *is* seq order, and a *stable* sort of that list
-        by time realizes the ``(time, seq)`` tie-break.  Timsort finds
-        the already-sorted spine as one run, so the cost is about a
-        sort of the (small) batch plus a linear merge.
+        Lists change in place — the simulator's drain loop and node APIs
+        hold direct references to them — and callers re-read both
+        cursors afterwards.  The run's live entries followed by the
+        batch (push order) are seq order, so one stable sort by time
+        (timsort: the live run is one presorted run, the batch is small)
+        restores ``(time, seq)`` order.  The spine is untouched unless
+        the run now holds more than a quarter of the spine's live
+        entries; then the spine's live entries followed by the run's are
+        seq order again, one stable sort merges the two presorted runs,
+        and the run empties.
         """
+        run = self._run
+        run[-1:] = self._pending
+        del run[: self._run_cursor]
+        run.sort(key=_TIME)
+        run.append(_END)
+        self._run_cursor = 0
+        self._pending.clear()
+        self._pend_min = math.inf
+        spine = self._spine
         cursor = self._cursor
-        times = self._spine_times[cursor:] + self._pend_times
-        events = self._spine_events[cursor:] + self._pend_events
-        order = sorted(range(len(times)), key=times.__getitem__)
-        # In-place swaps: callers (the simulator's drain loop) hold
-        # direct references to these lists, so identity must survive.
-        self._spine_times[:] = map(times.__getitem__, order)
-        self._spine_events[:] = map(events.__getitem__, order)
-        self._cursor = 0
-        self._pend_times.clear()
-        self._pend_events.clear()
-        self._pend_min = float("inf")
+        if 4 * (len(run) - 1) > len(spine) - cursor - 1:
+            spine[-1:] = run
+            del spine[:cursor]
+            spine.sort(key=_TIME)
+            del run[:-1]
+            self._cursor = 0
 
     # ------------------------------------------------------------------
     # pops
@@ -207,44 +232,54 @@ class BatchEventQueue:
     def pop_due(self, limit: float) -> Optional[tuple[float, Any]]:
         """Pop the earliest event if its time is ``<= limit``, else ``None``.
 
-        The whole drain step — emptiness check, horizon check,
-        merge-if-needed, pop — in one call.
+        The whole drain step — merge-if-needed, emptiness check, horizon
+        check, pop — in one call.
         """
-        if self._pend_times:
-            k = self._cursor
-            if k >= len(self._spine_events) or self._pend_min < self._spine_times[k]:
+        while True:
+            head = self._spine[self._cursor]
+            other = self._run[self._run_cursor]
+            if other[0] < head[0]:
+                head = other
+            if self._pending and (self._pend_min < head[0] or head is _END):
                 self._merge()
-        k = self._cursor
-        times = self._spine_times
-        if k >= len(times):
+                continue
+            break
+        time = head[0]
+        if head is _END or time > limit:
             return None
-        time = times[k]
-        if time > limit:
-            return None
-        self._cursor = k + 1
+        if head is other:
+            self._run_cursor += 1
+        else:
+            self._cursor += 1
         self._last_popped = time
-        return time, self._spine_events[k]
+        return head
 
     def pop(self) -> tuple[float, Any]:
         """Remove and return the earliest ``(time, event)``."""
-        item = self.pop_due(float("inf"))
+        item = self.pop_due(math.inf)
         if item is None:
             raise SimulationError("pop from empty event queue")
         return item
 
     def peek_time(self) -> Optional[float]:
         """Earliest scheduled time, or ``None`` if empty."""
-        head = (
-            self._spine_times[self._cursor]
-            if self._cursor < len(self._spine_events)
-            else None
+        if not self:
+            return None
+        return min(
+            self._spine[self._cursor][0],
+            self._run[self._run_cursor][0],
+            self._pend_min,
         )
-        if self._pend_times:
-            return self._pend_min if head is None else min(head, self._pend_min)
-        return head
 
     def __len__(self) -> int:
-        return (len(self._spine_events) - self._cursor) + len(self._pend_times)
+        return (
+            len(self._spine)
+            - self._cursor
+            + len(self._run)
+            - self._run_cursor
+            - 2
+            + len(self._pending)
+        )
 
     def __bool__(self) -> bool:
         return len(self) > 0

@@ -29,9 +29,11 @@ the workload highly regular (dense epochs of timer firings and
 deliveries whose order is fully determined by ``(time, seq)``), and this
 loop exploits that without changing a single observable:
 
-* **sorted-spine event queue** — a :class:`~repro.sim.events.BatchEventQueue`;
-  epochs of scheduled work merge in one stable timsort instead of one
-  heap push per event, and the drain loop is a cursor advance;
+* **sorted-run event queue** — a :class:`~repro.sim.events.BatchEventQueue`;
+  pushes append ``(time, event)`` pairs to a pending batch, a
+  batch due before the heads is sorted into a small secondary run
+  (never into the large spine, until the run outgrows a quarter of
+  it), and the drain loop advances the cursor of the earlier head;
 * **cursor clocks** — the simulation clock ``now`` is nondecreasing, so
   piecewise schedules are evaluated by *walking* a segment cursor
   instead of bisecting from scratch; the per-segment arithmetic is the
@@ -349,13 +351,12 @@ class _SimNodeAPI(NodeAPI):
     def __init__(self, simulator, node, logical, rng):
         super().__init__(simulator, node, logical, rng)
         # Simulator internals with run-stable identity (the queue's
-        # pending lists are cleared in place on merge, never
-        # reassigned), cached to keep the hottest per-event methods free
-        # of chained lookups.
+        # pending list is cleared in place on merge, never reassigned),
+        # cached to keep the hottest per-event methods free of chained
+        # lookups.
         queue = simulator._queue
         self._queue = queue
-        self._pend_times = queue._pend_times
-        self._pend_events = queue._pend_events
+        self._pending = queue._pending
         self._faults = simulator._faults
         #: ``(neighbor, distance, delay)`` triples for the current
         #: topology (``delay`` validated, or ``None`` when each send
@@ -436,11 +437,11 @@ class _SimNodeAPI(NodeAPI):
         msgs = sim._msgs
         idx = len(msgs)
         seq = sim._msg_counter
-        # Straight onto the queue's pending batch: the delivery time is
-        # ``now + delay`` with ``delay >= 0``, so the
-        # not-in-the-popped-past guard ``push`` would run cannot fire.
-        pend_times = self._pend_times
-        pend_events = self._pend_events
+        # Straight onto the queue's pending batch as ``(time, event)``
+        # entries: the delivery time is ``now + delay`` with
+        # ``delay >= 0``, so the not-in-the-popped-past guard ``push``
+        # would run cannot fire.
+        pending = self._pending
         queue = self._queue
         pend_min = queue._pend_min
         for dest, distance, delay in pairs:
@@ -462,8 +463,7 @@ class _SimNodeAPI(NodeAPI):
                 ]
             for copy in copies:
                 at = now + copy
-                pend_times.append(at)
-                pend_events.append(idx)
+                pending.append((at, idx))
                 if at < pend_min:
                     pend_min = at
                 msgs.append((seq, node, dest, payload, now, copy))
@@ -494,8 +494,7 @@ class _SimNodeAPI(NodeAPI):
                 event = (_TIMER, self.node, name, 0)
         else:
             event = (_TIMER, self.node, name, faults.epoch(self.node))
-        self._pend_times.append(fire_at)
-        self._pend_events.append(event)
+        self._pending.append((fire_at, event))
         queue = self._queue
         if fire_at < queue._pend_min:
             queue._pend_min = fire_at
@@ -645,30 +644,41 @@ class Simulator(RunSetup):
         processes = self._processes
         apis = self._api
         msgs = self._msgs
-        # Local drain state.  ``_merge`` swaps the spine lists in place,
-        # so the list bindings survive merges; the cursor lives in ``k``
-        # and is written back around each merge and at exit (no other
+        # Local drain state.  ``_merge`` changes the lists in place, so
+        # the bindings survive merges; the cursors live in ``k`` / ``j``
+        # and are written back around each merge and at exit (no other
         # queue entry point runs during the drain — pushes only append
-        # to the pending batch).
-        pend_times = queue._pend_times
-        spine_times = queue._spine_times
-        spine_events = queue._spine_events
+        # to the pending batch).  Both runs end with an ``inf`` sentinel,
+        # so a head read needs no bounds check and an exhausted run never
+        # wins; with both exhausted, ``time`` is ``inf`` and any pending
+        # entry forces a merge.  Ties go to the spine (every run entry is
+        # newer), as in ``pop_due``.
+        pending = queue._pending
+        spine = queue._spine
+        run = queue._run
         k = queue._cursor
-        n_spine = len(spine_times)
-        time = 0.0
+        j = queue._run_cursor
         while True:
-            if pend_times and (k >= n_spine or queue._pend_min < spine_times[k]):
+            head = spine[k]
+            time = head[0]
+            other = run[j]
+            if other[0] < time:
+                head = other
+                time = other[0]
+            if pending and queue._pend_min < time:
                 queue._cursor = k
+                queue._run_cursor = j
                 queue._merge()
-                k = 0
-                n_spine = len(spine_times)
-            if k >= n_spine:
-                break
-            time = spine_times[k]
+                k = queue._cursor
+                j = queue._run_cursor
+                continue
             if time > limit:
                 break
-            event = spine_events[k]
-            k += 1
+            if head is other:
+                j += 1
+            else:
+                k += 1
+            event = head[1]
             self.now = time
             if type(event) is int:
                 if event >= 0:
@@ -701,7 +711,8 @@ class Simulator(RunSetup):
             else:
                 self._control(event)
         queue._cursor = k
-        queue._last_popped = time
+        queue._run_cursor = j
+        queue._last_popped = self.now
 
         # ``Message._make`` per row, as one C-level call per row.
         messages = list(map(tuple.__new__, repeat(Message), msgs))

@@ -1,5 +1,7 @@
 """Tests for the Add Skew lemma machinery (gcs.add_skew)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro._constants import gamma as gamma_of, tau as tau_of
@@ -89,7 +91,7 @@ class TestApply:
         schedule = AdversarySchedule.quiet(topo.nodes, 16.0)
         rates = dict(schedule.rates)
         rates[3] = PiecewiseConstantRate.constant(1.0).with_rate(10.0, 12.0, 1.2)
-        schedule = schedule.with_rates(rates)
+        schedule = replace(schedule, rates=rates)
         plan = AddSkewPlan(i=0, j=8, n=9, alpha_duration=16.0, rho=RHO)
         with pytest.raises(ConstructionError):
             apply_add_skew(schedule, plan)

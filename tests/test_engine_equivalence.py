@@ -42,6 +42,7 @@ from repro.sim.messages import (
     SequenceDelay,
     UniformRandomDelay,
 )
+from repro.sim.node import Process
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.simulator import SimConfig, Simulator
@@ -97,6 +98,59 @@ class TestHighFanOut:
             duration=6.0,
             seed=5,
             rate_schedules=drifted_rates(topo, rho=0.3, seed=5),
+        )
+        assert_equivalent(scalar, batched)
+
+
+class TestSecondaryRun:
+    """Runs whose small batches keep the queue's secondary run alive.
+
+    A dense random field under delays drawn anywhere in ``[0, d]`` is
+    the shape the ``scale_large`` ``geometric`` × ``uniform`` cell runs:
+    almost every batch of pushes holds an entry due before the queue's
+    heads, so the production loop merges often, keeps a secondary sorted
+    run and folds it into the spine many times per run.
+    """
+
+    @pytest.mark.parametrize("alg_name", ["bcu", "max"])
+    def test_geometric_64(self, alg_name):
+        topo = random_geometric(64, comm_radius_factor=20.0, seed=2)
+        assert sum(map(len, map(topo.neighbors, topo.nodes))) / topo.n >= 10
+        scalar, batched = run_both(
+            topo,
+            ALGORITHMS[alg_name],
+            duration=8.0,
+            seed=3,
+            rate_schedules=drifted_rates(topo, rho=0.3, seed=3),
+            delay_policy=UniformRandomDelay(),
+        )
+        assert_equivalent(scalar, batched)
+
+    def test_sixteenth_grid_ties_across_spine_and_run(self):
+        # Unit rates, timers and delays on a 1/16 grid: many deliveries
+        # and timers share an instant, and each instant's batch is small
+        # next to the spine, so the secondary run persists across
+        # merges and its entries tie with spine entries.  The drain's
+        # tie rule (spine first) must order them as the reference
+        # heap's seqs do.
+        class SixteenthDelay:
+            def delay(self, sender, receiver, send_time, distance, seq, rng):
+                return distance * rng.randrange(17) / 16
+
+        class JitterTick(Process):
+            def on_start(self, api):
+                api.set_timer(api.rng.randrange(1, 17) / 16)
+
+            def on_timer(self, api, name):
+                api.broadcast(name)
+                api.set_timer(api.rng.randrange(1, 17) / 16)
+
+        class JitterGossip:
+            def processes(self, topology):
+                return {node: JitterTick() for node in topology.nodes}
+
+        scalar, batched = run_both(
+            grid(8, 8), JitterGossip, duration=8.0, seed=3, delay_policy=SixteenthDelay()
         )
         assert_equivalent(scalar, batched)
 

@@ -1,5 +1,8 @@
 """Tests for the deterministic event queue (sim.events)."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -209,3 +212,180 @@ class TestBatchQueueSafety:
         assert q.pop_due(5.0) is None
         assert len(q) == 1
         assert q.peek_time() == 9.0
+
+
+# ----------------------------------------------------------------------
+# Long programs: a large spine, sparse pops and bursts of early pushes —
+# the shape of a ``uniform``-delay gossip run, where almost every batch
+# holds an entry due before both heads.  These reach the secondary run,
+# its fold into the spine, and ties across spine, run and pending batch.
+
+
+def _live(queue):
+    """``(spine, run, pending)`` live entry counts of a BatchEventQueue."""
+    return (
+        len(queue._spine) - 1 - queue._cursor,
+        len(queue._run) - 1 - queue._run_cursor,
+        len(queue._pending),
+    )
+
+
+@st.composite
+def long_queue_programs(draw):
+    """A large initial batch, then many steps of early bursts, late
+    pushes and sparse pops (some bounded by a horizon).
+
+    Offsets sit on a 0.25 grid so equal times meet across the spine,
+    the run and the pending batch.  The initial batch comes from a drawn
+    seed: drawing hundreds of offsets one by one would dominate the
+    test's time.
+    """
+    grid = st.integers(min_value=0, max_value=40).map(lambda i: i * 0.25)
+    early = st.integers(min_value=0, max_value=3).map(lambda i: i * 0.25)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    size = draw(st.integers(min_value=100, max_value=300))
+    program = [("batch", [rng.randrange(41) * 0.25 for _ in range(size)])]
+    program += draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("batch"), st.lists(early, min_size=1, max_size=20)),
+                st.tuples(st.just("batch"), st.lists(grid, min_size=1, max_size=8)),
+                st.tuples(st.just("pop"), st.integers(min_value=1, max_value=3)),
+                st.tuples(st.just("pop_due"), early),
+            ),
+            min_size=20,
+            max_size=80,
+        )
+    )
+    return program
+
+
+def _run_lockstep(program):
+    """Run ``program`` on both queues at once, asserting after every
+    step that pops, ``len`` and ``peek_time`` agree; return the drain
+    order and every ``_live`` state seen."""
+    heap, batched = EventQueue(), BatchEventQueue()
+    popped, states = [], []
+    clock = 0.0
+    tag = 0
+    for op, arg in program:
+        if op == "batch":
+            for offset in arg:
+                heap.push(clock + offset, tag)
+                batched.push(clock + offset, tag)
+                tag += 1
+        elif op == "pop":
+            for _ in range(min(arg, len(heap))):
+                item = heap.pop()
+                assert batched.pop() == item
+                popped.append(item)
+                clock = item[0]
+        else:
+            limit = clock + arg
+            item = batched.pop_due(limit)
+            due = heap.peek_time() is not None and heap.peek_time() <= limit
+            assert item == (heap.pop() if due else None)
+            if item is not None:
+                popped.append(item)
+                clock = item[0]
+        assert len(batched) == len(heap)
+        assert batched.peek_time() == heap.peek_time()
+        states.append(_live(batched))
+    while len(heap):
+        item = heap.pop()
+        assert batched.pop() == item
+        popped.append(item)
+        states.append(_live(batched))
+    assert len(batched) == 0 and batched.peek_time() is None
+    return popped, states
+
+
+class TestBatchQueueLongPrograms:
+    @given(long_queue_programs())
+    @settings(max_examples=example_budget(30), deadline=None)
+    def test_long_programs_drain_in_scalar_heap_order(self, program):
+        _run_lockstep(program)
+
+    def test_long_program_reaches_run_fold_and_ties(self):
+        # One fixed long program of the generated shape must exercise
+        # every path the property is there for.
+        rng = random.Random(7)
+        program = [("batch", [rng.randrange(41) * 0.25 for _ in range(300)])]
+        for _ in range(80):
+            program.append(("batch", [rng.randrange(4) * 0.25 for _ in range(12)]))
+            program.append(("pop", rng.randint(1, 3)))
+        popped, states = _run_lockstep(program)
+        assert any(run > 0 and spine > 0 for spine, run, _ in states)
+        assert any(
+            before[1] > 0 and after[1] == 0 and after[0] > before[0]
+            for before, after in zip(states, states[1:])
+        ), "the run never folded into the spine"
+        times = [t for t, _ in popped]
+        assert len(times) - len(set(times)) > 100  # many same-instant ties
+
+
+class TestBatchQueueFoldPaths:
+    @staticmethod
+    def _spine_of(n):
+        q = BatchEventQueue()
+        for i in range(n):
+            q.push(10.0 + i, f"s{i}")
+        assert q.pop() == (10.0, "s0")
+        return q
+
+    def test_first_merge_folds_into_the_empty_spine(self):
+        q = BatchEventQueue()
+        for i in range(5):
+            q.push(float(i), i)
+        assert _live(q) == (0, 0, 5)
+        assert q.pop() == (0.0, 0)
+        assert _live(q) == (4, 0, 0)
+
+    def test_small_early_batch_stays_in_the_run(self):
+        q = self._spine_of(41)  # 40 live spine entries from t = 11
+        spine = list(q._spine)
+        q.push(10.5, "early")
+        q.push(11.0, "tie")
+        assert q.pop() == (10.5, "early")
+        assert _live(q) == (40, 1, 0)
+        assert q._spine == spine  # untouched by the merge
+        # Equal times: the spine's older entry first, then the run's.
+        assert [q.pop()[1] for _ in range(2)] == ["s1", "tie"]
+
+    def test_run_folds_once_it_outgrows_a_quarter_of_the_spine(self):
+        q = self._spine_of(41)
+        for i in range(10):  # 4 * 10 > 40 on the tenth merge
+            q.push(q.peek_time() - 0.5, f"e{i}")
+            q.push(30.0, f"late{i}")
+            assert q.pop()[1] == f"e{i}"
+            if i < 9:
+                assert _live(q)[1] == i + 1
+        assert _live(q) == (50, 0, 0)
+        order = [q.pop()[1] for _ in range(50)]
+        # t = 30: the spine's s20, then the late pushes in push order.
+        at_30 = order.index("s20")
+        assert order[at_30 : at_30 + 11] == ["s20"] + [f"late{i}" for i in range(10)]
+
+    def test_exhausted_spine_takes_the_run(self):
+        q = self._spine_of(41)
+        q.push(10.5, "early")
+        q.push(60.0, "after")
+        assert q.pop() == (10.5, "early")
+        assert _live(q) == (40, 1, 0)
+        assert [q.pop()[1] for _ in range(40)] == [f"s{i}" for i in range(1, 41)]
+        q.push(59.0, "before")
+        # Due first, so it merges; the spine is empty, so the run folds.
+        assert q.pop() == (59.0, "before")
+        assert _live(q) == (1, 0, 0)
+        assert q.pop() == (60.0, "after")
+        assert q.pop_due(math.inf) is None
+
+    def test_ties_across_spine_run_and_pending(self):
+        q = self._spine_of(41)  # s5 at t = 15
+        q.push(10.5, "early")
+        q.push(15.0, "run-15")
+        assert q.pop() == (10.5, "early")  # run-15 is now in the run
+        q.push(15.0, "pending-15")
+        assert [q.pop()[1] for _ in range(4)] == ["s1", "s2", "s3", "s4"]
+        assert _live(q)[1:] == (1, 1)
+        assert [q.pop()[1] for _ in range(3)] == ["s5", "run-15", "pending-15"]

@@ -1,5 +1,7 @@
 """Tests for the executable indistinguishability checker."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algorithms import MaxBasedAlgorithm
@@ -20,7 +22,7 @@ def quiet_run(duration=12.0, seed=0, delay=None):
     topo = line(5)
     schedule = AdversarySchedule.quiet(topo.nodes, duration)
     if delay is not None:
-        schedule = schedule.with_oracle(delay)
+        schedule = replace(schedule, delay_oracle=delay)
     return schedule.run(topo, MaxBasedAlgorithm(), rho=RHO, seed=seed)
 
 

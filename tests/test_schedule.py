@@ -1,5 +1,7 @@
 """Tests for AdversarySchedule (gcs.schedule)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algorithms import MaxBasedAlgorithm
@@ -38,11 +40,11 @@ class TestEditing:
         with pytest.raises(ScheduleError):
             s.extended(0.0)
 
-    def test_with_rates_replaces(self):
+    def test_replace_rates_leaves_original(self):
         s = AdversarySchedule.quiet(range(2), 10.0)
         fast = {0: PiecewiseConstantRate.constant(1.2),
                 1: PiecewiseConstantRate.constant(1.0)}
-        s2 = s.with_rates(fast)
+        s2 = replace(s, rates=fast)
         assert not s2.rates_constant_one(0.0, 10.0)
         # original untouched (immutability)
         assert s.rates_constant_one(0.0, 10.0)

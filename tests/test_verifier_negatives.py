@@ -5,6 +5,8 @@ checker executions that genuinely violate its claim and assert the
 violation is caught.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from _validity_reference import grid_check_execution
@@ -101,7 +103,7 @@ class TestIndistinguishabilityFires:
             node: PiecewiseConstantRate.constant(1.0 + RHO * node / 6)
             for node in topo.nodes
         }
-        schedule = AdversarySchedule.quiet(topo.nodes, 12.0).with_rates(rates)
+        schedule = replace(AdversarySchedule.quiet(topo.nodes, 12.0), rates=rates)
         alpha = schedule.run(topo, MaxBasedAlgorithm(), rho=RHO, seed=0)
         other = schedule.run(topo, AveragingAlgorithm(), rho=RHO, seed=0)
         with pytest.raises(IndistinguishabilityError):
@@ -109,7 +111,7 @@ class TestIndistinguishabilityFires:
 
     def test_random_delays_distinguished(self):
         topo, schedule, alpha = quiet_alpha()
-        noisy = schedule.with_oracle(UniformRandomDelay()).run(
+        noisy = replace(schedule, delay_oracle=UniformRandomDelay()).run(
             topo, MaxBasedAlgorithm(), rho=RHO, seed=0
         )
         with pytest.raises(IndistinguishabilityError):
