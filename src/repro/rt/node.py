@@ -106,6 +106,17 @@ class LiveNode:
     # ------------------------------------------------------------------
     # callback entry points, invoked by transports
 
+    def detach(self) -> None:
+        """Cut the node's API and this node from the loop that ran them.
+
+        The API's host is this node, and the loop holds the nodes: once
+        the run is over, dropping those edges leaves no reference cycle,
+        so the run is freed by reference counting.  The clocks, the
+        process and the topology stay readable.
+        """
+        self.api._sim = None
+        self._transport = None
+
     def record_start(self) -> None:
         """Record the START event (real time 0; all nodes start together)."""
         self.record(

@@ -187,7 +187,9 @@ class ShardTransport:
     means is the :class:`~repro.sim.faults.FaultController`'s business:
     the loop holds one when the cell has a plan, and none otherwise.
 
-    Two seams are chosen at construction and never again:
+    Two seams are fixed at construction (each use branches on
+    ``time_scale`` or ``sock``: the loop stores no bound method of
+    itself, so a finished run holds no reference cycle):
 
     * the **clock** — ``time_scale=None`` is *virtual* time: "now" jumps
       to the head of the heap, nothing sleeps, and the run ends when the
@@ -224,12 +226,6 @@ class ShardTransport:
         self._sock = sock
         self._route = route
         self._mirror = mirror
-        # The two seams, bound here so no event pays for the choice.
-        #: Measured time in simulation units, as the clock defines it.
-        self._elapsed = self._head_due if time_scale is None else self._wall_elapsed
-        #: ``transmit(sender, receiver, payload)``: carry ``payload`` to
-        #: ``receiver`` under an injected model delay.
-        self.transmit = self._carry_local if sock is None else self._carry_wire
         self._recorder = recorder
         self.delay_policy: DelayPolicy = delay_policy or HalfDistanceDelay()
         # The simulator's own delay and fault streams when the loop
@@ -285,11 +281,13 @@ class ShardTransport:
         """
         return self._now
 
-    def _wall_elapsed(self) -> float:
+    def _elapsed(self) -> float:
+        """Measured time in simulation units, as the clock defines it:
+        the heap head's due time on a virtual clock, scaled wall seconds
+        since the epoch on a wall clock."""
+        if self._time_scale is None:
+            return self._pending[0][0]
         return (time.monotonic() - self._epoch_wall) / self._time_scale
-
-    def _head_due(self) -> float:
-        return self._pending[0][0]
 
     # ------------------------------------------------------------------
     # the send protocol and the carrier seam
@@ -330,6 +328,14 @@ class ShardTransport:
         ]
         self._recorder.messages.extend(copies)
         return copies
+
+    def transmit(self, sender: LiveNode, receiver: int, payload) -> None:
+        """Carry ``payload`` to ``receiver`` under an injected model delay,
+        on this loop's carrier."""
+        if self._sock is None:
+            self._carry_local(sender, receiver, payload)
+        else:
+            self._carry_wire(sender, receiver, payload)
 
     def _carry_local(self, sender: LiveNode, receiver: int, payload) -> None:
         for message in self._next_messages(sender, receiver, payload):
@@ -418,6 +424,10 @@ class ShardTransport:
                     self._drain_socket()
                 self._dispatch_due()
         self._now = duration
+        # Cut every hosted node's edges back into the loop, so the
+        # finished run holds no reference cycle (see ``LiveNode.detach``).
+        for live in self._nodes.values():
+            live.detach()
 
     def _drain_socket(self) -> None:
         while True:

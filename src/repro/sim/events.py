@@ -82,6 +82,21 @@ class TopologyChange:
     topology: Any
 
 
+def _check_time(time: float, last_popped: float) -> None:
+    """A push's guard: ``time`` is a number and not in the popped past.
+
+    Written as one negated ``>=`` so a NaN time (which fails every
+    comparison) fails it too, instead of entering the queue at an
+    undefined place in the drain order.
+    """
+    if not time >= last_popped - 1e-9:
+        if time != time:
+            raise SimulationError(f"event time must be a number, got {time}")
+        raise SimulationError(
+            f"event scheduled at {time} before current time {last_popped}"
+        )
+
+
 @dataclass(order=True)
 class _Entry:
     time: float
@@ -98,11 +113,8 @@ class EventQueue:
         self._last_popped = float("-inf")
 
     def push(self, time: float, event: Any) -> None:
-        """Schedule ``event`` at ``time`` (must not be in the popped past)."""
-        if time < self._last_popped - 1e-9:
-            raise SimulationError(
-                f"event scheduled at {time} before current time {self._last_popped}"
-            )
+        """Schedule ``event`` at ``time`` (a number, not in the popped past)."""
+        _check_time(time, self._last_popped)
         heapq.heappush(self._heap, _Entry(time, next(self._counter), event))
 
     def pop(self) -> tuple[float, Any]:
@@ -154,6 +166,11 @@ class BatchEventQueue:
       only precede the heads if its *time* is strictly earlier — until
       then pops come off the runs untouched.
 
+    Nothing due after the **horizon** is stored: a run's queue is built
+    with ``duration + TIME_EPS``, past which every drain stops, so a
+    delivery or timer still in flight when the execution ends could
+    never pop and a push drops it (the default horizon is ``inf``).
+
     Under a delay drawn anywhere in ``[0, d]`` (the ``uniform`` family)
     a fresh batch almost always holds an entry due before both heads,
     and the batch spans the whole spine's time range: merges are
@@ -168,7 +185,11 @@ class BatchEventQueue:
     this queue and :class:`EventQueue` and assert identical drain order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, horizon: float = math.inf) -> None:
+        #: The last instant an event may pop at (``duration + TIME_EPS``
+        #: for a run): an entry due later could never pop, so a push
+        #: drops it and the simulator's inlined pushes skip it.
+        self._horizon = horizon
         # Both runs always end with ``_END``; the consumed prefix
         # (``[:cursor]``) is dead until the next merge or fold drops it.
         self._spine: list[tuple] = [_END]
@@ -183,11 +204,11 @@ class BatchEventQueue:
     # pushes
 
     def push(self, time: float, event: Any) -> None:
-        """Schedule ``event`` at ``time`` (must not be in the popped past)."""
-        if time < self._last_popped - 1e-9:
-            raise SimulationError(
-                f"event scheduled at {time} before current time {self._last_popped}"
-            )
+        """Schedule ``event`` at ``time`` (a number, not in the popped
+        past); an event due after the horizon is dropped."""
+        _check_time(time, self._last_popped)
+        if time > self._horizon:
+            return
         self._pending.append((time, event))
         if time < self._pend_min:
             self._pend_min = time

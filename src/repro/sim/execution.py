@@ -63,7 +63,12 @@ class Execution:
     hardware: dict[int, HardwareClock]
     logical: dict[int, LogicalClock]
     trace: ExecutionTrace
-    messages: list[Message]
+    #: Every network copy of every message sent, in send order: a
+    #: simulator run's :class:`~repro.sim.messages.MessageLog` (its rows,
+    #: wrapped as :class:`Message` records only when read; ``len`` makes
+    #: none), a list of records on the other loops.  Copies due after
+    #: ``duration`` are recorded although they were never delivered.
+    messages: Sequence[Message]
     #: Fault-injection counters (crashes, losses, duplicates, ...) when
     #: the run carried a non-empty fault plan; ``None`` for fault-free
     #: runs, which the paper's model — and most of this package — uses.

@@ -14,13 +14,16 @@ replace it inside warped windows (see :mod:`repro.gcs.oracle`).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Protocol
+from itertools import repeat
+from typing import Any, Iterator, NamedTuple, Optional, Protocol
 
 from repro.errors import DelayBoundError
 
 __all__ = [
     "Message",
+    "MessageLog",
     "DelayPolicy",
     "HalfDistanceDelay",
     "FixedFractionDelay",
@@ -37,9 +40,9 @@ class Message(NamedTuple):
     ``seq`` is the global send order; ``send_time``/``receive_time`` are
     real times (invisible to nodes — nodes only ever see ``payload`` and
     ``sender``).  A named tuple, not a dataclass: the simulator records
-    one plain 6-tuple per network copy in its hot loop, and an execution
-    of 10^5 messages is re-wrapped into these at C speed and 88 bytes
-    apiece.
+    one plain 6-tuple per network copy in its hot loop, and a
+    :class:`MessageLog` wraps a row into one of these, at C speed, only
+    when it is read.
     """
 
     seq: int
@@ -52,6 +55,54 @@ class Message(NamedTuple):
     @property
     def receive_time(self) -> float:
         return self.send_time + self.delay
+
+
+#: ``Message._make`` for one row, as a C-level call.
+_WRAP = tuple.__new__
+
+
+class MessageLog(Sequence):
+    """The simulator's message record: its plain 6-tuple rows, read as
+    :class:`Message` records.
+
+    The rows are the only copy.  A :class:`Message` is made for an index,
+    a slice or an iteration step when it is read and kept by nobody
+    here, so ``len()`` — all a metrics row needs — makes none, and a run
+    never holds two records of a message.  An item assignment stores
+    the given record as the row.  A log equals a list of the same records (and
+    the list equals the log), so it compares with the reference loop's
+    plain list.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[tuple]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_WRAP, repeat(Message), self._rows[index]))
+        return _WRAP(Message, self._rows[index])
+
+    def __iter__(self) -> Iterator[Message]:
+        return map(_WRAP, repeat(Message), self._rows)
+
+    def __setitem__(self, index, value) -> None:
+        self._rows[index] = value
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MessageLog):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            # Rows and records are tuples of the same fields.
+            return self._rows == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MessageLog({list(self)!r})"
 
 
 class DelayPolicy(Protocol):
@@ -77,7 +128,9 @@ class DelayPolicy(Protocol):
 
 def validate_delay(delay: float, distance: float, *, tol: float = 1e-9) -> float:
     """Clamp-and-check a delay against the model band ``[0, distance]``."""
-    if delay < -tol or delay > distance + tol:
+    # One negated chain, so a NaN delay (false under every comparison)
+    # fails by name instead of scheduling a delivery at an undefined time.
+    if not -tol <= delay <= distance + tol:
         raise DelayBoundError(
             f"delay {delay} outside [0, {distance}] allowed by the model"
         )

@@ -33,7 +33,10 @@ loop exploits that without changing a single observable:
   pushes append ``(time, event)`` pairs to a pending batch, a
   batch due before the heads is sorted into a small secondary run
   (never into the large spine, until the run outgrows a quarter of
-  it), and the drain loop advances the cursor of the earlier head;
+  it), and the drain loop advances the cursor of the earlier head.
+  Nothing due after the horizon ``duration + TIME_EPS`` is queued: it
+  could never pop, so a delivery, timer or fault instant past it is
+  dropped at push (a message is still recorded, and no RNG draw moves);
 * **cursor clocks** — the simulation clock ``now`` is nondecreasing, so
   piecewise schedules are evaluated by *walking* a segment cursor
   instead of bisecting from scratch; the per-segment arithmetic is the
@@ -53,8 +56,14 @@ loop exploits that without changing a single observable:
   ``neighbor -> distance`` dict built with the broadcast triples, and
   falls back to the topology only for a non-neighbor;
 * **columnar trace and message stores** — the hot loop appends plain
-  tuples; :class:`~repro.sim.trace.ColumnarTrace` and the
-  :class:`~repro.sim.messages.Message` list materialize once at the end.
+  tuples; :class:`~repro.sim.trace.ColumnarTrace` materializes once at
+  the end, and the message rows are the execution's only copy: a
+  :class:`~repro.sim.messages.MessageLog` wraps a row as a
+  :class:`~repro.sim.messages.Message` only when it is read.
+
+When a run ends, each node API's edge back to the loop is cut (the
+loop holds the APIs), so a finished run holds no reference cycle and is
+freed by reference counting, not by the cyclic collector.
 
 Equivalence contract
 --------------------
@@ -79,8 +88,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from repro._constants import DEFAULT_RHO, TIME_EPS
 from repro.errors import SimulationError
@@ -92,6 +100,7 @@ from repro.sim.messages import (
     DelayPolicy,
     HalfDistanceDelay,
     Message,
+    MessageLog,
     validate_delay,
 )
 from repro.sim.node import NodeAPI, Process, node_rng
@@ -181,6 +190,8 @@ class RunSetup:
         self.config = config
         self.delay_policy: DelayPolicy = delay_policy or HalfDistanceDelay()
         self._processes = dict(processes)
+        #: One node API per node, filled by the loop's constructor.
+        self._api: dict[int, NodeAPI] = {}
         self._msg_counter = 0
         self.now = 0.0
         self._finished = False
@@ -217,13 +228,19 @@ class RunSetup:
         self,
         logical: Mapping[int, LogicalClock],
         trace: ExecutionTrace,
-        messages: list[Message],
+        messages: Sequence[Message],
     ) -> Execution:
         # Execution.topology is the t = 0 network; dynamic runs also
         # carry the full (time, topology) timeline so measurements can
         # evaluate distance-dependent quantities against the network
         # that was actually live at each instant.
         self.now = self.config.duration
+        # The loop holds its node APIs and each API points back at the
+        # loop: cut that edge, so the finished run holds no reference
+        # cycle and is freed by reference counting the moment nothing
+        # refers to the loop, not by a later cyclic collection.
+        for api in self._api.values():
+            api._sim = None
         return Execution(
             topology=self._topology_timeline[0][1],
             duration=self.config.duration,
@@ -357,6 +374,7 @@ class _SimNodeAPI(NodeAPI):
         queue = simulator._queue
         self._queue = queue
         self._pending = queue._pending
+        self._horizon = queue._horizon
         self._faults = simulator._faults
         #: ``(neighbor, distance, delay)`` triples for the current
         #: topology (``delay`` validated, or ``None`` when each send
@@ -440,9 +458,11 @@ class _SimNodeAPI(NodeAPI):
         # Straight onto the queue's pending batch as ``(time, event)``
         # entries: the delivery time is ``now + delay`` with
         # ``delay >= 0``, so the not-in-the-popped-past guard ``push``
-        # would run cannot fire.
+        # would run cannot fire.  A copy due after the horizon is
+        # recorded but never queued (``push``'s rule).
         pending = self._pending
         queue = self._queue
+        horizon = self._horizon
         pend_min = queue._pend_min
         for dest, distance, delay in pairs:
             if delay is None:
@@ -463,9 +483,10 @@ class _SimNodeAPI(NodeAPI):
                 ]
             for copy in copies:
                 at = now + copy
-                pending.append((at, idx))
-                if at < pend_min:
-                    pend_min = at
+                if at <= horizon:
+                    pending.append((at, idx))
+                    if at < pend_min:
+                        pend_min = at
                 msgs.append((seq, node, dest, payload, now, copy))
                 idx += 1
             seq += 1
@@ -475,8 +496,9 @@ class _SimNodeAPI(NodeAPI):
     def set_timer(self, delta_hardware: float, name: str = "tick") -> None:
         # The cursor replaces the ``time_at(value_at(now) + delta)``
         # bisects, and the event goes straight onto the queue's pending
-        # batch (``fire_at >= now``, so the push guard cannot fire).
-        if delta_hardware <= 0:
+        # batch (``fire_at >= now``, so the push guard cannot fire) —
+        # unless it is due after the horizon (``push``'s rule).
+        if not delta_hardware > 0:
             raise SimulationError(
                 f"timer delta must be positive, got {delta_hardware}"
             )
@@ -494,10 +516,11 @@ class _SimNodeAPI(NodeAPI):
                 event = (_TIMER, self.node, name, 0)
         else:
             event = (_TIMER, self.node, name, faults.epoch(self.node))
-        self._pending.append((fire_at, event))
-        queue = self._queue
-        if fire_at < queue._pend_min:
-            queue._pend_min = fire_at
+        if fire_at <= self._horizon:
+            self._pending.append((fire_at, event))
+            queue = self._queue
+            if fire_at < queue._pend_min:
+                queue._pend_min = fire_at
 
 
 class Simulator(RunSetup):
@@ -521,7 +544,7 @@ class Simulator(RunSetup):
             delay_policy=delay_policy,
             fault_plan=fault_plan,
         )
-        self._queue = BatchEventQueue()
+        self._queue = BatchEventQueue(config.duration + TIME_EPS)
         #: The one timer name that gets the bare-int fast encoding in
         #: fault-free runs (periodic algorithms use a single name for
         #: their gossip tick); interned from the first timer set.
@@ -531,11 +554,11 @@ class Simulator(RunSetup):
         self._rows: list[tuple] | None = [] if config.record_trace else None
         #: Columnar message store, one
         #: ``(seq, sender, receiver, payload, send_time, delay)`` row
-        #: per network copy, re-wrapped as ``Message`` tuples at the end.
+        #: per network copy: the execution's :class:`MessageLog` reads
+        #: these rows as ``Message`` records.
         self._msgs: list[tuple] = []
 
         self._logical: dict[int, _CursorLogicalClock] = {}
-        self._api: dict[int, _SimNodeAPI] = {}
         for node in self.topology.nodes:
             hw = self._hardware[node]
             lc = _CursorLogicalClock(hw, _ScheduleCursor(hw.schedule))
@@ -604,7 +627,6 @@ class Simulator(RunSetup):
     def run(self) -> Execution:
         """Execute until ``config.duration`` and return the finished execution."""
         self._begin()
-        duration = self.config.duration
         queue = self._queue
         faults = self._faults
 
@@ -612,9 +634,9 @@ class Simulator(RunSetup):
             # Scheduled before everything else, so a swap at time t pops
             # ahead of same-instant deliveries, timers, and fault events:
             # all activity at t already runs on the new network.
+            # (``push`` drops a change-point past the horizon.)
             for at, topology in self._dynamic.snapshots[1:]:
-                if at <= duration + TIME_EPS:
-                    queue.push(at, (_TOPOLOGY, topology))
+                queue.push(at, (_TOPOLOGY, topology))
 
         if faults is not None:
             # Scheduled before the node activity below (topology swaps
@@ -638,7 +660,10 @@ class Simulator(RunSetup):
         # (deliveries and timer firings) handled inline: the per-event
         # method-call and TraceEvent overhead is exactly what this loop
         # exists to remove.  Rare kinds dispatch to ``_control``.
-        limit = duration + TIME_EPS
+        # Nothing due after the horizon is ever queued, so the horizon
+        # test below ends the drain only once every run is exhausted
+        # (the head is the ``inf`` sentinel) and nothing is pending.
+        limit = queue._horizon
         rows = self._rows
         record = self._record
         processes = self._processes
@@ -714,9 +739,7 @@ class Simulator(RunSetup):
         queue._run_cursor = j
         queue._last_popped = self.now
 
-        # ``Message._make`` per row, as one C-level call per row.
-        messages = list(map(tuple.__new__, repeat(Message), msgs))
-        return self._execution(self._logical, ColumnarTrace(rows), messages)
+        return self._execution(self._logical, ColumnarTrace(rows), MessageLog(msgs))
 
     def _control(self, event: tuple) -> None:
         """The rare event kinds: crash, recovery, topology swap."""

@@ -35,9 +35,11 @@ from repro.algorithms import (
     MaxBasedAlgorithm,
     SlewingMaxAlgorithm,
 )
+from repro.errors import DelayBoundError, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import (
     FixedFractionDelay,
+    HalfDistanceDelay,
     PerPairDelay,
     SequenceDelay,
     UniformRandomDelay,
@@ -153,6 +155,121 @@ class TestSecondaryRun:
             grid(8, 8), JitterGossip, duration=8.0, seed=3, delay_policy=SixteenthDelay()
         )
         assert_equivalent(scalar, batched)
+
+
+class TestPastTheHorizon:
+    """Runs where most deliveries are due after the execution ends.
+
+    The production loop never queues a delivery, timer or fault instant
+    due after ``duration + TIME_EPS``, while the reference heap holds all
+    of them and just never pops them.  On a field whose neighbor
+    distances dwarf the duration (the ``scale_large`` geometric cell's
+    average is 33.8) most copies are recorded but never queued, so the
+    two loops' queues differ most here — the executions must not.
+    """
+
+    DURATION = 6.0
+
+    @staticmethod
+    def field():
+        # Complete: every pair is within the radius; mean distance 24.6.
+        topo = random_geometric(32, comm_radius_factor=80.0, seed=1)
+        distances = [topo.distance(u, v) for u in topo.nodes for v in topo.neighbors(u)]
+        assert sum(distances) / len(distances) > 3 * TestPastTheHorizon.DURATION
+        return topo
+
+    def run(self, delay_policy, **kwargs):
+        topo = self.field()
+        scalar, batched = run_both(
+            topo,
+            BoundedCatchUpAlgorithm,
+            duration=self.DURATION,
+            seed=3,
+            rate_schedules=drifted_rates(topo, rho=0.3, seed=3),
+            delay_policy=delay_policy,
+            **kwargs,
+        )
+        assert_equivalent(scalar, batched)
+        late = sum(m.receive_time > self.DURATION for m in batched.messages)
+        assert late > len(batched.messages) / 2
+        return batched
+
+    @pytest.mark.parametrize(
+        "delay_policy", [HalfDistanceDelay(), UniformRandomDelay()], ids=["half", "uniform"]
+    )
+    def test_most_deliveries_past_the_horizon(self, delay_policy):
+        self.run(delay_policy)
+
+    def test_duplicated_and_reordered_copies(self):
+        batched = self.run(
+            UniformRandomDelay(),
+            fault_plan=FaultPlan().with_link(duplicate=0.3, reorder=0.3),
+        )
+        assert batched.fault_stats["duplicated"] > 0
+        assert batched.fault_stats["reordered"] > 0
+
+    def test_crash_recover_with_recoveries_past_the_horizon(self):
+        # A plan drawn for twice the run: crashes fall across the whole
+        # run and past it, and recoveries of crashes inside the run fall
+        # past the horizon, as do many timers those crashes cancel.
+        plan = fault_plan_from_spec(
+            "crash-recover:0.4,4", self.field(), seed=5, horizon=2 * self.DURATION
+        )
+        assert any(crash.at < self.DURATION < crash.recover_at for crash in plan.crashes)
+        batched = self.run(UniformRandomDelay(), fault_plan=plan)
+        assert batched.fault_stats["crashes"] > 0
+        assert batched.fault_stats["timers_cancelled"] > 0
+
+
+class _NaNDelay:
+    def delay(self, sender, receiver, send_time, distance, seq, rng):
+        return float("nan")
+
+
+class _Once(Process):
+    """Sends once, or sets a NaN timer, at start."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def on_start(self, api):
+        if self.action == "send":
+            api.send(api.neighbors()[0], "x")
+        else:
+            api.set_timer(float("nan"))
+
+
+class TestNaNFailsByName:
+    """A NaN delay or timer fails by name on both loops.
+
+    NaN fails every comparison, so unchecked it would pass as "not due
+    before the horizon" and the delivery or timer would vanish silently.
+    """
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_nan_policy_on_broadcast(self, engine):
+        with pytest.raises(DelayBoundError, match="nan"):
+            run_engine(engine, line(4), MaxBasedAlgorithm(), duration=4.0,
+                       delay_policy=_NaNDelay())
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_nan_policy_on_send(self, engine):
+        class SendOnce:
+            def processes(self, topology):
+                return {node: _Once("send") for node in topology.nodes}
+
+        with pytest.raises(DelayBoundError, match="nan"):
+            run_engine(engine, line(4), SendOnce(), duration=4.0,
+                       delay_policy=_NaNDelay())
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_nan_timer(self, engine):
+        class NaNTimer:
+            def processes(self, topology):
+                return {node: _Once("timer") for node in topology.nodes}
+
+        with pytest.raises(SimulationError, match="nan"):
+            run_engine(engine, line(4), NaNTimer(), duration=4.0)
 
 
 class TestDelayPolicies:

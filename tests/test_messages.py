@@ -36,6 +36,12 @@ class TestValidateDelay:
         with pytest.raises(DelayBoundError):
             validate_delay(4.5, 4.0)
 
+    def test_rejects_nan(self):
+        # NaN fails every comparison: it must fail the band check by
+        # name, not pass it and clamp to NaN.
+        with pytest.raises(DelayBoundError, match="nan"):
+            validate_delay(float("nan"), 1.0)
+
 
 class TestMessage:
     def test_receive_time(self):
