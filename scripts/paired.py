@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Paired end-to-end runs of two revisions of this repository.
+
+Each revision is exported with ``git archive`` into its own directory,
+and ``benchmarks/e2e/run.py --workload W --seed s --trace 0`` runs once
+per seed on each side.  The side that goes first alternates from seed
+to seed, so a drift of the machine over the session lands on both sides
+alike.  Every run's stdout and stderr are kept under ``--out``; the
+report gives, per end-to-end metric, the median [Q1, Q3] of each side,
+the ratio of the medians (change / base), and in how many pairs the
+change was better (``BENCHMARK.json`` says which direction is better).
+Every run whose result line says ``"correct": false`` (or that printed
+none) is listed with its ``FAILED:`` lines.
+
+Usage::
+
+    python scripts/paired.py BASE CHANGE --workload analyze_render \\
+        --seeds 1-10 --out /tmp/pairs [--seconds 10]
+
+``BASE`` and ``CHANGE`` are any revisions ``git archive`` accepts; an
+uncommitted tree can be named by ``$(git stash create)`` after
+``git add -A``.  Standard library only; nothing under ``benchmarks/`` is
+changed or imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Sequence
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: ``runner(tree, workload, seed, seconds) -> (exit code, stdout, stderr)``.
+Runner = Callable[[Path, str, int, float], "tuple[int, str, str]"]
+
+
+@dataclass
+class Run:
+    """One benchmark run of one side."""
+
+    side: str
+    seed: int
+    code: int
+    metrics: dict[str, float] = field(default_factory=dict)
+    correct: bool = False
+    failed: list[str] = field(default_factory=list)
+
+
+def export(rev: str, dest: Path, *, repo: Path = REPO) -> Path:
+    """Extract ``rev``'s committed files into ``dest`` (``git archive``)."""
+    tar = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    dest.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest
+
+
+def run_benchmark(tree: Path, workload: str, seed: int,
+                  seconds: float) -> tuple[int, str, str]:
+    """One ``benchmarks/e2e/run.py`` process in ``tree``."""
+    command = [sys.executable, "benchmarks/e2e/run.py", "--workload",
+               workload, "--seed", str(seed), "--trace", "0"]
+    if seconds:
+        command += ["--seconds", str(seconds)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def parse(side: str, seed: int, code: int, stdout: str) -> Run:
+    """A run's metrics, verdict and ``FAILED:`` lines from its stdout."""
+    run = Run(side, seed, code)
+    run.failed = [line.strip() for line in stdout.splitlines()
+                  if line.strip().startswith("FAILED:")]
+    for line in reversed(stdout.splitlines()):
+        if line.startswith("{"):
+            result = json.loads(line)
+            run.correct = bool(result.get("correct")) and code == 0
+            run.metrics = {name: float(entry["value"])
+                           for name, entry in result.get("metrics", {}).items()}
+            break
+    return run
+
+
+def run_pairs(trees: dict[str, Path], workload: str, seeds: Sequence[int],
+              out: Path, *, seconds: float = 0.0,
+              runner: Runner = run_benchmark) -> list[Run]:
+    """Run every seed on both sides, alternating which goes first, and
+    keep each run's output as ``out/<side>-s<seed>.{out,err}``."""
+    out.mkdir(parents=True, exist_ok=True)
+    runs = []
+    for k, seed in enumerate(seeds):
+        sides = ["base", "change"] if k % 2 == 0 else ["change", "base"]
+        for side in sides:
+            code, stdout, stderr = runner(trees[side], workload, seed, seconds)
+            (out / f"{side}-s{seed}.out").write_text(stdout)
+            (out / f"{side}-s{seed}.err").write_text(stderr)
+            runs.append(parse(side, seed, code, stdout))
+            print(f"seed {seed} {side}: exit {code}", file=sys.stderr, flush=True)
+    return runs
+
+
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """``(Q1, median, Q3)``, the benchmark harness's quantile rule."""
+    if len(values) < 2:
+        value = values[0] if values else float("nan")
+        return value, value, value
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def report(runs: Sequence[Run], better: dict[str, str]) -> str:
+    """Per metric: each side's median [Q1, Q3], the ratio, the wins."""
+    by_seed: dict[int, dict[str, Run]] = {}
+    for run in runs:
+        by_seed.setdefault(run.seed, {})[run.side] = run
+    pairs = [p for p in by_seed.values() if "base" in p and "change" in p]
+    names = sorted({name for run in runs for name in run.metrics})
+    lines = [f"{len(pairs)} pair(s)",
+             f"  {'metric':<18} {'base median [Q1, Q3]':>32} "
+             f"{'change median [Q1, Q3]':>32} {'ratio':>7} {'wins':>6}"]
+    for name in names:
+        both = [p for p in pairs
+                if name in p["base"].metrics and name in p["change"].metrics]
+        if not both:
+            continue
+        base = [p["base"].metrics[name] for p in both]
+        change = [p["change"].metrics[name] for p in both]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        cells = []
+        for values in (base, change):
+            q1, median, q3 = quartiles(values)
+            cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
+        b_med, c_med = statistics.median(base), statistics.median(change)
+        ratio = c_med / b_med if b_med else float("nan")
+        lines.append(f"  {name:<18} {cells[0]:>32} {cells[1]:>32} "
+                     f"{ratio:>7.3f} {wins:>3}/{len(both)}")
+    bad = [run for run in runs if not run.correct]
+    lines.append(f"{len(bad)} run(s) not correct")
+    for run in bad:
+        lines.append(f"  {run.side} seed {run.seed} (exit {run.code})")
+        lines.extend(f"    {line}" for line in run.failed or ["(no FAILED line)"])
+    return "\n".join(lines)
+
+
+def seed_range(text: str) -> list[int]:
+    """``"1-10"`` or ``"1,4,7"`` as a list of seeds."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def better_directions(repo: Path = REPO) -> dict[str, str]:
+    """``{metric: "lower" | "higher"}`` from ``BENCHMARK.json``."""
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def main(argv: Sequence[str] | None = None, *,
+         runner: Runner = run_benchmark) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="base revision")
+    parser.add_argument("change", help="changed revision")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
+    parser.add_argument("--seconds", type=float, default=0.0,
+                        help="passed to run.py (default: its own)")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="directory for the trees and every run's output")
+    args = parser.parse_args(argv)
+    trees = {side: export(rev, args.out / f"tree-{side}")
+             for side, rev in (("base", args.base), ("change", args.change))}
+    runs = run_pairs(trees, args.workload, args.seeds, args.out / "runs",
+                     seconds=args.seconds, runner=runner)
+    text = report(runs, better_directions())
+    (args.out / "report.txt").write_text(text + "\n")
+    print(text)
+    return 0 if all(run.correct for run in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

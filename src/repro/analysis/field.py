@@ -173,7 +173,7 @@ class SkewField:
                     b = np.fromiter(
                         (j for _, j in pairs), dtype=int, count=len(pairs)
                     )
-                    block = self.values[:, cols]
+                    block = self.columns(cols)
                     series[cols] = np.abs(block[a] - block[b]).max(axis=0)
                 self._adjacent_series = series
         return self._adjacent_series
@@ -225,6 +225,18 @@ class SkewField:
         columns = self.values.T
         return columns[:, :, None] - columns[:, None, :]
 
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """``values[:, cols]`` as a C-ordered block.
+
+        Fancy indexing on the second axis returns a Fortran-ordered copy
+        (strides ``(8, 8 * len(cols))``), so every per-row reduction on
+        it strides through memory; ``np.take`` along axis 1 writes the
+        same numbers row by row.  Every per-segment gather of the field
+        (:meth:`peak_pairs`, :meth:`max_adjacent_series`,
+        :func:`~repro.gcs.properties.check_gradient`) reads this one.
+        """
+        return np.take(self.values, cols, axis=1)
+
     def peak_pairs(self) -> list[np.ndarray]:
         """``max_t |L_i(t) - L_j(t)|`` as one symmetric ``n x n`` matrix
         per topology segment (aligned with :meth:`topology_segments`,
@@ -235,17 +247,25 @@ class SkewField:
         column spread and computes exact peaks only for the pairs whose
         limit the spread exceeds.
         Entry for entry ``np.abs(heatmap()).max(axis=0)``, from one
-        ``|V[i+1:] - V[i]|`` row broadcast per anchor node.
+        ``|V[i+1:] - V[i]|`` row broadcast per anchor node, subtracted
+        and folded in place in one buffer over the C-ordered
+        :meth:`columns` block.
         """
         if self._peak_pairs is None:
             self._peak_pairs = []
+            n = self.n
             for _, cols in self.topology_segments():
-                block = self.values[:, cols]
-                peak = np.zeros((self.n, self.n))
-                for i in range(self.n - 1):
-                    worst = np.abs(block[i + 1:] - block[i]).max(axis=1)
-                    peak[i, i + 1:] = peak[i + 1:, i] = worst
-                self._peak_pairs.append(peak)
+                block = self.columns(cols)
+                buffer = np.empty_like(block)
+                peak = np.zeros((n, n))
+                for i in range(n - 1):
+                    rest = buffer[: n - i - 1]
+                    np.subtract(block[i + 1:], block[i], out=rest)
+                    np.abs(rest, out=rest)
+                    rest.max(axis=1, out=peak[i, i + 1:])
+                # Mirror the upper triangle: ``w + 0.0`` is ``w`` bit for
+                # bit (no peak is ``-0.0``), NaN included.
+                self._peak_pairs.append(peak + peak.T)
         return list(self._peak_pairs)
 
     # ------------------------------------------------------------------
@@ -254,28 +274,32 @@ class SkewField:
     def gradient_profile(self) -> dict[float, float]:
         """Max absolute skew per pair distance — the empirical ``f(d)``.
 
-        A group-by-distance over :meth:`peak_pairs`: grouped by exact
-        distance in one array step (the topology's cached
-        :meth:`~repro.topology.base.Topology.distance_classes`), then one
-        entry per distinct distance is keyed by the scalar path's
-        ``round(d, 9)`` in Python.
+        A group-by-distance over :meth:`peak_pairs`, all in arrays: each
+        segment folds its pairs into its topology's exact distance
+        classes (:meth:`~repro.topology.base.Topology.distance_classes`),
+        then one ``np.unique`` over the classes' cached ``round(d, 9)``
+        keys (:meth:`~repro.topology.base.Topology.distance_keys`, the
+        scalar path's keys) and one ``np.maximum.at`` merge the segments.
+        A NaN peak propagates: its distance maps to NaN — visible, not
+        dropped.
 
         On dynamic executions each pair's skew is attributed to the
         distance it had *when the skew was observed* (one fold per
         topology segment), so the profile is the empirical ``f`` of
         Requirement 2 read against time-varying distances.
         """
-        profile: dict[float, float] = {}
         upper = np.triu_indices(self.n, 1)
+        keyed, worst = [], []
         for (topology, _), peak in zip(self.topology_segments(), self.peak_pairs()):
             distances, group = topology.distance_classes()
-            worst = np.full(distances.size, float("-inf"))
-            np.maximum.at(worst, group, peak[upper])
-            for d, w in zip(distances.tolist(), worst.tolist()):
-                d = round(d, 9)
-                if w > profile.get(d, float("-inf")):
-                    profile[d] = w
-        return dict(sorted(profile.items()))
+            classes = np.full(distances.size, float("-inf"))
+            np.maximum.at(classes, group, peak[upper])
+            keyed.append(topology.distance_keys())
+            worst.append(classes)
+        keys, slot = np.unique(np.concatenate(keyed), return_inverse=True)
+        profile = np.full(keys.size, float("-inf"))
+        np.maximum.at(profile, slot, np.concatenate(worst))
+        return dict(zip(keys.tolist(), profile.tolist()))
 
     # ------------------------------------------------------------------
     # convergence

@@ -144,7 +144,7 @@ def check_gradient(
         ranks = np.nonzero(thresholds < spread[cols].max())[0]
         if ranks.size == 0:
             continue
-        block = field.values[:, cols]
+        block = field.columns(cols)
         parts = math.ceil(ranks.size * cols.size / _PEAK_CHUNK)
         peak = np.concatenate([
             np.abs(block[upper_j[part]] - block[upper_i[part]]).max(axis=1)

@@ -125,6 +125,8 @@ def build_execution(
     if tail is not None:
         tail.stats(config.duration, **wire)
         tail.close()
+    stalls = [report["stall"] for report in reports]
+    worst_gap = max(stalls, key=lambda stall: stall["loop_gap_s"])
     return Execution(
         topology=cell.topology,
         duration=config.duration,
@@ -149,5 +151,15 @@ def build_execution(
             # Shards that started after the shared epoch (0 in-process).
             "missed_epochs": sum(report["missed_epoch"] for report in reports),
             "wall_elapsed": time.perf_counter() - started,
+            # How the shards were served (``ShardTransport.stall``):
+            # wall-clock observations for diagnosing a starved run, kept
+            # out of every result row, hash and cache payload.  The worst
+            # shard's start lag and loop gap (with the simulation time
+            # the gap began), and the collections and pause of all.
+            "epoch_lag_s": max(stall["epoch_lag_s"] for stall in stalls),
+            "loop_gap_s": worst_gap["loop_gap_s"],
+            "loop_gap_at": worst_gap["loop_gap_at"],
+            "gc_collections": sum(stall["gc_collections"] for stall in stalls),
+            "gc_pause_s": sum(stall["gc_pause_s"] for stall in stalls),
         },
     )

@@ -84,6 +84,7 @@ fork is unavailable.
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import math
 import multiprocessing
@@ -167,6 +168,25 @@ def _decode_message(datagram: bytes) -> Optional[dict]:
     ):
         return record
     return None
+
+
+class _GcPauses:
+    """A ``gc.callbacks`` entry that counts collections and sums their
+    wall pause (it holds nothing of the loop it watches)."""
+
+    __slots__ = ("collections", "pause", "_began")
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.pause = 0.0
+        self._began = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+        else:
+            self.collections += 1
+            self.pause += time.perf_counter() - self._began
 
 
 def _untuple(value):
@@ -268,6 +288,17 @@ class ShardTransport:
         self.frames_dropped = 0
         #: Callback events dispatched (deliveries + timer firings).
         self.events_processed = 0
+        #: Wall-clock observations of how the run was served, for a
+        #: starved run to say why (never part of a result): the wall
+        #: seconds past the epoch at which the run began, the longest
+        #: wall gap between two iterations of the wall-clock loop and
+        #: the simulation time at which it began (zero on a virtual
+        #: clock, which waits for nothing), and the garbage collections
+        #: during the run with their total pause.
+        self.stall = {
+            "epoch_lag_s": 0.0, "loop_gap_s": 0.0, "loop_gap_at": 0.0,
+            "gc_collections": 0, "gc_pause_s": 0.0,
+        }
 
     # ------------------------------------------------------------------
     # the clock seam
@@ -388,7 +419,22 @@ class ShardTransport:
         if self._started:
             raise RtError("a ShardTransport instance runs exactly once")
         self._started = True
-        self._epoch_wall = time.monotonic() if epoch is None else epoch
+        began = time.monotonic()
+        self._epoch_wall = began if epoch is None else epoch
+        stall = self.stall
+        if self._time_scale is not None:
+            stall["epoch_lag_s"] = max(0.0, began - self._epoch_wall)
+        pauses = _GcPauses()
+        gc.callbacks.append(pauses)
+        try:
+            self._run(nodes)
+        finally:
+            gc.callbacks.remove(pauses)
+        stall["gc_collections"] = pauses.collections
+        stall["gc_pause_s"] = pauses.pause
+
+    def _run(self, nodes: Mapping[int, LiveNode]) -> None:
+        """:meth:`run`'s body: open the nodes, then loop to the horizon."""
         duration = self._duration
         self._nodes = dict(nodes)
         faults = self.faults
@@ -413,8 +459,17 @@ class ShardTransport:
             self._dispatch_due()
         else:
             socks = [] if self._sock is None else [self._sock]
+            stall = self.stall
+            last = time.monotonic()
             while True:
-                elapsed = self._elapsed()
+                tick = time.monotonic()
+                if tick - last > stall["loop_gap_s"]:
+                    stall["loop_gap_s"] = tick - last
+                    stall["loop_gap_at"] = (
+                        (last - self._epoch_wall) / self._time_scale
+                    )
+                last = tick
+                elapsed = (tick - self._epoch_wall) / self._time_scale
                 if elapsed >= duration:
                     break
                 due = self._pending[0][0] if self._pending else duration
@@ -693,6 +748,7 @@ def host_shard(
         "events": transport.events_processed,
         "stats": None if transport.faults is None else transport.faults.stats,
         "missed_epoch": missed_epoch,
+        "stall": transport.stall,
     }
 
 

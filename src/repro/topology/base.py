@@ -229,6 +229,20 @@ class Topology:
             self.__dict__["_distance_classes"] = cached
         return cached
 
+    def distance_keys(self) -> np.ndarray:
+        """``round(d, 9)`` of each :meth:`distance_classes` distance: the
+        gradient profile's keys.  Rounded once per topology by Python's
+        correctly rounded ``round`` (``np.round`` scales and can differ
+        in the last bit), so the keys equal the scalar path's.  Cached,
+        and read-only."""
+        cached = self.__dict__.get("_distance_keys")
+        if cached is None:
+            distances, _ = self.distance_classes()
+            cached = np.array([round(d, 9) for d in distances.tolist()])
+            cached.flags.writeable = False
+            self.__dict__["_distance_keys"] = cached
+        return cached
+
     def comm_pairs(self) -> list[tuple[int, int]]:
         """The communication edges, sorted for determinism."""
         return sorted(self.comm_edges)

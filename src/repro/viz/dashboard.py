@@ -84,13 +84,13 @@ def _pair_heatmap_data(field: SkewField):
         for topo, cols in field.topology_segments()
     ]
     union = sorted(set().union(*(adjacent for adjacent, _ in segments)))
-    matrix = np.empty((len(union), field.n_samples))
+    a = np.array([i for i, _ in union], dtype=int)
+    b = np.array([j for _, j in union], dtype=int)
+    matrix = np.abs(field.values[a] - field.values[b])
     mask = np.ones((len(union), field.n_samples), dtype=bool)
-    for row, (i, j) in enumerate(union):
-        matrix[row] = field.pair_series(i, j)
-        for adjacent, cols in segments:
-            if (i, j) in adjacent:
-                mask[row, cols] = False
+    for adjacent, cols in segments:
+        rows = np.array([pair in adjacent for pair in union], dtype=bool)
+        mask[np.ix_(rows, cols)] = False
     labels = [f"{i}-{j}" for i, j in union]
     if len(union) > MAX_PAIR_ROWS:
         worst = np.argsort(-matrix.max(axis=1))[:MAX_PAIR_ROWS]

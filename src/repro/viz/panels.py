@@ -90,7 +90,10 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
+    # A ladder needs at most ``target + 2`` rungs.  A span within a few
+    # ulps of its values makes ``step`` smaller than their resolution,
+    # where ``t += step`` crawls or stands still: the cap ends that.
+    while t <= hi + 1e-12 * max(1.0, abs(hi)) and len(ticks) <= 2 * target:
         ticks.append(round(t, 10))
         t += step
     return ticks or [lo]
@@ -129,10 +132,26 @@ def line_panel(
     boundaries: Sequence[float] = (),
     y_floor: float = 0.0,
 ) -> None:
-    """Draw time series with event markers and segment boundaries."""
+    """Draw time series with event markers and segment boundaries.
+
+    Each series is read as two float arrays and projected in array
+    arithmetic — the scalar ``px`` / ``py`` operations in the same
+    order, so every coordinate is the same double — and its points go
+    to :meth:`SvgCanvas.polyline` as one ``(N, 2)`` array.  Points whose
+    value is NaN or infinite are dropped.
+    """
     _frame(canvas, x, y, w, h, title)
-    xs_all = [float(v) for s in series for v in s.xs]
-    ys_all = [float(v) for s in series for v in s.ys if math.isfinite(float(v))]
+    columns = [
+        (np.asarray(s.xs, dtype=float), np.asarray(s.ys, dtype=float))
+        for s in series
+    ]
+    none = np.empty(0)
+    xs_all = np.concatenate([none, *(xs for xs, _ in columns)]).tolist()
+    ys_all = np.concatenate(
+        [none, *(ys[np.isfinite(ys)] for _, ys in columns)]
+    ).tolist()
+    # The builtin min / max over float lists: their NaN and signed-zero
+    # tie rules are the ones every figure was drawn with.
     x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
     y_lo = min([y_floor] + ys_all) if ys_all else 0.0
     y_hi = max(ys_all) if ys_all else 1.0
@@ -169,14 +188,12 @@ def line_panel(
                     klass=f"event-{marker.kind}")
 
     legend_x = x + 8
-    for k, s in enumerate(series):
+    for k, (s, (xs, ys)) in enumerate(zip(series, columns)):
         color = s.color or SERIES_COLORS[k % len(SERIES_COLORS)]
-        pts = [
-            (px(float(t)), py(float(v)))
-            for t, v in zip(s.xs, s.ys)
-            if math.isfinite(float(v))
-        ]
-        canvas.polyline(pts, stroke=color, width=1.5, klass="series")
+        size = min(xs.size, ys.size)
+        keep = np.isfinite(ys[:size])
+        points = np.column_stack((px(xs[:size][keep]), py(ys[:size][keep])))
+        canvas.polyline(points, stroke=color, width=1.5, klass="series")
         canvas.line(legend_x, y + 10 + 12 * k, legend_x + 14, y + 10 + 12 * k,
                     stroke=color, width=2.0)
         canvas.text(legend_x + 18, y + 13 + 12 * k, s.label, size=8, fill="#333333")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import re
 import struct
 import zlib
 from typing import Iterable, Sequence
@@ -81,6 +82,13 @@ def _fmt(number: float) -> str:
         return text
     text = text.rstrip("0").rstrip(".")
     return text if text else "0"
+
+
+#: What :func:`_fmt` strips from a ``{:.2f}`` number, found in a whole
+#: ``x,y x,y ...`` run at once: trailing zeros of the two decimals, and
+#: the point when both go.  The integer part is never touched — it is
+#: always followed by the point, not by a separator.
+_TRAILING_ZEROS = re.compile(r"\.?0+(?=[ ,]|$)")
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +169,19 @@ def _png_data_uri(rgb: np.ndarray) -> str:
     return "data:image/png;base64," + base64.b64encode(png).decode("ascii")
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _attr(key: str, value: object) -> str:
+    """One `` key="value"`` chunk: a float through :func:`_fmt`, anything
+    else escaped as text.  Memoized — a figure repeats a few colors,
+    widths and classes on thousands of marks — and ``typed``, because
+    ``1``, ``1.0`` and ``True`` are one key to a plain cache but two
+    different texts here.  Signed zeros are equal keys too, so
+    :meth:`SvgCanvas._attrs` never asks the cache about a float zero."""
+    if isinstance(value, float):
+        return f' {key}="{_fmt(value)}"'
+    return f' {key}="{escape_attr(str(value))}"'
+
+
 # ----------------------------------------------------------------------
 # the canvas
 
@@ -190,15 +211,14 @@ class SvgCanvas:
         self._parts.append(fragment)
 
     def _attrs(self, pairs: Iterable[tuple[str, object]]) -> str:
-        chunks = []
-        for key, value in pairs:
-            if value is None:
-                continue
-            if isinstance(value, float):
-                chunks.append(f' {key}="{_fmt(value)}"')
-            else:
-                chunks.append(f' {key}="{escape_attr(str(value))}"')
-        return "".join(chunks)
+        # ``-0.0 == 0.0`` to the cache, but ``_fmt`` writes ``-0`` and
+        # ``0``: a float zero is formatted afresh.
+        return "".join(
+            _attr.__wrapped__(key, value)
+            if isinstance(value, float) and not value
+            else _attr(key, value)
+            for key, value in pairs if value is not None
+        )
 
     # -- primitives ----------------------------------------------------
 
@@ -273,16 +293,22 @@ class SvgCanvas:
 
     def polyline(
         self,
-        points: Sequence[tuple[float, float]],
+        points: Sequence[tuple[float, float]] | np.ndarray,
         *,
         stroke: str = "#000000",
         width: float = 1.5,
         opacity: float | None = None,
         klass: str | None = None,
     ) -> None:
-        if not points:
+        """``points`` is ``(x, y)`` pairs or an ``(N, 2)`` array.  All of
+        them are formatted in one pass and trimmed by one regex, each
+        coordinate exactly as :func:`_fmt` writes it."""
+        xy = np.asarray(points, dtype=float).reshape(-1, 2)
+        if not xy.shape[0]:
             return
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        coords = _TRAILING_ZEROS.sub("", " ".join(
+            map("{:.2f},{:.2f}".format, xy[:, 0].tolist(), xy[:, 1].tolist())
+        ))
         self._parts.append(
             f'<polyline points="{coords}" fill="none"'
             + self._attrs(

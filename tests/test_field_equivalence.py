@@ -7,6 +7,7 @@ virtual executions.  Clock-level batch evaluation is additionally
 required to be *bitwise* identical (same float operations, same order).
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.sweep.families import (
     topology_from_spec,
 )
 from repro.sweep.scenario import Scenario
+from repro.topology.base import Topology
 
 RHO = 0.5
 
@@ -248,6 +250,49 @@ class TestPeakPairs:
         # The profile folds the same numbers the row loop did: dict-equal,
         # keys and floats.
         assert field.gradient_profile() == row_fold_profile(field)
+
+
+class TestProfileFold:
+    """``gradient_profile``'s one array fold against the row fold."""
+
+    def test_distances_apart_by_less_than_a_nanounit_merge(self):
+        """Every other pair of every segment is nudged by picounits, a
+        different nudge per segment: exact distance classes split, and
+        only the ``round(d, 9)`` keys bring them back together."""
+        execution = Scenario(topology="line:10", mobility="waypoint:0.5",
+                             duration=12.0, seed=1).simulate()
+        timeline, exact = [], set()
+        for k, (at, topology) in enumerate(execution.topology_timeline):
+            i, j = np.triu_indices(topology.n, 1)
+            nudge = np.where((i + j + k) % 2, (k + 1) * 1e-12, 0.0)
+            d = topology.distances.copy()
+            d[i, j] += nudge
+            d[j, i] += nudge
+            nudged = Topology.fully_connected(d, name=topology.name)
+            exact.update(nudged.distance_classes()[0].tolist())
+            timeline.append((at, nudged))
+        field = SkewField(
+            dataclasses.replace(execution, topology_timeline=tuple(timeline)),
+            step=0.25,
+        )
+        assert len(field.topology_segments()) > 1
+        profile = field.gradient_profile()
+        assert profile == row_fold_profile(field)
+        assert list(profile) == sorted(profile)
+        assert len(profile) < len(exact)
+
+    def test_a_nan_peak_is_kept_not_dropped(self):
+        """A NaN sample makes its pairs' peaks NaN, and the profile shows
+        NaN at their distances; a ``w > best`` merge would have dropped
+        every distance whose class maximum was NaN."""
+        execution = Scenario(topology="line:6", duration=8.0, seed=0).simulate()
+        field = SkewField(execution, step=0.5)
+        field.values[2, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            profile = field.gradient_profile()
+        assert list(profile) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [d for d, w in profile.items() if np.isnan(w)] == [1.0, 2.0, 3.0]
+        assert np.isfinite([profile[4.0], profile[5.0]]).all()
 
 
 @pytest.mark.rt

@@ -1,0 +1,122 @@
+"""``scripts/paired.py`` against a fake benchmark runner: no benchmark
+runs, only the pairing, the kept output and the report's arithmetic."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "paired.py"
+spec = importlib.util.spec_from_file_location("paired", SCRIPT)
+paired = sys.modules["paired"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(paired)
+
+
+def result_line(correct: bool, **metrics: float) -> str:
+    return json.dumps({
+        "correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+        "metrics": {k: {"value": v, "unit": "ms"} for k, v in metrics.items()},
+    })
+
+
+class FakeRunner:
+    """``op_p50_ms`` 10 + seed on the base side, 8 + seed on the change
+    side; ``ops_per_s`` (higher is better) falls on the change side;
+    the change side's seed 3 fails one check."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, tree, workload, seed, seconds):
+        side = tree.name
+        self.calls.append((side, workload, seed, seconds))
+        p50 = (10.0 if side == "base" else 8.0) + seed
+        ops = 100.0 - (side == "change")
+        if side == "change" and seed == 3:
+            stdout = "\n".join([
+                "workload w: seed 3",
+                "  FAILED: line:128: a worker missed the start epoch",
+                "detail: {}",
+                result_line(False, op_p50_ms=p50, ops_per_s=ops),
+            ])
+            return 1, stdout, "warning: late\n"
+        return 0, "detail: {}\n" + result_line(True, op_p50_ms=p50,
+                                                ops_per_s=ops), ""
+
+
+def test_pairs_alternate_keep_output_and_report(tmp_path):
+    fake = FakeRunner()
+    trees = {"base": tmp_path / "base", "change": tmp_path / "change"}
+    runs = paired.run_pairs(trees, "w", [1, 2, 3, 4], tmp_path / "runs",
+                            seconds=5.0, runner=fake)
+    # Which side goes first alternates seed by seed.
+    assert [(side, seed) for side, _, seed, _ in fake.calls] == [
+        ("base", 1), ("change", 1), ("change", 2), ("base", 2),
+        ("base", 3), ("change", 3), ("change", 4), ("base", 4),
+    ]
+    assert {call[3] for call in fake.calls} == {5.0}
+    # Every run's stdout and stderr are kept.
+    kept = sorted(p.name for p in (tmp_path / "runs").iterdir())
+    assert len(kept) == 16
+    assert (tmp_path / "runs" / "change-s3.err").read_text() == "warning: late\n"
+    assert "FAILED" in (tmp_path / "runs" / "change-s3.out").read_text()
+
+    text = paired.report(runs, {"op_p50_ms": "lower", "ops_per_s": "higher"})
+    lines = text.splitlines()
+    assert lines[0] == "4 pair(s)"
+    (p50,) = [line for line in lines if line.strip().startswith("op_p50_ms")]
+    # base 11..14: median 12.5, quartiles (exclusive rule) 11.25 / 13.75.
+    assert "12.5 [11.25, 13.75]" in p50 and "10.5 [9.25, 11.75]" in p50
+    assert p50.split()[-2:] == [f"{10.5 / 12.5:.3f}", "4/4"]
+    (ops,) = [line for line in lines if line.strip().startswith("ops_per_s")]
+    assert ops.split()[-1] == "0/4"
+    # The failing run is listed with its FAILED line.
+    tail = lines[lines.index("1 run(s) not correct"):]
+    assert tail == [
+        "1 run(s) not correct",
+        "  change seed 3 (exit 1)",
+        "    FAILED: line:128: a worker missed the start epoch",
+    ]
+
+
+def test_a_run_without_a_result_line_is_not_correct():
+    run = paired.parse("base", 7, -9, "Traceback (most recent call last):\n")
+    assert not run.correct and run.metrics == {} and run.failed == []
+    text = paired.report([run], {})
+    assert text.splitlines()[-2:] == [
+        "  base seed 7 (exit -9)", "    (no FAILED line)"]
+
+
+def test_seed_ranges():
+    assert paired.seed_range("1-4") == [1, 2, 3, 4]
+    assert paired.seed_range("5,9") == [5, 9]
+
+
+def test_export_extracts_committed_files_only(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (repo / "a.txt").write_text("one")
+    subprocess.run(git + ["add", "a.txt"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    (repo / "a.txt").write_text("uncommitted")
+    tree = paired.export("HEAD", tmp_path / "tree", repo=repo)
+    assert (tree / "a.txt").read_text() == "one"
+    with pytest.raises(subprocess.CalledProcessError):
+        paired.export("no-such-rev", tmp_path / "other", repo=repo)
+
+
+def test_main_writes_the_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(paired, "export",
+                        lambda rev, dest: dest.mkdir(parents=True) or dest)
+    code = paired.main(["x", "y", "--workload", "w", "--seeds", "1-2",
+                        "--out", str(tmp_path / "o")], runner=FakeRunner())
+    assert code == 0
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert report.startswith("2 pair(s)") and "0 run(s) not correct" in report

@@ -110,12 +110,24 @@ class TestLiveStats:
         assert {frozenset(s) for s in stats.values()} == {
             frozenset(
                 ("workers", "frames_routed", "frames_dropped", "events",
-                 "missed_epochs", "wall_elapsed")
+                 "missed_epochs", "wall_elapsed", "epoch_lag_s",
+                 "loop_gap_s", "loop_gap_at", "gc_collections", "gc_pause_s")
             )
         }
         assert [stats[name]["workers"] for name in stats] == [0, 0, 6, 1]
         assert stats["virtual"]["missed_epochs"] == 0
         assert stats["asyncio"]["missed_epochs"] == 0
+        # How the loops were served: the virtual clock waits for nothing;
+        # a wall-clock loop sleeps between iterations, inside the run.
+        assert stats["virtual"]["loop_gap_s"] == 0.0
+        assert stats["virtual"]["epoch_lag_s"] == 0.0
+        for name in ("asyncio", "udp", "router"):
+            assert 0.0 < stats[name]["loop_gap_s"] < stats[name]["wall_elapsed"]
+            assert 0.0 <= stats[name]["loop_gap_at"] <= self.CELL.duration
+            assert stats[name]["epoch_lag_s"] >= 0.0
+        for served in stats.values():
+            assert isinstance(served["gc_collections"], int)
+            assert served["gc_collections"] >= 0 and served["gc_pause_s"] >= 0.0
         # The wall clocks sleep the run out; the virtual clock does not.
         assert stats["virtual"]["wall_elapsed"] < 0.2
         assert stats["asyncio"]["wall_elapsed"] >= 0.2

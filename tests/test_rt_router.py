@@ -35,6 +35,11 @@ from repro.rt.shard import ShardTransport
 from repro.sweep.families import TRANSPORT_FAMILIES, topology_from_spec
 from repro.wire import decode_frame, encode_frame
 
+#: ``live_stats``' wall-clock observations of how the shards were served.
+STALL_KEYS = (
+    "epoch_lag_s", "loop_gap_s", "loop_gap_at", "gc_collections", "gc_pause_s",
+)
+
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -248,8 +253,9 @@ class TestShardFailureHandling:
             execution = run_live(self.config(transport))
             assert execution.live_stats["frames_dropped"] >= 1, name
         assert sorted(execution.live_stats) == [
-            "events", "frames_dropped", "frames_routed", "missed_epochs",
-            "wall_elapsed", "workers",
+            "epoch_lag_s", "events", "frames_dropped", "frames_routed",
+            "gc_collections", "gc_pause_s", "loop_gap_at", "loop_gap_s",
+            "missed_epochs", "wall_elapsed", "workers",
         ]
 
 
@@ -368,13 +374,15 @@ class TestRouterTransport:
         start = time.perf_counter()
         execution = run_live(config)
         wall = time.perf_counter() - start
-        assert sorted(execution.logical) == list(range(128))
+        # How the shards were served: a starved run says why.
+        served = {key: execution.live_stats[key] for key in STALL_KEYS}
+        assert sorted(execution.logical) == list(range(128)), served
         assert execution.max_skew(config.duration) <= skew_bound(
             execution.topology.diameter
-        )
-        assert execution.live_stats["events"] > 128
+        ), served
+        assert execution.live_stats["events"] > 128, served
         # ~0.15s of scaled sim time plus startup; far under a minute.
-        assert wall < 30.0
+        assert wall < 30.0, served
 
     def test_router_runs_crash_recover_faults_live(self):
         config = LiveRunConfig(

@@ -20,6 +20,8 @@ import zlib
 
 import numpy as np
 import pytest
+from _engine_helpers import example_budget
+from _viz_reference import per_point_coords, per_point_line_panel
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.reporting import Table
@@ -49,6 +51,7 @@ from repro.viz.panels import (
     nice_ticks,
 )
 from repro.viz.svg import (
+    _attr,
     _fmt,
     escape_attr,
     escape_text,
@@ -124,6 +127,16 @@ class TestSvgPrimitives:
         assert ticks[0] >= 0.0 and ticks[-1] <= 10.0 and len(ticks) >= 2
         assert nice_ticks(5.0, 5.0)  # degenerate span still yields ticks
         assert nice_ticks(float("nan"), 1.0) == [0.0]
+
+    def test_nice_ticks_end_below_float_resolution(self):
+        """A span of two ulps at 1e6: the 1-2-5 step is below half an
+        ulp, so ``t += step`` stands still (it used to loop forever), and
+        a span of a few thousand ulps crawled one ulp per rung."""
+        two_ulps = math.nextafter(math.nextafter(1e6, 2e6), 2e6)
+        for hi in (two_ulps, 1e6 + 1e-9):
+            assert 1 <= len(nice_ticks(1e6, hi)) <= 11
+        for lo, hi, target in ((0.0, 10.0, 5), (-3.7, 123.4, 4), (0.1, 0.3, 5)):
+            assert len(nice_ticks(lo, hi, target)) <= target + 2
 
     def test_array_ramp_is_the_scalar_ramp_within_one_level(self):
         ts = np.concatenate([np.linspace(-0.5, 1.5, 5001),
@@ -206,6 +219,22 @@ class TestSvgPrimitives:
             chunks.append(f' {key}="{escaped}"')
         assert SvgCanvas(1, 1)._attrs(pairs) == "".join(chunks)
 
+    def test_attrs_keep_int_float_and_bool_apart(self):
+        """``1 == 1.0 == True`` as cache keys; the memo must not hand one
+        of them another's text."""
+        canvas = SvgCanvas(1, 1)
+        _attr.cache_clear()
+        for first in ((1, 1.0, True), (True, 1.0, 1), (1.0, True, 1)):
+            got = {type(v): canvas._attrs([("x", v)]) for v in first}
+            assert got == {int: ' x="1"', float: ' x="1"', bool: ' x="True"'}
+        assert canvas._attrs([("x", 0.5), ("x", False), ("x", 0)]) == (
+            ' x="0.5" x="False" x="0"'
+        )
+        # ``-0.0 == 0.0`` too, but ``_fmt`` writes them apart.
+        for zeros in ((-0.0, 0.0), (0.0, -0.0)):
+            assert [canvas._attrs([("x", z)]) for z in zeros] == [
+                f' x="{_fmt(z)}"' for z in zeros]
+
 
 # ----------------------------------------------------------------------
 # panels
@@ -268,6 +297,70 @@ class TestPanels:
         parsed(svg)
         assert svg.count('class="bar"') == 3  # NaN bar skipped
         assert "cell-a / alg1: 1" in svg
+
+
+# ----------------------------------------------------------------------
+# the array line panel against the per-point one it replaced
+# (``tests/_viz_reference.py``)
+
+#: Coordinates that stress the one-pass trim: signed zeros, values that
+#: format to ``.x0`` and ``.00``, halfway cases, magnitudes up to 1e6.
+COORDINATES = (
+    st.floats(-1e6, 1e6)
+    | st.integers(-10**8, 10**8).map(lambda k: k / 100)
+    | st.integers(-10**7, 10**7).map(lambda k: k / 10)
+    | st.sampled_from([0.0, -0.0, 0.004, -0.004, 0.005, -0.005, 0.995,
+                       9.999, 10.0, 100.0, 1e6, -1e6])
+)
+#: What a series may hold: ``line_panel`` drops NaN and infinite values.
+VALUES = COORDINATES | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf")])
+
+
+class TestArrayLinePanel:
+    @given(st.lists(st.tuples(COORDINATES | VALUES, COORDINATES | VALUES),
+                    max_size=40))
+    @settings(max_examples=example_budget(150), deadline=None)
+    def test_polyline_text_equals_the_per_point_fmt_join(self, points):
+        canvas = SvgCanvas(1, 1)
+        canvas.polyline(np.array(points, dtype=float).reshape(-1, 2))
+        canvas.polyline(points)  # the pairs themselves: the same text
+        svg = canvas.to_string()
+        if not points:
+            assert "<polyline" not in svg
+            return
+        coords = per_point_coords(points)
+        assert svg.count(f'<polyline points="{coords}" fill="none"') == 2
+
+    @given(st.lists(st.tuples(st.lists(COORDINATES, min_size=1, max_size=30),
+                              st.lists(VALUES, max_size=30)),
+                    min_size=1, max_size=3),
+           st.sampled_from([0.0, -0.0, -5.0]))
+    @settings(max_examples=example_budget(100), deadline=None)
+    def test_line_panel_equals_the_per_point_panel(self, columns, y_floor):
+        series = [Series(f"s{k}", xs, ys) for k, (xs, ys) in enumerate(columns)]
+        figures = []
+        for draw in (line_panel, per_point_line_panel):
+            canvas = SvgCanvas(400, 200)
+            draw(canvas, 40, 20, 320, 150, series, title="t", y_label="y",
+                 boundaries=[0.5], markers=[EventMarker(1.0, "crash")],
+                 y_floor=y_floor)
+            figures.append(canvas.to_string())
+        assert figures[0] == figures[1]
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(topology="line:24", algorithm="averaging"),
+        dict(topology="grid:5,5", algorithm="gradient"),
+        dict(topology="line:20", algorithm="gradient",
+             faults="crash-recover:0.25,3", mobility="waypoint:0.5"),
+    ], ids=["static", "grid", "churny"])
+    def test_dashboard_bytes_equal_the_per_point_panel(self, kwargs, monkeypatch):
+        import repro.viz.dashboard as dashboard
+
+        execution = run_scenario(duration=8.0, seed=1, **kwargs)
+        svg = skew_dashboard(execution)
+        monkeypatch.setattr(dashboard, "line_panel", per_point_line_panel)
+        assert skew_dashboard(execution) == svg
 
 
 # ----------------------------------------------------------------------
