@@ -17,12 +17,14 @@ common one.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
-from _engine_helpers import assert_equivalent
+from _engine_helpers import assert_equivalent, example_budget
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import RtError
+from repro.errors import ReproError, RtError
 from repro.experiments.e14_live import skew_bound
 from repro.rt import LiveRunConfig, run_live
 from repro.sim.faults import FaultPlan
@@ -192,6 +194,55 @@ class TestChurnGrid:
         assert len(execution.trace.of_kind("crash")) == stats["crashes"]
         assert len(execution.trace.of_kind("topology")) >= 1
         assert execution.is_dynamic
+
+
+@st.composite
+def drawn_cells(draw) -> LiveRunConfig:
+    """A whole cell as spec strings: topology family, algorithm,
+    ``half`` / ``uniform`` delays, a fault family and a mobility family."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    topology = draw(st.sampled_from([
+        f"line:{n}", f"ring:{n}", f"grid:2,{max(n // 2, 2)}", f"star:{n - 1}",
+        f"complete:{min(n, 5)}", "tree:2,2", f"geometric:{n},{n % 4}",
+        f"cluster:{n}",
+    ]))
+    faults = draw(st.sampled_from([
+        "none", "loss:0.2", "duplicate:0.3", "reorder:0.3", "crash:0.3",
+        "crash-recover:0.3,2", "churn:0.3,3",
+    ]))
+    mobility = draw(st.sampled_from([
+        "static", "blink:0.3,2", "blink:0.5,4", "interleave:0.5",
+        "waypoint:0.5,3",
+    ]))
+    return LiveRunConfig(
+        topology=topology,
+        algorithm=draw(st.sampled_from(sorted(ALGORITHM_KINDS))),
+        rates=draw(st.sampled_from(["constant", "drifted", "spread"])),
+        delays=draw(st.sampled_from(["half", "uniform"])),
+        faults=faults,
+        mobility=mobility,
+        duration=float(draw(st.integers(min_value=2, max_value=10))),
+        rho=draw(st.sampled_from([0.1, 0.2, 0.5])),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        transport="virtual",
+    )
+
+
+class TestDrawnCells:
+    """Contract 2 as a property: any drawn cell, not only the grid above."""
+
+    @given(drawn_cells())
+    @settings(max_examples=example_budget(40), deadline=None)
+    def test_virtual_equals_the_simulator_on_a_drawn_cell(self, config):
+        try:
+            sim = config.simulate(record_trace=True)
+        except ReproError as exc:
+            # A cell the simulator refuses (say, ``external`` on a
+            # partitioned snapshot) the live loop refuses alike.
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                run_live(config)
+            return
+        assert_equivalent(sim, run_live(config))
 
 
 class _EventTap:
