@@ -1,8 +1,9 @@
 """The live loop, and the multi-process runtime built from shards of it.
 
-:class:`ShardTransport` is the one event loop of the live runtime: a
-heap of due deliveries, timers and churn events, driven by a clock
-(virtual or wall) and fed by a carrier (its own heap, or a UDP socket).
+:class:`ShardTransport` is the one event loop of the live runtime: the
+simulator's :class:`~repro.sim.events.BatchEventQueue` of due
+deliveries, timers and churn events, driven by a clock (virtual or wall)
+and fed by a carrier (its own queue, or a UDP socket).
 :func:`host_shard` hosts a set of :class:`~repro.rt.node.LiveNode`
 objects on it and runs them.  The in-process names are one such shard
 holding every node (``virtual``: virtual clock; ``asyncio``: wall
@@ -47,7 +48,7 @@ Every name runs fault plans and moving topologies, the same way:
   record), whether a delivery dies with a crash, whether a timer was
   cancelled by one.  The controller keeps the counters.
 * **the loop dispatches** — crash, recovery and rewiring instants are
-  heap events ordered as the simulator orders them; the loop records
+  queue events, ordered by the simulator's queue; the loop records
   the CRASH / RECOVER / TOPOLOGY trace events, invokes ``on_recover``
   and swaps its nodes onto the new snapshot.  Frames in flight across
   a rewiring finish, as in the simulator.
@@ -85,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import heapq
 import math
 import multiprocessing
 import random
@@ -101,7 +101,14 @@ from repro.errors import RtError
 from repro.rt.node import LiveNode, host_nodes
 from repro.rt.recorder import LiveRecorder
 from repro.rt.transport import DELAY_SEED_MIX, TRANSPORT_SHAPES
-from repro.sim.events import CrashNode
+from repro.sim.events import (
+    BatchEventQueue,
+    CrashNode,
+    DeliverMessage,
+    FireTimer,
+    RecoverNode,
+    TopologyChange,
+)
 from repro.sim.faults import FaultController, FaultPlan
 from repro.sim.messages import (
     DelayPolicy,
@@ -152,7 +159,7 @@ def _decode_message(datagram: bytes) -> Optional[dict]:
     :meth:`ShardTransport._carry_wire` sends: integer ends, a finite send
     time, a finite delay ``>= 0``, a payload.  Every receiving site
     checks this once, so a stray or forged datagram is dropped and
-    counted, never a crash, a NaN heap key or a delivery outside the
+    counted, never a crash, a NaN queue time or a delivery outside the
     model's delay band."""
     record = decode_frame(datagram)
     if (
@@ -199,25 +206,29 @@ def _untuple(value):
 class ShardTransport:
     """The one live loop: time, messages and timers for the nodes it hosts.
 
-    Heap entries carry the node they belong to, timers carry the crash
-    epoch they were set in, and rewiring / crash / recovery instants are
-    ordinary heap events (pushed in that order before anything else, so
-    they take the lowest tiebreaks and dispatch before same-instant
-    deliveries or timers — the simulator's ordering).  What a fault plan
-    means is the :class:`~repro.sim.faults.FaultController`'s business:
-    the loop holds one when the cell has a plan, and none otherwise.
+    Its queue is the simulator's :class:`~repro.sim.events.BatchEventQueue`
+    holding the simulator's events: a :class:`DeliverMessage` carries its
+    :class:`Message`, a :class:`FireTimer` the crash epoch it was set in,
+    and rewiring / crash / recovery instants are :class:`TopologyChange`,
+    :class:`CrashNode` and :class:`RecoverNode` events pushed in that
+    order before anything else, so they dispatch before same-instant
+    deliveries or timers.  Nothing due past the horizon is queued.  What
+    a fault plan means is the :class:`~repro.sim.faults.FaultController`'s
+    business: the loop holds one when the cell has a plan, and none
+    otherwise.
 
     Two seams are fixed at construction (each use branches on
     ``time_scale`` or ``sock``: the loop stores no bound method of
     itself, so a finished run holds no reference cycle):
 
-    * the **clock** — ``time_scale=None`` is *virtual* time: "now" jumps
-      to the head of the heap, nothing sleeps, and the run ends when the
-      heap is empty or its head lies past the horizon.  A number is
-      *wall* time: ``time_scale`` wall seconds per simulation unit,
-      measured from a CLOCK_MONOTONIC epoch, slept out in ``select``;
+    * the **clock** — ``time_scale=None`` is *virtual* time: the queue
+      drains as the simulator's does — "now" jumps to each popped event,
+      nothing sleeps — and its horizon is ``duration + TIME_EPS``.  A
+      number is *wall* time: ``time_scale`` wall seconds per simulation
+      unit, measured from a CLOCK_MONOTONIC epoch, slept out in
+      ``select``, with ``duration`` as the horizon;
     * the **carrier** — ``sock=None`` is *local*: a sent message goes
-      straight onto this loop's own heap (the loop hosts every node).
+      straight onto this loop's own queue (the loop hosts every node).
       A socket is the *wire*: one :mod:`repro.wire` frame per message to
       ``route[receiver]`` (the switch for ``router``, the owning peer
       for ``udp``), plus a copy to ``mirror`` when a streaming tail
@@ -268,21 +279,16 @@ class ShardTransport:
         self._msg_counter = 0
         self._duration = duration
         self._time_scale = time_scale
-        #: Measured time from which nothing more dispatches: the horizon
-        #: on a wall clock; on virtual time the first float past
-        #: ``duration + TIME_EPS``, so events due exactly at the horizon
-        #: still run (the simulator's ``>`` test, written as ``>=``).
-        self._cutoff = (
-            math.nextafter(duration + TIME_EPS, math.inf)
-            if time_scale is None else duration
-        )
         self._dynamic = dynamic
         self._epoch_wall = 0.0
         self._now = 0.0
         self._started = False
-        # Pending (due, tiebreak, kind, data): deliveries, timers, churn.
-        self._pending: list[tuple[float, int, str, tuple]] = []
-        self._tiebreak = 0
+        #: Deliveries, timers and churn, up to the horizon: the
+        #: simulator's (events due exactly at it still run on virtual
+        #: time); on a wall clock, measured time stops at ``duration``.
+        self._queue = BatchEventQueue(
+            duration + TIME_EPS if time_scale is None else duration
+        )
         self._nodes: dict[int, LiveNode] = {}
         #: Malformed or misdirected datagrams dropped at the wire.
         self.frames_dropped = 0
@@ -311,14 +317,6 @@ class ShardTransport:
         simulator's instantaneous-computation semantics).
         """
         return self._now
-
-    def _elapsed(self) -> float:
-        """Measured time in simulation units, as the clock defines it:
-        the heap head's due time on a virtual clock, scaled wall seconds
-        since the epoch on a wall clock."""
-        if self._time_scale is None:
-            return self._pending[0][0]
-        return (time.monotonic() - self._epoch_wall) / self._time_scale
 
     # ------------------------------------------------------------------
     # the send protocol and the carrier seam
@@ -370,10 +368,7 @@ class ShardTransport:
 
     def _carry_local(self, sender: LiveNode, receiver: int, payload) -> None:
         for message in self._next_messages(sender, receiver, payload):
-            self._push(
-                message.receive_time, "msg",
-                (receiver, message.sender, message.send_time, payload),
-            )
+            self._queue.push(message.receive_time, DeliverMessage(receiver, message))
 
     def _carry_wire(self, sender: LiveNode, receiver: int, payload) -> None:
         for message in self._next_messages(sender, receiver, payload):
@@ -394,17 +389,12 @@ class ShardTransport:
     def schedule_timer(self, node: LiveNode, fire_at: float, name: str) -> None:
         """Arrange ``on_timer(name)`` at simulation time ``fire_at``."""
         epoch = 0 if self.faults is None else self.faults.epoch(node.node)
-        self._push(fire_at, "timer", (node.node, name, epoch))
-
-    def _push(self, due: float, kind: str, data: tuple) -> None:
-        heapq.heappush(self._pending, (due, self._tiebreak, kind, data))
-        self._tiebreak += 1
+        self._queue.push(fire_at, FireTimer(node.node, name, 0, epoch))
 
     def _push_fault(self, due: float, event) -> None:
         """The controller's ``schedule`` sink: this shard's nodes only."""
         if event.node in self._nodes:
-            kind = "crash" if isinstance(event, CrashNode) else "recover"
-            self._push(due, kind, (event.node,))
+            self._queue.push(due, event)
 
     # ------------------------------------------------------------------
     # the event loop
@@ -438,14 +428,15 @@ class ShardTransport:
         duration = self._duration
         self._nodes = dict(nodes)
         faults = self.faults
-        # The simulator's opening order: rewirings onto the heap first,
-        # then crash / recovery instants (a crash at time 0 is an event
-        # like any other; the controller already has the node down),
-        # then every START before any ``on_start``, in node order.
+        queue = self._queue
+        # The simulator's opening order: rewirings onto the queue first
+        # (``push`` drops one past the horizon), then crash / recovery
+        # instants (a crash at time 0 is an event like any other; the
+        # controller already has the node down), then every START before
+        # any ``on_start``, in node order.
         if self._dynamic is not None:
             for at, snapshot in self._dynamic.snapshots[1:]:
-                if at <= duration + TIME_EPS:
-                    self._push(at, "topo", (snapshot,))
+                queue.push(at, TopologyChange(snapshot))
         if faults is not None:
             faults.schedule(self._push_fault)
         for node in sorted(self._nodes):
@@ -454,9 +445,12 @@ class ShardTransport:
             if faults is None or not faults.node_down(node):
                 self._nodes[node].begin()
         if self._time_scale is None:
-            # Virtual time waits for nothing: "now" is the head's due
-            # time, until the heap runs dry or its head passes the cutoff.
-            self._dispatch_due()
+            # Virtual time waits for nothing: the simulator's drain, with
+            # "now" at each popped event, until the queue (which holds
+            # nothing past the horizon) runs dry.
+            while (item := queue.pop_due(math.inf)) is not None:
+                self._now, event = item
+                self._dispatch(event)
         else:
             socks = [] if self._sock is None else [self._sock]
             stall = self.stall
@@ -472,12 +466,21 @@ class ShardTransport:
                 elapsed = (tick - self._epoch_wall) / self._time_scale
                 if elapsed >= duration:
                     break
-                due = self._pending[0][0] if self._pending else duration
-                timeout = max(0.0, (min(due, duration) - elapsed) * self._time_scale)
-                readable, _, _ = select.select(socks, [], [], timeout)
+                item = queue.pop_due(elapsed)
+                if item is not None:
+                    # The callback's instant is measured time (>= due when
+                    # the OS woke us late): monotone, inside the run.
+                    self._now = max(self._now, elapsed)
+                    self._dispatch(item[1])
+                    continue
+                # Nothing due yet: sleep until the head is, or a frame lands.
+                due = queue.peek_time()
+                due = duration if due is None else min(due, duration)
+                readable, _, _ = select.select(
+                    socks, [], [], (due - elapsed) * self._time_scale
+                )
                 if readable:
                     self._drain_socket()
-                self._dispatch_due()
         self._now = duration
         # Cut every hosted node's edges back into the loop, so the
         # finished run holds no reference cycle (see ``LiveNode.detach``).
@@ -494,59 +497,52 @@ class ShardTransport:
             if record is None or record["dst"] not in self._nodes:
                 self.frames_dropped += 1
                 continue
-            send = float(record["send"])
-            self._push(
-                send + float(record["delay"]),
-                "msg",
-                (record["dst"], record["src"], send, _untuple(record["payload"])),
+            message = Message(
+                record.get("seq"), record["src"], record["dst"],
+                _untuple(record["payload"]), float(record["send"]),
+                float(record["delay"]),
+            )
+            # A frame due before an instant already dispatched is late:
+            # it is delivered now, as any frame the OS woke us late for.
+            self._queue.push(
+                max(message.receive_time, self._now),
+                DeliverMessage(message.receiver, message),
             )
 
-    def _dispatch_due(self) -> None:
+    def _dispatch(self, event) -> None:
+        """Run one popped event at ``self._now``."""
         faults = self.faults
-        while self._pending:
-            due = self._pending[0][0]
-            elapsed = self._elapsed()
-            if due > elapsed or elapsed >= self._cutoff:
+        kind = type(event)
+        if kind is DeliverMessage:
+            message = event.message
+            if faults is not None and faults.delivery_suppressed(message, self._now):
                 return
-            _, _, kind, data = heapq.heappop(self._pending)
-            # Freeze the callback's instant at measured time (>= due when
-            # the OS woke us late), monotone and inside the run.
-            self._now = min(max(self._now, elapsed), self._cutoff)
-            if kind == "msg":
-                dst, src, send_time, payload = data
-                if faults is not None and faults.delivery_suppressed_fields(
-                    src, dst, send_time, self._now
-                ):
-                    continue
-                self.events_processed += 1
-                self._nodes[dst].deliver(src, payload)
-            elif kind == "timer":
-                node, name, set_epoch = data
-                if faults is not None and faults.timer_cancelled(node, set_epoch):
-                    continue
-                self.events_processed += 1
-                self._nodes[node].fire_timer(name)
-            elif kind == "crash":
-                (node,) = data
-                faults.on_crash(node)
-                self._nodes[node].mark_crash()
-            elif kind == "recover":
-                (node,) = data
-                faults.on_recover(node)
-                self._nodes[node].recover()
-            else:
-                # "topo": every hosted node sees the new network from
-                # this instant; frames already in flight keep their
-                # delays.  Recorded once per run (shard 0), with
-                # ``node = -1``: the adversary's action, as the
-                # simulator records it.
-                (snapshot,) = data
-                for live in self._nodes.values():
-                    live.topology = snapshot
-                if self._shard == 0:
-                    self._recorder.record(
-                        TraceEvent(self._now, -1, 0.0, 0.0, TOPOLOGY, snapshot.name)
-                    )
+            self.events_processed += 1
+            self._nodes[event.node].deliver(message.sender, message.payload)
+        elif kind is FireTimer:
+            if faults is not None and faults.timer_cancelled(event.node, event.epoch):
+                return
+            self.events_processed += 1
+            self._nodes[event.node].fire_timer(event.name)
+        elif kind is CrashNode:
+            faults.on_crash(event.node)
+            self._nodes[event.node].mark_crash()
+        elif kind is RecoverNode:
+            faults.on_recover(event.node)
+            self._nodes[event.node].recover()
+        else:
+            # A TopologyChange: every hosted node sees the new network
+            # from this instant; frames already in flight keep their
+            # delays.  Recorded once per run (shard 0), with
+            # ``node = -1``: the adversary's action, as the simulator
+            # records it.
+            snapshot = event.topology
+            for live in self._nodes.values():
+                live.topology = snapshot
+            if self._shard == 0:
+                self._recorder.record(
+                    TraceEvent(self._now, -1, 0.0, 0.0, TOPOLOGY, snapshot.name)
+                )
 
 
 # ----------------------------------------------------------------------

@@ -147,7 +147,10 @@ _TIME = itemgetter(0)
 
 
 class BatchEventQueue:
-    """The sorted-run event queue behind :class:`~repro.sim.simulator.Simulator`.
+    """The sorted-run event queue of every loop: the simulator's
+    (:class:`~repro.sim.simulator.Simulator`, which inlines its drain)
+    and the live runtime's (:class:`~repro.rt.shard.ShardTransport`,
+    which pops it through :meth:`pop_due` on either clock).
 
     Same contract as :class:`EventQueue` — events pop in ``(time, seq)``
     order, where ``seq`` is global insertion order — realized as lists of
@@ -167,9 +170,10 @@ class BatchEventQueue:
       then pops come off the runs untouched.
 
     Nothing due after the **horizon** is stored: a run's queue is built
-    with ``duration + TIME_EPS``, past which every drain stops, so a
-    delivery or timer still in flight when the execution ends could
-    never pop and a push drops it (the default horizon is ``inf``).
+    with ``duration + TIME_EPS`` (``duration`` on a live wall clock),
+    past which every drain stops, so a delivery or timer still in flight
+    when the execution ends could never pop and a push drops it (the
+    default horizon is ``inf``).
 
     Under a delay drawn anywhere in ``[0, d]`` (the ``uniform`` family)
     a fresh batch almost always holds an entry due before both heads,

@@ -579,16 +579,22 @@ class TestOneLiveLoop:
         assert importlib.util.find_spec("repro.rt.asyncio_transport") is None
 
     def test_one_heap_loop_and_one_run(self):
-        assert self._rt_modules_with("heapq.heappop(") == ["shard.py"]
+        # The one loop drains the simulator's queue; rt keeps no heap.
+        assert self._rt_modules_with("BatchEventQueue(") == ["shard.py"]
+        assert self._rt_modules_with("heapq") == []
         assert self._rt_modules_with("def run(self, nodes") == ["shard.py"]
 
     def test_rt_borrows_no_other_event_loop(self):
-        # (The loop does import ``sim.events.CrashNode`` — the marker the
-        # fault controller's ``schedule`` hands its sink — but no queue.)
+        # The simulator's ``BatchEventQueue`` and event classes are the
+        # loop's own; no other queue, and no asyncio.
         assert self._rt_modules_with(
-            "import asyncio", "from asyncio", "EventQueue",
-            "call_later", "abstractmethod",
+            "import asyncio", "from asyncio", "call_later", "abstractmethod",
         ) == []
+        assert not [
+            path.name
+            for path in self.RT.glob("*.py")
+            if re.search(r"(?<!Batch)EventQueue", path.read_text(encoding="utf-8"))
+        ]
 
     def test_the_transport_table_did_not_move(self):
         from repro.rt.transport import TRANSPORT_SHAPES

@@ -9,13 +9,14 @@ exact values — wall-clock runs carry genuine OS scheduling noise.
 
 from __future__ import annotations
 
+import socket
 import time
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments.e14_live import skew_bound
-from repro.rt import LiveRunConfig, run_live
+from repro.rt import LiveRecorder, LiveRunConfig, ShardTransport, run_live
 from repro.rt.cli import main as live_main
 from repro.wire import decode_frame, encode_frame
 
@@ -131,6 +132,63 @@ class TestLiveStats:
         # The wall clocks sleep the run out; the virtual clock does not.
         assert stats["virtual"]["wall_elapsed"] < 0.2
         assert stats["asyncio"]["wall_elapsed"] >= 0.2
+
+
+class _LateFrameNode:
+    """A hosted node stand-in: its timer at t = 2 writes, on the far end
+    of the loop's socket, a frame sent at 0.1 with delay 0.2 — due long
+    before the instant being dispatched."""
+
+    node = 0
+
+    def __init__(self, transport, far_end):
+        self.transport, self.far_end = transport, far_end
+        self.fired_at = None
+        self.delivered = []
+
+    def record_start(self):
+        pass
+
+    def begin(self):
+        pass
+
+    def detach(self):
+        pass
+
+    def fire_timer(self, name):
+        self.fired_at = self.transport.now()
+        self.far_end.send(encode_frame(
+            {"seq": 9, "src": 1, "dst": 0, "payload": ["clock", 1.0],
+             "send": 0.1, "delay": 0.2}
+        ))
+
+    def deliver(self, sender, payload):
+        self.delivered.append((self.transport.now(), sender, payload))
+
+
+class TestLateFrame:
+    def test_a_frame_due_before_the_last_dispatch_is_delivered_now(self):
+        ours, far_end = socket.socketpair(type=socket.SOCK_DGRAM)
+        ours.setblocking(False)
+        transport = ShardTransport(
+            recorder=LiveRecorder(), delay_policy=None, seed=0,
+            duration=4.0, time_scale=0.02, sock=ours, route={},
+        )
+        node = _LateFrameNode(transport, far_end)
+        transport.schedule_timer(node, 2.0, "tick")
+        try:
+            transport.run({0: node})
+        finally:
+            ours.close()
+            far_end.close()
+        # Delivered once, at the measured instant after the timer's (not
+        # at its own due time 0.3), with the payload restored to a tuple.
+        assert node.fired_at >= 2.0
+        ((at, sender, payload),) = node.delivered
+        assert node.fired_at <= at < 4.0
+        assert (sender, payload) == (1, ("clock", 1.0))
+        assert transport.events_processed == 2
+        assert transport.frames_dropped == 0
 
 
 class TestUdpTransport:

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ReproError, RtError
 from repro.experiments.e14_live import skew_bound
 from repro.rt import LiveRunConfig, run_live
+from repro.rt import shard as shard_rt
 from repro.sim.faults import FaultPlan
 from repro.sweep import scenario as scenario_module
 from repro.sweep.families import ALGORITHM_KINDS
@@ -226,6 +227,33 @@ def drawn_cells(draw) -> LiveRunConfig:
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         transport="virtual",
     )
+
+
+class TestHorizon:
+    """The simulator's horizon rule holds on the live loop: nothing due
+    past ``duration + TIME_EPS`` is queued, so a finished virtual run
+    leaves its queue empty."""
+
+    @pytest.mark.parametrize("topology", ["geometric:64,3", "line:128"])
+    def test_a_finished_virtual_run_leaves_its_queue_empty(
+        self, topology, monkeypatch
+    ):
+        loops = []
+
+        class Kept(shard_rt.ShardTransport):
+            def run(self, nodes, epoch=None):
+                loops.append(self)
+                super().run(nodes, epoch)
+
+        monkeypatch.setattr(shard_rt, "ShardTransport", Kept)
+        config = LiveRunConfig(
+            topology=topology, algorithm="gradient", duration=20.0, seed=1,
+            transport="virtual",
+        )
+        execution = run_live(config)
+        ((loop,),) = [loops]
+        assert loop.events_processed > 0 and len(execution.messages) > 0
+        assert len(loop._queue) == 0
 
 
 class TestDrawnCells:
