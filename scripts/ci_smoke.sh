@@ -45,7 +45,8 @@ python -m pytest -x -q
 
 echo
 echo "== simulator differential properties at the ci budget =="
-# The reference-vs-production random scenarios and the queue-order
+# The reference-vs-production random scenarios, the simulator-vs-virtual
+# drawn cells (contract 2 as a property) and the queue-order
 # properties (short programs, and long ones that reach the secondary
 # run and its fold) guard the batched broadcast and the queue's merges;
 # the clock batch properties and the all-node logical-matrix gather
@@ -56,6 +57,7 @@ echo "== simulator differential properties at the ci budget =="
 # ``ci`` hypothesis profile (tests/conftest.py) at 200 examples each.
 timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_engine_equivalence.py::TestRandomScenarios" \
+    "tests/test_rt_virtual.py::TestDrawnCells" \
     "tests/test_events.py::TestBatchQueueEquivalence" \
     "tests/test_events.py::TestBatchQueueLongPrograms::test_long_programs_drain_in_scalar_heap_order" \
     "tests/test_field_equivalence.py::TestClockBatchEquivalence" \

@@ -8,9 +8,10 @@ to seed, so a drift of the machine over the session lands on both sides
 alike.  Every run's stdout and stderr are kept under ``--out``; the
 report gives, per end-to-end metric, the median [Q1, Q3] of each side,
 the ratio of the medians (change / base), and in how many pairs the
-change was better (``BENCHMARK.json`` says which direction is better).
-Every run whose result line says ``"correct": false`` (or that printed
-none) is listed with its ``FAILED:`` lines.
+change was better (``BENCHMARK.json`` says which direction is better),
+then a verdict per metric against ``BENCHMARK.json``'s bound (see
+:func:`verdict`).  Every run whose result line says ``"correct": false``
+(or that printed none) is listed with its ``FAILED:`` lines.
 
 Usage::
 
@@ -119,8 +120,39 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def report(runs: Sequence[Run], better: dict[str, str]) -> str:
-    """Per metric: each side's median [Q1, Q3], the ratio, the wins."""
+def verdict(base: Sequence[float], change: Sequence[float], better: str,
+            bound: float | None) -> str:
+    """One metric's paired runs judged against its relative ``bound``.
+
+    * ``worse`` — the change's median is worse than the base's by more
+      than ``bound`` (a fraction of the base median);
+    * ``better`` — the change wins at least nine pairs in ten and its
+      median is better by more than the base's interquartile range;
+    * ``unresolved`` — the base's interquartile range exceeds the
+      difference of the medians, or ``bound`` itself: the runs spread
+      too widely to tell;
+    * ``within bound`` — none of these: a resolved difference, not worse
+      than the bound.
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    b_med, c_med = statistics.median(base), statistics.median(change)
+    q1, _, q3 = quartiles(base)
+    spread = q3 - q1
+    gap = sign * (c_med - b_med)  # > 0: the change is better
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    if bound is not None and -gap > bound * abs(b_med):
+        return "worse"
+    if 10 * wins >= 9 * len(base) and gap > spread:
+        return "better"
+    if spread > abs(gap) or (bound is not None and spread > bound * abs(b_med)):
+        return "unresolved"
+    return "within bound"
+
+
+def report(runs: Sequence[Run], better: dict[str, str],
+           bounds: dict[str, float] | None = None) -> str:
+    """Per metric: each side's median [Q1, Q3], the ratio, the wins; then
+    each metric's :func:`verdict` against its bound in ``bounds``."""
     by_seed: dict[int, dict[str, Run]] = {}
     for run in runs:
         by_seed.setdefault(run.seed, {})[run.side] = run
@@ -129,6 +161,7 @@ def report(runs: Sequence[Run], better: dict[str, str]) -> str:
     lines = [f"{len(pairs)} pair(s)",
              f"  {'metric':<18} {'base median [Q1, Q3]':>32} "
              f"{'change median [Q1, Q3]':>32} {'ratio':>7} {'wins':>6}"]
+    verdicts = []
     for name in names:
         both = [p for p in pairs
                 if name in p["base"].metrics and name in p["change"].metrics]
@@ -146,6 +179,14 @@ def report(runs: Sequence[Run], better: dict[str, str]) -> str:
         ratio = c_med / b_med if b_med else float("nan")
         lines.append(f"  {name:<18} {cells[0]:>32} {cells[1]:>32} "
                      f"{ratio:>7.3f} {wins:>3}/{len(both)}")
+        bound = (bounds or {}).get(name)
+        label = verdict(base, change, better.get(name, "lower"), bound)
+        verdicts.append(f"  {label:<13} {name:<18} bound "
+                        f"{'none' if bound is None else f'{bound:g}'}")
+    lines.append("verdict (worse: beyond the bound; better: >= 9/10 wins and "
+                 "a gap above the base IQR; unresolved: the base IQR exceeds "
+                 "the gap or the bound)")
+    lines.extend(verdicts)
     bad = [run for run in runs if not run.correct]
     lines.append(f"{len(bad)} run(s) not correct")
     for run in bad:
@@ -162,10 +203,12 @@ def seed_range(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def better_directions(repo: Path = REPO) -> dict[str, str]:
-    """``{metric: "lower" | "higher"}`` from ``BENCHMARK.json``."""
-    spec = json.loads((repo / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+def metric_rules(repo: Path = REPO) -> tuple[dict[str, str], dict[str, float]]:
+    """``({metric: "lower" | "higher"}, {metric: bound})`` from
+    ``BENCHMARK.json``'s end-to-end metrics."""
+    spec = json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]
+    return ({m["name"]: m["better"] for m in spec},
+            {m["name"]: m["bound"] for m in spec if "bound" in m})
 
 
 def main(argv: Sequence[str] | None = None, *,
@@ -184,7 +227,7 @@ def main(argv: Sequence[str] | None = None, *,
              for side, rev in (("base", args.base), ("change", args.change))}
     runs = run_pairs(trees, args.workload, args.seeds, args.out / "runs",
                      seconds=args.seconds, runner=runner)
-    text = report(runs, better_directions())
+    text = report(runs, *metric_rules())
     (args.out / "report.txt").write_text(text + "\n")
     print(text)
     return 0 if all(run.correct for run in runs) else 1

@@ -27,7 +27,8 @@ def result_line(correct: bool, **metrics: float) -> str:
 class FakeRunner:
     """``op_p50_ms`` 10 + seed on the base side, 8 + seed on the change
     side; ``ops_per_s`` (higher is better) falls on the change side;
-    the change side's seed 3 fails one check."""
+    ``wall_s`` halves and ``peak_rss_mb`` grows by ten on the change
+    side; the change side's seed 3 fails one check."""
 
     def __init__(self):
         self.calls = []
@@ -37,16 +38,20 @@ class FakeRunner:
         self.calls.append((side, workload, seed, seconds))
         p50 = (10.0 if side == "base" else 8.0) + seed
         ops = 100.0 - (side == "change")
+        metrics = dict(
+            op_p50_ms=p50, ops_per_s=ops,
+            wall_s=(1.0 if side == "base" else 0.5) + 0.01 * seed,
+            peak_rss_mb=(50.0 if side == "base" else 60.0) + seed,
+        )
         if side == "change" and seed == 3:
             stdout = "\n".join([
                 "workload w: seed 3",
                 "  FAILED: line:128: a worker missed the start epoch",
                 "detail: {}",
-                result_line(False, op_p50_ms=p50, ops_per_s=ops),
+                result_line(False, **metrics),
             ])
             return 1, stdout, "warning: late\n"
-        return 0, "detail: {}\n" + result_line(True, op_p50_ms=p50,
-                                                ops_per_s=ops), ""
+        return 0, "detail: {}\n" + result_line(True, **metrics), ""
 
 
 def test_pairs_alternate_keep_output_and_report(tmp_path):
@@ -82,6 +87,62 @@ def test_pairs_alternate_keep_output_and_report(tmp_path):
         "  change seed 3 (exit 1)",
         "    FAILED: line:128: a worker missed the start epoch",
     ]
+
+
+def test_each_verdict_against_its_bound(tmp_path):
+    runs = paired.run_pairs(
+        {"base": tmp_path / "base", "change": tmp_path / "change"}, "w",
+        [1, 2, 3, 4], tmp_path / "runs", runner=FakeRunner(),
+    )
+    text = paired.report(
+        runs,
+        {"op_p50_ms": "lower", "ops_per_s": "higher", "wall_s": "lower",
+         "peak_rss_mb": "lower"},
+        {"op_p50_ms": 0.25, "ops_per_s": 0.25, "wall_s": 0.25,
+         "peak_rss_mb": 0.1},
+    )
+    lines = text.splitlines()
+    verdicts = lines[lines.index(next(l for l in lines
+                                      if l.startswith("verdict"))) + 1:
+                     lines.index("1 run(s) not correct")]
+    # Each line: the verdict in a 13-wide column, the metric, its bound.
+    assert {(line[2:15].strip(), line.split()[-3]) for line in verdicts} == {
+        # 4/4 wins, but the gap 2 is inside the base IQR 2.5.
+        ("unresolved", "op_p50_ms"),
+        # 1 % worse, resolved (the base runs do not spread): inside 25 %.
+        ("within bound", "ops_per_s"),
+        # 4/4 wins and a gap 0.5 far above the base IQR 0.025.
+        ("better", "wall_s"),
+        # Median 62.5 -> 72.5: 16 % worse, beyond its 10 % bound.
+        ("worse", "peak_rss_mb"),
+    }
+    # In name order, each with the bound it was judged against.
+    assert [(line.split()[-3], line.split()[-1]) for line in verdicts] == [
+        ("op_p50_ms", "0.25"), ("ops_per_s", "0.25"),
+        ("peak_rss_mb", "0.1"), ("wall_s", "0.25"),
+    ]
+
+
+def test_better_needs_nine_wins_in_ten():
+    base = [100.0 + k for k in range(10)]  # IQR 5.5
+    nine = [b - 10.0 for b in base[:9]] + [base[9] + 1.0]
+    eight = [b - 10.0 for b in base[:8]] + [base[8] + 1.0, base[9] + 1.0]
+    assert paired.verdict(base, nine, "lower", 0.25) == "better"
+    assert paired.verdict(base, eight, "lower", 0.25) == "within bound"
+    # Higher is better: the same runs read the other way round.
+    assert paired.verdict(nine, base, "higher", 0.25) == "better"
+    # Beyond the bound is worse however the pairs fall.
+    assert paired.verdict(base, [b * 1.3 for b in base], "lower", 0.25) == "worse"
+    assert paired.verdict(base, [b * 0.7 for b in base], "higher", 0.25) == "worse"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    base = [100.0, 60.0, 140.0, 80.0, 120.0]  # IQR 60 of a median 100
+    change = [b + 20.0 for b in base]  # 20 % worse, inside a 25 % bound
+    assert paired.verdict(base, change, "lower", 0.25) == "unresolved"
+    # With runs this noisy, only a clean sweep beyond the spread is better.
+    assert paired.verdict(base, [b - 70.0 for b in base], "lower", 0.9) == "better"
+    assert paired.verdict(base, base, "lower", None) == "unresolved"
 
 
 def test_a_run_without_a_result_line_is_not_correct():
