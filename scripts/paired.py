@@ -126,8 +126,9 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str,
 
     * ``worse`` — the change's median is worse than the base's by more
       than ``bound`` (a fraction of the base median);
-    * ``better`` — the change wins at least nine pairs in ten and its
-      median is better by more than the base's interquartile range;
+    * ``better`` — over at least ten pairs, the change wins at least
+      nine in ten and its median is better by more than the base's
+      interquartile range;
     * ``unresolved`` — the base's interquartile range exceeds the
       difference of the medians, or ``bound`` itself: the runs spread
       too widely to tell;
@@ -142,7 +143,7 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str,
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     if bound is not None and -gap > bound * abs(b_med):
         return "worse"
-    if 10 * wins >= 9 * len(base) and gap > spread:
+    if len(base) >= 10 and 10 * wins >= 9 * len(base) and gap > spread:
         return "better"
     if spread > abs(gap) or (bound is not None and spread > bound * abs(b_med)):
         return "unresolved"
@@ -183,9 +184,9 @@ def report(runs: Sequence[Run], better: dict[str, str],
         label = verdict(base, change, better.get(name, "lower"), bound)
         verdicts.append(f"  {label:<13} {name:<18} bound "
                         f"{'none' if bound is None else f'{bound:g}'}")
-    lines.append("verdict (worse: beyond the bound; better: >= 9/10 wins and "
-                 "a gap above the base IQR; unresolved: the base IQR exceeds "
-                 "the gap or the bound)")
+    lines.append("verdict (worse: beyond the bound; better: >= 10 pairs, "
+                 ">= 9/10 wins and a gap above the base IQR; unresolved: the "
+                 "base IQR exceeds the gap or the bound)")
     lines.extend(verdicts)
     bad = [run for run in runs if not run.correct]
     lines.append(f"{len(bad)} run(s) not correct")

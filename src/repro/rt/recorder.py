@@ -108,7 +108,7 @@ def build_execution(
         for report in reports:
             for key, value in report["stats"].items():
                 fault_stats[key] = fault_stats.get(key, 0) + value
-    # The change-points the loop put on its heap (the simulator's rule).
+    # The change-points the loop's queue kept (the simulator's horizon).
     dynamic = cell.dynamic
     timeline = None
     if dynamic is not None and not dynamic.is_static():

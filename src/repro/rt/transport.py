@@ -4,11 +4,12 @@ A transport is exactly the three powers the model grants the
 *environment* (as opposed to the nodes): it defines the current real
 time, it carries messages subject to the ``[0, d_ij]`` delay model, and
 it fires hardware-time timers.  One class does all three for every name
-— :class:`~repro.rt.shard.ShardTransport`, one heap loop — and the four
+— :class:`~repro.rt.shard.ShardTransport`, one loop over the simulator's
+:class:`~repro.sim.events.BatchEventQueue` — and the four
 names (:data:`~repro.sweep.families.TRANSPORT_FAMILIES`) are its
 configurations (:data:`TRANSPORT_SHAPES`), a choice of *clock* and of
 *carrier* made once per run from ``config.transport``.  The carrier is
-``local`` (the loop's own heap) or the wire, each frame addressed to
+``local`` (the loop's own queue) or the wire, each frame addressed to
 its owning ``peer`` or to a central ``switch``:
 
 ===========  =======  =======  ========================================

@@ -92,7 +92,7 @@ def test_pairs_alternate_keep_output_and_report(tmp_path):
 def test_each_verdict_against_its_bound(tmp_path):
     runs = paired.run_pairs(
         {"base": tmp_path / "base", "change": tmp_path / "change"}, "w",
-        [1, 2, 3, 4], tmp_path / "runs", runner=FakeRunner(),
+        range(1, 11), tmp_path / "runs", runner=FakeRunner(),
     )
     text = paired.report(
         runs,
@@ -107,13 +107,13 @@ def test_each_verdict_against_its_bound(tmp_path):
                      lines.index("1 run(s) not correct")]
     # Each line: the verdict in a 13-wide column, the metric, its bound.
     assert {(line[2:15].strip(), line.split()[-3]) for line in verdicts} == {
-        # 4/4 wins, but the gap 2 is inside the base IQR 2.5.
+        # 10/10 wins, but the gap 2 is inside the base IQR 5.5.
         ("unresolved", "op_p50_ms"),
         # 1 % worse, resolved (the base runs do not spread): inside 25 %.
         ("within bound", "ops_per_s"),
-        # 4/4 wins and a gap 0.5 far above the base IQR 0.025.
+        # 10/10 wins and a gap 0.5 far above the base IQR 0.055.
         ("better", "wall_s"),
-        # Median 62.5 -> 72.5: 16 % worse, beyond its 10 % bound.
+        # Median 55.5 -> 65.5: 18 % worse, beyond its 10 % bound.
         ("worse", "peak_rss_mb"),
     }
     # In name order, each with the bound it was judged against.
@@ -134,14 +134,16 @@ def test_better_needs_nine_wins_in_ten():
     # Beyond the bound is worse however the pairs fall.
     assert paired.verdict(base, [b * 1.3 for b in base], "lower", 0.25) == "worse"
     assert paired.verdict(base, [b * 0.7 for b in base], "higher", 0.25) == "worse"
+    # Fewer than ten pairs never make a gain, however clean.
+    assert paired.verdict(base[:9], nine[:9], "lower", 0.25) == "within bound"
 
 
 def test_a_spread_wider_than_the_bound_is_unresolved():
-    base = [100.0, 60.0, 140.0, 80.0, 120.0]  # IQR 60 of a median 100
+    base = [100.0, 60.0, 140.0, 80.0, 120.0] * 2  # IQR 50 of a median 100
     change = [b + 20.0 for b in base]  # 20 % worse, inside a 25 % bound
     assert paired.verdict(base, change, "lower", 0.25) == "unresolved"
     # With runs this noisy, only a clean sweep beyond the spread is better.
-    assert paired.verdict(base, [b - 70.0 for b in base], "lower", 0.9) == "better"
+    assert paired.verdict(base, [b - 70.0 for b in base], "lower", 0.25) == "better"
     assert paired.verdict(base, base, "lower", None) == "unresolved"
 
 

@@ -135,7 +135,7 @@ class TestLiveStats:
 
 
 class _LateFrameNode:
-    """A hosted node stand-in: its timer at t = 2 writes, on the far end
+    """A hosted node stand-in: its timer at t = 1 writes, on the far end
     of the loop's socket, a frame sent at 0.1 with delay 0.2 — due long
     before the instant being dispatched."""
 
@@ -172,10 +172,10 @@ class TestLateFrame:
         ours.setblocking(False)
         transport = ShardTransport(
             recorder=LiveRecorder(), delay_policy=None, seed=0,
-            duration=4.0, time_scale=0.02, sock=ours, route={},
+            duration=6.0, time_scale=0.05, sock=ours, route={},
         )
         node = _LateFrameNode(transport, far_end)
-        transport.schedule_timer(node, 2.0, "tick")
+        transport.schedule_timer(node, 1.0, "tick")
         try:
             transport.run({0: node})
         finally:
@@ -183,9 +183,9 @@ class TestLateFrame:
             far_end.close()
         # Delivered once, at the measured instant after the timer's (not
         # at its own due time 0.3), with the payload restored to a tuple.
-        assert node.fired_at >= 2.0
+        assert node.fired_at >= 1.0
         ((at, sender, payload),) = node.delivered
-        assert node.fired_at <= at < 4.0
+        assert node.fired_at <= at < 6.0
         assert (sender, payload) == (1, ("clock", 1.0))
         assert transport.events_processed == 2
         assert transport.frames_dropped == 0

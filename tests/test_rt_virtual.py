@@ -197,6 +197,33 @@ class TestChurnGrid:
         assert execution.is_dynamic
 
 
+class TestHorizon:
+    """The simulator's horizon rule holds on the live loop: nothing due
+    past ``duration + TIME_EPS`` is queued, so a finished virtual run
+    leaves its queue empty."""
+
+    @pytest.mark.parametrize("topology", ["geometric:64,3", "line:128"])
+    def test_a_finished_virtual_run_leaves_its_queue_empty(
+        self, topology, monkeypatch
+    ):
+        loops = []
+
+        class Kept(shard_rt.ShardTransport):
+            def run(self, nodes, epoch=None):
+                loops.append(self)
+                super().run(nodes, epoch)
+
+        monkeypatch.setattr(shard_rt, "ShardTransport", Kept)
+        config = LiveRunConfig(
+            topology=topology, algorithm="gradient", duration=20.0, seed=1,
+            transport="virtual",
+        )
+        execution = run_live(config)
+        (loop,) = loops
+        assert loop.events_processed > 0 and len(execution.messages) > 0
+        assert len(loop._queue) == 0
+
+
 @st.composite
 def drawn_cells(draw) -> LiveRunConfig:
     """A whole cell as spec strings: topology family, algorithm,
@@ -227,33 +254,6 @@ def drawn_cells(draw) -> LiveRunConfig:
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         transport="virtual",
     )
-
-
-class TestHorizon:
-    """The simulator's horizon rule holds on the live loop: nothing due
-    past ``duration + TIME_EPS`` is queued, so a finished virtual run
-    leaves its queue empty."""
-
-    @pytest.mark.parametrize("topology", ["geometric:64,3", "line:128"])
-    def test_a_finished_virtual_run_leaves_its_queue_empty(
-        self, topology, monkeypatch
-    ):
-        loops = []
-
-        class Kept(shard_rt.ShardTransport):
-            def run(self, nodes, epoch=None):
-                loops.append(self)
-                super().run(nodes, epoch)
-
-        monkeypatch.setattr(shard_rt, "ShardTransport", Kept)
-        config = LiveRunConfig(
-            topology=topology, algorithm="gradient", duration=20.0, seed=1,
-            transport="virtual",
-        )
-        execution = run_live(config)
-        ((loop,),) = [loops]
-        assert loop.events_processed > 0 and len(execution.messages) > 0
-        assert len(loop._queue) == 0
 
 
 class TestDrawnCells:
