@@ -52,9 +52,12 @@ echo "== simulator differential properties at the ci budget =="
 # the clock batch properties and the all-node logical-matrix gather
 # guard the analysis matrix; the exact Requirement 1 check is held to the grid walk
 # it replaced, and the spread-screened Requirement 2 check to the per-pair
-# loop over drawn linear bounds; the one-pass polyline text and the
-# array line panel are held to the per-point ``_fmt`` versions.  Tier-1 runs them at small budgets, the
-# ``ci`` hypothesis profile (tests/conftest.py) at 200 examples each.
+# loop over drawn linear bounds; the one-pass polyline text, the
+# coordinate-run formatter and the array line panel are held to the
+# per-point ``_fmt`` versions, and the array colour ramp to the scalar
+# one on drawn floats (NaN, infinities, anchors, exact halves).  Tier-1
+# runs them at small budgets, the ``ci`` hypothesis profile
+# (tests/conftest.py) at 200 examples each.
 timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_engine_equivalence.py::TestRandomScenarios" \
     "tests/test_rt_virtual.py::TestDrawnCells" \
@@ -65,7 +68,9 @@ timeout 120 python -m pytest -q -p no:cacheprovider --hypothesis-profile ci \
     "tests/test_hypothesis_clocks.py::TestExactValidityAgainstGrid" \
     "tests/test_properties.py::TestCheckGradientMatchesPerPairReference::test_drawn_linear_bounds" \
     "tests/test_viz.py::TestArrayLinePanel::test_polyline_text_equals_the_per_point_fmt_join" \
-    "tests/test_viz.py::TestArrayLinePanel::test_line_panel_equals_the_per_point_panel"
+    "tests/test_viz.py::TestArrayLinePanel::test_line_panel_equals_the_per_point_panel" \
+    "tests/test_viz.py::TestArrayMobility::test_array_ramp_equals_the_scalar_ramp" \
+    "tests/test_viz.py::TestArrayMobility::test_run_formatter_equals_the_per_number_fmt"
 
 echo
 echo "== quick-scale parallel sweep (end-to-end) =="

@@ -11,7 +11,14 @@ the ratio of the medians (change / base), and in how many pairs the
 change was better (``BENCHMARK.json`` says which direction is better),
 then a verdict per metric against ``BENCHMARK.json``'s bound (see
 :func:`verdict`).  Every run whose result line says ``"correct": false``
-(or that printed none) is listed with its ``FAILED:`` lines.
+(or that printed none) is listed with its ``FAILED:`` lines, and those
+runs are tallied per side by cause (:func:`causes`), so that a failing
+run can be matched to a known flake.
+
+The memory layout varies from pair to pair: each pair's runs get an
+environment padded by :func:`layout_pad` bytes of its seed, the same on
+both sides.  A few-percent shift that follows the layout then shows as
+spread, not as an effect of the change.
 
 Usage::
 
@@ -29,6 +36,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -39,8 +48,16 @@ from typing import Callable, Sequence
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: ``runner(tree, workload, seed, seconds) -> (exit code, stdout, stderr)``.
-Runner = Callable[[Path, str, int, float], "tuple[int, str, str]"]
+#: ``runner(tree, workload, seed, seconds, env) -> (exit code, stdout,
+#: stderr)``; ``env`` is added to the child's environment.
+Runner = Callable[[Path, str, int, float, "dict[str, str]"],
+                  "tuple[int, str, str]"]
+
+#: The environment variable that carries a pair's padding.
+PAD_VARIABLE = "REPRO_LAYOUT_PAD"
+
+#: A failure line's topology, as ``run.py`` prefixes it: ``line:128: ``.
+_TOPOLOGY = re.compile(r"^[a-z]\w*:[0-9][0-9,.]*: ")
 
 
 @dataclass
@@ -67,14 +84,24 @@ def export(rev: str, dest: Path, *, repo: Path = REPO) -> Path:
     return dest
 
 
-def run_benchmark(tree: Path, workload: str, seed: int,
-                  seconds: float) -> tuple[int, str, str]:
+def layout_pad(seed: int) -> int:
+    """Bytes of environment padding for a pair: a multiplicative hash of
+    the seed into [0, 4096), so any 4096 consecutive seeds get distinct
+    sizes.  The environment sits at the top of a process's stack, so its
+    size shifts where the stack (and what the interpreter lays out from
+    it) starts."""
+    return seed * 2654435761 % 4096
+
+
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float,
+                  env: dict[str, str]) -> tuple[int, str, str]:
     """One ``benchmarks/e2e/run.py`` process in ``tree``."""
     command = [sys.executable, "benchmarks/e2e/run.py", "--workload",
                workload, "--seed", str(seed), "--trace", "0"]
     if seconds:
         command += ["--seconds", str(seconds)]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, **env})
     return done.returncode, done.stdout, done.stderr
 
 
@@ -96,14 +123,17 @@ def parse(side: str, seed: int, code: int, stdout: str) -> Run:
 def run_pairs(trees: dict[str, Path], workload: str, seeds: Sequence[int],
               out: Path, *, seconds: float = 0.0,
               runner: Runner = run_benchmark) -> list[Run]:
-    """Run every seed on both sides, alternating which goes first, and
-    keep each run's output as ``out/<side>-s<seed>.{out,err}``."""
+    """Run every seed on both sides, alternating which goes first, with
+    the seed's :func:`layout_pad`, and keep each run's output as
+    ``out/<side>-s<seed>.{out,err}``."""
     out.mkdir(parents=True, exist_ok=True)
     runs = []
     for k, seed in enumerate(seeds):
         sides = ["base", "change"] if k % 2 == 0 else ["change", "base"]
+        env = {PAD_VARIABLE: "x" * layout_pad(seed)}
         for side in sides:
-            code, stdout, stderr = runner(trees[side], workload, seed, seconds)
+            code, stdout, stderr = runner(trees[side], workload, seed,
+                                          seconds, env)
             (out / f"{side}-s{seed}.out").write_text(stdout)
             (out / f"{side}-s{seed}.err").write_text(stderr)
             runs.append(parse(side, seed, code, stdout))
@@ -150,6 +180,26 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str,
     return "within bound"
 
 
+def causes(runs: Sequence[Run]) -> list[str]:
+    """The runs that are not correct, tallied per side by cause: each
+    ``FAILED:`` text with its topology stripped, counted once per run,
+    as ``cause: base k/N, change k/N`` (``N`` runs on that side)."""
+    totals = {"base": 0, "change": 0}
+    tally: dict[str, dict[str, int]] = {}
+    for run in runs:
+        totals[run.side] += 1
+        if run.correct:
+            continue
+        texts = {_TOPOLOGY.sub("", line.removeprefix("FAILED:").strip())
+                 for line in run.failed} or {"(no FAILED line)"}
+        for text in texts:
+            counts = tally.setdefault(text, {"base": 0, "change": 0})
+            counts[run.side] += 1
+    return [f"{text}: base {counts['base']}/{totals['base']}, "
+            f"change {counts['change']}/{totals['change']}"
+            for text, counts in sorted(tally.items())]
+
+
 def report(runs: Sequence[Run], better: dict[str, str],
            bounds: dict[str, float] | None = None) -> str:
     """Per metric: each side's median [Q1, Q3], the ratio, the wins; then
@@ -193,6 +243,9 @@ def report(runs: Sequence[Run], better: dict[str, str],
     for run in bad:
         lines.append(f"  {run.side} seed {run.seed} (exit {run.code})")
         lines.extend(f"    {line}" for line in run.failed or ["(no FAILED line)"])
+    if bad:
+        lines.append("not correct, by cause (topology stripped)")
+        lines.extend(f"  {line}" for line in causes(runs))
     return "\n".join(lines)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.sim.trace import CRASH, RECOVER
 from repro.viz.panels import AXIS_COLOR
-from repro.viz.svg import SvgCanvas, sequential_color
+from repro.viz.svg import _SEQUENTIAL, SvgCanvas, _fmt_run, _ramp
 
 __all__ = ["mobility_animation", "mobility_frames"]
 
@@ -41,38 +41,29 @@ def _snapshots(execution) -> list[tuple[float, object]]:
     return [(t, topo) for t, topo in timeline if t <= execution.duration]
 
 
-def _layout(snapshots, n: int) -> list[dict[int, tuple[float, float]]]:
-    """Per-frame positions, normalized into the plot box."""
-    raw: list[dict[int, tuple[float, float]]] = []
+def _layout(snapshots, n: int) -> np.ndarray:
+    """Per-frame positions, normalized into the plot box:
+    ``frames x n x 2``."""
+    circle = [
+        (math.cos(2 * math.pi * node / n), math.sin(2 * math.pi * node / n))
+        for node in range(n)
+    ]
+    raw = []
     for _, topo in snapshots:
         positions = getattr(topo, "positions", None)
         if positions and all(node in positions for node in range(n)):
-            raw.append({node: tuple(positions[node]) for node in range(n)})
+            raw.append([positions[node] for node in range(n)])
         else:
-            raw.append({
-                node: (
-                    math.cos(2 * math.pi * node / n),
-                    math.sin(2 * math.pi * node / n),
-                )
-                for node in range(n)
-            })
-    xs = [p[0] for frame in raw for p in frame.values()]
-    ys = [p[1] for frame in raw for p in frame.values()]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+            raw.append(circle)
+    xy = np.array(raw, dtype=float)
+    x_lo, y_lo = xy.min(axis=(0, 1)).tolist()
+    x_hi, y_hi = xy.max(axis=(0, 1)).tolist()
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     px, py, pw, ph = _PLOT
     scale = min(pw, ph) / span
-    out = []
-    for frame in raw:
-        out.append({
-            node: (
-                px + pw / 2 + ((x - (x_lo + x_hi) / 2)) * scale,
-                py + ph / 2 + ((y - (y_lo + y_hi) / 2)) * scale,
-            )
-            for node, (x, y) in frame.items()
-        })
-    return out
+    xy[..., 0] = px + pw / 2 + (xy[..., 0] - (x_lo + x_hi) / 2) * scale
+    xy[..., 1] = py + ph / 2 + (xy[..., 1] - (y_lo + y_hi) / 2) * scale
+    return xy
 
 
 def _down_sets(execution, frame_times) -> list[set[int]]:
@@ -92,34 +83,48 @@ def _down_sets(execution, frame_times) -> list[set[int]]:
     return out
 
 
+#: One edge: four coordinates, then the color's three channels.
+_EDGE = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#%02x%02x%02x" '
+         'stroke-width="2.2" opacity="0.9" class="edge"/>')
+#: One node's label: ``x``, ``y - 9``, the node.
+_LABEL = (f'<text x="%s" y="%s" font-size="7" font-family="{SvgCanvas.FONT}" '
+          'text-anchor="middle" fill="#555555">%d</text>')
+#: One node and its label: ``cx``, ``cy``, the node, then :data:`_LABEL`.
+_NODE_UP = ('<circle cx="%s" cy="%s" r="6" fill="#2c3e50" stroke="#ffffff" '
+            'stroke-width="1" class="node"><title>node %d</title></circle>'
+            + _LABEL)
+_NODE_DOWN = ('<circle cx="%s" cy="%s" r="6" fill="#ffffff" stroke="#c0392b" '
+              'stroke-width="1.6" class="node-down"><title>node %d (down)'
+              '</title></circle>' + _LABEL)
+
+
 def _frame_marks(
     canvas: SvgCanvas,
-    topo,
-    positions,
-    skews: dict[tuple[int, int], float],
+    positions: np.ndarray,
+    edge_skews: tuple[np.ndarray, np.ndarray],
     v_hi: float,
     down: set[int],
     caption: str,
 ) -> None:
-    for i, j in sorted(topo.comm_edges):
-        a, b = (i, j) if i < j else (j, i)
-        value = skews.get((a, b), 0.0)
-        canvas.line(
-            *positions[i], *positions[j],
-            stroke=sequential_color(value / v_hi if v_hi > 0 else 0.0),
-            width=2.2, opacity=0.9, klass="edge",
-        )
-    for node, (x, y) in sorted(positions.items()):
-        if node in down:
-            canvas.circle(x, y, 6.0, fill="#ffffff", stroke="#c0392b",
-                          stroke_width=1.6, klass="node-down",
-                          title=f"node {node} (down)")
-        else:
-            canvas.circle(x, y, 6.0, fill="#2c3e50", stroke="#ffffff",
-                          stroke_width=1.0, klass="node",
-                          title=f"node {node}")
-        canvas.text(x, y - 9, str(node), size=7, anchor="middle",
-                    fill="#555555")
+    """Every edge, then every node with its label, as finished element
+    strings: all coordinates in one :func:`_fmt_run`, every edge color
+    in one :func:`_ramp`."""
+    edges, skews = edge_skews
+    rgb = _ramp(_SEQUENTIAL, skews / v_hi if v_hi > 0 else np.zeros(len(skews)))
+    nodes = np.column_stack([positions, positions[:, 1] - 9])
+    coords = _fmt_run(
+        positions[edges].ravel().tolist() + nodes.ravel().tolist(), '"'
+    ).split('"')
+    e4 = 4 * len(edges)
+    canvas.add("".join(map(_EDGE.__mod__, zip(
+        coords[0:e4:4], coords[1:e4:4], coords[2:e4:4], coords[3:e4:4],
+        *rgb.T.tolist(),
+    ))))
+    canvas.add("".join(
+        (_NODE_DOWN if node in down else _NODE_UP) % (x, y, node, x, label_y, node)
+        for node, (x, y, label_y) in enumerate(zip(
+            coords[e4::3], coords[e4 + 1::3], coords[e4 + 2::3]))
+    ))
     canvas.text(_PLOT[0], _H - 18, caption, size=9, fill=AXIS_COLOR,
                 klass="frame-caption")
 
@@ -138,20 +143,20 @@ def _build(execution):
     layouts = _layout(snapshots, n)
     downs = _down_sets(execution, frame_times)
 
+    # Per frame: the drawn communication edges (sorted) and their skews.
+    # The scale ``v_hi`` is the largest skew over the adjacent pairs and
+    # the edges, in that order: a builtin ``max``, so a NaN counts only
+    # where it comes first.
     per_frame_skews = []
     v_hi = 0.0
     for k, (t, topo) in enumerate(snapshots):
-        skews = {}
-        for i, j in topo.adjacent_pairs():
-            skews[(i, j)] = abs(float(values[i, k] - values[j, k]))
-        for i, j in sorted(topo.comm_edges):
-            a, b = (i, j) if i < j else (j, i)
-            skews.setdefault(
-                (a, b), abs(float(values[a, k] - values[b, k]))
-            )
-        per_frame_skews.append(skews)
-        if skews:
-            v_hi = max(v_hi, max(skews.values()))
+        adjacent = topo.adjacent_pairs()
+        pairs = np.array(adjacent + sorted(topo.comm_edges),
+                         dtype=np.intp).reshape(-1, 2)
+        skews = np.abs(values[pairs[:, 0], k] - values[pairs[:, 1], k])
+        per_frame_skews.append((pairs[len(adjacent):], skews[len(adjacent):]))
+        if len(skews):
+            v_hi = max(v_hi, max(skews.tolist()))
     return snapshots, frame_times, layouts, downs, per_frame_skews, v_hi
 
 
@@ -172,7 +177,7 @@ def mobility_frames(execution) -> list[str]:
         canvas = SvgCanvas(_W, _H, background="#fafafa")
         _header(canvas, execution, v_hi)
         _frame_marks(
-            canvas, topo, layouts[k], skews[k], v_hi, downs[k],
+            canvas, layouts[k], skews[k], v_hi, downs[k],
             f"frame {k + 1}/{len(snapshots)}: snapshot at t={t:g}, "
             f"sampled at t={frame_times[k]:.3g}",
         )
@@ -199,7 +204,7 @@ def mobility_animation(execution, *, frame_seconds: float = 0.6) -> str:
                 f'keyTimes="0;{start:.6g};{min(end, 1.0):.6g}"/>'
             )
         _frame_marks(
-            canvas, topo, layouts[k], skews[k], v_hi, downs[k],
+            canvas, layouts[k], skews[k], v_hi, downs[k],
             f"frame {k + 1}/{len(snapshots)}: snapshot at t={t:g}, "
             f"sampled at t={frame_times[k]:.3g}",
         )

@@ -18,17 +18,23 @@ XML-escape *and* strip characters that are invalid in XML 1.0 (control
 characters other than tab/newline/CR).  Tests pin this with a hypothesis
 property: any label round-trips through ``xml.etree`` parsing.
 
-Colors come from one small interpolated ramp (:func:`sequential_color`)
-so heatmaps and edge colorings look the same in every renderer without
-an external colormap library;
-:func:`sequential_rgb` reads the same ramp for whole arrays from a table.
+Numbers and colors are written once
+------------------------------------
+Every coordinate is :func:`_fmt`'s text.  A run of them — a polyline's
+points, a mobility frame's marks — goes through :func:`_fmt_run`, one
+``%`` format and two ``str.replace`` trims per separator, which the
+tests hold to ``_fmt`` number by number.  Colors come from one
+interpolated ramp, :func:`_ramp`, written once over arrays:
+:func:`sequential_color` is its one-element case, so heatmaps and edge
+colorings look the same in every renderer without an external colormap
+library, and :func:`sequential_rgb` reads it for whole heatmaps from a
+table built by the same function.
 """
 
 from __future__ import annotations
 
 import base64
 import functools
-import re
 import struct
 import zlib
 from typing import Iterable, Sequence
@@ -84,11 +90,23 @@ def _fmt(number: float) -> str:
     return text if text else "0"
 
 
-#: What :func:`_fmt` strips from a ``{:.2f}`` number, found in a whole
-#: ``x,y x,y ...`` run at once: trailing zeros of the two decimals, and
-#: the point when both go.  The integer part is never touched — it is
-#: always followed by the point, not by a separator.
-_TRAILING_ZEROS = re.compile(r"\.?0+(?=[ ,]|$)")
+def _fmt_run(values: Sequence[float], seps: str) -> str:
+    """:func:`_fmt` of every value, each followed by the next character
+    of ``seps`` in turn, the last one dropped: ``_fmt_run(v, '"')`` is
+    ``'"'.join(map(_fmt, v))``, and ``_fmt_run(xy, ", ")`` writes
+    ``x,y x,y ...``.  ``len(values)`` is a multiple of ``len(seps)``.
+
+    One ``%`` format of ``"%.2f"`` fields, then per separator two
+    trims: ``0<sep>`` drops a trailing zero, and ``.0<sep>`` is what is
+    left of ``.00``.  The integer part is never touched — it is always
+    followed by the point, not by a separator."""
+    if not len(values):
+        return ""
+    fields = "".join("%.2f" + sep for sep in seps)
+    text = (fields * (len(values) // len(seps))) % tuple(values)
+    for sep in seps:
+        text = text.replace("0" + sep, sep).replace(".0" + sep, sep)
+    return text[:-1]
 
 
 # ----------------------------------------------------------------------
@@ -106,21 +124,28 @@ _SEQUENTIAL = (
 )
 
 
-def _ramp(anchors: Sequence[tuple[int, int, int]], t: float) -> str:
-    if t != t:  # NaN guards: render as mid-gray, never crash a panel
-        return "#999999"
-    t = min(max(float(t), 0.0), 1.0)
-    scaled = t * (len(anchors) - 1)
-    k = min(int(scaled), len(anchors) - 2)
-    frac = scaled - k
-    lo, hi = anchors[k], anchors[k + 1]
-    r, g, b = (round(a + (b_ - a) * frac) for a, b_ in zip(lo, hi))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _ramp(anchors: Sequence[tuple[int, int, int]], t) -> np.ndarray:
+    """The ramp at ``t`` (any shape) as ``t.shape + (3,)`` ``uint8``:
+    clamped to [0, 1], interpolated between the two nearest anchors and
+    rounded half to even (``np.rint``, as ``round`` does).  NaN renders
+    as mid-gray, never crashes a panel."""
+    t = np.asarray(t, dtype=float)
+    nan = np.isnan(t)
+    scaled = np.clip(np.where(nan, 0.0, t), 0.0, 1.0) * (len(anchors) - 1)
+    k = np.minimum(scaled.astype(np.intp), len(anchors) - 2)
+    frac = (scaled - k)[..., None]
+    table = np.array(anchors, dtype=float)
+    lo, hi = table[k], table[k + 1]
+    rgb = np.rint(lo + (hi - lo) * frac)
+    return np.where(nan[..., None], 0x99, rgb).astype(np.uint8)
 
 
+@functools.lru_cache(maxsize=1024)
 def sequential_color(t: float) -> str:
-    """Map ``t in [0, 1]`` onto the sequential (magnitude) ramp."""
-    return _ramp(_SEQUENTIAL, t)
+    """Map ``t in [0, 1]`` onto the sequential (magnitude) ramp.
+
+    Memoized: a colorbar asks for the same few stops on every panel."""
+    return "#%02x%02x%02x" % tuple(_ramp(_SEQUENTIAL, t).tolist())
 
 
 #: Steps of the array ramp's table.  The steepest channel climbs 131
@@ -130,11 +155,10 @@ _TABLE_STEPS = 1024
 
 @functools.lru_cache(maxsize=None)
 def _sequential_table() -> np.ndarray:
-    """:func:`sequential_color` at ``k / _TABLE_STEPS``, then at NaN, as
-    ``uint8`` RGB rows — the interpolation itself is not written twice."""
-    stops = [k / _TABLE_STEPS for k in range(_TABLE_STEPS + 1)] + [float("nan")]
-    return np.array(
-        [list(bytes.fromhex(sequential_color(t)[1:])) for t in stops], np.uint8)
+    """The ramp at ``k / _TABLE_STEPS``, then at NaN, as ``uint8`` RGB
+    rows."""
+    stops = np.append(np.arange(_TABLE_STEPS + 1) / _TABLE_STEPS, np.nan)
+    return _ramp(_SEQUENTIAL, stops)
 
 
 def sequential_rgb(t: np.ndarray) -> np.ndarray:
@@ -300,15 +324,12 @@ class SvgCanvas:
         opacity: float | None = None,
         klass: str | None = None,
     ) -> None:
-        """``points`` is ``(x, y)`` pairs or an ``(N, 2)`` array.  All of
-        them are formatted in one pass and trimmed by one regex, each
-        coordinate exactly as :func:`_fmt` writes it."""
+        """``points`` is ``(x, y)`` pairs or an ``(N, 2)`` array, all of
+        them formatted in one :func:`_fmt_run`."""
         xy = np.asarray(points, dtype=float).reshape(-1, 2)
         if not xy.shape[0]:
             return
-        coords = _TRAILING_ZEROS.sub("", " ".join(
-            map("{:.2f},{:.2f}".format, xy[:, 0].tolist(), xy[:, 1].tolist())
-        ))
+        coords = _fmt_run(xy.ravel().tolist(), ", ")
         self._parts.append(
             f'<polyline points="{coords}" fill="none"'
             + self._attrs(

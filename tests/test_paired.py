@@ -32,10 +32,12 @@ class FakeRunner:
 
     def __init__(self):
         self.calls = []
+        self.envs = []
 
-    def __call__(self, tree, workload, seed, seconds):
+    def __call__(self, tree, workload, seed, seconds, env):
         side = tree.name
         self.calls.append((side, workload, seed, seconds))
+        self.envs.append((side, seed, env))
         p50 = (10.0 if side == "base" else 8.0) + seed
         ops = 100.0 - (side == "change")
         metrics = dict(
@@ -80,13 +82,75 @@ def test_pairs_alternate_keep_output_and_report(tmp_path):
     assert p50.split()[-2:] == [f"{10.5 / 12.5:.3f}", "4/4"]
     (ops,) = [line for line in lines if line.strip().startswith("ops_per_s")]
     assert ops.split()[-1] == "0/4"
-    # The failing run is listed with its FAILED line.
+    # The failing run is listed with its FAILED line, then tallied.
     tail = lines[lines.index("1 run(s) not correct"):]
     assert tail == [
         "1 run(s) not correct",
         "  change seed 3 (exit 1)",
         "    FAILED: line:128: a worker missed the start epoch",
+        "not correct, by cause (topology stripped)",
+        "  a worker missed the start epoch: base 0/4, change 1/4",
     ]
+
+
+class FlakyRunner(FakeRunner):
+    """:class:`FakeRunner`, and the start-epoch flake on other
+    topologies: base seed 2 (twice in one run), change seed 4; base
+    seed 5 dies without a result line."""
+
+    def __call__(self, tree, workload, seed, seconds, env):
+        code, stdout, stderr = super().__call__(tree, workload, seed,
+                                                seconds, env)
+        side = tree.name
+        if (side, seed) in (("base", 2), ("change", 4)):
+            stdout = "\n".join([
+                "  FAILED: grid:16,8: a worker missed the start epoch",
+                "  FAILED: line:512: a worker missed the start epoch",
+                "  FAILED: line:512: final skew 9.000 above bound 8",
+                result_line(False, op_p50_ms=1.0),
+            ])
+            return 1, stdout, stderr
+        if (side, seed) == ("base", 5):
+            return -9, "Traceback (most recent call last):\n", stderr
+        return code, stdout, stderr
+
+
+def test_not_correct_runs_are_tallied_by_cause(tmp_path):
+    runs = paired.run_pairs(
+        {"base": tmp_path / "base", "change": tmp_path / "change"}, "w",
+        range(1, 6), tmp_path / "runs", runner=FlakyRunner(),
+    )
+    # One count per run and cause, whatever the topology: base seed 2
+    # missed the epoch on two topologies and counts once.
+    assert paired.causes(runs) == [
+        "(no FAILED line): base 1/5, change 0/5",
+        "a worker missed the start epoch: base 1/5, change 2/5",
+        "final skew 9.000 above bound 8: base 1/5, change 1/5",
+    ]
+    text = paired.report(runs, {"op_p50_ms": "lower"})
+    tail = text.splitlines()[-4:]
+    assert tail[0] == "not correct, by cause (topology stripped)"
+    assert tail[1:] == [f"  {line}" for line in paired.causes(runs)]
+    # Correct runs make no section.
+    assert "by cause" not in paired.report(
+        [run for run in runs if run.correct], {})
+
+
+def test_each_pair_pads_the_environment_by_its_seed(tmp_path):
+    fake = FakeRunner()
+    paired.run_pairs({"base": tmp_path / "base", "change": tmp_path / "change"},
+                     "w", range(1, 11), tmp_path / "runs", runner=fake)
+    pads = {}
+    for side, seed, env in fake.envs:
+        assert set(env) == {paired.PAD_VARIABLE}
+        pads.setdefault(seed, {})[side] = env[paired.PAD_VARIABLE]
+    # The same padding on both sides of a pair ...
+    assert all(p["base"] == p["change"] for p in pads.values())
+    sizes = [len(p["base"]) for p in pads.values()]
+    assert sizes == [paired.layout_pad(seed) for seed in range(1, 11)]
+    # ... and a different one in every pair.
+    assert len(set(sizes)) == len(sizes)
+    assert all(0 <= size < 4096 for size in sizes)
 
 
 def test_each_verdict_against_its_bound(tmp_path):
@@ -151,8 +215,10 @@ def test_a_run_without_a_result_line_is_not_correct():
     run = paired.parse("base", 7, -9, "Traceback (most recent call last):\n")
     assert not run.correct and run.metrics == {} and run.failed == []
     text = paired.report([run], {})
-    assert text.splitlines()[-2:] == [
-        "  base seed 7 (exit -9)", "    (no FAILED line)"]
+    assert text.splitlines()[-4:] == [
+        "  base seed 7 (exit -9)", "    (no FAILED line)",
+        "not correct, by cause (topology stripped)",
+        "  (no FAILED line): base 1/1, change 0/0"]
 
 
 def test_seed_ranges():
@@ -183,3 +249,23 @@ def test_main_writes_the_report(tmp_path, monkeypatch):
     assert code == 0
     report = (tmp_path / "o" / "report.txt").read_text()
     assert report.startswith("2 pair(s)") and "0 run(s) not correct" in report
+
+
+def test_run_benchmark_adds_the_padding_to_the_environment(tmp_path,
+                                                           monkeypatch):
+    seen = {}
+
+    def fake_run(command, **kwargs):
+        seen.update(kwargs, command=command)
+        return subprocess.CompletedProcess(command, 0, "out", "err")
+
+    monkeypatch.setattr(paired.subprocess, "run", fake_run)
+    monkeypatch.setenv("PAIRED_TEST_MARK", "kept")
+    done = paired.run_benchmark(tmp_path, "w", 3, 0.0,
+                                {paired.PAD_VARIABLE: "xxx"})
+    assert done == (0, "out", "err")
+    assert seen["cwd"] == tmp_path
+    assert seen["env"][paired.PAD_VARIABLE] == "xxx"
+    assert seen["env"]["PAIRED_TEST_MARK"] == "kept"
+    assert seen["command"][-6:] == ["--workload", "w", "--seed", "3",
+                                    "--trace", "0"]

@@ -21,7 +21,13 @@ import zlib
 import numpy as np
 import pytest
 from _engine_helpers import example_budget
-from _viz_reference import per_point_coords, per_point_line_panel
+from _viz_reference import (
+    per_mark_build,
+    per_mark_frame_marks,
+    per_point_coords,
+    per_point_line_panel,
+    scalar_ramp,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.reporting import Table
@@ -51,8 +57,11 @@ from repro.viz.panels import (
     nice_ticks,
 )
 from repro.viz.svg import (
+    _SEQUENTIAL,
     _attr,
     _fmt,
+    _fmt_run,
+    _ramp,
     escape_attr,
     escape_text,
     sequential_color,
@@ -361,6 +370,83 @@ class TestArrayLinePanel:
         svg = skew_dashboard(execution)
         monkeypatch.setattr(dashboard, "line_panel", per_point_line_panel)
         assert skew_dashboard(execution) == svg
+
+
+# ----------------------------------------------------------------------
+# the array ramp and the array mobility frames against the scalar ramp
+# and the per-mark frames they replaced (``tests/_viz_reference.py``)
+
+
+def _ramp_halves() -> list[float]:
+    """Every ``t`` (or a neighbouring float) at which the scalar ramp
+    computes a channel of exactly ``m + 0.5``: round half to even."""
+    out = set()
+    for k, (lo, hi) in enumerate(zip(_SEQUENTIAL, _SEQUENTIAL[1:])):
+        for a, b in zip(lo, hi):
+            for half in np.arange(min(a, b), max(a, b)) + 0.5:
+                t = (k + (half - a) / (b - a)) / (len(_SEQUENTIAL) - 1)
+                for near in (math.nextafter(t, -1.0), t, math.nextafter(t, 2.0)):
+                    scaled = near * (len(_SEQUENTIAL) - 1)
+                    frac = scaled - min(int(scaled), len(_SEQUENTIAL) - 2)
+                    if int(scaled) == k and a + (b - a) * frac == half:
+                        out.add(near)
+    return sorted(out)
+
+
+RAMP_HALVES = _ramp_halves()
+#: The anchors themselves, ``k / 5``, and their neighbouring floats.
+RAMP_BOUNDARIES = [
+    near for k in range(len(_SEQUENTIAL))
+    for t in [k / (len(_SEQUENTIAL) - 1)]
+    for near in (math.nextafter(t, -1.0), t, math.nextafter(t, 2.0))
+]
+RAMP_T = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(-0.5, 1.5)
+    | st.sampled_from(RAMP_HALVES + RAMP_BOUNDARIES)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+)
+
+
+class TestArrayMobility:
+    def test_the_ramp_has_exact_halves_to_draw(self):
+        # Enough ``.5`` channels that the property below draws them.
+        assert len(RAMP_HALVES) > 100
+        assert sequential_color(RAMP_HALVES[0]) == scalar_ramp(
+            _SEQUENTIAL, RAMP_HALVES[0])
+
+    @given(st.lists(RAMP_T, max_size=30))
+    @settings(max_examples=example_budget(150), deadline=None)
+    def test_array_ramp_equals_the_scalar_ramp(self, ts):
+        want = [scalar_ramp(_SEQUENTIAL, t) for t in ts]
+        rgb = _ramp(_SEQUENTIAL, np.array(ts, dtype=float))
+        assert ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()] == want
+        assert [sequential_color(t) for t in ts] == want
+
+    @given(st.lists(COORDINATES | VALUES, max_size=40))
+    @settings(max_examples=example_budget(150), deadline=None)
+    def test_run_formatter_equals_the_per_number_fmt(self, values):
+        assert _fmt_run(values, '"') == '"'.join(map(_fmt, values))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(topology="line:48", faults="crash-recover:0.25,3",
+             mobility="waypoint:0.5"),
+        dict(topology="line:12"),
+        dict(topology="ring:20", mobility="blink:0.3"),
+        dict(topology="geometric:40,3"),
+        dict(topology="line:12", faults="crash-recover:0.25,3"),
+    ], ids=["churny", "static", "blink", "geometric", "down"])
+    def test_mobility_bytes_equal_the_per_mark_frames(self, kwargs, monkeypatch):
+        import repro.viz.mobility as mobility
+
+        execution = run_scenario(algorithm="gradient", duration=8.0, seed=1,
+                                 **kwargs)
+        figures = (mobility_animation(execution), mobility_frames(execution))
+        monkeypatch.setattr(mobility, "_build", per_mark_build)
+        monkeypatch.setattr(mobility, "_frame_marks", per_mark_frame_marks)
+        assert (mobility_animation(execution), mobility_frames(execution)) == figures
+        if kwargs.get("faults"):  # a node is down at a frame instant
+            assert 'class="node-down"' in figures[0]
 
 
 # ----------------------------------------------------------------------
